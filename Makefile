@@ -2,13 +2,14 @@
 
 PYTHON ?= python3
 
-.PHONY: install check layers test test-fast trace-smoke obs-smoke fault-smoke verify-smoke service-smoke measures-smoke strategy-smoke multicore-smoke hotpath-bench service-bench measure-bench strategy-bench bench-gate bench-history obs-bench bench bench-full examples clean
+.PHONY: install check layers test test-fast perfbench-smoke trace-smoke obs-smoke fault-smoke verify-smoke service-smoke measures-smoke strategy-smoke multicore-smoke hotpath-bench service-bench measure-bench strategy-bench bench-gate bench-history obs-bench bench bench-full examples clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
 
 # The CI gate: byte-compile everything, the tier-1 suite, then a trace
-# round-trip on a bundled example dataset and the fault-tolerance smoke.
+# round-trip on a bundled example dataset, the fault-tolerance smoke and
+# the other smokes below.
 check:
 	$(PYTHON) -m compileall -q src
 	$(MAKE) layers
@@ -20,6 +21,15 @@ check:
 	$(MAKE) service-smoke
 	$(MAKE) measures-smoke
 	$(MAKE) strategy-smoke
+	$(MAKE) perfbench-smoke
+
+# Discovery-benchmark smoke: the benchmark's own tests (outside the
+# tier-1 testpaths), then every workload traced at smoke size.  The
+# traced run wraps program entry points by name, so a renamed one fails
+# here instead of as failed calls in a full benchmark run.
+perfbench-smoke:
+	$(PYTHON) -m pytest perfbench/tests -q
+	$(PYTHON) perfbench/run.py --workload all --smoke --trace 1 > /dev/null
 
 # Import-layering gate: repro.search must not reach up into the
 # plugin layers (repro.parallel / repro.obs / repro.core.checkpoint).

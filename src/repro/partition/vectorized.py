@@ -22,11 +22,31 @@ shipping, and golden comparisons all compare raw buffers):
 * :meth:`CsrPartition.from_column` orders classes by value code;
 * products (``product``, ``_product_small``, :func:`batched_products`)
   order classes by the pair ``(class-in-self, class-in-other)``, with
-  rows inside a class in the right factor's index order.
+  rows inside a class in the right factor's index order;
+* rows inside every class ascend by row id.  ``from_column``,
+  ``from_classes``, ``empty`` and ``single_class`` emit ascending
+  classes, and a product inherits the order from its right factor, so
+  every partition the program builds is ascending.  The dense product
+  kernel (below) emits ascending rows whatever its inputs, so it
+  agrees with the per-triple path only under this invariant.  A
+  partition wrapped around raw buffers (``CsrPartition(...)``,
+  ``attach``, a disk-store spill) is checked once, lazily, by
+  :meth:`CsrPartition._rows_ascending`; a non-ascending right factor
+  keeps its products off the dense kernel.
 
-:func:`batched_products` computes a whole level's products over shared
-probe scatters and one stable argsort per sub-batch — a handful of
-numpy passes for the level instead of ~15 numpy calls per triple.
+Products take one of three paths, selected by input properties only:
+
+* a single ``product`` call whose stripped sizes sum to at most
+  ``_SMALL_PRODUCT_THRESHOLD`` probes a Python dict
+  (``_product_small``); larger ones scatter into the shared probe and
+  sort pair keys;
+* :func:`batched_products` over a relation of at most
+  ``_DENSE_MAX_ROWS`` rows builds one label matrix for a chunk's
+  factors and groups every task with one row-wise sort — a fixed
+  number of numpy passes per chunk, whatever the number of tasks;
+* :func:`batched_products` over a taller relation reuses probe
+  scatters across tasks sharing a left factor and pools small tasks
+  into one stable argsort per sub-batch.
 """
 
 from __future__ import annotations
@@ -57,11 +77,12 @@ class PartitionWorkspace:
         self.probe = np.full(num_rows, -1, dtype=np.int64)
 
 
-# Below this total stripped size, plain-Python dict probing beats the
-# vectorized path: each numpy call costs a few microseconds of fixed
-# overhead, and a product issues ~15 of them.  TANE on small relations
-# (the paper's 148-row medical datasets) computes hundreds of
-# thousands of tiny products, so this threshold matters.
+# Below this total stripped size, a single ``product`` call probes a
+# plain-Python dict instead of the vectorized path: each numpy call
+# costs a few microseconds of fixed overhead, and a product issues ~15
+# of them.  Only single products take this path — the node engine of
+# the dfd strategy and the per-triple kernel.  A levelwise run computes
+# its products through ``batched_products``, which never takes it.
 _SMALL_PRODUCT_THRESHOLD = 1024
 
 
@@ -70,22 +91,36 @@ class CsrPartition(PartitionBase):
 
     __slots__ = (
         "_indices", "_offsets", "_num_rows", "_error_count",
-        "_sizes", "_label_cache", "_list_cache", "_table_cache",
+        "_sizes", "_label_cache", "_list_cache", "_table_cache", "_ascending",
     )
 
     def __init__(self, indices: np.ndarray, offsets: np.ndarray, num_rows: int) -> None:
-        self._indices = np.asarray(indices, dtype=np.int64)
-        self._offsets = np.asarray(offsets, dtype=np.int64)
-        self._num_rows = num_rows
-        if self._offsets.size == 0 or self._offsets[0] != 0 or self._offsets[-1] != self._indices.size:
+        indices = np.asarray(indices, dtype=np.int64)
+        offsets = np.asarray(offsets, dtype=np.int64)
+        if offsets.size == 0 or offsets[0] != 0 or offsets[-1] != indices.size:
             raise DataError("malformed CSR offsets")
+        self._fill(indices, offsets, num_rows, None)
+
+    def _fill(
+        self,
+        indices: np.ndarray,
+        offsets: np.ndarray,
+        num_rows: int,
+        ascending: bool | None,
+    ) -> None:
+        self._indices = indices
+        self._offsets = offsets
+        self._num_rows = num_rows
         # e(π) = ||π̂|| - |π̂| as a plain int: the Lemma-2 validity test
         # compares it millions of times per run.
-        self._error_count = int(self._indices.size) - int(self._offsets.size - 1)
+        self._error_count = int(indices.size) - int(offsets.size - 1)
         self._sizes: np.ndarray | None = None
         self._label_cache: np.ndarray | None = None
         self._list_cache: tuple[list[int], list[int]] | None = None
         self._table_cache: dict[int, int] | None = None
+        # Rows ascend inside every class: True when a constructor or
+        # product guarantees it, None until checked (raw buffers).
+        self._ascending = ascending
 
     @property
     def error_count(self) -> int:
@@ -123,7 +158,8 @@ class CsrPartition(PartitionBase):
         indices = order[keep]
         kept_sizes = counts[counts >= 2]
         offsets = np.concatenate(([0], np.cumsum(kept_sizes)))
-        return cls(indices, offsets, num_rows)
+        # The stable argsort keeps each class's rows ascending.
+        return cls._built(indices, offsets, num_rows, ascending=True)
 
     @classmethod
     def from_classes(cls, classes: Iterable[Sequence[int]], num_rows: int) -> "CsrPartition":
@@ -137,23 +173,47 @@ class CsrPartition(PartitionBase):
         if indices.min() < 0 or indices.max() >= num_rows:
             raise DataError("row index out of range for partition")
         offsets = np.concatenate(([0], np.cumsum([c.size for c in stripped])))
-        return cls(indices, offsets, num_rows)
+        return cls._built(indices, offsets, num_rows, ascending=True)
 
     @classmethod
     def empty(cls, num_rows: int) -> "CsrPartition":
         """A partition with no stripped classes (every row a singleton)."""
-        return cls(np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64), num_rows)
+        return cls._built(
+            np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64), num_rows,
+            ascending=True,
+        )
 
     @classmethod
     def single_class(cls, num_rows: int) -> "CsrPartition":
         """The partition ``π_∅`` with one class containing every row."""
         if num_rows < 2:
             return cls.empty(num_rows)
-        return cls(
+        return cls._built(
             np.arange(num_rows, dtype=np.int64),
             np.array([0, num_rows], dtype=np.int64),
             num_rows,
+            ascending=True,
         )
+
+    @classmethod
+    def _built(
+        cls,
+        indices: np.ndarray,
+        offsets: np.ndarray,
+        num_rows: int,
+        ascending: bool | None,
+    ) -> "CsrPartition":
+        """Wrap int64 buffers a constructor or product built.
+
+        Skips ``__init__``'s conversion and offset checks, which cost
+        more than a dense-kernel product itself; the builder guarantees
+        well-formed offsets.  ``ascending`` is True when the builder
+        guarantees ascending rows inside every class, None when it
+        cannot tell.
+        """
+        partition = cls.__new__(cls)
+        partition._fill(indices, offsets, num_rows, ascending)
+        return partition
 
     # ------------------------------------------------------------------
     # Buffer export / attach (shared-memory shipment)
@@ -242,6 +302,21 @@ class CsrPartition(PartitionBase):
             )
         return self._label_cache
 
+    def _rows_ascending(self) -> bool:
+        """Whether rows ascend inside every class (cached).
+
+        True without a pass when the builder guaranteed it; otherwise
+        one check over the buffers, e.g. of a partition attached to
+        shared memory or read back from a disk-store spill.
+        """
+        if self._ascending is None:
+            indices = self._indices
+            labels = np.repeat(np.arange(self.num_classes), self.class_sizes)
+            self._ascending = bool(
+                np.all((indices[1:] > indices[:-1]) | (labels[1:] != labels[:-1]))
+            )
+        return self._ascending
+
     def product(
         self,
         other: "PartitionBase",
@@ -291,7 +366,9 @@ class CsrPartition(PartitionBase):
         indices = sorted_rows[keep_elem]
         kept_sizes = group_sizes[group_sizes >= 2]
         offsets = np.concatenate(([0], np.cumsum(kept_sizes)))
-        return CsrPartition(indices, offsets, self._num_rows)
+        return CsrPartition._built(
+            indices, offsets, self._num_rows, _inherited_order(other)
+        )
 
     def _as_lists(self) -> tuple[list[int], list[int]]:
         """``(offsets, indices)`` as plain lists (cached; small path)."""
@@ -351,10 +428,11 @@ class CsrPartition(PartitionBase):
         new_offsets = [0]
         for size in sizes:
             new_offsets.append(new_offsets[-1] + size)
-        return CsrPartition(
+        return CsrPartition._built(
             np.asarray(flat, dtype=np.int64),
             np.asarray(new_offsets, dtype=np.int64),
             self._num_rows,
+            _inherited_order(other),
         )
 
     def _g3_small(self, refined: "CsrPartition") -> int:
@@ -420,6 +498,16 @@ class CsrPartition(PartitionBase):
 # Level-batched products
 # ----------------------------------------------------------------------
 
+
+def _inherited_order(right: CsrPartition) -> bool | None:
+    """Row order of a product built from the right factor's index order.
+
+    Such a product keeps each class's rows in the right factor's order,
+    so it ascends when the right factor does.
+    """
+    return True if right._ascending else None
+
+
 # Pair keys of batched tasks are packed into disjoint int64 ranges; a
 # sub-batch is flushed before its cumulative keyspace could overflow.
 _MAX_BATCH_KEYSPACE = 2 ** 62
@@ -435,6 +523,20 @@ _BATCH_SOLO_ROWS = 4096
 # Element budget of one concatenated sub-batch.  Kept small so the
 # pooled sort stays cache-resident and the key dtype can often narrow.
 _BATCH_ELEMENT_BUDGET = 1 << 16
+
+# Relations with at most this many rows take the dense kernel in
+# batched_products.  Its cost is a fixed number of numpy passes per
+# chunk over tasks x rows elements, whatever the factors' stripped
+# sizes, against ~15 numpy calls per task on the pooled path: it wins
+# while per-call dispatch outweighs the O(rows) work per task.  On
+# captured levelwise inputs it was 1.3-2.8x faster up to 2,796 rows and
+# broke even at 3,500-5,000 rows (docs/ARCHITECTURE.md has the table).
+_DENSE_MAX_ROWS = 2048
+
+# Cap on tasks x rows of one dense chunk.  The chunk's key and mask
+# arrays hold this many elements each, so transient memory stays a few
+# MB for any relation under _DENSE_MAX_ROWS.
+_DENSE_ELEMENT_BUDGET = 1 << 18
 
 
 def _narrowest_key_dtype(keyspace: int) -> np.dtype:
@@ -452,32 +554,167 @@ def _narrowest_key_dtype(keyspace: int) -> np.dtype:
     return np.dtype(np.int64)
 
 
+def _dense_products(
+    tasks: Sequence[tuple[int, CsrPartition, CsrPartition]],
+    results: list[CsrPartition | None],
+    num_rows: int,
+) -> None:
+    """Solve a chunk of ``(position, x, y)`` tasks over one label matrix.
+
+    Row ``f`` of the matrix holds, for every row of the relation, its
+    class label in the chunk's ``f``-th distinct factor, or -1 where
+    that factor stripped it.  A task's pair key per row is
+    ``label_x * classes_y + label_y``, or a distinct key past every real
+    one where either factor stripped the row.  Tagged with the row id,
+    the keys of a task are distinct, so one row-wise sort of the
+    ``tasks x rows`` key matrix groups every task at once and leaves row
+    ids ascending within a class, which matches the per-triple path
+    whenever the right factor ascends.
+
+    Labels come from the factors' offsets, so no factor gains a cached
+    label array.  Each result owns its buffers (no views into the chunk
+    arrays), so store byte accounting and spills stay truthful.
+    """
+    slots: dict[int, int] = {}
+    factors: list[CsrPartition] = []
+    left: list[int] = []
+    right: list[int] = []
+    for _position, x, y in tasks:
+        slot = slots.get(id(x))
+        if slot is None:
+            slot = slots[id(x)] = len(factors)
+            factors.append(x)
+        left.append(slot)
+        slot = slots.get(id(y))
+        if slot is None:
+            slot = slots[id(y)] = len(factors)
+            factors.append(y)
+        right.append(slot)
+    count = len(tasks)
+    left_ids = np.array(left)
+    right_ids = np.array(right)
+    classes = np.array([f._offsets.size - 1 for f in factors], dtype=np.int64)
+    right_classes = classes[right_ids]
+    # Real pair keys lie below classes_x * classes_y <= sentinel; a row
+    # stripped from either factor gets key sentinel + row, a singleton.
+    sentinel = int((classes[left_ids] * right_classes).max())
+    dtype = _narrowest_key_dtype((sentinel + num_rows) * num_rows)
+
+    # The factors' buffers laid end to end.  Shifted by each factor's
+    # start, the concatenated offsets become one ascending boundary
+    # list, with a zero-size gap class between consecutive factors.
+    rows = np.concatenate([f._indices for f in factors])
+    if rows.size and (int(rows.min()) < 0 or int(rows.max()) >= num_rows):
+        # The per-triple path raises from its probe gather; a shifted
+        # row would silently land in another factor's matrix row.
+        raise IndexError("partition row id out of range for the relation")
+    bounds = np.concatenate([f._offsets for f in factors])
+    entries = classes + 1
+    entries_end = np.cumsum(entries)
+    stripped = bounds[entries_end - 1]
+    bounds += np.repeat(np.cumsum(stripped) - stripped, entries)
+    class_sizes = np.diff(bounds)
+    labels = np.repeat(
+        np.arange(class_sizes.size) - np.repeat(entries_end - entries, entries)[:-1],
+        class_sizes,
+    )
+
+    # The label matrix: one scatter of every factor's labels into its
+    # row.
+    matrix = np.full(len(factors) * num_rows, -1, dtype=dtype)
+    rows += np.repeat(np.arange(0, len(factors) * num_rows, num_rows), stripped)
+    matrix[rows] = labels
+    matrix = matrix.reshape(len(factors), num_rows)
+
+    # Each task's pair keys, tagged with the row id (key * rows + row):
+    # the tagged values of a task are distinct, so a plain row-wise
+    # sort orders rows by key and, within a key, by row id.
+    positions = np.arange(num_rows, dtype=dtype)
+    lhs = matrix[left_ids]
+    rhs = matrix[right_ids]
+    keys = lhs * right_classes.astype(dtype)[:, None]
+    keys += rhs
+    np.putmask(keys, (lhs | rhs) < 0, positions + sentinel)
+    keys *= num_rows
+    keys += positions
+    keys.sort(axis=1)
+    tagged = keys.ravel()
+    pair_keys = tagged // num_rows
+    sorted_rows = tagged - pair_keys * num_rows
+
+    # Classes are runs of equal keys inside a task; a row survives when
+    # its key equals a neighbour's, and opens a class when not the
+    # previous one's.
+    same = np.empty(tagged.size + 1, dtype=bool)
+    np.equal(pair_keys[1:], pair_keys[:-1], out=same[1:-1])
+    same[::num_rows] = False
+    kept = same[:-1] | same[1:]
+    opens = kept & ~same[:-1]
+    kept_rows = sorted_rows[kept].astype(np.int64)
+    task_elements = np.count_nonzero(kept.reshape(count, num_rows), axis=1)
+    task_groups = np.count_nonzero(opens.reshape(count, num_rows), axis=1)
+    element_end = np.cumsum(task_elements)
+    element_start = element_end - task_elements
+    group_end = np.cumsum(task_groups)
+
+    # Every task's offsets side by side in one array: task t's kept
+    # classes start at [group_start[t] + t, group_end[t] + t), then
+    # comes its total, so its offsets are one contiguous slice.
+    task_ids = np.arange(count)
+    task_of_group = np.repeat(task_ids, task_groups)
+    offsets = np.empty(int(group_end[-1]) + count, dtype=np.int64)
+    offsets[np.arange(task_of_group.size) + task_of_group] = (
+        np.flatnonzero(opens[kept]) - element_start[task_of_group]
+    )
+    offsets[group_end + task_ids] = task_elements
+
+    spans = zip(
+        [position for position, _x, _y in tasks],
+        element_start.tolist(),
+        element_end.tolist(),
+        (group_end - task_groups + task_ids).tolist(),
+        (group_end + task_ids + 1).tolist(),
+    )
+    built, empty = CsrPartition._built, CsrPartition.empty
+    for position, element_first, element_stop, offset_first, offset_stop in spans:
+        if element_first == element_stop:
+            results[position] = empty(num_rows)
+        else:
+            results[position] = built(
+                kept_rows[element_first:element_stop].copy(),
+                offsets[offset_first:offset_stop].copy(),
+                num_rows,
+                True,
+            )
+
+
 def _solve_product_batch(
-    segments: list[tuple[int, np.ndarray, np.ndarray, int]],
+    segments: list[tuple[int, np.ndarray, np.ndarray, int, bool | None]],
     results: list["CsrPartition | None"],
     num_rows: int,
 ) -> None:
     """Group every segment's surviving rows with one shared argsort.
 
-    ``segments`` are ``(position, rows, pair_keys, keyspace)`` per
-    task; keys are shifted into disjoint ranges (task order), so one
+    ``segments`` are ``(position, rows, pair_keys, keyspace, order)``
+    per task, ``order`` being the result's row order (see
+    :func:`_inherited_order`); keys are shifted into disjoint ranges (task order), so one
     stable sort of the concatenation orders every task's rows by its
     pair key while keeping tasks contiguous — the per-task slices then
     need only cheap boundary arithmetic, no further sorting.
     """
     bases: list[int] = []
     base = 0
-    for _position, _rows, _keys, keyspace in segments:
+    for _position, _rows, _keys, keyspace, _order in segments:
         bases.append(base)
         base += keyspace
     dtype = _narrowest_key_dtype(base)
     all_keys = np.concatenate(
         [
             (keys + shift).astype(dtype, copy=False)
-            for (_, _, keys, _), shift in zip(segments, bases)
+            for (_, _, keys, _, _), shift in zip(segments, bases)
         ]
     )
-    all_rows = np.concatenate([rows for _, rows, _, _ in segments])
+    all_rows = np.concatenate([segment[1] for segment in segments])
     order = np.argsort(all_keys, kind="stable")
     sorted_keys = all_keys[order]
     sorted_rows = all_rows[order]
@@ -488,7 +725,7 @@ def _solve_product_batch(
     group_sizes = np.bincount(group_id)
     keep_elem = group_sizes[group_id] >= 2
     start = 0
-    for position, rows, _keys, _keyspace in segments:
+    for position, rows, _keys, _keyspace, row_order in segments:
         end = start + rows.size
         task_keep = keep_elem[start:end]
         indices = sorted_rows[start:end][task_keep]
@@ -500,12 +737,17 @@ def _solve_product_batch(
             task_sizes = group_sizes[group_id[start]:group_id[end - 1] + 1]
             kept_sizes = task_sizes[task_sizes >= 2]
             offsets = np.concatenate(([0], np.cumsum(kept_sizes)))
-            results[position] = CsrPartition(indices, offsets, num_rows)
+            results[position] = CsrPartition._built(
+                indices, offsets, num_rows, row_order
+            )
         start = end
 
 
 def _solve_product_single(
-    rows: np.ndarray, pair_keys: np.ndarray, num_rows: int
+    rows: np.ndarray,
+    pair_keys: np.ndarray,
+    num_rows: int,
+    row_order: bool | None,
 ) -> "CsrPartition":
     """Group one task's surviving rows (the grouping tail of ``product``)."""
     order = np.argsort(pair_keys, kind="stable")
@@ -522,55 +764,32 @@ def _solve_product_single(
         return CsrPartition.empty(num_rows)
     kept_sizes = group_sizes[group_sizes >= 2]
     offsets = np.concatenate(([0], np.cumsum(kept_sizes)))
-    return CsrPartition(indices, offsets, num_rows)
+    return CsrPartition._built(indices, offsets, num_rows, row_order)
 
 
-def batched_products(
-    pairs: Sequence[tuple["CsrPartition", "CsrPartition"]],
-    workspace: PartitionWorkspace | None = None,
-) -> list["CsrPartition"]:
-    """Compute many partition products in a few shared numpy passes.
+def _pooled_products(
+    pairs: Sequence[tuple[CsrPartition, CsrPartition]],
+    positions: Iterable[int],
+    results: list[CsrPartition | None],
+    num_rows: int,
+    workspace: PartitionWorkspace | None,
+) -> None:
+    """Solve the tasks at ``positions`` over shared probe scatters.
 
-    Semantically equivalent to ``[x.product(y, workspace) for x, y in
-    pairs]`` — byte-identical results in the same order — but cheaper
-    on a level's worth of tasks:
-
-    * consecutive tasks sharing a left factor reuse one probe scatter
-      (GENERATE-NEXT-LEVEL's prefix-block triples make this common);
-    * tasks below ``_BATCH_SOLO_ROWS`` surviving rows — where numpy's
-      fixed per-call costs rival the real work — are pooled and grouped
-      by one stable argsort over pair keys shifted into disjoint
-      per-task ranges, narrowed to the smallest dtype the pooled
-      keyspace allows (16-bit keys sort by radix);
-    * tasks at or above the threshold are sort-dominated, so pooling
-      them would only slow the sort: they are solved one at a time,
-      still under the shared scatter.
-
-    Unlike ``product``, small tasks do *not* detour through the
-    dict-probe path: pooling amortizes the per-call numpy overhead that
-    path exists to dodge.  A task whose pair-key space alone exceeds
-    the int64 packing budget falls back to the per-triple kernel, so
-    the batch never overflows.
+    Consecutive tasks sharing a left factor reuse one scatter; tasks
+    below ``_BATCH_SOLO_ROWS`` surviving rows are pooled into sub-batches
+    grouped by one stable argsort each, larger ones solved one at a
+    time.  A task whose pair-key space alone exceeds the int64 packing
+    budget falls back to the per-triple kernel.
     """
-    results: list[CsrPartition | None] = [None] * len(pairs)
-    if not pairs:
-        return []
-    num_rows = pairs[0][0].num_rows
     if workspace is None:
         workspace = PartitionWorkspace(num_rows)
-    probed: list[tuple[int, np.ndarray, np.ndarray, int]] = []
+    probed: list[tuple[int, np.ndarray, np.ndarray, int, bool | None]] = []
     probe = workspace.probe
     scattered: CsrPartition | None = None
     try:
-        for position, (x, y) in enumerate(pairs):
-            if not isinstance(x, CsrPartition) or not isinstance(y, CsrPartition):
-                raise TypeError("batched_products requires CsrPartition factors")
-            if x.num_rows != num_rows or y.num_rows != num_rows:
-                raise DataError("partitions are over different relations")
-            # No dict-path detour here: the small-product shortcut
-            # exists to dodge numpy's fixed per-call costs, and the
-            # pooled sub-batch amortizes exactly those — tiny tasks
-            # ride the shared scatter/argsort like everything else.
+        for position in positions:
+            x, y = pairs[position]
             keyspace = x.num_classes * y.num_classes
             if keyspace == 0:
                 # A factor with no stripped classes kills every pair.
@@ -598,10 +817,10 @@ def batched_products(
             pair_keys = in_x[mask] * y.num_classes + y._labels()[mask]
             if rows.size >= _BATCH_SOLO_ROWS:
                 results[position] = _solve_product_single(
-                    rows, pair_keys, num_rows
+                    rows, pair_keys, num_rows, _inherited_order(y)
                 )
                 continue
-            probed.append((position, rows, pair_keys, keyspace))
+            probed.append((position, rows, pair_keys, keyspace, _inherited_order(y)))
     finally:
         if scattered is not None:
             probe[scattered._indices] = -1
@@ -621,4 +840,58 @@ def batched_products(
             stop += 1
         _solve_product_batch(probed[cursor:stop], results, num_rows)
         cursor = stop
+
+
+def batched_products(
+    pairs: Sequence[tuple["CsrPartition", "CsrPartition"]],
+    workspace: PartitionWorkspace | None = None,
+) -> list["CsrPartition"]:
+    """Compute many partition products in a few shared numpy passes.
+
+    Semantically equivalent to ``[x.product(y, workspace) for x, y in
+    pairs]`` — byte-identical results in the same order — but cheaper
+    on a level's worth of tasks.  The number of rows selects the kernel:
+
+    * at most ``_DENSE_MAX_ROWS`` rows: the dense kernel
+      (:func:`_dense_products`) solves chunks of at most
+      ``_DENSE_ELEMENT_BUDGET`` tasks x rows elements, each in a fixed
+      number of numpy passes.  A task whose right factor's rows do not
+      ascend inside its classes (a partition built from raw buffers
+      outside the canonical layout) goes to the pooled kernel instead,
+      since only that kernel keeps the right factor's row order;
+    * more rows: the pooled kernel (:func:`_pooled_products`) shares
+      probe scatters across tasks with one left factor and pools small
+      tasks into one stable argsort per sub-batch.
+
+    Neither detours through the dict-probe path of ``product``: both
+    amortize the per-call numpy overhead that path exists to dodge.
+    """
+    if not pairs:
+        return []
+    num_rows = pairs[0][0].num_rows
+    # Below two rows no product has a stripped class; the pooled kernel
+    # handles that degenerate case without a zero-width matrix.
+    dense_rows = 2 <= num_rows <= _DENSE_MAX_ROWS
+    results: list[CsrPartition | None] = [None] * len(pairs)
+    dense: list[tuple[int, CsrPartition, CsrPartition]] = []
+    pooled: list[int] = []
+    for position, (x, y) in enumerate(pairs):
+        if not isinstance(x, CsrPartition) or not isinstance(y, CsrPartition):
+            raise TypeError("batched_products requires CsrPartition factors")
+        if x.num_rows != num_rows or y.num_rows != num_rows:
+            raise DataError("partitions are over different relations")
+        if not dense_rows:
+            pooled.append(position)
+        elif x._offsets.size == 1 or y._offsets.size == 1:
+            # A factor with no stripped classes kills every pair.
+            results[position] = CsrPartition.empty(num_rows)
+        elif y._rows_ascending():
+            dense.append((position, x, y))
+        else:
+            pooled.append(position)
+    step = max(1, _DENSE_ELEMENT_BUDGET // max(num_rows, 1))
+    for start in range(0, len(dense), step):
+        _dense_products(dense[start:start + step], results, num_rows)
+    if pooled:
+        _pooled_products(pairs, pooled, results, num_rows, workspace)
     return results  # type: ignore[return-value]

@@ -1,4 +1,4 @@
-"""The level-batched product kernel vs the per-triple reference.
+"""The level-batched product kernels vs the per-triple reference.
 
 ``batched_products`` computes a whole level's products with a handful
 of numpy passes; it must be *byte-identical* to calling
@@ -6,6 +6,11 @@ of numpy passes; it must be *byte-identical* to calling
 order, same row order — because downstream consumers (shared-memory
 export, the partition cache, golden counters) all assume a canonical
 layout that does not depend on which code path produced a partition.
+
+The relations here are short enough for the dense kernel; tests of the
+pooled kernel's probe handling force that kernel with the
+``pooled_kernel`` fixture (the dense kernel has its own suite in
+``test_dense_products.py``).
 """
 
 import numpy as np
@@ -64,7 +69,16 @@ class TestBatchedMatchesPerTriple:
         for (x, y), observed in zip(pairs, batched):
             assert_identical(observed, x.product(y))
 
-    def test_shared_left_factor_probe_reuse(self):
+    def test_pooled_random_level_byte_identical(self, pooled_kernel):
+        partitions = random_partitions(seed=11)
+        workspace = PartitionWorkspace(partitions[0].num_rows)
+        for (x, y), observed in zip(
+            all_pairs(partitions), batched_products(all_pairs(partitions), workspace)
+        ):
+            assert_identical(observed, x.product(y))
+        assert (workspace.probe == -1).all()
+
+    def test_shared_left_factor_probe_reuse(self, pooled_kernel):
         # Levels sort triples by left factor; the batch kernel keeps
         # the probe scattered across consecutive same-left pairs.
         [left] = random_partitions(seed=3, count=1)
@@ -73,7 +87,7 @@ class TestBatchedMatchesPerTriple:
         for observed, right in zip(batched_products(pairs), rights):
             assert_identical(observed, left.product(right))
 
-    def test_keyspace_overflow_falls_back_per_triple(self, monkeypatch):
+    def test_keyspace_overflow_falls_back_per_triple(self, monkeypatch, pooled_kernel):
         # A sub-batch budget smaller than any single pair's keyspace
         # routes every pair through the per-triple fallback — results
         # must still be identical, and the shared probe must stay
