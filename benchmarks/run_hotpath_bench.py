@@ -9,8 +9,8 @@ Runs serial exact discovery on the wisconsin shape replicated to
 ``target-rows`` (the same recipe as ``run_refactor_overhead.py``)
 under three configurations of the product hot path:
 
-* ``triple``  — the per-triple kernel (``product_kernel="triple"``),
-  the pre-batching baseline;
+* ``triple``  — the per-triple loop (:class:`PerTripleExecutor`, one
+  ``product`` call per triple), the pre-batching baseline;
 * ``batched`` — the level-batched kernel (the default);
 * ``warm_cache`` — the batched kernel plus a pre-warmed private
   :class:`~repro.partition.cache.PartitionCache` holding the low
@@ -38,12 +38,21 @@ from pathlib import Path
 from repro.core.tane import TaneConfig, discover
 from repro.datasets.replicate import replicate_with_unique_suffix
 from repro.datasets.uci import make_wisconsin_like
+from repro.parallel.executor import SerialLevelExecutor
 from repro.partition.cache import PartitionCache
 
 RESULTS = Path(__file__).parent / "results"
 IMPROVEMENT_THRESHOLD = 1.3
 """The combined batched+cache hot path must beat the per-triple
 baseline by at least this factor on the reference workload."""
+
+
+class PerTripleExecutor(SerialLevelExecutor):
+    """The serial executor with the one-product-at-a-time loop."""
+
+    def products(self, triples, fetch, workspace):
+        for candidate, factor_x, factor_y in triples:
+            yield candidate, fetch(factor_x).product(fetch(factor_y), workspace)
 
 
 def build_relation(target_rows: int):
@@ -78,7 +87,7 @@ def main(argv=None) -> int:
     )
     discover(relation, warm_config)  # populate the cache once
     configs = [
-        ("triple", TaneConfig(product_kernel="triple")),
+        ("triple", TaneConfig(executor=PerTripleExecutor())),
         ("batched", TaneConfig()),
         ("warm_cache", warm_config),
     ]

@@ -112,11 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     discover_parser.add_argument("--workers", type=int, default=0,
                                  help="shard each lattice level across N worker "
                                       "processes (0 = serial)")
-    discover_parser.add_argument("--product-kernel", choices=["batched", "triple"],
-                                 default="batched",
-                                 help="partition-product kernel: level-batched "
-                                      "numpy passes (default) or the per-triple "
-                                      "reference loop (identical results)")
     discover_parser.add_argument("--partition-cache", action="store_true",
                                  help="reuse singleton/low-level partitions "
                                       "across runs in this process via the "
@@ -431,7 +426,6 @@ def _cmd_discover(args: argparse.Namespace) -> int:
         top_k=args.top_k,
         topk_rank=args.topk_rank,
         dfd_seed=args.dfd_seed,
-        product_kernel=args.product_kernel,
         partition_cache="shared" if args.partition_cache else "off",
         tracer=tracer,
         metrics=metrics,

@@ -101,8 +101,7 @@ class SearchStatistics:
 
     shm_bytes_saved: int = 0
     """Bytes already resident in workers' shared memory that delta
-    shipping avoided re-exporting (0 for serial runs and with
-    ``delta_shipping=False``)."""
+    shipping avoided re-exporting (0 for serial runs)."""
 
     cache_hits: int = 0
     """Partitions served by the cross-run partition cache (0 with the

@@ -32,7 +32,10 @@ benchmarks:
   partition products and validity tests are independent, so
   ``executor="process"`` (or ``workers=N``) shards them across a
   ``multiprocessing`` pool (see :mod:`repro.parallel`); the default
-  serial executor performs exactly the historical single-core loop.
+  serial executor runs them in-process.  Both compute a level's
+  products with the batched kernel
+  (:func:`repro.partition.vectorized.batched_products`) — there is no
+  kernel knob — and return byte-identical results.
 * ``strategy="topk"`` with ``top_k=N`` returns only the N best
   dependencies by error (see
   :class:`~repro.search.strategy.TopKStrategy`), cutting the walk off
@@ -67,7 +70,6 @@ from repro.partition.pure import PurePartition
 from repro.partition.store import PartitionStore, make_store
 from repro.partition.vectorized import CsrPartition, PartitionWorkspace
 from repro.search.driver import LevelProgress, SearchDriver
-from repro.search.execution import PRODUCT_KERNELS
 from repro.search.measures import (
     MEASURES,
     RHS_STATS_MEASURES,
@@ -91,7 +93,6 @@ _TOPK_RANK_MODES = TOPK_RANK_MODES
 NON_MONOTONE_MEASURES = ("mu_plus", "rfi")
 _NON_MONOTONE_MEASURES = NON_MONOTONE_MEASURES
 _PARTITION_STRATEGIES = ("pairwise", "from_singletons")
-_PRODUCT_KERNELS = PRODUCT_KERNELS
 _PARTITION_CACHES = ("off", "shared")
 
 # Sentinel distinguishing "argument not supplied" from an explicit
@@ -230,16 +231,6 @@ class TaneConfig:
     workers: int = 0
     """Pool size for the process executor; ``0`` means "all cores"
     when ``executor="process"`` and "stay serial" under ``"auto"``."""
-
-    product_kernel: str = "batched"
-    """How execution backends compute partition products:
-    ``"batched"`` (the default — a whole shard's products in a few
-    shared numpy passes, see
-    :func:`repro.partition.vectorized.batched_products`) or
-    ``"triple"`` (the historical one-product-at-a-time loop).  Results
-    are byte-identical; the knob exists for ablation and as an escape
-    hatch.  The pure engine ignores the distinction — non-CSR
-    partitions always take the per-triple path."""
 
     partition_cache: str | PartitionCache = "off"
     """Cross-run partition cache: ``"off"`` (the default — every run
@@ -410,7 +401,14 @@ class TaneConfig:
                     "only"
                 )
         if self.engine == "pure":
-            if self.executor == "process" or self.workers > 1:
+            if (
+                self.executor == "process"
+                or self.workers > 1
+                or (
+                    isinstance(self.executor, LevelExecutor)
+                    and self.executor.name != "serial"
+                )
+            ):
                 raise ConfigurationError(
                     "engine='pure' runs serially: the process executor ships "
                     "CSR buffers via shared memory"
@@ -428,11 +426,6 @@ class TaneConfig:
             )
         if self.workers < 0:
             raise ConfigurationError(f"workers must be >= 0, got {self.workers}")
-        if self.product_kernel not in _PRODUCT_KERNELS:
-            raise ConfigurationError(
-                f"unknown product_kernel {self.product_kernel!r}; "
-                f"valid choices: {_choices(_PRODUCT_KERNELS)}"
-            )
         if (
             isinstance(self.partition_cache, str)
             and self.partition_cache not in _PARTITION_CACHES
@@ -563,9 +556,7 @@ class _TaneRun:
         else:
             self.store = config.store
             self._owns_store = False
-        self.executor = make_executor(
-            config.executor, config.workers, product_kernel=config.product_kernel
-        )
+        self.executor = make_executor(config.executor, config.workers)
         self._owns_executor = not isinstance(config.executor, LevelExecutor)
         partition_cls = CsrPartition if config.engine == "vectorized" else PurePartition
         if isinstance(config.partition_cache, PartitionCache):

@@ -135,10 +135,10 @@ CONFIG_KEY_FIELDS = (
 )
 """The configuration fields that shape *what a discovery returns*.
 
-Execution knobs (executor, workers, product kernel, stores, caches,
-observability attachments) are deliberately excluded: two requests
-differing only there produce identical dependencies, keys, and errors,
-so a result cache must serve them the same entry.
+Execution knobs (executor, workers, stores, caches, observability
+attachments) are deliberately excluded: two requests differing only
+there produce identical dependencies, keys, and errors, so a result
+cache must serve them the same entry.
 
 ``rfi_samples``/``rfi_seed`` *are* included — they change the measured
 ``rfi`` errors, and a cache entry or checkpoint computed under one

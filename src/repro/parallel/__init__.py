@@ -4,12 +4,11 @@ The paper's analysis (Section 6) puts the dominant cost of TANE in the
 O(|r|) partition products of GENERATE-NEXT-LEVEL and the O(|r|) ``g3``
 computations of COMPUTE-DEPENDENCIES — work that is independent within
 a level.  This package shards both loops across a
-:mod:`multiprocessing` pool:
+:mod:`multiprocessing` pool.  Workers run the search core's own
+kernels — :func:`~repro.partition.vectorized.batched_products` and
+:func:`~repro.search.measures.evaluate_validity` — so parallel runs are
+bit-identical to serial ones.
 
-* :mod:`repro.parallel.validity` — the validity test as a pure
-  function of two partitions plus a :class:`ValidityCriteria`, shared
-  verbatim by the serial path and the workers (so parallel runs are
-  bit-identical to serial ones).
 * :mod:`repro.parallel.shm` — packs a level's CSR partitions into one
   :class:`multiprocessing.shared_memory.SharedMemory` segment so the
   int64 ``indices``/``offsets`` buffers reach workers zero-copy.
@@ -18,7 +17,10 @@ a level.  This package shards both loops across a
   worker.
 * :mod:`repro.parallel.executor` — the :class:`LevelExecutor`
   abstraction with ``serial`` and ``process`` backends, selected by
-  :attr:`repro.core.tane.TaneConfig.executor` / ``workers``.
+  :attr:`repro.core.tane.TaneConfig.executor` / ``workers``.  The
+  process backend keeps shipped partitions resident across levels and
+  splits each phase into ``workers × 4`` shards; it has no tuning
+  knobs beyond its pool size and fault-tolerance limits.
 """
 
 from repro.parallel.executor import (
@@ -27,7 +29,7 @@ from repro.parallel.executor import (
     SerialLevelExecutor,
     make_executor,
 )
-from repro.parallel.validity import ValidityCriteria, ValidityOutcome, evaluate_validity
+from repro.search.measures import ValidityCriteria, ValidityOutcome, evaluate_validity
 
 __all__ = [
     "LevelExecutor",

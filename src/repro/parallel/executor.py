@@ -9,13 +9,13 @@ lattice level on behalf of the TANE driver:
   in level order.
 
 Both backends produce *identical* outputs for identical inputs: the
-serial backend performs exactly the operations the pre-executor driver
-performed, in the same order; the process backend shards the task list
-across a process pool (inputs shipped zero-copy via
-:mod:`repro.parallel.shm`) and merges results back in deterministic
-task order.  Exact-mode validity tests (``epsilon == 0``) are O(1)
-rank comparisons on precomputed counters, so the process backend runs
-them in-process rather than paying shipping costs for no work.
+serial backend runs both loops in-process, in task order; the process
+backend shards the task list across a process pool (inputs shipped
+zero-copy via :mod:`repro.parallel.shm`) and merges results back in
+deterministic task order.  Exact-mode validity tests
+(``epsilon == 0``) are O(1) rank comparisons on precomputed counters,
+so the process backend runs them in-process rather than paying
+shipping costs for no work.
 
 Fault tolerance
 ---------------
@@ -46,12 +46,12 @@ compute.
 
 Resident-worker delta shipping
 ------------------------------
-With ``delta_shipping=True`` (the default) the executor keeps every
-shipped block — and a ``mask -> (block, entry)`` residency map —
-alive across phases and levels instead of re-exporting the lattice
-each phase.  A phase ships only the masks that are not yet resident
-(usually just the level's new product partitions); chunk directories
-point into whichever block holds each mask.  Workers keep segments
+The executor keeps every shipped block — and a ``mask -> (block,
+entry)`` residency map — alive across phases and levels instead of
+re-exporting the lattice each phase.  A phase ships only the masks
+that are not yet resident (usually just the level's new product
+partitions); chunk directories point into whichever block holds each
+mask.  Workers keep segments
 attached between chunks (:mod:`repro.parallel.shm`), so previously
 shipped partitions cost nothing to reference again.  The search core
 drives the lifecycle duck-typed: ``release_masks(masks)`` (from
@@ -71,19 +71,14 @@ and registers the candidates as resident, so the next level's factors
 need no re-export at all.  Pickling megabytes of CSR arrays through
 the result pipe was the dominant phase cost at scale.
 
-Chunk autotuning
-----------------
-With ``autotune_chunks=True`` (the default) the executor keeps an
-exponential moving average of per-task seconds per phase kind (from
-chunk receipts) and sizes later shards toward
-``target_chunk_seconds`` — few, large chunks for cheap tasks (less
-pickling), many small ones for expensive tasks (better balance) —
-bounded by ``workers`` and ``workers * chunks_per_worker``.
+Every phase splits its tasks into ``min(len(tasks), workers *
+CHUNKS_PER_WORKER)`` contiguous shards: several per worker balance
+skewed task costs (partition products vary wildly in size) without
+pickling a result per task.
 
 Shared-memory lifetime is deterministic: every shipped block is
 tracked by the executor until ``release_masks`` / ``begin_run`` /
-:meth:`ProcessLevelExecutor.close` releases it (with delta shipping
-off, blocks are released at the end of their phase exactly as before).
+:meth:`ProcessLevelExecutor.close` releases it.
 """
 
 from __future__ import annotations
@@ -93,19 +88,19 @@ import os
 import signal
 import time
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.exceptions import ConfigurationError
 from repro.obs import events as obs_events
 from repro.obs import trace as obs
-from repro.parallel.shm import AdoptedBlock, SharedPartitionBlock
-from repro.parallel.validity import ValidityCriteria, ValidityOutcome
-from repro.parallel.shm import BlockEntry
+from repro.parallel.shm import AdoptedBlock, BlockEntry, SharedPartitionBlock
 from repro.parallel.worker import ChunkReceipt, ProductChunk, ValidityChunk, init_worker, run_chunk
-from repro.search.execution import PRODUCT_KERNELS, SerialExecution, serial_validity as _serial_validity
 from repro.partition.vectorized import CsrPartition, PartitionWorkspace
+from repro.search.execution import Fetch, SerialExecution, ValidityGroups
+from repro.search.execution import serial_validity as _serial_validity
+from repro.search.measures import ValidityCriteria, ValidityOutcome
 
 __all__ = [
     "ExecutorUsage",
@@ -115,10 +110,16 @@ __all__ = [
     "make_executor",
 ]
 
-Fetch = Callable[[int], CsrPartition]
-# ``(whole_mask, [(rhs_index, lhs_mask), ...])`` in level order; the
-# rhs indices ride along for the driver's benefit and are ignored here.
-ValidityGroups = Sequence[tuple[int, Sequence[tuple[int, int]]]]
+# Shards per worker per phase.
+CHUNKS_PER_WORKER = 4
+
+# ``fork`` where the platform has it (cheap, and workers inherit the
+# parent's imports); the platform default elsewhere.
+_START_METHOD = (
+    "fork"
+    if "fork" in multiprocessing.get_all_start_methods()
+    else multiprocessing.get_all_start_methods()[0]
+)
 
 
 @dataclass
@@ -130,7 +131,7 @@ class ExecutorUsage:
     shm_bytes: int = 0
     shm_bytes_saved: int = 0
     """Bytes already resident in shared memory that delta shipping
-    avoided re-exporting (0 with ``delta_shipping=False``)."""
+    avoided re-exporting."""
     blocks_shipped: int = 0
     """Shared-memory blocks exported across both phases."""
     pids: set[int] = field(default_factory=set)
@@ -191,13 +192,6 @@ class ProcessLevelExecutor(LevelExecutor):
     ----------
     workers:
         Pool size; defaults to ``os.cpu_count()``.
-    chunks_per_worker:
-        Shards per worker per phase.  More shards balance skewed task
-        costs (partition products vary wildly in size) at the price of
-        more result pickling; 4 is a good default.
-    start_method:
-        ``multiprocessing`` start method; defaults to ``fork`` where
-        available (cheap on Linux) and the platform default elsewhere.
     max_chunk_retries:
         Pool re-submissions of a chunk whose execution raised before
         the chunk falls back to running serially in the driver.
@@ -208,19 +202,6 @@ class ProcessLevelExecutor(LevelExecutor):
         Base sleep before a retry or respawn; doubles per consecutive
         respawn (bounded), so a crash-looping environment is not
         hammered.
-    delta_shipping:
-        Keep shipped blocks (and a mask residency map) alive across
-        phases and ship only masks not yet resident.  ``False``
-        restores the one-block-per-phase protocol.
-    autotune_chunks:
-        Size shards from the measured per-task cost (see module docs).
-        ``False`` always uses ``workers * chunks_per_worker`` shards.
-    product_kernel:
-        ``"batched"`` (workers run
-        :func:`repro.partition.vectorized.batched_products` per chunk)
-        or ``"triple"`` (per-product loop); byte-identical results.
-    target_chunk_seconds:
-        Autotune's desired busy time per chunk.
     """
 
     name = "process"
@@ -228,51 +209,24 @@ class ProcessLevelExecutor(LevelExecutor):
     def __init__(
         self,
         workers: int | None = None,
-        chunks_per_worker: int = 4,
-        start_method: str | None = None,
         max_chunk_retries: int = 2,
         max_pool_respawns: int = 2,
         retry_backoff_seconds: float = 0.05,
-        delta_shipping: bool = True,
-        autotune_chunks: bool = True,
-        product_kernel: str = "batched",
-        target_chunk_seconds: float = 0.05,
     ) -> None:
         resolved = workers if workers else os.cpu_count() or 1
         if resolved < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        if chunks_per_worker < 1:
-            raise ConfigurationError(
-                f"chunks_per_worker must be >= 1, got {chunks_per_worker}"
-            )
         if max_chunk_retries < 0 or max_pool_respawns < 0:
             raise ConfigurationError("retry/respawn limits must be >= 0")
         if retry_backoff_seconds < 0:
             raise ConfigurationError(
                 f"retry_backoff_seconds must be >= 0, got {retry_backoff_seconds}"
             )
-        if product_kernel not in PRODUCT_KERNELS:
-            raise ConfigurationError(
-                f"unknown product_kernel {product_kernel!r}; "
-                f"valid choices: {', '.join(repr(k) for k in PRODUCT_KERNELS)}"
-            )
-        if target_chunk_seconds <= 0:
-            raise ConfigurationError(
-                f"target_chunk_seconds must be > 0, got {target_chunk_seconds}"
-            )
         self.workers = resolved
-        self._chunks_per_worker = chunks_per_worker
         self._max_chunk_retries = max_chunk_retries
         self._max_pool_respawns = max_pool_respawns
         self._retry_backoff_seconds = retry_backoff_seconds
-        self._delta_shipping = delta_shipping
-        self._autotune = autotune_chunks
-        self._product_kernel = product_kernel
-        self._target_chunk_seconds = target_chunk_seconds
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self._context = multiprocessing.get_context(start_method)
+        self._context = multiprocessing.get_context(_START_METHOD)
         self._pool: ProcessPoolExecutor | None = None
         self._degraded = False
         # Resident shipping state: every open block by name, the set of
@@ -280,8 +234,6 @@ class ProcessLevelExecutor(LevelExecutor):
         self._blocks: dict[str, SharedPartitionBlock] = {}
         self._block_masks: dict[str, set[int]] = {}
         self._residency: dict[int, tuple[str, BlockEntry]] = {}
-        # Per-kind EMA of seconds per task, fed by chunk receipts.
-        self._task_cost: dict[str, float] = {}
         self.usage = ExecutorUsage()
 
     # -- pool management -------------------------------------------------
@@ -357,8 +309,8 @@ class ProcessLevelExecutor(LevelExecutor):
                         self._shutdown_pool(pool)
                         pool = None
                     # Deterministic shm cleanup: release every resident
-                    # block (delta shipping) and any block a partially
-                    # consumed products stream left open.
+                    # block, including any a partially consumed
+                    # products stream left open.
                     self._release_all_blocks()
                     break
                 except KeyboardInterrupt:
@@ -523,23 +475,12 @@ class ProcessLevelExecutor(LevelExecutor):
 
     # -- sharding --------------------------------------------------------
 
-    def _shards(self, tasks: Sequence, kind: str) -> list[Sequence]:
-        """Split ``tasks`` into contiguous shards (``[]`` when empty).
-
-        Without cost data (or with autotuning off) every phase uses
-        ``workers * chunks_per_worker`` shards; once receipts establish
-        a per-task cost EMA, the count is sized so each shard runs
-        about ``target_chunk_seconds`` — bounded below by ``workers``
-        (keep every worker busy) and above by the static count.
-        """
+    def _shards(self, tasks: Sequence) -> list[Sequence]:
+        """Split ``tasks`` into ``min(len(tasks), workers *
+        CHUNKS_PER_WORKER)`` contiguous shards (``[]`` when empty)."""
         if not tasks:
             return []
-        ceiling = min(len(tasks), self.workers * self._chunks_per_worker)
-        count = ceiling
-        cost = self._task_cost.get(kind) if self._autotune else None
-        if cost:
-            ideal = int(len(tasks) * cost / self._target_chunk_seconds) + 1
-            count = max(min(len(tasks), self.workers), min(ideal, ceiling))
+        count = min(len(tasks), self.workers * CHUNKS_PER_WORKER)
         bounds = [len(tasks) * i // count for i in range(count + 1)]
         return [tasks[bounds[i]:bounds[i + 1]] for i in range(count)]
 
@@ -548,12 +489,6 @@ class ProcessLevelExecutor(LevelExecutor):
         self.usage.chunks += 1
         self.usage.busy_seconds += receipt.seconds
         self.usage.pids.add(receipt.pid)
-        if self._autotune and receipt.payload:
-            per_task = receipt.seconds / len(receipt.payload)
-            previous = self._task_cost.get(kind)
-            self._task_cost[kind] = (
-                per_task if previous is None else 0.5 * previous + 0.5 * per_task
-            )
         # Workers do not trace; their receipts are merged into the
         # main trace here, as the pool hands results back — the
         # synthesized span lands under whichever level phase is open.
@@ -592,13 +527,13 @@ class ProcessLevelExecutor(LevelExecutor):
         # (indices_start, indices_size, offsets_start, offsets_size, _)
         return (entry[1] + entry[3]) * 8
 
-    def _ship_missing(self, masks, fetch: Fetch, kind: str) -> list[str]:
-        """Make every mask resident; return names of blocks created.
+    def _ship_missing(self, masks, fetch: Fetch, kind: str) -> None:
+        """Make every mask resident.
 
-        With delta shipping, masks already resident from an earlier
-        phase or level are served from their existing block and only
-        the rest are packed into a new one; the bytes skipped are
-        recorded as ``shm_bytes_saved``.
+        Masks already resident from an earlier phase or level are
+        served from their existing block and only the rest are packed
+        into a new one; the bytes skipped are recorded as
+        ``shm_bytes_saved``.
         """
         assert self.usage is not None
         needed = sorted(masks)
@@ -610,7 +545,7 @@ class ProcessLevelExecutor(LevelExecutor):
         )
         self.usage.shm_bytes_saved += saved
         if not missing:
-            return []
+            return
         partitions = {mask: fetch(mask) for mask in missing}
         with obs.span("shm.ship", kind=kind) as ship:
             block = SharedPartitionBlock(partitions)
@@ -623,13 +558,12 @@ class ProcessLevelExecutor(LevelExecutor):
         self._block_masks[block.name] = set(missing)
         for mask in missing:
             self._residency[mask] = (block.name, block.directory[mask])
-        return [block.name]
 
     def _directory(self, masks) -> dict[int, tuple[str, BlockEntry]]:
         """Chunk directory: each mask's ``(block_name, entry)``."""
         return {mask: self._residency[mask] for mask in set(masks)}
 
-    def _adopt_result_block(self, handoff, candidates):
+    def _adopt_results(self, handoff, candidates):
         """Adopt a worker-built result block and yield its partitions.
 
         The worker packed this chunk's products into a fresh segment
@@ -651,48 +585,31 @@ class ProcessLevelExecutor(LevelExecutor):
         for candidate in candidates:
             yield candidate, block.partition(candidate)
 
-    def _end_phase(self, new_blocks: list[str]) -> None:
-        """Phase cleanup: with delta shipping off, nothing stays resident."""
-        if self._delta_shipping:
-            return
-        for name in new_blocks:
-            self._close_block(name)
-        self._residency.clear()
-        self._block_masks.clear()
-
     # -- LevelExecutor interface -----------------------------------------
 
     def products(self, triples, fetch, workspace):
         if not triples:
             return
         factor_masks = {mask for _, x, y in triples for mask in (x, y)}
-        new_blocks = self._ship_missing(factor_masks, fetch, "products")
-        try:
-            num_rows = self._residency[next(iter(factor_masks))][1][4]
-            chunks = [
-                ProductChunk(
-                    directory=self._directory(
-                        mask for _, x, y in shard for mask in (x, y)
-                    ),
-                    num_rows=num_rows,
-                    triples=tuple(shard),
-                    kernel=self._product_kernel,
-                    # Result blocks need the resident lifecycle: with
-                    # delta shipping off, every block dies at phase end
-                    # while the yielded partitions must outlive it.
-                    result_block=self._delta_shipping,
-                )
-                for shard in self._shards(triples, "products")
-            ]
-            for receipt in self._dispatch(chunks, "products"):
-                payload = self._record(receipt, "products")
-                if receipt.block is not None:
-                    yield from self._adopt_result_block(receipt.block, payload)
-                else:
-                    for candidate, indices, offsets in payload:
-                        yield candidate, CsrPartition(indices, offsets, num_rows)
-        finally:
-            self._end_phase(new_blocks)
+        self._ship_missing(factor_masks, fetch, "products")
+        num_rows = self._residency[next(iter(factor_masks))][1][4]
+        chunks = [
+            ProductChunk(
+                directory=self._directory(
+                    mask for _, x, y in shard for mask in (x, y)
+                ),
+                num_rows=num_rows,
+                triples=tuple(shard),
+            )
+            for shard in self._shards(triples)
+        ]
+        for receipt in self._dispatch(chunks, "products"):
+            payload = self._record(receipt, "products")
+            if receipt.block is not None:
+                yield from self._adopt_results(receipt.block, payload)
+            else:
+                for candidate, indices, offsets in payload:
+                    yield candidate, CsrPartition(indices, offsets, num_rows)
 
     def validity_tests(self, groups, fetch, criteria, workspace):
         tasks = [
@@ -705,46 +622,38 @@ class ProcessLevelExecutor(LevelExecutor):
         if not tasks or criteria.epsilon == 0.0:
             return _serial_validity(groups, fetch, criteria, workspace)
         masks = {mask for task in tasks for mask in task}
-        new_blocks = self._ship_missing(masks, fetch, "validity")
-        try:
-            chunks = [
-                ValidityChunk(
-                    directory=self._directory(mask for task in shard for mask in task),
-                    criteria=criteria,
-                    tasks=tuple(shard),
-                )
-                for shard in self._shards(tasks, "validity")
-            ]
-            outcomes: list[ValidityOutcome] = []
-            for receipt in self._dispatch(chunks, "validity"):
-                outcomes.extend(self._record(receipt, "validity"))
-            return outcomes
-        finally:
-            self._end_phase(new_blocks)
+        self._ship_missing(masks, fetch, "validity")
+        chunks = [
+            ValidityChunk(
+                directory=self._directory(mask for task in shard for mask in task),
+                criteria=criteria,
+                tasks=tuple(shard),
+            )
+            for shard in self._shards(tasks)
+        ]
+        outcomes: list[ValidityOutcome] = []
+        for receipt in self._dispatch(chunks, "validity"):
+            outcomes.extend(self._record(receipt, "validity"))
+        return outcomes
 
 
-def make_executor(
-    executor: str | LevelExecutor,
-    workers: int,
-    product_kernel: str = "batched",
-) -> LevelExecutor:
+def make_executor(executor: str | LevelExecutor, workers: int) -> LevelExecutor:
     """Resolve the ``TaneConfig.executor`` / ``workers`` pair.
 
     ``"serial"`` always runs inline; ``"process"`` always uses a pool
     (of ``workers`` or all cores); ``"auto"`` picks the pool exactly
     when ``workers > 1``.  A ready :class:`LevelExecutor` instance is
-    passed through (the caller owns its lifecycle — including its own
-    kernel setting)."""
+    passed through (the caller owns its lifecycle)."""
     if isinstance(executor, LevelExecutor):
         return executor
     if executor == "serial":
-        return SerialLevelExecutor(product_kernel=product_kernel)
+        return SerialLevelExecutor()
     if executor == "process":
-        return ProcessLevelExecutor(workers or None, product_kernel=product_kernel)
+        return ProcessLevelExecutor(workers or None)
     if executor == "auto":
         if workers > 1:
-            return ProcessLevelExecutor(workers, product_kernel=product_kernel)
-        return SerialLevelExecutor(product_kernel=product_kernel)
+            return ProcessLevelExecutor(workers)
+        return SerialLevelExecutor()
     raise ConfigurationError(
         f"unknown executor {executor!r}; use 'auto', 'serial' or 'process'"
     )

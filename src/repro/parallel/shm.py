@@ -9,13 +9,13 @@ views directly over the shared buffer — no bytes are copied on either
 side of the fork, which is what makes sharding the O(|r|) hot loops
 worthwhile for large relations.
 
-With delta shipping (:mod:`repro.parallel.executor`) the parent ships
-one block per phase holding only the masks not already resident, so a
-worker references several live blocks at once — the previous level's
-partitions through segments it already has attached, new masks through
-the fresh block.  Workers keep an LRU of attached segments sized for
-that pattern (a mapped segment stays valid after the parent unlinks
-it, so eviction is only about address-space hygiene).
+The executor (:mod:`repro.parallel.executor`) ships one block per
+phase holding only the masks not already resident, so a worker
+references several live blocks at once — the previous level's
+partitions through segments it already has attached, new masks
+through the fresh block.  Workers keep an LRU of attached segments
+sized for that pattern (a mapped segment stays valid after the parent
+unlinks it, so eviction is only about address-space hygiene).
 """
 
 from __future__ import annotations
@@ -61,22 +61,30 @@ class SharedPartitionBlock:
         self._shm = shared_memory.SharedMemory(
             create=True, size=max(total, 1) * _ITEMSIZE
         )
-        flat = np.ndarray((total,), dtype=np.int64, buffer=self._shm.buf)
         directory: dict[int, BlockEntry] = {}
-        cursor = 0
-        for mask, partition in partitions.items():
-            indices, offsets = partition.export_buffers()
-            flat[cursor:cursor + indices.size] = indices
-            indices_start, cursor = cursor, cursor + int(indices.size)
-            flat[cursor:cursor + offsets.size] = offsets
-            offsets_start, cursor = cursor, cursor + int(offsets.size)
-            directory[mask] = (
-                indices_start,
-                int(indices.size),
-                offsets_start,
-                int(offsets.size),
-                partition.num_rows,
-            )
+        try:
+            flat = np.ndarray((total,), dtype=np.int64, buffer=self._shm.buf)
+            cursor = 0
+            for mask, partition in partitions.items():
+                indices, offsets = partition.export_buffers()
+                flat[cursor:cursor + indices.size] = indices
+                indices_start, cursor = cursor, cursor + int(indices.size)
+                flat[cursor:cursor + offsets.size] = offsets
+                offsets_start, cursor = cursor, cursor + int(offsets.size)
+                directory[mask] = (
+                    indices_start,
+                    int(indices.size),
+                    offsets_start,
+                    int(offsets.size),
+                    partition.num_rows,
+                )
+        except BaseException:
+            # No caller ever sees this block, so nothing else would
+            # unlink the segment.  Drop the view first: a live buffer
+            # export makes closing the mapping raise BufferError.
+            flat = None
+            self.close()
+            raise
         self.directory = directory
         self.nbytes = total * _ITEMSIZE
 

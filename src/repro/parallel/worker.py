@@ -2,11 +2,11 @@
 
 A chunk is a self-contained, picklable unit of work: a *directory*
 mapping each mask the chunk touches to the shared-memory block (by
-name) and slice entry where it lives, plus the task list.  With the
-executor's delta shipping, one chunk may reference several blocks —
-the previous level's partitions stay resident in already-attached
-segments while only new masks arrive in a fresh block.  Workers are
-stateless between runs except for two deliberate caches:
+name) and slice entry where it lives, plus the task list.  One chunk
+may reference several blocks: the executor keeps the previous level's
+partitions resident in already-attached segments while only new masks
+arrive in a fresh block.  Workers are stateless between runs except
+for two deliberate caches:
 
 * one :class:`~repro.partition.vectorized.PartitionWorkspace` per
   worker process (per row count) — the probe array TANE reuses across
@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.parallel.shm import BlockEntry, SharedPartitionBlock, attached_partition
-from repro.parallel.validity import ValidityCriteria, ValidityOutcome, evaluate_validity
 from repro.partition.vectorized import PartitionWorkspace, batched_products
+from repro.search.measures import ValidityCriteria, ValidityOutcome, evaluate_validity
 from repro.testing import faults
 
 __all__ = ["ProductChunk", "ValidityChunk", "ChunkReceipt", "init_worker", "run_chunk"]
@@ -66,15 +66,6 @@ class ProductChunk:
     triples: tuple[tuple[int, int, int], ...]
     """``(candidate, factor_x, factor_y)`` as produced by
     :func:`repro.core.lattice.generate_next_level`."""
-    kernel: str = "triple"
-    """``"batched"`` runs the whole shard through
-    :func:`repro.partition.vectorized.batched_products`; ``"triple"``
-    is the per-product loop.  Byte-identical payloads either way."""
-    result_block: bool = False
-    """When true (the executor sets it under delta shipping), large
-    results return through a worker-created shared-memory block that
-    the parent adopts, instead of pickling CSR arrays through the
-    result pipe."""
 
 
 @dataclass(frozen=True)
@@ -126,33 +117,22 @@ def _run_products(
     chunk: ProductChunk,
 ) -> tuple[list, tuple[str, dict[int, BlockEntry], int] | None]:
     workspace = _workspace(chunk.num_rows)
-    products: list[tuple[int, object]] = []
-    if chunk.kernel == "batched":
-        pairs = [
-            (_resolve(chunk.directory, x), _resolve(chunk.directory, y))
-            for _candidate, x, y in chunk.triples
-        ]
-        for (candidate, _x, _y), product in zip(
-            chunk.triples, batched_products(pairs, workspace)
-        ):
-            products.append((candidate, product))
-    else:
-        for candidate, factor_x, factor_y in chunk.triples:
-            pi_x = _resolve(chunk.directory, factor_x)
-            pi_y = _resolve(chunk.directory, factor_y)
-            products.append((candidate, pi_x.product(pi_y, workspace)))
-    if chunk.result_block:
-        total_bytes = 8 * sum(
-            product.stripped_size + product.num_classes + 1
-            for _candidate, product in products
-        )
-        if total_bytes >= _RESULT_BLOCK_MIN_BYTES:
-            block = SharedPartitionBlock(dict(products))
-            # Hand the segment to the parent: detach our mapping, keep
-            # the name alive — the adopting parent owns the unlink.
-            block.detach()
-            candidates = [candidate for candidate, _product in products]
-            return candidates, (block.name, block.directory, block.nbytes)
+    pairs = [
+        (_resolve(chunk.directory, x), _resolve(chunk.directory, y))
+        for _candidate, x, y in chunk.triples
+    ]
+    candidates = [candidate for candidate, _x, _y in chunk.triples]
+    products = list(zip(candidates, batched_products(pairs, workspace)))
+    total_bytes = 8 * sum(
+        product.stripped_size + product.num_classes + 1
+        for _candidate, product in products
+    )
+    if total_bytes >= _RESULT_BLOCK_MIN_BYTES:
+        block = SharedPartitionBlock(dict(products))
+        # Hand the segment to the parent: detach our mapping, keep
+        # the name alive — the adopting parent owns the unlink.
+        block.detach()
+        return candidates, (block.name, block.directory, block.nbytes)
     return (
         [
             (candidate, *product.export_buffers())

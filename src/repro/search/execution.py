@@ -15,9 +15,9 @@ execution backend with this duck-typed surface:
 ``name`` / ``workers`` / ``usage``
     Identification and telemetry for the statistics view.
 
-:class:`SerialExecution` is the in-process backend — exactly the
-historical single-core TANE loop, and the reference every other
-backend must match byte-for-byte.  The process-pool backend lives in
+:class:`SerialExecution` is the in-process backend — the single-core
+TANE loop, and the reference every other backend must match
+byte-for-byte.  The process-pool backend lives in
 :mod:`repro.parallel` and plugs in through the same surface; it
 subclasses nothing from this module on purpose (plugins depend on the
 core, never the reverse).
@@ -30,14 +30,7 @@ from collections.abc import Callable, Iterator, Sequence
 from repro.partition.vectorized import CsrPartition, PartitionWorkspace, batched_products
 from repro.search.measures import ValidityCriteria, ValidityOutcome, evaluate_validity
 
-__all__ = ["Fetch", "ValidityGroups", "SerialExecution", "serial_validity", "PRODUCT_KERNELS"]
-
-# How an execution backend computes a shard's partition products:
-# "triple" is the historical one-product-at-a-time reference loop;
-# "batched" amortizes numpy fixed costs across the shard via
-# :func:`repro.partition.vectorized.batched_products` (byte-identical
-# results).  The process backend reuses the same names.
-PRODUCT_KERNELS = ("batched", "triple")
+__all__ = ["Fetch", "ValidityGroups", "SerialExecution", "serial_validity"]
 
 # Products per batched_products call: large enough to amortize the
 # shared argsort, small enough that streaming into the store (which
@@ -71,24 +64,16 @@ def serial_validity(
 class SerialExecution:
     """Run every task inline — the classic single-core TANE loop.
 
-    ``product_kernel`` selects how products are computed: ``"batched"``
-    (the default; level-batched numpy passes) or ``"triple"`` (the
-    historical per-product loop, and the automatic fallback whenever a
-    fetched partition is not a :class:`CsrPartition` — the pure
-    reference engine keeps working under either setting).
+    Products run through
+    :func:`repro.partition.vectorized.batched_products` a batch at a
+    time; a batch touching any partition that is not a
+    :class:`CsrPartition` (the pure reference engine) falls back to one
+    ``product`` call per triple.
     """
 
     name = "serial"
     workers = 1
     usage = None
-
-    def __init__(self, product_kernel: str = "batched") -> None:
-        if product_kernel not in PRODUCT_KERNELS:
-            raise ValueError(
-                f"unknown product_kernel {product_kernel!r}; "
-                f"valid choices: {', '.join(repr(k) for k in PRODUCT_KERNELS)}"
-            )
-        self.product_kernel = product_kernel
 
     def products(
         self,
@@ -97,10 +82,6 @@ class SerialExecution:
         workspace: PartitionWorkspace,
     ) -> Iterator[tuple[int, CsrPartition]]:
         """Yield ``(candidate, partition)`` per product triple, in order."""
-        if self.product_kernel != "batched":
-            for candidate, factor_x, factor_y in triples:
-                yield candidate, fetch(factor_x).product(fetch(factor_y), workspace)
-            return
         triples = list(triples)
         for start in range(0, len(triples), _PRODUCT_BATCH):
             chunk = triples[start:start + _PRODUCT_BATCH]

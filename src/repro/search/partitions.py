@@ -238,7 +238,9 @@ class PartitionManager:
         finally:
             # Deterministic cleanup: if the store raised between yields
             # the executor's generator would otherwise only finalize at
-            # GC, leaking its shared-memory block until then.
+            # GC.  Shared-memory blocks outlive the stream either way:
+            # the executor frees them at release_masks, begin_run or
+            # close.
             close = getattr(products, "close", None)
             if close is not None:
                 close()

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.tane import TaneConfig
 from repro.exceptions import ConfigurationError
+from repro.parallel.executor import ProcessLevelExecutor, SerialLevelExecutor
 
 
 def _config_error(**kwargs) -> str:
@@ -56,12 +57,6 @@ class TestKnobMessages:
         message = _config_error(partition_strategy="cached")
         assert "unknown partition_strategy 'cached'" in message
         for choice in ("'pairwise'", "'from_singletons'"):
-            assert choice in message
-
-    def test_product_kernel_enumerates_choices(self):
-        message = _config_error(product_kernel="simd")
-        assert "unknown product_kernel 'simd'" in message
-        for choice in ("'batched'", "'triple'"):
             assert choice in message
 
     def test_partition_cache_enumerates_choices(self):
@@ -138,3 +133,30 @@ class TestDfdCoupling:
     def test_valid_dfd_config_accepted(self):
         config = TaneConfig(strategy="dfd", dfd_seed=11)
         assert (config.strategy, config.dfd_seed) == ("dfd", 11)
+
+
+class TestPureEngineCoupling:
+    """The pure engine runs serially: pool workers ship CSR buffers."""
+
+    def test_process_executor_name_rejected(self):
+        assert "engine='pure' runs serially" in _config_error(
+            engine="pure", executor="process"
+        )
+
+    def test_workers_rejected(self):
+        assert "engine='pure' runs serially" in _config_error(
+            engine="pure", workers=2
+        )
+
+    def test_process_executor_instance_rejected(self):
+        executor = ProcessLevelExecutor(workers=2)
+        try:
+            assert "engine='pure' runs serially" in _config_error(
+                engine="pure", executor=executor
+            )
+        finally:
+            executor.close()
+
+    def test_serial_executor_instance_accepted(self):
+        config = TaneConfig(engine="pure", executor=SerialLevelExecutor())
+        assert config.engine == "pure"

@@ -1,5 +1,7 @@
 """Tests for the shared-memory shipment layer and executor resolution."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.parallel.executor import (
     make_executor,
 )
 from repro.parallel.shm import SharedPartitionBlock, attached_partition, detach_all
+from repro.partition.pure import PurePartition
 from repro.partition.vectorized import CsrPartition
 
 
@@ -76,6 +79,22 @@ class TestSharedPartitionBlock:
         block.close()
         block.close()  # second close must not raise
 
+    @pytest.mark.skipif(
+        not os.path.isdir("/dev/shm"), reason="needs a /dev/shm listing"
+    )
+    def test_packing_failure_unlinks_segment(self):
+        # The segment is created before packing; a partition that
+        # cannot export CSR buffers (the pure engine's) must not leave
+        # it behind.
+        partitions = {
+            1: CsrPartition.from_column([0, 0, 1, 1]),
+            2: PurePartition.from_column([0, 0, 1, 1]),
+        }
+        before = set(os.listdir("/dev/shm"))
+        with pytest.raises(AttributeError, match="export_buffers"):
+            SharedPartitionBlock(partitions)
+        assert set(os.listdir("/dev/shm")) - before == set()
+
     def test_empty_partition_block(self):
         # A level whose partitions are all superkeys strips to nothing.
         block = SharedPartitionBlock({1: CsrPartition.from_column([0, 1, 2])})
@@ -108,6 +127,8 @@ class TestMakeExecutor:
         with pytest.raises(ConfigurationError):
             make_executor("thread", 0)
 
-    def test_bad_chunking_rejected(self):
+    def test_bad_retry_limits_rejected(self):
         with pytest.raises(ConfigurationError):
-            ProcessLevelExecutor(workers=2, chunks_per_worker=0)
+            ProcessLevelExecutor(workers=2, max_chunk_retries=-1)
+        with pytest.raises(ConfigurationError):
+            ProcessLevelExecutor(workers=2, retry_backoff_seconds=-1.0)

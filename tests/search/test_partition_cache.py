@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.tane import TaneConfig, discover
 from repro.model.relation import Relation
+from repro.parallel.executor import SerialLevelExecutor
 from repro.partition.cache import PartitionCache, reset_shared_cache
 
 
@@ -112,12 +113,20 @@ class TestCacheIsolation:
             reset_shared_cache()
 
 
+class PerTripleExecutor(SerialLevelExecutor):
+    """The one-product-at-a-time loop the batched kernel must match."""
+
+    def products(self, triples, fetch, workspace):
+        for candidate, factor_x, factor_y in triples:
+            yield candidate, fetch(factor_x).product(fetch(factor_y), workspace)
+
+
 class TestKernelParity:
     @pytest.mark.parametrize("epsilon", [0.0, 0.1])
     def test_batched_and_triple_kernels_agree(self, relation, epsilon):
         batched = discover(relation, TaneConfig(epsilon=epsilon))
         triple = discover(
-            relation, TaneConfig(epsilon=epsilon, product_kernel="triple")
+            relation, TaneConfig(epsilon=epsilon, executor=PerTripleExecutor())
         )
         assert_same_result(triple, batched)
         bs, ts = batched.statistics, triple.statistics
