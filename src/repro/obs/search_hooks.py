@@ -24,6 +24,7 @@ imports :mod:`repro.obs` (enforced by ``make layers``).
 
 from __future__ import annotations
 
+from repro.exceptions import PartitionMissingError
 from repro.obs import trace as obs
 from repro.obs.events import EtaEstimator, ProgressEmitter, ProgressEvent
 from repro.obs.profile import SamplingProfiler
@@ -103,10 +104,15 @@ class ProgressHooks(SearchHooks):
         if boundary.level:
             # The next level's partitions were just materialized;
             # summing their stripped sizes is the exact row-work the
-            # estimator's cost model runs on.
+            # estimator's cost model runs on.  An exact run's last
+            # level is computed rank-only and never stored: the
+            # estimator then falls back to its row-count bound.
             work = 0
-            for mask in boundary.level:
-                work += driver.partitions.get(mask).stripped_size
+            try:
+                for mask in boundary.level:
+                    work += driver.partitions.get(mask).stripped_size
+            except PartitionMissingError:
+                work = None
             self._next_work = work
         self._publish_cache(driver)
 

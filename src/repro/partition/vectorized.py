@@ -47,6 +47,12 @@ Products take one of three paths, selected by input properties only:
 * :func:`batched_products` over a taller relation reuses probe
   scatters across tasks sharing a left factor and pools small tasks
   into one stable argsort per sub-batch.
+
+:func:`batched_error_counts` runs the same two kernels but stops once
+every task's pair keys are sorted: a product's ``e(π) = ||π̂|| - |π̂|``
+is the number of sorted keys equal to their predecessor, so no result
+partition is built.  The search uses it for a level whose partitions
+are only ever needed for their ranks (Lemma 2).
 """
 
 from __future__ import annotations
@@ -58,7 +64,7 @@ import numpy as np
 from repro.exceptions import DataError
 from repro.partition.base import PartitionBase
 
-__all__ = ["CsrPartition", "PartitionWorkspace", "batched_products"]
+__all__ = ["CsrPartition", "PartitionWorkspace", "batched_error_counts", "batched_products"]
 
 
 class PartitionWorkspace:
@@ -80,9 +86,12 @@ class PartitionWorkspace:
 # Below this total stripped size, a single ``product`` call probes a
 # plain-Python dict instead of the vectorized path: each numpy call
 # costs a few microseconds of fixed overhead, and a product issues ~15
-# of them.  Only single products take this path — the node engine of
-# the dfd strategy and the per-triple kernel.  A levelwise run computes
-# its products through ``batched_products``, which never takes it.
+# of them.  Only single ``product`` calls take this path: the node
+# engine of the dfd strategy, product chains from the singletons
+# (checkpoint restore and the ablation strategy) and the pooled
+# kernel's keyspace fallback.  A levelwise run computes its products
+# through ``batched_products`` and ``batched_error_counts``, whose
+# kernels never take it.
 _SMALL_PRODUCT_THRESHOLD = 1024
 
 
@@ -554,10 +563,26 @@ def _narrowest_key_dtype(keyspace: int) -> np.dtype:
     return np.dtype(np.int64)
 
 
+def _no_product(num_rows: int, counts: bool) -> "CsrPartition | int":
+    """The result of a product with no stripped class."""
+    return 0 if counts else CsrPartition.empty(num_rows)
+
+
+def _repeats(sorted_keys: np.ndarray) -> np.ndarray:
+    """Where a sorted key equals its predecessor (along the last axis).
+
+    Over one task's sorted pair keys their count is the product's
+    ``e(π)``: a class of ``k`` rows contributes ``k - 1``, a singleton
+    nothing.
+    """
+    return sorted_keys[..., 1:] == sorted_keys[..., :-1]
+
+
 def _dense_products(
     tasks: Sequence[tuple[int, CsrPartition, CsrPartition]],
-    results: list[CsrPartition | None],
+    results: list,
     num_rows: int,
+    counts: bool = False,
 ) -> None:
     """Solve a chunk of ``(position, x, y)`` tasks over one label matrix.
 
@@ -574,6 +599,10 @@ def _dense_products(
     Labels come from the factors' offsets, so no factor gains a cached
     label array.  Each result owns its buffers (no views into the chunk
     arrays), so store byte accounting and spills stay truthful.
+
+    With ``counts`` the result is each product's ``e(π)`` instead: the
+    untagged keys are sorted, their repeats counted, and nothing else
+    is built.
     """
     slots: dict[int, int] = {}
     factors: list[CsrPartition] = []
@@ -598,7 +627,8 @@ def _dense_products(
     # Real pair keys lie below classes_x * classes_y <= sentinel; a row
     # stripped from either factor gets key sentinel + row, a singleton.
     sentinel = int((classes[left_ids] * right_classes).max())
-    dtype = _narrowest_key_dtype((sentinel + num_rows) * num_rows)
+    keyspace = sentinel + num_rows
+    dtype = _narrowest_key_dtype(keyspace if counts else keyspace * num_rows)
 
     # The factors' buffers laid end to end.  Shifted by each factor's
     # start, the concatenated offsets become one ascending boundary
@@ -635,6 +665,12 @@ def _dense_products(
     keys = lhs * right_classes.astype(dtype)[:, None]
     keys += rhs
     np.putmask(keys, (lhs | rhs) < 0, positions + sentinel)
+    if counts:
+        keys.sort(axis=1)
+        errors = np.count_nonzero(_repeats(keys), axis=1)
+        for (position, _x, _y), error in zip(tasks, errors.tolist()):
+            results[position] = error
+        return
     keys *= num_rows
     keys += positions
     keys.sort(axis=1)
@@ -690,8 +726,9 @@ def _dense_products(
 
 def _solve_product_batch(
     segments: list[tuple[int, np.ndarray, np.ndarray, int, bool | None]],
-    results: list["CsrPartition | None"],
+    results: list,
     num_rows: int,
+    counts: bool = False,
 ) -> None:
     """Group every segment's surviving rows with one shared argsort.
 
@@ -700,7 +737,9 @@ def _solve_product_batch(
     :func:`_inherited_order`); keys are shifted into disjoint ranges (task order), so one
     stable sort of the concatenation orders every task's rows by its
     pair key while keeping tasks contiguous — the per-task slices then
-    need only cheap boundary arithmetic, no further sorting.
+    need only cheap boundary arithmetic, no further sorting.  With
+    ``counts`` each task's result is its ``e(π)``, read off the sorted
+    keys alone.
     """
     bases: list[int] = []
     base = 0
@@ -714,6 +753,15 @@ def _solve_product_batch(
             for (_, _, keys, _, _), shift in zip(segments, bases)
         ]
     )
+    if counts:
+        # Key ranges are disjoint, so no repeat straddles two tasks.
+        repeats = np.concatenate(([0], np.cumsum(_repeats(np.sort(all_keys)))))
+        start = 0
+        for position, rows, _keys, _keyspace, _order in segments:
+            end = start + rows.size
+            results[position] = int(repeats[end - 1] - repeats[start])
+            start = end
+        return
     all_rows = np.concatenate([segment[1] for segment in segments])
     order = np.argsort(all_keys, kind="stable")
     sorted_keys = all_keys[order]
@@ -748,8 +796,12 @@ def _solve_product_single(
     pair_keys: np.ndarray,
     num_rows: int,
     row_order: bool | None,
-) -> "CsrPartition":
-    """Group one task's surviving rows (the grouping tail of ``product``)."""
+    counts: bool = False,
+) -> "CsrPartition | int":
+    """Group one task's surviving rows (the grouping tail of ``product``),
+    or with ``counts`` return the product's ``e(π)``."""
+    if counts:
+        return int(np.count_nonzero(_repeats(np.sort(pair_keys))))
     order = np.argsort(pair_keys, kind="stable")
     sorted_key = pair_keys[order]
     sorted_rows = rows[order]
@@ -770,9 +822,10 @@ def _solve_product_single(
 def _pooled_products(
     pairs: Sequence[tuple[CsrPartition, CsrPartition]],
     positions: Iterable[int],
-    results: list[CsrPartition | None],
+    results: list,
     num_rows: int,
     workspace: PartitionWorkspace | None,
+    counts: bool = False,
 ) -> None:
     """Solve the tasks at ``positions`` over shared probe scatters.
 
@@ -780,7 +833,8 @@ def _pooled_products(
     below ``_BATCH_SOLO_ROWS`` surviving rows are pooled into sub-batches
     grouped by one stable argsort each, larger ones solved one at a
     time.  A task whose pair-key space alone exceeds the int64 packing
-    budget falls back to the per-triple kernel.
+    budget falls back to the per-triple kernel.  With ``counts`` every
+    result is the product's ``e(π)`` instead of the partition.
     """
     if workspace is None:
         workspace = PartitionWorkspace(num_rows)
@@ -793,7 +847,7 @@ def _pooled_products(
             keyspace = x.num_classes * y.num_classes
             if keyspace == 0:
                 # A factor with no stripped classes kills every pair.
-                results[position] = CsrPartition.empty(num_rows)
+                results[position] = _no_product(num_rows, counts)
                 continue
             if keyspace > _MAX_BATCH_KEYSPACE:
                 # Per-triple fallback resets the probe itself; drop our
@@ -801,7 +855,8 @@ def _pooled_products(
                 if scattered is not None:
                     probe[scattered._indices] = -1
                     scattered = None
-                results[position] = x.product(y, workspace)
+                product = x.product(y, workspace)
+                results[position] = product.error_count if counts else product
                 continue
             if scattered is not x:
                 if scattered is not None:
@@ -812,12 +867,12 @@ def _pooled_products(
             mask = in_x >= 0
             rows = y._indices[mask]
             if rows.size == 0:
-                results[position] = CsrPartition.empty(num_rows)
+                results[position] = _no_product(num_rows, counts)
                 continue
             pair_keys = in_x[mask] * y.num_classes + y._labels()[mask]
             if rows.size >= _BATCH_SOLO_ROWS:
                 results[position] = _solve_product_single(
-                    rows, pair_keys, num_rows, _inherited_order(y)
+                    rows, pair_keys, num_rows, _inherited_order(y), counts
                 )
                 continue
             probed.append((position, rows, pair_keys, keyspace, _inherited_order(y)))
@@ -838,7 +893,7 @@ def _pooled_products(
             keys_total += probed[stop][3]
             elements += probed[stop][1].size
             stop += 1
-        _solve_product_batch(probed[cursor:stop], results, num_rows)
+        _solve_product_batch(probed[cursor:stop], results, num_rows, counts)
         cursor = stop
 
 
@@ -866,13 +921,37 @@ def batched_products(
     Neither detours through the dict-probe path of ``product``: both
     amortize the per-call numpy overhead that path exists to dodge.
     """
+    return _batched(pairs, workspace, counts=False)
+
+
+def batched_error_counts(
+    pairs: Sequence[tuple["CsrPartition", "CsrPartition"]],
+    workspace: PartitionWorkspace | None = None,
+) -> list[int]:
+    """``e(x · y)`` for every pair, without building the products.
+
+    Equal to ``[p.error_count for p in batched_products(pairs,
+    workspace)]``, through the same kernel selection; each kernel stops
+    after sorting its pair keys.
+    """
+    return _batched(pairs, workspace, counts=True)
+
+
+def _batched(
+    pairs: Sequence[tuple["CsrPartition", "CsrPartition"]],
+    workspace: PartitionWorkspace | None,
+    *,
+    counts: bool,
+) -> list:
+    """Kernel selection shared by :func:`batched_products` and
+    :func:`batched_error_counts`."""
     if not pairs:
         return []
     num_rows = pairs[0][0].num_rows
     # Below two rows no product has a stripped class; the pooled kernel
     # handles that degenerate case without a zero-width matrix.
     dense_rows = 2 <= num_rows <= _DENSE_MAX_ROWS
-    results: list[CsrPartition | None] = [None] * len(pairs)
+    results: list = [None] * len(pairs)
     dense: list[tuple[int, CsrPartition, CsrPartition]] = []
     pooled: list[int] = []
     for position, (x, y) in enumerate(pairs):
@@ -884,14 +963,15 @@ def batched_products(
             pooled.append(position)
         elif x._offsets.size == 1 or y._offsets.size == 1:
             # A factor with no stripped classes kills every pair.
-            results[position] = CsrPartition.empty(num_rows)
-        elif y._rows_ascending():
+            results[position] = _no_product(num_rows, counts)
+        elif counts or y._rows_ascending():
+            # Row order inside classes does not change a count.
             dense.append((position, x, y))
         else:
             pooled.append(position)
     step = max(1, _DENSE_ELEMENT_BUDGET // max(num_rows, 1))
     for start in range(0, len(dense), step):
-        _dense_products(dense[start:start + step], results, num_rows)
+        _dense_products(dense[start:start + step], results, num_rows, counts)
     if pooled:
-        _pooled_products(pairs, pooled, results, num_rows, workspace)
-    return results  # type: ignore[return-value]
+        _pooled_products(pairs, pooled, results, num_rows, workspace, counts)
+    return results

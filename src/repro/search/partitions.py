@@ -24,11 +24,21 @@ from __future__ import annotations
 from repro import _bitset
 from repro.model.relation import Relation
 from repro.partition.store import DiskPartitionStore, PartitionStore
-from repro.partition.vectorized import PartitionWorkspace
+from repro.partition.vectorized import (
+    CsrPartition,
+    PartitionWorkspace,
+    batched_error_counts,
+)
 from repro.search.instruments import Counter
 from repro.testing import faults
 
 __all__ = ["PartitionManager"]
+
+# Rank-only products per batched_error_counts call.  A disk store's
+# factors are fetched again for every batch, which bounds what it must
+# keep loaded; other stores hold the whole level resident anyway, and
+# each factor is fetched once per level.
+_RANK_BATCH = 2048
 
 
 class PartitionManager:
@@ -184,28 +194,52 @@ class PartitionManager:
     # GENERATE-NEXT-LEVEL products
     # ------------------------------------------------------------------
 
-    def materialize(self, triples: list[tuple[int, int, int]]) -> list[int]:
+    def materialize(
+        self,
+        triples: list[tuple[int, int, int]],
+        errors: list[int] | None = None,
+        *,
+        ranks_only: bool = False,
+    ) -> list[int]:
         """Compute and store the partitions of the next level.
 
         ``triples`` are ``(candidate, factor_x, factor_y)`` from the
         traversal strategy; the returned list is the next level's
-        masks in candidate order.
+        masks in candidate order.  ``errors``, when given, receives
+        ``e(π)`` of each returned mask, in the same order.
+
+        ``ranks_only`` says the caller needs nothing but those ranks:
+        the partitions will never be product factors or measured.  The
+        products are then only counted (:func:`batched_error_counts`,
+        in this process whatever the executor) and nothing is stored,
+        unless the partition cache keeps sets of this size or the
+        engine is not the CSR one.  Such products still count in
+        ``tane.partition_products``.
         """
+        if (
+            ranks_only
+            and errors is not None
+            and triples
+            and self.partition_strategy == "pairwise"
+            and self.partition_cls is CsrPartition
+            and not self._cache_keeps(triples[0][0])
+        ):
+            return self._rank_only(triples, errors)
         next_level: list[int] = []
         if self.partition_strategy != "pairwise":
             # Ablation-only strategy; always serial (see TaneConfig).
             for candidate, _factor_x, _factor_y in triples:
-                self.store.put(candidate, self.product_from_singletons(candidate))
+                product = self.product_from_singletons(candidate)
+                self.store.put(candidate, product)
                 next_level.append(candidate)
+                if errors is not None:
+                    errors.append(product.error_count)
             return next_level
 
         pending = triples
         hit_any = False
-        if (
-            self._cache is not None
-            and triples
-            and _bitset.popcount(triples[0][0]) <= self._cache_levels
-        ):
+        ranks: dict[int, int] = {}
+        if triples and self._cache_keeps(triples[0][0]):
             pending = []
             for triple in triples:
                 partition = self._cache_get(triple[0])
@@ -214,6 +248,7 @@ class PartitionManager:
                 else:
                     hit_any = True
                     self.store.put(triple[0], partition)
+                    ranks[triple[0]] = partition.error_count
 
         products = self.executor.products(pending, self.store.get, self.workspace)
 
@@ -226,6 +261,7 @@ class PartitionManager:
                 self._c_products.inc()
                 self._cache_put(candidate, product)
                 next_level.append(candidate)
+                ranks[candidate] = product.error_count
                 yield candidate, product
 
         try:
@@ -246,8 +282,32 @@ class PartitionManager:
                 close()
         if hit_any:
             # Cache hits were stored up front; preserve candidate order.
-            return [candidate for candidate, _x, _y in triples]
+            next_level = [candidate for candidate, _x, _y in triples]
+        if errors is not None:
+            errors.extend(ranks[candidate] for candidate in next_level)
         return next_level
+
+    def _cache_keeps(self, mask: int) -> bool:
+        """Whether the partition cache holds sets of ``mask``'s size."""
+        return self._cache is not None and _bitset.popcount(mask) <= self._cache_levels
+
+    def _rank_only(
+        self, triples: list[tuple[int, int, int]], errors: list[int]
+    ) -> list[int]:
+        """``e(π)`` of every candidate from its factors; nothing stored."""
+        fetched: dict[int, CsrPartition] = {}
+        for start in range(0, len(triples), _RANK_BATCH):
+            if isinstance(self.store, DiskPartitionStore):
+                fetched = {}
+            pairs = []
+            for _candidate, factor_x, factor_y in triples[start:start + _RANK_BATCH]:
+                for mask in (factor_x, factor_y):
+                    if mask not in fetched:
+                        fetched[mask] = self.store.get(mask)
+                pairs.append((fetched[factor_x], fetched[factor_y]))
+            errors.extend(batched_error_counts(pairs, self.workspace))
+        self._c_products.inc(len(triples))
+        return [candidate for candidate, _x, _y in triples]
 
     # ------------------------------------------------------------------
     # Node-mode on-demand materialization

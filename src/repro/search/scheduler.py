@@ -6,10 +6,18 @@ traversal strategy's ``mode``:
 
 :class:`LevelScheduler` (``mode == "level"``)
     The loop of Section 5 — COMPUTE-DEPENDENCIES / PRUNE /
-    GENERATE-NEXT-LEVEL — moved here verbatim from the driver.  Its
-    phase ordering, counter accounting, reclamation rule and
-    boundary/resume protocol are byte-identical to the pre-refactor
-    driver: the golden-parity suites pin results *and* counters.
+    GENERATE-NEXT-LEVEL.  Its phase ordering, counter accounting,
+    reclamation rule and boundary/resume protocol are byte-identical
+    to the pre-refactor driver: the golden-parity suites pin results
+    *and* counters.  On schemas of at most
+    :data:`~repro.core.lattice.MAX_ARRAY_ATTRIBUTES` attributes a level
+    is held as aligned arrays (:class:`~repro.search.tracker.LevelArrays`)
+    and each phase is a fixed number of numpy passes; exact validity
+    needs only the two ranks of Lemma 2, so partitions are fetched only
+    for the pairs an approximate run must measure.  The last level a
+    run reaches is never a product factor, so an exact run computes
+    only its ranks (see :meth:`PartitionManager.materialize
+    <repro.search.partitions.PartitionManager.materialize>`).
 
 :class:`NodeEngine` (``mode == "node"``)
     The strategy proposes candidate tests one batch at a time
@@ -32,9 +40,14 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro import _bitset
-from repro.search.hooks import LevelBoundary, NodeBoundary
+from repro.core.lattice import MAX_ARRAY_ATTRIBUTES
+from repro.search.hooks import LevelBoundary, NodeBoundary, SearchHooks
+from repro.search.measures import ValidityOutcome
 from repro.search.strategy import NodeContext
+from repro.search.tracker import LevelArrays, LevelPairs, PairOutcomes
 from repro.testing import faults
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -90,11 +103,37 @@ def make_scheduler(driver: "SearchDriver"):
     return LevelScheduler(driver)
 
 
+_EXACT = ValidityOutcome(True, True, 0.0, False, False)
+_NOT_EXACT = ValidityOutcome(False, False, 0.0, False, False)
+
+
 class LevelScheduler:
-    """The paper's level-synchronous loop (Section 5), unchanged."""
+    """The paper's level-synchronous loop (Section 5).
+
+    A level is a list of masks with a ``C+`` dict (Python-int form) or,
+    on schemas of at most ``MAX_ARRAY_ATTRIBUTES`` attributes, a
+    :class:`LevelArrays` whose ``cplus`` holds ``C+``; ``cplus_prev``
+    below is the previous level's ``C+`` in the same form.
+    """
 
     def __init__(self, driver: "SearchDriver") -> None:
         self.driver = driver
+        self.arrays = driver.num_attributes <= MAX_ARRAY_ATTRIBUTES
+        # Only hooks that observe boundaries pay for the list/dict
+        # conversion of an array level.
+        self._boundary_hooks = [
+            hook
+            for hook in driver._hooks
+            if type(hook).on_boundary is not SearchHooks.on_boundary
+        ]
+
+    def _arrays_of(self, masks, cplus: dict[int, int] | None = None) -> LevelArrays:
+        """A level's arrays, ranks read from its resident partitions."""
+        masks = sorted(masks)
+        errors = [self.driver.partitions.error_count(mask) for mask in masks]
+        if cplus is None:
+            return LevelArrays(masks, errors)
+        return LevelArrays(masks, errors, [cplus.get(mask, 0) for mask in masks])
 
     def run(self) -> None:
         """Execute the levelwise loop to completion."""
@@ -105,7 +144,7 @@ class LevelScheduler:
             else min(driver.num_attributes, driver.max_lhs_size + 1)
         )
         level = driver.partitions.bootstrap()
-        cplus_prev: dict[int, int] = {0: driver.full_mask}
+        cplus_prev = {0: driver.full_mask}
         previous_level_masks: list[int] = [0]
         level_number = 1
         for hook in driver._hooks:
@@ -116,6 +155,9 @@ class LevelScheduler:
                 previous_level_masks = resumed.previous_level_masks
                 level_number = resumed.level_number
                 break
+        if self.arrays:
+            level = self._arrays_of(level)
+            cplus_prev = self._arrays_of(previous_level_masks, cplus_prev)
         search_start = time.perf_counter()
         while level and level_number <= max_level:
             faults.check("tane.level.start")
@@ -161,21 +203,18 @@ class LevelScheduler:
                 driver._pruned_level_sizes.append(len(surviving))
                 products_before = driver._c_products.value
                 with driver._span("generate_next_level") as phase:
-                    if level_number < max_level and not driver.strategy.should_stop(
-                        driver.tracker, level_number + 1
-                    ):
-                        next_level = driver.partitions.materialize(
-                            driver.strategy.expand(surviving)
-                        )
-                    else:
-                        next_level = []
+                    next_level = self._generate(surviving, level_number, max_level)
                     phase.set("products", driver._c_products.value - products_before)
                     phase.set("next_size", len(next_level))
                 level_span.set("surviving", len(surviving))
                 level_span.set("dependencies_total", len(driver.tracker.dependencies))
             driver.partitions.reclaim(previous_level_masks)
-            previous_level_masks = level
-            cplus_prev = cplus
+            if self.arrays:
+                previous_level_masks = level.masks.tolist()
+                cplus_prev = level
+            else:
+                previous_level_masks = level
+                cplus_prev = cplus
             level = next_level
             level_number += 1
             self._notify_boundary(
@@ -185,18 +224,39 @@ class LevelScheduler:
             level_number, [], previous_level_masks, cplus_prev, complete=True
         )
 
+    def _generate(self, surviving, level_number: int, max_level: int):
+        """GENERATE-NEXT-LEVEL: the next level, or an empty one."""
+        driver = self.driver
+        if level_number >= max_level or driver.strategy.should_stop(
+            driver.tracker, level_number + 1
+        ):
+            return LevelArrays([], []) if self.arrays else []
+        if not self.arrays:
+            return driver.partitions.materialize(driver.strategy.expand(surviving))
+        triples = driver.strategy.expand(surviving.tolist())
+        errors: list[int] = []
+        # No level follows the last one, so none of its partitions is a
+        # product factor; an exact run needs only their ranks.
+        ranks_only = level_number + 1 == max_level and driver.criteria.epsilon == 0.0
+        masks = driver.partitions.materialize(triples, errors, ranks_only=ranks_only)
+        return LevelArrays(masks, errors)
+
     def _notify_boundary(
         self,
         level_number: int,
-        level: list[int],
+        level,
         previous_level_masks: list[int],
-        cplus_prev: dict[int, int],
+        cplus_prev,
         *,
         complete: bool,
     ) -> None:
         driver = self.driver
-        if not driver._hooks:
+        if not self._boundary_hooks:
             return
+        if self.arrays:
+            if isinstance(level, LevelArrays):
+                level = level.masks.tolist()
+            cplus_prev = cplus_prev.cplus_dict()
         boundary = LevelBoundary(
             level_number=level_number,
             level=level,
@@ -204,12 +264,10 @@ class LevelScheduler:
             cplus_prev=cplus_prev,
             complete=complete,
         )
-        for hook in driver._hooks:
+        for hook in self._boundary_hooks:
             hook.on_boundary(driver, boundary)
 
-    def _compute_dependencies(
-        self, level: list[int], cplus_prev: dict[int, int]
-    ) -> dict[int, int]:
+    def _compute_dependencies(self, level, cplus_prev):
         """COMPUTE-DEPENDENCIES: rhs+ sets, validity tests, recording.
 
         The executor may shard the tests freely (the groups are
@@ -219,6 +277,13 @@ class LevelScheduler:
         are deterministic and identical across backends.
         """
         driver = self.driver
+        if self.arrays:
+            tracker = driver.tracker
+            cplus = tracker.compute_cplus(level, cplus_prev)
+            pairs = tracker.testable_groups(level, cplus)
+            outcomes = self._pair_outcomes(pairs)
+            tracker.apply_outcome(level, pairs.rhs, pairs.lhs, outcomes, cplus)
+            return cplus
         cplus = driver.tracker.compute_cplus(level, cplus_prev)
         groups = driver.tracker.testable_groups(level, cplus)
         outcomes = driver.executor.validity_tests(
@@ -238,6 +303,64 @@ class LevelScheduler:
                     driver._c_errors.inc()
                 driver.tracker.apply_outcome(mask, rhs_index, lhs_mask, outcome, cplus)
         return cplus
+
+    def _pair_outcomes(self, pairs: LevelPairs) -> PairOutcomes:
+        """Validity outcomes of a level's pairs, counted like the
+        per-pair loop counts them.
+
+        A pair passing the rank test is exactly valid.  With ``ε > 0``
+        the others are measured through the executor in one batch;
+        exact runs fail them without fetching a partition.
+        """
+        driver = self.driver
+        count = pairs.exact.size
+        valid = pairs.exact.copy()
+        exactly_valid = pairs.exact.copy()
+        errors = [0.0] * count
+        measured: list[tuple[int, ValidityOutcome]] = []
+        if driver.criteria.epsilon > 0.0:
+            failing = np.flatnonzero(~pairs.exact)
+            if failing.size:
+                outcomes = driver.executor.validity_tests(
+                    pairs.groups(failing),
+                    driver.partitions.get,
+                    driver.criteria,
+                    driver.workspace,
+                )
+                measured = list(zip(failing.tolist(), outcomes))
+        if faults.mutation_armed("tane.validity.outcome"):
+            measured = self._mutated_outcomes(pairs, measured)
+        bounds = errors_computed = 0
+        for position, outcome in measured:
+            valid[position] = outcome.valid
+            exactly_valid[position] = outcome.exactly_valid
+            errors[position] = outcome.error
+            bounds += outcome.bound_rejected
+            errors_computed += outcome.error_computed
+        driver._c_tests.inc(count)
+        driver._c_bounds.inc(bounds)
+        driver._c_errors.inc(errors_computed)
+        return PairOutcomes(valid, exactly_valid, errors)
+
+    @staticmethod
+    def _mutated_outcomes(
+        pairs: LevelPairs, measured: list[tuple[int, ValidityOutcome]]
+    ) -> list[tuple[int, ValidityOutcome]]:
+        """Every pair's outcome passed through the silent-corruption
+        fault point, in test order — only while a test arms it."""
+        by_position = dict(measured)
+        return [
+            (
+                position,
+                # Silent-corruption fault point: repro.verify's own tests
+                # arm it to prove the harness catches a lying engine.
+                faults.mutate(
+                    "tane.validity.outcome",
+                    by_position.get(position, _EXACT if exact else _NOT_EXACT),
+                ),
+            )
+            for position, exact in enumerate(pairs.exact.tolist())
+        ]
 
 
 class NodeEngine:

@@ -50,6 +50,7 @@ __all__ = [
     "check",
     "inject",
     "mutate",
+    "mutation_armed",
     "inject_mutation",
     "armed_points",
     "arm_worker_faults",
@@ -169,6 +170,17 @@ def mutate(point: str, value):
         return value
     armed.remaining -= 1
     return armed.transform(value)
+
+
+def mutation_armed(point: str) -> bool:
+    """Whether :func:`mutate` would currently rewrite values at ``point``.
+
+    Lets a caller that decides many values at once in bulk skip
+    building the per-value objects :func:`mutate` takes, unless a test
+    armed the point.
+    """
+    armed = _MUTATIONS.get(point)
+    return armed is not None and armed.remaining > 0
 
 
 @contextmanager

@@ -2,8 +2,10 @@
 
 import pytest
 
+import repro.search.scheduler as scheduler
 from repro.baselines.bruteforce import dependency_g3, discover_fds_bruteforce
 from repro.core.tane import TaneConfig, discover, discover_approximate_fds, discover_fds
+from repro.core.uccs import discover_uccs
 from repro.model.fd import FunctionalDependency
 from repro.model.relation import Relation
 
@@ -88,6 +90,21 @@ class TestKeyHandling:
         approx = discover_approximate_fds(figure1_relation, 0.1)
         exact = discover_fds(figure1_relation)
         assert sorted(approx.keys) == sorted(exact.keys)
+
+    @pytest.mark.parametrize("num_rows", [0, 1])
+    @pytest.mark.parametrize("python_int_levels", [False, True])
+    def test_keys_of_relations_below_two_rows(self, num_rows, python_int_levels, monkeypatch):
+        # π_∅ has no stripped class below two rows, so ∅ looks like a
+        # superkey; it must not hide the singleton keys in approximate
+        # mode, whichever level form the search runs on.
+        if python_int_levels:
+            monkeypatch.setattr(scheduler, "MAX_ARRAY_ATTRIBUTES", 0)
+        rel = Relation.from_rows([[0, 0, 0]] * num_rows, ["A", "B", "C"])
+        expected = discover_uccs(rel).uccs
+        assert expected == [1, 2, 4]
+        for epsilon in (0.0, 0.1):
+            assert discover(rel, TaneConfig(epsilon=epsilon)).keys == expected
+            assert discover_uccs(rel, epsilon=epsilon).uccs == expected
 
 
 class TestBoundsOptimization:

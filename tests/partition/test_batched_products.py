@@ -22,6 +22,7 @@ import repro.partition.vectorized as vectorized
 from repro.partition.vectorized import (
     CsrPartition,
     PartitionWorkspace,
+    batched_error_counts,
     batched_products,
 )
 
@@ -120,6 +121,65 @@ class TestBatchedMatchesPerTriple:
 
     def test_empty_task_list(self):
         assert batched_products([]) == []
+
+
+def non_ascending(partition):
+    """The partition with every class's rows reversed (raw buffers)."""
+    offsets = partition.offsets
+    return CsrPartition(
+        np.concatenate(
+            [partition.indices[a:b][::-1] for a, b in zip(offsets[:-1], offsets[1:])]
+        ),
+        offsets.copy(),
+        partition.num_rows,
+    )
+
+
+def degenerate_pairs():
+    num_rows = 30
+    empty = CsrPartition.empty(num_rows)
+    single = CsrPartition.single_class(num_rows)
+    ordinary = CsrPartition.from_column(np.arange(num_rows, dtype=np.int64) % 3)
+    return [(empty, ordinary), (ordinary, empty), (single, ordinary), (ordinary, single)]
+
+
+class TestErrorCounts:
+    """``batched_error_counts`` is ``e(π)`` of ``batched_products``."""
+
+    @pytest.mark.parametrize(
+        "case",
+        ["dense", "pooled", "non_ascending_right", "empty_factor", "keyspace_fallback"],
+    )
+    def test_counts_match_products(self, case, monkeypatch):
+        partitions = random_partitions(seed=11)
+        pairs = all_pairs(partitions)
+        if case == "pooled":
+            monkeypatch.setattr(vectorized, "_DENSE_MAX_ROWS", 0)
+        elif case == "non_ascending_right":
+            pairs = [(x, non_ascending(y)) for x, y in pairs]
+        elif case == "empty_factor":
+            pairs = degenerate_pairs()
+        elif case == "keyspace_fallback":
+            monkeypatch.setattr(vectorized, "_DENSE_MAX_ROWS", 0)
+            monkeypatch.setattr(vectorized, "_MAX_BATCH_KEYSPACE", 1)
+            monkeypatch.setattr(vectorized, "_SMALL_PRODUCT_THRESHOLD", -1)
+            pairs = all_pairs(random_partitions(seed=7, count=5, num_rows=80))
+        workspace = PartitionWorkspace(pairs[0][0].num_rows)
+        counts = batched_error_counts(pairs, workspace)
+        assert counts == [p.error_count for p in batched_products(pairs)]
+        assert all(type(count) is int for count in counts)
+        assert (workspace.probe == -1).all()
+
+    def test_large_tasks_solved_alone(self, monkeypatch):
+        monkeypatch.setattr(vectorized, "_DENSE_MAX_ROWS", 0)
+        monkeypatch.setattr(vectorized, "_BATCH_SOLO_ROWS", 1)
+        pairs = all_pairs(random_partitions(seed=5, count=4))
+        assert batched_error_counts(pairs) == [
+            p.error_count for p in batched_products(pairs)
+        ]
+
+    def test_empty_task_list(self):
+        assert batched_error_counts([]) == []
 
 
 COLUMNS = st.lists(

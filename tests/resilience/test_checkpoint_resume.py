@@ -71,6 +71,22 @@ class TestResumeParity:
         )
         assert_identical_results(resumed, baseline)
 
+    @pytest.mark.parametrize("store", ["memory", "disk"])
+    def test_resume_at_the_rank_only_level(self, structured_relation, tmp_path, store):
+        # With |X| <= 2 the third level is the last: it is computed
+        # rank-only and never stored, so resume must rebuild its ranks.
+        config = dict(max_lhs_size=2, store=store)
+        baseline = discover(structured_relation, TaneConfig(**config))
+        run_interrupted(structured_relation, tmp_path, level=3, **config)
+        state = load_checkpoint(tmp_path)
+        assert state.level_number == 3 and not state.complete
+        assert state.level and all(bin(mask).count("1") == 3 for mask in state.level)
+        resumed = discover(
+            structured_relation,
+            TaneConfig(checkpoint_dir=tmp_path, resume=True, **config),
+        )
+        assert_identical_results(resumed, baseline)
+
     def test_resume_of_complete_run_is_a_no_op(self, structured_relation, tmp_path):
         baseline = discover(structured_relation, TaneConfig(checkpoint_dir=tmp_path))
         state = load_checkpoint(tmp_path)

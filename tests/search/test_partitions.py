@@ -6,6 +6,8 @@ import pytest
 
 from repro import _bitset
 from repro.model.relation import Relation
+from repro.partition.cache import PartitionCache
+from repro.partition.pure import PurePartition
 from repro.partition.store import DiskPartitionStore, MemoryPartitionStore
 from repro.partition.vectorized import CsrPartition, PartitionWorkspace
 from repro.search.execution import SerialExecution
@@ -83,6 +85,49 @@ class TestProductsAndAccess:
         assert next_level == [7]
         # π_ABC from singletons costs two products (A·B then ·C).
         assert counter.value == 2
+
+
+class TestRanksOnly:
+    """``materialize(..., ranks_only=True)``: the last level's ranks,
+    counted as products but never stored."""
+
+    TRIPLES = [(3, 1, 2), (5, 1, 4), (6, 2, 4)]
+
+    def _ranks(self, manager, ranks_only):
+        manager.bootstrap()
+        errors = []
+        masks = manager.materialize(self.TRIPLES, errors, ranks_only=ranks_only)
+        return masks, errors
+
+    def test_counts_without_storing(self, relation):
+        store, counter = MemoryPartitionStore(), Counter()
+        manager = _manager(relation, store, products_counter=counter)
+        masks, errors = self._ranks(manager, ranks_only=True)
+        stored, stored_errors = self._ranks(_manager(relation), ranks_only=False)
+        assert (masks, errors) == (stored, stored_errors) == ([3, 5, 6], [2, 0, 0])
+        assert counter.value == 3
+        assert len(store) == 4  # π_∅ and the singletons only
+        for mask in masks:
+            with pytest.raises(KeyError):
+                store.get(mask)
+
+    def test_stored_when_the_cache_keeps_the_level(self, relation):
+        store = MemoryPartitionStore()
+        manager = _manager(relation, store, cache=PartitionCache(), cache_levels=2)
+        masks, errors = self._ranks(manager, ranks_only=True)
+        assert errors == [manager.error_count(mask) for mask in masks]
+
+    def test_stored_by_the_pure_engine(self, relation):
+        store = MemoryPartitionStore()
+        manager = PartitionManager(
+            relation,
+            PurePartition,
+            store,
+            PartitionWorkspace(relation.num_rows),
+            SerialExecution(),
+        )
+        masks, errors = self._ranks(manager, ranks_only=True)
+        assert errors == [manager.error_count(mask) for mask in masks]
 
 
 class TestReclaimRestore:

@@ -132,6 +132,12 @@ class TestPrune:
         tracker.prune([A | B], {A | B: FULL}, 2, is_superkey)
         assert tracker.keys == [A]
 
+    def test_approximate_minimality_ignores_the_empty_set(self):
+        # Below two rows π_∅ has no stripped class; ∅ is still no key.
+        tracker = _tracker(epsilon=0.1)
+        tracker.prune([A, B], {A: FULL, B: FULL}, 1, lambda mask: True)
+        assert tracker.keys == [A, B]
+
     def test_key_pruning_disabled(self):
         tracker = _tracker(use_key_pruning=False)
         surviving = tracker.prune([A], {A: FULL}, 1, lambda mask: True)

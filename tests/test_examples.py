@@ -1,9 +1,12 @@
 """Smoke tests: every example script must run and produce its key output.
 
-The chess example re-solves the KRK endgame (~15s) and is excluded
-here; its substance is covered by ``tests/datasets/test_chess.py``.
+Each example runs in a subprocess, except the chess one: solving the
+KRK endgame takes seconds, and ``repro.datasets.chess`` caches the
+solve per process.  That example runs in-process instead, so in a full
+run it reuses the solve ``tests/datasets/test_chess.py`` already made.
 """
 
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -59,8 +62,9 @@ class TestExamples:
         assert "exact keys surviving the mess: 0" in out
 
     @pytest.mark.slow
-    def test_chess_endgame(self):
-        out = run_example("chess_endgame.py")
+    def test_chess_endgame(self, capsys):
+        runpy.run_path(str(EXAMPLES / "chess_endgame.py"), run_name="__main__")
+        out = capsys.readouterr().out
         assert "matches UCI krkopt on 18/18 classes" in out
         assert "N = 1" in out
 
