@@ -219,25 +219,31 @@ def _solve() -> dict[tuple[int, int, int], int]:
     }
 
 
+def _transform(square: int, flip_f: bool, flip_r: bool, swap: bool) -> int:
+    file, rank = square % 8, square // 8
+    if flip_f:
+        file = 7 - file
+    if flip_r:
+        rank = 7 - rank
+    if swap:
+        file, rank = rank, file
+    return _square(file, rank)
+
+
+# The 8 dihedral board transforms as square maps, built once: the
+# symmetries of a position are then three tuple lookups per transform.
+_SYMMETRY_MAPS = tuple(
+    tuple(_transform(square, flip_f, flip_r, swap) for square in range(64))
+    for flip_f in (False, True)
+    for flip_r in (False, True)
+    for swap in (False, True)
+)
+
+
 def _symmetries(position: tuple[int, int, int]) -> list[tuple[int, int, int]]:
     """The 8 dihedral board transforms of a position."""
-
-    def transform(square: int, flip_f: bool, flip_r: bool, swap: bool) -> int:
-        file, rank = square % 8, square // 8
-        if flip_f:
-            file = 7 - file
-        if flip_r:
-            rank = 7 - rank
-        if swap:
-            file, rank = rank, file
-        return _square(file, rank)
-
-    variants = []
-    for flip_f in (False, True):
-        for flip_r in (False, True):
-            for swap in (False, True):
-                variants.append(tuple(transform(s, flip_f, flip_r, swap) for s in position))
-    return variants  # type: ignore[return-value]
+    wk, wr, bk = position
+    return [(m[wk], m[wr], m[bk]) for m in _SYMMETRY_MAPS]
 
 
 @lru_cache(maxsize=1)

@@ -11,7 +11,7 @@ bit-identical to serial ones.
 
 * :mod:`repro.parallel.shm` — packs a level's CSR partitions into one
   :class:`multiprocessing.shared_memory.SharedMemory` segment so the
-  int64 ``indices``/``offsets`` buffers reach workers zero-copy.
+  int32 ``indices``/``offsets`` buffers reach workers zero-copy.
 * :mod:`repro.parallel.worker` — the process-pool entry point; holds
   one :class:`~repro.partition.vectorized.PartitionWorkspace` per
   worker.

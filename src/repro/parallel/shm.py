@@ -1,7 +1,7 @@
 """Zero-copy shipment of CSR partitions via ``multiprocessing.shared_memory``.
 
 A level's partitions are packed into **one** shared-memory segment: a
-single flat ``int64`` area holding every partition's ``indices`` and
+single flat ``int32`` area holding every partition's ``indices`` and
 ``offsets`` back to back, plus a small picklable *directory* mapping
 each attribute-set mask to its slice positions.  Workers attach the
 segment once and reconstruct :class:`~repro.partition.vectorized.CsrPartition`
@@ -26,7 +26,7 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.partition.vectorized import CsrPartition
+from repro.partition.vectorized import INDEX_DTYPE, CsrPartition
 
 __all__ = [
     "AdoptedBlock",
@@ -37,10 +37,12 @@ __all__ = [
 ]
 
 # (indices_start, indices_size, offsets_start, offsets_size, num_rows),
-# all in int64 *elements* relative to the block's flat array.
+# all in int32 *elements* relative to the block's flat array.
 BlockEntry = tuple[int, int, int, int, int]
 
-_ITEMSIZE = 8  # np.int64
+# The flat area has the partitions' own index dtype, so attaching a
+# partition over it is zero-copy.
+_ITEMSIZE = INDEX_DTYPE.itemsize
 
 
 class SharedPartitionBlock:
@@ -63,7 +65,7 @@ class SharedPartitionBlock:
         )
         directory: dict[int, BlockEntry] = {}
         try:
-            flat = np.ndarray((total,), dtype=np.int64, buffer=self._shm.buf)
+            flat = np.ndarray((total,), dtype=INDEX_DTYPE, buffer=self._shm.buf)
             cursor = 0
             for mask, partition in partitions.items():
                 indices, offsets = partition.export_buffers()
@@ -132,7 +134,7 @@ class AdoptedBlock:
     ) -> None:
         self._shm = _attach_untracked(name)
         self._flat: np.ndarray | None = np.ndarray(
-            (self._shm.size // _ITEMSIZE,), dtype=np.int64, buffer=self._shm.buf
+            (self._shm.size // _ITEMSIZE,), dtype=INDEX_DTYPE, buffer=self._shm.buf
         )
         self.directory = dict(directory)
         self.nbytes = nbytes
@@ -189,7 +191,7 @@ class AdoptedBlock:
 # hold more, smaller attachments.  Released blocks age out of the LRU.
 _MAX_ATTACHED = 16
 
-# block name -> (segment, its int64 view, {mask -> reconstructed partition}).
+# block name -> (segment, its int32 view, {mask -> reconstructed partition}).
 # Reconstructed partitions are cached because their label/probe-table
 # caches are what make repeated products against the same factor cheap.
 _attached: OrderedDict[
@@ -228,7 +230,7 @@ def _attach(name: str) -> tuple[np.ndarray, dict[int, CsrPartition]]:
         _attached.move_to_end(name)
         return entry[1], entry[2]
     segment = _attach_untracked(name)
-    flat = np.ndarray((segment.size // _ITEMSIZE,), dtype=np.int64, buffer=segment.buf)
+    flat = np.ndarray((segment.size // _ITEMSIZE,), dtype=INDEX_DTYPE, buffer=segment.buf)
     _attached[name] = (segment, flat, {})
     while len(_attached) > _MAX_ATTACHED:
         _evict(next(iter(_attached)))

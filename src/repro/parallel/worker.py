@@ -123,10 +123,7 @@ def _run_products(
     ]
     candidates = [candidate for candidate, _x, _y in chunk.triples]
     products = list(zip(candidates, batched_products(pairs, workspace)))
-    total_bytes = 8 * sum(
-        product.stripped_size + product.num_classes + 1
-        for _candidate, product in products
-    )
+    total_bytes = sum(product.nbytes() for _candidate, product in products)
     if total_bytes >= _RESULT_BLOCK_MIN_BYTES:
         block = SharedPartitionBlock(dict(products))
         # Hand the segment to the parent: detach our mapping, keep

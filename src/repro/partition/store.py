@@ -43,12 +43,16 @@ from repro.obs import trace as obs
 from repro.partition.vectorized import CsrPartition
 from repro.testing import faults
 
-# Spill file layout: little-endian header (indices count, offsets
-# count) followed by the two raw int64 arrays.  A flat binary format:
-# spills happen once per partition eviction and TANE evicts hundreds of
-# thousands of small partitions, so container formats (npz = a zip
-# archive per file) are far too slow.
-_SPILL_HEADER = struct.Struct("<qq")
+# Spill file layout: little-endian header (format tag, indices count,
+# offsets count) followed by the two raw int32 arrays.  A flat binary
+# format: spills happen once per partition eviction and TANE evicts
+# hundreds of thousands of small partitions, so container formats (npz
+# = a zip archive per file) are far too slow.  The tag names the
+# layout, so a resume never adopts a spill of another format (the
+# untagged int64 spills of earlier versions, or a foreign file).
+_SPILL_HEADER = struct.Struct("<8sqq")
+_SPILL_TAG = b"TANEi32\x01"
+_SPILL_DTYPE = np.dtype(np.int32)
 
 __all__ = ["PartitionStore", "MemoryPartitionStore", "DiskPartitionStore", "make_store"]
 
@@ -222,10 +226,9 @@ class DiskPartitionStore:
             path = self._path_for(mask)
             faults.check("store.spill")
             with obs.span("store.spill", mask=mask) as span:
-                indices = np.ascontiguousarray(partition.indices, dtype=np.int64)
-                offsets = np.ascontiguousarray(partition.offsets, dtype=np.int64)
+                indices, offsets = partition.export_buffers()
                 with path.open("wb") as handle:
-                    handle.write(_SPILL_HEADER.pack(indices.size, offsets.size))
+                    handle.write(_SPILL_HEADER.pack(_SPILL_TAG, indices.size, offsets.size))
                     handle.write(indices.tobytes())
                     handle.write(offsets.tobytes())
                 size = _SPILL_HEADER.size + indices.nbytes + offsets.nbytes
@@ -251,9 +254,9 @@ class DiskPartitionStore:
     def _read_spill(self, path: Path, mask: int, num_rows: int) -> CsrPartition:
         """Load one spill file, surfacing damage as :class:`DataError`.
 
-        A truncated or corrupted file names the file and mask instead
-        of leaking a raw ``struct.error`` or a short-read numpy shape
-        mismatch from deep inside the loader.
+        A truncated or corrupted file, or one of another format, names
+        the file and mask instead of leaking a raw ``struct.error`` or a
+        short-read numpy shape mismatch from deep inside the loader.
         """
         try:
             with path.open("rb") as handle:
@@ -264,14 +267,20 @@ class DiskPartitionStore:
                         f"truncated header ({len(raw_header)} of "
                         f"{_SPILL_HEADER.size} bytes)"
                     )
-                indices_count, offsets_count = _SPILL_HEADER.unpack(raw_header)
+                tag, indices_count, offsets_count = _SPILL_HEADER.unpack(raw_header)
+                if tag != _SPILL_TAG:
+                    raise DataError(
+                        f"corrupt spill file {path} for mask {mask:#x}: "
+                        f"implausible header (format tag {tag!r}, "
+                        f"expected {_SPILL_TAG!r})"
+                    )
                 if indices_count < 0 or offsets_count < 1:
                     raise DataError(
                         f"corrupt spill file {path} for mask {mask:#x}: "
                         f"implausible header (indices={indices_count}, "
                         f"offsets={offsets_count})"
                     )
-                expected = (indices_count + offsets_count) * 8
+                expected = (indices_count + offsets_count) * _SPILL_DTYPE.itemsize
                 raw_payload = handle.read(expected)
                 if len(raw_payload) != expected:
                     raise DataError(
@@ -282,8 +291,10 @@ class DiskPartitionStore:
             raise DataError(
                 f"cannot read spill file {path} for mask {mask:#x}: {error}"
             ) from error
-        indices = np.frombuffer(raw_payload, dtype=np.int64, count=indices_count)
-        offsets = np.frombuffer(raw_payload, dtype=np.int64, offset=indices_count * 8)
+        indices = np.frombuffer(raw_payload, dtype=_SPILL_DTYPE, count=indices_count)
+        offsets = np.frombuffer(
+            raw_payload, dtype=_SPILL_DTYPE, offset=indices_count * _SPILL_DTYPE.itemsize
+        )
         if (
             offsets[0] != 0
             or offsets[-1] != indices_count
@@ -343,15 +354,21 @@ class DiskPartitionStore:
         Checkpoint resume calls this to reuse the spill files a
         crashed run left behind instead of recomputing partitions from
         singletons.  Returns ``True`` when the store now holds the
-        mask (already present, or a spill file was adopted); the file
-        content is validated lazily on first :meth:`get`.
+        mask (already present, or a spill file was adopted).  Only the
+        header is read here: a file without this version's format tag
+        is not adopted (``False``, so the caller recomputes); the
+        payload is validated lazily on first :meth:`get`.
         """
         if mask in self._small or mask in self._large or mask in self._on_disk:
             return True
         path = self._path_for(mask)
         try:
+            with path.open("rb") as handle:
+                tag = handle.read(len(_SPILL_TAG))
             size = path.stat().st_size
         except OSError:
+            return False
+        if tag != _SPILL_TAG:
             return False
         self._on_disk[mask] = (path, num_rows)
         self._disk_bytes += size

@@ -3,9 +3,13 @@
 This is the engine the TANE driver actually runs on.  A partition is
 stored in *compressed sparse row* style:
 
-* ``indices`` — one ``int64`` array of row ids, grouped by class;
+* ``indices`` — one ``int32`` array of row ids, grouped by class;
 * ``offsets`` — class boundaries (``offsets[k] .. offsets[k+1]`` is
   class ``k``).
+
+Every index buffer is ``int32`` — row ids, offsets, cached labels, the
+workspace probe — and so are the shared-memory blocks and disk spills
+that carry them.  A relation of ``2**31`` rows or more is refused.
 
 This realizes the extended version's "more compact representation of
 partitions" optimization: memory per partition is two flat arrays, and
@@ -39,20 +43,32 @@ Products take one of three paths, selected by input properties only:
 * a single ``product`` call whose stripped sizes sum to at most
   ``_SMALL_PRODUCT_THRESHOLD`` probes a Python dict
   (``_product_small``); larger ones scatter into the shared probe and
-  sort pair keys;
+  group the surviving rows by their left label (below);
 * :func:`batched_products` over a relation of at most
   ``_DENSE_MAX_ROWS`` rows builds one label matrix for a chunk's
   factors and groups every task with one row-wise sort — a fixed
   number of numpy passes per chunk, whatever the number of tasks;
 * :func:`batched_products` over a taller relation reuses probe
   scatters across tasks sharing a left factor and pools small tasks
-  into one stable argsort per sub-batch.
+  into sub-batches grouped together.
+
+Left-label grouping
+-------------------
+The rows of ``y`` that survive the probe of ``x · y`` are read in
+``y``'s index order, which is class by class, so their right label
+``ly`` never decreases.  A *stable* sort on the left label ``lx`` alone
+therefore gives the permutation of a stable sort of the pair keys
+``lx * classes_y + ly``, and a class opens wherever ``lx`` or ``ly``
+changes.  ``lx`` spans only ``classes_x`` values, so it sorts as
+16-bit digits in linear-time radix passes (:func:`_stable_order`).
+:func:`_group_survivors` does this for ``product`` and the pooled
+kernel.
 
 :func:`batched_error_counts` runs the same two kernels but stops once
-every task's pair keys are sorted: a product's ``e(π) = ||π̂|| - |π̂|``
-is the number of sorted keys equal to their predecessor, so no result
-partition is built.  The search uses it for a level whose partitions
-are only ever needed for their ranks (Lemma 2).
+every task's rows are grouped: a product's ``e(π) = ||π̂|| - |π̂|`` is
+its surviving rows minus their groups, singletons included, so no
+result partition is built.  The search uses it for a level whose
+partitions are only ever needed for their ranks (Lemma 2).
 """
 
 from __future__ import annotations
@@ -64,34 +80,66 @@ import numpy as np
 from repro.exceptions import DataError
 from repro.partition.base import PartitionBase
 
-__all__ = ["CsrPartition", "PartitionWorkspace", "batched_error_counts", "batched_products"]
+__all__ = [
+    "INDEX_DTYPE", "CsrPartition", "PartitionWorkspace", "batched_error_counts", "batched_products",
+]
+
+# The dtype of every index buffer: row ids, offsets, labels, the probe.
+INDEX_DTYPE = np.dtype(np.int32)
+_MAX_ROWS = int(np.iinfo(INDEX_DTYPE).max)  # row ids must fit; taller relations are refused
+
+
+def _check_num_rows(num_rows: int) -> None:
+    if num_rows > _MAX_ROWS:
+        raise DataError(
+            f"relation of {num_rows} rows: partitions hold int32 row ids, "
+            f"so at most {_MAX_ROWS} rows are supported"
+        )
+
+
+def _index_buffer(values, limit: int, what: str) -> np.ndarray:
+    """``values`` as an ``int32`` buffer, refusing a lossy narrowing.
+
+    An ``int32`` input is returned as is (no copy, no check).  A wider
+    one is checked to lie in ``[0, limit]`` *before* the cast: narrowed
+    unchecked, row id ``2**32 + 5`` would silently become row 5.
+    """
+    array = np.asarray(values)
+    if array.dtype == INDEX_DTYPE:
+        return array
+    array = np.asarray(array, dtype=np.int64)
+    if array.size and (int(array.min()) < 0 or int(array.max()) > limit):
+        raise DataError(
+            f"{what} outside [0, {limit}]: "
+            f"min {int(array.min())}, max {int(array.max())}"
+        )
+    return array.astype(INDEX_DTYPE)
 
 
 class PartitionWorkspace:
     """Reusable scratch space for partition products and g3 tests.
 
-    Holds one probe array of length ``num_rows`` initialized to ``-1``.
-    Operations label only the rows they touch and reset them
-    afterwards, so a single workspace can be shared by an entire TANE
-    run (one per thread).
+    Holds one ``int32`` probe array of length ``num_rows`` initialized
+    to ``-1``.  Operations label only the rows they touch and reset
+    them afterwards, so a single workspace can be shared by an entire
+    TANE run (one per thread).
     """
 
     __slots__ = ("num_rows", "probe")
 
     def __init__(self, num_rows: int) -> None:
+        _check_num_rows(num_rows)
         self.num_rows = num_rows
-        self.probe = np.full(num_rows, -1, dtype=np.int64)
+        self.probe = np.full(num_rows, -1, dtype=INDEX_DTYPE)
 
 
 # Below this total stripped size, a single ``product`` call probes a
 # plain-Python dict instead of the vectorized path: each numpy call
 # costs a few microseconds of fixed overhead, and a product issues ~15
 # of them.  Only single ``product`` calls take this path: the node
-# engine of the dfd strategy, product chains from the singletons
-# (checkpoint restore and the ablation strategy) and the pooled
-# kernel's keyspace fallback.  A levelwise run computes its products
-# through ``batched_products`` and ``batched_error_counts``, whose
-# kernels never take it.
+# engine of the dfd strategy and product chains from the singletons
+# (checkpoint restore and the ablation strategy).  The kernels of
+# ``batched_products`` and ``batched_error_counts`` never take it.
 _SMALL_PRODUCT_THRESHOLD = 1024
 
 
@@ -104,8 +152,14 @@ class CsrPartition(PartitionBase):
     )
 
     def __init__(self, indices: np.ndarray, offsets: np.ndarray, num_rows: int) -> None:
-        indices = np.asarray(indices, dtype=np.int64)
-        offsets = np.asarray(offsets, dtype=np.int64)
+        """Wrap raw buffers: ``int32`` ones as they are, wider ones
+        narrowed once their row ids are checked to lie in
+        ``[0, num_rows)``."""
+        self._wrap(indices, offsets, num_rows, num_rows - 1)
+
+    def _wrap(self, indices, offsets, num_rows: int, id_limit: int) -> None:
+        indices = _index_buffer(indices, id_limit, "row ids")
+        offsets = _index_buffer(offsets, indices.size, "CSR offsets")
         if offsets.size == 0 or offsets[0] != 0 or offsets[-1] != indices.size:
             raise DataError("malformed CSR offsets")
         self._fill(indices, offsets, num_rows, None)
@@ -117,6 +171,7 @@ class CsrPartition(PartitionBase):
         num_rows: int,
         ascending: bool | None,
     ) -> None:
+        _check_num_rows(num_rows)
         self._indices = indices
         self._offsets = offsets
         self._num_rows = num_rows
@@ -164,11 +219,9 @@ class CsrPartition(PartitionBase):
         order = np.argsort(codes, kind="stable")
         sorted_codes = codes[order]
         keep = counts[sorted_codes] >= 2
-        indices = order[keep]
-        kept_sizes = counts[counts >= 2]
-        offsets = np.concatenate(([0], np.cumsum(kept_sizes)))
+        indices = order[keep].astype(INDEX_DTYPE)
         # The stable argsort keeps each class's rows ascending.
-        return cls._built(indices, offsets, num_rows, ascending=True)
+        return cls._built(indices, _offsets_of(counts[counts >= 2]), num_rows, True)
 
     @classmethod
     def from_classes(cls, classes: Iterable[Sequence[int]], num_rows: int) -> "CsrPartition":
@@ -181,14 +234,14 @@ class CsrPartition(PartitionBase):
             raise DataError("partition classes overlap")
         if indices.min() < 0 or indices.max() >= num_rows:
             raise DataError("row index out of range for partition")
-        offsets = np.concatenate(([0], np.cumsum([c.size for c in stripped])))
-        return cls._built(indices, offsets, num_rows, ascending=True)
+        offsets = _offsets_of([c.size for c in stripped])
+        return cls._built(indices.astype(INDEX_DTYPE), offsets, num_rows, ascending=True)
 
     @classmethod
     def empty(cls, num_rows: int) -> "CsrPartition":
         """A partition with no stripped classes (every row a singleton)."""
         return cls._built(
-            np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64), num_rows,
+            np.empty(0, dtype=INDEX_DTYPE), np.zeros(1, dtype=INDEX_DTYPE), num_rows,
             ascending=True,
         )
 
@@ -198,8 +251,8 @@ class CsrPartition(PartitionBase):
         if num_rows < 2:
             return cls.empty(num_rows)
         return cls._built(
-            np.arange(num_rows, dtype=np.int64),
-            np.array([0, num_rows], dtype=np.int64),
+            np.arange(num_rows, dtype=INDEX_DTYPE),
+            np.array([0, num_rows], dtype=INDEX_DTYPE),
             num_rows,
             ascending=True,
         )
@@ -212,7 +265,7 @@ class CsrPartition(PartitionBase):
         num_rows: int,
         ascending: bool | None,
     ) -> "CsrPartition":
-        """Wrap int64 buffers a constructor or product built.
+        """Wrap int32 buffers a constructor or product built.
 
         Skips ``__init__``'s conversion and offset checks, which cost
         more than a dense-kernel product itself; the builder guarantees
@@ -229,29 +282,34 @@ class CsrPartition(PartitionBase):
     # ------------------------------------------------------------------
 
     def export_buffers(self) -> tuple[np.ndarray, np.ndarray]:
-        """The raw ``(indices, offsets)`` buffers as contiguous int64.
+        """The raw ``(indices, offsets)`` buffers as contiguous int32.
 
         Used by :mod:`repro.parallel.shm` to copy a partition into a
-        shared-memory block (and by workers to pickle products back).
-        Returns the internal arrays when they are already contiguous;
-        treat them as read-only.
+        shared-memory block, by workers to pickle products back and by
+        the disk store to write spills.  Returns the internal arrays
+        when they are already contiguous; treat them as read-only.
         """
         return (
-            np.ascontiguousarray(self._indices, dtype=np.int64),
-            np.ascontiguousarray(self._offsets, dtype=np.int64),
+            np.ascontiguousarray(self._indices, dtype=INDEX_DTYPE),
+            np.ascontiguousarray(self._offsets, dtype=INDEX_DTYPE),
         )
 
     @classmethod
     def attach(
         cls, indices: np.ndarray, offsets: np.ndarray, num_rows: int
     ) -> "CsrPartition":
-        """Build a partition over *existing* int64 buffers without copying.
+        """Build a partition over *existing* int32 buffers without copying.
 
         The caller promises the buffers outlive the partition and are
         never mutated — the contract under which workers reconstruct
-        partitions directly over a shared-memory segment.
+        partitions directly over a shared-memory segment.  Row ids are
+        trusted (a product over an id past the relation raises from its
+        probe gather), except that a wider buffer is narrowed only when
+        every id fits ``int32`` without changing.
         """
-        return cls(indices, offsets, num_rows)
+        partition = cls.__new__(cls)
+        partition._wrap(indices, offsets, num_rows, _MAX_ROWS)
+        return partition
 
     # ------------------------------------------------------------------
     # PartitionBase primitives
@@ -307,7 +365,7 @@ class CsrPartition(PartitionBase):
         """
         if self._label_cache is None:
             self._label_cache = np.repeat(
-                np.arange(self.num_classes, dtype=np.int64), self.class_sizes
+                np.arange(self.num_classes, dtype=INDEX_DTYPE), self.class_sizes
             )
         return self._label_cache
 
@@ -338,7 +396,8 @@ class CsrPartition(PartitionBase):
         pair (class-in-self, class-in-other) — the canonical class
         order, shared with ``_product_small`` and
         :func:`batched_products` — and pairs occurring once are
-        stripped.
+        stripped.  Above the small-product threshold this is the pooled
+        kernel on one task.
         """
         if not isinstance(other, CsrPartition):
             raise TypeError("CsrPartition can only be multiplied with CsrPartition")
@@ -346,38 +405,9 @@ class CsrPartition(PartitionBase):
             raise DataError("partitions are over different relations")
         if self.stripped_size + other.stripped_size <= _SMALL_PRODUCT_THRESHOLD:
             return self._product_small(other)
-        if workspace is None:
-            workspace = PartitionWorkspace(self._num_rows)
-        probe = workspace.probe
-        # The reset must run even when the gather raises (e.g. a
-        # corrupt attached partition with out-of-range row ids): the
-        # workspace is shared by the whole run, and a dirty probe
-        # silently corrupts every later product.
-        try:
-            probe[self._indices] = self._labels()
-            in_self = probe[other._indices]
-            mask = in_self >= 0
-            rows = other._indices[mask]
-        finally:
-            probe[self._indices] = -1
-        if rows.size == 0:
-            return CsrPartition.empty(self._num_rows)
-        pair_key = in_self[mask] * (other.num_classes or 1) + other._labels()[mask]
-        order = np.argsort(pair_key, kind="stable")
-        sorted_key = pair_key[order]
-        sorted_rows = rows[order]
-        new_group = np.empty(sorted_key.size, dtype=bool)
-        new_group[0] = True
-        np.not_equal(sorted_key[1:], sorted_key[:-1], out=new_group[1:])
-        group_id = np.cumsum(new_group) - 1
-        group_sizes = np.bincount(group_id)
-        keep_elem = group_sizes[group_id] >= 2
-        indices = sorted_rows[keep_elem]
-        kept_sizes = group_sizes[group_sizes >= 2]
-        offsets = np.concatenate(([0], np.cumsum(kept_sizes)))
-        return CsrPartition._built(
-            indices, offsets, self._num_rows, _inherited_order(other)
-        )
+        results = [None]
+        _pooled_products([(self, other)], [0], results, self._num_rows, workspace)
+        return results[0]
 
     def _as_lists(self) -> tuple[list[int], list[int]]:
         """``(offsets, indices)`` as plain lists (cached; small path)."""
@@ -434,12 +464,9 @@ class CsrPartition(PartitionBase):
                 sizes.append(len(rows))
         if not sizes:
             return CsrPartition.empty(self._num_rows)
-        new_offsets = [0]
-        for size in sizes:
-            new_offsets.append(new_offsets[-1] + size)
         return CsrPartition._built(
-            np.asarray(flat, dtype=np.int64),
-            np.asarray(new_offsets, dtype=np.int64),
+            np.asarray(flat, dtype=INDEX_DTYPE),
+            _offsets_of(sizes),
             self._num_rows,
             _inherited_order(other),
         )
@@ -517,20 +544,15 @@ def _inherited_order(right: CsrPartition) -> bool | None:
     return True if right._ascending else None
 
 
-# Pair keys of batched tasks are packed into disjoint int64 ranges; a
-# sub-batch is flushed before its cumulative keyspace could overflow.
-_MAX_BATCH_KEYSPACE = 2 ** 62
-
-# Tasks with at least this many surviving rows are sort-dominated:
-# numpy's fixed per-call costs are already negligible against an
-# O(n log n) argsort of this size, and merging them into a larger
-# concatenated sort only makes the sort slower.  They are solved
-# one-by-one (still reusing the shared probe scatter); only smaller
-# tasks are pooled into concatenated sub-batches.
+# Tasks with at least this many surviving rows are grouped one by one
+# (still reusing the shared probe scatter): numpy's fixed per-call
+# costs are already negligible against their own passes, and pooling
+# them would only add the concatenation copies.  Smaller tasks are
+# pooled into concatenated sub-batches.
 _BATCH_SOLO_ROWS = 4096
 
 # Element budget of one concatenated sub-batch.  Kept small so the
-# pooled sort stays cache-resident and the key dtype can often narrow.
+# pooled sort stays cache-resident.
 _BATCH_ELEMENT_BUDGET = 1 << 16
 
 # Relations with at most this many rows take the dense kernel in
@@ -553,8 +575,8 @@ def _narrowest_key_dtype(keyspace: int) -> np.dtype:
 
     numpy's stable sort is a radix sort for 16-bit integers (roughly
     an order of magnitude faster than the comparison sort used for
-    wider types), so narrowing the packed keys of a small-keyspace
-    sub-batch is a genuine win, not just a memory saving.
+    wider types), so narrowing the dense kernel's keys on a small
+    chunk is a genuine win, not just a memory saving.
     """
     if keyspace <= np.iinfo(np.int16).max:
         return np.dtype(np.int16)
@@ -568,14 +590,92 @@ def _no_product(num_rows: int, counts: bool) -> "CsrPartition | int":
     return 0 if counts else CsrPartition.empty(num_rows)
 
 
-def _repeats(sorted_keys: np.ndarray) -> np.ndarray:
-    """Where a sorted key equals its predecessor (along the last axis).
+def _offsets_of(sizes) -> np.ndarray:
+    """The int32 CSR offsets of classes of the given sizes."""
+    offsets = np.zeros(len(sizes) + 1, dtype=INDEX_DTYPE)
+    np.cumsum(sizes, out=offsets[1:])
+    return offsets
 
-    Over one task's sorted pair keys their count is the product's
-    ``e(π)``: a class of ``k`` rows contributes ``k - 1``, a singleton
-    nothing.
+
+def _stable_order(keys: np.ndarray, keyspace: int) -> np.ndarray:
+    """Stable argsort of non-negative ``keys`` below ``keyspace``.
+
+    One pass per 16-bit digit, least significant first: numpy's stable
+    sort of ``uint16`` is a linear-time radix sort, where wider keys
+    take its O(n log n) comparison sort.
     """
-    return sorted_keys[..., 1:] == sorted_keys[..., :-1]
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    shift = 16
+    while keyspace > 1 << shift:
+        digits = (keys[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digits, kind="stable")]
+        shift += 16
+    return order
+
+
+# ``(position, rows, lx, ly, classes_x, y)`` for the product ``x · y``:
+# the rows of ``y`` in a stripped class of ``x`` (in ``y``'s order) and
+# their class labels in ``x`` and ``y``.
+_Task = tuple[int, np.ndarray, np.ndarray, np.ndarray, int, "CsrPartition"]
+
+
+def _group_survivors(
+    tasks: Sequence[_Task], results: list, num_rows: int, counts: bool = False
+) -> None:
+    """Group the surviving rows of ``tasks`` by ``(lx, ly)`` in one sort.
+
+    The tasks are laid end to end, each task's ``lx`` shifted past the
+    class counts of the tasks before it, so one stable sort by the
+    shifted ``lx`` keeps tasks contiguous and orders each one
+    canonically (see "Left-label grouping" above).
+    ``results[position]`` receives each product, or with ``counts`` its
+    ``e(π)``: surviving rows minus groups.  A batch's results own their
+    buffers.
+    """
+    sizes = [task[1].size for task in tasks]
+    if len(tasks) == 1:
+        _position, rows, keys, right, keyspace, _y = tasks[0]
+    else:
+        classes = [task[4] for task in tasks]
+        keyspace = sum(classes)
+        # Widened before the shift: under NEP 50 an int32 array plus a
+        # Python int stays int32, and the shifted labels can exceed it.
+        keys = np.concatenate([task[2] for task in tasks], dtype=np.int64)
+        keys += np.repeat(np.cumsum(classes) - classes, sizes)
+        rows = np.concatenate([task[1] for task in tasks])
+        right = np.concatenate([task[3] for task in tasks])
+    order = _stable_order(keys, keyspace)
+    sorted_keys = keys[order]
+    sorted_right = right[order]
+    opens = np.empty(order.size, dtype=bool)
+    opens[0] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=opens[1:])
+    opens[1:] |= sorted_right[1:] != sorted_right[:-1]
+    starts = np.flatnonzero(opens)
+    # Groups opened before each task's end, i.e. up to that task.
+    group_bounds = np.concatenate(([0], np.searchsorted(starts, np.cumsum(sizes))))
+    if counts:
+        errors = np.asarray(sizes) - np.diff(group_bounds)
+        for task, error in zip(tasks, errors.tolist()):
+            results[task[0]] = error
+        return
+    group_sizes = np.diff(starts, append=order.size)
+    multi = group_sizes >= 2
+    indices = rows[order[np.repeat(multi, group_sizes)]]
+    offsets = _offsets_of(group_sizes[multi])
+    # Each task's kept classes, as bounds into ``offsets``.
+    class_bounds = np.concatenate(([0], np.cumsum(multi)))[group_bounds].tolist()
+    element_bounds = offsets[class_bounds].tolist()
+    for index, (position, _rows, _lx, _ly, _classes, y) in enumerate(tasks):
+        first, stop = class_bounds[index], class_bounds[index + 1]
+        start, end = element_bounds[index], element_bounds[index + 1]
+        if first == stop:
+            results[position] = CsrPartition.empty(num_rows)
+            continue
+        task_indices = indices if len(tasks) == 1 else indices[start:end].copy()
+        results[position] = CsrPartition._built(
+            task_indices, offsets[first:stop + 1] - start, num_rows, _inherited_order(y)
+        )
 
 
 def _dense_products(
@@ -633,12 +733,12 @@ def _dense_products(
     # The factors' buffers laid end to end.  Shifted by each factor's
     # start, the concatenated offsets become one ascending boundary
     # list, with a zero-size gap class between consecutive factors.
-    rows = np.concatenate([f._indices for f in factors])
+    rows = np.concatenate([f._indices for f in factors], dtype=np.int64)
     if rows.size and (int(rows.min()) < 0 or int(rows.max()) >= num_rows):
         # The per-triple path raises from its probe gather; a shifted
         # row would silently land in another factor's matrix row.
         raise IndexError("partition row id out of range for the relation")
-    bounds = np.concatenate([f._offsets for f in factors])
+    bounds = np.concatenate([f._offsets for f in factors], dtype=np.int64)
     entries = classes + 1
     entries_end = np.cumsum(entries)
     stripped = bounds[entries_end - 1]
@@ -667,7 +767,8 @@ def _dense_products(
     np.putmask(keys, (lhs | rhs) < 0, positions + sentinel)
     if counts:
         keys.sort(axis=1)
-        errors = np.count_nonzero(_repeats(keys), axis=1)
+        # A class of k rows repeats its key k - 1 times: e(π).
+        errors = np.count_nonzero(keys[:, 1:] == keys[:, :-1], axis=1)
         for (position, _x, _y), error in zip(tasks, errors.tolist()):
             results[position] = error
         return
@@ -686,7 +787,7 @@ def _dense_products(
     same[::num_rows] = False
     kept = same[:-1] | same[1:]
     opens = kept & ~same[:-1]
-    kept_rows = sorted_rows[kept].astype(np.int64)
+    kept_rows = sorted_rows[kept].astype(INDEX_DTYPE)
     task_elements = np.count_nonzero(kept.reshape(count, num_rows), axis=1)
     task_groups = np.count_nonzero(opens.reshape(count, num_rows), axis=1)
     element_end = np.cumsum(task_elements)
@@ -698,7 +799,7 @@ def _dense_products(
     # comes its total, so its offsets are one contiguous slice.
     task_ids = np.arange(count)
     task_of_group = np.repeat(task_ids, task_groups)
-    offsets = np.empty(int(group_end[-1]) + count, dtype=np.int64)
+    offsets = np.empty(int(group_end[-1]) + count, dtype=INDEX_DTYPE)
     offsets[np.arange(task_of_group.size) + task_of_group] = (
         np.flatnonzero(opens[kept]) - element_start[task_of_group]
     )
@@ -724,101 +825,6 @@ def _dense_products(
             )
 
 
-def _solve_product_batch(
-    segments: list[tuple[int, np.ndarray, np.ndarray, int, bool | None]],
-    results: list,
-    num_rows: int,
-    counts: bool = False,
-) -> None:
-    """Group every segment's surviving rows with one shared argsort.
-
-    ``segments`` are ``(position, rows, pair_keys, keyspace, order)``
-    per task, ``order`` being the result's row order (see
-    :func:`_inherited_order`); keys are shifted into disjoint ranges (task order), so one
-    stable sort of the concatenation orders every task's rows by its
-    pair key while keeping tasks contiguous — the per-task slices then
-    need only cheap boundary arithmetic, no further sorting.  With
-    ``counts`` each task's result is its ``e(π)``, read off the sorted
-    keys alone.
-    """
-    bases: list[int] = []
-    base = 0
-    for _position, _rows, _keys, keyspace, _order in segments:
-        bases.append(base)
-        base += keyspace
-    dtype = _narrowest_key_dtype(base)
-    all_keys = np.concatenate(
-        [
-            (keys + shift).astype(dtype, copy=False)
-            for (_, _, keys, _, _), shift in zip(segments, bases)
-        ]
-    )
-    if counts:
-        # Key ranges are disjoint, so no repeat straddles two tasks.
-        repeats = np.concatenate(([0], np.cumsum(_repeats(np.sort(all_keys)))))
-        start = 0
-        for position, rows, _keys, _keyspace, _order in segments:
-            end = start + rows.size
-            results[position] = int(repeats[end - 1] - repeats[start])
-            start = end
-        return
-    all_rows = np.concatenate([segment[1] for segment in segments])
-    order = np.argsort(all_keys, kind="stable")
-    sorted_keys = all_keys[order]
-    sorted_rows = all_rows[order]
-    new_group = np.empty(sorted_keys.size, dtype=bool)
-    new_group[0] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new_group[1:])
-    group_id = np.cumsum(new_group) - 1
-    group_sizes = np.bincount(group_id)
-    keep_elem = group_sizes[group_id] >= 2
-    start = 0
-    for position, rows, _keys, _keyspace, row_order in segments:
-        end = start + rows.size
-        task_keep = keep_elem[start:end]
-        indices = sorted_rows[start:end][task_keep]
-        if indices.size == 0:
-            results[position] = CsrPartition.empty(num_rows)
-        else:
-            # Key ranges are disjoint, so this task's groups are
-            # exactly group ids group_id[start] .. group_id[end-1].
-            task_sizes = group_sizes[group_id[start]:group_id[end - 1] + 1]
-            kept_sizes = task_sizes[task_sizes >= 2]
-            offsets = np.concatenate(([0], np.cumsum(kept_sizes)))
-            results[position] = CsrPartition._built(
-                indices, offsets, num_rows, row_order
-            )
-        start = end
-
-
-def _solve_product_single(
-    rows: np.ndarray,
-    pair_keys: np.ndarray,
-    num_rows: int,
-    row_order: bool | None,
-    counts: bool = False,
-) -> "CsrPartition | int":
-    """Group one task's surviving rows (the grouping tail of ``product``),
-    or with ``counts`` return the product's ``e(π)``."""
-    if counts:
-        return int(np.count_nonzero(_repeats(np.sort(pair_keys))))
-    order = np.argsort(pair_keys, kind="stable")
-    sorted_key = pair_keys[order]
-    sorted_rows = rows[order]
-    new_group = np.empty(sorted_key.size, dtype=bool)
-    new_group[0] = True
-    np.not_equal(sorted_key[1:], sorted_key[:-1], out=new_group[1:])
-    group_id = np.cumsum(new_group) - 1
-    group_sizes = np.bincount(group_id)
-    keep_elem = group_sizes[group_id] >= 2
-    indices = sorted_rows[keep_elem]
-    if indices.size == 0:
-        return CsrPartition.empty(num_rows)
-    kept_sizes = group_sizes[group_sizes >= 2]
-    offsets = np.concatenate(([0], np.cumsum(kept_sizes)))
-    return CsrPartition._built(indices, offsets, num_rows, row_order)
-
-
 def _pooled_products(
     pairs: Sequence[tuple[CsrPartition, CsrPartition]],
     positions: Iterable[int],
@@ -829,34 +835,28 @@ def _pooled_products(
 ) -> None:
     """Solve the tasks at ``positions`` over shared probe scatters.
 
-    Consecutive tasks sharing a left factor reuse one scatter; tasks
-    below ``_BATCH_SOLO_ROWS`` surviving rows are pooled into sub-batches
-    grouped by one stable argsort each, larger ones solved one at a
-    time.  A task whose pair-key space alone exceeds the int64 packing
-    budget falls back to the per-triple kernel.  With ``counts`` every
-    result is the product's ``e(π)`` instead of the partition.
+    Consecutive tasks sharing a left factor reuse one scatter.  Tasks of
+    at least ``_BATCH_SOLO_ROWS`` surviving rows are grouped one at a
+    time, smaller ones pooled into sub-batches of at most
+    ``_BATCH_ELEMENT_BUDGET`` rows, each grouped by one sort
+    (:func:`_group_survivors`).  With ``counts`` every result is the
+    product's ``e(π)`` instead of the partition.
     """
     if workspace is None:
         workspace = PartitionWorkspace(num_rows)
-    probed: list[tuple[int, np.ndarray, np.ndarray, int, bool | None]] = []
+    pooled: list[_Task] = []
     probe = workspace.probe
     scattered: CsrPartition | None = None
+    # The reset must run even when a gather raises (e.g. a corrupt
+    # attached partition with out-of-range row ids): the workspace is
+    # shared by the whole run, and a dirty probe silently corrupts every
+    # later product.
     try:
         for position in positions:
             x, y = pairs[position]
-            keyspace = x.num_classes * y.num_classes
-            if keyspace == 0:
+            if x._offsets.size == 1 or y._offsets.size == 1:
                 # A factor with no stripped classes kills every pair.
                 results[position] = _no_product(num_rows, counts)
-                continue
-            if keyspace > _MAX_BATCH_KEYSPACE:
-                # Per-triple fallback resets the probe itself; drop our
-                # scatter first so the next task re-scatters.
-                if scattered is not None:
-                    probe[scattered._indices] = -1
-                    scattered = None
-                product = x.product(y, workspace)
-                results[position] = product.error_count if counts else product
                 continue
             if scattered is not x:
                 if scattered is not None:
@@ -864,37 +864,35 @@ def _pooled_products(
                 scattered = x
                 probe[x._indices] = x._labels()
             in_x = probe[y._indices]
-            mask = in_x >= 0
-            rows = y._indices[mask]
-            if rows.size == 0:
+            survivors = np.flatnonzero(in_x >= 0)
+            if survivors.size == 0:
                 results[position] = _no_product(num_rows, counts)
                 continue
-            pair_keys = in_x[mask] * y.num_classes + y._labels()[mask]
-            if rows.size >= _BATCH_SOLO_ROWS:
-                results[position] = _solve_product_single(
-                    rows, pair_keys, num_rows, _inherited_order(y), counts
-                )
-                continue
-            probed.append((position, rows, pair_keys, keyspace, _inherited_order(y)))
+            task = (
+                position,
+                y._indices.take(survivors),
+                in_x.take(survivors),
+                y._labels().take(survivors),
+                x.num_classes,
+                y,
+            )
+            if survivors.size >= _BATCH_SOLO_ROWS:
+                _group_survivors([task], results, num_rows, counts)
+            else:
+                pooled.append(task)
     finally:
         if scattered is not None:
             probe[scattered._indices] = -1
-    # Flush in sub-batches bounded by the int64 key-packing budget and
-    # by an element budget (a cache-resident sort, and a small pooled
-    # keyspace often narrows the key dtype all the way to radix range).
-    cursor = 0
-    while cursor < len(probed):
-        stop, keys_total, elements = cursor, 0, 0
-        while (
-            stop < len(probed)
-            and keys_total + probed[stop][3] <= _MAX_BATCH_KEYSPACE
-            and (stop == cursor or elements + probed[stop][1].size <= _BATCH_ELEMENT_BUDGET)
-        ):
-            keys_total += probed[stop][3]
-            elements += probed[stop][1].size
-            stop += 1
-        _solve_product_batch(probed[cursor:stop], results, num_rows, counts)
-        cursor = stop
+    batch: list[_Task] = []
+    elements = 0
+    for task in pooled:
+        if batch and elements + task[1].size > _BATCH_ELEMENT_BUDGET:
+            _group_survivors(batch, results, num_rows, counts)
+            batch, elements = [], 0
+        batch.append(task)
+        elements += task[1].size
+    if batch:
+        _group_survivors(batch, results, num_rows, counts)
 
 
 def batched_products(
@@ -915,8 +913,9 @@ def batched_products(
       outside the canonical layout) goes to the pooled kernel instead,
       since only that kernel keeps the right factor's row order;
     * more rows: the pooled kernel (:func:`_pooled_products`) shares
-      probe scatters across tasks with one left factor and pools small
-      tasks into one stable argsort per sub-batch.
+      probe scatters across tasks with one left factor, groups each
+      task's surviving rows by their left label and pools small tasks
+      into one grouping per sub-batch.
 
     Neither detours through the dict-probe path of ``product``: both
     amortize the per-call numpy overhead that path exists to dodge.
@@ -932,7 +931,7 @@ def batched_error_counts(
 
     Equal to ``[p.error_count for p in batched_products(pairs,
     workspace)]``, through the same kernel selection; each kernel stops
-    after sorting its pair keys.
+    once the surviving rows are grouped.
     """
     return _batched(pairs, workspace, counts=True)
 

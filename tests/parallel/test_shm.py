@@ -31,10 +31,10 @@ class TestExportAttach:
         assert rebuilt.num_rows == original.num_rows
         assert rebuilt.error_count == original.error_count
 
-    def test_export_buffers_contiguous_int64(self):
+    def test_export_buffers_contiguous_int32(self):
         indices, offsets = CsrPartition.from_column([0, 0, 1]).export_buffers()
         for array in (indices, offsets):
-            assert array.dtype == np.int64
+            assert array.dtype == np.int32
             assert array.flags["C_CONTIGUOUS"]
 
 
@@ -60,7 +60,7 @@ class TestSharedPartitionBlock:
     def test_nbytes_counts_all_buffers(self):
         partition = CsrPartition.from_column([0, 0, 1, 1])
         block = SharedPartitionBlock({1: partition})
-        expected = (partition.stripped_size + partition.num_classes + 1) * 8
+        expected = (partition.stripped_size + partition.num_classes + 1) * 4
         assert block.nbytes == expected
         block.close()
 

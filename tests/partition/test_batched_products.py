@@ -88,20 +88,6 @@ class TestBatchedMatchesPerTriple:
         for observed, right in zip(batched_products(pairs), rights):
             assert_identical(observed, left.product(right))
 
-    def test_keyspace_overflow_falls_back_per_triple(self, monkeypatch, pooled_kernel):
-        # A sub-batch budget smaller than any single pair's keyspace
-        # routes every pair through the per-triple fallback — results
-        # must still be identical, and the shared probe must stay
-        # clean between the scattered batch path and the fallback.
-        monkeypatch.setattr(vectorized, "_MAX_BATCH_KEYSPACE", 1)
-        monkeypatch.setattr(vectorized, "_SMALL_PRODUCT_THRESHOLD", -1)
-        partitions = random_partitions(seed=7, count=5, num_rows=80)
-        pairs = all_pairs(partitions)
-        workspace = PartitionWorkspace(80)
-        for (x, y), observed in zip(pairs, batched_products(pairs, workspace)):
-            assert_identical(observed, x.product(y))
-        assert (workspace.probe == -1).all()
-
     def test_empty_and_degenerate_pairs(self):
         num_rows = 30
         empty = CsrPartition.empty(num_rows)
@@ -148,7 +134,7 @@ class TestErrorCounts:
 
     @pytest.mark.parametrize(
         "case",
-        ["dense", "pooled", "non_ascending_right", "empty_factor", "keyspace_fallback"],
+        ["dense", "pooled", "non_ascending_right", "empty_factor"],
     )
     def test_counts_match_products(self, case, monkeypatch):
         partitions = random_partitions(seed=11)
@@ -159,11 +145,6 @@ class TestErrorCounts:
             pairs = [(x, non_ascending(y)) for x, y in pairs]
         elif case == "empty_factor":
             pairs = degenerate_pairs()
-        elif case == "keyspace_fallback":
-            monkeypatch.setattr(vectorized, "_DENSE_MAX_ROWS", 0)
-            monkeypatch.setattr(vectorized, "_MAX_BATCH_KEYSPACE", 1)
-            monkeypatch.setattr(vectorized, "_SMALL_PRODUCT_THRESHOLD", -1)
-            pairs = all_pairs(random_partitions(seed=7, count=5, num_rows=80))
         workspace = PartitionWorkspace(pairs[0][0].num_rows)
         counts = batched_error_counts(pairs, workspace)
         assert counts == [p.error_count for p in batched_products(pairs)]

@@ -18,8 +18,8 @@ from repro.partition.vectorized import CsrPartition, PartitionWorkspace, batched
 
 
 def assert_identical(observed, expected):
-    assert observed.indices.dtype == np.int64
-    assert observed.offsets.dtype == np.int64
+    assert observed.indices.dtype == np.int32
+    assert observed.offsets.dtype == np.int32
     assert np.array_equal(observed.indices, expected.indices)
     assert np.array_equal(observed.offsets, expected.offsets)
     assert observed.num_rows == expected.num_rows

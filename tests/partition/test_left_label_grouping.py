@@ -1,0 +1,243 @@
+"""Left-label grouping of the probe product kernels, and int32 buffers.
+
+The probe kernels (``CsrPartition.product`` above the small-product
+threshold and the pooled kernel of ``batched_products``) group a
+product's surviving rows with one stable sort on the left label ``lx``
+alone, relying on the right label ``ly`` never decreasing along them.
+These tests compare that grouping with the reference it replaces: a
+stable argsort of the pair keys ``lx * classes_y + ly``.  They also pin
+the engine's single index dtype and the checks made before narrowing a
+wider buffer to it.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import repro.partition.vectorized as vectorized
+from repro.exceptions import DataError
+from repro.partition.vectorized import (
+    CsrPartition,
+    PartitionWorkspace,
+    batched_error_counts,
+    batched_products,
+)
+
+
+def reference_product(x, y):
+    """``x · y`` grouped by a stable argsort of int64 pair keys."""
+    lx = np.full(x.num_rows, -1, dtype=np.int64)
+    lx[x.indices] = np.repeat(np.arange(x.num_classes), x.class_sizes)
+    left = lx[y.indices]
+    right = np.repeat(np.arange(y.num_classes), y.class_sizes)
+    survive = left >= 0
+    keys = left[survive] * max(y.num_classes, 1) + right[survive]
+    rows = y.indices[survive]
+    order = np.argsort(keys, kind="stable")
+    _, starts, sizes = np.unique(keys[order], return_index=True, return_counts=True)
+    kept = sizes >= 2
+    indices = rows[order][np.repeat(kept, sizes)]
+    offsets = np.concatenate(([0], np.cumsum(sizes[kept])))
+    return indices, offsets, int(keys.size - starts.size)
+
+
+def reversed_classes(partition):
+    """The partition with each class's rows reversed (non-ascending)."""
+    offsets = partition.offsets
+    return CsrPartition(
+        np.concatenate(
+            [partition.indices[a:b][::-1] for a, b in zip(offsets[:-1], offsets[1:])]
+            or [np.empty(0, dtype=np.int32)]
+        ),
+        offsets.copy(),
+        partition.num_rows,
+    )
+
+
+def assert_matches_reference(observed, x, y):
+    indices, offsets, error = reference_product(x, y)
+    assert observed.indices.dtype == np.int32
+    assert observed.offsets.dtype == np.int32
+    assert observed.indices.tolist() == indices.tolist()
+    assert observed.offsets.tolist() == offsets.tolist()
+    assert observed.error_count == error
+
+
+@st.composite
+def factor_pairs(draw):
+    num_rows = draw(st.integers(2, 160))
+    columns = [
+        draw(
+            st.lists(
+                st.integers(0, draw(st.integers(0, 40))), min_size=num_rows, max_size=num_rows
+            )
+        )
+        for _ in range(2)
+    ]
+    x, y = (CsrPartition.from_column(np.array(c, dtype=np.int64)) for c in columns)
+    if draw(st.booleans()):
+        y = reversed_classes(y)
+    return x, y
+
+
+@pytest.fixture
+def probe_kernels(monkeypatch):
+    """Every product through the probe kernels, never the dict probe or
+    the dense kernel."""
+    monkeypatch.setattr(vectorized, "_SMALL_PRODUCT_THRESHOLD", -1)
+    monkeypatch.setattr(vectorized, "_DENSE_MAX_ROWS", 0)
+
+
+GROUPING_SETTINGS = settings(
+    max_examples=50,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+
+
+class TestMatchesPairKeySort:
+    @given(pair=factor_pairs())
+    @GROUPING_SETTINGS
+    def test_single_product(self, probe_kernels, pair):
+        x, y = pair
+        assert_matches_reference(x.product(y), x, y)
+
+    @given(pairs=st.lists(factor_pairs(), min_size=1, max_size=3), solo=st.booleans())
+    @GROUPING_SETTINGS
+    def test_pooled_solo_tasks_and_sub_batches(self, probe_kernels, monkeypatch, pairs, solo):
+        # Tasks are over different relations here, so each one runs
+        # alone; with ``solo`` off a single task is a sub-batch of one.
+        monkeypatch.setattr(vectorized, "_BATCH_SOLO_ROWS", 1 if solo else 1 << 30)
+        for x, y in pairs:
+            [observed] = batched_products([(x, y)])
+            assert_matches_reference(observed, x, y)
+
+    @given(
+        columns=st.lists(
+            st.lists(st.integers(0, 6), min_size=60, max_size=60), min_size=2, max_size=5
+        ),
+        reverse=st.booleans(),
+        budget=st.integers(1, 200),
+    )
+    @GROUPING_SETTINGS
+    def test_sub_batches_of_many_tasks(self, probe_kernels, monkeypatch, columns, reverse, budget):
+        # One relation, every ordered pair in one call: tasks share
+        # left factors and are pooled into sub-batches of ``budget``.
+        monkeypatch.setattr(vectorized, "_BATCH_ELEMENT_BUDGET", budget)
+        factors = [CsrPartition.from_column(np.array(c, dtype=np.int64)) for c in columns]
+        rights = [reversed_classes(f) for f in factors] if reverse else factors
+        pairs = [(x, y) for x in factors for y in rights]
+        workspace = PartitionWorkspace(60)
+        for (x, y), observed in zip(pairs, batched_products(pairs, workspace)):
+            assert_matches_reference(observed, x, y)
+        assert (workspace.probe == -1).all()
+
+    @given(pairs=st.lists(factor_pairs(), min_size=1, max_size=3), solo=st.booleans())
+    @GROUPING_SETTINGS
+    def test_count_mode(self, probe_kernels, monkeypatch, pairs, solo):
+        monkeypatch.setattr(vectorized, "_BATCH_SOLO_ROWS", 1 if solo else 1 << 30)
+        for x, y in pairs:
+            assert batched_error_counts([(x, y)]) == [reference_product(x, y)[2]]
+
+    def test_zero_survivors(self, probe_kernels):
+        # x's only class and y's only class share no row.
+        x = CsrPartition.from_classes([[0, 1]], 6)
+        y = CsrPartition.from_classes([[2, 3, 4]], 6)
+        assert x.product(y).num_classes == 0
+        [observed] = batched_products([(x, y), (y, x)])[:1]
+        assert observed.num_classes == 0 and observed.indices.dtype == np.int32
+        assert batched_error_counts([(x, y), (y, x)]) == [0, 0]
+
+    def test_survivors_that_are_all_singletons(self, probe_kernels):
+        # Every surviving row lands in its own (lx, ly) group.
+        x = CsrPartition.from_classes([[0, 1], [2, 3]], 4)
+        y = CsrPartition.from_classes([[0, 2], [1, 3]], 4)
+        assert x.product(y).num_classes == 0
+        assert batched_error_counts([(x, y)]) == [0]
+
+
+class TestTwoPassRadix:
+    ROWS = 131_076  # 65,538 left classes of two rows: past one 16-bit digit
+
+    def test_stable_order_matches_argsort(self):
+        rng = np.random.default_rng(0)
+        for keyspace in (1, 2, 1 << 16, (1 << 16) + 1, 1 << 20, (1 << 32) + 7):
+            keys = rng.integers(0, keyspace, size=5_000, dtype=np.int64)
+            expected = np.argsort(keys, kind="stable")
+            assert np.array_equal(vectorized._stable_order(keys, keyspace), expected)
+
+    def test_product_with_more_than_2_16_left_classes(self, probe_kernels):
+        x = CsrPartition.from_column(np.arange(self.ROWS) // 2)
+        assert x.num_classes > 1 << 16
+        # y splits the pairs that straddle a multiple of 3 (not the
+        # last one), and reads its rows in reverse inside each class.
+        y = reversed_classes(CsrPartition.from_column((np.arange(self.ROWS) // 3) % 3))
+        assert_matches_reference(x.product(y), x, y)
+        [pooled] = batched_products([(x, y)])
+        assert_matches_reference(pooled, x, y)
+        assert batched_error_counts([(x, y)]) == [reference_product(x, y)[2]]
+
+
+class TestInt32Buffers:
+    def test_every_builder_and_kernel_emits_int32(self):
+        rng = np.random.default_rng(4)
+        short = [CsrPartition.from_column(rng.integers(0, 4, size=50)) for _ in range(2)]
+        tall = [CsrPartition.from_column(rng.integers(0, 4, size=3000)) for _ in range(2)]
+        built = [
+            *short,
+            CsrPartition.from_classes([[3, 1], [0, 2]], 5),
+            CsrPartition.empty(5),
+            CsrPartition.single_class(5),
+            short[0].product(short[1]),  # dict probe
+            tall[0].product(tall[1]),  # left-label grouping
+            *batched_products([(short[0], short[1])]),  # dense
+            *batched_products([(tall[0], tall[1])]),  # pooled
+        ]
+        for partition in built:
+            assert partition.indices.dtype == np.int32
+            assert partition.offsets.dtype == np.int32
+        assert tall[0]._labels().dtype == np.int32
+        assert PartitionWorkspace(10).probe.dtype == np.int32
+
+    def test_int32_buffers_are_wrapped_without_copying(self):
+        indices = np.array([0, 1, 2, 3], dtype=np.int32)
+        offsets = np.array([0, 2, 4], dtype=np.int32)
+        for partition in (
+            CsrPartition(indices, offsets, 4),
+            CsrPartition.attach(indices, offsets, 4),
+        ):
+            assert partition.indices is indices
+            assert partition.offsets is offsets
+
+
+class TestCheckBeforeNarrowing:
+    @pytest.mark.parametrize("row", [2**32 + 5, -1])
+    def test_constructor_rejects_an_id_a_cast_would_change(self, row):
+        indices = np.array([0, row], dtype=np.int64)
+        with pytest.raises(DataError, match="row ids"):
+            CsrPartition(indices, np.array([0, 2]), 10)
+        with pytest.raises(DataError, match="row ids"):
+            CsrPartition.attach(indices, np.array([0, 2]), 10)
+
+    def test_constructor_rejects_an_id_past_the_relation(self):
+        with pytest.raises(DataError, match="row ids"):
+            CsrPartition(np.array([0, 10], dtype=np.int64), np.array([0, 2]), 10)
+
+    def test_constructor_rejects_offsets_a_cast_would_change(self):
+        with pytest.raises(DataError, match="offsets"):
+            CsrPartition(np.array([0, 1]), np.array([0, 2**32 + 2, 2], dtype=np.int64), 10)
+
+    def test_relations_of_2_31_rows_are_refused(self):
+        with pytest.raises(DataError, match="rows"):
+            CsrPartition.empty(2**31)
+        with pytest.raises(DataError, match="rows"):
+            CsrPartition(np.array([0, 1], dtype=np.int64), np.array([0, 2]), 2**31)
+        with pytest.raises(DataError, match="rows"):
+            PartitionWorkspace(2**31)
+
+    def test_widest_supported_relation_is_accepted(self):
+        partition = CsrPartition(
+            np.array([0, 2**31 - 2], dtype=np.int64), np.array([0, 2]), 2**31 - 1
+        )
+        assert partition.indices.tolist() == [0, 2**31 - 2]

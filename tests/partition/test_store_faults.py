@@ -5,11 +5,13 @@ crashed run left behind."""
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
 from repro.exceptions import DataError, PartitionMissingError
-from repro.partition.store import DiskPartitionStore, MemoryPartitionStore
+from repro.partition.store import _SPILL_HEADER, DiskPartitionStore, MemoryPartitionStore
 from repro.partition.vectorized import CsrPartition
 from repro.testing import faults
 
@@ -77,9 +79,16 @@ class TestDamagedSpillFiles:
         store = spilled_store(tmp_path)
         partition, path = spill_one(store)
         # Smash the offsets array (it follows the header and indices).
-        offset = 16 + partition.indices.size * 8
+        offset = _SPILL_HEADER.size + partition.indices.nbytes
         faults.corrupt_file(path, offset=offset, payload=b"\x81" * 16)
         with pytest.raises(DataError, match="monotone"):
+            store.get(5)
+
+    def test_foreign_format_tag_names_the_file(self, tmp_path):
+        store = spilled_store(tmp_path)
+        _, path = spill_one(store)
+        faults.corrupt_file(path, offset=0, payload=b"NOTCSR\x00\x00")
+        with pytest.raises(DataError, match=rf"(?s){path.name}.*format tag"):
             store.get(5)
 
     def test_error_names_the_mask(self, tmp_path):
@@ -143,6 +152,22 @@ class TestAdoptSpilled:
         fresh = spilled_store(tmp_path)
         assert fresh.adopt_spilled(5, partition.num_rows)
         np.testing.assert_array_equal(fresh.get(5).indices, partition.indices)
+
+    def test_old_format_file_is_not_adopted(self, tmp_path):
+        # The untagged int64 layout of earlier versions: (indices count,
+        # offsets count), then the raw arrays.
+        indices = np.arange(4, dtype=np.int64)
+        offsets = np.array([0, 2, 4], dtype=np.int64)
+        path = spilled_store(tmp_path)._path_for(5)
+        path.write_bytes(
+            struct.pack("<qq", indices.size, offsets.size)
+            + indices.tobytes()
+            + offsets.tobytes()
+        )
+        store = spilled_store(tmp_path)
+        assert not store.adopt_spilled(5, 4)
+        with pytest.raises(PartitionMissingError):
+            store.get(5)
 
     def test_adopt_missing_file_returns_false(self, tmp_path):
         store = spilled_store(tmp_path)

@@ -13,7 +13,9 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import struct
 
+import numpy as np
 import pytest
 
 from repro.core.checkpoint import CheckpointManager, load_checkpoint
@@ -65,6 +67,33 @@ class TestResumeParity:
     def test_interrupt_then_resume_disk_store(self, structured_relation, tmp_path):
         baseline = discover(structured_relation, TaneConfig(store="disk"))
         run_interrupted(structured_relation, tmp_path, store="disk")
+        resumed = discover(
+            structured_relation,
+            TaneConfig(store="disk", checkpoint_dir=tmp_path, resume=True),
+        )
+        assert_identical_results(resumed, baseline)
+
+    def test_resume_recomputes_over_an_old_format_spill(
+        self, structured_relation, tmp_path
+    ):
+        # Spills of earlier versions were untagged int64 arrays.  Planted
+        # for every checkpointed mask (as a wrong partition: one class of
+        # every row), they must be recomputed, not adopted.
+        baseline = discover(structured_relation, TaneConfig(store="disk"))
+        run_interrupted(structured_relation, tmp_path, store="disk")
+        state = load_checkpoint(tmp_path)
+        masks = [mask for mask in state.level if bin(mask).count("1") >= 2]
+        assert masks
+        rows = structured_relation.num_rows
+        old_format = (
+            struct.pack("<qq", rows, 2)
+            + np.arange(rows, dtype=np.int64).tobytes()
+            + np.array([0, rows], dtype=np.int64).tobytes()
+        )
+        spill = tmp_path / "spill"
+        spill.mkdir(exist_ok=True)
+        for mask in masks:
+            (spill / f"partition-{mask:x}.bin").write_bytes(old_format)
         resumed = discover(
             structured_relation,
             TaneConfig(store="disk", checkpoint_dir=tmp_path, resume=True),
