@@ -73,6 +73,7 @@ partitions are only ever needed for their ranks (Lemma 2).
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -136,10 +137,10 @@ class PartitionWorkspace:
 # Below this total stripped size, a single ``product`` call probes a
 # plain-Python dict instead of the vectorized path: each numpy call
 # costs a few microseconds of fixed overhead, and a product issues ~15
-# of them.  Only single ``product`` calls take this path: the node
-# engine of the dfd strategy and product chains from the singletons
-# (checkpoint restore and the ablation strategy).  The kernels of
-# ``batched_products`` and ``batched_error_counts`` never take it.
+# of them.  Only single ``product`` calls take this path: product
+# chains from the singletons (checkpoint restore and the ablation
+# strategy).  The kernels of ``batched_products`` and
+# ``batched_error_counts`` never take it.
 _SMALL_PRODUCT_THRESHOLD = 1024
 
 
@@ -835,7 +836,9 @@ def _pooled_products(
 ) -> None:
     """Solve the tasks at ``positions`` over shared probe scatters.
 
-    Consecutive tasks sharing a left factor reuse one scatter.  Tasks of
+    Tasks are taken grouped by left factor (in order of first
+    appearance; each result depends only on its own pair), so each
+    left factor is scattered once per call.  Tasks of
     at least ``_BATCH_SOLO_ROWS`` surviving rows are grouped one at a
     time, smaller ones pooled into sub-batches of at most
     ``_BATCH_ELEMENT_BUDGET`` rows, each grouped by one sort
@@ -844,6 +847,9 @@ def _pooled_products(
     """
     if workspace is None:
         workspace = PartitionWorkspace(num_rows)
+    by_left: dict[int, list[int]] = {}
+    for position in positions:
+        by_left.setdefault(id(pairs[position][0]), []).append(position)
     pooled: list[_Task] = []
     probe = workspace.probe
     scattered: CsrPartition | None = None
@@ -852,7 +858,7 @@ def _pooled_products(
     # shared by the whole run, and a dirty probe silently corrupts every
     # later product.
     try:
-        for position in positions:
+        for position in itertools.chain.from_iterable(by_left.values()):
             x, y = pairs[position]
             if x._offsets.size == 1 or y._offsets.size == 1:
                 # A factor with no stripped classes kills every pair.
@@ -862,7 +868,16 @@ def _pooled_products(
                 if scattered is not None:
                     probe[scattered._indices] = -1
                 scattered = x
-                probe[x._indices] = x._labels()
+                # One scatter serves every task of ``x`` in the call, so
+                # its labels are not cached here: a factor that is only
+                # ever scattered (a dfd chain partition) stays half the
+                # size.
+                labels = x._label_cache
+                if labels is None:
+                    labels = np.repeat(
+                        np.arange(x.num_classes, dtype=INDEX_DTYPE), x.class_sizes
+                    )
+                probe[x._indices] = labels
             in_x = probe[y._indices]
             survivors = np.flatnonzero(in_x >= 0)
             if survivors.size == 0:

@@ -25,13 +25,18 @@ either tests an untested node, records a new minimal dependency, or
 records a new maximal non-dependency, so the fixpoint is reached in
 finitely many rounds.
 
-The walk is deterministic: a fixed seed drives one ``random.Random``,
-and every choice it makes ranges over lists built in ascending mask
-order from state that is itself a deterministic function of the
-verdicts seen so far.  That makes runs reproducible across engines
-and partition stores, and makes checkpoints cheap — the snapshot is
-just the verdict cache, and a resume replays the walk from the top
-with warm verdicts (no engine tests, same RNG draws) back to the
+The walks of the right-hand sides are independent, so they run
+interleaved: each is its own generator with its own ``random.Random``
+seeded from ``(seed, rhs)``, and a batch holds one request per
+unfinished walk, in ascending rhs order, so the engine can share
+product chains and measure the tests of a batch together.  Each walk
+is deterministic on its own: every choice it makes ranges over lists
+built in ascending mask order from state that is itself a
+deterministic function of its own verdicts.  That makes runs
+reproducible across engines, partition stores and executors, and
+makes checkpoints cheap — the snapshot is just the verdict cache
+(keyed by ``(rhs, lhs)``), and a resume replays every walk from the
+top with warm verdicts (no engine tests, same RNG draws) back to the
 interruption point.
 """
 
@@ -79,9 +84,21 @@ def minimal_hitting_sets(sets: list[int], cap: int) -> list[int]:
 
 
 class _RhsState:
-    """Classification state of one right-hand side's walk."""
+    """Classification state of one right-hand side's walk.
 
-    __slots__ = ("rhs", "attrs_mask", "cap", "min_deps", "max_nondeps")
+    Both frontiers only ever cover more nodes, so the coverage tests
+    are memoized per node: a covered node stays covered, and an
+    uncovered one is checked again only against the frontier entries
+    recorded since.  Those come from append-only logs; a maximal
+    non-dependency dropped from ``max_nondeps`` is a subset of a later
+    one, so checking against the log covers exactly what the current
+    list covers.
+    """
+
+    __slots__ = (
+        "rhs", "attrs_mask", "cap", "min_deps", "max_nondeps",
+        "_dep_log", "_nondep_log", "_dep_checked", "_nondep_checked",
+    )
 
     def __init__(self, rhs: int, attrs_mask: int, cap: int) -> None:
         self.rhs = rhs
@@ -89,28 +106,96 @@ class _RhsState:
         self.cap = cap
         self.min_deps: dict[int, float] = {}
         self.max_nondeps: list[int] = []
+        self._dep_log: list[int] = []
+        self._nondep_log: list[int] = []
+        # Per node: log entries already checked, or -1 once covered.
+        self._dep_checked: dict[int, int] = {}
+        self._nondep_checked: dict[int, int] = {}
 
     def dep_covered(self, mask: int) -> bool:
         """``mask`` is (a superset of) a recorded minimal dependency."""
-        return any(lhs & ~mask == 0 for lhs in self.min_deps)
+        checked = self._dep_checked.get(mask, 0)
+        if checked < 0:
+            return True
+        log = self._dep_log
+        if checked < len(log):
+            if any(lhs & ~mask == 0 for lhs in log[checked:]):
+                self._dep_checked[mask] = -1
+                return True
+            self._dep_checked[mask] = len(log)
+        return False
 
     def nondep_covered(self, mask: int) -> bool:
         """``mask`` is (a subset of) a recorded maximal non-dependency."""
-        return any(mask & ~nondep == 0 for nondep in self.max_nondeps)
+        checked = self._nondep_checked.get(mask, 0)
+        if checked < 0:
+            return True
+        log = self._nondep_log
+        if checked < len(log):
+            if any(mask & ~nondep == 0 for nondep in log[checked:]):
+                self._nondep_checked[mask] = -1
+                return True
+            self._nondep_checked[mask] = len(log)
+        return False
 
     def record_min_dep(self, mask: int, error: float) -> None:
         if mask not in self.min_deps:
             self.min_deps[mask] = error
+            self._dep_log.append(mask)
 
     def record_max_nondep(self, mask: int) -> None:
         if self.nondep_covered(mask):
             return
         self.max_nondeps = [n for n in self.max_nondeps if n & ~mask != 0]
         self.max_nondeps.append(mask)
+        self._nondep_log.append(mask)
+
+
+#: Checkpoint walk format.  Checkpoints of the earlier walk, which
+#: drew every rhs from one shared ``random.Random``, carry no such
+#: field; replayed into per-rhs walks they would diverge, so the
+#: fingerprint mismatch refuses them.
+_WALK_FORMAT = "per-rhs"
+
+# Grades of a lattice node for one rhs walk: a positive grade is a
+# dependency, a negative one a non-dependency; "inferred" comes from
+# the classification frontiers, "raw" from the verdict cache.
+_DEP_INFERRED = 2
+_DEP_RAW = 1
+_UNKNOWN = 0
+_NONDEP_RAW = -1
+_NONDEP_INFERRED = -2
+
+
+class _Walk:
+    """One right-hand side's walk: its generator and the request in flight."""
+
+    __slots__ = ("state", "steps", "pending", "outcome", "recent")
+
+    def __init__(self, state: _RhsState, steps, window: int) -> None:
+        self.state = state
+        self.steps = steps
+        self.pending: NodeRequest | None = None
+        self.outcome = None
+        # Masks of this walk's latest tests: the walk moves locally, so
+        # their partitions are the likely product ancestors of its next
+        # requests.
+        self.recent: deque = deque(maxlen=window)
+
+    def advance(self) -> NodeRequest | None:
+        """The walk's next request (``None`` once it has finished)."""
+        try:
+            # The first send (of None) starts the generator.
+            request = self.steps.send(self.outcome)
+        except StopIteration:
+            return None
+        self.outcome = None
+        self.pending = request
+        return request
 
 
 class DfdStrategy(NodeStrategy):
-    """Seeded deterministic DFD-style random walk, one rhs at a time.
+    """Seeded deterministic DFD-style random walks, one per rhs.
 
     The strategy emits the complete minimal cover (same result set as
     :class:`~repro.search.strategy.LevelwiseStrategy`, modulo key
@@ -122,9 +207,11 @@ class DfdStrategy(NodeStrategy):
 
     name = "dfd"
 
-    #: Resident-partition hint size: the walk moves locally, so the
-    #: partitions of the last few tested nodes are the likely product
-    #: ancestors of the next ones.
+    #: Resident-partition hint size per unfinished walk (two masks per
+    #: test: the lhs and the whole set).  With
+    #: ``NodeEngine.RECLAIM_TESTS`` it trades products for resident
+    #: memory; both are set from the measured trade-off in
+    #: docs/ARCHITECTURE.md.
     _LIVE_WINDOW = 64
 
     def __init__(self, *, seed: int = 0) -> None:
@@ -132,19 +219,18 @@ class DfdStrategy(NodeStrategy):
             raise ConfigurationError(f"dfd seed must be >= 0, got {seed}")
         self.seed = seed
         self._context: NodeContext | None = None
-        self._walk = None
-        self._primed = False
+        self._walks: list[_Walk] = []
+        self._by_rhs: dict[int, _Walk] = {}
+        self._states: list[_RhsState] = []
         self._finished = False
-        self._pending: NodeRequest | None = None
-        self._outcome = None
         self._verdicts: dict[tuple[int, int], tuple[bool, float]] = {}
         self._replay: dict[tuple[int, int], tuple[bool, float]] = {}
-        self._recent: deque = deque(maxlen=self._LIVE_WINDOW)
 
     def fingerprint(self) -> dict[str, Any]:
-        """Checkpoint identity: walks with different seeds test (and
-        count) different nodes, so they must never share a resume."""
-        return {"strategy": self.name, "seed": self.seed}
+        """Checkpoint identity: walks with different seeds (or walk
+        formats) test and count different nodes, so they must never
+        share a resume."""
+        return {"strategy": self.name, "seed": self.seed, "walk": _WALK_FORMAT}
 
     # ------------------------------------------------------------------
     # NodeStrategy protocol
@@ -154,23 +240,35 @@ class DfdStrategy(NodeStrategy):
         self._context = context
         self._verdicts = {}
         self._replay = {}
-        self._walk = self._walk_all()
-        self._primed = False
         self._finished = False
-        self._pending = None
-        self._outcome = None
-        self._recent.clear()
+        self._states = []
+        self._walks = []
+        for rhs in range(context.num_attributes):
+            attrs_mask = context.full_mask & ~_bitset.bit(rhs)
+            width = _bitset.popcount(attrs_mask)
+            cap = (
+                width
+                if context.max_lhs_size is None
+                else min(context.max_lhs_size, width)
+            )
+            state = _RhsState(rhs, attrs_mask, cap)
+            rng = random.Random(f"{self.seed}:{rhs}")
+            self._states.append(state)
+            self._walks.append(
+                _Walk(state, self._walk_rhs(state, rng), self._LIVE_WINDOW)
+            )
+        self._by_rhs = {walk.state.rhs: walk for walk in self._walks}
 
     def restore(self, context: NodeContext, state: dict[str, Any]) -> None:
-        """Resume: replay the walk from the top against saved verdicts.
+        """Resume: replay every walk from the top against saved verdicts.
 
         The saved verdicts go into a *replay store* consumed only when
-        the walk asks to test a node — never consulted by
-        classification.  This matters: the walk's RNG draws range over
+        a walk asks to test a node — never consulted by
+        classification.  This matters: a walk's RNG draws range over
         "still unclassified" pools, so a verdict visible before the
         walk (re)discovers it would shrink those pools and diverge the
-        replay from the original run.  Kept separate, the replay's
-        classification state at every step equals the original's, the
+        replay from the original run.  Kept separate, each walk's
+        classification state at every step equals the original's, its
         RNG draws repeat exactly, the saved verdicts are consumed in
         their original order without touching the engine, and only
         genuinely new nodes reach the executor — so a resumed run's
@@ -189,81 +287,69 @@ class DfdStrategy(NodeStrategy):
         }
 
     def next_requests(self) -> list[NodeRequest]:
+        """One request per unfinished walk, in ascending rhs order."""
         if self._finished:
             return []
-        if self._pending is not None:
-            return [self._pending]
-        try:
-            if self._primed:
-                request = self._walk.send(self._outcome)
-            else:
-                request = next(self._walk)
-                self._primed = True
-        except StopIteration:
+        requests = []
+        unfinished = []
+        for walk in self._walks:
+            request = walk.pending if walk.pending is not None else walk.advance()
+            if request is None:
+                continue
+            requests.append(request)
+            unfinished.append(walk)
+        self._walks = unfinished
+        if not requests:
             self._finished = True
-            return []
-        self._outcome = None
-        self._pending = request
-        return [request]
+            self._by_rhs = {}
+            tracker = self._context.tracker
+            for state in self._states:
+                for lhs in sorted(state.min_deps):
+                    tracker.add_dependency(
+                        FunctionalDependency(lhs, state.rhs, state.min_deps[lhs])
+                    )
+        return requests
 
     def observe(self, request: NodeRequest, outcome) -> None:
-        if request != self._pending:
-            raise RuntimeError(
-                f"dfd observed {request}, expected {self._pending}"
-            )
-        self._pending = None
-        self._outcome = outcome
+        walk = self._by_rhs.get(request.rhs)
+        expected = walk.pending if walk is not None else None
+        if request != expected:
+            raise RuntimeError(f"dfd observed {request}, expected {expected}")
+        walk.pending = None
+        walk.outcome = outcome
         # Record the verdict now, not when the walk resumes: a snapshot
         # taken at the batch boundary must cover every *counted* test,
-        # or a resume would re-run the boundary's last test and drift
-        # the validity-test total by one.
+        # or a resume would re-run the boundary's tests and drift the
+        # validity-test total.
         self._verdicts[(request.rhs, request.lhs_mask)] = (
             bool(outcome.valid),
             float(outcome.error),
         )
 
     def live_masks(self) -> set[int]:
-        live = set(self._recent)
-        if self._pending is not None:
-            live.add(self._pending.lhs_mask)
-            live.add(self._pending.lhs_mask | _bitset.bit(self._pending.rhs))
+        live: set[int] = set()
+        for walk in self._walks:
+            live.update(walk.recent)
+            if walk.pending is not None:
+                live.add(walk.pending.lhs_mask)
+                live.add(walk.pending.lhs_mask | _bitset.bit(walk.pending.rhs))
         return live
 
     # ------------------------------------------------------------------
     # The walk
     # ------------------------------------------------------------------
 
-    def _walk_all(self):
-        context = self._context
-        rng = random.Random(self.seed)
-        for rhs in range(context.num_attributes):
-            state = yield from self._walk_rhs(rhs, rng)
-            for lhs in sorted(state.min_deps):
-                context.tracker.add_dependency(
-                    FunctionalDependency(lhs, rhs, state.min_deps[lhs])
-                )
-
-    def _walk_rhs(self, rhs: int, rng: random.Random):
-        context = self._context
-        attrs_mask = context.full_mask & ~_bitset.bit(rhs)
-        width = _bitset.popcount(attrs_mask)
-        cap = (
-            width
-            if context.max_lhs_size is None
-            else min(context.max_lhs_size, width)
-        )
-        state = _RhsState(rhs, attrs_mask, cap)
+    def _walk_rhs(self, state: _RhsState, rng: random.Random):
         seeds = [0]
         while seeds:
             for seed in seeds:
                 if state.dep_covered(seed) or state.nondep_covered(seed):
                     continue
                 yield from self._walk_from(seed, state, rng)
-            complements = [attrs_mask & ~n for n in state.max_nondeps]
-            transversals = minimal_hitting_sets(complements, cap)
+            complements = [state.attrs_mask & ~n for n in state.max_nondeps]
+            transversals = minimal_hitting_sets(complements, state.cap)
             seeds = sorted(t for t in transversals if not state.dep_covered(t))
             rng.shuffle(seeds)
-        return state
 
     def _walk_from(self, start: int, state: _RhsState, rng: random.Random):
         """One walk: descend from dependencies, ascend from non-deps.
@@ -274,34 +360,32 @@ class DfdStrategy(NodeStrategy):
         toward a new maximal one, or pops the trace — so the walk
         terminates, and a walk from an uncovered seed always grows the
         verdict cache or one of the classification frontiers.
+
+        The neighbours of a node are graded once per visit: nothing
+        changes the classification state between the two move pools
+        and the minimality (maximality) check that read the grades.
         """
         trace: list[int] = []
         node = start
         while True:
-            valid = self._classify(state, node)
-            if valid is None:
+            grade = self._grade(state, node)
+            if grade == _UNKNOWN:
                 valid = yield from self._test(state, node)
+            else:
+                valid = grade > 0
             if valid:
                 children = [
                     node & ~_bitset.bit(a) for a in _bitset.iter_bits(node)
                 ]
-                moved = False
-                for pool in (
-                    [c for c in children if self._classify(state, c) is None],
-                    [
-                        c
-                        for c in children
-                        if self._classify(state, c) and not state.dep_covered(c)
-                    ],
-                ):
-                    if pool:
-                        trace.append(node)
-                        node = pool[rng.randrange(len(pool))]
-                        moved = True
-                        break
-                if moved:
+                grades = [self._grade(state, c) for c in children]
+                pool = [c for c, g in zip(children, grades) if g == _UNKNOWN] or [
+                    c for c, g in zip(children, grades) if g == _DEP_RAW
+                ]
+                if pool:
+                    trace.append(node)
+                    node = pool[rng.randrange(len(pool))]
                     continue
-                if not any(self._classify(state, c) for c in children):
+                if not any(g > 0 for g in grades):
                     # Every immediate subset is a non-dependency: minimal.
                     _, error = self._verdicts[(state.rhs, node)]
                     state.record_min_dep(node, error)
@@ -313,24 +397,15 @@ class DfdStrategy(NodeStrategy):
                         node | _bitset.bit(a)
                         for a in _bitset.iter_bits(state.attrs_mask & ~node)
                     ]
-                moved = False
-                for pool in (
-                    [p for p in parents if self._classify(state, p) is None],
-                    [
-                        p
-                        for p in parents
-                        if self._classify(state, p) is False
-                        and not state.nondep_covered(p)
-                    ],
-                ):
-                    if pool:
-                        trace.append(node)
-                        node = pool[rng.randrange(len(pool))]
-                        moved = True
-                        break
-                if moved:
+                grades = [self._grade(state, p) for p in parents]
+                pool = [p for p, g in zip(parents, grades) if g == _UNKNOWN] or [
+                    p for p, g in zip(parents, grades) if g == _NONDEP_RAW
+                ]
+                if pool:
+                    trace.append(node)
+                    node = pool[rng.randrange(len(pool))]
                     continue
-                if all(self._classify(state, p) for p in parents):
+                if all(g > 0 for g in grades):
                     # Every extension (within the cap) is a dependency:
                     # maximal non-dependency.
                     state.record_max_nondep(node)
@@ -338,16 +413,17 @@ class DfdStrategy(NodeStrategy):
                 return
             node = trace.pop()
 
-    def _classify(self, state: _RhsState, node: int) -> bool | None:
-        """Dependency verdict for ``node``: inferred, raw, or unknown."""
+    def _grade(self, state: _RhsState, node: int) -> int:
+        """How ``node`` is classified for ``state``'s rhs: inferred,
+        raw, or unknown (see the ``_DEP_*`` / ``_NONDEP_*`` grades)."""
         if state.dep_covered(node):
-            return True
+            return _DEP_INFERRED
         if state.nondep_covered(node):
-            return False
+            return _NONDEP_INFERRED
         raw = self._verdicts.get((state.rhs, node))
-        if raw is not None:
-            return raw[0]
-        return None
+        if raw is None:
+            return _UNKNOWN
+        return _DEP_RAW if raw[0] else _NONDEP_RAW
 
     def _test(self, state: _RhsState, node: int):
         """Obtain the raw verdict for ``node -> rhs``, testing if needed."""
@@ -359,6 +435,7 @@ class DfdStrategy(NodeStrategy):
                 outcome = yield NodeRequest(lhs_mask=node, rhs=state.rhs)
                 cached = (bool(outcome.valid), float(outcome.error))
             self._verdicts[key] = cached
-            self._recent.append(node)
-            self._recent.append(node | _bitset.bit(state.rhs))
+            walk = self._by_rhs[state.rhs]
+            walk.recent.append(node)
+            walk.recent.append(node | _bitset.bit(state.rhs))
         return cached[0]

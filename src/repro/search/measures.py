@@ -244,77 +244,106 @@ class G2Measure(Measure):
         )
 
 
-def _contingency(pi_lhs, pi_whole) -> list[tuple[int, list[int]]]:
-    """Per lhs class: ``(size, child sizes sorted descending)``.
+class _Contingency(NamedTuple):
+    """The lhs x rhs contingency table of one test, as integer arrays.
 
-    The stripped children of ``pi_whole`` inside one stripped class of
-    ``pi_lhs`` are the rhs-value groups of size >= 2; the remaining
-    ``size - sum(children)`` rows of the class each carry a distinct
-    rhs value (they would otherwise be in a child).  Rows outside every
-    stripped lhs class are lhs-singletons and agree with themselves
-    trivially, so the contingency over stripped classes is all any
-    score measure needs.
-
-    Classes come out in a *structural* canonical order — parents
-    sorted descending by ``(size, child sizes)``, children descending
-    within each parent — so summations downstream produce bit-identical
-    floats on every engine and executor (the differential matrix
-    demands exact error equality) *and* under row shuffles and column
-    permutations (the metamorphic invariance cells demand the same):
-    relabeling rows never changes the sequence of float additions.
-    Structurally identical parents contribute identical floats, so
-    their mutual order is immaterial.
+    ``sizes[j]`` is the size ``s_j`` of stripped lhs class ``j``;
+    ``children`` are the sizes ``k`` of the stripped classes of
+    ``pi_whole`` and ``parents`` the lhs class each lies in;
+    ``within[j] = sum k`` and ``agreeing[j] = sum k^2`` over the
+    children of class ``j``.  The ``s_j - within[j]`` other rows of the
+    class each carry a distinct rhs value, and rows outside every
+    stripped lhs class are lhs-singletons, so this is all any score
+    measure needs.
     """
-    parent_of: dict[int, int] = {}
-    parents: list[tuple[int, list[int]]] = []
-    for cls in pi_lhs.classes():
-        index = len(parents)
-        parents.append((len(cls), []))
-        for row in cls:
-            parent_of[row] = index
-    for cls in pi_whole.classes():
-        # A whole-class (rows agreeing on X) always lies inside one
-        # lhs class (rows agreeing on X minus A), so any member row
-        # identifies the parent.
-        parents[parent_of[cls[0]]][1].append(len(cls))
-    return sorted(
-        ((size, sorted(children, reverse=True)) for size, children in parents),
-        reverse=True,
-    )
+
+    sizes: np.ndarray
+    children: np.ndarray
+    parents: np.ndarray
+    within: np.ndarray
+    agreeing: np.ndarray
 
 
-def _pdep_score(contingency, num_rows: int) -> float:
+def _contingency(pi_lhs, pi_whole, workspace=None) -> _Contingency:
+    """The contingency table of ``pi_lhs`` refined by ``pi_whole``.
+
+    A whole class (rows agreeing on X) always lies inside one lhs class
+    (rows agreeing on X minus A), so its first row names the parent.
+    The CSR engine scatters the lhs labels to rows and gathers them at
+    those first rows; the pure engine builds the same integer arrays
+    from ``classes()``.  Either way the per-parent sums are two
+    ``bincount`` passes, and the table holds only integers: every
+    float is derived from it term by term (see :func:`_pdep_score`).
+    """
+    if isinstance(pi_lhs, CsrPartition) and isinstance(pi_whole, CsrPartition):
+        sizes = pi_lhs.class_sizes.astype(np.int64)
+        children = pi_whole.class_sizes.astype(np.int64)
+        probe = (
+            workspace.probe
+            if workspace is not None
+            else np.full(pi_lhs.num_rows, -1, dtype=pi_lhs.indices.dtype)
+        )
+        try:
+            # Labels built here, not cached on the partition: the walk
+            # keeps many lhs partitions resident, and a label cache
+            # would double each one's footprint.
+            probe[pi_lhs.indices] = np.repeat(
+                np.arange(sizes.size, dtype=probe.dtype), sizes
+            )
+            parents = probe[pi_whole.indices[pi_whole.offsets[:-1]]].astype(np.int64)
+        finally:
+            probe[pi_lhs.indices] = -1
+    else:
+        parent_of: dict[int, int] = {}
+        size_list: list[int] = []
+        for index, cls in enumerate(pi_lhs.classes()):
+            size_list.append(len(cls))
+            for row in cls:
+                parent_of[row] = index
+        whole = [(len(cls), parent_of[cls[0]]) for cls in pi_whole.classes()]
+        sizes = np.array(size_list, dtype=np.int64)
+        children = np.array([k for k, _ in whole], dtype=np.int64)
+        parents = np.array([j for _, j in whole], dtype=np.int64)
+    weights = children.astype(np.float64)
+    # Integer-valued float sums: exact below 2**53, i.e. for any
+    # relation of fewer than ~94 million rows.
+    within = np.bincount(parents, weights=weights, minlength=sizes.size)
+    agreeing = np.bincount(parents, weights=weights * weights, minlength=sizes.size)
+    return _Contingency(sizes, children, parents, within, agreeing)
+
+
+def _pdep_score(table: _Contingency, num_rows: int) -> float:
     """``pdep(X -> A)``: expected probability of guessing ``A`` right
-    by drawing from its empirical distribution within the ``X`` group."""
+    by drawing from its empirical distribution within the ``X`` group.
+
+    Each lhs class contributes ``(sum k^2 + s - sum k) / s``, one
+    correctly rounded division of integers, and ``math.fsum`` returns
+    the correctly rounded sum of the terms.  The float is therefore a
+    function of the multiset of classes alone: row shuffles, column
+    permutations, both engines and both executors agree bit for bit.
+    """
     if num_rows == 0:
         return 1.0
-    stripped = 0
-    total = 0.0
-    for size, children in contingency:
-        stripped += size
-        within = sum(children)
-        agreeing = sum(child * child for child in children)
-        total += (agreeing + (size - within)) / size
-    return (total + (num_rows - stripped)) / num_rows
+    terms = (table.agreeing + (table.sizes - table.within)) / table.sizes
+    outside = num_rows - int(table.sizes.sum())
+    return math.fsum([*terms.tolist(), outside]) / num_rows
 
 
-def _conditional_entropy(contingency, num_rows: int) -> float:
-    """Empirical ``H(A | X)`` in nats, in the canonical order."""
+def _conditional_entropy(table: _Contingency, num_rows: int) -> float:
+    """Empirical ``H(A | X)`` in nats, summed by ``math.fsum``.
+
+    Per stripped child ``-(k/n) log(k/s)``; per lhs class the
+    ``s - sum k`` rows outside its children are distinct rhs values,
+    ``(s - sum k) log(s) / n`` together.  Each term depends only on
+    ``(k, s, n)``, so, as for :func:`_pdep_score`, the sum does not
+    depend on the order of rows or classes.
+    """
     if num_rows == 0:
         return 0.0
-    conditional = 0.0
-    for size, children in contingency:
-        within = sum(children)
-        class_entropy = 0.0
-        for child in children:
-            p = child / size
-            class_entropy -= p * math.log(p)
-        if size > within:
-            # Each lhs-class row outside a stripped child is a distinct
-            # rhs value: (size - within) singletons at -1/s * log(1/s).
-            class_entropy += (size - within) * math.log(size) / size
-        conditional += (size / num_rows) * class_entropy
-    return conditional
+    children = table.children
+    child_terms = -(children / num_rows) * np.log(children / table.sizes[table.parents])
+    single_terms = (table.sizes - table.within) * np.log(table.sizes) / num_rows
+    return math.fsum([*child_terms.tolist(), *single_terms.tolist()])
 
 
 def _clamp(score: float) -> float:
@@ -372,7 +401,7 @@ class PdepMeasure(Measure):
         rejection = _bound_rejection(pi_lhs, pi_whole, criteria)
         if rejection is not None:
             return rejection
-        contingency = _contingency(pi_lhs, pi_whole)
+        contingency = _contingency(pi_lhs, pi_whole, workspace)
         return _score_outcome(_pdep_score(contingency, criteria.num_rows), criteria)
 
 
@@ -390,7 +419,7 @@ class TauMeasure(Measure):
         rejection = _bound_rejection(pi_lhs, pi_whole, criteria)
         if rejection is not None:
             return rejection
-        contingency = _contingency(pi_lhs, pi_whole)
+        contingency = _contingency(pi_lhs, pi_whole, workspace)
         pdep_xy = _pdep_score(contingency, criteria.num_rows)
         return _score_outcome((pdep_xy - stats.pdep) / (1.0 - stats.pdep), criteria)
 
@@ -412,7 +441,7 @@ class MuPlusMeasure(Measure):
         if free_rows <= 0:
             # lhs is a (super)key: pdep = 1 and mu is defined as 1.
             return _score_outcome(1.0, criteria)
-        contingency = _contingency(pi_lhs, pi_whole)
+        contingency = _contingency(pi_lhs, pi_whole, workspace)
         pdep_xy = _pdep_score(contingency, criteria.num_rows)
         mu = 1.0 - (1.0 - pdep_xy) * (criteria.num_rows - 1) / free_rows
         return _score_outcome(max(0.0, mu), criteria)
@@ -429,7 +458,7 @@ class FiMeasure(Measure):
         stats = _stats_for(criteria, rhs_index, self.name)
         if stats.entropy <= 0.0:
             return _score_outcome(1.0, criteria)
-        contingency = _contingency(pi_lhs, pi_whole)
+        contingency = _contingency(pi_lhs, pi_whole, workspace)
         conditional = _conditional_entropy(contingency, criteria.num_rows)
         return _score_outcome(1.0 - conditional / stats.entropy, criteria)
 
@@ -449,11 +478,11 @@ class RfiMeasure(Measure):
         stats = _stats_for(criteria, rhs_index, self.name)
         if stats.entropy <= 0.0:
             return _score_outcome(1.0, criteria)
-        contingency = _contingency(pi_lhs, pi_whole)
+        contingency = _contingency(pi_lhs, pi_whole, workspace)
         conditional = _conditional_entropy(contingency, criteria.num_rows)
         fi_score = 1.0 - conditional / stats.entropy
         bias = permutation_mi_bias(
-            [size for size, _ in contingency],
+            contingency.sizes.tolist(),
             stats.counts,
             criteria.num_rows,
             samples=criteria.rfi_samples,

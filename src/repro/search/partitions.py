@@ -118,8 +118,10 @@ class PartitionManager:
         )
         self._singletons: list = []
         # Masks (popcount > 1) the node engine materialized on demand;
-        # the reclamation unit of node-mode runs (see reclaim_except).
+        # the reclamation unit of node-mode runs (see reclaim_except),
+        # also indexed by popcount for the best-ancestor lookup.
         self._resident: set[int] = set()
+        self._resident_by_size: dict[int, set[int]] = {}
 
     # ------------------------------------------------------------------
     # Bootstrap and access
@@ -139,6 +141,7 @@ class PartitionManager:
         if begin_run is not None:
             begin_run()
         self._resident = set()
+        self._resident_by_size = {}
         if include_empty:
             self.store.put(0, self.partition_cls.single_class(self.num_rows))
         self._singletons = []
@@ -204,8 +207,9 @@ class PartitionManager:
         """Compute and store the partitions of the next level.
 
         ``triples`` are ``(candidate, factor_x, factor_y)`` from the
-        traversal strategy; the returned list is the next level's
-        masks in candidate order.  ``errors``, when given, receives
+        traversal strategy (or one step of the node engine's product
+        chains, see :meth:`materialize_masks`); the returned list is
+        the next level's masks in candidate order.  ``errors``, when given, receives
         ``e(π)`` of each returned mask, in the same order.
 
         ``ranks_only`` says the caller needs nothing but those ranks:
@@ -239,7 +243,7 @@ class PartitionManager:
         pending = triples
         hit_any = False
         ranks: dict[int, int] = {}
-        if triples and self._cache_keeps(triples[0][0]):
+        if any(self._cache_keeps(candidate) for candidate, _x, _y in triples):
             pending = []
             for triple in triples:
                 partition = self._cache_get(triple[0])
@@ -314,62 +318,79 @@ class PartitionManager:
     # ------------------------------------------------------------------
 
     def materialize_mask(self, mask: int) -> None:
-        """Make ``π_mask`` resident for an arbitrary attribute set.
+        """Make ``π_mask`` resident (:meth:`materialize_masks` of one)."""
+        self.materialize_masks([mask])
+
+    def materialize_masks(self, masks: list[int]) -> None:
+        """Make ``π_mask`` resident for arbitrary attribute sets.
 
         The node engine has no "previous level" to take product factors
-        from, so the product chain is planned here: start from the best
-        ancestor already at hand — the cross-run cache, or the resident
-        subset with the most attributes — and multiply the missing
-        singletons in ascending index order (Lemma 3 applies to any
-        factor pair whose union is the target).  Every intermediate is
-        stored and registered too: the walk moves between neighboring
-        nodes, so an intermediate is the likely best ancestor of the
-        next few requests.  Products are counted normally — node-mode
-        counters stay deterministic because the walk, the resident set,
-        and the reclamation cadence all are.
+        from, so each mask's product chain is planned here: start from
+        the resident subset with the most attributes and multiply the
+        missing singletons in ascending index order (Lemma 3 applies to
+        any factor pair whose union is the target).  Step *k* of every
+        chain runs as one :meth:`materialize` call through the executor
+        (which serves chain steps from the cross-run cache where it
+        can), an intermediate shared by several chains computed once.
+        Every intermediate is stored and registered too: the
+        walks move between neighboring nodes, so an intermediate is the
+        likely best ancestor of the next few requests.  Products are
+        counted normally — node-mode counters stay deterministic
+        because the walk, the resident set, and the reclamation cadence
+        all are.
         """
-        if _bitset.popcount(mask) <= 1 or mask in self._resident:
-            return
-        partition = self._cache_get(mask)
-        if partition is not None:
-            self.store.put(mask, partition)
-            self._resident.add(mask)
-            return
-        current = self._best_ancestor(mask)
-        product = self.store.get(current)
-        for index in _bitset.to_indices(mask & ~current):
-            current |= _bitset.bit(index)
-            if current in self._resident:
-                product = self.store.get(current)
+        chains: list[list[tuple[int, int, int]]] = []
+        for mask in masks:
+            if _bitset.popcount(mask) <= 1 or mask in self._resident:
                 continue
-            product = product.product(self._singletons[index], self.workspace)
-            self._c_products.inc()
-            self._cache_put(current, product)
-            self.store.put(current, product)
-            self._resident.add(current)
+            current = self._best_ancestor(mask)
+            chain = []
+            for index in _bitset.to_indices(mask & ~current):
+                singleton = _bitset.bit(index)
+                chain.append((current | singleton, current, singleton))
+                current |= singleton
+            chains.append(chain)
+        for step in range(max(map(len, chains), default=0)):
+            triples = []
+            planned: set[int] = set()
+            for chain in chains:
+                if step >= len(chain):
+                    continue
+                target = chain[step][0]
+                if target in self._resident or target in planned:
+                    continue
+                planned.add(target)
+                triples.append(chain[step])
+            if triples:
+                for target in self.materialize(triples):
+                    self._register(target)
+
+    def _register(self, mask: int) -> None:
+        self._resident.add(mask)
+        self._resident_by_size.setdefault(_bitset.popcount(mask), set()).add(mask)
 
     def _best_ancestor(self, mask: int) -> int:
         """The resident subset of ``mask`` with the most attributes
         (ties to the smallest mask, for determinism); falls back to the
-        lowest singleton."""
-        best = 0
-        best_size = 0
-        for resident in self._resident:
-            if resident & ~mask != 0:
-                continue
-            size = _bitset.popcount(resident)
-            if size > best_size or (size == best_size and resident < best):
-                best = resident
-                best_size = size
-        if best == 0:
-            best = _bitset.bit(_bitset.to_indices(mask)[0])
-        return best
+        lowest singleton.  Sizes are tried from the largest down, so
+        only the resident masks of the sizes above the answer are
+        scanned."""
+        indices = _bitset.to_indices(mask)
+        for size in range(len(indices) - 1, 1, -1):
+            found = [
+                resident
+                for resident in self._resident_by_size.get(size, ())
+                if resident & ~mask == 0
+            ]
+            if found:
+                return min(found)
+        return _bitset.bit(indices[0])
 
     def reclaim_except(self, live_masks: set[int]) -> None:
         """Drop on-demand partitions outside the strategy's live set.
 
         Node-mode reclamation: liveness is declared by the strategy
-        (plus whatever :meth:`materialize_mask` registered since the
+        (plus whatever :meth:`materialize_masks` registered since the
         last sweep), not by level boundaries.  π_∅ and the singletons
         are never registered, so they survive every sweep.
         """
@@ -378,6 +399,8 @@ class PartitionManager:
             return
         self.reclaim(dead)
         self._resident.difference_update(dead)
+        for mask in dead:
+            self._resident_by_size[_bitset.popcount(mask)].discard(mask)
 
     def product_from_singletons(self, candidate: int, *, count: bool = True):
         """Recompute ``π_candidate`` from the single-attribute partitions.

@@ -90,7 +90,8 @@ class NodeProgress:
     """Validity tests run so far (the walk's "nodes visited")."""
 
     dependencies_found: int
-    """Minimal dependencies recorded so far (all right-hand sides)."""
+    """Minimal dependencies recorded so far (all right-hand sides; the
+    dfd walk records them once its last rhs walk has finished)."""
 
     elapsed_seconds: float
     """Wall-clock time since the walk started."""
@@ -366,19 +367,30 @@ class LevelScheduler:
 class NodeEngine:
     """Node-at-a-time scheduling for ``mode == "node"`` strategies."""
 
-    #: Reclamation sweep cadence (batches).  Sweeping every batch would
-    #: thrash the product-chain intermediates materialize_mask keeps
-    #: resident; a small fixed interval bounds residency while letting
-    #: neighboring requests reuse ancestors.  Fixed ⇒ deterministic.
-    RECLAIM_INTERVAL = 32
+    #: Reclamation sweep cadence (validity tests): a sweep follows the
+    #: batch that completes each further multiple.  Sweeping every
+    #: batch would thrash the product-chain intermediates
+    #: materialize_masks keeps resident; a small fixed interval bounds
+    #: residency while letting neighboring requests reuse ancestors.
+    #: Counted in tests, not batches, so it does not depend on how many
+    #: walks share a batch.  Fixed ⇒ deterministic; set, with the dfd
+    #: live window, from the trade-off measured in docs/ARCHITECTURE.md.
+    RECLAIM_TESTS = 64
 
-    #: Strategy-snapshot cadence (batches).  A snapshot serializes the
-    #: strategy's visited set, so per-batch persistence would be
-    #: quadratic; boundaries between snapshots carry no state.
-    SNAPSHOT_INTERVAL = 32
+    #: Strategy-snapshot cadence (validity tests), counted like
+    #: RECLAIM_TESTS.  A snapshot serializes the strategy's visited set,
+    #: so per-batch persistence would be quadratic; boundaries between
+    #: snapshots carry no state.
+    SNAPSHOT_TESTS = 32
 
     def __init__(self, driver: "SearchDriver") -> None:
         self.driver = driver
+        # Only hooks that observe boundaries pay for the snapshot.
+        self._boundary_hooks = [
+            hook
+            for hook in driver._hooks
+            if type(hook).on_node_boundary is not SearchHooks.on_node_boundary
+        ]
 
     def run(self) -> None:
         """Drive the strategy's walk to completion."""
@@ -404,6 +416,7 @@ class NodeEngine:
         else:
             strategy.begin(context)
         walk_start = time.perf_counter()
+        tests = driver._c_tests.value
         while True:
             requests = strategy.next_requests()
             if not requests:
@@ -416,30 +429,38 @@ class NodeEngine:
                     "dependencies_total", len(driver.tracker.dependencies)
                 )
             batch_number += 1
-            if batch_number % self.RECLAIM_INTERVAL == 0:
+            before, tests = tests, driver._c_tests.value
+            if tests // self.RECLAIM_TESTS > before // self.RECLAIM_TESTS:
                 partitions.reclaim_except(strategy.live_masks())
             if driver.progress is not None:
                 driver.progress(
                     NodeProgress(
                         batch=batch_number,
-                        tests=driver._c_tests.value,
+                        tests=tests,
                         dependencies_found=len(driver.tracker.dependencies),
                         elapsed_seconds=time.perf_counter() - walk_start,
                     )
                 )
-            self._notify_boundary(batch_number, strategy, complete=False)
+            if tests // self.SNAPSHOT_TESTS > before // self.SNAPSHOT_TESTS:
+                self._notify_boundary(batch_number, strategy, complete=False)
         self._notify_boundary(batch_number, strategy, complete=True)
 
     def _run_batch(self, requests) -> None:
-        """Materialize, test, and feed back one batch of requests."""
+        """Materialize, test, and feed back one batch of requests.
+
+        The lhs partitions come first, so each whole set then costs
+        one product from its lhs; every chain step of the batch is one
+        executor call.
+        """
         driver = self.driver
         partitions = driver.partitions
-        groups = []
-        for request in requests:
-            whole_mask = request.lhs_mask | _bitset.bit(request.rhs)
-            partitions.materialize_mask(request.lhs_mask)
-            partitions.materialize_mask(whole_mask)
-            groups.append((whole_mask, [(request.rhs, request.lhs_mask)]))
+        wholes = [request.lhs_mask | _bitset.bit(request.rhs) for request in requests]
+        partitions.materialize_masks([request.lhs_mask for request in requests])
+        partitions.materialize_masks(wholes)
+        groups = [
+            (whole_mask, [(request.rhs, request.lhs_mask)])
+            for whole_mask, request in zip(wholes, requests)
+        ]
         outcomes = driver.executor.validity_tests(
             groups, partitions.get, driver.criteria, driver.workspace
         )
@@ -455,15 +476,12 @@ class NodeEngine:
             driver.strategy.observe(request, outcome)
 
     def _notify_boundary(self, batch_number: int, strategy, *, complete: bool) -> None:
-        driver = self.driver
-        if not driver._hooks:
-            return
-        if not complete and batch_number % self.SNAPSHOT_INTERVAL != 0:
+        if not self._boundary_hooks:
             return
         boundary = NodeBoundary(
             batch_number=batch_number,
             state=strategy.snapshot(),
             complete=complete,
         )
-        for hook in driver._hooks:
-            hook.on_node_boundary(driver, boundary)
+        for hook in self._boundary_hooks:
+            hook.on_node_boundary(self.driver, boundary)

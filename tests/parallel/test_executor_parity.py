@@ -85,6 +85,41 @@ class TestRandomRelationParity:
         assert_parity(random_relation, pool_executor, epsilon=0.1, max_lhs_size=2)
 
 
+class TestDfdParity:
+    def test_process_executor_serves_the_walk(self, monkeypatch):
+        """The walk's product chains and tests run in the pool, and its
+        reclaim sweeps free the pool's shared-memory residency."""
+        # 8 attributes: ~480 validity tests, so several reclaim sweeps.
+        rng = np.random.default_rng(7)
+        columns = [rng.integers(0, 6, size=400).astype(np.int64) for _ in range(8)]
+        relation = Relation.from_codes(columns, [f"c{i}" for i in range(8)])
+        released = []
+        release_masks = ProcessLevelExecutor.release_masks
+
+        def spy(self, masks):
+            masks = list(masks)
+            released.append(sum(mask in self._residency for mask in masks))
+            return release_masks(self, masks)
+
+        monkeypatch.setattr(ProcessLevelExecutor, "release_masks", spy)
+        config = dict(strategy="dfd", measure="pdep", epsilon=0.05)
+        serial = discover(relation, TaneConfig(**config))
+        parallel = discover(
+            relation, TaneConfig(executor="process", workers=2, **config)
+        )
+        assert parallel.statistics.executor == "process"
+        assert parallel.statistics.worker_chunks > 0
+        assert sum(released) > 0
+        assert sorted(
+            (fd.lhs, fd.rhs, fd.error) for fd in parallel.dependencies
+        ) == sorted((fd.lhs, fd.rhs, fd.error) for fd in serial.dependencies)
+        ps, ss = parallel.statistics, serial.statistics
+        assert ps.validity_tests == ss.validity_tests
+        assert ps.partition_products == ss.partition_products
+        assert ps.error_computations == ss.error_computations
+        assert ps.g3_bound_rejections == ss.g3_bound_rejections
+
+
 class TestExecutorSelection:
     def test_workers_config_selects_process(self, figure1_relation):
         result = discover(figure1_relation, TaneConfig(workers=2))

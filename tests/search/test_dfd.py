@@ -9,6 +9,8 @@ reach the identical result *and* the identical validity-test count
 (the replay store makes resumed classification bit-compatible).
 """
 
+import json
+
 import pytest
 
 from repro import _bitset
@@ -75,6 +77,7 @@ class TestStrategyValidation:
         assert DfdStrategy(seed=9).fingerprint() == {
             "strategy": "dfd",
             "seed": 9,
+            "walk": "per-rhs",
         }
 
 
@@ -155,30 +158,45 @@ class _Interrupt(Exception):
     pass
 
 
-def _interrupt_at_batch(batch):
+def _interrupt_after_tests(tests):
+    """Interrupt at the first progress report of at least ``tests``
+    validity tests, recording that it fired."""
+    fired = []
+
     def progress(snapshot):
-        if snapshot.batch == batch:
+        if snapshot.tests >= tests:
+            fired.append(snapshot.tests)
             raise _Interrupt
+    progress.fired = fired
     return progress
 
 
+def _interrupted_walk(relation, tmp_path, tests, **config):
+    """Run a dfd walk into an interrupt; assert it left a checkpoint."""
+    progress = _interrupt_after_tests(tests)
+    with pytest.raises(_Interrupt):
+        discover(relation, TaneConfig(
+            strategy="dfd", checkpoint_dir=tmp_path, progress=progress,
+            **config,
+        ))
+    assert progress.fired, "the walk finished before the interrupt"
+    assert (tmp_path / "checkpoint.json").exists()
+
+
 class TestCheckpointResume:
-    # One past the engine's snapshot cadence: the progress callback
-    # fires before the batch-N boundary is persisted, so interrupting
-    # at exactly 32 would find no checkpoint on disk yet.
-    @pytest.mark.parametrize("batch", [33, 65])
-    def test_resumed_walk_is_bit_compatible(self, tmp_path, batch):
-        # This relation's walk runs ~82 batches, so both interrupt
-        # points actually fire mid-walk.
+    # The engine snapshots once per SNAPSHOT_TESTS (32) validity tests,
+    # after the progress report of the batch that completes them.  A
+    # batch holds at most one test per attribute, so on these 8- and
+    # 6-attribute relations an interrupt 8 or more tests past a
+    # multiple of 32 always finds a snapshot on disk.
+    @pytest.mark.parametrize("tests", [40, 72])
+    def test_resumed_walk_is_bit_compatible(self, tmp_path, tests):
         relation = random_relation(80, 8, 3, seed=9)
         uninterrupted = _discover(relation, "dfd", dfd_seed=5)
+        # At least one batch of the walk follows each interrupt point.
+        assert uninterrupted.statistics.validity_tests >= tests + 8
 
-        with pytest.raises(_Interrupt):
-            discover(relation, TaneConfig(
-                strategy="dfd", dfd_seed=5, checkpoint_dir=tmp_path,
-                progress=_interrupt_at_batch(batch),
-            ))
-        assert (tmp_path / "checkpoint.json").exists()
+        _interrupted_walk(relation, tmp_path, tests, dfd_seed=5)
         resumed = discover(relation, TaneConfig(
             strategy="dfd", dfd_seed=5, checkpoint_dir=tmp_path, resume=True,
         ))
@@ -192,14 +210,27 @@ class TestCheckpointResume:
 
     def test_fingerprint_rejects_different_seed(self, tmp_path):
         relation = random_relation(40, 6, 3, seed=9)
-        with pytest.raises(_Interrupt):
-            discover(relation, TaneConfig(
-                strategy="dfd", dfd_seed=5, checkpoint_dir=tmp_path,
-                progress=_interrupt_at_batch(33),
-            ))
+        _interrupted_walk(relation, tmp_path, 40, dfd_seed=5)
         with pytest.raises(CheckpointError, match="seed"):
             discover(relation, TaneConfig(
                 strategy="dfd", dfd_seed=6, checkpoint_dir=tmp_path,
+                resume=True,
+            ))
+
+    def test_shared_rng_walk_checkpoint_refused(self, tmp_path):
+        # A checkpoint of the earlier walk, which drew every rhs from
+        # one shared RNG, has no walk-format field in its fingerprint;
+        # replayed into the per-rhs walks it would diverge.
+        relation = random_relation(40, 6, 3, seed=9)
+        _interrupted_walk(relation, tmp_path, 40, dfd_seed=5)
+        path = tmp_path / "checkpoint.json"
+        document = json.loads(path.read_text())
+        fingerprint = document["fingerprint"]
+        assert fingerprint.pop("walk") == "per-rhs"
+        path.write_text(json.dumps(document))
+        with pytest.raises(CheckpointError, match="walk"):
+            discover(relation, TaneConfig(
+                strategy="dfd", dfd_seed=5, checkpoint_dir=tmp_path,
                 resume=True,
             ))
 
@@ -221,11 +252,7 @@ class TestCheckpointResume:
 
     def test_node_checkpoint_refused_by_level_resume(self, tmp_path):
         relation = random_relation(40, 6, 3, seed=9)
-        with pytest.raises(_Interrupt):
-            discover(relation, TaneConfig(
-                strategy="dfd", dfd_seed=5, checkpoint_dir=tmp_path,
-                progress=_interrupt_at_batch(33),
-            ))
+        _interrupted_walk(relation, tmp_path, 40, dfd_seed=5)
         with pytest.raises(CheckpointError, match="node-mode"):
             discover(relation, TaneConfig(
                 checkpoint_dir=tmp_path, resume=True,

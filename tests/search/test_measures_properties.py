@@ -62,8 +62,9 @@ class TestEngineDeterminism:
         assert set(vectorized.dependencies) == set(pure.dependencies)
         errors = {(fd.lhs, fd.rhs): fd.error for fd in pure.dependencies}
         for fd in vectorized.dependencies:
-            # Bit-exact: both engines walk the canonical structural
-            # contingency order, so the float sums associate identically.
+            # Bit-exact: both engines build the same integer
+            # contingency arrays, and math.fsum rounds their terms'
+            # sum independently of order.
             assert errors[(fd.lhs, fd.rhs)] == fd.error
 
 

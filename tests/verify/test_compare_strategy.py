@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.checkpoint import load_checkpoint
 from repro.datasets.synthetic import correlated_relation, planted_fd_relation
 from repro.testing import faults
+from repro.verify import runner
+from repro.verify.fuzz import relation_for_seed, scenario_for_seed
 from repro.verify.matrix import REFERENCE_CELL
 from repro.verify.runner import Scenario, compare_strategy_dfd, run_cell
 
@@ -46,6 +49,34 @@ class TestClean:
         assert compare_strategy_dfd(
             planted, scenario, reference, 4, workdir=tmp_path
         ) == []
+
+
+class TestCheckpointVariant:
+    def test_resumes_on_a_smoke_matrix_relation(self, tmp_path, monkeypatch):
+        """The checkpoint variant must really resume, from a real
+        mid-walk snapshot, on some relation `repro verify` checks by
+        default (seeds 0-24), and still match the reference."""
+        resumed = []
+        discover = runner.discover
+
+        def spy(relation, config):
+            if config.resume:
+                state = load_checkpoint(config.checkpoint_dir)
+                resumed.append(state is not None and not state.complete)
+            return discover(relation, config)
+
+        monkeypatch.setattr(runner, "discover", spy)
+        for seed in range(25):
+            relation, _generator = relation_for_seed(seed)
+            scenario = scenario_for_seed(seed)
+            reference = _reference(relation, scenario, tmp_path)
+            found = compare_strategy_dfd(
+                relation, scenario, reference, seed, workdir=tmp_path
+            )
+            assert found == []
+            if resumed:
+                break
+        assert resumed == [True]
 
 
 class TestNonMonotoneSkip:
