@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install check layers test test-fast perfbench-smoke trace-smoke obs-smoke fault-smoke verify-smoke service-smoke measures-smoke strategy-smoke multicore-smoke hotpath-bench service-bench measure-bench strategy-bench bench-gate bench-history obs-bench bench bench-full examples clean
+.PHONY: install check layers test test-fast perfbench-smoke trace-smoke obs-smoke fault-smoke verify-smoke service-smoke measures-smoke strategy-smoke multicore-smoke bench bench-full examples clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -50,8 +50,8 @@ trace-smoke:
 # producing the event stream, profiler sidecar, and metrics snapshots;
 # then every exported artifact is consumed — events schema-checked,
 # profile rendered via trace-report --profile, snapshots re-exported as
-# Prometheus text — and the exposition-format golden + profiler unit
-# tests and the bench-trajectory tool run on top.
+# Prometheus text — and the exposition-format golden, profiler, event
+# and disabled-path overhead (<= 0.1%) tests run on top.
 obs-smoke:
 	rm -f /tmp/repro-obs.events.jsonl /tmp/repro-obs.trace.jsonl \
 	  /tmp/repro-obs.trace.jsonl.profile.json /tmp/repro-obs.prom \
@@ -72,8 +72,7 @@ obs-smoke:
 	grep -q "^repro_" /tmp/repro-obs.prom
 	PYTHONPATH=src $(PYTHON) -m repro.cli export-metrics /tmp/repro-obs.snapshots.jsonl --output /tmp/repro-obs.export.prom
 	grep -q "^repro_" /tmp/repro-obs.export.prom
-	PYTHONPATH=src $(PYTHON) -m pytest tests/obs/test_export.py tests/obs/test_profile.py tests/obs/test_events.py tests/test_bench_history.py -q
-	$(PYTHON) tools/bench_history.py > /dev/null
+	PYTHONPATH=src $(PYTHON) -m pytest tests/obs/test_export.py tests/obs/test_profile.py tests/obs/test_events.py tests/obs/test_disabled_overhead.py -q
 	rm -f /tmp/repro-obs.events.jsonl /tmp/repro-obs.trace.jsonl \
 	  /tmp/repro-obs.trace.jsonl.profile.json /tmp/repro-obs.prom \
 	  /tmp/repro-obs.snapshots.jsonl /tmp/repro-obs.export.prom
@@ -107,77 +106,30 @@ service-smoke:
 	$(PYTHON) tools/service_smoke.py
 
 # Measure-suite smoke: golden fixtures, property invariants, the
-# cross-measure metamorphic layer, and the planted-recovery bench in
-# check mode (every measure must find the planted FDs back under
-# corruption).
+# cross-measure metamorphic layer, and planted recovery (every measure
+# must find the planted FDs back under corruption).
 measures-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/search/test_measures.py \
 	  tests/search/test_measures_golden.py \
 	  tests/search/test_measures_properties.py \
+	  tests/search/test_planted_recovery.py \
 	  tests/verify/test_compare_measures.py tests/test_fingerprint.py -q
-	PYTHONPATH=src $(PYTHON) benchmarks/run_measure_bench.py --smoke --check \
-	  --output /tmp/repro-measures-smoke.json > /dev/null
-	rm -f /tmp/repro-measures-smoke.json
 
-# Traversal-strategy smoke: the dfd/topk strategy suites plus the
-# strategy bench in check mode (the dfd walk must reproduce the
-# levelwise cover and visit strictly fewer nodes on the twin-column
-# workload).
+# Traversal-strategy smoke: the dfd/topk strategy suites (the dfd walk
+# must reproduce the levelwise cover and visit strictly fewer nodes on
+# the twin-column workload) and the from-singletons ablation helper.
 strategy-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/search/test_dfd.py \
 	  tests/search/test_topk.py tests/search/test_strategy.py \
 	  tests/verify/test_compare_strategy.py \
-	  tests/resilience/test_checkpoint_formats.py -q
-	PYTHONPATH=src $(PYTHON) benchmarks/run_strategy_bench.py --smoke --check \
-	  --output /tmp/repro-strategy-smoke.json > /dev/null
-	rm -f /tmp/repro-strategy-smoke.json
+	  tests/resilience/test_checkpoint_formats.py \
+	  tests/core/test_measures_and_strategies.py -q
 
 # Multi-core gate (CI runs this on a 4-core runner): the multicore
-# test marker (parity + speedup > 1) plus the parallel bench with the
-# speedup assertion on.  The bench runs its full-size workload — the
-# smoke-scale relation is too small for parallelism to ever pay.
+# test marker — serial/process parity, and
+# tests/parallel/test_multicore_speedup.py as the speedup gate.
 multicore-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest -m multicore -q
-	PYTHONPATH=src $(PYTHON) benchmarks/run_parallel_bench.py --require-speedup --output /tmp/repro-parallel-smoke.json > /dev/null
-	rm -f /tmp/repro-parallel-smoke.json
-
-# Re-measure the single-core hot path and refresh the committed JSON.
-hotpath-bench:
-	PYTHONPATH=src $(PYTHON) benchmarks/run_hotpath_bench.py
-
-# Re-measure service throughput/latency under multiprocess load and
-# refresh the committed BENCH_service_throughput.json.
-service-bench:
-	PYTHONPATH=src $(PYTHON) benchmarks/run_service_bench.py --check
-
-# Re-measure planted-FD recovery per measure under corruption and
-# refresh the committed BENCH_measures.json.
-measure-bench:
-	PYTHONPATH=src $(PYTHON) benchmarks/run_measure_bench.py --check
-
-# Re-measure the traversal-strategy comparison at full scale and
-# refresh the committed BENCH_strategy.json.
-strategy-bench:
-	PYTHONPATH=src $(PYTHON) benchmarks/run_strategy_bench.py --check
-
-# CI gate: fresh hot-path improvement ratio must stay within 10% of
-# the committed benchmarks/results/BENCH_hotpath.json, the
-# progress-event overhead must stay within its bars, the service
-# load driver must hold its invariants (no errors, single-flight,
-# warm-cache hit ratio), and every measure must keep recovering
-# planted dependencies under corruption.
-bench-gate:
-	$(PYTHON) tools/check_bench_regression.py
-
-# Benchmark trajectory: headline metric of every committed BENCH_*.json
-# across git history, with regression flags.
-bench-history:
-	$(PYTHON) tools/bench_history.py
-
-# Re-measure observability overhead (spans + progress events) and
-# refresh the committed BENCH_obs*.json artifacts.
-obs-bench:
-	PYTHONPATH=src $(PYTHON) benchmarks/run_obs_overhead.py
 
 test:
 	$(PYTHON) -m pytest tests/

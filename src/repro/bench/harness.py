@@ -4,6 +4,7 @@ The paper ran a C implementation on a 233 MHz Pentium; this is pure
 Python, so absolute times differ and the workloads scale their inputs.
 ``BenchScale`` centralizes the knobs:
 
+* ``smoke`` — only the fast datasets at tiny replication, for tests.
 * ``quick`` (default) — every experiment finishes in seconds to a few
   minutes on a laptop; replication factors and the FDEP row caps are
   reduced.
@@ -24,7 +25,7 @@ from typing import Any, TypeVar
 
 from repro.exceptions import ConfigurationError
 
-__all__ = ["BenchScale", "resolve_scale", "measure", "Measurement"]
+__all__ = ["BenchScale", "SCALES", "resolve_scale", "measure", "Measurement"]
 
 T = TypeVar("T")
 
@@ -67,7 +68,7 @@ class BenchScale:
     Hepatitis, Wisconsin breast cancer, and Chess)."""
 
 
-_SCALES = {
+SCALES = {
     # For test runs: only the fast datasets, tiny replication.
     "smoke": BenchScale(
         name="smoke",
@@ -111,10 +112,10 @@ def resolve_scale(scale: str | BenchScale | None = None) -> BenchScale:
     if scale is None:
         scale = os.environ.get("REPRO_BENCH_SCALE", "quick")
     try:
-        return _SCALES[scale]
+        return SCALES[scale]
     except KeyError:
         raise ConfigurationError(
-            f"unknown bench scale {scale!r}; known: {sorted(_SCALES)}"
+            f"unknown bench scale {scale!r}; known: {sorted(SCALES)}"
         ) from None
 
 

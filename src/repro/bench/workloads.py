@@ -15,6 +15,7 @@ import math
 import os
 from collections.abc import Callable
 
+from repro import _bitset
 from repro.baselines.fdep import discover_fds_fdep
 from repro.bench.harness import BenchScale, measure, resolve_scale
 from repro.bench.report import Series, Table
@@ -28,6 +29,7 @@ from repro.datasets.uci import (
     make_wisconsin_like,
 )
 from repro.model.relation import Relation
+from repro.parallel.executor import SerialLevelExecutor
 from repro.partition.pure import PurePartition
 from repro.partition.vectorized import CsrPartition, PartitionWorkspace
 
@@ -41,8 +43,8 @@ __all__ = [
     "run_ablation_engine",
     "run_ablation_g3_bounds",
     "run_ablation_strategy",
+    "FromSingletonsExecutor",
     "run_parallel_speedup",
-    "parallel_speedup_records",
 ]
 
 INFEASIBLE = "*"
@@ -386,6 +388,38 @@ def run_ablation_pruning(scale: str | BenchScale | None = None) -> Table:
     return table
 
 
+class FromSingletonsExecutor(SerialLevelExecutor):
+    """Serial executor that rebuilds every candidate from singletons.
+
+    The paper's model of Schlimmer's decision-tree approach (Section 6):
+    "roughly equivalent to computing each partition from partitions with
+    respect to singletons".  A candidate of ``ℓ`` attributes costs
+    ``ℓ - 1`` products of the relation's single-attribute partitions
+    instead of one product of two previous-level partitions; they are
+    counted in :attr:`products_computed` (the run's
+    ``partition_products`` still counts one per candidate).  An exact
+    run ranks its last lattice level without calling the executor, so
+    leave ``max_lhs_size`` unset: that level is then the whole schema,
+    one candidate at most.
+    """
+
+    def __init__(self, relation: Relation) -> None:
+        self._singletons = [
+            CsrPartition.from_column(relation.column_codes(i), relation.num_rows)
+            for i in range(relation.num_attributes)
+        ]
+        self.products_computed = 0
+
+    def products(self, triples, fetch, workspace):
+        for candidate, _factor_x, _factor_y in triples:
+            indices = _bitset.to_indices(candidate)
+            product = self._singletons[indices[0]]
+            for index in indices[1:]:
+                product = product.product(self._singletons[index], workspace)
+                self.products_computed += 1
+            yield candidate, product
+
+
 def run_ablation_strategy(scale: str | BenchScale | None = None) -> Table:
     """Pairwise partition products vs recomputation from singletons.
 
@@ -400,15 +434,13 @@ def run_ablation_strategy(scale: str | BenchScale | None = None) -> Table:
         title=f"Ablation (scale={scale.name}): partition strategy",
         columns=["strategy", "time s", "partition products", "N"],
     )
-    for name, strategy in (
-        ("pairwise (TANE, Lemma 3)", "pairwise"),
-        ("from singletons (Schlimmer-equivalent)", "from_singletons"),
-    ):
-        run = measure(
-            lambda s=strategy: discover(relation, TaneConfig(partition_strategy=s))
-        )
-        stats = run.result.statistics
-        table.add_row(name, run.seconds, stats.partition_products, len(run.result))
+    pairwise = measure(lambda: discover(relation, TaneConfig()))
+    table.add_row("pairwise (TANE, Lemma 3)", pairwise.seconds,
+                  pairwise.result.statistics.partition_products, len(pairwise.result))
+    executor = FromSingletonsExecutor(relation)
+    singletons = measure(lambda: discover(relation, TaneConfig(executor=executor)))
+    table.add_row("from singletons (Schlimmer-equivalent)", singletons.seconds,
+                  executor.products_computed, len(singletons.result))
     table.add_note("paper: the singleton strategy is slower by a factor O(|R|)")
     return table
 
@@ -450,19 +482,17 @@ def run_ablation_engine(scale: str | BenchScale | None = None) -> Table:
     return table
 
 
-def parallel_speedup_records(
+def run_parallel_speedup(
     scale: str | BenchScale | None = None,
     workers: int = 4,
     rows_target: int = 100_000,
-) -> list[dict[str, object]]:
-    """Measure serial vs process-executor discovery on large workloads.
+) -> Table:
+    """Serial vs process-executor discovery on large workloads.
 
     Replicates the Wisconsin dataset to at least ``rows_target`` rows
     (the regime the parallel engine targets; smoke scale stays small)
     and runs exact plus ``epsilon = 0.01`` discovery under both
-    executors, asserting result parity.  Returns one record per
-    workload — the raw material for both the human-readable table and
-    the ``BENCH_*.json`` entry.
+    executors, checking that they return the same result.
     """
     scale = resolve_scale(scale)
     wisconsin = _dataset("wisconsin", scale)
@@ -471,7 +501,12 @@ def parallel_speedup_records(
     else:
         multiple = -(-rows_target // wisconsin.num_rows)  # ceil division
     relation = replicate_with_unique_suffix(wisconsin, multiple)
-    records: list[dict[str, object]] = []
+    table = Table(
+        title=f"Parallel executor (scale={scale.name}, workers={workers}): "
+        "serial vs process",
+        columns=["workload", "|r|", "serial s", "process s", "speedup",
+                 "identical", "chunks", "shm MiB"],
+    )
     for label, epsilon in ((f"wisconsin x{multiple} exact", 0.0),
                            (f"wisconsin x{multiple} eps=0.01", 0.01)):
         serial = measure(lambda e=epsilon: discover(relation, TaneConfig(epsilon=e)))
@@ -485,47 +520,11 @@ def parallel_speedup_records(
             and serial.result.keys == process.result.keys
         )
         stats = process.result.statistics
-        records.append({
-            "workload": label,
-            "rows": relation.num_rows,
-            "attributes": relation.num_attributes,
-            "epsilon": epsilon,
-            "dependencies": len(serial.result),
-            "serial_seconds": serial.seconds,
-            "process_seconds": process.seconds,
-            "speedup": serial.seconds / process.seconds if process.seconds else None,
-            "identical_results": identical,
-            "workers": workers,
-            "workers_used": stats.workers_used,
-            "worker_chunks": stats.worker_chunks,
-            "worker_busy_seconds": stats.worker_busy_seconds,
-            "shm_bytes_shipped": stats.shm_bytes_shipped,
-            "shm_bytes_saved": stats.shm_bytes_saved,
-        })
-    return records
-
-
-def run_parallel_speedup(
-    scale: str | BenchScale | None = None,
-    workers: int = 4,
-    rows_target: int = 100_000,
-) -> Table:
-    """Serial vs process-executor comparison as a paper-style table."""
-    scale = resolve_scale(scale)
-    records = parallel_speedup_records(scale, workers=workers, rows_target=rows_target)
-    table = Table(
-        title=f"Parallel executor (scale={scale.name}, workers={workers}): "
-        "serial vs process",
-        columns=["workload", "|r|", "serial s", "process s", "speedup",
-                 "identical", "chunks", "shm MiB"],
-    )
-    for record in records:
         table.add_row(
-            record["workload"], record["rows"],
-            record["serial_seconds"], record["process_seconds"],
-            round(record["speedup"], 3) if record["speedup"] else INFEASIBLE,
-            record["identical_results"], record["worker_chunks"],
-            round(record["shm_bytes_shipped"] / (1024 * 1024), 2),
+            label, relation.num_rows, serial.seconds, process.seconds,
+            round(serial.seconds / process.seconds, 3) if process.seconds else INFEASIBLE,
+            identical, stats.worker_chunks,
+            round(stats.shm_bytes_shipped / (1024 * 1024), 2),
         )
     cores = os.cpu_count() or 1
     table.add_note(f"host has {cores} CPU core(s); process pools cannot beat "

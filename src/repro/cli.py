@@ -40,6 +40,7 @@ import sys
 from collections.abc import Sequence
 
 from repro.analysis.profile import profile
+from repro.bench.harness import SCALES
 from repro.core.tane import TaneConfig, discover
 from repro.datasets.csvio import read_csv, write_csv
 from repro.datasets.replicate import replicate_with_unique_suffix
@@ -185,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
                  "ablation-pruning", "ablation-engine", "ablation-g3",
                  "ablation-strategy", "parallel"],
     )
-    bench_parser.add_argument("--scale", choices=["quick", "medium", "full"], default=None,
+    bench_parser.add_argument("--scale", choices=list(SCALES), default=None,
                               help="workload scale (default: REPRO_BENCH_SCALE or quick)")
 
     dataset_parser = subparsers.add_parser("dataset", help="materialize a benchmark dataset")

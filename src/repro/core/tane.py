@@ -92,7 +92,6 @@ _TOPK_RANK_MODES = TOPK_RANK_MODES
 # the verify layer consults it to skip dfd comparisons on these.
 NON_MONOTONE_MEASURES = ("mu_plus", "rfi")
 _NON_MONOTONE_MEASURES = NON_MONOTONE_MEASURES
-_PARTITION_STRATEGIES = ("pairwise", "from_singletons")
 _PARTITION_CACHES = ("off", "shared")
 
 # Sentinel distinguishing "argument not supplied" from an explicit
@@ -179,15 +178,6 @@ class TaneConfig:
     a reference implementation: it requires the serial executor (pool
     workers ship CSR buffers via shared memory) and the memory store
     (the disk store spills CSR binary)."""
-
-    partition_strategy: str = "pairwise"
-    """How GENERATE-NEXT-LEVEL obtains partitions: ``pairwise`` (the
-    paper's product of two previous-level partitions) or
-    ``from_singletons`` (re-multiply all single-attribute partitions —
-    "roughly equivalent" to Schlimmer's decision-tree approach per
-    Section 6, slower by a factor O(|R|); provided for the ablation
-    benchmark).  ``from_singletons`` always runs serially — it exists
-    to measure the strategy, not to scale it."""
 
     strategy: str = "levelwise"
     """Traversal strategy: ``"levelwise"`` (the paper's full walk,
@@ -339,11 +329,6 @@ class TaneConfig:
             raise ConfigurationError(
                 f"rfi_seed must be >= 0, got {self.rfi_seed}"
             )
-        if self.partition_strategy not in _PARTITION_STRATEGIES:
-            raise ConfigurationError(
-                f"unknown partition_strategy {self.partition_strategy!r}; "
-                f"valid choices: {_choices(_PARTITION_STRATEGIES)}"
-            )
         if self.engine not in _ENGINES:
             raise ConfigurationError(
                 f"unknown engine {self.engine!r}; "
@@ -385,21 +370,14 @@ class TaneConfig:
                 f"dfd_seed={self.dfd_seed} is only meaningful with "
                 f"strategy='dfd' (got strategy={self.strategy!r})"
             )
-        if self.strategy == "dfd":
-            if self.measure in _NON_MONOTONE_MEASURES:
-                raise ConfigurationError(
-                    f"strategy='dfd' requires a monotone measure; "
-                    f"{self.measure!r} is not (its error can rise as the "
-                    "lhs grows, breaking the walk's subset/superset "
-                    "inference) — valid choices: "
-                    f"{_choices(m for m in _MEASURES if m not in _NON_MONOTONE_MEASURES)}"
-                )
-            if self.partition_strategy != "pairwise":
-                raise ConfigurationError(
-                    "strategy='dfd' requires partition_strategy='pairwise': "
-                    "the from_singletons ablation models the levelwise loop "
-                    "only"
-                )
+        if self.strategy == "dfd" and self.measure in _NON_MONOTONE_MEASURES:
+            raise ConfigurationError(
+                f"strategy='dfd' requires a monotone measure; "
+                f"{self.measure!r} is not (its error can rise as the "
+                "lhs grows, breaking the walk's subset/superset "
+                "inference) — valid choices: "
+                f"{_choices(m for m in _MEASURES if m not in _NON_MONOTONE_MEASURES)}"
+            )
         if self.engine == "pure":
             if (
                 self.executor == "process"
@@ -638,7 +616,6 @@ class _TaneRun:
             workspace,
             self.executor,
             products_counter=self.metrics.counter("tane.partition_products"),
-            partition_strategy=config.partition_strategy,
             cache=self.partition_cache,
             cache_fingerprint=self.cache_fingerprint,
             cache_levels=config.partition_cache_levels,

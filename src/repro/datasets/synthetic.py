@@ -13,11 +13,11 @@ Generators:
 * :func:`correlated_relation` — columns derived from hidden factors,
   producing realistic numbers of approximate dependencies.
 * :func:`planted_fd_relation` — relations with a *known* set of exact
-  dependencies planted, used as ground truth in tests and benches.
+  dependencies planted, used as ground truth in tests.
 * :func:`twin_relation` — independent binary columns paired with
   relabeled copies: a wide dep-free interior whose only minimal
   dependencies are the twin equivalences, the adversarial-for-
-  levelwise shape the strategy bench runs on.
+  levelwise shape the DFD walk is tested on.
 * :func:`constant_relation` — degenerate single-value columns.
 """
 

@@ -111,7 +111,6 @@ def search_fingerprint(relation: "Relation", config: Any, strategy: Any) -> dict
         "use_rule8": config.use_rule8,
         "use_key_pruning": config.use_key_pruning,
         "use_g3_bounds": config.use_g3_bounds,
-        "partition_strategy": config.partition_strategy,
     }
     fingerprint.update(strategy.fingerprint())
     return fingerprint
@@ -127,7 +126,6 @@ CONFIG_KEY_FIELDS = (
     "use_key_pruning",
     "use_g3_bounds",
     "engine",
-    "partition_strategy",
     "strategy",
     "top_k",
     "topk_rank",

@@ -12,8 +12,7 @@ monitoring stack consumes:
 * **JSONL snapshots** (:class:`SnapshotWriter`): the registry's
   :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` dict appended as
   one timestamped JSON line, either on demand or periodically from a
-  background thread — cheap history for `repro export-metrics` and
-  the bench-trajectory tooling.
+  background thread — cheap history for `repro export-metrics`.
 
 Metric-name contract
 --------------------

@@ -63,11 +63,6 @@ class PartitionManager:
     products_counter:
         Counter instrument bumped once per computed product; defaults
         to a private throwaway counter.
-    partition_strategy:
-        ``"pairwise"`` (the paper's product of two previous-level
-        partitions, Lemma 3) or ``"from_singletons"`` (re-multiply the
-        singleton partitions — the ablation-only Schlimmer model of
-        Section 6, always serial).
     cache:
         Optional cross-run partition cache (duck-typed
         ``get(fingerprint, mask)`` / ``put(fingerprint, mask, π)``,
@@ -93,7 +88,6 @@ class PartitionManager:
         executor,
         *,
         products_counter: Counter | None = None,
-        partition_strategy: str = "pairwise",
         cache=None,
         cache_fingerprint: str = "",
         cache_levels: int = 2,
@@ -107,7 +101,6 @@ class PartitionManager:
         self.store = store
         self.workspace = workspace
         self.executor = executor
-        self.partition_strategy = partition_strategy
         self._c_products = products_counter if products_counter is not None else Counter()
         self._cache = cache
         self._cache_fingerprint = cache_fingerprint
@@ -224,22 +217,11 @@ class PartitionManager:
             ranks_only
             and errors is not None
             and triples
-            and self.partition_strategy == "pairwise"
             and self.partition_cls is CsrPartition
             and not self._cache_keeps(triples[0][0])
         ):
             return self._rank_only(triples, errors)
         next_level: list[int] = []
-        if self.partition_strategy != "pairwise":
-            # Ablation-only strategy; always serial (see TaneConfig).
-            for candidate, _factor_x, _factor_y in triples:
-                product = self.product_from_singletons(candidate)
-                self.store.put(candidate, product)
-                next_level.append(candidate)
-                if errors is not None:
-                    errors.append(product.error_count)
-            return next_level
-
         pending = triples
         hit_any = False
         ranks: dict[int, int] = {}
@@ -402,23 +384,14 @@ class PartitionManager:
         for mask in dead:
             self._resident_by_size[_bitset.popcount(mask)].discard(mask)
 
-    def product_from_singletons(self, candidate: int, *, count: bool = True):
-        """Recompute ``π_candidate`` from the single-attribute partitions.
-
-        This is the paper's model of Schlimmer's decision-tree
-        approach (Section 6): "roughly equivalent to computing each
-        partition from partitions with respect to singletons ...
-        slower by a factor O(|R|) than using partitions the way we
-        do."  Used by the ablation benchmark and — with ``count=False``
-        so restored counters stay identical to an uninterrupted run —
-        by checkpoint resume.
-        """
+    def product_from_singletons(self, candidate: int):
+        """Recompute ``π_candidate`` from the single-attribute partitions
+        for checkpoint resume.  The products are not counted, so
+        restored counters stay identical to an uninterrupted run."""
         indices = _bitset.to_indices(candidate)
         product = self._singletons[indices[0]]
         for index in indices[1:]:
             product = product.product(self._singletons[index], self.workspace)
-            if count:
-                self._c_products.inc()
         return product
 
     # ------------------------------------------------------------------
@@ -456,7 +429,7 @@ class PartitionManager:
             mask, self.num_rows
         ):
             return
-        self.store.put(mask, self.product_from_singletons(mask, count=False))
+        self.store.put(mask, self.product_from_singletons(mask))
 
     def preserve_spill_files(self) -> None:
         """Keep spill files on a crash: they are the partitions a

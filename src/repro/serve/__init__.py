@@ -20,8 +20,7 @@ Layers (each usable without the one above):
   ``urllib`` client.
 
 Start one from the command line with ``repro serve``; see
-``docs/SERVICE.md`` for the API tour and
-``benchmarks/run_service_bench.py`` for the load driver.
+``docs/SERVICE.md`` for the API tour.
 """
 
 from repro.serve.cache import ResultCache

@@ -53,12 +53,6 @@ class TestKnobMessages:
         for choice in ("'error'", "'redundancy'"):
             assert choice in message
 
-    def test_partition_strategy_enumerates_choices(self):
-        message = _config_error(partition_strategy="cached")
-        assert "unknown partition_strategy 'cached'" in message
-        for choice in ("'pairwise'", "'from_singletons'"):
-            assert choice in message
-
     def test_partition_cache_enumerates_choices(self):
         message = _config_error(partition_cache="global")
         assert "unknown partition_cache 'global'" in message
@@ -123,12 +117,6 @@ class TestDfdCoupling:
         valid_part = message.split("valid choices")[1]
         assert "'mu_plus'" not in valid_part
         assert "'rfi'" not in valid_part
-
-    def test_from_singletons_ablation_rejected(self):
-        message = _config_error(
-            strategy="dfd", partition_strategy="from_singletons"
-        )
-        assert "requires partition_strategy='pairwise'" in message
 
     def test_valid_dfd_config_accepted(self):
         config = TaneConfig(strategy="dfd", dfd_seed=11)

@@ -10,6 +10,7 @@ from repro.baselines.bruteforce import (
     dependency_g2,
     discover_fds_bruteforce,
 )
+from repro.bench.workloads import FromSingletonsExecutor
 from repro.core.tane import TaneConfig, discover
 from repro.exceptions import ConfigurationError
 from repro.model.relation import Relation
@@ -88,35 +89,30 @@ class TestMeasureDiscovery:
             assert fd.error == pytest.approx(expected)
 
 
-class TestPartitionStrategy:
-    def test_bad_strategy_rejected(self):
-        with pytest.raises(ConfigurationError):
-            TaneConfig(partition_strategy="magic")
+def _from_singletons(relation, **kwargs):
+    """Discover with every partition rebuilt from the singletons."""
+    executor = FromSingletonsExecutor(relation)
+    return discover(relation, TaneConfig(executor=executor, **kwargs)), executor
 
+
+class TestPartitionStrategy:
     def test_same_result_as_pairwise(self, figure1_relation):
         pairwise = discover(figure1_relation, TaneConfig()).dependencies
-        singles = discover(
-            figure1_relation, TaneConfig(partition_strategy="from_singletons")
-        ).dependencies
-        assert pairwise == singles
+        singles, _ = _from_singletons(figure1_relation)
+        assert pairwise == singles.dependencies
 
     def test_more_products_computed(self, figure1_relation):
         pairwise = discover(figure1_relation, TaneConfig()).statistics
-        singles = discover(
-            figure1_relation, TaneConfig(partition_strategy="from_singletons")
-        ).statistics
-        assert singles.partition_products >= pairwise.partition_products
+        _, executor = _from_singletons(figure1_relation)
+        assert executor.products_computed >= pairwise.partition_products
 
     @given(RELATIONS)
     @SLOW
     def test_matches_oracle(self, relation):
-        result = discover(relation, TaneConfig(partition_strategy="from_singletons"))
+        result, _ = _from_singletons(relation)
         assert result.dependencies == discover_fds_bruteforce(relation)
 
     def test_works_with_approximate(self, figure1_relation):
         base = discover(figure1_relation, TaneConfig(epsilon=0.25)).dependencies
-        alt = discover(
-            figure1_relation,
-            TaneConfig(epsilon=0.25, partition_strategy="from_singletons"),
-        ).dependencies
-        assert base == alt
+        alt, _ = _from_singletons(figure1_relation, epsilon=0.25)
+        assert base == alt.dependencies

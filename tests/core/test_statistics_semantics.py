@@ -1,5 +1,6 @@
 """Tests pinning down what the search statistics actually count."""
 
+from repro.bench.workloads import FromSingletonsExecutor
 from repro.core.tane import TaneConfig, discover, discover_fds
 from repro.model.relation import Relation
 
@@ -92,11 +93,10 @@ class TestCountsSemantics:
         assert stats.store_loads > 0
 
     def test_singleton_strategy_products_count(self, figure1_relation):
-        stats = discover(
-            figure1_relation, TaneConfig(partition_strategy="from_singletons")
-        ).statistics
+        executor = FromSingletonsExecutor(figure1_relation)
+        stats = discover(figure1_relation, TaneConfig(executor=executor)).statistics
         # each level-ℓ set (ℓ >= 2) costs ℓ-1 products
         expected = sum(
             size * level for level, size in enumerate(stats.level_sizes[1:], start=1)
         )
-        assert stats.partition_products == expected
+        assert executor.products_computed == expected

@@ -125,7 +125,7 @@ class TestParityWithLevelwise:
             )
 
     def test_twin_relation_walks_fewer_nodes(self):
-        # The dep-free-interior workload the strategy bench gates on.
+        # The dep-free interior: levelwise must test it, the walk need not.
         relation = twin_relation(6, 120, seed=0)
         reference = _discover(relation, "levelwise")
         walked = _discover(relation, "dfd")

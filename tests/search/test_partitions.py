@@ -5,6 +5,7 @@ store but with no driver."""
 import pytest
 
 from repro import _bitset
+from repro.bench.workloads import FromSingletonsExecutor
 from repro.model.relation import Relation
 from repro.partition.cache import PartitionCache
 from repro.partition.pure import PurePartition
@@ -26,13 +27,13 @@ def relation():
     return Relation.from_rows(rows, ["A", "B", "C"])
 
 
-def _manager(relation, store=None, **kwargs):
+def _manager(relation, store=None, executor=None, **kwargs):
     return PartitionManager(
         relation,
         CsrPartition,
         store if store is not None else MemoryPartitionStore(),
         PartitionWorkspace(relation.num_rows),
-        SerialExecution(),
+        executor if executor is not None else SerialExecution(),
         **kwargs,
     )
 
@@ -75,16 +76,15 @@ class TestProductsAndAccess:
 
     def test_from_singletons_strategy_is_serial(self, relation):
         counter = Counter()
-        manager = _manager(
-            relation,
-            products_counter=counter,
-            partition_strategy="from_singletons",
-        )
+        executor = FromSingletonsExecutor(relation)
+        manager = _manager(relation, executor=executor, products_counter=counter)
         manager.bootstrap()
         next_level = manager.materialize([(7, 3, 4)])
         assert next_level == [7]
-        # π_ABC from singletons costs two products (A·B then ·C).
-        assert counter.value == 2
+        assert manager.get(7).num_classes == 0  # ABC is a key here
+        # π_ABC from singletons costs two products (A·B then ·C); the
+        # manager still counts one product per candidate.
+        assert (executor.products_computed, counter.value) == (2, 1)
 
 
 class TestRanksOnly:

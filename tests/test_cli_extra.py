@@ -40,6 +40,10 @@ class TestBenchFigure3:
         assert main(["bench", "ablation-strategy"]) == 0
         assert "partition strategy" in capsys.readouterr().out
 
+    def test_scale_flag_accepts_every_scale(self, capsys):
+        assert main(["bench", "ablation-engine", "--scale", "smoke"]) == 0
+        assert "scale=smoke" in capsys.readouterr().out
+
 
 class TestKeysCommand:
     def test_exact_keys(self, tmp_path, capsys):
