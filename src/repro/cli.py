@@ -188,6 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_parser.add_argument("--scale", choices=list(SCALES), default=None,
                               help="workload scale (default: REPRO_BENCH_SCALE or quick)")
+    bench_parser.add_argument("--workers", type=int, default=4,
+                              help="process-pool size of the parallel target (default: 4)")
 
     dataset_parser = subparsers.add_parser("dataset", help="materialize a benchmark dataset")
     dataset_parser.add_argument("name", choices=sorted(DATASET_BUILDERS) + ["chess"])
@@ -592,6 +594,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             for series in series_map.values():
                 print("  " + series.format())
         return 0
+    if args.target == "parallel":
+        print(workloads.run_parallel_speedup(args.scale, workers=args.workers).format())
+        return 0
     runner = {
         "table1": workloads.run_table1,
         "table2": workloads.run_table2,
@@ -601,7 +606,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         "ablation-engine": workloads.run_ablation_engine,
         "ablation-g3": workloads.run_ablation_g3_bounds,
         "ablation-strategy": workloads.run_ablation_strategy,
-        "parallel": workloads.run_parallel_speedup,
     }[args.target]
     print(runner(args.scale).format())
     return 0

@@ -35,7 +35,10 @@ benchmarks:
   serial executor runs them in-process.  Both compute a level's
   products with the batched kernel
   (:func:`repro.partition.vectorized.batched_products`) — there is no
-  kernel knob — and return byte-identical results.
+  kernel knob — and return byte-identical results.  On a tall relation
+  the serial executor's kernel runs each call's left-factor groups on
+  a thread pool of one thread per CPU in the process's affinity mask;
+  the process executor's workers keep their kernel on one thread.
 * ``strategy="topk"`` with ``top_k=N`` returns only the N best
   dependencies by error (see
   :class:`~repro.search.strategy.TopKStrategy`), cutting the walk off

@@ -27,18 +27,13 @@ def _encode_column(values: Sequence[Any]) -> tuple[np.ndarray, list[Any]]:
     """Dictionary-encode a column: return (codes, decode_table).
 
     Codes are assigned in order of first appearance, so encoding is
-    deterministic for a given row order.
+    deterministic for a given row order.  Both passes iterate in C:
+    ``dict.fromkeys`` keeps each value's first occurrence, in order.
     """
-    codes = np.empty(len(values), dtype=_CODE_DTYPE)
-    table: dict[Any, int] = {}
-    decode: list[Any] = []
-    for row, value in enumerate(values):
-        code = table.get(value)
-        if code is None:
-            code = len(decode)
-            table[value] = code
-            decode.append(value)
-        codes[row] = code
+    table: dict[Any, int] = dict.fromkeys(values)
+    decode = list(table)
+    table.update(zip(decode, range(len(decode))))
+    codes = np.fromiter(map(table.__getitem__, values), dtype=_CODE_DTYPE, count=len(values))
     return codes, decode
 
 
@@ -94,7 +89,9 @@ class Relation:
         If ``attribute_names`` is omitted, attributes are named
         ``col0, col1, ...``.
         """
-        materialized = [list(row) for row in rows]
+        # Lists and tuples are read in place; only other iterables
+        # (generators, arrays) are copied.
+        materialized = [row if isinstance(row, (list, tuple)) else list(row) for row in rows]
         if not materialized:
             if attribute_names is None:
                 raise DataError("cannot infer a schema from zero rows; pass attribute_names")

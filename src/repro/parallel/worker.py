@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.parallel.shm import BlockEntry, SharedPartitionBlock, attached_partition
-from repro.partition.vectorized import PartitionWorkspace, batched_products
+from repro.partition.vectorized import PartitionWorkspace, batched_products, single_threaded_kernel
 from repro.search.measures import ValidityCriteria, ValidityOutcome, evaluate_validity
 from repro.testing import faults
 
@@ -46,7 +46,9 @@ _RESULT_BLOCK_MIN_BYTES = 1 << 20
 
 
 def init_worker() -> None:
-    """Pool initializer: leave interrupt handling to the parent.
+    """Pool initializer: leave interrupt handling to the parent, and
+    keep the product kernel on one thread (the pool already uses the
+    cores).
 
     A terminal Ctrl-C delivers SIGINT to the whole foreground process
     group — parent *and* forked workers.  If workers die mid-queue the
@@ -55,6 +57,7 @@ def init_worker() -> None:
     (``ProcessLevelExecutor.close`` terminates, not joins).
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    single_threaded_kernel()
 
 
 @dataclass(frozen=True)

@@ -64,6 +64,21 @@ changes.  ``lx`` spans only ``classes_x`` values, so it sorts as
 :func:`_group_survivors` does this for ``product`` and the pooled
 kernel.
 
+Kernel threads
+--------------
+The products of one pooled-kernel call are independent, and numpy
+releases the interpreter lock in the sorts, gathers and compares that
+make up their time.  So a call with at least two left factors and at
+least ``_THREAD_MIN_ROWS`` right-factor rows runs each left factor's
+group (:func:`_left_factor_tasks`) on a module-level thread pool, each
+thread with its own probe workspace; smaller calls stay on the calling
+thread.  The pool has one thread per CPU in the process's affinity
+mask, so CPU affinity is what limits it.  The small tasks the groups
+return are pooled in group order exactly as on one thread, so results
+are byte-identical either way.  A forked child drops the parent's pool
+(:func:`_forget_pool`), and process-pool workers keep the kernel on one
+thread (:func:`single_threaded_kernel`).
+
 :func:`batched_error_counts` runs the same two kernels but stops once
 every task's rows are grouped: a product's ``e(π) = ||π̂|| - |π̂|`` is
 its surviving rows minus their groups, singletons included, so no
@@ -73,7 +88,9 @@ partitions are only ever needed for their ranks (Lemma 2).
 
 from __future__ import annotations
 
-import itertools
+import concurrent.futures
+import os
+import threading
 from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -83,6 +100,7 @@ from repro.partition.base import PartitionBase
 
 __all__ = [
     "INDEX_DTYPE", "CsrPartition", "PartitionWorkspace", "batched_error_counts", "batched_products",
+    "single_threaded_kernel",
 ]
 
 # The dtype of every index buffer: row ids, offsets, labels, the probe.
@@ -217,11 +235,11 @@ class CsrPartition(PartitionBase):
             # counters. Re-encode densely first (same partition).
             _, codes = np.unique(codes, return_inverse=True)
         counts = np.bincount(codes)
-        order = np.argsort(codes, kind="stable")
+        order = _stable_order(codes, counts.size)
         sorted_codes = codes[order]
         keep = counts[sorted_codes] >= 2
         indices = order[keep].astype(INDEX_DTYPE)
-        # The stable argsort keeps each class's rows ascending.
+        # The stable sort keeps each class's rows ascending.
         return cls._built(indices, _offsets_of(counts[counts >= 2]), num_rows, True)
 
     @classmethod
@@ -571,6 +589,70 @@ _DENSE_MAX_ROWS = 2048
 _DENSE_ELEMENT_BUDGET = 1 << 18
 
 
+# A pooled-kernel call with at least two left factors whose right
+# factors hold at least this many stripped rows in all runs its
+# left-factor groups on the kernel's thread pool.  Below it, handing
+# groups to threads costs more than the numpy passes it overlaps: a
+# dfd walk's few products per call, or a level of short partitions.
+_THREAD_MIN_ROWS = 1 << 16
+
+# The kernel's thread pool, started by the first call that can use it.
+# ``_pool_threads`` is its size: the CPUs this process may run on, read
+# once (None until then), or 1 where the kernel stays on the calling
+# thread.
+_pool: concurrent.futures.ThreadPoolExecutor | None = None
+_pool_threads: int | None = None
+_pool_lock = threading.Lock()
+_thread_state = threading.local()
+
+
+def _kernel_pool() -> concurrent.futures.ThreadPoolExecutor | None:
+    """The kernel's thread pool, or None where the kernel runs on one thread."""
+    global _pool, _pool_threads
+    with _pool_lock:
+        if _pool_threads is None:
+            try:
+                _pool_threads = len(os.sched_getaffinity(0))
+            except AttributeError:  # no affinity call on this platform
+                _pool_threads = os.cpu_count() or 1
+        if _pool_threads < 2:
+            return None
+        if _pool is None:
+            _pool = concurrent.futures.ThreadPoolExecutor(
+                _pool_threads, thread_name_prefix="repro-kernel"
+            )
+        return _pool
+
+
+def single_threaded_kernel() -> None:
+    """Run the pooled kernel on the calling thread for the rest of the
+    process.  Process-pool workers call this, so that N workers do not
+    start N x cores threads."""
+    global _pool_threads
+    with _pool_lock:
+        _pool_threads = 1
+
+
+def _forget_pool() -> None:
+    """In a forked child: drop the parent's pool, whose threads did not
+    survive the fork (work handed to it would never run), and its lock,
+    which another parent thread may have held."""
+    global _pool, _pool_threads, _pool_lock
+    _pool, _pool_threads, _pool_lock = None, None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _thread_workspace(num_rows: int) -> PartitionWorkspace:
+    """The calling pool thread's own workspace for ``num_rows`` rows."""
+    workspace = getattr(_thread_state, "workspace", None)
+    if workspace is None or workspace.num_rows != num_rows:
+        workspace = _thread_state.workspace = PartitionWorkspace(num_rows)
+    return workspace
+
+
 def _narrowest_key_dtype(keyspace: int) -> np.dtype:
     """Smallest signed dtype that can hold keys in ``[0, keyspace)``.
 
@@ -838,46 +920,95 @@ def _pooled_products(
 
     Tasks are taken grouped by left factor (in order of first
     appearance; each result depends only on its own pair), so each
-    left factor is scattered once per call.  Tasks of
-    at least ``_BATCH_SOLO_ROWS`` surviving rows are grouped one at a
-    time, smaller ones pooled into sub-batches of at most
-    ``_BATCH_ELEMENT_BUDGET`` rows, each grouped by one sort
-    (:func:`_group_survivors`).  With ``counts`` every result is the
-    product's ``e(π)`` instead of the partition.
+    left factor is scattered once per call (:func:`_left_factor_tasks`).
+    A call with several groups and at least ``_THREAD_MIN_ROWS``
+    right-factor rows runs its groups on the kernel's thread pool (see
+    "Kernel threads" above).  Tasks of at least ``_BATCH_SOLO_ROWS``
+    surviving rows are grouped one at a time, smaller ones pooled in
+    group order into sub-batches of at most ``_BATCH_ELEMENT_BUDGET``
+    rows, each grouped by one sort (:func:`_group_survivors`).  With
+    ``counts`` every result is the product's ``e(π)`` instead of the
+    partition.
     """
-    if workspace is None:
-        workspace = PartitionWorkspace(num_rows)
     by_left: dict[int, list[int]] = {}
+    right_rows = 0
     for position in positions:
         by_left.setdefault(id(pairs[position][0]), []).append(position)
-    pooled: list[_Task] = []
+        right_rows += pairs[position][1]._indices.size
+    groups = list(by_left.values())
+    pool = _kernel_pool() if len(groups) >= 2 and right_rows >= _THREAD_MIN_ROWS else None
+    if pool is None:
+        if workspace is None:
+            workspace = PartitionWorkspace(num_rows)
+        pooled = [
+            task
+            for group in groups
+            for task in _left_factor_tasks(pairs, group, results, num_rows, workspace, counts)
+        ]
+    else:
+        futures = [
+            pool.submit(_left_factor_tasks, pairs, group, results, num_rows, None, counts)
+            for group in groups
+        ]
+        # Every group finishes (and resets its probe) before a failure
+        # is raised, so no pool thread still works on this call after.
+        concurrent.futures.wait(futures)
+        pooled = [task for future in futures for task in future.result()]
+    batch: list[_Task] = []
+    elements = 0
+    for task in pooled:
+        if batch and elements + task[1].size > _BATCH_ELEMENT_BUDGET:
+            _group_survivors(batch, results, num_rows, counts)
+            batch, elements = [], 0
+        batch.append(task)
+        elements += task[1].size
+    if batch:
+        _group_survivors(batch, results, num_rows, counts)
+
+
+def _left_factor_tasks(
+    pairs: Sequence[tuple[CsrPartition, CsrPartition]],
+    positions: Sequence[int],
+    results: list,
+    num_rows: int,
+    workspace: PartitionWorkspace | None,
+    counts: bool,
+) -> list[_Task]:
+    """Solve the tasks at ``positions``, which share a left factor ``x``.
+
+    ``x`` is scattered into the probe once for all of them; each task's
+    surviving rows are gathered from its right factor.  Tasks of at
+    least ``_BATCH_SOLO_ROWS`` survivors are grouped here; the smaller
+    ones are returned, in order, for the caller to pool.  Without a
+    ``workspace`` (on a pool thread) the thread's own is used.
+    """
+    x = pairs[positions[0]][0]
+    if x._offsets.size == 1:
+        # A factor with no stripped classes kills every pair.
+        for position in positions:
+            results[position] = _no_product(num_rows, counts)
+        return []
+    if workspace is None:
+        workspace = _thread_workspace(num_rows)
+    # One scatter serves every task of ``x`` in the call, so its labels
+    # are not cached here: a factor that is only ever scattered (a dfd
+    # chain partition) stays half the size.
+    labels = x._label_cache
+    if labels is None:
+        labels = np.repeat(np.arange(x.num_classes, dtype=INDEX_DTYPE), x.class_sizes)
+    small: list[_Task] = []
     probe = workspace.probe
-    scattered: CsrPartition | None = None
     # The reset must run even when a gather raises (e.g. a corrupt
     # attached partition with out-of-range row ids): the workspace is
     # shared by the whole run, and a dirty probe silently corrupts every
     # later product.
     try:
-        for position in itertools.chain.from_iterable(by_left.values()):
-            x, y = pairs[position]
-            if x._offsets.size == 1 or y._offsets.size == 1:
-                # A factor with no stripped classes kills every pair.
+        probe[x._indices] = labels
+        for position in positions:
+            y = pairs[position][1]
+            if y._offsets.size == 1:
                 results[position] = _no_product(num_rows, counts)
                 continue
-            if scattered is not x:
-                if scattered is not None:
-                    probe[scattered._indices] = -1
-                scattered = x
-                # One scatter serves every task of ``x`` in the call, so
-                # its labels are not cached here: a factor that is only
-                # ever scattered (a dfd chain partition) stays half the
-                # size.
-                labels = x._label_cache
-                if labels is None:
-                    labels = np.repeat(
-                        np.arange(x.num_classes, dtype=INDEX_DTYPE), x.class_sizes
-                    )
-                probe[x._indices] = labels
             in_x = probe[y._indices]
             survivors = np.flatnonzero(in_x >= 0)
             if survivors.size == 0:
@@ -894,20 +1025,10 @@ def _pooled_products(
             if survivors.size >= _BATCH_SOLO_ROWS:
                 _group_survivors([task], results, num_rows, counts)
             else:
-                pooled.append(task)
+                small.append(task)
     finally:
-        if scattered is not None:
-            probe[scattered._indices] = -1
-    batch: list[_Task] = []
-    elements = 0
-    for task in pooled:
-        if batch and elements + task[1].size > _BATCH_ELEMENT_BUDGET:
-            _group_survivors(batch, results, num_rows, counts)
-            batch, elements = [], 0
-        batch.append(task)
-        elements += task[1].size
-    if batch:
-        _group_survivors(batch, results, num_rows, counts)
+        probe[x._indices] = -1
+    return small
 
 
 def batched_products(

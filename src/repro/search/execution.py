@@ -15,8 +15,8 @@ execution backend with this duck-typed surface:
 ``name`` / ``workers`` / ``usage``
     Identification and telemetry for the statistics view.
 
-:class:`SerialExecution` is the in-process backend — the single-core
-TANE loop, and the reference every other backend must match
+:class:`SerialExecution` is the in-process backend — the classic TANE
+loop, and the reference every other backend must match
 byte-for-byte.  The process-pool backend lives in
 :mod:`repro.parallel` and plugs in through the same surface; it
 subclasses nothing from this module on purpose (plugins depend on the
@@ -62,7 +62,7 @@ def serial_validity(
 
 
 class SerialExecution:
-    """Run every task inline — the classic single-core TANE loop.
+    """Run every task inline — the classic TANE loop.
 
     Products run through
     :func:`repro.partition.vectorized.batched_products` a batch at a

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import DataError, SchemaError
-from repro.model.relation import Relation
+from repro.model.relation import Relation, _encode_column
 
 
 class TestFromRows:
@@ -27,6 +27,31 @@ class TestFromRows:
     def test_codes_first_appearance_order(self):
         rel = Relation.from_rows([["b"], ["a"], ["b"]], ["A"])
         assert list(rel.column_codes(0)) == [0, 1, 0]
+
+    def test_encoding_matches_the_per_value_loop(self):
+        def reference(values):
+            table, decode, codes = {}, [], []
+            for value in values:
+                if value not in table:
+                    table[value] = len(decode)
+                    decode.append(value)
+                codes.append(table[value])
+            return codes, decode
+
+        nan, other_nan = float("nan"), float("nan")
+        values = ["b", 1, True, 1.0, None, "", nan, other_nan, nan, (1, 2), "b", 0, False]
+        codes, decode = _encode_column(values)
+        expected_codes, expected_decode = reference(values)
+        assert codes.dtype == np.int64
+        assert codes.tolist() == expected_codes
+        assert len(decode) == len(expected_decode)
+        assert all(a is b for a, b in zip(decode, expected_decode))
+
+    def test_rows_of_any_iterable(self):
+        rows = [[1, "x"], (2, "x"), iter([1, "y"]), np.array([3, 4])]
+        rel = Relation.from_rows(rows[:3], ["A", "B"])
+        assert rel.to_rows() == [(1, "x"), (2, "x"), (1, "y")]
+        assert Relation.from_rows([rows[3]]).num_attributes == 2
 
     def test_ragged_rejected(self):
         with pytest.raises(DataError, match="row 1"):

@@ -13,6 +13,8 @@ pooled kernel's probe handling force that kernel with the
 ``test_dense_products.py``).
 """
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -220,3 +222,86 @@ class TestCanonicalOrderingProperty:
         )
         on_vectorized_side = x.product(y)
         assert_identical(on_vectorized_side, on_small_side)
+
+
+@pytest.fixture(scope="module")
+def tall_levels():
+    """Three levels of pooled-kernel products, built on one thread.
+
+    The relation is taller than the dense kernel's limit.  Level k + 1
+    multiplies two level-k partitions that share all but their last
+    attribute, as the search does, so each level has several left
+    factors.  The mix of domains gives both tasks grouped alone and
+    small tasks pooled into sub-batches.
+    """
+    num_rows = 5000
+    rng = np.random.default_rng(7)
+    current = {
+        (attribute,): CsrPartition.from_column(rng.integers(0, domain, size=num_rows))
+        for attribute, domain in enumerate((2, 3, 4, 50, 400, 1500))
+    }
+    levels = []
+    for _ in range(3):
+        masks = sorted(current)
+        joined = [
+            (a, b) for i, a in enumerate(masks) for b in masks[i + 1 :] if a[:-1] == b[:-1]
+        ]
+        pairs = [(current[a], current[b]) for a, b in joined]
+        levels.append(pairs)
+        current = {a + b[-1:]: p for (a, b), p in zip(joined, batched_products(pairs))}
+    survivors = [
+        np.intersect1d(x.indices, y.indices).size for pairs in levels for x, y in pairs
+    ]
+    assert max(survivors) >= vectorized._BATCH_SOLO_ROWS
+    assert 0 < min(survivors) < vectorized._BATCH_SOLO_ROWS
+    return levels
+
+
+def fresh(partition):
+    """The partition rebuilt from its buffers, with no cached labels."""
+    return CsrPartition(partition.indices.copy(), partition.offsets.copy(), partition.num_rows)
+
+
+class TestKernelThreads:
+    """The threaded pooled kernel returns the single-thread bytes."""
+
+    @pytest.mark.parametrize("level", range(3))
+    def test_threaded_levels_byte_identical(self, tall_levels, kernel_threads, monkeypatch, level):
+        pairs = tall_levels[level]
+        with monkeypatch.context() as patch:
+            patch.setattr(vectorized, "_pool_threads", 1)
+            expected = batched_products(pairs)
+            expected_counts = batched_error_counts(pairs)
+        assert not kernel_threads
+        observed = batched_products(pairs)
+        assert kernel_threads, "the call did not run on the pool"
+        assert batched_error_counts(pairs) == expected_counts
+        for got, want in zip(observed, expected, strict=True):
+            assert_identical(got, want)
+            assert got._ascending == want._ascending
+            assert got._rows_ascending() == want._rows_ascending()
+        assert all((workspace.probe == -1).all() for workspace in kernel_threads)
+
+    def test_more_threads_than_cores_at_short_switch_interval(
+        self, tall_levels, kernel_threads, monkeypatch
+    ):
+        # Threads share the right factors' lazily cached labels and the
+        # results list; fresh factors make every call race to fill the
+        # label caches.
+        pairs = tall_levels[1]
+        with monkeypatch.context() as patch:
+            patch.setattr(vectorized, "_pool_threads", 1)
+            expected = [(p.indices, p.offsets) for p in batched_products(pairs)]
+        monkeypatch.setattr(vectorized, "_pool_threads", 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                rebuilt = {id(p): fresh(p) for pair in pairs for p in pair}
+                observed = batched_products([(rebuilt[id(x)], rebuilt[id(y)]) for x, y in pairs])
+                for got, (indices, offsets) in zip(observed, expected, strict=True):
+                    assert np.array_equal(got.indices, indices)
+                    assert np.array_equal(got.offsets, offsets)
+        finally:
+            sys.setswitchinterval(interval)
+        assert kernel_threads, "the calls did not run on the pool"
