@@ -117,10 +117,13 @@ measures-smoke:
 
 # Traversal-strategy smoke: the dfd/topk strategy suites (the dfd walk
 # must reproduce the levelwise cover and visit strictly fewer nodes on
-# the twin-column workload) and the from-singletons ablation helper.
+# the twin-column workload), the node engine's chain planning and
+# column-keyed chain products, and the from-singletons ablation helper.
 strategy-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/search/test_dfd.py \
 	  tests/search/test_topk.py tests/search/test_strategy.py \
+	  tests/search/test_chain_planning.py \
+	  tests/partition/test_column_products.py \
 	  tests/verify/test_compare_strategy.py \
 	  tests/resilience/test_checkpoint_formats.py \
 	  tests/core/test_measures_and_strategies.py -q

@@ -99,9 +99,21 @@ class Relation:
             empty = [np.empty(0, dtype=_CODE_DTYPE) for _ in schema]
             return cls(schema, empty, [[] for _ in schema])
         width = len(materialized[0])
-        for position, row in enumerate(materialized):
-            if len(row) != width:
-                raise DataError(f"row {position} has {len(row)} values, expected {width}")
+        if len(set(map(len, materialized))) > 1:
+            for position, row in enumerate(materialized):
+                if len(row) != width:
+                    raise DataError(f"row {position} has {len(row)} values, expected {width}")
+        return cls._from_equal_width_rows(materialized, attribute_names)
+
+    @classmethod
+    def _from_equal_width_rows(
+        cls,
+        rows: Sequence[Sequence[Any]],
+        attribute_names: Sequence[str] | None,
+    ) -> "Relation":
+        """:meth:`from_rows` for a non-empty list of rows whose widths
+        the caller has already checked to be equal."""
+        width = len(rows[0])
         if attribute_names is None:
             attribute_names = [f"col{i}" for i in range(width)]
         schema = RelationSchema(attribute_names)
@@ -110,7 +122,7 @@ class Relation:
         codes: list[np.ndarray] = []
         decode: list[list[Any]] = []
         for column_index in range(width):
-            column_codes, column_decode = _encode_column([row[column_index] for row in materialized])
+            column_codes, column_decode = _encode_column([row[column_index] for row in rows])
             codes.append(column_codes)
             decode.append(column_decode)
         return cls(schema, codes, decode)

@@ -38,19 +38,24 @@ shipping, and golden comparisons all compare raw buffers):
   :meth:`CsrPartition._rows_ascending`; a non-ascending right factor
   keeps its products off the dense kernel.
 
-Products take one of three paths, selected by input properties only:
+Products take one of four paths, selected by input properties only:
 
 * a single ``product`` call whose stripped sizes sum to at most
   ``_SMALL_PRODUCT_THRESHOLD`` probes a Python dict
-  (``_product_small``); larger ones scatter into the shared probe and
-  group the surviving rows by their left label (below);
+  (``_product_small``); larger ones go to the pooled kernel on one
+  task (the last two paths);
 * :func:`batched_products` over a relation of at most
   ``_DENSE_MAX_ROWS`` rows builds one label matrix for a chunk's
   factors and groups every task with one row-wise sort — a fixed
   number of numpy passes per chunk, whatever the number of tasks;
-* :func:`batched_products` over a taller relation reuses probe
-  scatters across tasks sharing a left factor and pools small tasks
-  into sub-batches grouped together.
+* over a taller relation, the pooled kernel: a call whose right
+  factors hold fewer than ``_THREAD_MIN_ROWS`` stripped rows solves
+  every task whose right factor was built by ``from_column`` (and
+  whose left factor ascends) by grouping the left factor's rows by
+  their value code, every such task in one sort (below);
+* the pooled kernel's other tasks reuse probe scatters across tasks
+  sharing a left factor, group the surviving rows by their left label
+  (below) and pool small tasks into sub-batches grouped together.
 
 Left-label grouping
 -------------------
@@ -63,6 +68,24 @@ changes.  ``lx`` spans only ``classes_x`` values, so it sorts as
 16-bit digits in linear-time radix passes (:func:`_stable_order`).
 :func:`_group_survivors` does this for ``product`` and the pooled
 kernel.
+
+Column-keyed products
+---------------------
+A product by one attribute's partition, ``π_X · π_{A}``, is ``π_X``'s
+rows grouped by their class in ``π_X`` and their value code of ``A``.
+So :meth:`CsrPartition.from_column` keeps a reference to the code
+array it grouped (for a relation's column, the relation's own buffer:
+no copy) and its code-space width; every other constructor,
+``attach``, disk-store spills and shared-memory shipping leave the
+partition without one.  :func:`_column_products` keys each row of
+every such task's left factor by ``(task, left class, code)`` and
+groups all of them with one stable sort.  Codes order as the column's
+classes do and the left factor's rows ascend, so the classes come out
+in the canonical layout, byte-identical to the probe path, and a code
+that occurs once gives a singleton group that is stripped.  Holders
+that outlive a run (the cross-run partition cache) keep a column-free
+twin (:meth:`CsrPartition.without_column`), so they never pin a
+relation's codes outside their byte accounting.
 
 Kernel threads
 --------------
@@ -89,6 +112,7 @@ partitions are only ever needed for their ranks (Lemma 2).
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
 import os
 import threading
 from collections.abc import Iterable, Iterator, Sequence
@@ -168,6 +192,7 @@ class CsrPartition(PartitionBase):
     __slots__ = (
         "_indices", "_offsets", "_num_rows", "_error_count",
         "_sizes", "_label_cache", "_list_cache", "_table_cache", "_ascending",
+        "_column", "_column_width",
     )
 
     def __init__(self, indices: np.ndarray, offsets: np.ndarray, num_rows: int) -> None:
@@ -204,6 +229,11 @@ class CsrPartition(PartitionBase):
         # Rows ascend inside every class: True when a constructor or
         # product guarantees it, None until checked (raw buffers).
         self._ascending = ascending
+        # The value codes this partition groups, and their code-space
+        # width, when it was built from a column (see "Column-keyed
+        # products" above); None for every other partition.
+        self._column: np.ndarray | None = None
+        self._column_width = 0
 
     @property
     def error_count(self) -> int:
@@ -230,17 +260,41 @@ class CsrPartition(PartitionBase):
                 f"negative value code {int(codes[row])} at row {row}; "
                 "column codes must be non-negative integers"
             )
-        if int(codes.max()) > 2 * num_rows + 1024:
-            # Sparse code space: bincount would allocate max(code)+1
-            # counters. Re-encode densely first (same partition).
-            _, codes = np.unique(codes, return_inverse=True)
+        codes = _dense_code_space(codes)
         counts = np.bincount(codes)
         order = _stable_order(codes, counts.size)
         sorted_codes = codes[order]
         keep = counts[sorted_codes] >= 2
         indices = order[keep].astype(INDEX_DTYPE)
         # The stable sort keeps each class's rows ascending.
-        return cls._built(indices, _offsets_of(counts[counts >= 2]), num_rows, True)
+        partition = cls._built(indices, _offsets_of(counts[counts >= 2]), num_rows, True)
+        # A reference, not a copy: for a relation's column this is the
+        # relation's own buffer.
+        partition._column, partition._column_width = codes, counts.size
+        return partition
+
+    def with_column(self, codes: Sequence[int] | np.ndarray) -> "CsrPartition":
+        """A new partition over the same buffers that carries ``codes``.
+
+        ``codes`` must be the column this partition groups (as for
+        :meth:`from_column`); a partition cache serves its entries
+        through such a wrapper, so that the cached object itself never
+        holds a run's codes.
+        """
+        codes = _dense_code_space(np.asarray(codes, dtype=np.int64))
+        partition = CsrPartition._built(
+            self._indices, self._offsets, self._num_rows, self._ascending
+        )
+        if codes.size:
+            partition._column, partition._column_width = codes, int(codes.max()) + 1
+        return partition
+
+    def without_column(self) -> "CsrPartition":
+        """``self`` when it carries no column, else a column-free twin
+        over the same buffers (for holders that outlive the relation)."""
+        if self._column is None:
+            return self
+        return CsrPartition._built(self._indices, self._offsets, self._num_rows, self._ascending)
 
     @classmethod
     def from_classes(cls, classes: Iterable[Sequence[int]], num_rows: int) -> "CsrPartition":
@@ -680,6 +734,18 @@ def _offsets_of(sizes) -> np.ndarray:
     return offsets
 
 
+def _dense_code_space(codes: np.ndarray) -> np.ndarray:
+    """``codes``, re-encoded densely when their code space is sparse.
+
+    bincount and the column-keyed kernel's keys span ``max(code) + 1``
+    values, so a sparse column is first mapped to ranks (same
+    partition, same class order).
+    """
+    if codes.size and int(codes.max()) > 2 * codes.size + 1024:
+        _, codes = np.unique(codes, return_inverse=True)
+    return codes
+
+
 def _stable_order(keys: np.ndarray, keyspace: int) -> np.ndarray:
     """Stable argsort of non-negative ``keys`` below ``keyspace``.
 
@@ -710,10 +776,8 @@ def _group_survivors(
     The tasks are laid end to end, each task's ``lx`` shifted past the
     class counts of the tasks before it, so one stable sort by the
     shifted ``lx`` keeps tasks contiguous and orders each one
-    canonically (see "Left-label grouping" above).
-    ``results[position]`` receives each product, or with ``counts`` its
-    ``e(π)``: surviving rows minus groups.  A batch's results own their
-    buffers.
+    canonically (see "Left-label grouping" above).  The groups are
+    split into results by :func:`_split_groups`.
     """
     sizes = [task[1].size for task in tasks]
     if len(tasks) == 1:
@@ -728,37 +792,116 @@ def _group_survivors(
         rows = np.concatenate([task[1] for task in tasks])
         right = np.concatenate([task[3] for task in tasks])
     order = _stable_order(keys, keyspace)
-    sorted_keys = keys[order]
-    sorted_right = right[order]
-    opens = np.empty(order.size, dtype=bool)
-    opens[0] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=opens[1:])
-    opens[1:] |= sorted_right[1:] != sorted_right[:-1]
-    starts = np.flatnonzero(opens)
+    edges = _group_edges(keys[order], right[order])
+    _split_groups(
+        [(task[0], task[5]) for task in tasks], sizes, rows, order, edges,
+        results, num_rows, counts,
+    )
+
+
+def _group_edges(*sorted_keys: np.ndarray) -> np.ndarray:
+    """Where groups open in sorted rows: at each change of any of
+    ``sorted_keys``, then one past the last row."""
+    first = sorted_keys[0]
+    opens = np.empty(first.size + 1, dtype=bool)
+    opens[0] = opens[-1] = True
+    np.not_equal(first[1:], first[:-1], out=opens[1:-1])
+    for keys in sorted_keys[1:]:
+        opens[1:-1] |= keys[1:] != keys[:-1]
+    return opens.nonzero()[0]
+
+
+def _split_groups(
+    outputs: Sequence[tuple[int, CsrPartition]],
+    sizes: Sequence[int],
+    rows: np.ndarray,
+    order: np.ndarray,
+    edges: np.ndarray,
+    results: list,
+    num_rows: int,
+    counts: bool,
+) -> None:
+    """Turn one sort's groups into the results of the tasks laid out in it.
+
+    ``rows`` holds the tasks' rows end to end, ``sizes[t]`` of them for
+    task ``t``; ``order`` sorts them task by task into groups, which
+    start at ``edges`` (in sorted order; the last edge is the end).
+    ``outputs[t]`` is task ``t``'s ``(position, right factor)``.
+    ``results[position]`` receives each product, its singleton groups
+    stripped, or with ``counts`` its ``e(π)``: rows minus groups.  A
+    batch's results own their buffers.
+    """
     # Groups opened before each task's end, i.e. up to that task.
-    group_bounds = np.concatenate(([0], np.searchsorted(starts, np.cumsum(sizes))))
+    group_bounds = edges.searchsorted([0, *itertools.accumulate(sizes)]).tolist()
     if counts:
-        errors = np.asarray(sizes) - np.diff(group_bounds)
-        for task, error in zip(tasks, errors.tolist()):
-            results[task[0]] = error
+        for index, ((position, _y), size) in enumerate(zip(outputs, sizes)):
+            results[position] = size - (group_bounds[index + 1] - group_bounds[index])
         return
-    group_sizes = np.diff(starts, append=order.size)
+    group_sizes = edges[1:] - edges[:-1]
     multi = group_sizes >= 2
-    indices = rows[order[np.repeat(multi, group_sizes)]]
+    indices = rows[order[multi.repeat(group_sizes)]]
     offsets = _offsets_of(group_sizes[multi])
     # Each task's kept classes, as bounds into ``offsets``.
-    class_bounds = np.concatenate(([0], np.cumsum(multi)))[group_bounds].tolist()
+    class_bounds = _offsets_of(multi)[group_bounds].tolist()
     element_bounds = offsets[class_bounds].tolist()
-    for index, (position, _rows, _lx, _ly, _classes, y) in enumerate(tasks):
+    for index, (position, y) in enumerate(outputs):
         first, stop = class_bounds[index], class_bounds[index + 1]
         start, end = element_bounds[index], element_bounds[index + 1]
         if first == stop:
             results[position] = CsrPartition.empty(num_rows)
             continue
-        task_indices = indices if len(tasks) == 1 else indices[start:end].copy()
+        task_indices = indices if len(outputs) == 1 else indices[start:end].copy()
         results[position] = CsrPartition._built(
             task_indices, offsets[first:stop + 1] - start, num_rows, _inherited_order(y)
         )
+
+
+def _column_products(
+    tasks: Sequence[tuple[int, CsrPartition, CsrPartition]],
+    results: list,
+    num_rows: int,
+    counts: bool,
+) -> None:
+    """Solve ``(position, x, y)`` tasks whose ``y`` carries its column.
+
+    ``x · y`` is ``x``'s rows grouped by their class in ``x`` and their
+    value code in ``y``'s column.  Every task's ``x`` rows are laid end
+    to end, each keyed by ``base + label_x * width_y + code_y``, where
+    ``base`` shifts a task's keys past those of the tasks before it;
+    one stable sort then groups every task at once.  Codes order as
+    ``y``'s classes do, ``x``'s rows ascend and the sort is stable, so
+    the groups come out in the canonical layout.  A row whose code is
+    unique in the column forms a singleton group, stripped like the
+    rest.  Labels come from the class sizes, so no factor gains a
+    cached label array.
+    """
+    live = []
+    for position, x, y in tasks:
+        if x._offsets.size == 1 or y._offsets.size == 1:
+            # A factor with no stripped classes kills every pair.
+            results[position] = _no_product(num_rows, counts)
+        else:
+            live.append((position, x, y))
+    if not live:
+        return
+    # Class c of a task's x spans the keys [base_c, base_c + width_y):
+    # the bases step by width_y through each task's classes.
+    strides = np.repeat(
+        np.array([y._column_width for _position, _x, y in live], dtype=np.int64),
+        [x._offsets.size - 1 for _position, x, _y in live],
+    )
+    bases = strides.cumsum()
+    keyspace = int(bases[-1])
+    bases -= strides
+    keys = bases.repeat(np.concatenate([x.class_sizes for _position, x, _y in live]))
+    keys += np.concatenate([y._column.take(x._indices) for _position, x, y in live])
+    order = _stable_order(keys, keyspace)
+    _split_groups(
+        [(position, y) for position, _x, y in live],
+        [x._indices.size for _position, x, _y in live],
+        np.concatenate([x._indices for _position, x, _y in live]),
+        order, _group_edges(keys[order]), results, num_rows, counts,
+    )
 
 
 def _dense_products(
@@ -918,7 +1061,11 @@ def _pooled_products(
 ) -> None:
     """Solve the tasks at ``positions`` over shared probe scatters.
 
-    Tasks are taken grouped by left factor (in order of first
+    In a call whose right factors hold fewer than ``_THREAD_MIN_ROWS``
+    stripped rows, the tasks whose right factor carries its column and
+    whose left factor's rows ascend take the column-keyed path instead
+    (:func:`_column_products`; see "Column-keyed products" above).
+    The other tasks are taken grouped by left factor (in order of first
     appearance; each result depends only on its own pair), so each
     left factor is scattered once per call (:func:`_left_factor_tasks`).
     A call with several groups and at least ``_THREAD_MIN_ROWS``
@@ -930,11 +1077,25 @@ def _pooled_products(
     ``counts`` every result is the product's ``e(π)`` instead of the
     partition.
     """
+    positions = list(positions)
+    right_rows = sum(pairs[position][1]._indices.size for position in positions)
+    if right_rows < _THREAD_MIN_ROWS:
+        keyed = []
+        probed = []
+        for position in positions:
+            x, y = pairs[position]
+            if y._column is not None and x._rows_ascending():
+                keyed.append((position, x, y))
+            else:
+                probed.append(position)
+        if keyed:
+            _column_products(keyed, results, num_rows, counts)
+            if not probed:
+                return
+        positions = probed
     by_left: dict[int, list[int]] = {}
-    right_rows = 0
     for position in positions:
         by_left.setdefault(id(pairs[position][0]), []).append(position)
-        right_rows += pairs[position][1]._indices.size
     groups = list(by_left.values())
     pool = _kernel_pool() if len(groups) >= 2 and right_rows >= _THREAD_MIN_ROWS else None
     if pool is None:

@@ -140,12 +140,16 @@ class PartitionManager:
         self._singletons = []
         for i in range(self.num_attributes):
             mask = _bitset.bit(i)
+            codes = self.relation.column_codes(i)
             partition = self._cache_get(mask)
             if partition is None:
-                partition = self.partition_cls.from_column(
-                    self.relation.column_codes(i), self.num_rows
-                )
+                partition = self.partition_cls.from_column(codes, self.num_rows)
                 self._cache_put(mask, partition)
+            elif isinstance(partition, CsrPartition):
+                # The cached entry is shared and column-free; this run's
+                # singleton carries this run's codes (column-keyed
+                # products) in a fresh wrapper.
+                partition = partition.with_column(codes)
             self._singletons.append(partition)
             self.store.put(mask, partition)
         return [_bitset.bit(i) for i in range(self.num_attributes)]
@@ -164,6 +168,10 @@ class PartitionManager:
     def _cache_put(self, mask: int, partition) -> None:
         if self._cache is None or _bitset.popcount(mask) > self._cache_levels:
             return
+        if isinstance(partition, CsrPartition):
+            # The cache outlives the run: it must not pin the relation's
+            # code arrays outside its byte accounting.
+            partition = partition.without_column()
         indices = getattr(partition, "indices", None)
         if indices is not None and getattr(indices, "base", None) is not None:
             # A parallel run's products can be views over a shared-memory
@@ -356,14 +364,19 @@ class PartitionManager:
         (ties to the smallest mask, for determinism); falls back to the
         lowest singleton.  Sizes are tried from the largest down, so
         only the resident masks of the sizes above the answer are
-        scanned."""
+        scanned; at the size just below ``mask``, its immediate subsets
+        are looked up instead when they are fewer."""
         indices = _bitset.to_indices(mask)
         for size in range(len(indices) - 1, 1, -1):
-            found = [
-                resident
-                for resident in self._resident_by_size.get(size, ())
-                if resident & ~mask == 0
-            ]
+            residents = self._resident_by_size.get(size, ())
+            if size == len(indices) - 1 and len(indices) < len(residents):
+                found = [
+                    subset
+                    for _index, subset in _bitset.iter_subsets_one_smaller(mask)
+                    if subset in residents
+                ]
+            else:
+                found = [resident for resident in residents if resident & ~mask == 0]
             if found:
                 return min(found)
         return _bitset.bit(indices[0])

@@ -54,6 +54,13 @@ class TestReadCsv:
         with pytest.raises(DataError, match="fields"):
             read_csv(path)
 
+    def test_ragged_message_names_the_first_ragged_row(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text("a,b\n1,2\n3,4\n5,6,7\n8\n")
+        with pytest.raises(DataError) as raised:
+            read_csv(path)
+        assert str(raised.value) == f"{path}: row 3 has 3 fields, expected 2"
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "blank.csv"
         path.write_text("a,b\n1,2\n\n3,4\n")

@@ -57,6 +57,12 @@ class TestFromRows:
         with pytest.raises(DataError, match="row 1"):
             Relation.from_rows([[1, 2], [1]], ["A", "B"])
 
+    def test_ragged_message_names_the_first_ragged_row(self):
+        rows = [[1, 2], [3, 4], [5, 6, 7], [8]]
+        with pytest.raises(DataError) as raised:
+            Relation.from_rows(rows, ["A", "B"])
+        assert str(raised.value) == "row 2 has 3 values, expected 2"
+
     def test_empty_needs_names(self):
         with pytest.raises(DataError):
             Relation.from_rows([])
