@@ -32,19 +32,17 @@ perfbench-smoke:
 	$(PYTHON) perfbench/run.py --workload all --smoke --trace 1 > /dev/null
 
 # Import-layering gate: repro.search must not reach up into the
-# plugin layers (repro.parallel / repro.obs / repro.core.checkpoint).
+# plugin layers (repro.obs / repro.core.checkpoint).
 layers:
 	$(PYTHON) tools/check_layers.py
 
-# End-to-end observability smoke: record a trace (serial and parallel),
-# assert it is non-empty, and render the report from it.
+# End-to-end observability smoke: record a trace, assert it is
+# non-empty, and render the report from it.
 trace-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.cli discover examples/data/orders.csv --trace /tmp/repro-trace.jsonl > /dev/null
 	test -s /tmp/repro-trace.jsonl
 	PYTHONPATH=src $(PYTHON) -m repro.cli trace-report /tmp/repro-trace.jsonl > /dev/null
-	PYTHONPATH=src $(PYTHON) -m repro.cli discover examples/data/orders.csv --workers 2 --trace /tmp/repro-trace-par.jsonl > /dev/null
-	PYTHONPATH=src $(PYTHON) -m repro.cli trace-report /tmp/repro-trace-par.jsonl | grep "worker utilization" > /dev/null
-	rm -f /tmp/repro-trace.jsonl /tmp/repro-trace-par.jsonl
+	rm -f /tmp/repro-trace.jsonl
 
 # Telemetry smoke (extends trace-smoke): one instrumented discover run
 # producing the event stream, profiler sidecar, and metrics snapshots;
@@ -78,8 +76,7 @@ obs-smoke:
 	  /tmp/repro-obs.snapshots.jsonl /tmp/repro-obs.export.prom
 
 # Fault-tolerance smoke: the resilience suite (checkpoint/resume,
-# worker-kill recovery, crash-path store errors) plus a CLI
-# checkpoint/resume round trip.
+# crash-path store errors) plus a CLI checkpoint/resume round trip.
 fault-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/resilience tests/partition/test_store_faults.py -q
 	rm -rf /tmp/repro-ckpt
@@ -90,7 +87,7 @@ fault-smoke:
 	rm -rf /tmp/repro-ckpt /tmp/repro-ckpt-first.out /tmp/repro-ckpt-second.out
 
 # Differential/metamorphic verification smoke: the harness's smoke-marked
-# end-to-end tests, then a real fuzz campaign over the serial matrix.
+# end-to-end tests, then a real fuzz campaign over the smoke matrix.
 # Mismatches write minimized repro cases to .verify-failures/.
 verify-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/verify -m smoke -q
@@ -128,9 +125,10 @@ strategy-smoke:
 	  tests/resilience/test_checkpoint_formats.py \
 	  tests/core/test_measures_and_strategies.py -q
 
-# Multi-core gate (CI runs this on a 4-core runner): the multicore
-# test marker — serial/process parity, and
-# tests/parallel/test_multicore_speedup.py as the speedup gate.
+# Multi-core gate: the multicore test marker (auto-skipped on one CPU)
+# — tests/partition/test_kernel_speedup.py, where the affinity-sized
+# kernel thread pool must beat one thread with identical results, and
+# the kernel-thread parity tests.
 multicore-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest -m multicore -q
 

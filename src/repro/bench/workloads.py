@@ -12,7 +12,6 @@ and the ε-behaviour.  See EXPERIMENTS.md for the recorded comparison.
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Callable
 
 from repro import _bitset
@@ -29,9 +28,9 @@ from repro.datasets.uci import (
     make_wisconsin_like,
 )
 from repro.model.relation import Relation
-from repro.parallel.executor import SerialLevelExecutor
 from repro.partition.pure import PurePartition
 from repro.partition.vectorized import CsrPartition, PartitionWorkspace
+from repro.search.execution import SerialExecution
 
 __all__ = [
     "run_table1",
@@ -44,7 +43,6 @@ __all__ = [
     "run_ablation_g3_bounds",
     "run_ablation_strategy",
     "FromSingletonsExecutor",
-    "run_parallel_speedup",
 ]
 
 INFEASIBLE = "*"
@@ -388,7 +386,7 @@ def run_ablation_pruning(scale: str | BenchScale | None = None) -> Table:
     return table
 
 
-class FromSingletonsExecutor(SerialLevelExecutor):
+class FromSingletonsExecutor(SerialExecution):
     """Serial executor that rebuilds every candidate from singletons.
 
     The paper's model of Schlimmer's decision-tree approach (Section 6):
@@ -479,59 +477,6 @@ def run_ablation_engine(scale: str | BenchScale | None = None) -> Table:
     table.add_row("vectorized CSR", len(pairs), csr_run.seconds)
     if csr_run.seconds > 0:
         table.add_note(f"speedup: {pure_run.seconds / csr_run.seconds:.1f}x")
-    return table
-
-
-def run_parallel_speedup(
-    scale: str | BenchScale | None = None,
-    workers: int = 4,
-    rows_target: int = 100_000,
-) -> Table:
-    """Serial vs process-executor discovery on large workloads.
-
-    Replicates the Wisconsin dataset to at least ``rows_target`` rows
-    (the regime the parallel engine targets; smoke scale stays small)
-    and runs exact plus ``epsilon = 0.01`` discovery under both
-    executors, checking that they return the same result.
-    """
-    scale = resolve_scale(scale)
-    wisconsin = _dataset("wisconsin", scale)
-    if scale.name == "smoke":
-        multiple = max(scale.wbc_multiples)
-    else:
-        multiple = -(-rows_target // wisconsin.num_rows)  # ceil division
-    relation = replicate_with_unique_suffix(wisconsin, multiple)
-    table = Table(
-        title=f"Parallel executor (scale={scale.name}, workers={workers}): "
-        "serial vs process",
-        columns=["workload", "|r|", "serial s", "process s", "speedup",
-                 "identical", "chunks", "shm MiB"],
-    )
-    for label, epsilon in ((f"wisconsin x{multiple} exact", 0.0),
-                           (f"wisconsin x{multiple} eps=0.01", 0.01)):
-        serial = measure(lambda e=epsilon: discover(relation, TaneConfig(epsilon=e)))
-        process = measure(
-            lambda e=epsilon: discover(
-                relation, TaneConfig(epsilon=e, executor="process", workers=workers)
-            )
-        )
-        identical = (
-            serial.result.dependencies == process.result.dependencies
-            and serial.result.keys == process.result.keys
-        )
-        stats = process.result.statistics
-        table.add_row(
-            label, relation.num_rows, serial.seconds, process.seconds,
-            round(serial.seconds / process.seconds, 3) if process.seconds else INFEASIBLE,
-            identical, stats.worker_chunks,
-            round(stats.shm_bytes_shipped / (1024 * 1024), 2),
-        )
-    cores = os.cpu_count() or 1
-    table.add_note(f"host has {cores} CPU core(s); process pools cannot beat "
-                   "serial without multiple cores" if cores < 2 else
-                   f"host has {cores} CPU cores")
-    table.add_note("identical=True asserts the process executor returned the "
-                   "same dependencies and keys as serial")
     return table
 
 

@@ -14,16 +14,16 @@ Subcommands
 ``dataset``
     Materialize one of the built-in benchmark datasets as CSV.
 ``trace-report``
-    Render a ``--trace`` JSONL file as per-level phase timings, store
-    I/O, and worker utilization (``--profile`` adds the sampling
-    profiler's tables from the sidecar).
+    Render a ``--trace`` JSONL file as per-level phase timings and
+    store I/O (``--profile`` adds the sampling profiler's tables from
+    the sidecar).
 ``export-metrics``
     Convert a ``--metrics-snapshots`` JSONL file into Prometheus text
     exposition.
 ``verify``
     Fuzz the configuration matrix: run seeded synthetic relations
-    through every executor/engine/store/checkpoint cell, diff the
-    results cell-by-cell and against independent oracles, apply
+    through every engine/store/checkpoint/tracing/ablation cell, diff
+    the results cell-by-cell and against independent oracles, apply
     metamorphic transformations, and serialize shrunk repro cases for
     any mismatch.
 ``serve``
@@ -110,9 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     discover_parser.add_argument("--dfd-seed", type=int, default=0,
                                  help="random-walk seed for --strategy dfd "
                                       "(same seed => identical walk)")
-    discover_parser.add_argument("--workers", type=int, default=0,
-                                 help="shard each lattice level across N worker "
-                                      "processes (0 = serial)")
     discover_parser.add_argument("--partition-cache", action="store_true",
                                  help="reuse singleton/low-level partitions "
                                       "across runs in this process via the "
@@ -184,12 +181,10 @@ def build_parser() -> argparse.ArgumentParser:
         "target",
         choices=["table1", "table2", "table3", "figure3", "figure4",
                  "ablation-pruning", "ablation-engine", "ablation-g3",
-                 "ablation-strategy", "parallel"],
+                 "ablation-strategy"],
     )
     bench_parser.add_argument("--scale", choices=list(SCALES), default=None,
                               help="workload scale (default: REPRO_BENCH_SCALE or quick)")
-    bench_parser.add_argument("--workers", type=int, default=4,
-                              help="process-pool size of the parallel target (default: 4)")
 
     dataset_parser = subparsers.add_parser("dataset", help="materialize a benchmark dataset")
     dataset_parser.add_argument("name", choices=sorted(DATASET_BUILDERS) + ["chess"])
@@ -200,8 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace_parser = subparsers.add_parser(
         "trace-report",
-        help="render a --trace JSONL file: per-level phase timings, "
-             "store I/O, worker utilization",
+        help="render a --trace JSONL file: per-level phase timings "
+             "and store I/O",
     )
     trace_parser.add_argument("trace", help="JSONL trace written by 'discover --trace'")
     trace_parser.add_argument("--profile", action="store_true",
@@ -236,10 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify_parser.add_argument("--seed-base", type=int, default=0,
                                help="first seed (shard campaigns by offsetting this)")
     verify_parser.add_argument("--matrix", choices=["smoke", "full"], default="smoke",
-                               help="config-cell set: smoke (serial cells) or "
-                                    "full (adds process-executor cells)")
-    verify_parser.add_argument("--workers", type=int, default=2,
-                               help="pool size for the full matrix's process cells")
+                               help="config-cell set: smoke or full (adds "
+                                    "checkpoint cells for the disk store and "
+                                    "the pure engine)")
     verify_parser.add_argument("--failure-dir", metavar="DIR", default=".verify-failures",
                                help="directory for minimized failure cases "
                                     "(default .verify-failures)")
@@ -340,7 +334,7 @@ class _ProgressPrinter:
         elif kind == "phase_start":
             self._phase = payload["phase"]
             self._draw(event.elapsed)
-        elif kind in ("phase_end", "heartbeat"):
+        elif kind == "phase_end":
             if "eta_seconds" in payload:
                 self._eta = payload["eta_seconds"]
             self._draw(event.elapsed)
@@ -424,7 +418,6 @@ def _cmd_discover(args: argparse.Namespace) -> int:
         measure=args.measure,
         rfi_samples=args.rfi_samples,
         rfi_seed=args.rfi_seed,
-        workers=args.workers,
         strategy=args.strategy,
         top_k=args.top_k,
         topk_rank=args.topk_rank,
@@ -487,17 +480,6 @@ def _cmd_discover(args: argparse.Namespace) -> int:
         if stats.cache_hits or stats.cache_misses:
             print(f"partition cache: hits={stats.cache_hits} "
                   f"misses={stats.cache_misses}")
-        if stats.executor != "serial":
-            print(f"executor: {stats.executor} workers={stats.workers_used} "
-                  f"chunks={stats.worker_chunks} "
-                  f"busy={stats.worker_busy_seconds:.2f}s "
-                  f"shm={stats.shm_bytes_shipped}B "
-                  f"saved={stats.shm_bytes_saved}B")
-            if stats.chunk_retries or stats.pool_respawns or stats.executor_degraded:
-                print(f"recovery: retries={stats.chunk_retries} "
-                      f"respawns={stats.pool_respawns} "
-                      f"serial-fallbacks={stats.serial_chunk_fallbacks} "
-                      f"degraded={stats.executor_degraded}")
     if args.trace is not None:
         print(f"trace written to {args.trace} "
               f"(render with: repro trace-report {args.trace})", file=sys.stderr)
@@ -594,9 +576,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             for series in series_map.values():
                 print("  " + series.format())
         return 0
-    if args.target == "parallel":
-        print(workloads.run_parallel_speedup(args.scale, workers=args.workers).format())
-        return 0
     runner = {
         "table1": workloads.run_table1,
         "table2": workloads.run_table2,
@@ -647,7 +626,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             seed_base=args.seed_base,
             workdir=workdir,
             failure_dir=args.failure_dir,
-            workers=args.workers,
             metamorphic=not args.no_metamorphic,
             measure_checks=not args.no_measure_checks,
             progress=progress,

@@ -28,7 +28,6 @@ if TYPE_CHECKING:
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.profile import ProfileReport
     from repro.obs.trace import Tracer
-    from repro.parallel.executor import ExecutorUsage
 
 __all__ = ["SearchStatistics", "DiscoveryResult"]
 
@@ -82,48 +81,12 @@ class SearchStatistics:
     peak_resident_bytes: int = 0
     """Peak bytes of partitions held in memory by the store."""
 
-    executor: str = "serial"
-    """Name of the level executor that ran the search."""
-
-    workers_used: int = 0
-    """Distinct pool workers that executed at least one chunk (0 when
-    the search ran serially)."""
-
-    worker_chunks: int = 0
-    """Task shards dispatched to the pool."""
-
-    worker_busy_seconds: float = 0.0
-    """Cumulative busy time across all pool workers.  Can exceed
-    :attr:`elapsed_seconds` when shards genuinely overlap."""
-
-    shm_bytes_shipped: int = 0
-    """Bytes of CSR buffers exported to shared memory for workers."""
-
-    shm_bytes_saved: int = 0
-    """Bytes already resident in workers' shared memory that delta
-    shipping avoided re-exporting (0 for serial runs)."""
-
     cache_hits: int = 0
     """Partitions served by the cross-run partition cache (0 with the
     default ``partition_cache="off"``)."""
 
     cache_misses: int = 0
     """Cache lookups that missed and fell through to computation."""
-
-    chunk_retries: int = 0
-    """Chunks re-submitted to the pool after an in-worker exception."""
-
-    pool_respawns: int = 0
-    """Worker pools recreated after a worker died abruptly (SIGKILL,
-    OOM); 0 for undisturbed runs."""
-
-    serial_chunk_fallbacks: int = 0
-    """Chunks that exhausted their pool retries and ran serially in
-    the driver process."""
-
-    executor_degraded: bool = False
-    """True when repeated pool deaths demoted the remainder of the run
-    to serial execution (results are identical either way)."""
 
     @classmethod
     def from_metrics(cls, metrics: "MetricsRegistry", measure: str = "g3") -> "SearchStatistics":
@@ -151,24 +114,6 @@ class SearchStatistics:
             cache_hits=int(metrics.counter_value("cache.partition_hits")),
             cache_misses=int(metrics.counter_value("cache.partition_misses")),
         )
-
-    def merge_executor_usage(self, executor_name: str, usage: "ExecutorUsage | None") -> None:
-        """Fold an executor's :class:`~repro.parallel.executor.ExecutorUsage`
-        telemetry into the search counters (no-op for serial runs)."""
-        self.executor = executor_name
-        if usage is None:
-            return
-        self.workers_used = len(usage.pids)
-        self.worker_chunks = usage.chunks
-        self.worker_busy_seconds = usage.busy_seconds
-        self.shm_bytes_shipped = usage.shm_bytes
-        # getattr: custom LevelExecutor implementations may carry a
-        # minimal usage object without the resilience counters.
-        self.shm_bytes_saved = getattr(usage, "shm_bytes_saved", 0)
-        self.chunk_retries = getattr(usage, "chunk_retries", 0)
-        self.pool_respawns = getattr(usage, "pool_respawns", 0)
-        self.serial_chunk_fallbacks = getattr(usage, "serial_fallbacks", 0)
-        self.executor_degraded = bool(getattr(usage, "degraded", False))
 
     @property
     def total_sets(self) -> int:

@@ -28,17 +28,13 @@ benchmarks:
 * ``use_key_pruning=False`` disables the key pruning rule.
 * ``use_g3_bounds=False`` disables the O(1) error-bound short-circuit
   of the extended version.
-* ``executor``/``workers`` select the level executor: the per-level
-  partition products and validity tests are independent, so
-  ``executor="process"`` (or ``workers=N``) shards them across a
-  ``multiprocessing`` pool (see :mod:`repro.parallel`); the default
-  serial executor runs them in-process.  Both compute a level's
-  products with the batched kernel
-  (:func:`repro.partition.vectorized.batched_products`) — there is no
-  kernel knob — and return byte-identical results.  On a tall relation
-  the serial executor's kernel runs each call's left-factor groups on
-  a thread pool of one thread per CPU in the process's affinity mask;
-  the process executor's workers keep their kernel on one thread.
+* ``executor`` injects an execution backend; the default
+  :class:`~repro.search.execution.SerialExecution` runs a level's
+  partition products and validity tests in-process with the batched
+  kernel (:func:`repro.partition.vectorized.batched_products`) — there
+  is no kernel knob.  On a tall relation that kernel runs each call's
+  left-factor groups on a thread pool of one thread per CPU in the
+  process's affinity mask, with byte-identical results.
 * ``strategy="topk"`` with ``top_k=N`` returns only the N best
   dependencies by error (see
   :class:`~repro.search.strategy.TopKStrategy`), cutting the walk off
@@ -67,12 +63,12 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import SamplingProfiler
 from repro.obs.search_hooks import ProfileHooks, ProgressHooks, TracingHooks
 from repro.obs.trace import Tracer
-from repro.parallel.executor import LevelExecutor, make_executor
 from repro.partition.cache import PartitionCache, shared_cache
 from repro.partition.pure import PurePartition
 from repro.partition.store import PartitionStore, make_store
 from repro.partition.vectorized import CsrPartition, PartitionWorkspace
 from repro.search.driver import LevelProgress, SearchDriver
+from repro.search.execution import SerialExecution
 from repro.search.measures import (
     MEASURES,
     RHS_STATS_MEASURES,
@@ -85,7 +81,6 @@ from repro.search.strategy import STRATEGIES, TOPK_RANK_MODES, make_strategy
 from repro.search.tracker import CandidateTracker
 
 _MEASURES = tuple(MEASURES)
-_EXECUTORS = ("auto", "serial", "process")
 _ENGINES = ("vectorized", "pure")
 _STRATEGIES = STRATEGIES
 _TOPK_RANK_MODES = TOPK_RANK_MODES
@@ -178,9 +173,8 @@ class TaneConfig:
     storage).  Both produce identical dependencies, keys, and
     deterministic counters — the differential verification harness
     (:mod:`repro.verify`) diffs them cell-by-cell.  The pure engine is
-    a reference implementation: it requires the serial executor (pool
-    workers ship CSR buffers via shared memory) and the memory store
-    (the disk store spills CSR binary)."""
+    a reference implementation: it requires the memory store (the
+    disk store spills CSR binary)."""
 
     strategy: str = "levelwise"
     """Traversal strategy: ``"levelwise"`` (the paper's full walk,
@@ -213,17 +207,11 @@ class TaneConfig:
     and therefore the deterministic counters.  Non-zero values are
     rejected with any other strategy."""
 
-    executor: str | LevelExecutor = "auto"
-    """Level executor: ``"serial"`` (the classic loop), ``"process"``
-    (shard each level across a ``multiprocessing`` pool), ``"auto"``
-    (process exactly when ``workers > 1``), or a ready
-    :class:`~repro.parallel.executor.LevelExecutor` whose lifecycle the
-    caller owns.  Serial and process executors produce identical
-    dependencies, keys, and counters."""
-
-    workers: int = 0
-    """Pool size for the process executor; ``0`` means "all cores"
-    when ``executor="process"`` and "stay serial" under ``"auto"``."""
+    executor: SerialExecution | None = None
+    """Execution backend of the level loops: ``None`` (the default)
+    runs a fresh :class:`~repro.search.execution.SerialExecution`;
+    an instance (the from-singletons ablation injects a subclass) is
+    used as given, and the caller owns its lifecycle."""
 
     partition_cache: str | PartitionCache = "off"
     """Cross-run partition cache: ``"off"`` (the default — every run
@@ -255,7 +243,7 @@ class TaneConfig:
     tracer: Tracer | None = None
     """Optional :class:`~repro.obs.trace.Tracer` observing the run:
     one span per lattice level with child spans for the three phases,
-    store spill/load spans, and per-chunk worker spans; the run's
+    and store spill/load spans; the run's
     counters accumulate in ``tracer.metrics`` and the returned
     :class:`~repro.core.results.DiscoveryResult` keeps the tracer as
     its ``trace`` handle.  ``None`` (the default) disables tracing —
@@ -277,12 +265,10 @@ class TaneConfig:
     the live telemetry stream of the run: typed
     :class:`~repro.obs.events.ProgressEvent` records for run/level/
     phase boundaries (with candidate counts and a live ETA estimate),
-    partition-cache totals, and — under the process executor — worker
-    heartbeats with chunk throughput and resident shared-memory bytes.
-    Subscribe callbacks, a bounded queue, or a JSONL tail on the
-    emitter before the run.  ``None`` (the default) disables events;
-    the disabled path is the hooks' no-op span plus one global read
-    per worker chunk."""
+    and partition-cache totals.  Subscribe callbacks, a bounded queue,
+    or a JSONL tail on the emitter before the run.  ``None`` (the
+    default) disables events; the disabled path is the hooks' no-op
+    span."""
 
     profile: bool = False
     """Attach the sampling profiler
@@ -381,32 +367,16 @@ class TaneConfig:
                 "inference) — valid choices: "
                 f"{_choices(m for m in _MEASURES if m not in _NON_MONOTONE_MEASURES)}"
             )
-        if self.engine == "pure":
-            if (
-                self.executor == "process"
-                or self.workers > 1
-                or (
-                    isinstance(self.executor, LevelExecutor)
-                    and self.executor.name != "serial"
-                )
-            ):
-                raise ConfigurationError(
-                    "engine='pure' runs serially: the process executor ships "
-                    "CSR buffers via shared memory"
-                )
-            if self.store == "disk":
-                raise ConfigurationError(
-                    "engine='pure' requires the memory store: the disk store "
-                    "spills CSR binary"
-                )
-        if isinstance(self.executor, str) and self.executor not in _EXECUTORS:
+        if self.engine == "pure" and self.store == "disk":
             raise ConfigurationError(
-                f"unknown executor {self.executor!r}; "
-                f"valid choices: {_choices(_EXECUTORS)} "
-                "(or pass a LevelExecutor instance)"
+                "engine='pure' requires the memory store: the disk store "
+                "spills CSR binary"
             )
-        if self.workers < 0:
-            raise ConfigurationError(f"workers must be >= 0, got {self.workers}")
+        if self.executor is not None and not isinstance(self.executor, SerialExecution):
+            raise ConfigurationError(
+                f"unknown executor {self.executor!r}; pass None (the default "
+                "in-process executor) or a SerialExecution instance"
+            )
         if (
             isinstance(self.partition_cache, str)
             and self.partition_cache not in _PARTITION_CACHES
@@ -505,7 +475,7 @@ class _TaneRun:
     The search itself is :class:`~repro.search.driver.SearchDriver`;
     this class builds the components a :class:`TaneConfig` names,
     attaches the tracing and checkpointing plugins, and owns the
-    resources (store, executor, tracer flush) around the driver run.
+    resources (store, tracer flush) around the driver run.
     """
 
     def __init__(self, relation: Relation, config: TaneConfig) -> None:
@@ -537,8 +507,7 @@ class _TaneRun:
         else:
             self.store = config.store
             self._owns_store = False
-        self.executor = make_executor(config.executor, config.workers)
-        self._owns_executor = not isinstance(config.executor, LevelExecutor)
+        self.executor = config.executor or SerialExecution()
         partition_cls = CsrPartition if config.engine == "vectorized" else PurePartition
         if isinstance(config.partition_cache, PartitionCache):
             self.partition_cache: PartitionCache | None = config.partition_cache
@@ -557,11 +526,9 @@ class _TaneRun:
         )
         workspace = PartitionWorkspace(self.num_rows)
         # Marginal rhs statistics (pdep(A), H(A), value histogram) are
-        # column properties: computed once here and shipped inside the
-        # picklable criteria, so pool workers evaluate tau/fi/rfi
-        # without touching the relation.  Measures that never read
-        # them get an empty tuple — nothing extra crosses the pickle
-        # boundary on the common g3 path.
+        # column properties: computed once here and carried inside the
+        # criteria, so tau/fi/rfi evaluate without touching the
+        # relation.  Measures that never read them get an empty tuple.
         rhs_stats = (
             relation_rhs_stats(relation)
             if config.measure in RHS_STATS_MEASURES
@@ -666,8 +633,6 @@ class _TaneRun:
 
     def run(self) -> DiscoveryResult:
         start = time.perf_counter()
-        executor_name = self.executor.name
-        usage = self.executor.usage
         emitter = self.config.events
         completed = False
         # Gauges describe *current* state: a registry reused across
@@ -686,7 +651,6 @@ class _TaneRun:
                         attributes=self.num_attributes,
                         epsilon=self.config.epsilon,
                         measure=self.config.measure,
-                        executor=executor_name,
                     )
                 if self.profiler is not None:
                     scope.enter_context(self.profiler.running())
@@ -700,13 +664,12 @@ class _TaneRun:
                             attributes=self.num_attributes,
                             epsilon=self.config.epsilon,
                             measure=self.config.measure,
-                            executor=executor_name,
                         )
                     )
                 dependencies = self.driver.run()
                 if discover_span is not None:
                     # Surface the run-scoped telemetry that only exists
-                    # in counters/usage on the root span, so the trace
+                    # in counters on the root span, so the trace
                     # report can render it without a registry in hand.
                     discover_span.set(
                         "cache_hits",
@@ -716,11 +679,6 @@ class _TaneRun:
                         "cache_misses",
                         int(self.metrics.counter_value("cache.partition_misses")),
                     )
-                    if usage is not None:
-                        discover_span.set(
-                            "shm_bytes_saved",
-                            int(getattr(usage, "shm_bytes_saved", 0)),
-                        )
             completed = True
         finally:
             self.partitions.collect_stats(self.metrics)
@@ -733,8 +691,6 @@ class _TaneRun:
                         self.store.close()
                 else:
                     self.store.close()
-            if self._owns_executor:
-                self.executor.close()
             if self.tracer is not None:
                 # Flush in the crash path too — a trace matters most
                 # when the search died; dropping buffered spans on an
@@ -751,7 +707,6 @@ class _TaneRun:
                     keys=len(self.tracker.keys),
                 )
         stats = SearchStatistics.from_metrics(self.metrics, measure=self.config.measure)
-        stats.merge_executor_usage(executor_name, usage)
         stats.elapsed_seconds = time.perf_counter() - start
         return DiscoveryResult(
             dependencies=dependencies,

@@ -133,7 +133,7 @@ CONFIG_KEY_FIELDS = (
 )
 """The configuration fields that shape *what a discovery returns*.
 
-Execution knobs (executor, workers, stores, caches, observability
+Execution knobs (executor, stores, caches, observability
 attachments) are deliberately excluded: two requests differing only
 there produce identical dependencies, keys, and errors, so a result
 cache must serve them the same entry.

@@ -4,17 +4,16 @@ The observability layer of the repo: a low-overhead tracer
 (:mod:`repro.obs.trace`), a metrics registry of counters / gauges /
 timers (:mod:`repro.obs.metrics`), pluggable span sinks — in-memory,
 JSONL file, stdlib ``logging`` (:mod:`repro.obs.sinks`) — the
-per-level / per-worker trace report (:mod:`repro.obs.report`), a live
+per-level trace report (:mod:`repro.obs.report`), a live
 progress/ETA event stream (:mod:`repro.obs.events`), Prometheus and
 JSONL metric exporters (:mod:`repro.obs.export`), and a
 span-attributed sampling profiler (:mod:`repro.obs.profile`).  See
 ``docs/OBSERVABILITY.md`` for the full tour.
 
-The TANE driver, the partition store, and the parallel executor are
-instrumented against the module-level helpers in
-:mod:`repro.obs.trace`; with no tracer activated every
-instrumentation site reduces to a flag check returning a shared no-op
-span, so the disabled path costs nothing measurable.
+The TANE driver and the partition store are instrumented against the
+module-level helpers in :mod:`repro.obs.trace`; with no tracer
+activated every instrumentation site reduces to a flag check returning
+a shared no-op span, so the disabled path costs nothing measurable.
 
 Typical use::
 

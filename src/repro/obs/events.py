@@ -4,15 +4,15 @@ Spans (:mod:`repro.obs.trace`) and metrics (:mod:`repro.obs.metrics`)
 describe a run *after* it happened; this module streams what is
 happening *now*.  A :class:`ProgressEmitter` publishes typed
 :class:`ProgressEvent` records — run/level/phase boundaries, candidate
-counts tested vs. remaining, partition-cache hits, worker heartbeats —
-to any number of subscribers while the search runs, so a CLI progress
-line, a service's server-sent-events endpoint, or a JSONL tail can
-follow a long discovery live instead of staring at a silent process.
+counts tested vs. remaining, partition-cache hits — to any number of
+subscribers while the search runs, so a CLI progress line, a
+service's server-sent-events endpoint, or a JSONL tail can follow a
+long discovery live instead of staring at a silent process.
 
 Event vocabulary
 ----------------
 ``run_start``
-    Discovery began: rows, attributes, epsilon, measure, executor.
+    Discovery began: rows, attributes, epsilon, measure.
 ``level_start``
     A lattice level is about to run: ``level``, ``size`` (candidate
     sets), ``tested`` / ``remaining`` candidate-set totals, and the
@@ -29,11 +29,6 @@ Event vocabulary
     ``dependencies`` found so far.  Node traversals have no level
     structure, so there is no candidate total and no ETA; consumers
     degrade to counting.
-``heartbeat``
-    A pool worker returned a chunk: pid, ``chunk_kind`` (which phase
-    the chunk served), tasks, busy seconds, chunk throughput, and the
-    executor's resident shared-memory bytes.  Serial runs emit no
-    heartbeats.
 ``cache``
     Partition-cache totals changed: cumulative hits / misses.
 ``run_end``
@@ -53,11 +48,11 @@ handler), or stream to a JSONL file that ``tail -f`` or the future
 service can follow (:class:`JsonlEventWriter`).
 
 Like tracing, emission is module-level scoped: instrumentation sites
-outside the search core (the parallel executor's heartbeats) call
-:func:`emit_event`, which no-ops unless an emitter is activated — the
-disabled path is one global read.  The search driver itself is reached
-through the :class:`~repro.obs.search_hooks.ProgressHooks` plugin, so
-the search core never imports this module.
+outside the search core call :func:`emit_event`, which no-ops unless
+an emitter is activated — the disabled path is one thread-local read.
+The search driver itself is reached through the
+:class:`~repro.obs.search_hooks.ProgressHooks` plugin, so the search
+core never imports this module.
 
 ETA estimation
 --------------
@@ -110,20 +105,18 @@ EVENT_KINDS = (
     "phase_end",
     "level_end",
     "nodes",
-    "heartbeat",
     "cache",
     "run_end",
 )
 """Every event kind the pipeline emits, in rough lifecycle order."""
 
 _REQUIRED_PAYLOAD: dict[str, tuple[str, ...]] = {
-    "run_start": ("rows", "attributes", "epsilon", "measure", "executor"),
+    "run_start": ("rows", "attributes", "epsilon", "measure"),
     "level_start": ("level", "size", "tested", "remaining"),
     "phase_start": ("level", "phase"),
     "phase_end": ("level", "phase", "seconds"),
     "level_end": ("level", "seconds", "surviving", "dependencies"),
     "nodes": ("batch", "tests", "dependencies"),
-    "heartbeat": ("pid", "chunk_kind", "tasks", "seconds"),
     "cache": ("hits", "misses"),
     "run_end": ("seconds", "ok"),
 }
@@ -135,7 +128,7 @@ _RESERVED_KEYS = ("kind", "elapsed", "wall")
 :meth:`ProgressEvent.to_dict` flattens the payload into the same JSON
 object as these envelope fields, so a payload key named ``kind`` would
 silently overwrite the event's kind on disk and corrupt the reloaded
-stream (that is why worker heartbeats spell theirs ``chunk_kind``)."""
+stream."""
 
 
 @dataclass(frozen=True)
@@ -207,9 +200,8 @@ def validate_event(event: "ProgressEvent | dict") -> list[str]:
 class ProgressEmitter:
     """Publishes :class:`ProgressEvent` records to subscribers.
 
-    Thread-safe: worker heartbeats arrive from the executor's result
-    loop while the driver emits level events, and a future service
-    will subscribe from handler threads.  A subscriber raising does
+    Thread-safe: the discovery service subscribes from handler threads
+    while a job's driver thread emits.  A subscriber raising does
     not disturb the run — the exception is swallowed and the
     subscriber dropped (a broken progress bar must never kill a
     two-hour discovery).
@@ -468,7 +460,7 @@ class EtaEstimator:
         self._refresh(elapsed)
 
     def tick(self, elapsed: float, done_fraction: float | None = None) -> None:
-        """Mid-level update (heartbeats): optionally how far along."""
+        """Mid-level update: optionally how far along."""
         if done_fraction is not None:
             self._level_done_fraction = min(max(done_fraction, 0.0), 1.0)
         self._refresh(elapsed)
@@ -547,12 +539,10 @@ _ACTIVE = threading.local()
 A process-wide variable here was correct while one process ran one
 discovery at a time, but a service runs overlapping jobs on separate
 threads: with a shared slot, job B's activation captures job A's
-heartbeats (cross-contaminated event streams), and the save/restore
-pairs interleave so a finished job could reinstate a dead emitter as
+events (cross-contaminated event streams), and the save/restore pairs
+interleave so a finished job could reinstate a dead emitter as
 "active" for a still-running one.  Thread-local state gives every job
-thread its own activation; instrumentation sites (the parallel
-executor's heartbeat emission runs on the driver thread) are
-unaffected."""
+thread its own activation."""
 
 
 def events_enabled() -> bool:
@@ -569,8 +559,7 @@ def emit_event(kind: str, /, **payload: Any) -> None:
     """Emit on the active emitter — one thread-local read when disabled.
 
     The instrumentation entry point for layers outside the search
-    core (the parallel executor's worker heartbeats).  ``kind`` is
-    positional-only and reserved as a payload name, like
+    core.  ``kind`` is positional-only and reserved as a payload name, like
     :meth:`ProgressEmitter.emit`.
     """
     emitter = getattr(_ACTIVE, "emitter", None)

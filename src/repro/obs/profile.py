@@ -8,7 +8,7 @@ records
 
 * the tracer's currently open **span stack** (so each sample is
   attributed to the innermost open span — ``compute_dependencies``,
-  ``store.spill``, ``worker.chunk``, ... — and transitively to every
+  ``store.spill``, ... — and transitively to every
   enclosing span), and
 * the main thread's innermost Python **frame** (via
   ``sys._current_frames()``), for a top-functions table.

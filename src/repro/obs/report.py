@@ -1,13 +1,11 @@
-"""Render a trace into the per-level / per-worker report.
+"""Render a trace into the per-level report.
 
 ``repro trace-report out.jsonl`` feeds the spans written by ``repro
 discover --trace`` through :func:`build_report` and prints the result:
 one row per lattice level with the paper's quantities (``s_ℓ``,
-validity tests, keys) next to phase timings and partition-store I/O,
-plus a worker-utilization table when the run used the process
-executor.  This is the tool that attributes a run's wall-clock time —
-pool overhead vs. shared-memory shipping vs. genuine compute — on any
-host, which whole-run totals cannot do.
+validity tests, keys) next to phase timings and partition-store I/O.
+This is the tool that attributes a run's wall-clock time to levels and
+phases on any host, which whole-run totals cannot do.
 
 The report is computed from span *structure* (names, parent links,
 attributes), not from ids, so it works on any trace following the
@@ -15,7 +13,7 @@ span vocabulary of the instrumented layers:
 
 ``discover`` → ``level`` → ``compute_dependencies`` / ``prune`` /
 ``generate_next_level``; ``store.spill`` / ``store.load`` anywhere
-below a level; ``worker.chunk`` and ``shm.ship`` below a phase.
+below a level.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from pathlib import Path
 from repro.obs.sinks import load_spans
 from repro.obs.trace import Span
 
-__all__ = ["LevelRow", "WorkerRow", "TraceReport", "build_report", "report_from_file"]
+__all__ = ["LevelRow", "TraceReport", "build_report", "report_from_file"]
 
 _PHASES = ("compute_dependencies", "prune", "generate_next_level")
 
@@ -49,33 +47,15 @@ class LevelRow:
     spill_bytes: int = 0
     loads: int = 0
     load_bytes: int = 0
-    chunks: int = 0
-    chunk_busy_seconds: float = 0.0
-
-
-@dataclass
-class WorkerRow:
-    """Aggregated chunk telemetry of one pool worker."""
-
-    pid: int
-    chunks: int = 0
-    busy_seconds: float = 0.0
-    product_chunks: int = 0
-    validity_chunks: int = 0
 
 
 @dataclass
 class TraceReport:
-    """The assembled per-level and per-worker views of one trace."""
+    """The assembled per-level view of one trace."""
 
     levels: list[LevelRow]
-    workers: list[WorkerRow]
     total_seconds: float
-    shm_bytes: int
     span_count: int
-    shm_bytes_saved: int = 0
-    """Bytes delta shipping avoided re-exporting (``shm.ship``
-    ``saved_bytes`` / the ``discover`` span's ``shm_bytes_saved``)."""
     cache_hits: int = 0
     """Cross-run partition-cache hits (``discover`` span attribute)."""
     cache_misses: int = 0
@@ -117,46 +97,13 @@ class TraceReport:
             f"{totals.spills:>7} {totals.spill_bytes / mb:>9.2f} "
             f"{totals.loads:>6} {totals.load_bytes / mb:>8.2f}"
         )
-        lines.append(
-            f"trace: {self.span_count} spans, run {self.total_seconds:.4f}s"
-            + (f", shm shipped {self.shm_bytes / mb:.2f} MB" if self.shm_bytes else "")
-            + (
-                f", shm saved {self.shm_bytes_saved / mb:.2f} MB resident"
-                if self.shm_bytes_saved
-                else ""
-            )
-        )
+        lines.append(f"trace: {self.span_count} spans, run {self.total_seconds:.4f}s")
         if self.cache_hits or self.cache_misses:
             lookups = self.cache_hits + self.cache_misses
             rate = 100.0 * self.cache_hits / lookups if lookups else 0.0
             lines.append(
                 f"partition cache: {self.cache_hits} hits / "
                 f"{self.cache_misses} misses ({rate:.1f}% hit rate)"
-            )
-        if self.workers:
-            lines.append("")
-            lines.append("worker utilization (process executor)")
-            wheader = (
-                f"{'pid':>8} {'chunks':>7} {'products':>9} {'validity':>9} "
-                f"{'busy_s':>9} {'busy_%':>7}"
-            )
-            lines.append(wheader)
-            lines.append("-" * len(wheader))
-            for worker in self.workers:
-                share = (
-                    100.0 * worker.busy_seconds / self.total_seconds
-                    if self.total_seconds > 0
-                    else 0.0
-                )
-                lines.append(
-                    f"{worker.pid:>8} {worker.chunks:>7} {worker.product_chunks:>9} "
-                    f"{worker.validity_chunks:>9} {worker.busy_seconds:>9.4f} "
-                    f"{share:>7.1f}"
-                )
-            busy = sum(w.busy_seconds for w in self.workers)
-            lines.append(
-                f"{len(self.workers)} workers, {sum(w.chunks for w in self.workers)} "
-                f"chunks, {busy:.4f}s cumulative busy"
             )
         return "\n".join(lines)
 
@@ -209,11 +156,7 @@ def build_report(spans: list[Span]) -> TraceReport:
             row = rows[key] = LevelRow(level=key)
         return row
 
-    workers: dict[int, WorkerRow] = {}
     total_seconds = 0.0
-    shm_bytes = 0
-    shm_saved_ship = 0
-    shm_saved_discover = None
     cache_hits = 0
     cache_misses = 0
     for span in spans:
@@ -222,10 +165,6 @@ def build_report(spans: list[Span]) -> TraceReport:
             total_seconds = max(total_seconds, span.duration)
             cache_hits += int(attrs.get("cache_hits", 0))
             cache_misses += int(attrs.get("cache_misses", 0))
-            if "shm_bytes_saved" in attrs:
-                shm_saved_discover = (shm_saved_discover or 0) + int(
-                    attrs["shm_bytes_saved"]
-                )
         elif span.name == "level":
             row = row_for(int(attrs.get("level", 0)))
             row.seconds += span.duration
@@ -252,41 +191,16 @@ def build_report(spans: list[Span]) -> TraceReport:
             row = row_for(_level_of(span, by_id))
             row.loads += 1
             row.load_bytes += int(attrs.get("bytes", 0))
-        elif span.name == "worker.chunk":
-            pid = int(attrs.get("pid", 0))
-            worker = workers.get(pid)
-            if worker is None:
-                worker = workers[pid] = WorkerRow(pid=pid)
-            worker.chunks += 1
-            worker.busy_seconds += span.duration
-            if attrs.get("kind") == "products":
-                worker.product_chunks += 1
-            elif attrs.get("kind") == "validity":
-                worker.validity_chunks += 1
-            row = row_for(_level_of(span, by_id))
-            row.chunks += 1
-            row.chunk_busy_seconds += span.duration
-        elif span.name == "shm.ship":
-            shm_bytes += int(attrs.get("bytes", 0))
-            shm_saved_ship += int(attrs.get("saved_bytes", 0))
     if total_seconds == 0.0 and spans:
         total_seconds = sum(row.seconds for row in rows.values())
     # Drop an empty pseudo-level-0 row; keep it when setup did real I/O.
     setup = rows.get(0)
-    if setup is not None and not (setup.spills or setup.loads or setup.chunks):
+    if setup is not None and not (setup.spills or setup.loads):
         del rows[0]
     return TraceReport(
         levels=[rows[key] for key in sorted(rows)],
-        workers=[workers[pid] for pid in sorted(workers)],
         total_seconds=total_seconds,
-        shm_bytes=shm_bytes,
         span_count=len(spans),
-        # The discover span's run total is authoritative (set once per
-        # run); per-ship sums cover traces from layers that emitted
-        # shm.ship without a discover root.
-        shm_bytes_saved=(
-            shm_saved_discover if shm_saved_discover is not None else shm_saved_ship
-        ),
         cache_hits=cache_hits,
         cache_misses=cache_misses,
     )

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from repro.exceptions import PartitionMissingError
 from repro.obs import trace as obs
-from repro.obs.events import EtaEstimator, ProgressEmitter, ProgressEvent
+from repro.obs.events import EtaEstimator, ProgressEmitter
 from repro.obs.profile import SamplingProfiler
 from repro.search.hooks import NULL_SPAN, LevelBoundary, SearchHooks
 
@@ -54,11 +54,6 @@ class ProgressHooks(SearchHooks):
     emits ``level_end``.  ``on_boundary`` measures the next level's
     row-work for the estimator and publishes partition-cache totals as
     ``cache`` events when they move.
-
-    Worker heartbeats reach the emitter straight from the parallel
-    executor (:func:`repro.obs.events.emit_event`); this hook
-    subscribes to its own emitter so each heartbeat also refreshes the
-    ETA clock mid-level.
     """
 
     def __init__(
@@ -80,15 +75,6 @@ class ProgressHooks(SearchHooks):
         self._next_work: int | None = None
         self._cache_hits = 0
         self._cache_misses = 0
-        emitter.subscribe(self._on_event)
-
-    # -- emitter feedback ------------------------------------------------
-
-    def _on_event(self, event: ProgressEvent) -> None:
-        # Heartbeats arrive from the executor, not through this hook;
-        # use them to refresh the ETA clock mid-level.
-        if event.kind == "heartbeat":
-            self.estimator.tick(event.elapsed)
 
     # -- SearchHooks interface -------------------------------------------
 

@@ -2,10 +2,9 @@
 
 A *span* is a named, timed interval with attributes and a parent —
 the levelwise search emits one span per lattice level with child spans
-for its three phases, the partition store emits spill/load spans, and
-the process executor synthesizes one span per worker chunk, so a trace
-reconstructs *where* a run's time went (which level, which phase,
-which worker) at a granularity the whole-run totals of
+for its three phases and the partition store emits spill/load spans,
+so a trace reconstructs *where* a run's time went (which level, which
+phase) at a granularity the whole-run totals of
 :class:`~repro.core.results.SearchStatistics` cannot.
 
 Design constraints, in order:
@@ -19,10 +18,9 @@ Design constraints, in order:
    cached instruments).
 2. **Spans are cheap when enabled.**  One object per span, timestamps
    from ``time.perf_counter``, dispatched to sinks at exit.
-3. **Single-process trace assembly.**  Pool workers do not trace;
-   their receipts (pid, busy seconds) are folded into the main trace
-   as synthesized spans via :func:`Tracer.emit` when results arrive,
-   so one process owns the span tree and sinks need no locking.
+3. **Single-process trace assembly.**  A run's spans are assembled by
+   the thread driving it; work timed elsewhere is folded in as a
+   synthesized span via :func:`Tracer.emit`.
 
 Activation is scoped: the TANE driver wraps a run in
 :func:`activated`, which saves and restores the previous tracer, so
@@ -244,12 +242,9 @@ class Tracer:
     def emit(self, name: str, seconds: float, **attributes: Any) -> Span:
         """Record an already-completed interval as a span.
 
-        Used for work measured elsewhere — pool workers time their
-        chunks and ship (pid, busy seconds) back in the receipt; the
-        driver calls ``emit`` when the receipt arrives, synthesizing a
-        span that ends *now* and lasted ``seconds``.  The span is
-        parented to the currently open span, which places worker
-        chunks under the level phase that dispatched them.
+        Used for work measured elsewhere: ``emit`` synthesizes a span
+        that ends *now* and lasted ``seconds``, parented to the
+        currently open span.
         """
         span = Span(name, next(self._ids), None, attributes, tracer=None)
         span.end = time.perf_counter()

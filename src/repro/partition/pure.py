@@ -92,7 +92,7 @@ class PurePartition(PartitionBase):
         ``workspace`` is accepted (and ignored) for signature
         compatibility with :class:`~repro.partition.vectorized.CsrPartition`,
         so the TANE driver can run either engine through the same
-        serial executor path (``TaneConfig(engine="pure")``).
+        execution backend (``TaneConfig(engine="pure")``).
         """
         if not isinstance(other, PurePartition):
             raise TypeError("PurePartition can only be multiplied with PurePartition")

@@ -19,6 +19,10 @@ the free re-evictions.  Clean spill files are also what checkpoint
 resume (:mod:`repro.core.checkpoint`) adopts to avoid recomputing a
 level's partitions from singletons.
 
+A run is one process, and only the thread driving it touches its
+store; the product kernel's pool threads compute partitions but never
+store them.
+
 When a tracer is active (see :mod:`repro.obs.trace`) every spill and
 reload additionally emits a span carrying the mask and byte count, and
 the resident-byte total is mirrored into a gauge — the raw material of
@@ -78,9 +82,9 @@ class PartitionStore(Protocol):
     def put_many(self, items: Iterable[tuple[int, CsrPartition]]) -> None:
         """Store a stream of ``(mask, partition)`` pairs as it arrives.
 
-        The parallel driver hands the pool's result stream straight to
-        the store, so partitions become resident (and can spill) while
-        later shards are still computing.
+        The partition manager hands the executor's product stream
+        straight to the store, so partitions become resident (and can
+        spill) before later batches are computed.
         """
 
     def close(self) -> None:
@@ -401,8 +405,8 @@ class DiskPartitionStore:
         """Store a stream of ``(mask, partition)`` pairs as it arrives.
 
         Each put may trigger LRU spills, so streaming keeps the
-        resident set bounded even while a parallel level is still
-        producing partitions.
+        resident set bounded while a level is still producing
+        partitions.
         """
         for mask, partition in items:
             self.put(mask, partition)

@@ -8,8 +8,8 @@ stored in *compressed sparse row* style:
   class ``k``).
 
 Every index buffer is ``int32`` — row ids, offsets, cached labels, the
-workspace probe — and so are the shared-memory blocks and disk spills
-that carry them.  A relation of ``2**31`` rows or more is refused.
+workspace probe — and so are the disk spills that carry them.  A
+relation of ``2**31`` rows or more is refused.
 
 This realizes the extended version's "more compact representation of
 partitions" optimization: memory per partition is two flat arrays, and
@@ -20,8 +20,8 @@ Canonical layout
 ----------------
 Every constructor and product path emits stripped classes in **one**
 canonical order, so the byte layout of a partition never depends on
-which code path produced it (checkpoint adoption, shared-memory
-shipping, and golden comparisons all compare raw buffers):
+which code path produced it (checkpoint adoption, disk-store spills
+and golden comparisons all compare raw buffers):
 
 * :meth:`CsrPartition.from_column` orders classes by value code;
 * products (``product``, ``_product_small``, :func:`batched_products`)
@@ -75,14 +75,14 @@ A product by one attribute's partition, ``π_X · π_{A}``, is ``π_X``'s
 rows grouped by their class in ``π_X`` and their value code of ``A``.
 So :meth:`CsrPartition.from_column` keeps a reference to the code
 array it grouped (for a relation's column, the relation's own buffer:
-no copy) and its code-space width; every other constructor,
-``attach``, disk-store spills and shared-memory shipping leave the
-partition without one.  :func:`_column_products` keys each row of
-every such task's left factor by ``(task, left class, code)`` and
-groups all of them with one stable sort.  Codes order as the column's
-classes do and the left factor's rows ascend, so the classes come out
-in the canonical layout, byte-identical to the probe path, and a code
-that occurs once gives a singleton group that is stripped.  Holders
+no copy) and its code-space width; every other constructor, ``attach``
+and disk-store spills leave the partition without one.
+:func:`_column_products` keys each row of every such task's left
+factor by ``(task, left class, code)`` and groups all of them with
+one stable sort.  Codes order as the column's classes do and the left
+factor's rows ascend, so the classes come out in the canonical layout,
+byte-identical to the probe path, and a code that occurs once gives a
+singleton group that is stripped.  Holders
 that outlive a run (the cross-run partition cache) keep a column-free
 twin (:meth:`CsrPartition.without_column`), so they never pin a
 relation's codes outside their byte accounting.
@@ -98,9 +98,10 @@ thread with its own probe workspace; smaller calls stay on the calling
 thread.  The pool has one thread per CPU in the process's affinity
 mask, so CPU affinity is what limits it.  The small tasks the groups
 return are pooled in group order exactly as on one thread, so results
-are byte-identical either way.  A forked child drops the parent's pool
-(:func:`_forget_pool`), and process-pool workers keep the kernel on one
-thread (:func:`single_threaded_kernel`).
+are byte-identical either way.  This pool is the program's only
+parallelism: the search runs in one process, as the paper's TANE does.
+A forked child of a caller drops the parent's pool
+(:func:`_forget_pool`).
 
 :func:`batched_error_counts` runs the same two kernels but stops once
 every task's rows are grouped: a product's ``e(π) = ||π̂|| - |π̂|`` is
@@ -124,7 +125,6 @@ from repro.partition.base import PartitionBase
 
 __all__ = [
     "INDEX_DTYPE", "CsrPartition", "PartitionWorkspace", "batched_error_counts", "batched_products",
-    "single_threaded_kernel",
 ]
 
 # The dtype of every index buffer: row ids, offsets, labels, the probe.
@@ -351,16 +351,15 @@ class CsrPartition(PartitionBase):
         return partition
 
     # ------------------------------------------------------------------
-    # Buffer export / attach (shared-memory shipment)
+    # Raw buffer export and attach
     # ------------------------------------------------------------------
 
     def export_buffers(self) -> tuple[np.ndarray, np.ndarray]:
         """The raw ``(indices, offsets)`` buffers as contiguous int32.
 
-        Used by :mod:`repro.parallel.shm` to copy a partition into a
-        shared-memory block, by workers to pickle products back and by
-        the disk store to write spills.  Returns the internal arrays
-        when they are already contiguous; treat them as read-only.
+        Used by the disk store to write spills.  Returns the internal
+        arrays when they are already contiguous; treat them as
+        read-only.
         """
         return (
             np.ascontiguousarray(self._indices, dtype=INDEX_DTYPE),
@@ -374,11 +373,10 @@ class CsrPartition(PartitionBase):
         """Build a partition over *existing* int32 buffers without copying.
 
         The caller promises the buffers outlive the partition and are
-        never mutated — the contract under which workers reconstruct
-        partitions directly over a shared-memory segment.  Row ids are
-        trusted (a product over an id past the relation raises from its
-        probe gather), except that a wider buffer is narrowed only when
-        every id fits ``int32`` without changing.
+        never mutated.  Row ids are trusted (a product over an id past
+        the relation raises from its probe gather), except that a wider
+        buffer is narrowed only when every id fits ``int32`` without
+        changing.
         """
         partition = cls.__new__(cls)
         partition._wrap(indices, offsets, num_rows, _MAX_ROWS)
@@ -446,8 +444,8 @@ class CsrPartition(PartitionBase):
         """Whether rows ascend inside every class (cached).
 
         True without a pass when the builder guaranteed it; otherwise
-        one check over the buffers, e.g. of a partition attached to
-        shared memory or read back from a disk-store spill.
+        one check over the buffers, e.g. of a partition read back from
+        a disk-store spill.
         """
         if self._ascending is None:
             indices = self._indices
@@ -676,15 +674,6 @@ def _kernel_pool() -> concurrent.futures.ThreadPoolExecutor | None:
                 _pool_threads, thread_name_prefix="repro-kernel"
             )
         return _pool
-
-
-def single_threaded_kernel() -> None:
-    """Run the pooled kernel on the calling thread for the rest of the
-    process.  Process-pool workers call this, so that N workers do not
-    start N x cores threads."""
-    global _pool_threads
-    with _pool_lock:
-        _pool_threads = 1
 
 
 def _forget_pool() -> None:

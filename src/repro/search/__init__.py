@@ -27,9 +27,8 @@ of the paper) into narrow, independently testable components that a
 * :mod:`repro.search.driver` — the :class:`SearchDriver` loop itself.
 
 Layering rule (enforced by ``make layers``): this package never
-imports :mod:`repro.parallel`, :mod:`repro.obs`, or
-:mod:`repro.core.checkpoint` — those layers plug *into* the search
-core via the executor protocol and :class:`SearchHooks`, never the
+imports :mod:`repro.obs` or :mod:`repro.core.checkpoint` — those
+layers plug *into* the search core via :class:`SearchHooks`, never the
 reverse.
 """
 

@@ -33,7 +33,7 @@ product chains and measure the tests of a batch together.  Each walk
 is deterministic on its own: every choice it makes ranges over lists
 built in ascending mask order from state that is itself a
 deterministic function of its own verdicts.  That makes runs
-reproducible across engines, partition stores and executors, and
+reproducible across engines and partition stores, and
 makes checkpoints cheap — the snapshot is just the verdict cache
 (keyed by ``(rhs, lhs)``), and a resume replays every walk from the
 top with warm verdicts (no engine tests, same RNG draws) back to the

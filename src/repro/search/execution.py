@@ -1,26 +1,22 @@
-"""The execution-backend contract of the search core.
+"""The execution backend of the search core.
 
-One lattice level has two embarrassingly parallel loops: the partition
-products of GENERATE-NEXT-LEVEL and the validity tests of
-COMPUTE-DEPENDENCIES.  The search driver delegates both to an
-execution backend with this duck-typed surface:
+One lattice level has two loops: the partition products of
+GENERATE-NEXT-LEVEL and the validity tests of COMPUTE-DEPENDENCIES.
+The search driver delegates both to :class:`SerialExecution`:
 
 ``products(triples, fetch, workspace)``
     Yield ``(candidate, partition)`` per product triple, in candidate
     order (the driver streams them into the partition store).
 ``validity_tests(groups, fetch, criteria, workspace)``
     Run every group's tests; outcomes flattened in group order.
-``close()``
-    Release backend resources.
-``name`` / ``workers`` / ``usage``
-    Identification and telemetry for the statistics view.
 
-:class:`SerialExecution` is the in-process backend — the classic TANE
-loop, and the reference every other backend must match
-byte-for-byte.  The process-pool backend lives in
-:mod:`repro.parallel` and plugs in through the same surface; it
-subclasses nothing from this module on purpose (plugins depend on the
-core, never the reverse).
+Both run in the driver's process, as in the paper.  The parallelism
+lives one layer down: on a tall relation the batched product kernel
+(:func:`repro.partition.vectorized.batched_products`) runs each call's
+left-factor groups on a thread pool sized from the CPU affinity mask,
+with byte-identical results.  ``TaneConfig(executor=...)`` injects a
+subclass (the from-singletons ablation in :mod:`repro.bench.workloads`
+is one).
 """
 
 from __future__ import annotations
@@ -30,7 +26,7 @@ from collections.abc import Callable, Iterator, Sequence
 from repro.partition.vectorized import CsrPartition, PartitionWorkspace, batched_products
 from repro.search.measures import ValidityCriteria, ValidityOutcome, evaluate_validity
 
-__all__ = ["Fetch", "ValidityGroups", "SerialExecution", "serial_validity"]
+__all__ = ["Fetch", "ValidityGroups", "SerialExecution"]
 
 # Products per batched_products call: large enough to amortize the
 # shared argsort, small enough that streaming into the store (which
@@ -44,23 +40,6 @@ Fetch = Callable[[int], CsrPartition]
 ValidityGroups = Sequence[tuple[int, Sequence[tuple[int, int]]]]
 
 
-def serial_validity(
-    groups: ValidityGroups,
-    fetch: Fetch,
-    criteria: ValidityCriteria,
-    workspace: PartitionWorkspace,
-) -> list[ValidityOutcome]:
-    """The in-process test loop (store accesses in historical order)."""
-    outcomes: list[ValidityOutcome] = []
-    for whole_mask, pairs in groups:
-        pi_whole = fetch(whole_mask)
-        for rhs, lhs_mask in pairs:
-            outcomes.append(
-                evaluate_validity(fetch(lhs_mask), pi_whole, criteria, workspace, rhs)
-            )
-    return outcomes
-
-
 class SerialExecution:
     """Run every task inline — the classic TANE loop.
 
@@ -70,10 +49,6 @@ class SerialExecution:
     :class:`CsrPartition` (the pure reference engine) falls back to one
     ``product`` call per triple.
     """
-
-    name = "serial"
-    workers = 1
-    usage = None
 
     def products(
         self,
@@ -116,7 +91,11 @@ class SerialExecution:
         workspace: PartitionWorkspace,
     ) -> list[ValidityOutcome]:
         """Run every group's tests; outcomes flattened in group order."""
-        return serial_validity(groups, fetch, criteria, workspace)
-
-    def close(self) -> None:
-        """Nothing to release for the in-process backend."""
+        outcomes: list[ValidityOutcome] = []
+        for whole_mask, pairs in groups:
+            pi_whole = fetch(whole_mask)
+            for rhs, lhs_mask in pairs:
+                outcomes.append(
+                    evaluate_validity(fetch(lhs_mask), pi_whole, criteria, workspace, rhs)
+                )
+        return outcomes

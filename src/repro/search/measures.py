@@ -4,9 +4,8 @@ Lines 5/5' of the paper decide whether ``X \\ {A} -> A`` holds — by the
 O(1) rank comparison of Lemma 2 for exact discovery, or by comparing a
 measure's error against ``epsilon`` for the approximate variant.  The
 function lives in the search core (rather than inside the driver loop)
-so that pool workers and the in-process serial path execute *exactly*
-the same code: parity between the ``serial`` and ``process`` executors
-then follows by construction.
+so that the levelwise driver and the node engine's walks run
+*exactly* the same code, whatever the traversal.
 
 The measure-specific branch is factored behind the :class:`Measure`
 protocol.  Beyond the paper's ``g3`` and Kivinen & Mannila's
@@ -136,8 +135,7 @@ class ValidityCriteria(NamedTuple):
     rhs_stats: tuple[AttributeStats, ...] = ()
     """Per-attribute marginal stats, indexed by attribute number.
     Empty unless the configured measure is in
-    :data:`RHS_STATS_MEASURES` (no point pickling them to workers
-    otherwise)."""
+    :data:`RHS_STATS_MEASURES` (no point computing them otherwise)."""
 
     rfi_samples: int = 0
     """Monte Carlo samples for the ``rfi`` bias estimate."""
@@ -320,7 +318,7 @@ def _pdep_score(table: _Contingency, num_rows: int) -> float:
     correctly rounded division of integers, and ``math.fsum`` returns
     the correctly rounded sum of the terms.  The float is therefore a
     function of the multiset of classes alone: row shuffles, column
-    permutations, both engines and both executors agree bit for bit.
+    permutations and both engines agree bit for bit.
     """
     if num_rows == 0:
         return 1.0
@@ -469,7 +467,7 @@ class RfiMeasure(Measure):
     zero.  The bias is a seeded Monte Carlo estimate
     (:func:`repro.search.sampling.permutation_mi_bias`) whose seed
     derives from the *shapes* involved, so the value is deterministic
-    across engines, executors, row shuffles, column permutations, and
+    across engines, stores, row shuffles, column permutations, and
     resume.  ``rfi <= fi`` always; not monotone under lhs growth."""
 
     name = "rfi"

@@ -4,8 +4,8 @@ The :class:`PartitionManager` owns every interaction between the
 search loop and stripped partitions: bootstrapping π_∅ and the
 singleton partitions, scheduling the partition products of
 GENERATE-NEXT-LEVEL through the execution backend (streaming results
-into the store so products become resident — and may spill — while
-later shards still compute), on-demand materialization of arbitrary
+into the store so products become resident — and may spill — before
+later batches are computed), on-demand materialization of arbitrary
 attribute-set masks for node-mode walks (product chains planned from
 the best cached/resident ancestor), reclaiming partitions once they
 can no longer be referenced (level boundaries in level mode,
@@ -125,14 +125,7 @@ class PartitionManager:
 
         π_∅ (one class holding every row) is needed to test the
         level-1 dependencies ``∅ -> A``; UCC discovery skips it.
-        Starting a run also resets any resident shared-memory state a
-        delta-shipping executor kept from a previous run (masks are
-        small integers reused across relations, so stale residency
-        would alias partitions of a different relation).
         """
-        begin_run = getattr(self.executor, "begin_run", None)
-        if begin_run is not None:
-            begin_run()
         self._resident = set()
         self._resident_by_size = {}
         if include_empty:
@@ -172,14 +165,6 @@ class PartitionManager:
             # The cache outlives the run: it must not pin the relation's
             # code arrays outside its byte accounting.
             partition = partition.without_column()
-        indices = getattr(partition, "indices", None)
-        if indices is not None and getattr(indices, "base", None) is not None:
-            # A parallel run's products can be views over a shared-memory
-            # block the executor will close; the cache outlives the run,
-            # so store an owned copy rather than pinning the mapping.
-            partition = type(partition).attach(
-                indices.copy(), partition.offsets.copy(), partition.num_rows
-            )
         self._cache.put(self._cache_fingerprint, mask, partition)
 
     def get(self, mask: int):
@@ -216,7 +201,7 @@ class PartitionManager:
         ``ranks_only`` says the caller needs nothing but those ranks:
         the partitions will never be product factors or measured.  The
         products are then only counted (:func:`batched_error_counts`,
-        in this process whatever the executor) and nothing is stored,
+        bypassing the executor) and nothing is stored,
         unless the partition cache keeps sets of this size or the
         engine is not the CSR one.  Such products still count in
         ``tane.partition_products``.
@@ -249,7 +234,7 @@ class PartitionManager:
         def stream():
             # The store consumes the executor's result stream directly:
             # products become resident (and may spill) while later
-            # shards are still computing in the pool.
+            # batches are still to be computed.
             for candidate, product in products:
                 faults.check("tane.products.consume")
                 self._c_products.inc()
@@ -268,9 +253,7 @@ class PartitionManager:
         finally:
             # Deterministic cleanup: if the store raised between yields
             # the executor's generator would otherwise only finalize at
-            # GC.  Shared-memory blocks outlive the stream either way:
-            # the executor frees them at release_masks, begin_run or
-            # close.
+            # GC.
             close = getattr(products, "close", None)
             if close is not None:
                 close()
@@ -412,21 +395,9 @@ class PartitionManager:
     # ------------------------------------------------------------------
 
     def reclaim(self, masks: list[int]) -> None:
-        """Drop a completed level's partitions from the store.
-
-        A delta-shipping executor is told too (duck-typed
-        ``release_masks``), so its workers' resident shared-memory
-        blocks are freed as soon as the level can no longer be
-        referenced.  The store discards *first*: partitions from an
-        adopted result block are views over the block's mapping, and
-        releasing their masks closes it — the views must be dead by
-        then.
-        """
+        """Drop a completed level's partitions from the store."""
         for mask in masks:
             self.store.discard(mask)
-        release = getattr(self.executor, "release_masks", None)
-        if release is not None:
-            release(masks)
 
     def restore(self, mask: int) -> None:
         """Re-establish ``π_mask`` for checkpoint resume.

@@ -17,7 +17,7 @@ Monte Carlo here — and the estimator is deliberately **structural**:
   :class:`numpy.random.SeedSequence`, not from global state or call
   order.  The estimate is therefore invariant under row shuffles and
   column permutations (the metamorphic layer checks this), identical
-  across engines and executors, and stable across checkpoint/resume —
+  across engines and stores, and stable across checkpoint/resume —
   a resumed run re-evaluates exactly the values the interrupted run
   would have produced.
 

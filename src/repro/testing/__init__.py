@@ -1,12 +1,11 @@
 """Test-support utilities shipped with the library.
 
 :mod:`repro.testing.faults` is the fault-injection harness used by the
-``tests/resilience`` suite: it arms crashes (exceptions, signals,
-worker SIGKILLs) at named points in the production code, arms silent
-result corruption for the verification harness, and provides
-file-corruption helpers.  Production modules call its ``check``/
-``mutate``/``maybe_fire_worker_fault`` hooks, which reduce to a
-dict/env lookup when nothing is armed.
+``tests/resilience`` suite: it arms crashes (exceptions, signals) at
+named points in the production code, arms silent result corruption for
+the verification harness, and provides file-corruption helpers.
+Production modules call its ``check``/``mutate`` hooks, which reduce to
+a dict lookup when nothing is armed.
 
 :mod:`repro.testing.strategies` holds the shared hypothesis strategies
 for property-based tests.  It is **not** imported here: hypothesis is

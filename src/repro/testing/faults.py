@@ -19,54 +19,36 @@ verification harness (:mod:`repro.verify`) exists to catch, and the
 one its own tests use to prove the harness detects, shrinks, and
 serializes real engine bugs.
 
-**Cross-process worker faults** — pool workers are separate processes,
-so arming must survive the fork.  :func:`arm_worker_faults` drops
-*token files* into a directory and exports its path (plus the driver's
-pid) through the environment; :func:`maybe_fire_worker_fault`, called
-by the worker entry point, atomically claims one token (``os.unlink``
-— exactly one process wins each) and performs its action: ``kill``
-tokens SIGKILL the worker mid-chunk, ``raise`` tokens raise
-:class:`WorkerFaultError`.  The driver's own pid is guarded, so the
-serial fallback path in the executor never self-destructs.
-
 File-corruption helpers (:func:`truncate_file`, :func:`corrupt_file`)
 round out the crash-path toolkit for spill/checkpoint file tests.
 
 This module deliberately imports nothing from the rest of the library
 (production modules import *it*), and keeps no state beyond the plan
-dict and two environment variables.
+and mutation dicts.
 """
 
 from __future__ import annotations
 
 import os
-import signal as _signal
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterator
 
 __all__ = [
-    "WorkerFaultError",
+    "InjectedFault",
     "check",
     "inject",
     "mutate",
     "mutation_armed",
     "inject_mutation",
     "armed_points",
-    "arm_worker_faults",
-    "disarm_worker_faults",
-    "maybe_fire_worker_fault",
-    "pending_worker_faults",
     "truncate_file",
     "corrupt_file",
 ]
 
-_ENV_TOKEN_DIR = "REPRO_FAULT_TOKEN_DIR"
-_ENV_GUARD_PID = "REPRO_FAULT_GUARD_PID"
 
-
-class WorkerFaultError(RuntimeError):
-    """The exception an armed ``raise`` token throws inside a worker."""
+class InjectedFault(RuntimeError):
+    """The exception a fault point armed without an explicit error raises."""
 
 
 class _Armed:
@@ -108,7 +90,7 @@ def check(point: str) -> None:
         raise error()
     if error is not None:
         raise error
-    raise WorkerFaultError(f"injected fault at {point!r}")
+    raise InjectedFault(f"injected fault at {point!r}")
 
 
 @contextmanager
@@ -122,7 +104,7 @@ def inject(
     """Arm ``point`` to fail the next ``times`` it is checked.
 
     ``error`` may be an exception instance, a zero-argument factory,
-    or ``None`` (a :class:`WorkerFaultError` naming the point).
+    or ``None`` (an :class:`InjectedFault` naming the point).
     ``signum`` delivers a signal to the current process instead of
     raising.  Always disarms on exit, even when the block raises.
     """
@@ -205,77 +187,6 @@ def inject_mutation(
             _MUTATIONS.pop(point, None)
         else:
             _MUTATIONS[point] = previous
-
-
-# ----------------------------------------------------------------------
-# Cross-process worker faults (token files + environment)
-# ----------------------------------------------------------------------
-
-
-def arm_worker_faults(directory: str | Path, *, kills: int = 0, raises: int = 0) -> Path:
-    """Arm pool workers to die or raise while running chunks.
-
-    Creates ``kills`` SIGKILL tokens and ``raises`` exception tokens
-    in ``directory`` and exports the directory (and the current pid as
-    the protected *driver* pid) through the environment, so workers
-    forked afterwards — including respawned pools — inherit the plan.
-    Each token fires exactly once across all workers.
-    """
-    path = Path(directory)
-    path.mkdir(parents=True, exist_ok=True)
-    for index in range(kills):
-        (path / f"kill-{index:04d}.token").touch()
-    for index in range(raises):
-        (path / f"raise-{index:04d}.token").touch()
-    os.environ[_ENV_TOKEN_DIR] = str(path)
-    os.environ[_ENV_GUARD_PID] = str(os.getpid())
-    return path
-
-
-def disarm_worker_faults() -> None:
-    """Stop firing worker faults (leftover tokens become inert)."""
-    os.environ.pop(_ENV_TOKEN_DIR, None)
-    os.environ.pop(_ENV_GUARD_PID, None)
-
-
-def pending_worker_faults() -> int:
-    """Unclaimed worker-fault tokens (0 when disarmed)."""
-    directory = os.environ.get(_ENV_TOKEN_DIR)
-    if not directory:
-        return 0
-    try:
-        return sum(1 for name in os.listdir(directory) if name.endswith(".token"))
-    except OSError:
-        return 0
-
-
-def maybe_fire_worker_fault() -> None:
-    """Claim and fire one worker-fault token (the worker-side hook).
-
-    Called at the top of the pool's chunk entry point.  Disarmed (the
-    usual case) this is one environment lookup.  The driver pid named
-    at arm time never fires a token, so the executor's in-process
-    serial fallback survives a plan that kills every worker.
-    """
-    directory = os.environ.get(_ENV_TOKEN_DIR)
-    if not directory:
-        return
-    if os.environ.get(_ENV_GUARD_PID) == str(os.getpid()):
-        return
-    try:
-        names = sorted(os.listdir(directory))
-    except OSError:
-        return
-    for name in names:
-        if not name.endswith(".token"):
-            continue
-        try:
-            os.unlink(os.path.join(directory, name))
-        except OSError:
-            continue  # another worker claimed it first
-        if name.startswith("kill-"):
-            os.kill(os.getpid(), _signal.SIGKILL)
-        raise WorkerFaultError(f"injected worker fault ({name})")
 
 
 # ----------------------------------------------------------------------

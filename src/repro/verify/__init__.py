@@ -1,8 +1,8 @@
 """Differential and metamorphic verification harness.
 
-Every execution shape the library has grown — serial vs. process
-executors, vectorized vs. pure partition engines, memory vs. disk
-stores, checkpoint/resume cycles, tracing, pruning-rule ablations — is
+Every execution shape the library has grown — vectorized vs. pure
+partition engines, memory vs. disk stores, checkpoint/resume cycles,
+tracing, pruning-rule ablations — is
 *supposed* to produce the same dependencies, keys, per-FD errors, and
 deterministic search counters.  This package makes that claim
 machine-checkable, from three independent directions:

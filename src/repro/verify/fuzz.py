@@ -459,7 +459,6 @@ def fuzz(
     seed_base: int = 0,
     workdir: str | Path,
     failure_dir: str | Path | None = None,
-    workers: int = 2,
     metamorphic: bool = True,
     measure_checks: bool = True,
     progress=None,
@@ -473,7 +472,7 @@ def fuzz(
     ``progress``, when given, is called after each seed with
     ``(seed, failure_or_none)``.
     """
-    cells = build_matrix(matrix, workers=workers)
+    cells = build_matrix(matrix)
     report = FuzzReport()
     for seed in range(seed_base, seed_base + num_seeds):
         failure = fuzz_seed(

@@ -1,8 +1,8 @@
 """The configuration matrix of the differential verifier.
 
-PRs multiplied the ways a discovery run can execute — executor
-(serial/process) × partition engine (vectorized/pure) × store
-(memory/disk) × checkpoint/resume × tracing × pruning-rule ablations.
+PRs multiplied the ways a discovery run can execute — partition engine
+(vectorized/pure) × store (memory/disk) × checkpoint/resume × tracing
+× pruning-rule ablations.
 Every one of those combinations is *supposed* to produce the
 byte-identical minimal cover; this module enumerates the combinations
 as :class:`ConfigCell` values so :mod:`repro.verify.runner` can diff
@@ -10,12 +10,11 @@ them cell-by-cell against a reference run.
 
 Two matrices are provided:
 
-* :func:`smoke_matrix` — the serial cells (engine, store, checkpoint,
-  tracing, pruning ablations).  Fast enough to run hundreds of seeds
-  in CI.
-* :func:`full_matrix` — everything in smoke plus the process-executor
-  cells and the cross-product cells (process×disk, disk×checkpoint,
-  pure×checkpoint).  Slower: every process cell pays pool forks.
+* :func:`smoke_matrix` — one dimension at a time (engine, store,
+  checkpoint, tracing, pruning ablations).  Fast enough to run
+  hundreds of seeds in CI.
+* :func:`full_matrix` — everything in smoke plus the cross-product
+  cells (disk×checkpoint, pure×checkpoint).
 
 Each cell declares *which result dimensions* it is expected to
 reproduce (``compare``): the pruning ablations change the search's
@@ -26,7 +25,7 @@ dimensions.  Everything a cell does declare must match exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.tane import TaneConfig
@@ -61,19 +60,13 @@ class ConfigCell:
     """
 
     name: str
-    """Stable identifier, e.g. ``"process-disk"``."""
+    """Stable identifier, e.g. ``"disk-checkpoint"``."""
 
     compare: frozenset = COMPARE_ALL
     """Result dimensions diffed against the reference cell."""
 
     engine: str = "vectorized"
     """Partition engine (``TaneConfig.engine``)."""
-
-    executor: str = "serial"
-    """Level executor (``TaneConfig.executor``)."""
-
-    workers: int = 0
-    """Pool size for process-executor cells."""
 
     store: str = "memory"
     """Partition store (``TaneConfig.store``)."""
@@ -120,8 +113,6 @@ class ConfigCell:
             measure=measure,
             max_lhs_size=max_lhs_size,
             engine=self.engine,
-            executor=self.executor,
-            workers=self.workers,
             store=self.store,
             store_options=self.store_options,
             use_rule8=self.use_rule8,
@@ -139,8 +130,6 @@ class ConfigCell:
             "name": self.name,
             "compare": sorted(self.compare),
             "engine": self.engine,
-            "executor": self.executor,
-            "workers": self.workers,
             "store": self.store,
             "store_options": [list(pair) for pair in self.store_options],
             "checkpoint": self.checkpoint,
@@ -152,13 +141,22 @@ class ConfigCell:
 
     @classmethod
     def from_description(cls, data: dict) -> "ConfigCell":
-        """Rebuild a cell from :meth:`describe` output (failure replay)."""
+        """Rebuild a cell from :meth:`describe` output (failure replay).
+
+        Cases saved while the program had a process executor name one
+        per cell; a cell that ran on anything but the in-process
+        executor cannot be replayed as recorded, so it is refused.
+        """
+        executor = data.get("executor", "serial")
+        if executor != "serial":
+            raise ConfigurationError(
+                f"cell {data.get('name')!r} ran on the {executor!r} executor, "
+                "which no longer exists; only in-process cells can be replayed"
+            )
         return cls(
             name=data["name"],
             compare=frozenset(data["compare"]),
             engine=data["engine"],
-            executor=data["executor"],
-            workers=data["workers"],
             store=data["store"],
             store_options=tuple(
                 (key, value) for key, value in data.get("store_options", [])
@@ -172,8 +170,8 @@ class ConfigCell:
 
 
 REFERENCE_CELL = ConfigCell(name="reference")
-"""The baseline every other cell is diffed against: serial executor,
-vectorized engine, memory store, no checkpoint, no tracing."""
+"""The baseline every other cell is diffed against: vectorized engine,
+memory store, no checkpoint, no tracing."""
 
 # Force the disk store to actually exercise its spill/load machinery on
 # the small fuzz relations: a one-byte resident budget with pinning
@@ -182,7 +180,7 @@ _SPILLY = (("resident_budget_bytes", 1), ("min_spill_bytes", 0))
 
 
 def smoke_matrix() -> list[ConfigCell]:
-    """The serial matrix: engine × store × checkpoint × tracing × ablations.
+    """The smoke matrix: engine × store × checkpoint × tracing × ablations.
 
     The first cell is always the reference.  Runs in milliseconds per
     seed on fuzz-sized relations, so CI can afford many seeds.
@@ -199,23 +197,19 @@ def smoke_matrix() -> list[ConfigCell]:
     ]
 
 
-def full_matrix(workers: int = 2) -> list[ConfigCell]:
-    """Smoke matrix plus the process-executor and cross-product cells."""
-    process = ConfigCell(name="process", executor="process", workers=workers)
+def full_matrix() -> list[ConfigCell]:
+    """Smoke matrix plus the cross-product cells."""
     return smoke_matrix() + [
-        process,
-        replace(process, name="process-disk", store="disk", store_options=_SPILLY),
-        replace(process, name="process-traced", traced=True),
         ConfigCell(name="disk-checkpoint", store="disk", store_options=_SPILLY,
                    checkpoint=True),
         ConfigCell(name="pure-checkpoint", engine="pure", checkpoint=True),
     ]
 
 
-def build_matrix(kind: str, *, workers: int = 2) -> list[ConfigCell]:
+def build_matrix(kind: str) -> list[ConfigCell]:
     """Resolve a matrix name (``"smoke"`` or ``"full"``) to its cells."""
     if kind == "smoke":
         return smoke_matrix()
     if kind == "full":
-        return full_matrix(workers=workers)
+        return full_matrix()
     raise ConfigurationError(f"unknown matrix {kind!r}; use 'smoke' or 'full'")

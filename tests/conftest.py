@@ -6,9 +6,9 @@ here keep ``from tests.conftest import relations`` / plain
 ``conftest.relations`` imports working across the suite.
 
 The collection hook auto-skips ``multicore``-marked tests on single-CPU
-hosts — those tests assert *genuine* multi-process behaviour (worker
-parity, worker-failure recovery) that a one-core box cannot exhibit.
-Set ``REPRO_FORCE_MULTICORE=1`` to run them anyway.
+hosts — those tests assert *genuine* multi-threaded behaviour (the
+kernel thread pool's parity and speedup) that a one-core box cannot
+exhibit.  Set ``REPRO_FORCE_MULTICORE=1`` to run them anyway.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.tane import TaneConfig
 from repro.exceptions import ConfigurationError
-from repro.parallel.executor import ProcessLevelExecutor, SerialLevelExecutor
+from repro.search.execution import SerialExecution
 
 
 def _config_error(**kwargs) -> str:
@@ -35,11 +35,9 @@ class TestKnobMessages:
     def test_executor_enumerates_choices(self):
         message = _config_error(executor="threads")
         assert "unknown executor 'threads'" in message
-        for choice in ("'auto'", "'serial'", "'process'"):
-            assert choice in message
-        # The executor knob also accepts injected instances; the
-        # message must say so.
-        assert "LevelExecutor instance" in message
+        # The executor knob takes only injected instances; the message
+        # must say so.
+        assert "SerialExecution instance" in message
 
     def test_strategy_enumerates_choices(self):
         message = _config_error(strategy="depthfirst")
@@ -124,27 +122,14 @@ class TestDfdCoupling:
 
 
 class TestPureEngineCoupling:
-    """The pure engine runs serially: pool workers ship CSR buffers."""
+    """The pure engine runs on the in-process executor; the name of the
+    retired process executor fails fast."""
 
     def test_process_executor_name_rejected(self):
-        assert "engine='pure' runs serially" in _config_error(
+        assert "unknown executor 'process'" in _config_error(
             engine="pure", executor="process"
         )
 
-    def test_workers_rejected(self):
-        assert "engine='pure' runs serially" in _config_error(
-            engine="pure", workers=2
-        )
-
-    def test_process_executor_instance_rejected(self):
-        executor = ProcessLevelExecutor(workers=2)
-        try:
-            assert "engine='pure' runs serially" in _config_error(
-                engine="pure", executor=executor
-            )
-        finally:
-            executor.close()
-
     def test_serial_executor_instance_accepted(self):
-        config = TaneConfig(engine="pure", executor=SerialLevelExecutor())
+        config = TaneConfig(engine="pure", executor=SerialExecution())
         assert config.engine == "pure"

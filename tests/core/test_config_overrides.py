@@ -8,6 +8,7 @@ fields of a caller-supplied config.
 
 import pytest
 
+from repro.bench.workloads import FromSingletonsExecutor
 from repro.core.tane import TaneConfig, discover_approximate_fds, discover_fds
 
 
@@ -57,8 +58,9 @@ class TestDiscoverApproximateFds:
         )
         assert result.epsilon == 0.25
 
-    def test_workers_setting_survives(self, figure1_relation):
-        result = discover_approximate_fds(
-            figure1_relation, 0.1, config=TaneConfig(workers=2)
+    def test_executor_setting_survives(self, figure1_relation):
+        executor = FromSingletonsExecutor(figure1_relation)
+        discover_approximate_fds(
+            figure1_relation, 0.1, config=TaneConfig(executor=executor)
         )
-        assert result.statistics.executor == "process"
+        assert executor.products_computed > 0

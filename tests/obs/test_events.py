@@ -125,8 +125,7 @@ class TestProgressEmitter:
 
         def hammer():
             for index in range(200):
-                emitter.emit("heartbeat", pid=1, chunk_kind="validity",
-                             tasks=index, seconds=0.0)
+                emitter.emit("cache", hits=index, misses=0)
 
         threads = [threading.Thread(target=hammer) for _ in range(4)]
         for thread in threads:
@@ -166,7 +165,7 @@ class TestJsonlEventWriter:
         writer = JsonlEventWriter(path)
         emitter.subscribe(writer)
         emitter.emit("run_start", rows=10, attributes=3, epsilon=0.0,
-                     measure="g3", executor="serial")
+                     measure="g3")
         emitter.emit("run_end", seconds=0.5, ok=True)
         writer.close()
         loaded = load_events(path)
@@ -174,21 +173,20 @@ class TestJsonlEventWriter:
         assert loaded[0].payload["rows"] == 10
         assert loaded[1].payload["ok"] is True
 
-    def test_heartbeat_round_trips_with_its_kind_intact(self, tmp_path):
-        # Regression: the heartbeat's chunk kind used to be written as
-        # a payload field named `kind`, which clobbered the event kind
-        # in the flat wire form — reloaded streams came back with
-        # invalid kinds like "validity".
+    def test_phase_end_round_trips_with_its_kind_intact(self, tmp_path):
+        # Regression: a payload field named `kind` once clobbered the
+        # event kind in the flat wire form, so reloaded streams came
+        # back with invalid kinds.  A phase event names its phase in a
+        # field of its own and reloads as itself.
         path = tmp_path / "events.jsonl"
         emitter = ProgressEmitter()
         writer = JsonlEventWriter(path)
         emitter.subscribe(writer)
-        emitter.emit("heartbeat", pid=7, chunk_kind="validity", tasks=3,
-                     seconds=0.01)
+        emitter.emit("phase_end", level=2, phase="prune", seconds=0.01)
         writer.close()
         (event,) = load_events(path)
-        assert event.kind == "heartbeat"
-        assert event.payload["chunk_kind"] == "validity"
+        assert event.kind == "phase_end"
+        assert event.payload["phase"] == "prune"
         assert validate_event(event) == []
 
     def test_write_after_close_is_silent(self, tmp_path):

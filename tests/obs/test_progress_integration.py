@@ -1,5 +1,5 @@
 """End-to-end telemetry tests: events from real runs, ETA accuracy,
-gauge lifecycle across runs, cache/shm rendering, concurrent emit order.
+gauge lifecycle across runs, cache rendering, concurrent emit order.
 
 These tests drive the real discovery pipeline (``discover`` with
 ``TaneConfig(events=..., profile=..., metrics=...)``) and pin the
@@ -160,29 +160,17 @@ class TestGaugeLifecycle:
 
 
 class TestTraceReportTelemetry:
-    def test_cache_and_shm_totals_rendered(self):
+    def test_cache_totals_rendered(self):
         sink = InMemorySink()
         tracer = Tracer(sinks=[sink])
         with tracer.span("discover") as root:
             root.set("cache_hits", 30)
             root.set("cache_misses", 10)
-            root.set("shm_bytes_saved", 4 * 1024 * 1024)
         report = build_report(sink.spans)
         assert report.cache_hits == 30
         assert report.cache_misses == 10
-        assert report.shm_bytes_saved == 4 * 1024 * 1024
         text = report.format()
         assert "partition cache: 30 hits / 10 misses (75.0% hit rate)" in text
-        assert "shm saved 4.00 MB resident" in text
-
-    def test_ship_saved_bytes_summed_without_discover_attr(self):
-        sink = InMemorySink()
-        tracer = Tracer(sinks=[sink])
-        with tracer.span("discover"):
-            tracer.emit("shm.ship", 0.0, bytes=100, saved_bytes=64)
-            tracer.emit("shm.ship", 0.0, bytes=100, saved_bytes=36)
-        report = build_report(sink.spans)
-        assert report.shm_bytes_saved == 100
 
     def test_totals_absent_from_plain_report(self):
         sink = InMemorySink()
@@ -191,7 +179,6 @@ class TestTraceReportTelemetry:
             pass
         text = build_report(sink.spans).format()
         assert "partition cache" not in text
-        assert "shm saved" not in text
 
     def test_cache_counters_flow_from_real_cached_run(self):
         relation = small_relation()
@@ -206,34 +193,33 @@ class TestTraceReportTelemetry:
 
 
 class TestConcurrentEmitOrdering:
-    def test_worker_rows_deterministic_under_concurrent_emit(self):
-        """Chunks flushed from racing threads render identically.
+    def test_store_rows_add_up_under_races(self):
+        """Store spans recorded from racing threads add up exactly.
 
-        The report must not depend on arrival order: worker rows come
-        out sorted by pid with exact per-pid counts, however the
-        concurrent ``Tracer.emit`` calls interleaved.
+        The report must not depend on arrival order: the level row
+        counts every spill and load, however the concurrent
+        ``Tracer.emit`` calls interleaved.
         """
         sink = InMemorySink()
         tracer = Tracer(sinks=[sink])
         barrier = threading.Barrier(4)
 
-        def flush_chunks(pid: int) -> None:
+        def flush_spans(thread_index: int) -> None:
             barrier.wait()
             for index in range(50):
                 tracer.emit(
-                    "worker.chunk",
+                    "store.spill" if index % 2 else "store.load",
                     0.001,
-                    pid=pid,
-                    kind="products" if index % 2 else "validity",
-                    tasks=1,
+                    mask=thread_index,
+                    bytes=1024,
                 )
 
         with tracer.span("discover"):
             with tracer.span("level", level=1):
                 with tracer.span("generate_next_level"):
                     threads = [
-                        threading.Thread(target=flush_chunks, args=(pid,))
-                        for pid in (44, 11, 33, 22)
+                        threading.Thread(target=flush_spans, args=(index,))
+                        for index in range(4)
                     ]
                     for thread in threads:
                         thread.start()
@@ -241,19 +227,17 @@ class TestConcurrentEmitOrdering:
                         thread.join()
 
         report = build_report(sink.spans)
-        assert [worker.pid for worker in report.workers] == [11, 22, 33, 44]
-        assert all(worker.chunks == 50 for worker in report.workers)
-        assert all(worker.product_chunks == 25 for worker in report.workers)
         (level_row,) = report.levels
-        assert level_row.chunks == 200
+        assert (level_row.spills, level_row.loads) == (100, 100)
+        assert (level_row.spill_bytes, level_row.load_bytes) == (102400, 102400)
 
     def test_report_rendering_is_order_independent(self):
         sink = InMemorySink()
         tracer = Tracer(sinks=[sink])
         with tracer.span("discover"):
             with tracer.span("level", level=1):
-                for pid in (3, 1, 2):
-                    tracer.emit("worker.chunk", 0.01, pid=pid, kind="validity")
+                for mask in (3, 1, 2):
+                    tracer.emit("store.load", 0.01, mask=mask, bytes=64 * mask)
         spans = list(sink.spans)
         text = build_report(spans).format()
         shuffled = list(spans)
@@ -264,12 +248,12 @@ class TestConcurrentEmitOrdering:
         sink = InMemorySink()
         tracer = Tracer(sinks=[sink])
 
-        def emit_many(pid: int) -> None:
+        def emit_many(mask: int) -> None:
             for _ in range(100):
-                tracer.emit("worker.chunk", 0.0, pid=pid, kind="validity")
+                tracer.emit("store.load", 0.0, mask=mask, bytes=8)
 
-        threads = [threading.Thread(target=emit_many, args=(pid,))
-                   for pid in range(4)]
+        threads = [threading.Thread(target=emit_many, args=(mask,))
+                   for mask in range(4)]
         for thread in threads:
             thread.start()
         for thread in threads:

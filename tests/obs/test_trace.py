@@ -39,11 +39,11 @@ class TestSpanTree:
         sink = InMemorySink()
         tracer = Tracer(sinks=[sink])
         with tracer.span("phase") as phase:
-            tracer.emit("worker.chunk", 0.25, pid=42)
-        chunk = next(s for s in sink.spans if s.name == "worker.chunk")
-        assert chunk.parent_id == phase.span_id
-        assert chunk.duration == pytest.approx(0.25)
-        assert chunk.attributes["pid"] == 42
+            tracer.emit("store.load", 0.25, mask=42)
+        load = next(s for s in sink.spans if s.name == "store.load")
+        assert load.parent_id == phase.span_id
+        assert load.duration == pytest.approx(0.25)
+        assert load.attributes["mask"] == 42
 
     def test_span_count(self):
         tracer = Tracer()
@@ -128,11 +128,11 @@ class TestJsonlSink:
         path = tmp_path / "trace.jsonl"
         tracer = Tracer(sinks=[JsonlSink(path)])
         with tracer.span("root", level=1):
-            tracer.emit("chunk", 0.5, pid=9)
+            tracer.emit("store.load", 0.5, mask=9)
         tracer.close()
         spans = load_spans(path)
-        assert [s.name for s in spans] == ["chunk", "root"]
-        assert spans[0].attributes == {"pid": 9}
+        assert [s.name for s in spans] == ["store.load", "root"]
+        assert spans[0].attributes == {"mask": 9}
 
     def test_load_spans_rejects_garbage(self, tmp_path):
         path = tmp_path / "trace.jsonl"

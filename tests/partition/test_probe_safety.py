@@ -1,7 +1,7 @@
 """Exception safety of the shared probe workspace.
 
-One :class:`PartitionWorkspace` is shared by an entire TANE run (and by
-every chunk a pool worker executes).  ``product`` and
+One :class:`PartitionWorkspace` is shared by an entire TANE run.
+``product`` and
 ``g3_error_count`` scatter class labels into the probe array and must
 reset them *even when the operation raises* — e.g. a corrupt attached
 partition carrying out-of-range row ids — otherwise every later
@@ -43,7 +43,7 @@ def healthy_pair():
 
 def corrupt_partition():
     """A partition whose row ids exceed the relation (attach skips
-    validation by design — workers trust shared-memory buffers)."""
+    validation by design — callers vouch for the buffers)."""
     indices = np.array([NUM_ROWS + 5, NUM_ROWS + 6], dtype=np.int64)
     offsets = np.array([0, 2], dtype=np.int64)
     return CsrPartition.attach(indices, offsets, NUM_ROWS)
@@ -117,8 +117,9 @@ class TestThreadedProbeReset:
 
 
 # A threaded call in the parent, then a forked child's threaded call and
-# a fork-started process executor: a child that kept the parent's pool
-# would hand its work to threads the fork did not copy and wait forever.
+# a whole discovery in a second forked child: a child that kept the
+# parent's pool would hand its work to threads the fork did not copy and
+# wait forever.
 FORK_AFTER_THREADS = """
 import os
 
@@ -127,7 +128,6 @@ import numpy as np
 import repro.partition.vectorized as vectorized
 from repro.core.tane import TaneConfig, discover
 from repro.model.relation import Relation
-from repro.parallel.executor import ProcessLevelExecutor
 
 vectorized._THREAD_MIN_ROWS = 0
 vectorized._DENSE_MAX_ROWS = 0
@@ -145,14 +145,12 @@ if child == 0:
 assert os.waitstatus_to_exitcode(os.waitpid(child, 0)[1]) == 0
 
 relation = Relation.from_codes(columns)
-serial = discover(relation, TaneConfig())
-executor = ProcessLevelExecutor(workers=2)
-try:
-    parallel = discover(relation, TaneConfig(executor=executor))
-finally:
-    executor.close()
-assert parallel.dependencies == serial.dependencies
-assert parallel.statistics.worker_chunks > 0
+parent = discover(relation, TaneConfig())
+child = os.fork()
+if child == 0:
+    forked = discover(relation, TaneConfig())
+    os._exit(0 if forked.dependencies == parent.dependencies else 1)
+assert os.waitstatus_to_exitcode(os.waitpid(child, 0)[1]) == 0
 print("completed")
 """
 

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 import repro.partition.vectorized as vectorized
-from repro.parallel.shm import SharedPartitionBlock, attached_partition, detach_all
 from repro.partition.store import DiskPartitionStore
 from repro.partition.vectorized import CsrPartition, batched_products
 
@@ -83,17 +82,13 @@ class TestEveryBuilderAscends:
         finally:
             store.close()
 
-    def test_shared_memory_attach(self, factors):
-        block = SharedPartitionBlock(dict(enumerate(factors, start=1)))
-        try:
-            for mask, original in enumerate(factors, start=1):
-                attached = attached_partition(block.name, mask, block.directory[mask])
-                assert attached._ascending is None
-                assert rows_ascend(attached) and attached._rows_ascending()
-                assert np.array_equal(attached.indices, original.indices)
-        finally:
-            detach_all()
-            block.close()
+    def test_attach_over_exported_buffers(self, factors):
+        for original in factors:
+            indices, offsets = original.export_buffers()
+            attached = CsrPartition.attach(indices.copy(), offsets.copy(), NUM_ROWS)
+            assert attached._ascending is None  # raw buffers: not yet known
+            assert rows_ascend(attached) and attached._rows_ascending()
+            assert np.array_equal(attached.indices, original.indices)
 
 
 class TestRawNonAscendingPartitions:

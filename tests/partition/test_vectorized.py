@@ -104,6 +104,25 @@ class TestProduct:
             CsrPartition.from_column([0, 0]).product(object())  # type: ignore[arg-type]
 
 
+
+class TestExportAttach:
+    """Raw-buffer export and zero-copy attach (disk spills write the
+    exported buffers)."""
+
+    def test_round_trip(self):
+        original = CsrPartition.from_column([0, 0, 1, 1, 1, 2])
+        indices, offsets = original.export_buffers()
+        rebuilt = CsrPartition.attach(indices, offsets, original.num_rows)
+        assert rebuilt.class_sets() == original.class_sets()
+        assert rebuilt.num_rows == original.num_rows
+        assert rebuilt.error_count == original.error_count
+
+    def test_export_buffers_contiguous_int32(self):
+        indices, offsets = CsrPartition.from_column([0, 0, 1]).export_buffers()
+        for array in (indices, offsets):
+            assert array.dtype == np.int32
+            assert array.flags["C_CONTIGUOUS"]
+
 class TestG3:
     def test_exact_dependency(self):
         b = CsrPartition.from_column(FIG1_B)

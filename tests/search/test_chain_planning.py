@@ -3,8 +3,8 @@
 ``PartitionManager._best_ancestor`` picks the start of each chain: the
 resident subset with the most attributes, ties to the smallest mask.
 Chain steps multiply by singleton partitions, which carry their column
-in a memory store and lose it when they come back from a disk spill or
-cross a process; the cover and the search counters must not notice.
+in a memory store and lose it when they come back from a disk spill;
+the cover and the search counters must not notice.
 """
 
 import pytest
@@ -93,7 +93,7 @@ def walk_relation():
     return relation
 
 
-# Capped at three lhs attributes to keep the process-executor run short.
+# Capped at three lhs attributes to keep the disk-store run short.
 WALK = dict(strategy="dfd", measure="pdep", epsilon=0.05, max_lhs_size=3)
 
 
@@ -111,7 +111,7 @@ def column_tasks(monkeypatch):
     return taken
 
 
-def test_walk_agrees_across_stores_and_executors(walk_relation, column_tasks):
+def test_walk_agrees_across_stores(walk_relation, column_tasks):
     memory = outcome(discover(walk_relation, TaneConfig(**WALK)))
     in_memory = sum(column_tasks)
     assert in_memory > 0
@@ -128,8 +128,4 @@ def test_walk_agrees_across_stores_and_executors(walk_relation, column_tasks):
     )
     # Singletons reloaded from their spill files carry no column.
     assert sum(column_tasks) < in_memory
-    process = outcome(
-        discover(walk_relation, TaneConfig(executor="process", workers=2, **WALK))
-    )
     assert spilled == memory
-    assert process == memory

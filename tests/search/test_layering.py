@@ -31,7 +31,7 @@ def test_search_globals_reference_no_plugin_objects():
 
     import repro.search
 
-    forbidden = ("repro.parallel", "repro.obs", "repro.core.checkpoint")
+    forbidden = ("repro.obs", "repro.core.checkpoint")
     offenders = []
     for info in pkgutil.iter_modules(repro.search.__path__):
         module = importlib.import_module(f"repro.search.{info.name}")

@@ -24,7 +24,7 @@ from repro.core.tane import TaneConfig, discover
 from repro.model.relation import Relation
 from repro.partition.store import MemoryPartitionStore
 from repro.partition.vectorized import CsrPartition, PartitionWorkspace
-from repro.search.execution import SerialExecution, serial_validity
+from repro.search.execution import SerialExecution
 from repro.search.measures import ValidityCriteria
 from repro.search.partitions import PartitionManager
 from repro.search.tracker import CandidateTracker, LevelArrays, PairOutcomes
@@ -78,7 +78,9 @@ def lockstep(relation: Relation, monkeypatch, **options) -> None:
         pairs = arrays.testable_groups(current, cplus_array)
         flat = [(whole, rhs, lhs) for whole, tests in groups for rhs, lhs in tests]
         assert list(zip(pairs.whole.tolist(), pairs.rhs.tolist(), pairs.lhs.tolist())) == flat
-        outcomes = serial_validity(groups, partitions.get, criteria, workspace)
+        outcomes = SerialExecution().validity_tests(
+            groups, partitions.get, criteria, workspace
+        )
         assert pairs.exact.tolist() == [o.exactly_valid for o in outcomes]
 
         # Updated C+ after the same outcomes.

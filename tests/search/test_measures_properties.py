@@ -5,9 +5,8 @@ pool (:mod:`repro.testing.strategies`):
 
 * range — every measure's error lands in ``[0, 1]`` on every relation;
 * determinism — the vectorized and pure partition engines produce
-  bit-identical errors, and the serial and process executors produce
-  bit-identical results (fixed-seed, parametrized — spawning pools
-  inside Hypothesis would blow its deadline model);
+  bit-identical errors, and a full run's approximate errors match the
+  bruteforce oracle (fixed-seed, parametrized);
 * dominance — ``rfi <= fi`` as scores (error >=) on every relation,
   because the permutation bias is non-negative by construction.
 """
@@ -23,7 +22,7 @@ from repro.baselines.bruteforce import (
     dependency_rfi,
 )
 from repro.core.tane import TaneConfig, discover
-from repro.datasets.synthetic import correlated_relation, random_relation
+from repro.datasets.synthetic import random_relation
 from repro.search.measures import MEASURES, SCORE_MEASURES
 from repro.testing.strategies import relations
 
@@ -78,35 +77,14 @@ class TestRfiDominance:
             assert rfi >= fi - 1e-12
 
 
-class TestExecutorDeterminism:
-    """Serial vs. process runs, fixed seeds (pools are too slow for
-    Hypothesis's example budget but must still cover every measure)."""
-
-    @pytest.mark.parametrize("measure", SCORE_MEASURES)
-    def test_serial_and_process_agree_exactly(self, measure):
-        relation = correlated_relation(
-            60, 4, num_factors=2, noise=0.15, domain_size=4, seed=21
-        )
-        config = dict(epsilon=0.3, measure=measure)
-        serial = discover(
-            relation, TaneConfig(executor="serial", **config)
-        )
-        process = discover(
-            relation, TaneConfig(executor="process", workers=2, **config)
-        )
-        assert set(serial.dependencies) == set(process.dependencies)
-        errors = {(fd.lhs, fd.rhs): fd.error for fd in serial.dependencies}
-        for fd in process.dependencies:
-            assert errors[(fd.lhs, fd.rhs)] == fd.error
+class TestOracleAgreement:
+    """A full run's approximate errors match the bruteforce oracle
+    (fixed seeds, one run per measure)."""
 
     @pytest.mark.parametrize("measure", ("tau", "rfi"))
-    def test_process_run_matches_oracle(self, measure):
+    def test_run_matches_oracle(self, measure):
         relation = random_relation(30, 3, 3, seed=7)
-        result = discover(
-            relation,
-            TaneConfig(epsilon=0.3, measure=measure,
-                       executor="process", workers=2),
-        )
+        result = discover(relation, TaneConfig(epsilon=0.3, measure=measure))
         for fd in result.dependencies:
             if fd.error == 0.0:
                 continue

@@ -12,8 +12,8 @@ import pytest
 
 from repro.core.tane import TaneConfig, discover
 from repro.model.relation import Relation
-from repro.parallel.executor import SerialLevelExecutor
 from repro.partition.cache import PartitionCache, reset_shared_cache
+from repro.search.execution import SerialExecution
 
 
 @pytest.fixture
@@ -113,7 +113,7 @@ class TestCacheIsolation:
             reset_shared_cache()
 
 
-class PerTripleExecutor(SerialLevelExecutor):
+class PerTripleExecutor(SerialExecution):
     """The one-product-at-a-time loop the batched kernel must match."""
 
     def products(self, triples, fetch, workspace):

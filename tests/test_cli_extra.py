@@ -44,12 +44,6 @@ class TestBenchFigure3:
         assert main(["bench", "ablation-engine", "--scale", "smoke"]) == 0
         assert "scale=smoke" in capsys.readouterr().out
 
-    def test_parallel_workers_flag(self, capsys):
-        assert main(["bench", "parallel", "--scale", "smoke", "--workers", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "workers=2" in out
-        assert "False" not in out  # every row's results identical to serial
-
 
 class TestKeysCommand:
     def test_exact_keys(self, tmp_path, capsys):

@@ -11,6 +11,7 @@ from repro.fingerprint import (
     canonical_config_key,
     search_fingerprint,
 )
+from repro.search.execution import SerialExecution
 from repro.search.measures import MEASURES
 from repro.search.strategy import make_strategy
 
@@ -34,13 +35,13 @@ class TestCanonicalConfigKey:
         assert canonical_config_key(base) != canonical_config_key(other)
 
     def test_execution_shape_does_not_change_the_key(self):
-        # Engines/executors are result-equivalent by the verify
-        # harness's contract, so they must share cache entries.
+        # Stores and injected executors are result-equivalent by the
+        # verify harness's contract, so they must share cache entries.
         base = TaneConfig(epsilon=0.3, measure="pdep")
-        process = TaneConfig(
-            epsilon=0.3, measure="pdep", executor="process", workers=2
+        shaped = TaneConfig(
+            epsilon=0.3, measure="pdep", store="disk", executor=SerialExecution()
         )
-        assert canonical_config_key(base) == canonical_config_key(process)
+        assert canonical_config_key(base) == canonical_config_key(shaped)
 
     def test_key_fields_include_rfi_params(self):
         assert "rfi_samples" in CONFIG_KEY_FIELDS

@@ -14,6 +14,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.exceptions import ConfigurationError
 from repro.model.relation import Relation
 from repro.testing import faults
 from repro.verify.fuzz import (
@@ -145,6 +146,30 @@ class TestBrokenEngine:
         with faults.inject_mutation(**_ARM):
             assert replay_case(failure.case_dir, workdir=workdir)
         assert replay_case(failure.case_dir, workdir=workdir) == []
+
+    def test_case_naming_a_process_cell_is_refused(self, tmp_path):
+        """Cases saved while a process executor existed name one per
+        cell; an in-process cell still replays, a process cell cannot
+        be replayed as recorded and is refused with a typed error."""
+        workdir = tmp_path / "work"
+        cells = build_matrix("smoke")
+        with faults.inject_mutation(**_ARM):
+            failure = fuzz_seed(4, cells, workdir=workdir,
+                                failure_dir=tmp_path / "failures")
+        assert failure is not None
+        case_file = failure.case_dir / "case.json"
+        payload = json.loads(case_file.read_text())
+        for cell in payload["cells"]:
+            cell.update(executor="serial", workers=0)
+        case_file.write_text(json.dumps(payload))
+        assert replay_case(failure.case_dir, workdir=workdir) == []
+
+        process_cell = dict(payload["cells"][0], name="process",
+                            executor="process", workers=2)
+        payload["cells"].append(process_cell)
+        case_file.write_text(json.dumps(payload))
+        with pytest.raises(ConfigurationError, match="'process' executor"):
+            replay_case(failure.case_dir, workdir=workdir)
 
 
 class TestCli:

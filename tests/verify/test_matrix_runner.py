@@ -43,7 +43,7 @@ class TestMatrix:
         smoke_names = {cell.name for cell in smoke_matrix()}
         full_names = {cell.name for cell in full_matrix()}
         assert smoke_names < full_names
-        assert {"process", "process-disk", "process-traced"} <= full_names
+        assert full_names - smoke_names == {"disk-checkpoint", "pure-checkpoint"}
 
     def test_build_matrix_rejects_unknown_kind(self):
         with pytest.raises(ConfigurationError):

@@ -2,9 +2,8 @@
 """Import-layering check for the search core.
 
 ``repro.search`` is the dependency-light center of the architecture:
-the parallel executor, the observability layer, and the checkpoint
-subsystem plug into it through the ``SearchHooks`` / execution-backend
-seams, never the other way around.  This script walks the package's
+the observability layer and the checkpoint subsystem plug into it
+through the ``SearchHooks`` seam, never the other way around.  This script walks the package's
 import statements (AST-level, so conditional and function-local
 imports count too) and fails when a search module reaches *up* into a
 plugin layer.
@@ -21,14 +20,12 @@ from pathlib import Path
 SEARCH_PACKAGE = Path(__file__).resolve().parent.parent / "src" / "repro" / "search"
 
 FORBIDDEN_PREFIXES = (
-    "repro.parallel",
     "repro.obs",
     "repro.core.checkpoint",
 )
 """Plugin layers the search core must never import.  Each attaches
-through a seam instead: the process executor through the execution
-backend surface, tracing through ``SearchHooks.span``, checkpointing
-through ``resume_state``/``on_boundary``."""
+through a seam instead: tracing through ``SearchHooks.span``,
+checkpointing through ``resume_state``/``on_boundary``."""
 
 ALLOWED_PREFIXES = (
     "repro.search",
