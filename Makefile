@@ -108,6 +108,7 @@ service-smoke:
 measures-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/search/test_measures.py \
 	  tests/search/test_measures_golden.py \
+	  tests/search/test_expected_mutual_information.py \
 	  tests/search/test_measures_properties.py \
 	  tests/search/test_planted_recovery.py \
 	  tests/verify/test_compare_measures.py tests/test_fingerprint.py -q

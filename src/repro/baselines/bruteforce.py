@@ -15,11 +15,7 @@ from itertools import combinations
 from repro import _bitset
 from repro.model.fd import FDSet, FunctionalDependency
 from repro.model.relation import Relation
-from repro.search.sampling import (
-    DEFAULT_RFI_SAMPLES,
-    DEFAULT_RFI_SEED,
-    permutation_mi_bias,
-)
+from repro.search.measures import expected_mutual_information
 
 __all__ = [
     "dependency_holds",
@@ -190,22 +186,16 @@ def dependency_fi(relation: Relation, lhs_mask: int, rhs_index: int) -> float:
     return min(1.0, max(0.0, conditional / marginal_entropy))
 
 
-def dependency_rfi(
-    relation: Relation,
-    lhs_mask: int,
-    rhs_index: int,
-    samples: int = DEFAULT_RFI_SAMPLES,
-    seed: int = DEFAULT_RFI_SEED,
-) -> float:
+def dependency_rfi(relation: Relation, lhs_mask: int, rhs_index: int) -> float:
     """Error ``1 - RFI(X -> A)`` (reliable fraction of information).
 
     The FI part is computed from the definition; the permutation-model
-    bias deliberately reuses :func:`repro.search.sampling.permutation_mi_bias`
-    — the shared substrate is the *specification* of the Monte Carlo
-    estimate, and both sides must draw identical samples to agree.
-    Exact dependencies are error ``0`` by the search's Lemma 2
-    convention (the textbook rfi of a key is below 1; see
-    ``docs/MEASURES.md``).
+    bias is the same closed form the search calls,
+    :func:`repro.search.measures.expected_mutual_information`, fed the
+    lhs group sizes counted here; that function is checked on its own
+    against full enumeration of the rhs arrangements.  Exact
+    dependencies are error ``0`` by the search's Lemma 2 convention
+    (the textbook rfi of a key is 0; see ``docs/MEASURES.md``).
     """
     n = relation.num_rows
     if n == 0:
@@ -217,12 +207,8 @@ def dependency_rfi(
     if marginal_entropy <= 0.0:
         return 0.0
     fi_score = 1.0 - _conditional_entropy_of(relation, lhs_mask, rhs_index) / marginal_entropy
-    class_sizes = [
-        len(rows) for rows in _lhs_groups(relation, lhs_mask).values() if len(rows) >= 2
-    ]
-    bias = permutation_mi_bias(
-        class_sizes, marginal, n, samples=samples, base_seed=seed
-    )
+    class_sizes = [len(rows) for rows in _lhs_groups(relation, lhs_mask).values()]
+    bias = expected_mutual_information(class_sizes, marginal, n)
     rfi = max(0.0, fi_score - bias / marginal_entropy)
     return min(1.0, max(0.0, 1.0 - rfi))
 

@@ -47,7 +47,6 @@ from repro.datasets.replicate import replicate_with_unique_suffix
 from repro.datasets.uci import DATASET_BUILDERS, uci_dataset
 from repro.exceptions import DataError, ReproError
 from repro.search.measures import MEASURES
-from repro.search.sampling import DEFAULT_RFI_SAMPLES, DEFAULT_RFI_SEED
 
 _LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
 
@@ -74,12 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
                                       "g1/g2, or the score measures pdep, tau, "
                                       "mu_plus, fi, rfi (error = 1 - score; "
                                       "see docs/MEASURES.md)")
-    discover_parser.add_argument("--rfi-samples", type=int, default=DEFAULT_RFI_SAMPLES,
-                                 help="Monte Carlo samples for the rfi bias "
-                                      "estimate (measure rfi only)")
-    discover_parser.add_argument("--rfi-seed", type=int, default=DEFAULT_RFI_SEED,
-                                 help="base seed for the rfi bias estimate "
-                                      "(measure rfi only)")
     discover_parser.add_argument("--max-lhs", type=int, default=None,
                                  help="left-hand-side size limit |X|")
     discover_parser.add_argument("--store", choices=["memory", "disk"], default="memory",
@@ -416,8 +409,6 @@ def _cmd_discover(args: argparse.Namespace) -> int:
         store=args.store,
         engine=args.engine,
         measure=args.measure,
-        rfi_samples=args.rfi_samples,
-        rfi_seed=args.rfi_seed,
         strategy=args.strategy,
         top_k=args.top_k,
         topk_rank=args.topk_rank,

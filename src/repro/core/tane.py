@@ -75,7 +75,6 @@ from repro.search.measures import (
     ValidityCriteria,
     relation_rhs_stats,
 )
-from repro.search.sampling import DEFAULT_RFI_SAMPLES, DEFAULT_RFI_SEED
 from repro.search.partitions import PartitionManager
 from repro.search.strategy import STRATEGIES, TOPK_RANK_MODES, make_strategy
 from repro.search.tracker import CandidateTracker
@@ -152,19 +151,9 @@ class TaneConfig:
     score measures exposed as ``error = 1 - score`` — ``pdep``,
     ``tau`` (Goodman–Kruskal), ``mu_plus``, ``fi`` (fraction of
     information) and ``rfi`` (Mandros et al.'s reliable fraction of
-    information, bias-corrected by seeded permutation sampling; see
-    :attr:`rfi_samples`/:attr:`rfi_seed`).  Exact dependencies score
-    error 0 under every measure.  ``docs/MEASURES.md`` has definitions
-    and guidance."""
-
-    rfi_samples: int = DEFAULT_RFI_SAMPLES
-    """Monte Carlo samples for the ``rfi`` bias estimate (>= 1).  Part
-    of the result/checkpoint identity — two budgets give two different
-    (both deterministic) measures."""
-
-    rfi_seed: int = DEFAULT_RFI_SEED
-    """Base seed (>= 0) mixed into ``rfi``'s structural seed
-    derivation; also part of the result/checkpoint identity."""
+    information, corrected by its exact permutation-model bias).
+    Exact dependencies score error 0 under every measure.
+    ``docs/MEASURES.md`` has definitions and guidance."""
 
     engine: str = "vectorized"
     """Partition engine: ``"vectorized"`` (the CSR array engine — the
@@ -309,14 +298,6 @@ class TaneConfig:
             raise ConfigurationError(
                 f"unknown measure {self.measure!r}; "
                 f"valid choices: {_choices(_MEASURES)}"
-            )
-        if self.rfi_samples < 1:
-            raise ConfigurationError(
-                f"rfi_samples must be >= 1, got {self.rfi_samples}"
-            )
-        if self.rfi_seed < 0:
-            raise ConfigurationError(
-                f"rfi_seed must be >= 0, got {self.rfi_seed}"
             )
         if self.engine not in _ENGINES:
             raise ConfigurationError(
@@ -541,8 +522,6 @@ class _TaneRun:
             use_g3_bounds=config.use_g3_bounds,
             num_rows=self.num_rows,
             rhs_stats=rhs_stats,
-            rfi_samples=config.rfi_samples,
-            rfi_seed=config.rfi_seed,
         )
         # Counters live in a metrics registry — shared with the tracer
         # when one is attached, private otherwise — and the public

@@ -25,7 +25,6 @@ by both sides; a position already in checkmate is ``zero``.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import lru_cache
 
 import numpy as np
@@ -141,82 +140,129 @@ def _white_moves(wk: int, wr: int, bk: int) -> list[tuple[int, int, int]]:
     return successors
 
 
-def _solve() -> dict[tuple[int, int, int], int]:
+# Precomputed board tables for the vectorized solver.  A position is
+# the integer id ``wk * 4096 + wr * 64 + bk``.
+_FILE_OF = np.arange(64) % 8
+_RANK_OF = np.arange(64) // 8
+_ADJACENT_TABLE = np.array([[t in around for t in range(64)] for around in _ADJACENT])
+
+
+def _step_table(steps, length: int) -> np.ndarray:
+    """``table[s, d, t]``: the square ``t + 1`` steps from ``s`` along
+    direction ``d``, or -1 once off the board."""
+    table = np.full((64, len(steps), length), -1, dtype=np.int64)
+    for square in range(64):
+        for d, (df, dr) in enumerate(steps):
+            for t in range(length):
+                nf = square % 8 + df * (t + 1)
+                nr = square // 8 + dr * (t + 1)
+                if 0 <= nf < 8 and 0 <= nr < 8:
+                    table[square, d, t] = _square(nf, nr)
+    return table
+
+
+_KING_TABLE = _step_table(_KING_STEPS, 1)[:, :, 0]
+_RAY_TABLE = _step_table(_ROOK_DIRS, 7)
+
+
+def _rook_attacks_many(rook: np.ndarray, target: np.ndarray, blocker: np.ndarray) -> np.ndarray:
+    """:func:`_rook_attacks` over arrays of squares."""
+    rf, rr = _FILE_OF[rook], _RANK_OF[rook]
+    tf, tr = _FILE_OF[target], _RANK_OF[target]
+    bf, br = _FILE_OF[blocker], _RANK_OF[blocker]
+    blocked_on_file = (
+        (rf == tf) & (bf == rf)
+        & (np.minimum(rr, tr) < br) & (br < np.maximum(rr, tr))
+    )
+    blocked_on_rank = (
+        (rr == tr) & (br == rr)
+        & (np.minimum(rf, tf) < bf) & (bf < np.maximum(rf, tf))
+    )
+    lined_up = ((rf == tf) | (rr == tr)) & (rook != target)
+    return lined_up & ~blocked_on_file & ~blocked_on_rank
+
+
+def _solve() -> tuple[np.ndarray, np.ndarray]:
     """Retrograde analysis of the KRK endgame.
 
-    Returns the value of every legal black-to-move position:
-    ``_DRAW`` or the number of White moves to mate (0 = already mate).
+    Returns the ids of every legal black-to-move position, ascending,
+    and the value of each: ``_DRAW`` or the number of White moves to
+    mate (0 = already mate).  The move rules are those of
+    :func:`_black_moves` and :func:`_white_moves`, applied to all
+    positions at once as edge arrays over the position ids.
     """
-    # Enumerate legal positions for both sides.
-    btm_index: dict[tuple[int, int, int], int] = {}
-    wtm_index: dict[tuple[int, int, int], int] = {}
-    for wk in range(64):
-        for wr in range(64):
-            for bk in range(64):
-                if not _static_legal(wk, wr, bk):
-                    continue
-                position = (wk, wr, bk)
-                btm_index[position] = len(btm_index)
-                if not _black_in_check(wk, wr, bk):
-                    wtm_index[position] = len(wtm_index)
-    btm_positions = list(btm_index)
-    wtm_positions = list(wtm_index)
+    ids = np.arange(64 ** 3, dtype=np.int64)
+    wk, wr, bk = ids >> 12, (ids >> 6) & 63, ids & 63
+    legal = (wk != wr) & (wk != bk) & (wr != bk) & ~_ADJACENT_TABLE[wk, bk]
+    in_check = legal & _rook_attacks_many(wr, bk, wk)
+    white_to_move = legal & ~in_check
 
-    # Forward successor lists, then invert into predecessor lists.
-    value_b = np.full(len(btm_positions), -2, dtype=np.int8)  # -2 unknown
-    value_w = np.full(len(wtm_positions), -2, dtype=np.int8)
-    counter_b = np.zeros(len(btm_positions), dtype=np.int8)
-    pred_b: list[list[int]] = [[] for _ in btm_positions]  # white moves into btm
-    pred_w: list[list[int]] = [[] for _ in wtm_positions]  # black moves into wtm
+    # Black king moves: btm position -> wtm position (same wk and wr).
+    black_from, black_to = [], []
+    counter = np.zeros(ids.size, dtype=np.int64)
+    can_draw = np.zeros(ids.size, dtype=bool)
+    for target in _KING_TABLE[bk].T:
+        on_board = legal & (target >= 0)
+        target = np.where(on_board, target, 0)
+        free = on_board & ~_ADJACENT_TABLE[wk, target] & (target != wk)
+        # Capturing the undefended rook is an immediate draw.
+        can_draw |= free & (target == wr) & ~_ADJACENT_TABLE[wk, wr]
+        # The king vacates its square, so only the white king blocks.
+        move = free & (target != wr) & ~_rook_attacks_many(wr, target, wk)
+        counter += move
+        black_from.append(ids[move])
+        black_to.append(ids[move] - bk[move] + target[move])
+    black_from = np.concatenate(black_from)
+    black_to = np.concatenate(black_to)
 
-    initial_mates: list[int] = []
-    for i, position in enumerate(btm_positions):
-        successors, can_draw = _black_moves(*position)
-        if can_draw:
-            value_b[i] = _DRAW
-            continue
-        if not successors:
-            if _black_in_check(*position):
-                value_b[i] = 0  # checkmate
-                initial_mates.append(i)
-            else:
-                value_b[i] = _DRAW  # stalemate
-            continue
-        counter_b[i] = len(successors)
-        for successor in successors:
-            pred_w[wtm_index[successor]].append(i)
-    for j, position in enumerate(wtm_positions):
-        for successor in _white_moves(*position):
-            pred_b[btm_index[successor]].append(j)
+    # White moves: wtm position -> btm position.
+    white_from, white_to = [], []
+    for target in _KING_TABLE[wk].T:
+        on_board = white_to_move & (target >= 0)
+        target = np.where(on_board, target, 0)
+        move = on_board & (target != wr) & (target != bk) & ~_ADJACENT_TABLE[bk, target]
+        white_from.append(ids[move])
+        white_to.append(ids[move] + ((target[move] - wk[move]) << 12))
+    for d in range(len(_ROOK_DIRS)):
+        sliding = white_to_move
+        for t in range(7):
+            target = _RAY_TABLE[wr, d, t]
+            sliding = sliding & (target >= 0) & (target != wk) & (target != bk)
+            white_from.append(ids[sliding])
+            white_to.append(ids[sliding] + ((target[sliding] - wr[sliding]) << 6))
+    white_from = np.concatenate(white_from)
+    white_to = np.concatenate(white_to)
 
-    # Breadth-first backward induction, one depth layer at a time.
-    frontier_b = deque(initial_mates)
+    value = np.full(ids.size, -2, dtype=np.int64)  # -2 unknown
+    value[legal & can_draw] = _DRAW
+    stuck = legal & ~can_draw & (counter == 0)
+    value[stuck & in_check] = 0  # checkmate
+    value[stuck & ~in_check] = _DRAW  # stalemate
+
+    # Breadth-first backward induction, one depth layer at a time: a
+    # wtm position wins once any move reaches a lost btm position; a
+    # btm position is lost once every one of its moves reaches a won
+    # wtm position, at the depth of the last one.
+    frontier = stuck & in_check
+    white_won = np.zeros(ids.size, dtype=bool)
     depth = 0
-    while frontier_b:
-        frontier_w: list[int] = []
-        while frontier_b:
-            i = frontier_b.popleft()
-            for j in pred_b[i]:
-                if value_w[j] == -2:
-                    value_w[j] = 1  # marker: assigned this round
-                    frontier_w.append(j)
+    while frontier.any():
+        reached = np.zeros(ids.size, dtype=bool)
+        reached[white_from[frontier[white_to]]] = True
+        newly_won = reached & ~white_won
+        white_won |= newly_won
         depth += 1
-        next_b: deque[int] = deque()
-        for j in frontier_w:
-            for i in pred_w[j]:
-                if value_b[i] != -2:
-                    continue
-                counter_b[i] -= 1
-                if counter_b[i] == 0:
-                    value_b[i] = depth  # black's best is the max = last assigned
-                    next_b.append(i)
-        frontier_b = next_b
-    # Positions never assigned a win depth (value -2) are draws: black
-    # holds out forever.
-    return {
-        position: (int(v) if v >= 0 else _DRAW)
-        for position, v in zip(btm_positions, value_b)
-    }
+        hit = newly_won[black_to] & (value[black_from] == -2)
+        removed = np.bincount(black_from[hit], minlength=ids.size)
+        counter -= removed
+        frontier = (removed > 0) & (counter == 0)
+        value[frontier] = depth
+    # Positions never assigned a win depth are draws: black holds out
+    # forever.
+    positions = np.flatnonzero(legal)
+    values = value[positions]
+    values[values == -2] = _DRAW
+    return positions, values
 
 
 def _transform(square: int, flip_f: bool, flip_r: bool, swap: bool) -> int:
@@ -248,15 +294,18 @@ def _symmetries(position: tuple[int, int, int]) -> list[tuple[int, int, int]]:
 
 @lru_cache(maxsize=1)
 def _build_rows() -> tuple[tuple[tuple[str, int, str, int, str, int, str], ...], dict[str, int]]:
-    values = _solve()
+    positions, values = _solve()
+    # Keep one canonical representative per symmetry class: the
+    # position whose id is the least of its 8 transforms (id order is
+    # the order of (wk, wr, bk) tuples).
+    maps = np.array(_SYMMETRY_MAPS, dtype=np.int64)
+    wk, wr, bk = positions >> 12, (positions >> 6) & 63, positions & 63
+    transforms = (maps[:, wk] << 12) | (maps[:, wr] << 6) | maps[:, bk]
+    canonical = positions == transforms.min(axis=0)
     rows: list[tuple[str, int, str, int, str, int, str]] = []
     distribution: dict[str, int] = {}
-    for position, value in values.items():
-        if value == -2:
-            value = _DRAW
-        if position != min(_symmetries(position)):
-            continue  # keep one canonical representative per symmetry class
-        wk, wr, bk = position
+    for position, value in zip(positions[canonical].tolist(), values[canonical].tolist()):
+        wk, wr, bk = position >> 12, (position >> 6) & 63, position & 63
         label = CLASS_NAMES[0] if value == _DRAW else CLASS_NAMES[value + 1]
         rows.append(
             (
@@ -275,7 +324,7 @@ def krk_endgame_relation() -> Relation:
     """The KRK endgame relation: 6 position attributes + outcome class.
 
     Attribute names follow the UCI krkopt documentation.  The first
-    call performs the retrograde analysis (a few seconds) and caches
+    call performs the retrograde analysis (about a second) and caches
     the result for the process lifetime.
     """
     rows, _ = _build_rows()

@@ -105,8 +105,6 @@ def search_fingerprint(relation: "Relation", config: Any, strategy: Any) -> dict
         "attributes": list(relation.schema.attribute_names),
         "epsilon": config.epsilon,
         "measure": config.measure,
-        "rfi_samples": config.rfi_samples,
-        "rfi_seed": config.rfi_seed,
         "max_lhs_size": config.max_lhs_size,
         "use_rule8": config.use_rule8,
         "use_key_pruning": config.use_key_pruning,
@@ -120,8 +118,6 @@ CONFIG_KEY_FIELDS = (
     "epsilon",
     "max_lhs_size",
     "measure",
-    "rfi_samples",
-    "rfi_seed",
     "use_rule8",
     "use_key_pruning",
     "use_g3_bounds",
@@ -138,18 +134,13 @@ attachments) are deliberately excluded: two requests differing only
 there produce identical dependencies, keys, and errors, so a result
 cache must serve them the same entry.
 
-``rfi_samples``/``rfi_seed`` *are* included — they change the measured
-``rfi`` errors, and a cache entry or checkpoint computed under one
-sampling budget must never satisfy a request under another.  They are
-part of the key even for measures that ignore them; the cost (a cache
-miss when a request varies the rfi knobs under, say, ``g3``) is
-accepted for the simplicity of one unconditional field list.
-
-``topk_rank`` and ``dfd_seed`` follow the same rule: the rank mode
-changes *which* k dependencies a top-k run returns, and the dfd seed
-shapes the walk (and its counters), so results cached under one value
-must never satisfy a request under another — even for strategies that
-ignore the field."""
+``topk_rank`` and ``dfd_seed`` *are* included: the rank mode changes
+*which* k dependencies a top-k run returns, and the dfd seed shapes
+the walk (and its counters), so results cached under one value must
+never satisfy a request under another.  They are part of the key even
+for strategies that ignore them; the cost (a cache miss when a request
+varies them under, say, levelwise) is accepted for the simplicity of
+one unconditional field list."""
 
 
 def canonical_config_key(config: Any) -> str:

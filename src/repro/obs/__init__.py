@@ -60,7 +60,6 @@ from repro.obs.trace import (
     Tracer,
     activated,
     active_tracer,
-    emit,
     enabled,
     set_gauge,
     span,
@@ -79,7 +78,6 @@ __all__ = [
     "enabled",
     "active_tracer",
     "span",
-    "emit",
     "set_gauge",
     "activated",
     "SpanSink",

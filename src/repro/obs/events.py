@@ -47,10 +47,10 @@ a bounded queue that drops oldest on overflow
 handler), or stream to a JSONL file that ``tail -f`` or the future
 service can follow (:class:`JsonlEventWriter`).
 
-Like tracing, emission is module-level scoped: instrumentation sites
-outside the search core call :func:`emit_event`, which no-ops unless
-an emitter is activated — the disabled path is one thread-local read.
-The search driver itself is reached through the
+Like tracing, activation is module-level scoped: a run activates its
+emitter for the thread driving it (:func:`activated_events`), and
+:func:`active_emitter` returns it (``None`` when disabled — one
+thread-local read).  The search driver itself is reached through the
 :class:`~repro.obs.search_hooks.ProgressHooks` plugin, so the search
 core never imports this module.
 
@@ -91,7 +91,6 @@ __all__ = [
     "BoundedEventQueue",
     "JsonlEventWriter",
     "EtaEstimator",
-    "emit_event",
     "active_emitter",
     "events_enabled",
     "activated_events",
@@ -553,18 +552,6 @@ def events_enabled() -> bool:
 def active_emitter() -> ProgressEmitter | None:
     """The emitter activated on the current thread, if any."""
     return getattr(_ACTIVE, "emitter", None)
-
-
-def emit_event(kind: str, /, **payload: Any) -> None:
-    """Emit on the active emitter — one thread-local read when disabled.
-
-    The instrumentation entry point for layers outside the search
-    core.  ``kind`` is positional-only and reserved as a payload name, like
-    :meth:`ProgressEmitter.emit`.
-    """
-    emitter = getattr(_ACTIVE, "emitter", None)
-    if emitter is not None:
-        emitter.emit(kind, **payload)
 
 
 @contextmanager

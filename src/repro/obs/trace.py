@@ -10,7 +10,7 @@ phase) at a granularity the whole-run totals of
 Design constraints, in order:
 
 1. **Disabled must be free.**  Instrumentation sites call the
-   module-level :func:`span` / :func:`emit` helpers, which check the
+   module-level :func:`span` / :func:`set_gauge` helpers, which check the
    module-level active-tracer slot first; with no tracer active they
    return the shared :data:`NULL_SPAN` singleton — no allocation, no
    sink, no timestamps.  Hot per-test counters bypass spans entirely
@@ -47,7 +47,6 @@ __all__ = [
     "enabled",
     "active_tracer",
     "span",
-    "emit",
     "set_gauge",
     "activated",
 ]
@@ -312,13 +311,6 @@ def span(name: str, **attributes: Any) -> Span | NullSpan:
     if tracer is None:
         return NULL_SPAN
     return tracer.span(name, **attributes)
-
-
-def emit(name: str, seconds: float, **attributes: Any) -> None:
-    """Record a completed interval on the active tracer (no-op if none)."""
-    tracer = getattr(_ACTIVE, "tracer", None)
-    if tracer is not None:
-        tracer.emit(name, seconds, **attributes)
 
 
 def set_gauge(name: str, value: int | float) -> None:

@@ -7,9 +7,8 @@ of the paper) into narrow, independently testable components that a
 * :mod:`repro.search.measures` — the validity test as a pure function
   plus the :class:`Measure` protocol unifying the error measures:
   ``g3``/``g1``/``g2`` and the comparative-study score measures
-  ``pdep``/``tau``/``mu_plus``/``fi``/``rfi``.
-* :mod:`repro.search.sampling` — the seeded sampling/estimation
-  substrate (the permutation-model bias estimate behind ``rfi``).
+  ``pdep``/``tau``/``mu_plus``/``fi``/``rfi``, with the closed-form
+  permutation-model bias behind ``rfi``.
 * :mod:`repro.search.execution` — the minimal execution backend
   contract (partition products and validity tests of one level) and
   its in-process implementation, :class:`SerialExecution`.

@@ -12,9 +12,9 @@ protocol.  Beyond the paper's ``g3`` and Kivinen & Mannila's
 ``g1``/``g2``, the registry carries the measures of the comparative
 AFD-scoring literature — ``pdep``, Goodman–Kruskal ``tau``,
 ``mu_plus``, the fraction of information ``fi``, and the *reliable*
-fraction of information ``rfi`` (Mandros et al.), which subtracts a
-permutation-model bias estimated by
-:mod:`repro.search.sampling`.  Those five are natively *scores* in
+fraction of information ``rfi`` (Mandros et al.), which subtracts the
+permutation-model bias computed exactly by
+:func:`expected_mutual_information`.  Those five are natively *scores* in
 ``[0, 1]`` with 1 meaning an exact dependency; each is exposed as
 ``error = 1 - score`` so one ``error <= epsilon`` convention covers
 the whole registry.
@@ -49,7 +49,6 @@ import numpy as np
 
 from repro.partition.errors import g1_error, g2_error
 from repro.partition.vectorized import CsrPartition, PartitionWorkspace
-from repro.search.sampling import entropy_from_counts, permutation_mi_bias
 
 __all__ = [
     "MEASURES",
@@ -62,6 +61,8 @@ __all__ = [
     "attribute_stats",
     "relation_rhs_stats",
     "evaluate_validity",
+    "entropy_from_counts",
+    "expected_mutual_information",
 ]
 
 # Margin for the O(1) bound short-circuits of the score measures: the
@@ -70,15 +71,89 @@ __all__ = [
 # possible float round-off of the exact computation.
 _BOUND_MARGIN = 1e-9
 
+# Most (a, b, k) terms of the expected mutual information evaluated in
+# one vectorized pass: bounds one rfi test's memory on tall relations
+# whose partitions have many distinct class sizes.
+_EMI_CHUNK_TERMS = 1 << 20
+
+
+def entropy_from_counts(counts: np.ndarray, total: int) -> float:
+    """Natural-log entropy of a positive count vector summing to ``total``."""
+    if total <= 0 or len(counts) == 0:
+        return 0.0
+    probabilities = counts / total
+    return float(-(probabilities * np.log(probabilities)).sum())
+
+
+def expected_mutual_information(class_sizes, value_counts, num_rows: int) -> float:
+    """``E[I(X; A)]`` in nats under the permutation model, in closed form.
+
+    The permutation model keeps the grouping of rows by ``X`` and the
+    multiset of ``A``-values, and deals the values over the rows
+    uniformly at random.  The number ``k`` of rows an lhs class of size
+    ``a`` shares with an rhs value of count ``b`` is then hypergeometric,
+    which gives the expected mutual information of Vinh, Epps and
+    Bailey (JMLR 2010)::
+
+        E[I] = sum_i sum_j sum_k (k/n) log(n k / (a_i b_j)) P_hyp(k; a_i, b_j, n)
+
+    over ``k = max(1, a+b-n) .. min(a, b)``.  ``class_sizes`` are the
+    stripped lhs classes; the ``n - sum(class_sizes)`` rows outside
+    them are classes of size 1.  Classes of equal size share one term
+    weighted by their multiplicity, and so do rhs values of equal
+    count.  The value is a function of the two size multisets alone.
+    """
+    n = int(num_rows)
+    counts = np.asarray(value_counts, dtype=np.int64)
+    if n <= 1 or counts.size <= 1:
+        return 0.0
+    sizes = np.asarray(class_sizes, dtype=np.int64)
+    # The appended 1 makes size 1 the first distinct value, whose
+    # multiplicity is then the singleton count (possibly 0).
+    a, a_mult = np.unique(np.append(sizes, 1), return_counts=True)
+    a_mult[0] += n - int(sizes.sum()) - 1
+    b, b_mult = np.unique(counts, return_counts=True)
+    pair_a = np.repeat(a, b.size)
+    pair_b = np.tile(b, a.size)
+    weight = (np.repeat(a_mult, b.size) * np.tile(b_mult, a.size)).astype(np.float64)
+    low = np.maximum(1, pair_a + pair_b - n)
+    span = np.minimum(pair_a, pair_b) - low + 1
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
+    # log of the pmf's k-free factor a! (n-a)! b! (n-b)! / n!
+    log_pair = (
+        log_fact[pair_a] + log_fact[n - pair_a]
+        + log_fact[pair_b] + log_fact[n - pair_b] - log_fact[n]
+    )
+    ends = np.cumsum(span)
+    cuts = np.searchsorted(
+        ends, np.arange(_EMI_CHUNK_TERMS, ends[-1], _EMI_CHUNK_TERMS), side="right"
+    )
+    bounds = np.unique(np.concatenate(([0], cuts, [span.size])))
+    total = 0.0
+    for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        chunk = slice(start, stop)
+        lengths = span[chunk]
+        firsts = np.cumsum(lengths) - lengths
+        k = np.arange(int(lengths.sum())) - np.repeat(firsts - low[chunk], lengths)
+        ka = np.repeat(pair_a[chunk], lengths)
+        kb = np.repeat(pair_b[chunk], lengths)
+        log_pmf = np.repeat(log_pair[chunk], lengths) - (
+            log_fact[k] + log_fact[ka - k] + log_fact[kb - k] + log_fact[n - ka - kb + k]
+        )
+        terms = (k / n) * np.log(n * k / (ka * kb)) * np.exp(log_pmf)
+        total += float(np.repeat(weight[chunk], lengths) @ terms)
+    # E[I] >= 0; the clamp only absorbs float round-off.
+    return max(0.0, total)
+
 
 class AttributeStats(NamedTuple):
-    """Marginal statistics of one (rhs) attribute — picklable.
+    """Marginal statistics of one (rhs) attribute.
 
     ``tau`` needs the marginal ``pdep(A)``, ``fi``/``rfi`` need the
-    marginal entropy, and ``rfi``'s bias estimator needs the raw value
-    histogram.  All three are properties of a *column*, independent of
-    any lhs, so the composition root computes them once per attribute
-    and ships them inside :class:`ValidityCriteria`.
+    marginal entropy, and ``rfi``'s expected mutual information needs
+    the raw value histogram.  All three are properties of a *column*,
+    independent of any lhs, so the composition root computes them once
+    per attribute and ships them inside :class:`ValidityCriteria`.
     """
 
     pdep: float
@@ -88,8 +163,7 @@ class AttributeStats(NamedTuple):
     """Natural-log entropy ``H(A)`` of the empirical distribution."""
 
     counts: tuple[int, ...]
-    """Value counts, sorted descending (the canonical multiset form
-    the structural rfi seed derivation expects)."""
+    """Value counts, sorted descending."""
 
 
 def attribute_stats(codes, num_rows: int) -> AttributeStats:
@@ -115,7 +189,7 @@ def relation_rhs_stats(relation) -> tuple[AttributeStats, ...]:
 
 
 class ValidityCriteria(NamedTuple):
-    """The configuration slice a validity test depends on (picklable)."""
+    """The configuration slice a validity test depends on."""
 
     epsilon: float
     """Error threshold; ``0.0`` means exact discovery."""
@@ -136,12 +210,6 @@ class ValidityCriteria(NamedTuple):
     """Per-attribute marginal stats, indexed by attribute number.
     Empty unless the configured measure is in
     :data:`RHS_STATS_MEASURES` (no point computing them otherwise)."""
-
-    rfi_samples: int = 0
-    """Monte Carlo samples for the ``rfi`` bias estimate."""
-
-    rfi_seed: int = 0
-    """Base seed mixed into the structural ``rfi`` seed derivation."""
 
 
 class ValidityOutcome(NamedTuple):
@@ -464,27 +532,25 @@ class FiMeasure(Measure):
 class RfiMeasure(Measure):
     """Reliable fraction of information (Mandros et al.): ``fi`` minus
     the permutation-model bias ``E[I(X; A_sigma)] / H(A)``, clamped at
-    zero.  The bias is a seeded Monte Carlo estimate
-    (:func:`repro.search.sampling.permutation_mi_bias`) whose seed
-    derives from the *shapes* involved, so the value is deterministic
-    across engines, stores, row shuffles, column permutations, and
-    resume.  ``rfi <= fi`` always; not monotone under lhs growth."""
+    zero.  The bias is exact (:func:`expected_mutual_information`) and
+    depends only on the class-size and value-count multisets, so the
+    value is the same across engines, stores, row shuffles, column
+    permutations, and resume.  ``rfi <= fi`` always, since the bias is
+    non-negative; not monotone under lhs growth."""
 
     name = "rfi"
 
     def evaluate(self, pi_lhs, pi_whole, criteria, workspace, rhs_index=-1):
         stats = _stats_for(criteria, rhs_index, self.name)
-        if stats.entropy <= 0.0:
+        # An exact FD scores 1 by the Lemma 2 convention, as in the
+        # oracle; the textbook rfi of a key is 0 (E[I] = H(A) there).
+        if stats.entropy <= 0.0 or pi_lhs.error_count == pi_whole.error_count:
             return _score_outcome(1.0, criteria)
         contingency = _contingency(pi_lhs, pi_whole, workspace)
         conditional = _conditional_entropy(contingency, criteria.num_rows)
         fi_score = 1.0 - conditional / stats.entropy
-        bias = permutation_mi_bias(
-            contingency.sizes.tolist(),
-            stats.counts,
-            criteria.num_rows,
-            samples=criteria.rfi_samples,
-            base_seed=criteria.rfi_seed,
+        bias = expected_mutual_information(
+            contingency.sizes, stats.counts, criteria.num_rows
         )
         return _score_outcome(max(0.0, fi_score - bias / stats.entropy), criteria)
 

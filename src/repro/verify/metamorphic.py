@@ -304,8 +304,8 @@ def compare_measures(
       non-monotone ones included).
     * **shuffle** / **permute** — full discovery under each measure is
       invariant under row shuffles and (index-mapped) column
-      permutations; ``rfi`` holds because its sampling seed derives
-      from partition shapes, not row or column numbering.
+      permutations; ``rfi`` holds because its permutation bias is a
+      function of partition shapes, not row or column numbering.
     * **planted** — dependencies planted by construction are exact, so
       discovery under every measure (at any threshold) must entail
       them.

@@ -206,14 +206,13 @@ class TestModuleActivation:
     def test_disabled_by_default(self):
         assert not events.events_enabled()
         assert events.active_emitter() is None
-        events.emit_event("cache", hits=0, misses=0)  # silent no-op
 
     def test_activation_is_scoped_and_restored(self):
         emitter = ProgressEmitter()
         queue = emitter.queue()
         with events.activated_events(emitter):
             assert events.active_emitter() is emitter
-            events.emit_event("cache", hits=1, misses=0)
+            events.active_emitter().emit("cache", hits=1, misses=0)
         assert not events.events_enabled()
         assert [e.kind for e in queue.drain()] == ["cache"]
 

@@ -105,7 +105,9 @@ class TestEmitterThreadIsolation:
             )
             with activated_events(emitter):
                 barrier.wait(timeout=5.0)  # both emitters "active" at once
-                obs_events.emit_event("cache", hits=0, misses=0, owner=name)
+                obs_events.active_emitter().emit(
+                    "cache", hits=0, misses=0, owner=name
+                )
                 barrier.wait(timeout=5.0)  # neither exits until both emitted
 
         threads = [threading.Thread(target=run, args=(n,)) for n in ("a", "b")]

@@ -10,6 +10,8 @@ measure or threshold differs from the checkpoint's.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.core.tane import TaneConfig, discover
@@ -77,9 +79,9 @@ class TestScoreMeasureResumeParity:
     def test_interrupt_then_resume_identical(
         self, structured_relation, tmp_path, measure
     ):
-        # rfi especially: the permutation bias is seeded structurally
-        # (relation shape, not call order), so a resumed run must draw
-        # the exact same Monte Carlo samples the baseline drew.
+        # rfi especially: the permutation bias is a function of the
+        # partition shapes alone (not call order), so a resumed run
+        # recomputes exactly the values the baseline computed.
         config = dict(epsilon=0.3, measure=measure)
         baseline = discover(structured_relation, TaneConfig(**config))
         run_interrupted(structured_relation, tmp_path, level=3, **config)
@@ -118,16 +120,20 @@ class TestFingerprintGuard:
     def test_resume_with_different_rfi_budget_rejected(
         self, structured_relation, tmp_path
     ):
-        # A different sample budget draws different Monte Carlo bias
-        # estimates — silently resuming would splice two distributions
-        # into one result, so the fingerprint must refuse.
+        # Checkpoints written while rfi's bias was a Monte Carlo
+        # estimate carry its sample budget in the fingerprint.  Their
+        # dependencies were accepted against estimated errors, so
+        # resuming one under the exact bias must be refused.
         run_interrupted(
-            structured_relation, tmp_path, level=3,
-            epsilon=0.3, measure="rfi", rfi_samples=16,
+            structured_relation, tmp_path, level=3, epsilon=0.3, measure="rfi"
         )
+        path = tmp_path / "checkpoint.json"
+        payload = json.loads(path.read_text())
+        payload["fingerprint"]["rfi_samples"] = 32
+        path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError, match="rfi_samples"):
             discover(
                 structured_relation,
-                TaneConfig(epsilon=0.3, measure="rfi", rfi_samples=64,
+                TaneConfig(epsilon=0.3, measure="rfi",
                            checkpoint_dir=tmp_path, resume=True),
             )

@@ -33,7 +33,6 @@ from repro.search.measures import (
     evaluate_validity,
     relation_rhs_stats,
 )
-from repro.search.sampling import DEFAULT_RFI_SAMPLES, DEFAULT_RFI_SEED
 from repro.testing.strategies import relations
 
 RELATIONS = relations(min_rows=0, max_rows=24, min_columns=2, max_columns=4)
@@ -66,8 +65,6 @@ def _errors(relation, measure, engine=CsrPartition):
         use_g3_bounds=False,
         num_rows=n,
         rhs_stats=relation_rhs_stats(relation),
-        rfi_samples=DEFAULT_RFI_SAMPLES,
-        rfi_seed=DEFAULT_RFI_SEED,
     )
     workspace = PartitionWorkspace(n) if engine is CsrPartition else None
     errors = {}

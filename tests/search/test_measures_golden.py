@@ -11,7 +11,11 @@ the cross-check in ``tests/search/test_measures_properties.py``.
 import pytest
 
 from repro.baselines.bruteforce import dependency_error, dependency_rfi
-from repro.datasets.synthetic import DEGENERATE_KINDS, degenerate_relation
+from repro.datasets.synthetic import (
+    DEGENERATE_KINDS,
+    degenerate_relation,
+    random_relation,
+)
 from repro.model.relation import Relation
 from repro.partition.vectorized import CsrPartition
 from repro.search.measures import (
@@ -19,14 +23,12 @@ from repro.search.measures import (
     ValidityCriteria,
     attribute_stats,
 )
-from repro.search.sampling import DEFAULT_RFI_SAMPLES, DEFAULT_RFI_SEED
 
 LHS_MASK = 0b01
 RHS = 1
 
 
-def _measure_error(relation, measure, *, samples=DEFAULT_RFI_SAMPLES,
-                   seed=DEFAULT_RFI_SEED):
+def _measure_error(relation, measure):
     """Evaluate one measure through the partition-side implementation."""
     n = relation.num_rows
     pi_lhs = CsrPartition.from_column(relation.column_codes(0), n)
@@ -43,8 +45,6 @@ def _measure_error(relation, measure, *, samples=DEFAULT_RFI_SAMPLES,
             attribute_stats([0] * n, n),  # placeholder at index 0
             attribute_stats(relation.column_codes(RHS), n),
         ),
-        rfi_samples=samples,
-        rfi_seed=seed,
     )
     return MEASURES[measure].evaluate(
         pi_lhs, pi_whole, criteria, None, rhs_index=RHS
@@ -57,6 +57,7 @@ def _measure_error(relation, measure, *, samples=DEFAULT_RFI_SAMPLES,
 #   pdep(A) = (1+1+4)/16 = 3/8, tau = (3/4-3/8)/(5/8)    -> error 2/5
 #   mu = 1 - (1/4)(3)/2 = 5/8, mu_plus = 5/8             -> error 3/8
 #   H(A) = (3/2)ln2, H(A|X) = (1/2)ln2, FI = 1 - 1/3     -> error 1/3
+#   E[I] = (2/3)ln2 (see TestRfiGolden), rfi = 2/3 - 4/9   -> error 7/9
 SPLIT = Relation.from_rows([(0, 0), (0, 1), (1, 2), (1, 2)], ["X", "A"])
 
 # X = [0, 0, 0, 0], A = [0, 0, 0, 1]: one lhs class, 3:1 rhs split;
@@ -96,6 +97,7 @@ GOLDEN += [
     (m, CONSTANT_RHS, 0.0)
     for m in ("pdep", "tau", "mu_plus", "fi", "rfi")
 ]
+GOLDEN += [("rfi", SPLIT, 7.0 / 9.0)]
 
 
 class TestGoldenValues:
@@ -111,36 +113,44 @@ class TestGoldenValues:
 
 
 class TestRfiGolden:
-    """rfi depends on the structural sampler; pin its behaviour hard."""
+    """rfi's permutation bias on SPLIT, derived by hand.
 
-    # With the default budget (32 samples, seed 0) on SPLIT the
-    # permutation bias is 0.4375 * H(A), so rfi = 2/3 - 0.4375.
-    PINNED = 0.7708333333333331
+    The permutation model deals A's values {0, 1, 2, 2} over the rows;
+    X's classes are rows {0, 1} and {2, 3}.  Up to symmetry there are
+    two outcomes.  With probability 1/3 the two 2s share a class: the
+    classes hold {2, 2} and {0, 1}, so H(A|X) = (1/2)ln2 and
+    I = ln2.  With probability 2/3 each class holds one 2, so
+    H(A|X) = ln2 and I = (1/2)ln2.  Hence E[I] = (1/3)ln2 + (1/3)ln2
+    = (2/3)ln2, the bias is E[I]/H(A) = (2/3)/(3/2) = 4/9, and
+    rfi = 2/3 - 4/9 = 2/9: error 7/9.
+    """
+
+    PINNED = 7.0 / 9.0
 
     def test_pinned_value(self):
         assert _measure_error(SPLIT, "rfi") == pytest.approx(
-            self.PINNED, abs=1e-9
+            self.PINNED, abs=1e-12
         )
 
     def test_oracle_agrees_exactly(self):
-        # Both sides feed the same structural seed to the same sampler,
-        # so they agree to float associativity, not just statistically.
         assert dependency_rfi(SPLIT, LHS_MASK, RHS) == pytest.approx(
-            _measure_error(SPLIT, "rfi"), abs=1e-12
+            self.PINNED, abs=1e-12
         )
 
     def test_deterministic_across_calls(self):
         first = _measure_error(SPLIT, "rfi")
         assert all(_measure_error(SPLIT, "rfi") == first for _ in range(3))
 
-    def test_seed_and_budget_change_the_estimate(self):
-        base = _measure_error(SPLIT, "rfi")
-        assert _measure_error(SPLIT, "rfi", seed=1) != base
-        assert _measure_error(SPLIT, "rfi", samples=256) != base
-
     def test_rfi_never_beats_fi(self):
         # bias >= 0 always, so the rfi score <= fi score (error >=).
         assert _measure_error(SPLIT, "rfi") >= _measure_error(SPLIT, "fi")
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_rfi_at_most_fi_with_no_tolerance(self, seed):
+        # E[I] >= 0 exactly, and rfi subtracts it from the very fi
+        # score FiMeasure computes, so the order holds in floats too.
+        relation = random_relation(12 + seed, 2, 3 + seed % 4, seed=seed)
+        assert _measure_error(relation, "rfi") >= _measure_error(relation, "fi")
 
 
 class TestDegenerateShapes:

@@ -93,8 +93,8 @@ class TestRegisterAndDiscover:
             service.close()
 
     def test_two_measures_never_share_a_cache_entry(self):
-        # The regression this pins: a cache key missing the measure (or
-        # the rfi sampling params) would hand a pdep client g3 results.
+        # The regression this pins: a cache key missing the measure
+        # would hand a pdep client g3 results.
         service = make_service()
         try:
             service.register_dataset("d", csv_text=CSV)
@@ -109,22 +109,19 @@ class TestRegisterAndDiscover:
         finally:
             service.close()
 
-    def test_rfi_sampling_params_key_the_cache(self):
+    @pytest.mark.parametrize("field", ["rfi_samples", "rfi_seed"])
+    def test_rfi_sampling_params_refused(self, field):
+        # rfi's bias is exact now; a request still naming the old
+        # Monte Carlo knobs gets a 400 that names the field.
         service = make_service()
         try:
             service.register_dataset("d", csv_text=CSV)
-            base = {"epsilon": 0.3, "measure": "rfi"}
-            service.discover_and_wait("d", base, timeout=60)
-            job = service.discover_and_wait(
-                "d", dict(base, rfi_samples=64), timeout=60
-            )
-            assert job.cache_hit is False
-            job = service.discover_and_wait(
-                "d", dict(base, rfi_seed=7), timeout=60
-            )
-            assert job.cache_hit is False
-            job = service.discover_and_wait("d", dict(base), timeout=60)
-            assert job.cache_hit is True
+            with pytest.raises(ServiceError, match=field) as excinfo:
+                service.submit_discovery(
+                    "d", {"epsilon": 0.3, "measure": "rfi", field: 7}
+                )
+            assert excinfo.value.status == 400
+            assert "unknown config field" in str(excinfo.value)
         finally:
             service.close()
 

@@ -2,8 +2,6 @@
 never share a canonical key (and therefore never share a ResultCache
 entry or adopt each other's checkpoints)."""
 
-import pytest
-
 from repro.core.tane import TaneConfig
 from repro.datasets.synthetic import random_relation
 from repro.fingerprint import (
@@ -26,14 +24,6 @@ class TestCanonicalConfigKey:
         }
         assert len(set(keys.values())) == len(keys)
 
-    @pytest.mark.parametrize(
-        "override", [{"rfi_samples": 64}, {"rfi_seed": 7}]
-    )
-    def test_rfi_sampling_params_change_the_key(self, override):
-        base = TaneConfig(epsilon=0.3, measure="rfi")
-        other = TaneConfig(epsilon=0.3, measure="rfi", **override)
-        assert canonical_config_key(base) != canonical_config_key(other)
-
     def test_execution_shape_does_not_change_the_key(self):
         # Stores and injected executors are result-equivalent by the
         # verify harness's contract, so they must share cache entries.
@@ -43,9 +33,10 @@ class TestCanonicalConfigKey:
         )
         assert canonical_config_key(base) == canonical_config_key(shaped)
 
-    def test_key_fields_include_rfi_params(self):
-        assert "rfi_samples" in CONFIG_KEY_FIELDS
-        assert "rfi_seed" in CONFIG_KEY_FIELDS
+    def test_key_fields_carry_no_rfi_params(self):
+        # rfi's bias is exact: no sampling budget shapes its result.
+        assert "rfi_samples" not in CONFIG_KEY_FIELDS
+        assert "rfi_seed" not in CONFIG_KEY_FIELDS
 
     def test_key_fields_include_strategy_params(self):
         for field in ("strategy", "top_k", "topk_rank", "dfd_seed"):
@@ -67,13 +58,13 @@ class TestCanonicalConfigKey:
 
 
 class TestSearchFingerprint:
-    def test_measure_and_rfi_params_recorded(self):
+    def test_measure_recorded_without_rfi_params(self):
         relation = random_relation(10, 3, 3, seed=0)
-        config = TaneConfig(epsilon=0.3, measure="rfi", rfi_samples=16)
+        config = TaneConfig(epsilon=0.3, measure="rfi")
         fp = search_fingerprint(relation, config, make_strategy("levelwise"))
         assert fp["measure"] == "rfi"
-        assert fp["rfi_samples"] == 16
-        assert "rfi_seed" in fp
+        assert "rfi_samples" not in fp
+        assert "rfi_seed" not in fp
 
     def test_strategy_fields_recorded(self):
         # The strategy contributes its own fingerprint fields, so
