@@ -45,34 +45,36 @@ trace-smoke:
 	rm -f /tmp/repro-trace.jsonl
 
 # Telemetry smoke (extends trace-smoke): one instrumented discover run
-# producing the event stream, profiler sidecar, and metrics snapshots;
-# then every exported artifact is consumed — events schema-checked,
-# profile rendered via trace-report --profile, snapshots re-exported as
-# Prometheus text — and the exposition-format golden, profiler, event
-# and disabled-path overhead (<= 0.1%) tests run on top.
+# (--progress --trace --profile plus the metrics exporters) writes the
+# one telemetry stream; then the trace file must parse, be bracketed by
+# the discover open and close records and pair every open record with a
+# close record, trace-report --profile must render from that file alone,
+# snapshots are re-exported as Prometheus text, and the exposition-format
+# golden, profiler, stream/ETA and disabled-path overhead (<= 0.1%)
+# tests run on top.
 obs-smoke:
-	rm -f /tmp/repro-obs.events.jsonl /tmp/repro-obs.trace.jsonl \
-	  /tmp/repro-obs.trace.jsonl.profile.json /tmp/repro-obs.prom \
+	rm -f /tmp/repro-obs.trace.jsonl /tmp/repro-obs.prom \
 	  /tmp/repro-obs.snapshots.jsonl /tmp/repro-obs.export.prom
 	PYTHONPATH=src $(PYTHON) -m repro.cli discover examples/data/orders.csv \
-	  --progress --events /tmp/repro-obs.events.jsonl \
-	  --trace /tmp/repro-obs.trace.jsonl --profile \
+	  --progress --trace /tmp/repro-obs.trace.jsonl --profile \
 	  --metrics-file /tmp/repro-obs.prom \
 	  --metrics-snapshots /tmp/repro-obs.snapshots.jsonl > /dev/null
 	PYTHONPATH=src $(PYTHON) -c "\
-	from repro.obs.events import load_events, validate_event; \
-	events = load_events('/tmp/repro-obs.events.jsonl'); \
-	assert events and events[0].kind == 'run_start' and events[-1].kind == 'run_end', 'event stream not bracketed'; \
-	problems = [p for e in events for p in validate_event(e)]; \
-	assert not problems, problems; \
-	print(f'obs-smoke: {len(events)} events schema-valid')"
+	from repro.obs.sinks import load_records; \
+	records = load_records('/tmp/repro-obs.trace.jsonl'); \
+	first, last = records[0], records[-1]; \
+	assert first['name'] == last['name'] == 'discover' and 'end' not in first and 'end' in last, 'trace not bracketed by the discover records'; \
+	opens = sorted(r['span_id'] for r in records if 'end' not in r); \
+	closes = sorted(r['span_id'] for r in records if 'end' in r); \
+	assert opens == closes, 'an open record has no matching close record'; \
+	print(f'obs-smoke: {len(records)} records parse, {len(opens)} spans paired')"
+	test ! -e /tmp/repro-obs.trace.jsonl.profile.json
 	PYTHONPATH=src $(PYTHON) -m repro.cli trace-report /tmp/repro-obs.trace.jsonl --profile | grep "profile:" > /dev/null
 	grep -q "^repro_" /tmp/repro-obs.prom
 	PYTHONPATH=src $(PYTHON) -m repro.cli export-metrics /tmp/repro-obs.snapshots.jsonl --output /tmp/repro-obs.export.prom
 	grep -q "^repro_" /tmp/repro-obs.export.prom
 	PYTHONPATH=src $(PYTHON) -m pytest tests/obs/test_export.py tests/obs/test_profile.py tests/obs/test_events.py tests/obs/test_disabled_overhead.py -q
-	rm -f /tmp/repro-obs.events.jsonl /tmp/repro-obs.trace.jsonl \
-	  /tmp/repro-obs.trace.jsonl.profile.json /tmp/repro-obs.prom \
+	rm -f /tmp/repro-obs.trace.jsonl /tmp/repro-obs.prom \
 	  /tmp/repro-obs.snapshots.jsonl /tmp/repro-obs.export.prom
 
 # Fault-tolerance smoke: the resilience suite (checkpoint/resume,

@@ -15,8 +15,9 @@ Subcommands
     Materialize one of the built-in benchmark datasets as CSV.
 ``trace-report``
     Render a ``--trace`` JSONL file as per-level phase timings and
-    store I/O (``--profile`` adds the sampling profiler's tables from
-    the sidecar).
+    store I/O, or a node-batch summary for node-engine runs
+    (``--profile`` adds the sampling profiler's tables from the same
+    file).
 ``export-metrics``
     Convert a ``--metrics-snapshots`` JSONL file into Prometheus text
     exposition.
@@ -126,14 +127,11 @@ def build_parser() -> argparse.ArgumentParser:
     discover_parser.add_argument("--progress", action="store_true",
                                  help="live progress line on stderr: level, "
                                       "candidates tested/remaining, ETA")
-    discover_parser.add_argument("--events", metavar="JSONL", default=None,
-                                 help="append the run's progress events to this "
-                                      "JSONL file")
     discover_parser.add_argument("--profile", action="store_true",
                                  help="attach the sampling profiler and print "
                                       "its span/frame/memory tables; with "
-                                      "--trace, also saved as a sidecar for "
-                                      "'repro trace-report --profile'")
+                                      "--trace, also recorded in the trace "
+                                      "for 'repro trace-report --profile'")
     discover_parser.add_argument("--profile-interval", type=float, default=0.005,
                                  metavar="SECONDS",
                                  help="sampling period for --profile "
@@ -189,11 +187,11 @@ def build_parser() -> argparse.ArgumentParser:
     trace_parser = subparsers.add_parser(
         "trace-report",
         help="render a --trace JSONL file: per-level phase timings "
-             "and store I/O",
+             "and store I/O, or a node-batch summary",
     )
     trace_parser.add_argument("trace", help="JSONL trace written by 'discover --trace'")
     trace_parser.add_argument("--profile", action="store_true",
-                              help="also render the profiler sidecar written "
+                              help="also render the profile recorded "
                                    "by 'discover --profile --trace'")
 
     export_parser = subparsers.add_parser(
@@ -265,14 +263,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_tracer(args: argparse.Namespace):
-    """Construct the tracer requested by ``--trace`` / ``--log-level``.
+    """Construct the tracer requested by ``--trace`` / ``--log-level`` /
+    ``--progress``: one stream, one sink per flag.
 
-    Returns ``None`` when neither flag is present, so the untraced
-    path never imports or allocates observability machinery.
+    Returns ``None`` when no flag is present, so the untraced path
+    never imports or allocates observability machinery.
     """
-    if args.trace is None and args.log_level is None:
+    if args.trace is None and args.log_level is None and not args.progress:
         return None
-    from repro.obs import JsonlSink, LoggingSink, Tracer
+    from repro.obs import JsonlSink, LoggingSink, ProgressLine, Tracer
 
     sinks = []
     if args.trace is not None:
@@ -281,99 +280,9 @@ def _build_tracer(args: argparse.Namespace):
         level = getattr(logging, args.log_level)
         logging.basicConfig(level=level)
         sinks.append(LoggingSink(level=level))
+    if args.progress:
+        sinks.append(ProgressLine(sys.stderr))
     return Tracer(sinks=sinks)
-
-
-class _ProgressPrinter:
-    """Render progress events as a live one-line stderr display.
-
-    On a TTY the line is redrawn in place (``\\r``); on a pipe only
-    level boundaries and the run end are printed, one line each, so
-    redirected output stays readable.
-    """
-
-    def __init__(self, stream) -> None:
-        self._stream = stream
-        self._live = bool(getattr(stream, "isatty", lambda: False)())
-        self._width = 0
-        self._level = 0
-        self._size = 0
-        self._phase = ""
-        self._tested = 0
-        self._remaining = None
-        self._eta = None
-        self._node_mode = False
-        self._dependencies = 0
-
-    def __call__(self, event) -> None:
-        payload = event.payload
-        kind = event.kind
-        if kind == "nodes":
-            # Node-mode walks carry no level structure or ETA; the live
-            # line degrades to monotone test/dependency counts.
-            self._node_mode = True
-            self._level = payload["batch"]
-            self._tested = payload["tests"]
-            self._dependencies = payload["dependencies"]
-            self._draw(event.elapsed, always=True)
-        elif kind == "level_start":
-            self._level = payload["level"]
-            self._size = payload["size"]
-            self._phase = ""
-            self._tested = payload["tested"]
-            self._remaining = payload.get("remaining")
-            self._eta = payload.get("eta_seconds")
-            self._draw(event.elapsed, always=True)
-        elif kind == "phase_start":
-            self._phase = payload["phase"]
-            self._draw(event.elapsed)
-        elif kind == "phase_end":
-            if "eta_seconds" in payload:
-                self._eta = payload["eta_seconds"]
-            self._draw(event.elapsed)
-        elif kind == "run_end":
-            status = "done" if payload.get("ok") else "FAILED"
-            self._finish(
-                f"{status} in {payload['seconds']:.2f}s: "
-                f"{payload['dependencies']} dependencies, "
-                f"{payload['keys']} keys"
-            )
-
-    def _line(self, elapsed: float) -> str:
-        if self._node_mode:
-            return (
-                f"[{elapsed:6.1f}s] batch {self._level} | "
-                f"tested {self._tested} | "
-                f"{self._dependencies} dependencies"
-            )
-        parts = [f"[{elapsed:6.1f}s] level {self._level} ({self._size} sets)"]
-        if self._phase:
-            parts.append(self._phase)
-        parts.append(f"tested {self._tested}")
-        if self._remaining:
-            parts.append(f"~{self._remaining} remaining")
-        if self._eta is not None:
-            parts.append(f"eta {self._eta:.1f}s")
-        return " | ".join(parts)
-
-    def _draw(self, elapsed: float, always: bool = False) -> None:
-        line = self._line(elapsed)
-        if self._live:
-            pad = " " * max(0, self._width - len(line))
-            self._stream.write("\r" + line + pad)
-            self._stream.flush()
-            self._width = len(line)
-        elif always:
-            self._stream.write(line + "\n")
-            self._stream.flush()
-
-    def _finish(self, line: str) -> None:
-        if self._live and self._width:
-            pad = " " * max(0, self._width - len(line))
-            self._stream.write("\r" + line + pad + "\n")
-        else:
-            self._stream.write(line + "\n")
-        self._stream.flush()
 
 
 def _cmd_discover(args: argparse.Namespace) -> int:
@@ -391,18 +300,6 @@ def _cmd_discover(args: argparse.Namespace) -> int:
 
         metrics = tracer.metrics if tracer is not None else MetricsRegistry()
 
-    emitter = None
-    event_writer = None
-    if args.progress or args.events is not None:
-        from repro.obs import JsonlEventWriter, ProgressEmitter
-
-        emitter = ProgressEmitter()
-        if args.progress:
-            emitter.subscribe(_ProgressPrinter(sys.stderr))
-        if args.events is not None:
-            event_writer = JsonlEventWriter(args.events)
-            emitter.subscribe(event_writer)
-
     config = TaneConfig(
         epsilon=args.epsilon,
         max_lhs_size=args.max_lhs,
@@ -416,7 +313,6 @@ def _cmd_discover(args: argparse.Namespace) -> int:
         partition_cache="shared" if args.partition_cache else "off",
         tracer=tracer,
         metrics=metrics,
-        events=emitter,
         profile=args.profile,
         profile_interval=args.profile_interval,
         checkpoint_dir=args.checkpoint_dir,
@@ -442,8 +338,6 @@ def _cmd_discover(args: argparse.Namespace) -> int:
             snapshots.stop()
         if server is not None:
             server.stop()
-        if event_writer is not None:
-            event_writer.close()
         if tracer is not None:
             tracer.close()
     if args.metrics_file is not None:
@@ -455,13 +349,6 @@ def _cmd_discover(args: argparse.Namespace) -> int:
     if result.profile is not None:
         print()
         print(result.profile.format())
-        if args.trace is not None:
-            from repro.obs import profile_sidecar_path
-
-            sidecar = result.profile.save(profile_sidecar_path(args.trace))
-            print(f"profile written to {sidecar} "
-                  f"(render with: repro trace-report --profile {args.trace})",
-                  file=sys.stderr)
     if args.stats:
         stats = result.statistics
         print(f"levels: {stats.level_sizes}")
@@ -490,16 +377,10 @@ def _cmd_trace_report(args: argparse.Namespace) -> int:
         raise DataError(f"trace file {args.trace} contains no spans")
     print(report.format())
     if args.profile:
-        from repro.obs import ProfileReport, profile_sidecar_path
+        from repro.obs import ProfileReport
 
-        sidecar = profile_sidecar_path(args.trace)
         try:
-            profile_report = ProfileReport.load(sidecar)
-        except OSError as error:
-            raise DataError(
-                f"cannot read profile sidecar {sidecar}: {error} "
-                "(was the trace recorded with 'discover --profile'?)"
-            ) from error
+            profile_report = ProfileReport.load(args.trace)
         except ValueError as error:
             raise DataError(str(error)) from error
         print()

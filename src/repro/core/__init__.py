@@ -3,7 +3,6 @@
 from repro.core.lattice import generate_next_level, prefix_blocks
 from repro.core.results import DiscoveryResult, SearchStatistics
 from repro.core.tane import (
-    LevelProgress,
     TaneConfig,
     discover,
     discover_approximate_fds,
@@ -17,7 +16,6 @@ __all__ = [
     "DiscoveryResult",
     "SearchStatistics",
     "TaneConfig",
-    "LevelProgress",
     "discover",
     "discover_fds",
     "discover_approximate_fds",

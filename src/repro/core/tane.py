@@ -44,8 +44,6 @@ benchmarks:
 from __future__ import annotations
 
 import time
-from collections.abc import Callable
-from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
@@ -56,18 +54,16 @@ from repro.core.results import DiscoveryResult, SearchStatistics
 from repro.exceptions import ConfigurationError
 from repro.fingerprint import partition_cache_key, search_fingerprint
 from repro.model.relation import Relation
-from repro.obs import events as obs_events
 from repro.obs import trace as obs
-from repro.obs.events import ProgressEmitter
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import SamplingProfiler
-from repro.obs.search_hooks import ProfileHooks, ProgressHooks, TracingHooks
+from repro.obs.search_hooks import TracingHooks
 from repro.obs.trace import Tracer
 from repro.partition.cache import PartitionCache, shared_cache
 from repro.partition.pure import PurePartition
 from repro.partition.store import PartitionStore, make_store
 from repro.partition.vectorized import CsrPartition, PartitionWorkspace
-from repro.search.driver import LevelProgress, SearchDriver
+from repro.search.driver import SearchDriver
 from repro.search.execution import SerialExecution
 from repro.search.measures import (
     MEASURES,
@@ -99,7 +95,6 @@ _UNSET: Any = object()
 __all__ = [
     "NON_MONOTONE_MEASURES",
     "TaneConfig",
-    "LevelProgress",
     "discover",
     "discover_fds",
     "discover_approximate_fds",
@@ -220,20 +215,16 @@ class TaneConfig:
     partitions dominate recomputation cost and are few; deeper levels
     are many, large, and rarely revisited."""
 
-    progress: Callable[["LevelProgress"], None] | None = None
-    """Optional callback reporting liveness of long-running
-    discoveries (the lattice can hold hundreds of thousands of sets):
-    once per level with a :class:`LevelProgress` snapshot under
-    level-mode strategies, once per scheduling round with a
-    :class:`~repro.search.scheduler.NodeProgress` snapshot under
-    ``strategy="dfd"`` (no level number exists there).  Exceptions
-    raised by the callback abort the search."""
-
     tracer: Tracer | None = None
-    """Optional :class:`~repro.obs.trace.Tracer` observing the run:
-    one span per lattice level with child spans for the three phases,
-    and store spill/load spans; the run's
-    counters accumulate in ``tracer.metrics`` and the returned
+    """Optional :class:`~repro.obs.trace.Tracer` observing the run —
+    the run's one telemetry stream.  A ``discover`` span brackets the
+    run (its close record carries ``ok``), with one span per lattice
+    level and child spans for the three phases (``node_batch`` spans
+    under ``strategy="dfd"``), and store spill/load spans.  Each span
+    reaches the tracer's sinks when it opens and again when it closes,
+    so live consumers (``ProgressLine``, ``QueueSink``, ...) are sinks;
+    a sink that raises aborts the run.  The run's counters accumulate
+    in ``tracer.metrics`` and the returned
     :class:`~repro.core.results.DiscoveryResult` keeps the tracer as
     its ``trace`` handle.  ``None`` (the default) disables tracing —
     the no-op path adds no measurable overhead."""
@@ -249,22 +240,13 @@ class TaneConfig:
     (``Tracer(metrics=...)``); ``None`` uses the tracer's registry or
     a fresh private one."""
 
-    events: ProgressEmitter | None = None
-    """Optional :class:`~repro.obs.events.ProgressEmitter` receiving
-    the live telemetry stream of the run: typed
-    :class:`~repro.obs.events.ProgressEvent` records for run/level/
-    phase boundaries (with candidate counts and a live ETA estimate),
-    and partition-cache totals.  Subscribe callbacks, a bounded queue,
-    or a JSONL tail on the emitter before the run.  ``None`` (the
-    default) disables events; the disabled path is the hooks' no-op
-    span."""
-
     profile: bool = False
     """Attach the sampling profiler
     (:class:`~repro.obs.profile.SamplingProfiler`): CPU samples
     attributed to the open span stack plus per-level tracemalloc
-    high-water, returned as ``DiscoveryResult.profile``.  Profiling an
-    untraced run activates a sink-less tracer so span attribution
+    high-water, returned as ``DiscoveryResult.profile`` and, on a
+    traced run, carried by the ``discover`` close record.  Profiling
+    an untraced run activates a sink-less tracer so span attribution
     exists; tracemalloc roughly doubles allocation cost, which is why
     this is opt-in."""
 
@@ -571,17 +553,7 @@ class _TaneRun:
             cache_hits_counter=self.metrics.counter("cache.partition_hits"),
             cache_misses_counter=self.metrics.counter("cache.partition_misses"),
         )
-        hooks: list = [TracingHooks()]
-        if config.events is not None:
-            hooks.append(
-                ProgressHooks(
-                    config.events,
-                    num_attributes=self.num_attributes,
-                    num_rows=self.num_rows,
-                )
-            )
-        if self.profiler is not None:
-            hooks.append(ProfileHooks(self.profiler))
+        hooks: list = [TracingHooks()] if self._span_tracer is not None else []
         if self.checkpoint is not None:
             hooks.append(
                 CheckpointHooks(
@@ -600,7 +572,6 @@ class _TaneRun:
             workspace=workspace,
             metrics=self.metrics,
             hooks=hooks,
-            progress=config.progress,
             max_lhs_size=config.max_lhs_size,
         )
 
@@ -612,53 +583,18 @@ class _TaneRun:
 
     def run(self) -> DiscoveryResult:
         start = time.perf_counter()
-        emitter = self.config.events
-        completed = False
         # Gauges describe *current* state: a registry reused across
         # runs (long-lived tracer, service process) must not report the
         # previous run's residency or cache totals.  Counters keep
         # accumulating by design.
         self.metrics.reset_gauges(("store.", "cache."))
+        profile = None
         try:
-            with ExitStack() as scope:
-                if emitter is not None:
-                    scope.enter_context(obs_events.activated_events(emitter))
-                    emitter.begin()
-                    emitter.emit(
-                        "run_start",
-                        rows=self.num_rows,
-                        attributes=self.num_attributes,
-                        epsilon=self.config.epsilon,
-                        measure=self.config.measure,
-                    )
-                if self.profiler is not None:
-                    scope.enter_context(self.profiler.running())
-                discover_span = None
-                if self._span_tracer is not None:
-                    scope.enter_context(obs.activated(self._span_tracer))
-                    discover_span = scope.enter_context(
-                        obs.span(
-                            "discover",
-                            rows=self.num_rows,
-                            attributes=self.num_attributes,
-                            epsilon=self.config.epsilon,
-                            measure=self.config.measure,
-                        )
-                    )
+            if self._span_tracer is None:
                 dependencies = self.driver.run()
-                if discover_span is not None:
-                    # Surface the run-scoped telemetry that only exists
-                    # in counters on the root span, so the trace
-                    # report can render it without a registry in hand.
-                    discover_span.set(
-                        "cache_hits",
-                        int(self.metrics.counter_value("cache.partition_hits")),
-                    )
-                    discover_span.set(
-                        "cache_misses",
-                        int(self.metrics.counter_value("cache.partition_misses")),
-                    )
-            completed = True
+            else:
+                with obs.activated(self._span_tracer):
+                    dependencies, profile = self._traced_run()
         finally:
             self.partitions.collect_stats(self.metrics)
             if self._owns_store:
@@ -675,16 +611,6 @@ class _TaneRun:
                 # when the search died; dropping buffered spans on an
                 # exception loses exactly the evidence needed.
                 self.tracer.flush()
-            if emitter is not None:
-                # run_end fires on the crash path as well (ok=False) so
-                # live consumers always see the stream terminate.
-                emitter.emit(
-                    "run_end",
-                    seconds=time.perf_counter() - start,
-                    ok=completed,
-                    dependencies=len(self.tracker.dependencies),
-                    keys=len(self.tracker.keys),
-                )
         stats = SearchStatistics.from_metrics(self.metrics, measure=self.config.measure)
         stats.elapsed_seconds = time.perf_counter() - start
         return DiscoveryResult(
@@ -694,6 +620,46 @@ class _TaneRun:
             epsilon=self.config.epsilon,
             statistics=stats,
             trace=self.tracer,
-            profile=self.profiler.report() if self.profiler is not None else None,
+            profile=profile,
             measure=self.config.measure,
         )
+
+    def _traced_run(self):
+        """The driver run inside the ``discover`` span that brackets it.
+
+        The span's open record is the run's start; its close record is
+        the run's end, with ``ok`` (false when the run raised), the
+        result sizes, the cross-run cache totals and, when profiling,
+        the profiler's report.
+        """
+        with obs.span(
+            "discover",
+            rows=self.num_rows,
+            attributes=self.num_attributes,
+            epsilon=self.config.epsilon,
+            measure=self.config.measure,
+        ) as root:
+            try:
+                if self.profiler is None:
+                    dependencies = self.driver.run()
+                else:
+                    with self.profiler.running():
+                        dependencies = self.driver.run()
+            except BaseException:
+                root.set("ok", False)
+                raise
+            root.set("ok", True)
+            root.set("dependencies", len(self.tracker.dependencies))
+            root.set("keys", len(self.tracker.keys))
+            root.set(
+                "cache_hits", int(self.metrics.counter_value("cache.partition_hits"))
+            )
+            root.set(
+                "cache_misses",
+                int(self.metrics.counter_value("cache.partition_misses")),
+            )
+            profile = None
+            if self.profiler is not None:
+                profile = self.profiler.report()
+                root.set("profile", profile.to_dict())
+        return dependencies, profile

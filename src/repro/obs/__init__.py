@@ -1,14 +1,16 @@
 """repro.obs — tracing, metrics, live telemetry, and profiling.
 
 The observability layer of the repo: a low-overhead tracer
-(:mod:`repro.obs.trace`), a metrics registry of counters / gauges /
-timers (:mod:`repro.obs.metrics`), pluggable span sinks — in-memory,
-JSONL file, stdlib ``logging`` (:mod:`repro.obs.sinks`) — the
-per-level trace report (:mod:`repro.obs.report`), a live
-progress/ETA event stream (:mod:`repro.obs.events`), Prometheus and
-JSONL metric exporters (:mod:`repro.obs.export`), and a
-span-attributed sampling profiler (:mod:`repro.obs.profile`).  See
-``docs/OBSERVABILITY.md`` for the full tour.
+(:mod:`repro.obs.trace`) whose span open/close records are the run's
+one telemetry stream, a metrics registry of counters / gauges / timers
+(:mod:`repro.obs.metrics`), the sinks consuming the stream — in-memory,
+JSONL file, stdlib ``logging``, a bounded queue
+(:mod:`repro.obs.sinks`) and the live progress/ETA line
+(:mod:`repro.obs.events`) — the per-level trace report
+(:mod:`repro.obs.report`), Prometheus and JSONL metric exporters
+(:mod:`repro.obs.export`), and a span-attributed sampling profiler
+(:mod:`repro.obs.profile`).  See ``docs/OBSERVABILITY.md`` for the
+full tour.
 
 The TANE driver and the partition store are instrumented against the
 module-level helpers in :mod:`repro.obs.trace`; with no tracer
@@ -32,15 +34,7 @@ or, from the command line::
     repro trace-report trace.jsonl
 """
 
-from repro.obs.events import (
-    BoundedEventQueue,
-    EtaEstimator,
-    JsonlEventWriter,
-    ProgressEmitter,
-    ProgressEvent,
-    load_events,
-    validate_event,
-)
+from repro.obs.events import EtaEstimator, ProgressLine
 from repro.obs.export import (
     HttpServerLifecycle,
     MetricsServer,
@@ -50,9 +44,17 @@ from repro.obs.export import (
     write_prometheus,
 )
 from repro.obs.metrics import Counter, Gauge, MetricsRegistry, Timer, aggregate_snapshots
-from repro.obs.profile import ProfileReport, SamplingProfiler, profile_sidecar_path
+from repro.obs.profile import ProfileReport, SamplingProfiler
 from repro.obs.report import TraceReport, build_report, report_from_file
-from repro.obs.sinks import InMemorySink, JsonlSink, LoggingSink, SpanSink, load_spans
+from repro.obs.sinks import (
+    InMemorySink,
+    JsonlSink,
+    LoggingSink,
+    QueueSink,
+    SpanSink,
+    load_records,
+    load_spans,
+)
 from repro.obs.trace import (
     NULL_SPAN,
     NullSpan,
@@ -84,17 +86,14 @@ __all__ = [
     "InMemorySink",
     "JsonlSink",
     "LoggingSink",
+    "QueueSink",
+    "load_records",
     "load_spans",
     "TraceReport",
     "build_report",
     "report_from_file",
-    "ProgressEvent",
-    "ProgressEmitter",
-    "BoundedEventQueue",
-    "JsonlEventWriter",
     "EtaEstimator",
-    "validate_event",
-    "load_events",
+    "ProgressLine",
     "prometheus_exposition",
     "write_prometheus",
     "HttpServerLifecycle",
@@ -103,5 +102,4 @@ __all__ = [
     "load_snapshots",
     "SamplingProfiler",
     "ProfileReport",
-    "profile_sidecar_path",
 ]

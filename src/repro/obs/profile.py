@@ -24,24 +24,23 @@ time of the innermost open span and as *total* time of every span on
 the stack.  Multiplying counts by the interval estimates seconds.
 
 Memory is sampled structurally instead: ``tracemalloc`` (stdlib) runs
-for the duration and :class:`~repro.obs.search_hooks.ProfileHooks` — a
-:class:`~repro.search.hooks.SearchHooks` plugin — reads the traced
-high-water mark at every level boundary and resets it, yielding the
-peak *per lattice level*, which is exactly the shape of TANE's memory
-story (the middle levels dominate).  tracemalloc roughly doubles
-allocation cost, which is why the whole profiler is opt-in
-(``TaneConfig(profile=True)`` / ``repro discover --profile``).
+for the duration, and while it runs the profiler is also a sink on the
+tracer it samples: each ``level`` close record reads the traced
+high-water mark and resets it, yielding the peak *per lattice level*,
+which is exactly the shape of TANE's memory story (the middle levels
+dominate).  tracemalloc roughly doubles allocation cost, which is why
+the whole profiler is opt-in (``TaneConfig(profile=True)`` / ``repro
+discover --profile``).
 
 The result is a :class:`ProfileReport`: self/total tables per span
-name, top sampled frames, per-level peak bytes.  ``repro discover
---profile --trace t.jsonl`` saves it as a JSON sidecar next to the
-trace (``t.jsonl.profile.json``) — the trace JSONL schema accepts only
-spans — and ``repro trace-report --profile`` renders both.
+name, top sampled frames, per-level peak bytes.  A profiled traced run
+puts it on the ``discover`` close record, so ``repro discover --profile
+--trace t.jsonl`` keeps everything in one file and ``repro trace-report
+--profile t.jsonl`` renders both from it.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 import threading
 import time
@@ -52,22 +51,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator
 
-from repro.obs.trace import Tracer
+from repro.obs.sinks import load_spans
+from repro.obs.trace import Span, Tracer
 
 __all__ = [
     "SamplingProfiler",
     "ProfileReport",
-    "profile_sidecar_path",
 ]
 
 NO_SPAN = "(no span)"
 """Attribution bucket for samples taken outside any open span."""
-
-
-def profile_sidecar_path(trace_path: str | Path) -> Path:
-    """The profile sidecar belonging to a trace file."""
-    trace_path = Path(trace_path)
-    return trace_path.with_name(trace_path.name + ".profile.json")
 
 
 @dataclass
@@ -136,22 +129,16 @@ class ProfileReport:
             },
         )
 
-    def save(self, path: str | Path) -> Path:
-        """Write the report as a JSON sidecar file."""
-        path = Path(path)
-        path.write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")
-        return path
-
     @classmethod
     def load(cls, path: str | Path) -> "ProfileReport":
-        """Read a sidecar written by :meth:`save`."""
-        try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as error:
-            raise ValueError(f"{path}: not a profile sidecar: {error}") from error
-        if not isinstance(payload, dict) or "interval" not in payload:
-            raise ValueError(f"{path}: not a profile sidecar (missing 'interval')")
-        return cls.from_dict(payload)
+        """Read the report from a trace file's ``discover`` close record."""
+        for span in load_spans(path):
+            if span.name == "discover" and "profile" in span.attributes:
+                return cls.from_dict(span.attributes["profile"])
+        raise ValueError(
+            f"{path}: no profile in the trace (record it with "
+            "'discover --profile --trace')"
+        )
 
     # -- rendering -------------------------------------------------------
 
@@ -213,7 +200,7 @@ class SamplingProfiler:
         per second of runtime, far below 1% overhead).
     trace_memory:
         Also run ``tracemalloc`` for per-level peak-memory attribution
-        (requires :class:`ProfileHooks` attached to the driver).
+        (read at each ``level`` close record while sampling).
     """
 
     def __init__(
@@ -252,6 +239,7 @@ class SamplingProfiler:
             tracemalloc.start()
             self._owns_tracemalloc = True
         self._stop.clear()
+        self.tracer.sinks.append(self)
         self._thread = threading.Thread(
             target=self._loop, name="repro-profiler", daemon=True
         )
@@ -265,6 +253,7 @@ class SamplingProfiler:
             return
         self._stop.set()
         thread.join(timeout=5.0)
+        self.tracer.sinks.remove(self)
         self._duration += time.perf_counter() - self._started_at
         if self._owns_tracemalloc:
             tracemalloc.stop()
@@ -307,7 +296,18 @@ class SamplingProfiler:
                 f"{code.co_name} ({Path(code.co_filename).name}:{frame.f_lineno})"
             ] += 1
 
-    # -- memory attribution (driven by ProfileHooks) ---------------------
+    # -- memory attribution (a sink on the sampled tracer) ----------------
+
+    def record(self, span: Span) -> None:
+        """Note the memory high-water when a ``level`` span closes."""
+        if span.name == "level" and span.end is not None:
+            self.note_level_complete(int(span.attributes["level"]))
+
+    def flush(self) -> None:
+        """Nothing buffered."""
+
+    def close(self) -> None:
+        """The profiler outlives the tracer's sinks."""
 
     def note_level_complete(self, level: int) -> None:
         """Record the traced-memory high-water of the level just finished."""

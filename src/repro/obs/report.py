@@ -5,15 +5,17 @@ discover --trace`` through :func:`build_report` and prints the result:
 one row per lattice level with the paper's quantities (``s_ℓ``,
 validity tests, keys) next to phase timings and partition-store I/O.
 This is the tool that attributes a run's wall-clock time to levels and
-phases on any host, which whole-run totals cannot do.
+phases on any host, which whole-run totals cannot do.  A node-engine
+run (``strategy="dfd"``) has no levels; its report is a node-batch
+summary instead.
 
 The report is computed from span *structure* (names, parent links,
 attributes), not from ids, so it works on any trace following the
 span vocabulary of the instrumented layers:
 
 ``discover`` → ``level`` → ``compute_dependencies`` / ``prune`` /
-``generate_next_level``; ``store.spill`` / ``store.load`` anywhere
-below a level.
+``generate_next_level``, or ``discover`` → ``node_batch``;
+``store.spill`` / ``store.load`` anywhere below.
 """
 
 from __future__ import annotations
@@ -60,9 +62,21 @@ class TraceReport:
     """Cross-run partition-cache hits (``discover`` span attribute)."""
     cache_misses: int = 0
     """Cross-run partition-cache misses (``discover`` span attribute)."""
+    batches: int = 0
+    """``node_batch`` spans (node-engine runs only)."""
+    batch_tests: int = 0
+    """Validity tests summed over the node batches."""
+    batch_dependencies: int = 0
+    """Dependencies the walk found (the ``discover`` close record's
+    count; the dfd walk records its dependencies after its last
+    batch)."""
+    batch_seconds: float = 0.0
+    """Seconds spent inside node batches."""
 
     def format(self) -> str:
         """Render the report as the fixed-width tables the CLI prints."""
+        if self.batches:
+            return self._format_batches()
         lines: list[str] = []
         header = (
             f"{'lvl':>3} {'s_l':>7} {'surv':>7} {'tests':>8} {'errors':>8} "
@@ -97,7 +111,29 @@ class TraceReport:
             f"{totals.spills:>7} {totals.spill_bytes / mb:>9.2f} "
             f"{totals.loads:>6} {totals.load_bytes / mb:>8.2f}"
         )
-        lines.append(f"trace: {self.span_count} spans, run {self.total_seconds:.4f}s")
+        lines.extend(self._footer())
+        return "\n".join(lines)
+
+    def _format_batches(self) -> str:
+        """The node-batch summary of a node-engine run."""
+        totals = _totals(self.levels)
+        mb = 1024.0 * 1024.0
+        header = (
+            f"{'batches':>8} {'tests':>8} {'deps':>6} {'seconds':>10} "
+            f"{'spills':>7} {'spill_MB':>9} {'loads':>6} {'load_MB':>8}"
+        )
+        lines = ["node-batch summary", header, "-" * len(header)]
+        lines.append(
+            f"{self.batches:>8} {self.batch_tests:>8} "
+            f"{self.batch_dependencies:>6} {self.batch_seconds:>10.4f} "
+            f"{totals.spills:>7} {totals.spill_bytes / mb:>9.2f} "
+            f"{totals.loads:>6} {totals.load_bytes / mb:>8.2f}"
+        )
+        lines.extend(self._footer())
+        return "\n".join(lines)
+
+    def _footer(self) -> list[str]:
+        lines = [f"trace: {self.span_count} spans, run {self.total_seconds:.4f}s"]
         if self.cache_hits or self.cache_misses:
             lookups = self.cache_hits + self.cache_misses
             rate = 100.0 * self.cache_hits / lookups if lookups else 0.0
@@ -105,7 +141,7 @@ class TraceReport:
                 f"partition cache: {self.cache_hits} hits / "
                 f"{self.cache_misses} misses ({rate:.1f}% hit rate)"
             )
-        return "\n".join(lines)
+        return lines
 
 
 def _totals(levels: list[LevelRow]) -> LevelRow:
@@ -159,12 +195,17 @@ def build_report(spans: list[Span]) -> TraceReport:
     total_seconds = 0.0
     cache_hits = 0
     cache_misses = 0
+    batches = batch_tests = batch_dependencies = 0
+    batch_seconds = 0.0
     for span in spans:
         attrs = span.attributes
         if span.name == "discover":
             total_seconds = max(total_seconds, span.duration)
             cache_hits += int(attrs.get("cache_hits", 0))
             cache_misses += int(attrs.get("cache_misses", 0))
+            batch_dependencies = max(
+                batch_dependencies, int(attrs.get("dependencies", 0))
+            )
         elif span.name == "level":
             row = row_for(int(attrs.get("level", 0)))
             row.seconds += span.duration
@@ -183,6 +224,13 @@ def build_report(spans: list[Span]) -> TraceReport:
                 row.keys += int(attrs.get("keys_found", 0))
             elif span.name == "generate_next_level":
                 row.products += int(attrs.get("products", 0))
+        elif span.name == "node_batch":
+            batches += 1
+            batch_tests += int(attrs.get("tests", 0))
+            batch_dependencies = max(
+                batch_dependencies, int(attrs.get("dependencies_total", 0))
+            )
+            batch_seconds += span.duration
         elif span.name == "store.spill":
             row = row_for(_level_of(span, by_id))
             row.spills += 1
@@ -192,7 +240,7 @@ def build_report(spans: list[Span]) -> TraceReport:
             row.loads += 1
             row.load_bytes += int(attrs.get("bytes", 0))
     if total_seconds == 0.0 and spans:
-        total_seconds = sum(row.seconds for row in rows.values())
+        total_seconds = sum(row.seconds for row in rows.values()) + batch_seconds
     # Drop an empty pseudo-level-0 row; keep it when setup did real I/O.
     setup = rows.get(0)
     if setup is not None and not (setup.spills or setup.loads):
@@ -203,6 +251,10 @@ def build_report(spans: list[Span]) -> TraceReport:
         span_count=len(spans),
         cache_hits=cache_hits,
         cache_misses=cache_misses,
+        batches=batches,
+        batch_tests=batch_tests,
+        batch_dependencies=batch_dependencies,
+        batch_seconds=batch_seconds,
     )
 
 

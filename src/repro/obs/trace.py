@@ -17,10 +17,12 @@ Design constraints, in order:
    (they go to the :class:`~repro.obs.metrics.MetricsRegistry` via
    cached instruments).
 2. **Spans are cheap when enabled.**  One object per span, timestamps
-   from ``time.perf_counter``, dispatched to sinks at exit.
-3. **Single-process trace assembly.**  A run's spans are assembled by
-   the thread driving it; work timed elsewhere is folded in as a
-   synthesized span via :func:`Tracer.emit`.
+   from ``time.perf_counter``, dispatched to sinks twice: an *open*
+   record on entry (no ``end`` yet) and a *close* record on exit.
+3. **One stream, one thread.**  A run's spans are assembled by the
+   thread driving it, and the open/close records are the run's only
+   telemetry stream: the live progress line, the service's event
+   queue and the profiler's memory notes are sinks on it.
 
 Activation is scoped: the TANE driver wraps a run in
 :func:`activated`, which saves and restores the previous tracer, so
@@ -56,11 +58,12 @@ class Span:
     """One named, timed interval of a trace.
 
     Spans are context managers handed out by :meth:`Tracer.span`;
-    entering stamps the start time and pushes the span on the tracer's
-    stack (making it the parent of spans opened inside it), exiting
-    stamps the end time and dispatches the finished span to the
-    tracer's sinks.  ``attributes`` carry the per-span payload
-    (``s_l``, byte counts, pids, ...): JSON-serializable scalars only.
+    entering stamps the start time, dispatches the *open* record (``end``
+    is ``None``) to the tracer's sinks and pushes the span on the
+    tracer's stack (making it the parent of spans opened inside it);
+    exiting stamps the end time and dispatches the *close* record.
+    ``attributes`` carry the per-span payload (``s_l``, byte counts,
+    ...): JSON-serializable values.
     """
 
     __slots__ = (
@@ -85,24 +88,24 @@ class Span:
         self.span_id = span_id
         self.parent_id = parent_id
         self.start: float = 0.0
-        self.end: float = 0.0
+        self.end: float | None = None
         self.attributes = attributes
         self._tracer = tracer
 
     @property
     def duration(self) -> float:
         """Seconds between start and end (0.0 while still open)."""
-        return max(0.0, self.end - self.start)
+        return 0.0 if self.end is None else max(0.0, self.end - self.start)
 
     def set(self, key: str, value: Any) -> None:
         """Attach (or overwrite) one attribute on the span."""
         self.attributes[key] = value
 
     def __enter__(self) -> "Span":
+        self.start = time.perf_counter()
         tracer = self._tracer
         if tracer is not None:
-            tracer._push(self)
-        self.start = time.perf_counter()
+            tracer._open(self)
         return self
 
     def __exit__(self, exc_type, exc_value, traceback) -> None:
@@ -112,16 +115,23 @@ class Span:
             tracer._pop(self)
 
     def to_dict(self) -> dict[str, Any]:
-        """The span as a JSON-serializable dict (the JSONL schema)."""
-        return {
+        """The span as a JSON-serializable dict (the JSONL schema).
+
+        An open span's record has no ``end`` or ``duration``; the
+        attributes are copied, so the record does not change when the
+        span later gains attributes.
+        """
+        record = {
             "name": self.name,
             "span_id": self.span_id,
             "parent_id": self.parent_id,
             "start": self.start,
-            "end": self.end,
-            "duration": self.duration,
-            "attrs": self.attributes,
+            "attrs": dict(self.attributes),
         }
+        if self.end is not None:
+            record["end"] = self.end
+            record["duration"] = self.duration
+        return record
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "Span":
@@ -133,7 +143,7 @@ class Span:
             attributes=dict(payload.get("attrs", {})),
         )
         span.start = payload.get("start", 0.0)
-        span.end = payload.get("end", 0.0)
+        span.end = payload.get("end")
         return span
 
     def __repr__(self) -> str:
@@ -173,14 +183,15 @@ NULL_SPAN = NullSpan()
 
 
 class Tracer:
-    """Builds a span tree and dispatches finished spans to sinks.
+    """Builds a span tree and dispatches its open/close records to sinks.
 
     Parameters
     ----------
     sinks:
         Objects implementing :class:`~repro.obs.sinks.SpanSink`
-        (``record`` / ``flush`` / ``close``); finished spans are pushed
-        to every sink in order.
+        (``record`` / ``flush`` / ``close``); every span reaches every
+        sink in order, once when it opens and once when it closes.  A
+        sink that raises aborts the traced run.
     metrics:
         The :class:`~repro.obs.metrics.MetricsRegistry` the traced run
         writes its counters into; created on demand when omitted.  The
@@ -205,8 +216,12 @@ class Tracer:
 
     # -- span lifecycle (called by Span.__enter__/__exit__) -------------
 
-    def _push(self, span: Span) -> None:
+    def _open(self, span: Span) -> None:
         span.parent_id = self._stack[-1].span_id if self._stack else None
+        # Dispatch before pushing: a sink raising on the open record
+        # aborts the block, whose __exit__ then never pops the span.
+        for sink in self.sinks:
+            sink.record(span)
         self._stack.append(span)
 
     def _pop(self, span: Span) -> None:
@@ -237,20 +252,6 @@ class Tracer:
                 lvl.set("s_l", 128)
         """
         return Span(name, next(self._ids), None, attributes, tracer=self)
-
-    def emit(self, name: str, seconds: float, **attributes: Any) -> Span:
-        """Record an already-completed interval as a span.
-
-        Used for work measured elsewhere: ``emit`` synthesizes a span
-        that ends *now* and lasted ``seconds``, parented to the
-        currently open span.
-        """
-        span = Span(name, next(self._ids), None, attributes, tracer=None)
-        span.end = time.perf_counter()
-        span.start = span.end - max(0.0, seconds)
-        span.parent_id = self._stack[-1].span_id if self._stack else None
-        self._dispatch(span)
-        return span
 
     @property
     def current(self) -> Span | None:

@@ -76,6 +76,13 @@ class PartitionStore(Protocol):
         backward compatibility).
         """
 
+    def peek(self, mask: int) -> CsrPartition | None:
+        """The resident partition of ``mask``, or ``None``.
+
+        Never loads a spilled partition and leaves any recency order
+        alone, so observers can read sizes without changing the run.
+        """
+
     def discard(self, mask: int) -> None:
         """Drop the partition of ``mask`` if present."""
 
@@ -120,6 +127,10 @@ class MemoryPartitionStore:
         if partition is None:
             raise PartitionMissingError(f"no partition stored for mask {mask:#x}")
         return partition
+
+    def peek(self, mask: int) -> CsrPartition | None:
+        """The partition of ``mask``, or ``None`` when absent."""
+        return self._partitions.get(mask)
 
     def discard(self, mask: int) -> None:
         """Drop the partition of ``mask`` if present (idempotent)."""
@@ -351,6 +362,12 @@ class DiskPartitionStore:
         self.load_count += 1
         self._insert_resident(mask, partition)
         return partition
+
+    def peek(self, mask: int) -> CsrPartition | None:
+        """The resident partition of ``mask``, or ``None`` (spilled or
+        absent); neither loads nor refreshes the LRU position."""
+        partition = self._small.get(mask)
+        return partition if partition is not None else self._large.get(mask)
 
     def adopt_spilled(self, mask: int, num_rows: int) -> bool:
         """Register a pre-existing spill file for ``mask`` if one exists.

@@ -31,7 +31,7 @@ layers plug *into* the search core via :class:`SearchHooks`, never the
 reverse.
 """
 
-from repro.search.driver import LevelProgress, SearchDriver
+from repro.search.driver import SearchDriver
 from repro.search.execution import SerialExecution
 from repro.search.hooks import LevelBoundary, ResumePoint, SearchHooks
 from repro.search.measures import (
@@ -60,7 +60,6 @@ __all__ = [
     "AttributeStats",
     "CandidateTracker",
     "LevelBoundary",
-    "LevelProgress",
     "LevelwiseStrategy",
     "MEASURES",
     "Measure",

@@ -21,19 +21,17 @@ shaping.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 from repro.model.fd import FunctionalDependency
 from repro.model.relation import Relation
 from repro.search.hooks import resolve_span_provider
 from repro.search.instruments import SimpleMetrics
 from repro.search.measures import ValidityCriteria
 from repro.search.partitions import PartitionManager
-from repro.search.scheduler import LevelProgress, NodeProgress, make_scheduler
+from repro.search.scheduler import make_scheduler
 from repro.search.strategy import TraversalStrategy
 from repro.search.tracker import CandidateTracker
 
-__all__ = ["LevelProgress", "NodeProgress", "SearchDriver"]
+__all__ = ["SearchDriver"]
 
 
 class SearchDriver:
@@ -51,7 +49,6 @@ class SearchDriver:
         workspace,
         metrics=None,
         hooks=(),
-        progress: Callable | None = None,
         max_lhs_size: int | None = None,
     ) -> None:
         self.relation = relation
@@ -64,7 +61,6 @@ class SearchDriver:
         self.criteria = criteria
         self.workspace = workspace
         self.metrics = metrics if metrics is not None else SimpleMetrics()
-        self.progress = progress
         self.max_lhs_size = max_lhs_size
         self._hooks = tuple(hooks)
         self._span = resolve_span_provider(self._hooks)

@@ -9,9 +9,10 @@ observes the driver at four points:
     Wrap a loop phase in a span-like context manager.  The level
     scheduler calls this for the ``level`` / ``compute_dependencies``
     / ``prune`` / ``generate_next_level`` spans and the node engine
-    for ``rhs`` / ``node_batch`` spans; the default returns a shared
-    no-op, so an unobserved run pays a handful of attribute reads per
-    phase and nothing else.
+    for ``node_batch`` spans; the default returns a shared no-op, so an
+    unobserved run pays a handful of attribute reads per phase and
+    nothing else.  At most one hook provides spans (the tracing hook);
+    every other consumer of the stream is a sink on its tracer.
 ``resume_state(driver)`` / ``resume_node_state(driver)``
     Offer saved loop state before the first level (or node batch)
     runs.  The first hook returning a :class:`ResumePoint` /
@@ -158,50 +159,22 @@ class SearchHooks:
 
 
 def resolve_span_provider(hooks) -> "callable":
-    """Collapse the hooks' span methods into one callable.
+    """The one hook span method, or a no-op provider when none exists.
 
-    Most runs have exactly one span-providing hook (tracing), so the
-    common cases — none or one — resolve to a direct call with no
-    per-span dispatch loop.
+    Spans form one stream (the tracing hook's), so the driver calls the
+    provider directly with no per-span dispatch loop; a second
+    span-providing hook is refused rather than silently fanned out.
     """
     providers = [
         hook.span for hook in hooks if type(hook).span is not SearchHooks.span
     ]
-    if not providers:
-        return _null_span
-    if len(providers) == 1:
-        return providers[0]
-
-    def fan(name: str, **attributes):
-        return _FanSpan([provider(name, **attributes) for provider in providers])
-
-    return fan
+    if len(providers) > 1:
+        raise ValueError(
+            f"{len(providers)} hooks provide spans; at most one may "
+            "(attach further consumers as sinks on the tracer)"
+        )
+    return providers[0] if providers else _null_span
 
 
 def _null_span(name: str, **attributes) -> NullSpan:
     return NULL_SPAN
-
-
-class _FanSpan:
-    """Context manager fanning one phase out to several span providers."""
-
-    __slots__ = ("_spans", "_entered")
-
-    def __init__(self, spans) -> None:
-        self._spans = spans
-        self._entered = []
-
-    def __enter__(self) -> "_FanSpan":
-        for span in self._spans:
-            self._entered.append(span.__enter__())
-        return self
-
-    def __exit__(self, *exc_info) -> bool:
-        suppressed = False
-        for span in reversed(self._spans):
-            suppressed = bool(span.__exit__(*exc_info)) or suppressed
-        return suppressed
-
-    def set(self, key: str, value) -> None:
-        for span in self._entered:
-            span.set(key, value)

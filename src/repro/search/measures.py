@@ -35,8 +35,8 @@ and ``mu_plus`` as well (``1 - pdep >= g3`` classwise, and the other
 two errors dominate ``1 - pdep``); ``fi``/``rfi`` admit no such bound.
 
 Counter bookkeeping is returned as flags on the outcome instead of
-being applied to a stats object, so the driver can aggregate counts in
-deterministic task order regardless of which process did the work.
+being applied to a stats object, so the scheduler aggregates counts in
+deterministic test order, however the executor evaluated the tests.
 """
 
 from __future__ import annotations

@@ -36,8 +36,6 @@ visited") are meaningful.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -53,48 +51,7 @@ from repro.testing import faults
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.search.driver import SearchDriver
 
-__all__ = ["LevelProgress", "NodeProgress", "LevelScheduler", "NodeEngine", "make_scheduler"]
-
-
-@dataclass(frozen=True)
-class LevelProgress:
-    """Snapshot handed to the progress callback once per level."""
-
-    level: int
-    """Level number (left-hand sides of size ``level - 1`` are tested)."""
-
-    level_size: int
-    """Attribute sets in this level before pruning."""
-
-    dependencies_found: int
-    """Minimal dependencies emitted so far (all levels)."""
-
-    elapsed_seconds: float
-    """Wall-clock time since the search started."""
-
-
-@dataclass(frozen=True)
-class NodeProgress:
-    """Snapshot handed to the progress callback once per node batch.
-
-    Node-mode walks have no level number and no total to estimate
-    against; consumers that key on :attr:`LevelProgress.level` should
-    treat a missing attribute as "non-level traversal" and degrade to
-    counting tests.
-    """
-
-    batch: int
-    """Completed scheduling rounds (monotone)."""
-
-    tests: int
-    """Validity tests run so far (the walk's "nodes visited")."""
-
-    dependencies_found: int
-    """Minimal dependencies recorded so far (all right-hand sides; the
-    dfd walk records them once its last rhs walk has finished)."""
-
-    elapsed_seconds: float
-    """Wall-clock time since the walk started."""
+__all__ = ["LevelScheduler", "NodeEngine", "make_scheduler"]
 
 
 def make_scheduler(driver: "SearchDriver"):
@@ -159,21 +116,12 @@ class LevelScheduler:
         if self.arrays:
             level = self._arrays_of(level)
             cplus_prev = self._arrays_of(previous_level_masks, cplus_prev)
-        search_start = time.perf_counter()
         while level and level_number <= max_level:
             faults.check("tane.level.start")
             driver._level_sizes.append(len(level))
-            if driver.progress is not None:
-                driver.progress(
-                    LevelProgress(
-                        level=level_number,
-                        level_size=len(level),
-                        dependencies_found=len(driver.tracker.dependencies),
-                        elapsed_seconds=time.perf_counter() - search_start,
-                    )
-                )
-            with driver._span("level", level=level_number) as level_span:
-                level_span.set("s_l", len(level))
+            with driver._span(
+                "level", level=level_number, s_l=len(level)
+            ) as level_span:
                 tests_before = driver._c_tests.value
                 errors_before = driver._c_errors.value
                 bounds_before = driver._c_bounds.value
@@ -271,11 +219,11 @@ class LevelScheduler:
     def _compute_dependencies(self, level, cplus_prev):
         """COMPUTE-DEPENDENCIES: rhs+ sets, validity tests, recording.
 
-        The executor may shard the tests freely (the groups are
-        mutually independent — see
-        :meth:`CandidateTracker.testable_groups`); outcomes are applied
-        here in level order, so the dependency stream and every counter
-        are deterministic and identical across backends.
+        The groups are mutually independent (see
+        :meth:`CandidateTracker.testable_groups`), so the executor may
+        evaluate them in any order; outcomes are applied here in level
+        order, so the dependency stream and every counter are
+        deterministic.
         """
         driver = self.driver
         if self.arrays:
@@ -415,7 +363,6 @@ class NodeEngine:
             batch_number = resumed.batch_number
         else:
             strategy.begin(context)
-        walk_start = time.perf_counter()
         tests = driver._c_tests.value
         while True:
             requests = strategy.next_requests()
@@ -425,6 +372,7 @@ class NodeEngine:
             with driver._span("node_batch", batch=batch_number) as span:
                 self._run_batch(requests)
                 span.set("tests", len(requests))
+                span.set("tests_total", driver._c_tests.value)
                 span.set(
                     "dependencies_total", len(driver.tracker.dependencies)
                 )
@@ -432,15 +380,6 @@ class NodeEngine:
             before, tests = tests, driver._c_tests.value
             if tests // self.RECLAIM_TESTS > before // self.RECLAIM_TESTS:
                 partitions.reclaim_except(strategy.live_masks())
-            if driver.progress is not None:
-                driver.progress(
-                    NodeProgress(
-                        batch=batch_number,
-                        tests=tests,
-                        dependencies_found=len(driver.tracker.dependencies),
-                        elapsed_seconds=time.perf_counter() - walk_start,
-                    )
-                )
             if tests // self.SNAPSHOT_TESTS > before // self.SNAPSHOT_TESTS:
                 self._notify_boundary(batch_number, strategy, complete=False)
         self._notify_boundary(batch_number, strategy, complete=True)

@@ -11,7 +11,7 @@ Layers (each usable without the one above):
 * :mod:`repro.serve.cache` — the result cache keyed
   ``(fingerprint, canonical config)`` with single-flight dedup;
 * :mod:`repro.serve.jobs` — discovery jobs with run-scoped metrics
-  registries and progress emitters on a bounded worker pool;
+  registries and tracers on a bounded worker pool;
 * :mod:`repro.serve.service` — :class:`DiscoveryService`, the
   transport-free core wiring registry + caches + jobs;
 * :mod:`repro.serve.http` — :class:`ServiceServer`, the HTTP routes

@@ -112,7 +112,7 @@ class ServiceClient:
         return self._json("GET", "/jobs")["jobs"]
 
     def job_events(self, job_id: str) -> dict[str, Any]:
-        """Drain a job's buffered progress events."""
+        """Drain a job's buffered span records (and the dropped count)."""
         return self._json("GET", f"/jobs/{job_id}/events")
 
     def stats(self) -> dict[str, Any]:

@@ -23,7 +23,7 @@ POST      ``/discover``          submit: ``{"dataset", "config"?, "wait"?,
                                  result, otherwise 202 with the job id
 GET       ``/jobs``              job table summaries
 GET       ``/jobs/<id>``         one job (result included when done)
-GET       ``/jobs/<id>/events``  drain the job's buffered progress events
+GET       ``/jobs/<id>/events``  drain the job's buffered span records
 ========  =====================  ==========================================
 
 Errors are JSON ``{"error": message}`` with the status carried by

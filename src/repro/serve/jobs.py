@@ -2,7 +2,7 @@
 
 Every submitted discovery becomes a :class:`Job` carrying its *own*
 :class:`~repro.obs.metrics.MetricsRegistry` and
-:class:`~repro.obs.events.ProgressEmitter`.  Run-scoped registries are
+:class:`~repro.obs.trace.Tracer`.  Run-scoped registries are
 the service-side fix for overlapping runs: the TANE driver resets the
 ``store.*`` / ``cache.*`` gauges at run start, so two jobs sharing one
 registry would zero and overwrite each other's gauges mid-flight.
@@ -10,9 +10,8 @@ Each job accumulates privately; the service's ``/metrics`` endpoint
 aggregates the per-job snapshots with
 :func:`repro.obs.metrics.aggregate_snapshots`.
 
-The emitter feeds a drop-oldest :class:`~repro.obs.events.BoundedEventQueue`
-that ``GET /jobs/<id>/events`` drains — the polling-consumer shape the
-events module was designed around.
+The tracer's one sink is a drop-oldest :class:`~repro.obs.sinks.QueueSink`
+of the run's span records, which ``GET /jobs/<id>/events`` drains.
 """
 
 from __future__ import annotations
@@ -24,8 +23,9 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable
 
 from repro.exceptions import ConfigurationError, ServiceError
-from repro.obs.events import BoundedEventQueue, ProgressEmitter
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.sinks import QueueSink
+from repro.obs.trace import Tracer
 
 __all__ = ["Job", "JobManager"]
 
@@ -56,8 +56,8 @@ class Job:
         self.started_at: float | None = None
         self.finished_at: float | None = None
         self.metrics = MetricsRegistry()
-        self.emitter = ProgressEmitter()
-        self.events = self.emitter.queue(maxlen=event_buffer)
+        self.events = QueueSink(maxlen=event_buffer)
+        self.tracer = Tracer(sinks=[self.events], metrics=self.metrics)
         self._done = threading.Event()
         self._lock = threading.Lock()
 
@@ -98,9 +98,9 @@ class Job:
         return self._done.wait(timeout)
 
     def drain_events(self) -> tuple[list[dict[str, Any]], int]:
-        """Remove and return buffered progress events (wire form)."""
-        events = [event.to_dict() for event in self.events.drain()]
-        return events, self.events.dropped
+        """Remove and return the buffered span records, plus the count
+        of records dropped so far."""
+        return self.events.drain(), self.events.dropped
 
     def snapshot(self, *, include_result: bool = True) -> dict[str, Any]:
         """JSON-friendly view of the job for the HTTP API."""

@@ -11,8 +11,8 @@
   single-flight dedup — N concurrent identical requests run one
   discovery;
 * a :class:`~repro.serve.jobs.JobManager` whose jobs each carry a
-  private metrics registry and progress emitter (overlapping runs
-  cannot clobber each other's gauges or event streams).
+  private metrics registry and tracer (overlapping runs cannot
+  clobber each other's gauges or span streams).
 
 Dataset re-registration with different content invalidates both caches
 for the displaced fingerprint: the partition sweep covers every engine
@@ -206,12 +206,12 @@ class DiscoveryService:
 
             def compute() -> dict[str, Any]:
                 self._count("service.discoveries_executed")
-                # The job owns its registry and emitter; the service
+                # The job owns its registry and tracer; the service
                 # owns the partition cache shared across jobs.
                 run_config = replace(
                     config,
                     metrics=job.metrics,
-                    events=job.emitter,
+                    tracer=job.tracer,
                     partition_cache=self.partition_cache,
                 )
                 result = discover(record.relation, run_config)

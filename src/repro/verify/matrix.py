@@ -97,17 +97,19 @@ class ConfigCell:
         max_lhs_size: int | None = None,
         checkpoint_dir: str | Path | None = None,
         resume: bool = False,
-        progress=None,
+        sinks: tuple = (),
     ) -> TaneConfig:
         """Materialize the cell as a :class:`TaneConfig` for a scenario.
 
         The scenario (epsilon/measure/lhs limit) is shared across the
-        whole matrix; the cell contributes the execution shape.  A
-        tracer is constructed fresh per call — cells are immutable and
-        reusable, tracers are not.
+        whole matrix; the cell contributes the execution shape.
+        ``sinks`` (the runner's interrupt) join the run's span stream.
+        A tracer is constructed fresh per call — cells are immutable
+        and reusable, tracers are not.
         """
         if self.checkpoint and checkpoint_dir is None:
             raise ConfigurationError(f"cell {self.name!r} needs a checkpoint_dir")
+        sinks = [*sinks, InMemorySink()] if self.traced else list(sinks)
         return TaneConfig(
             epsilon=epsilon,
             measure=measure,
@@ -118,10 +120,9 @@ class ConfigCell:
             use_rule8=self.use_rule8,
             use_key_pruning=self.use_key_pruning,
             use_g3_bounds=self.use_g3_bounds,
-            tracer=Tracer(sinks=[InMemorySink()]) if self.traced else None,
+            tracer=Tracer(sinks=sinks) if sinks else None,
             checkpoint_dir=checkpoint_dir if self.checkpoint else None,
             resume=resume if self.checkpoint else False,
-            progress=progress,
         )
 
     def describe(self) -> dict:

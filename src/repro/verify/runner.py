@@ -13,9 +13,9 @@ scenarios) — so a bug shared by every TANE configuration still cannot
 hide.
 
 Checkpoint cells do not merely set ``checkpoint_dir``: the runner
-interrupts them at a level boundary via the progress callback and
-resumes from the written checkpoint, so the diffed signature is the
-one an actual crash/resume cycle produces.
+interrupts them at a level boundary with a raising sink on the run's
+span stream and resumes from the written checkpoint, so the diffed
+signature is the one an actual crash/resume cycle produces.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from repro.core.results import DiscoveryResult
 from repro.core.tane import NON_MONOTONE_MEASURES, TaneConfig, discover
 from repro.model.fd import FDSet
 from repro.model.relation import Relation
+from repro.obs.trace import Tracer
 from repro.search.scheduler import NodeEngine
 from repro.verify.matrix import ConfigCell, REFERENCE_CELL
 
@@ -234,18 +235,41 @@ class CellRun:
     result: DiscoveryResult
     """The full result; ``result.trace`` holds the tracer on traced cells."""
 
+    resumed: bool = False
+    """True when a checkpoint cell was interrupted and then resumed."""
+
 
 class _VerifyInterrupt(Exception):
-    """Internal: raised by the progress callback to abort a checkpoint
-    cell at the interrupt level."""
+    """Internal: raised by :class:`_Interrupt` to abort a checkpoint
+    cell's first attempt."""
 
 
-def _interrupt_at(level: int):
-    """Progress callback raising :class:`_VerifyInterrupt` at ``level``."""
-    def progress(snapshot) -> None:
-        if snapshot.level == level:
-            raise _VerifyInterrupt(level)
-    return progress
+class _Interrupt:
+    """Span sink raising :class:`_VerifyInterrupt` at the first record
+    ``at(span)`` accepts; :attr:`fired` tells whether it did."""
+
+    def __init__(self, at) -> None:
+        self._at = at
+        self.fired = False
+
+    def record(self, span) -> None:
+        if not self.fired and self._at(span):
+            self.fired = True
+            raise _VerifyInterrupt(span.name)
+
+    def flush(self) -> None:
+        """Nothing buffered."""
+
+    def close(self) -> None:
+        """Nothing held."""
+
+
+def _level_opens(level: int):
+    """Accept the open record of lattice level ``level`` — the level
+    boundary right after the previous level's checkpoint."""
+    return lambda span: (
+        span.name == "level" and span.end is None and span.attributes["level"] == level
+    )
 
 
 def run_cell(
@@ -258,8 +282,9 @@ def run_cell(
     """Execute ``relation`` under one cell and return its signature.
 
     Checkpoint cells run the full crash cycle: the first attempt is
-    interrupted at level ``2`` through the progress callback, then the
-    run is resumed from the checkpoint the interrupted attempt wrote.
+    interrupted when level ``2`` opens, by a raising sink on its span
+    stream, then the run is resumed from the checkpoint the
+    interrupted attempt wrote.
     Relations too small to reach the interrupt level simply complete on
     the first attempt — still exercising checkpoint *writing* — and
     that result is used.  Each call starts from a clean per-cell
@@ -278,13 +303,14 @@ def run_cell(
     checkpoint_dir = Path(workdir) / f"checkpoint-{cell.name}"
     if checkpoint_dir.exists():
         shutil.rmtree(checkpoint_dir)
+    interrupt = _Interrupt(_level_opens(_INTERRUPT_LEVEL))
     try:
         result = discover(relation, cell.build_config(
             epsilon=scenario.epsilon,
             measure=scenario.measure,
             max_lhs_size=scenario.max_lhs_size,
             checkpoint_dir=checkpoint_dir,
-            progress=_interrupt_at(_INTERRUPT_LEVEL),
+            sinks=(interrupt,),
         ))
     except _VerifyInterrupt:
         result = discover(relation, cell.build_config(
@@ -294,7 +320,9 @@ def run_cell(
             checkpoint_dir=checkpoint_dir,
             resume=True,
         ))
-    return CellRun(cell, RunSignature.from_result(result), result)
+    return CellRun(
+        cell, RunSignature.from_result(result), result, resumed=interrupt.fired
+    )
 
 
 def compare_with_oracles(
@@ -389,25 +417,28 @@ def compare_topk(
     return []
 
 
-def _interrupt_after_snapshot():
-    """Progress callback raising :class:`_VerifyInterrupt` at the first
-    node batch after the walk's first mid-walk snapshot.
+def _after_first_snapshot():
+    """Accept the first ``node_batch`` open record after the walk's
+    first mid-walk snapshot.
 
     The node engine snapshots once per
     :attr:`~repro.search.scheduler.NodeEngine.SNAPSHOT_TESTS` validity
-    tests, right after the progress report of the batch that completes
-    them, so the report after that one is the earliest interrupt that
-    finds a checkpoint on disk.  Walks that end before it simply
-    complete on the first attempt.
+    tests, right after closing the batch that completes them, so the
+    next batch's open record is the earliest interrupt that finds a
+    checkpoint on disk.  Walks that end before it simply complete on
+    the first attempt.
     """
     snapshotted = False
 
-    def progress(snapshot) -> None:
+    def at(span) -> bool:
         nonlocal snapshotted
-        if snapshotted:
-            raise _VerifyInterrupt(snapshot.batch)
-        snapshotted = snapshot.tests >= NodeEngine.SNAPSHOT_TESTS
-    return progress
+        if span.name != "node_batch":
+            return False
+        if span.end is None:
+            return snapshotted
+        snapshotted = span.attributes["tests_total"] >= NodeEngine.SNAPSHOT_TESTS
+        return False
+    return at
 
 
 _DFD_VARIANTS = (
@@ -469,7 +500,7 @@ def compare_strategy_dfd(
                 result = discover(relation, TaneConfig(
                     **base,
                     checkpoint_dir=checkpoint_dir,
-                    progress=_interrupt_after_snapshot(),
+                    tracer=Tracer(sinks=[_Interrupt(_after_first_snapshot())]),
                 ))
             except _VerifyInterrupt:
                 result = discover(relation, TaneConfig(

@@ -18,9 +18,45 @@ import os
 import pytest
 
 from repro.model.relation import Relation
+from repro.obs.trace import Tracer
 from repro.testing.strategies import code_columns, relations
 
-__all__ = ["relations", "code_columns", "figure1_relation"]
+__all__ = [
+    "relations",
+    "code_columns",
+    "figure1_relation",
+    "CallbackSink",
+    "tracer_calling",
+    "level_opens",
+]
+
+
+class CallbackSink:
+    """Span sink handing every open and close record to ``callback``."""
+
+    def __init__(self, callback) -> None:
+        self.callback = callback
+
+    def record(self, span) -> None:
+        self.callback(span)
+
+    def flush(self) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
+
+
+def tracer_calling(callback) -> Tracer:
+    """A tracer whose one sink hands every open and close record to
+    ``callback`` — how tests stop a run at a chosen point of its span
+    stream (a raising sink aborts the run)."""
+    return Tracer(sinks=[CallbackSink(callback)])
+
+
+def level_opens(span, level: int) -> bool:
+    """Is ``span`` the open record of lattice level ``level``?"""
+    return span.name == "level" and span.end is None and span.attributes["level"] == level
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.tane import TaneConfig, discover
 from repro.model.relation import Relation
-from repro.obs import JsonlSink, Tracer, activated, load_spans
+from repro.obs import JsonlSink, Tracer, activated, load_records, load_spans
 from repro.partition.store import DiskPartitionStore, MemoryPartitionStore
 from repro.partition.vectorized import CsrPartition
 
@@ -31,21 +31,34 @@ class Interrupt(Exception):
     pass
 
 
+class Bomb:
+    """Sink raising :class:`Interrupt` when level 2 opens."""
+
+    def record(self, span):
+        if span.name == "level" and span.end is None and span.attributes["level"] == 2:
+            raise Interrupt()
+
+    def flush(self):
+        pass
+
+    def close(self):
+        pass
+
+
 class TestTraceFlushOnCrash:
     def test_raising_progress_callback_still_yields_complete_trace(
         self, relation, tmp_path
     ):
+        # The live progress consumer is a sink on the stream; one that
+        # raises when level 2 opens aborts the run like any sink.
         path = tmp_path / "crash.jsonl"
-        tracer = Tracer(sinks=[JsonlSink(path)])
-
-        def bomb(snapshot):
-            if snapshot.level == 2:
-                raise Interrupt()
-
+        tracer = Tracer(sinks=[JsonlSink(path), Bomb()])
         with pytest.raises(Interrupt):
-            discover(relation, TaneConfig(tracer=tracer, progress=bomb))
+            discover(relation, TaneConfig(tracer=tracer))
         # No tracer.close()/flush() by the caller: the driver's own
         # crash-path flush must have made the spans durable already.
+        root = load_records(path)[-1]
+        assert (root["name"], root["attrs"]["ok"]) == ("discover", False)
         spans = load_spans(path)
         names = {span.name for span in spans}
         assert "level" in names, f"level spans missing from {sorted(names)}"

@@ -4,12 +4,13 @@ The instrumentation is compiled in, so there is no uninstrumented build
 to A/B against, and run-to-run noise on a sub-second discovery dwarfs
 a sub-0.1% effect.  Instead each disabled entry point is timed on its
 own (``timeit``) and scaled by how many times a run reaches it — the
-span count and event count of the same run with telemetry enabled —
-over the wall time of the untraced run:
+span counts of the same run with tracing enabled — over the wall time
+of the untraced run:
 
 * ``trace.span()`` with no active tracer (returns the shared null span);
-* ``events.active_emitter()`` with no active emitter (the guard every
-  event emission site reads).
+* the search driver's span seam with no span-providing hook (an
+  untraced run attaches none), which every ``level`` / phase /
+  ``node_batch`` record of a traced run passes through.
 """
 
 import time
@@ -20,9 +21,9 @@ import pytest
 from repro.core.tane import TaneConfig, discover
 from repro.datasets.replicate import replicate_with_unique_suffix
 from repro.datasets.uci import make_wisconsin_like
-from repro.obs import InMemorySink, ProgressEmitter, Tracer
-from repro.obs import events as obs_events
+from repro.obs import InMemorySink, Tracer
 from repro.obs import trace as obs_trace
+from repro.search.hooks import NULL_SPAN, resolve_span_provider
 
 MAX_FRACTION = 0.001
 
@@ -67,16 +68,17 @@ def test_disabled_span_overhead(relation, untraced_seconds):
 
 
 def test_disabled_event_overhead(relation, untraced_seconds):
-    emitter = ProgressEmitter()
-    queue = emitter.queue(maxlen=100_000)
-    discover(relation, TaneConfig(events=emitter))
-    sites = len(queue.drain())
+    sink = InMemorySink()
+    discover(relation, TaneConfig(tracer=Tracer(sinks=[sink])))
+    driver_spans = {"level", "compute_dependencies", "prune", "generate_next_level"}
+    sites = sum(span.name in driver_spans for span in sink.spans)
     assert sites > 0
 
-    assert not obs_events.events_enabled()
-    per_call = _seconds_per_call("read()", read=obs_events.active_emitter)
+    seam = resolve_span_provider(())
+    assert seam("level") is NULL_SPAN
+    per_call = _seconds_per_call("seam('level', level=1, s_l=9)", seam=seam)
     fraction = sites * per_call / untraced_seconds
     assert fraction <= MAX_FRACTION, (
-        f"{sites} disabled event reads x {per_call * 1e9:.0f} ns = "
+        f"{sites} disabled driver spans x {per_call * 1e9:.0f} ns = "
         f"{fraction:.4%} of a {untraced_seconds:.3f} s run"
     )

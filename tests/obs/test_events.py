@@ -1,227 +1,200 @@
-"""Tests for the progress-event stream: emitter, consumers, schema, ETA."""
+"""Tests for the one telemetry stream: span records, the sinks that
+consume them (queue, JSONL), the activation slot, and the ETA model."""
 
-import json
+import io
 import threading
+import time
 
 import pytest
 
-from repro.obs import events
-from repro.obs.events import (
-    EVENT_KINDS,
-    BoundedEventQueue,
-    EtaEstimator,
-    JsonlEventWriter,
-    ProgressEmitter,
-    ProgressEvent,
-    load_events,
-    validate_event,
-)
+from repro.obs import trace
+from repro.obs.events import EtaEstimator, ProgressLine
+from repro.obs.sinks import JsonlSink, QueueSink, load_records, load_spans
+from repro.obs.trace import Span, Tracer
+
+
+class RecordingSink:
+    """Keep ``(name, is_open)`` for every record, in arrival order."""
+
+    def __init__(self):
+        self.records = []
+
+    def record(self, span):
+        self.records.append((span.name, span.end is None))
+
+    def flush(self):
+        pass
+
+    def close(self):
+        pass
 
 
 class TestProgressEvent:
+    """A span record is the stream's event: open, then close."""
+
     def test_round_trip_through_wire_form(self):
-        event = ProgressEvent(
-            kind="level_start",
-            elapsed=1.5,
-            wall=1000.0,
-            payload={"level": 3, "size": 120, "tested": 66, "remaining": 500},
+        queue = QueueSink()
+        tracer = Tracer(sinks=[queue])
+        with tracer.span("level", level=3, s_l=120) as span:
+            span.set("surviving", 66)
+        opened, closed = queue.drain()
+        assert "end" not in opened and "duration" not in opened
+        assert opened["attrs"] == {"level": 3, "s_l": 120}
+        assert closed["attrs"] == {"level": 3, "s_l": 120, "surviving": 66}
+        rebuilt = Span.from_dict(closed)
+        assert (rebuilt.name, rebuilt.start, rebuilt.end) == (
+            span.name, span.start, span.end
         )
-        rebuilt = ProgressEvent.from_dict(event.to_dict())
-        assert rebuilt == event
-
-    def test_wire_form_is_flat_json(self):
-        event = ProgressEvent(kind="cache", elapsed=0.1, wall=1.0,
-                              payload={"hits": 4, "misses": 2})
-        wire = event.to_dict()
-        assert wire["kind"] == "cache"
-        assert wire["hits"] == 4
-        json.dumps(wire)  # must be serializable as-is
-
-
-class TestValidateEvent:
-    def test_every_kind_has_a_schema(self):
-        for kind in EVENT_KINDS:
-            event = ProgressEvent(kind=kind, elapsed=0.0, wall=0.0, payload={})
-            problems = validate_event(event)
-            # Missing required fields are reported, unknown-kind is not.
-            assert all("unknown" not in p for p in problems)
-
-    def test_unknown_kind_rejected(self):
-        problems = validate_event(
-            ProgressEvent(kind="nope", elapsed=0.0, wall=0.0)
-        )
-        assert problems and "unknown event kind" in problems[0]
-
-    def test_missing_required_field_reported(self):
-        problems = validate_event(
-            ProgressEvent(kind="cache", elapsed=0.0, wall=0.0,
-                          payload={"hits": 1})
-        )
-        assert any("misses" in p for p in problems)
-
-    def test_non_scalar_payload_rejected(self):
-        problems = validate_event(
-            ProgressEvent(kind="cache", elapsed=0.0, wall=0.0,
-                          payload={"hits": 1, "misses": [2]})
-        )
-        assert any("not a JSON scalar" in p for p in problems)
-
-    def test_accepts_wire_dict(self):
-        assert validate_event({"kind": "cache", "elapsed": 0.0, "wall": 0.0,
-                               "hits": 1, "misses": 0}) == []
+        assert Span.from_dict(opened).end is None
 
 
 class TestProgressEmitter:
+    """Sinks see every record in stream order."""
+
     def test_subscribers_receive_events_in_order(self):
-        emitter = ProgressEmitter()
-        seen = []
-        emitter.subscribe(lambda e: seen.append(e.kind))
-        emitter.emit("cache", hits=1, misses=0)
-        emitter.emit("cache", hits=2, misses=0)
-        assert seen == ["cache", "cache"]
-        assert emitter.events_emitted == 2
-
-    def test_raising_subscriber_is_dropped_not_fatal(self):
-        emitter = ProgressEmitter()
-        ok = []
-
-        def broken(event):
-            raise RuntimeError("progress bar died")
-
-        emitter.subscribe(broken)
-        emitter.subscribe(lambda e: ok.append(e))
-        emitter.emit("cache", hits=1, misses=0)
-        emitter.emit("cache", hits=2, misses=0)
-        assert len(ok) == 2
-        assert emitter.subscribers_dropped == 1
-
-    def test_unsubscribe(self):
-        emitter = ProgressEmitter()
-        seen = []
-        callback = seen.append
-        emitter.subscribe(callback)
-        emitter.unsubscribe(callback)
-        emitter.emit("cache", hits=0, misses=0)
-        assert seen == []
+        first, second = RecordingSink(), RecordingSink()
+        tracer = Tracer(sinks=[first, second])
+        with tracer.span("discover"):
+            with tracer.span("level"):
+                pass
+        expected = [
+            ("discover", True),
+            ("level", True),
+            ("level", False),
+            ("discover", False),
+        ]
+        assert first.records == expected
+        assert second.records == expected
+        assert tracer.span_count == 2
 
     def test_elapsed_restamped_by_begin(self):
-        emitter = ProgressEmitter()
-        emitter.begin()
-        event = emitter.emit("cache", hits=0, misses=0)
-        assert event.elapsed < 1.0
-
-    def test_reserved_payload_keys_rejected(self):
-        # The wire form flattens payload next to the kind/elapsed/wall
-        # envelope, so a payload reusing those names would silently
-        # corrupt the reloaded stream.
-        emitter = ProgressEmitter()
-        for reserved in ("kind", "elapsed", "wall"):
-            with pytest.raises(ValueError, match=reserved):
-                emitter.emit("cache", hits=1, misses=0, **{reserved: "x"})
+        # The progress line's clock and counts restart at each run's
+        # ``discover`` open record, so a line reused for a second run
+        # prints the same level-1 line again.
+        stream = io.StringIO()
+        tracer = Tracer(sinks=[ProgressLine(stream)])
+        for _ in range(2):
+            with tracer.span("discover", rows=10, attributes=3):
+                with tracer.span("level", level=1, s_l=3):
+                    pass
+            time.sleep(0.2)
+        starts = [line for line in stream.getvalue().splitlines() if "level 1" in line]
+        assert len(starts) == 2
+        assert starts[0] == starts[1]
+        assert starts[0].startswith("[   0.0s] level 1 (3 sets) | tested 0")
 
     def test_concurrent_emission_is_safe(self):
-        emitter = ProgressEmitter()
-        queue = emitter.queue(maxlen=10_000)
+        queue = QueueSink(maxlen=10_000)
 
         def hammer():
+            tracer = Tracer(sinks=[queue])
             for index in range(200):
-                emitter.emit("cache", hits=index, misses=0)
+                with tracer.span("batch", index=index):
+                    pass
 
         threads = [threading.Thread(target=hammer) for _ in range(4)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
-        assert len(queue.drain()) == 800
-        assert emitter.events_emitted == 800
+        assert len(queue.drain()) == 1600
+        assert queue.dropped == 0
 
 
 class TestBoundedEventQueue:
+    """The service's drop-oldest queue of records."""
+
     def test_drops_oldest_on_overflow(self):
-        queue = BoundedEventQueue(maxlen=2)
-        for index in range(4):
-            queue.push(ProgressEvent(kind="cache", elapsed=float(index),
-                                     wall=0.0, payload={}))
-        events_list = queue.drain()
-        assert [e.elapsed for e in events_list] == [2.0, 3.0]
+        queue = QueueSink(maxlen=2)
+        tracer = Tracer(sinks=[queue])
+        for index in range(2):
+            with tracer.span("batch", index=index):
+                pass
+        records = queue.drain()
+        assert [(r["attrs"]["index"], "end" in r) for r in records] == [
+            (1, False),
+            (1, True),
+        ]
         assert queue.dropped == 2
 
     def test_drain_empties_the_queue(self):
-        queue = BoundedEventQueue(maxlen=8)
-        queue.push(ProgressEvent(kind="cache", elapsed=0.0, wall=0.0))
-        assert len(queue.drain()) == 1
+        queue = QueueSink(maxlen=8)
+        with Tracer(sinks=[queue]).span("x"):
+            pass
+        assert len(queue.drain()) == 2
         assert len(queue) == 0
         assert queue.drain() == []
 
     def test_rejects_nonpositive_maxlen(self):
         with pytest.raises(ValueError):
-            BoundedEventQueue(maxlen=0)
+            QueueSink(maxlen=0)
 
 
 class TestJsonlEventWriter:
+    """The JSONL file holds both records of every span."""
+
     def test_writes_and_loads_round_trip(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        emitter = ProgressEmitter()
-        writer = JsonlEventWriter(path)
-        emitter.subscribe(writer)
-        emitter.emit("run_start", rows=10, attributes=3, epsilon=0.0,
-                     measure="g3")
-        emitter.emit("run_end", seconds=0.5, ok=True)
-        writer.close()
-        loaded = load_events(path)
-        assert [e.kind for e in loaded] == ["run_start", "run_end"]
-        assert loaded[0].payload["rows"] == 10
-        assert loaded[1].payload["ok"] is True
+        path = tmp_path / "trace.jsonl"
+        tracer = Tracer(sinks=[JsonlSink(path)])
+        with tracer.span("discover", rows=10) as root:
+            root.set("ok", True)
+        tracer.close()
+        records = load_records(path)
+        assert [("end" in r, r["attrs"]) for r in records] == [
+            (False, {"rows": 10}),
+            (True, {"rows": 10, "ok": True}),
+        ]
+        (span,) = load_spans(path)
+        assert span.attributes["ok"] is True
 
     def test_phase_end_round_trips_with_its_kind_intact(self, tmp_path):
-        # Regression: a payload field named `kind` once clobbered the
-        # event kind in the flat wire form, so reloaded streams came
-        # back with invalid kinds.  A phase event names its phase in a
-        # field of its own and reloads as itself.
-        path = tmp_path / "events.jsonl"
-        emitter = ProgressEmitter()
-        writer = JsonlEventWriter(path)
-        emitter.subscribe(writer)
-        emitter.emit("phase_end", level=2, phase="prune", seconds=0.01)
-        writer.close()
-        (event,) = load_events(path)
-        assert event.kind == "phase_end"
-        assert event.payload["phase"] == "prune"
-        assert validate_event(event) == []
+        path = tmp_path / "trace.jsonl"
+        tracer = Tracer(sinks=[JsonlSink(path)])
+        with tracer.span("level", level=2):
+            with tracer.span("prune") as phase:
+                phase.set("keys_found", 1)
+        tracer.close()
+        names = [record["name"] for record in load_records(path)]
+        assert names == ["level", "prune", "prune", "level"]
+        prune = next(span for span in load_spans(path) if span.name == "prune")
+        assert prune.attributes == {"keys_found": 1}
 
     def test_write_after_close_is_silent(self, tmp_path):
-        writer = JsonlEventWriter(tmp_path / "events.jsonl")
-        writer.close()
-        writer(ProgressEvent(kind="cache", elapsed=0.0, wall=0.0))
-        writer.close()  # idempotent
+        sink = JsonlSink(tmp_path / "trace.jsonl")
+        sink.close()
+        with Tracer(sinks=[sink]).span("late"):
+            pass
+        sink.close()  # idempotent
 
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text("not json\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="not a valid event line"):
-            load_events(path)
+        with pytest.raises(ValueError, match="not valid JSON"):
+            load_records(path)
 
 
 class TestModuleActivation:
+    """``repro.obs.trace`` holds the one activation slot."""
+
     def test_disabled_by_default(self):
-        assert not events.events_enabled()
-        assert events.active_emitter() is None
+        assert not trace.enabled()
+        assert trace.active_tracer() is None
 
     def test_activation_is_scoped_and_restored(self):
-        emitter = ProgressEmitter()
-        queue = emitter.queue()
-        with events.activated_events(emitter):
-            assert events.active_emitter() is emitter
-            events.active_emitter().emit("cache", hits=1, misses=0)
-        assert not events.events_enabled()
-        assert [e.kind for e in queue.drain()] == ["cache"]
+        queue = QueueSink()
+        tracer = Tracer(sinks=[queue])
+        with trace.activated(tracer):
+            assert trace.active_tracer() is tracer
+            with trace.span("store.load"):
+                pass
+        assert not trace.enabled()
+        assert [r["name"] for r in queue.drain()] == ["store.load", "store.load"]
 
     def test_activation_restores_on_exception(self):
-        emitter = ProgressEmitter()
         with pytest.raises(RuntimeError):
-            with events.activated_events(emitter):
+            with trace.activated(Tracer()):
                 raise RuntimeError("boom")
-        assert not events.events_enabled()
+        assert not trace.enabled()
 
 
 class TestEtaEstimator:

@@ -4,20 +4,9 @@ import time
 
 import pytest
 
-from repro.obs.profile import (
-    NO_SPAN,
-    ProfileReport,
-    SamplingProfiler,
-    profile_sidecar_path,
-)
+from repro.obs.profile import NO_SPAN, ProfileReport, SamplingProfiler
+from repro.obs.sinks import JsonlSink
 from repro.obs.trace import Tracer
-
-
-class TestSidecarPath:
-    def test_derives_sibling_json(self, tmp_path):
-        assert profile_sidecar_path(tmp_path / "run.jsonl") == (
-            tmp_path / "run.jsonl.profile.json"
-        )
 
 
 class TestSamplingProfiler:
@@ -65,6 +54,19 @@ class TestSamplingProfiler:
         assert set(report.level_peak_bytes) == {1, 2}
         assert report.level_peak_bytes[1] > report.level_peak_bytes[2]
 
+    def test_level_close_records_note_memory_while_running(self):
+        tracer = Tracer(sinks=())
+        profiler = SamplingProfiler(tracer, interval=0.01, trace_memory=True)
+        with profiler.running():
+            assert profiler in tracer.sinks
+            with tracer.span("level", level=1):
+                blob = list(range(50_000))
+            del blob
+        assert profiler not in tracer.sinks
+        with tracer.span("level", level=2):
+            pass
+        assert set(profiler.report().level_peak_bytes) == {1}
+
     def test_stop_is_idempotent_and_start_reentrant(self):
         profiler = SamplingProfiler(Tracer(sinks=()), interval=0.01,
                                     trace_memory=False)
@@ -92,16 +94,24 @@ class TestProfileReport:
         )
 
     def test_round_trip_through_sidecar(self, tmp_path):
+        # The report travels on the trace's ``discover`` close record.
         report = self.make_report()
-        path = report.save(tmp_path / "t.jsonl.profile.json")
+        path = tmp_path / "t.jsonl"
+        tracer = Tracer(sinks=[JsonlSink(path)])
+        with tracer.span("discover") as root:
+            root.set("profile", report.to_dict())
+        tracer.close()
         loaded = ProfileReport.load(path)
         assert loaded == report
         assert loaded.level_peak_bytes[2] == 4096  # int keys restored
 
     def test_load_rejects_non_sidecar(self, tmp_path):
-        path = tmp_path / "other.json"
-        path.write_text("{}", encoding="utf-8")
-        with pytest.raises(ValueError, match="not a profile sidecar"):
+        path = tmp_path / "t.jsonl"
+        tracer = Tracer(sinks=[JsonlSink(path)])
+        with tracer.span("discover"):
+            pass
+        tracer.close()
+        with pytest.raises(ValueError, match="no profile in the trace"):
             ProfileReport.load(path)
         path.write_text("garbage", encoding="utf-8")
         with pytest.raises(ValueError):

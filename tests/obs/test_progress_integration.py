@@ -1,29 +1,29 @@
-"""End-to-end telemetry tests: events from real runs, ETA accuracy,
-gauge lifecycle across runs, cache rendering, concurrent emit order.
+"""End-to-end telemetry tests: the span stream of real runs, ETA
+accuracy, gauge lifecycle across runs, cache rendering, report order.
 
 These tests drive the real discovery pipeline (``discover`` with
-``TaneConfig(events=..., profile=..., metrics=...)``) and pin the
+``TaneConfig(tracer=..., profile=..., metrics=...)``) and pin the
 acceptance criteria of the telemetry layer:
 
-* the event stream of a run is complete, ordered, and schema-valid;
+* the record stream of a run is complete, ordered, and serializable,
+  with every open record matched by a close record;
 * the ETA estimate is within 30% of the actual remaining time by the
   50%-complete mark on the wisconsin-replica workload;
 * gauges reset between back-to-back runs sharing one registry;
-* ``trace-report`` renders partition-cache and delta-shipping totals;
-* concurrently emitted worker spans render deterministically.
+* ``trace-report`` renders partition-cache totals;
+* the report does not depend on span arrival order.
 """
 
+import io
+import json
 import random
 import threading
-
-import pytest
 
 from repro.core.tane import TaneConfig, discover
 from repro.datasets.replicate import replicate_with_unique_suffix
 from repro.datasets.uci import make_wisconsin_like
 from repro.model.relation import Relation
-from repro.obs import InMemorySink, MetricsRegistry, ProgressEmitter, Tracer
-from repro.obs.events import validate_event
+from repro.obs import InMemorySink, MetricsRegistry, ProgressLine, QueueSink, Tracer
 from repro.obs.report import build_report
 from repro.partition.cache import PartitionCache
 
@@ -38,41 +38,58 @@ def small_relation(rows: int = 120, attributes: int = 4, seed: int = 7) -> Relat
     return Relation.from_rows(data, names)
 
 
-class TestEventStream:
-    def run_with_events(self, relation, **config_kwargs):
-        emitter = ProgressEmitter()
-        queue = emitter.queue(maxlen=100_000)
-        result = discover(relation, TaneConfig(events=emitter, **config_kwargs))
-        return result, queue.drain()
+def run_with_records(relation, **config_kwargs):
+    queue = QueueSink(maxlen=100_000)
+    result = discover(
+        relation, TaneConfig(tracer=Tracer(sinks=[queue]), **config_kwargs)
+    )
+    return result, queue.drain()
 
+
+def opened(records, name):
+    return [r for r in records if r["name"] == name and "end" not in r]
+
+
+def closed(records, name):
+    return [r for r in records if r["name"] == name and "end" in r]
+
+
+class TestEventStream:
     def test_stream_brackets_run_and_levels(self):
-        result, events = self.run_with_events(small_relation())
-        kinds = [event.kind for event in events]
-        assert kinds[0] == "run_start"
-        assert kinds[-1] == "run_end"
+        result, records = run_with_records(small_relation())
+        assert (records[0]["name"], "end" in records[0]) == ("discover", False)
+        assert (records[-1]["name"], "end" in records[-1]) == ("discover", True)
         levels = len(result.statistics.level_sizes)
-        assert kinds.count("level_start") == levels
-        assert kinds.count("level_end") == levels
+        assert len(opened(records, "level")) == levels
+        assert len(closed(records, "level")) == levels
         # Three phases per level, each bracketed.
-        assert kinds.count("phase_start") == kinds.count("phase_end")
+        for phase in ("compute_dependencies", "prune", "generate_next_level"):
+            assert len(opened(records, phase)) == levels
+            assert len(closed(records, phase)) == levels
 
     def test_every_event_is_schema_valid(self):
-        _result, events = self.run_with_events(small_relation())
-        for event in events:
-            assert validate_event(event) == [], (event.kind, event.payload)
+        _result, records = run_with_records(small_relation())
+        for record in records:
+            json.dumps(record)
+            assert {"name", "span_id", "parent_id", "start", "attrs"} <= set(record)
+        opens = sorted(r["span_id"] for r in records if "end" not in r)
+        closes = sorted(r["span_id"] for r in records if "end" in r)
+        assert opens == closes
 
     def test_level_start_counts_are_exact(self):
-        result, events = self.run_with_events(small_relation())
-        sizes = [e.payload["size"] for e in events if e.kind == "level_start"]
+        result, records = run_with_records(small_relation())
+        sizes = [r["attrs"]["s_l"] for r in opened(records, "level")]
         assert sizes == result.statistics.level_sizes
-        tested = [e.payload["tested"] for e in events if e.kind == "level_start"]
-        # Cumulative sets tested before each level.
-        expected = [sum(sizes[:index]) for index in range(len(sizes))]
-        assert tested == expected
+        levels = [r["attrs"]["level"] for r in opened(records, "level")]
+        assert levels == list(range(1, len(sizes) + 1))
+        # Level 2's partitions were materialized at the boundary before
+        # it, so its open record carries their measured row-work (an
+        # exact run's last level is rank-only and is not measured).
+        assert opened(records, "level")[1]["attrs"]["work_rows"] > 0
 
     def test_run_end_reports_outcome(self):
-        result, events = self.run_with_events(small_relation())
-        final = events[-1].payload
+        result, records = run_with_records(small_relation())
+        final = records[-1]["attrs"]
         assert final["ok"] is True
         assert final["dependencies"] == len(result.dependencies)
         assert final["keys"] == len(result.keys)
@@ -81,45 +98,62 @@ class TestEventStream:
         relation = small_relation()
         cache = PartitionCache()
         discover(relation, TaneConfig(partition_cache=cache))
-        _result, events = self.run_with_events(relation, partition_cache=cache)
-        cache_events = [e for e in events if e.kind == "cache"]
-        assert cache_events, "no cache events despite a warm cache"
-        assert cache_events[-1].payload["hits"] > 0
+        _result, records = run_with_records(relation, partition_cache=cache)
+        totals = [
+            r["attrs"]["cache_hits"]
+            for r in opened(records, "level")
+            if "cache_hits" in r["attrs"]
+        ]
+        assert totals, "no cache totals despite a warm cache"
+        assert totals[-1] > 0
 
     def test_profile_attaches_report(self):
-        emitter = ProgressEmitter()
-        result = discover(
-            small_relation(rows=300),
-            TaneConfig(events=emitter, profile=True, profile_interval=0.001),
+        result, records = run_with_records(
+            small_relation(rows=300), profile=True, profile_interval=0.001
         )
         assert result.profile is not None
         assert result.profile.samples >= 0
-        assert result.profile.level_peak_bytes  # ProfileHooks fed boundaries
+        assert result.profile.level_peak_bytes  # level close records fed it
         levels = len(result.statistics.level_sizes)
         assert set(result.profile.level_peak_bytes) <= set(range(1, levels + 1))
+        assert records[-1]["attrs"]["profile"] == result.profile.to_dict()
+
+
+class _LevelStarts(ProgressLine):
+    """The progress line, remembering its state at each level start."""
+
+    def __init__(self):
+        super().__init__(io.StringIO())
+        self.starts = []
+        self.total_seconds = None
+
+    def record(self, span):
+        super().record(span)
+        if span.name == "level" and span.end is None:
+            self.starts.append(
+                (self.tested, self.estimator.eta_seconds, span.start - self._origin)
+            )
+        elif span.name == "discover" and span.end is not None:
+            self.total_seconds = span.duration
 
 
 class TestEtaAccuracy:
     def test_eta_within_30pct_at_half_way_on_wisconsin_replica(self):
         relation = replicate_with_unique_suffix(make_wisconsin_like(), 18)
-        emitter = ProgressEmitter()
-        queue = emitter.queue(maxlen=100_000)
-        result = discover(relation, TaneConfig(events=emitter))
-        events = queue.drain()
-        total_seconds = events[-1].payload["seconds"]
+        line = _LevelStarts()
+        result = discover(relation, TaneConfig(tracer=Tracer(sinks=[line])))
+        total_seconds = line.total_seconds
         total_sets = result.statistics.total_sets
         checked = False
-        for event in events:
-            if event.kind != "level_start":
+        for tested, eta_seconds, elapsed in line.starts:
+            fraction = tested / total_sets
+            if fraction < 0.5 or eta_seconds is None:
                 continue
-            fraction = event.payload["tested"] / total_sets
-            if fraction < 0.5 or event.payload["eta_seconds"] is None:
-                continue
-            actual_remaining = total_seconds - event.elapsed
-            error = abs(event.payload["eta_seconds"] - actual_remaining)
+            actual_remaining = total_seconds - elapsed
+            error = abs(eta_seconds - actual_remaining)
             assert error <= 0.30 * actual_remaining + 0.05, (
                 f"at {fraction:.0%} tested: eta "
-                f"{event.payload['eta_seconds']:.3f}s vs actual "
+                f"{eta_seconds:.3f}s vs actual "
                 f"{actual_remaining:.3f}s remaining"
             )
             checked = True
@@ -193,43 +227,26 @@ class TestTraceReportTelemetry:
 
 
 class TestConcurrentEmitOrdering:
-    def test_store_rows_add_up_under_races(self):
-        """Store spans recorded from racing threads add up exactly.
-
-        The report must not depend on arrival order: the level row
-        counts every spill and load, however the concurrent
-        ``Tracer.emit`` calls interleaved.
-        """
+    def test_every_concurrent_span_reaches_the_sink(self):
+        # Runs on separate threads each drive their own tracer; a sink
+        # they share sees every span of every one of them.
         sink = InMemorySink()
-        tracer = Tracer(sinks=[sink])
-        barrier = threading.Barrier(4)
 
-        def flush_spans(thread_index: int) -> None:
-            barrier.wait()
-            for index in range(50):
-                tracer.emit(
-                    "store.spill" if index % 2 else "store.load",
-                    0.001,
-                    mask=thread_index,
-                    bytes=1024,
-                )
+        def trace_many(mask: int) -> None:
+            tracer = Tracer(sinks=[sink])
+            for _ in range(100):
+                with tracer.span("store.load", mask=mask, bytes=8):
+                    pass
 
-        with tracer.span("discover"):
-            with tracer.span("level", level=1):
-                with tracer.span("generate_next_level"):
-                    threads = [
-                        threading.Thread(target=flush_spans, args=(index,))
-                        for index in range(4)
-                    ]
-                    for thread in threads:
-                        thread.start()
-                    for thread in threads:
-                        thread.join()
-
-        report = build_report(sink.spans)
-        (level_row,) = report.levels
-        assert (level_row.spills, level_row.loads) == (100, 100)
-        assert (level_row.spill_bytes, level_row.load_bytes) == (102400, 102400)
+        threads = [
+            threading.Thread(target=trace_many, args=(mask,)) for mask in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(sink.spans) == 400
+        assert sorted({span.attributes["mask"] for span in sink.spans}) == [0, 1, 2, 3]
 
     def test_report_rendering_is_order_independent(self):
         sink = InMemorySink()
@@ -237,26 +254,10 @@ class TestConcurrentEmitOrdering:
         with tracer.span("discover"):
             with tracer.span("level", level=1):
                 for mask in (3, 1, 2):
-                    tracer.emit("store.load", 0.01, mask=mask, bytes=64 * mask)
+                    with tracer.span("store.load", mask=mask, bytes=64 * mask):
+                        pass
         spans = list(sink.spans)
         text = build_report(spans).format()
         shuffled = list(spans)
         random.Random(0).shuffle(shuffled)
         assert build_report(shuffled).format() == text
-
-    def test_every_concurrent_span_reaches_the_sink(self):
-        sink = InMemorySink()
-        tracer = Tracer(sinks=[sink])
-
-        def emit_many(mask: int) -> None:
-            for _ in range(100):
-                tracer.emit("store.load", 0.0, mask=mask, bytes=8)
-
-        threads = [threading.Thread(target=emit_many, args=(mask,))
-                   for mask in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert len(sink.spans) == 400
-        assert tracer.span_count == 400

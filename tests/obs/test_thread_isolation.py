@@ -1,7 +1,7 @@
-"""Thread-isolation of the activation slots in obs.trace / obs.events.
+"""Thread-isolation of the one activation slot, in obs.trace.
 
 Regression tests for the service era: overlapping discovery runs on
-separate threads must not observe each other's tracer or emitter.
+separate threads must not observe each other's tracer.
 With the old process-global activation slot, thread B's ``activated``
 call captured thread A's emissions (cross-contaminated telemetry), and
 the interleaved save/restore pairs could reinstate a finished run's
@@ -9,12 +9,13 @@ dead tracer as "active" for a still-running one.  These tests fail
 against that implementation and pin the thread-local behaviour.
 """
 
+import random
 import threading
 
-from repro.obs import events as obs_events
+from repro.core.tane import TaneConfig, discover
+from repro.model.relation import Relation
 from repro.obs import trace as obs_trace
-from repro.obs.events import ProgressEmitter, activated_events
-from repro.obs.sinks import InMemorySink
+from repro.obs.sinks import InMemorySink, QueueSink
 from repro.obs.trace import Tracer, activated
 
 
@@ -93,39 +94,59 @@ class TestTracerThreadIsolation:
         assert obs_trace.active_tracer() is None
 
 
+class _MeetAtLevelOne:
+    """Sink holding each run at its level-1 open record until both
+    runs are there, so the two runs are active at once."""
+
+    def __init__(self, barrier):
+        self.barrier = barrier
+
+    def record(self, span):
+        if span.name == "level" and span.end is None and span.attributes["level"] == 1:
+            self.barrier.wait(timeout=10.0)
+
+    def flush(self):
+        pass
+
+    def close(self):
+        pass
+
+
+def _relation(rows: int, seed: int) -> Relation:
+    rng = random.Random(seed)
+    data = [[rng.randrange(3 + column) for column in range(4)] for _ in range(rows)]
+    return Relation.from_rows(data, ["A", "B", "C", "D"])
+
+
 class TestEmitterThreadIsolation:
     def test_overlapping_runs_do_not_cross_contaminate_events(self):
-        received: dict[str, list[str]] = {"a": [], "b": []}
+        # The disk store emits its spill spans through the module-level
+        # slot, so they land on whichever tracer the slot names.
         barrier = threading.Barrier(2)
+        queues = {"a": QueueSink(maxlen=100_000), "b": QueueSink(maxlen=100_000)}
+        rows = {"a": 150, "b": 90}
+        results = {}
 
         def run(name: str) -> None:
-            emitter = ProgressEmitter()
-            emitter.subscribe(
-                lambda event: received[name].append(event.payload["owner"])
+            tracer = Tracer(sinks=[_MeetAtLevelOne(barrier), queues[name]])
+            results[name] = discover(
+                _relation(rows[name], seed=len(name) + rows[name]),
+                TaneConfig(
+                    tracer=tracer,
+                    store="disk",
+                    store_options=(("resident_budget_bytes", 1), ("min_spill_bytes", 0)),
+                ),
             )
-            with activated_events(emitter):
-                barrier.wait(timeout=5.0)  # both emitters "active" at once
-                obs_events.active_emitter().emit(
-                    "cache", hits=0, misses=0, owner=name
-                )
-                barrier.wait(timeout=5.0)  # neither exits until both emitted
 
         threads = [threading.Thread(target=run, args=(n,)) for n in ("a", "b")]
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join(timeout=10.0)
-        assert received["a"] == ["a"]
-        assert received["b"] == ["b"]
-
-    def test_emitter_activation_is_invisible_to_other_threads(self):
-        seen: list[bool] = []
-        with activated_events(ProgressEmitter()):
-            thread = threading.Thread(
-                target=lambda: seen.append(obs_events.events_enabled())
-            )
-            thread.start()
-            thread.join(timeout=5.0)
-            assert obs_events.events_enabled()
-        assert seen == [False]
-        assert not obs_events.events_enabled()
+            thread.join(timeout=30.0)
+        for name, queue in queues.items():
+            records = queue.drain()
+            roots = [r for r in records if r["name"] == "discover"]
+            assert [r["attrs"]["rows"] for r in roots] == [rows[name]] * 2
+            spills = [r for r in records if r["name"] == "store.spill" and "end" in r]
+            assert spills
+            assert len(spills) == results[name].statistics.store_spills

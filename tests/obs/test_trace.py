@@ -35,23 +35,27 @@ class TestSpanTree:
         assert finished.duration >= 0.0
         assert finished.end >= finished.start
 
-    def test_emit_synthesizes_parented_span(self):
-        sink = InMemorySink()
-        tracer = Tracer(sinks=[sink])
-        with tracer.span("phase") as phase:
-            tracer.emit("store.load", 0.25, mask=42)
-        load = next(s for s in sink.spans if s.name == "store.load")
-        assert load.parent_id == phase.span_id
-        assert load.duration == pytest.approx(0.25)
-        assert load.attributes["mask"] == 42
-
     def test_span_count(self):
         tracer = Tracer()
         with tracer.span("a"):
             with tracer.span("b"):
                 pass
-        tracer.emit("c", 0.0)
+        with tracer.span("c"):
+            pass
         assert tracer.span_count == 3
+
+    def test_raising_sink_on_open_leaves_the_stack_clean(self):
+        class Refuse:
+            def record(self, span):
+                if span.name == "child" and span.end is None:
+                    raise RuntimeError("refused")
+
+        tracer = Tracer(sinks=[Refuse()])
+        with pytest.raises(RuntimeError, match="refused"):
+            with tracer.span("root"):
+                with tracer.span("child"):
+                    pass
+        assert tracer.current is None
 
 
 class TestNullPath:
@@ -72,7 +76,8 @@ class TestNullPath:
             assert trace.enabled()
             assert trace.active_tracer() is tracer
             with trace.span("op"):
-                trace.active_tracer().emit("inner", 0.0)
+                with trace.span("inner"):
+                    pass
             trace.set_gauge("g", 3)
         assert not trace.enabled()
         assert [s.name for s in sink.spans] == ["inner", "op"]
@@ -118,16 +123,24 @@ class TestJsonlSink:
                 pass
         tracer.close()
         lines = path.read_text().strip().splitlines()
-        assert len(lines) == 2
-        for line in lines:
-            payload = json.loads(line)
-            assert {"name", "span_id", "parent_id", "start", "end", "duration", "attrs"} <= set(payload)
+        records = [json.loads(line) for line in lines]
+        assert [(r["name"], "end" in r) for r in records] == [
+            ("a", False),
+            ("b", False),
+            ("b", True),
+            ("a", True),
+        ]
+        for payload in records:
+            assert {"name", "span_id", "parent_id", "start", "attrs"} <= set(payload)
+            if "end" in payload:
+                assert "duration" in payload
 
     def test_load_spans_roundtrip(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         tracer = Tracer(sinks=[JsonlSink(path)])
         with tracer.span("root", level=1):
-            tracer.emit("store.load", 0.5, mask=9)
+            with tracer.span("store.load", mask=9):
+                pass
         tracer.close()
         spans = load_spans(path)
         assert [s.name for s in spans] == ["store.load", "root"]

@@ -11,11 +11,21 @@ import pytest
 
 from repro.core.tane import TaneConfig, discover
 from repro.model.relation import Relation
-from repro.obs import InMemorySink, JsonlSink, Tracer, build_report, load_spans
+from repro.obs import (
+    InMemorySink,
+    JsonlSink,
+    Tracer,
+    build_report,
+    load_records,
+    load_spans,
+)
 
 # Fields that depend on wall-clock time, excluded from the "identical
 # with tracing on vs off" comparison.
 _TIME_FIELDS = {"elapsed_seconds"}
+
+# A disk store that keeps only part of a level resident.
+_SPILLY = (("resident_budget_bytes", 1500), ("min_spill_bytes", 0))
 
 
 @pytest.fixture
@@ -66,6 +76,49 @@ class TestJsonlRoundTrip:
         assert sum(s.attributes["products"] for s in generate) == stats.partition_products
         prune = [s for s in spans if s.name == "prune"]
         assert sum(s.attributes["keys_found"] for s in prune) == stats.keys_found
+
+
+class TestOpenCloseRecords:
+    @pytest.mark.parametrize(
+        "strategy",
+        [
+            {},
+            {"strategy": "topk", "top_k": 3},
+            {"strategy": "dfd", "dfd_seed": 1},
+            {"store": "disk", "store_options": _SPILLY},
+        ],
+        ids=["levelwise", "topk", "dfd", "levelwise-disk"],
+    )
+    def test_records_pair_one_for_one(self, relation, tmp_path, strategy):
+        _, spans, path = traced_run(relation, tmp_path, "pairs", **strategy)
+        records = load_records(path)
+        opens = [r for r in records if "end" not in r]
+        closes = [r for r in records if "end" in r]
+        assert sorted(r["span_id"] for r in opens) == sorted(
+            r["span_id"] for r in closes
+        )
+        assert len(closes) == len(spans)
+        # Each span opens before it closes, and inside its parent.
+        position = {}
+        for index, record in enumerate(records):
+            position.setdefault(record["span_id"], []).append(index)
+        for record in closes:
+            opened, closed = position[record["span_id"]]
+            assert opened < closed
+            parent = record["parent_id"]
+            if parent is not None:
+                assert position[parent][0] < opened and closed < position[parent][1]
+        assert (records[0]["name"], records[-1]["name"]) == ("discover", "discover")
+
+    def test_traced_disk_run_matches_untraced_store_counters(self, relation, tmp_path):
+        # Measuring a level's row-work must not load spilled partitions
+        # or reorder the disk store's LRU.
+        config = {"store": "disk", "store_options": _SPILLY}
+        plain = discover(relation, TaneConfig(**config))
+        assert plain.statistics.store_spills and plain.statistics.store_loads
+        traced, _, _ = traced_run(relation, tmp_path, "disk", **config)
+        for field in ("store_spills", "store_loads", "validity_tests"):
+            assert getattr(traced.statistics, field) == getattr(plain.statistics, field)
 
 
 class TestDisabledPathIsInert:

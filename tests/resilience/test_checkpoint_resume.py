@@ -23,19 +23,21 @@ from repro.core.tane import TaneConfig, discover
 from repro.exceptions import CheckpointError, ConfigurationError
 from repro.testing import faults
 
+from ..conftest import level_opens, tracer_calling
 from .conftest import assert_identical_results
 
 
 class Interrupt(Exception):
-    """Raised by a progress callback to abort the search mid-run."""
+    """Raised by a span sink to abort the search mid-run."""
 
 
 def interrupt_at(level: int):
-    def progress(snapshot):
-        if snapshot.level == level:
+    """A tracer raising :class:`Interrupt` when ``level`` opens."""
+    def interrupt(span):
+        if level_opens(span, level):
             raise Interrupt(f"level {level}")
 
-    return progress
+    return tracer_calling(interrupt)
 
 
 def run_interrupted(relation, checkpoint_dir, *, level=3, **config_kwargs):
@@ -44,7 +46,7 @@ def run_interrupted(relation, checkpoint_dir, *, level=3, **config_kwargs):
             relation,
             TaneConfig(
                 checkpoint_dir=checkpoint_dir,
-                progress=interrupt_at(level),
+                tracer=interrupt_at(level),
                 **config_kwargs,
             ),
         )
@@ -140,13 +142,17 @@ class TestDriverCrash:
 
     @staticmethod
     def _crash_child(relation, checkpoint_dir, config_kwargs):
-        def die(snapshot):
-            if snapshot.level == 3:
+        def die(span):
+            if level_opens(span, 3):
                 os.kill(os.getpid(), signal.SIGKILL)
 
         discover(
             relation,
-            TaneConfig(checkpoint_dir=checkpoint_dir, progress=die, **config_kwargs),
+            TaneConfig(
+                checkpoint_dir=checkpoint_dir,
+                tracer=tracer_calling(die),
+                **config_kwargs,
+            ),
         )
 
     def _kill_mid_level(self, relation, checkpoint_dir, **config_kwargs):

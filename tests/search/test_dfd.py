@@ -24,6 +24,8 @@ from repro.datasets.synthetic import (
 from repro.exceptions import CheckpointError, ConfigurationError
 from repro.search.dfd import DfdStrategy, minimal_hitting_sets
 
+from ..conftest import level_opens, tracer_calling
+
 
 def _cover(result):
     return sorted((fd.lhs, fd.rhs, fd.error) for fd in result.dependencies)
@@ -158,34 +160,33 @@ class _Interrupt(Exception):
     pass
 
 
-def _interrupt_after_tests(tests):
-    """Interrupt at the first progress report of at least ``tests``
-    validity tests, recording that it fired."""
+def _interrupted_walk(relation, tmp_path, tests, **config):
+    """Run a dfd walk into an interrupt at the first ``node_batch``
+    close record with at least ``tests`` validity tests; assert it
+    fired and left a checkpoint."""
     fired = []
 
-    def progress(snapshot):
-        if snapshot.tests >= tests:
-            fired.append(snapshot.tests)
+    def interrupt(span):
+        if (
+            span.name == "node_batch"
+            and span.end is not None
+            and span.attributes["tests_total"] >= tests
+        ):
+            fired.append(span.attributes["tests_total"])
             raise _Interrupt
-    progress.fired = fired
-    return progress
 
-
-def _interrupted_walk(relation, tmp_path, tests, **config):
-    """Run a dfd walk into an interrupt; assert it left a checkpoint."""
-    progress = _interrupt_after_tests(tests)
     with pytest.raises(_Interrupt):
         discover(relation, TaneConfig(
-            strategy="dfd", checkpoint_dir=tmp_path, progress=progress,
-            **config,
+            strategy="dfd", checkpoint_dir=tmp_path,
+            tracer=tracer_calling(interrupt), **config,
         ))
-    assert progress.fired, "the walk finished before the interrupt"
+    assert fired, "the walk finished before the interrupt"
     assert (tmp_path / "checkpoint.json").exists()
 
 
 class TestCheckpointResume:
     # The engine snapshots once per SNAPSHOT_TESTS (32) validity tests,
-    # after the progress report of the batch that completes them.  A
+    # after the close record of the batch that completes them.  A
     # batch holds at most one test per attribute, so on these 8- and
     # 6-attribute relations an interrupt 8 or more tests past a
     # multiple of 32 always finds a snapshot on disk.
@@ -237,13 +238,13 @@ class TestCheckpointResume:
     def test_level_checkpoint_refused_by_node_resume(self, tmp_path):
         relation = random_relation(40, 6, 3, seed=9)
 
-        def interrupt_level(snapshot):
-            if getattr(snapshot, "level", None) == 2:
+        def interrupt_level(span):
+            if level_opens(span, 2):
                 raise _Interrupt
 
         with pytest.raises(_Interrupt):
             discover(relation, TaneConfig(
-                checkpoint_dir=tmp_path, progress=interrupt_level,
+                checkpoint_dir=tmp_path, tracer=tracer_calling(interrupt_level),
             ))
         with pytest.raises(CheckpointError, match="level-mode"):
             discover(relation, TaneConfig(

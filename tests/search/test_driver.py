@@ -25,7 +25,7 @@ def relation(figure1_relation):
     return figure1_relation
 
 
-def _driver(relation, *, hooks=(), strategy=None, metrics=None, progress=None):
+def _driver(relation, *, hooks=(), strategy=None, metrics=None):
     executor = SerialExecution()
     workspace = PartitionWorkspace(relation.num_rows)
     full_mask = relation.schema.full_mask()
@@ -51,7 +51,6 @@ def _driver(relation, *, hooks=(), strategy=None, metrics=None, progress=None):
         workspace=workspace,
         metrics=metrics,
         hooks=hooks,
-        progress=progress,
     )
 
 
@@ -70,13 +69,29 @@ class TestBareDriver:
         assert driver.metrics.series_values("tane.level_sizes")
 
     def test_progress_called_per_level(self, relation):
-        snapshots = []
-        driver = _driver(relation, progress=snapshots.append)
+        # Progress is the span seam's ``level`` span, opened with the
+        # level number and its exact candidate count.
+        levels = []
+        driver = _driver(relation, hooks=[LevelHooks(levels)])
         driver.run()
-        assert [s.level for s in snapshots] == list(
-            range(1, len(snapshots) + 1)
-        )
-        assert snapshots[0].level_size == relation.num_attributes
+        assert [a["level"] for a in levels] == list(range(1, len(levels) + 1))
+        assert levels[0]["s_l"] == relation.num_attributes
+
+
+class LevelHooks(SearchHooks):
+    """Span provider recording the attributes each ``level`` span opens
+    with; raises at ``raise_at`` when set."""
+
+    def __init__(self, levels, raise_at=None):
+        self.levels = levels
+        self.raise_at = raise_at
+
+    def span(self, name, **attributes):
+        if name == "level":
+            if attributes["level"] == self.raise_at:
+                raise RuntimeError("boom")
+            self.levels.append(attributes)
+        return NULL_SPAN
 
 
 class RecordingHooks(SearchHooks):
@@ -112,11 +127,7 @@ class TestHookProtocol:
 
     def test_on_failure_fires_while_unwinding(self, relation):
         hooks = RecordingHooks()
-
-        def explode(snapshot):
-            raise RuntimeError("boom")
-
-        driver = _driver(relation, hooks=[hooks], progress=explode)
+        driver = _driver(relation, hooks=[hooks, LevelHooks([], raise_at=2)])
         with pytest.raises(RuntimeError):
             driver.run()
         assert hooks.failures == 1
@@ -157,11 +168,6 @@ class TestSpanResolution:
         assert provider.__func__ is SpanningHooks.span
         assert provider.__self__ is hook
 
-    def test_fan_reaches_every_provider(self, relation):
-        first, second = [], []
-        driver = _driver(
-            relation, hooks=[SpanningHooks(first), SpanningHooks(second)]
-        )
-        driver.run()
-        assert first and first == second
-        assert "compute_dependencies" in first
+    def test_second_provider_is_refused(self, relation):
+        with pytest.raises(ValueError, match="at most one"):
+            _driver(relation, hooks=[SpanningHooks([]), SpanningHooks([])])

@@ -16,6 +16,8 @@ from repro.model.fd import FunctionalDependency
 from repro.model.relation import Relation
 from repro.search.strategy import redundancy_overlap, redundancy_rank
 
+from ..conftest import level_opens, tracer_calling
+
 
 def _rank(triple):
     lhs, rhs, error = triple
@@ -77,10 +79,11 @@ class _Interrupt(Exception):
 
 
 def _interrupt_at(level):
-    def progress(snapshot):
-        if snapshot.level == level:
+    """A tracer raising :class:`_Interrupt` when ``level`` opens."""
+    def interrupt(span):
+        if level_opens(span, level):
             raise _Interrupt
-    return progress
+    return tracer_calling(interrupt)
 
 
 class TestCheckpointResume:
@@ -92,7 +95,7 @@ class TestCheckpointResume:
         with pytest.raises(_Interrupt):
             discover(relation, TaneConfig(
                 strategy="topk", top_k=k,
-                checkpoint_dir=tmp_path, progress=_interrupt_at(2),
+                checkpoint_dir=tmp_path, tracer=_interrupt_at(2),
             ))
         assert (tmp_path / "checkpoint.json").exists()
         resumed = discover(relation, TaneConfig(
@@ -106,7 +109,7 @@ class TestCheckpointResume:
         relation = random_relation(24, 5, 3, seed=11)
         with pytest.raises(_Interrupt):
             discover(relation, TaneConfig(
-                checkpoint_dir=tmp_path, progress=_interrupt_at(2),
+                checkpoint_dir=tmp_path, tracer=_interrupt_at(2),
             ))
         with pytest.raises(CheckpointError):
             discover(relation, TaneConfig(
@@ -120,7 +123,7 @@ class TestCheckpointResume:
         with pytest.raises(_Interrupt):
             discover(relation, TaneConfig(
                 strategy="topk", top_k=2,
-                checkpoint_dir=tmp_path, progress=_interrupt_at(2),
+                checkpoint_dir=tmp_path, tracer=_interrupt_at(2),
             ))
         with pytest.raises(CheckpointError):
             discover(relation, TaneConfig(
@@ -249,7 +252,7 @@ class TestRedundancyRankEndToEnd:
         with pytest.raises(_Interrupt):
             discover(relation, TaneConfig(
                 strategy="topk", top_k=k, topk_rank="redundancy",
-                checkpoint_dir=tmp_path, progress=_interrupt_at(2),
+                checkpoint_dir=tmp_path, tracer=_interrupt_at(2),
             ))
         resumed = discover(relation, TaneConfig(
             strategy="topk", top_k=k, topk_rank="redundancy",
@@ -266,7 +269,7 @@ class TestRedundancyRankEndToEnd:
         with pytest.raises(_Interrupt):
             discover(relation, TaneConfig(
                 strategy="topk", top_k=3, topk_rank="redundancy",
-                checkpoint_dir=tmp_path, progress=_interrupt_at(2),
+                checkpoint_dir=tmp_path, tracer=_interrupt_at(2),
             ))
         with pytest.raises(CheckpointError):
             discover(relation, TaneConfig(

@@ -44,8 +44,10 @@ class TestRoundTrip:
         assert again["cache_hit"] is True
 
         stream = client.job_events(job["id"])
-        kinds = [event["kind"] for event in stream["events"]]
-        assert kinds[0] == "run_start" and kinds[-1] == "run_end"
+        first, last = stream["events"][0], stream["events"][-1]
+        assert first["name"] == last["name"] == "discover"
+        assert "end" not in first and last["attrs"]["ok"] is True
+        assert stream["dropped"] == 0
 
         stats = client.stats()
         assert stats["counters"]["service.discoveries_executed"] == 1

@@ -7,9 +7,11 @@ import pytest
 from repro.core.tane import TaneConfig, discover
 from repro.exceptions import ServiceError
 from repro.model.relation import Relation
-from repro.obs.events import ProgressEmitter
+from repro.obs import QueueSink, Tracer
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import DiscoveryService
+
+from ..conftest import CallbackSink, level_opens
 
 
 CSV = "A,B,C\n" + "\n".join(
@@ -241,25 +243,20 @@ class TestRunScopedTelemetry:
 
         def run(name, rel):
             registry = MetricsRegistry()
-            emitter = ProgressEmitter()
-            queue = emitter.queue()
-            first_level = [True]
+            queue = QueueSink()
 
-            def progress(_):
-                if first_level[0]:
-                    first_level[0] = False
+            def meet(span):
+                if level_opens(span, 1):
                     barrier.wait(timeout=30.0)  # both runs inside discovery
 
-            discover(
-                rel,
-                TaneConfig(metrics=registry, events=emitter, progress=progress),
-            )
+            tracer = Tracer(sinks=[queue, CallbackSink(meet)], metrics=registry)
+            discover(rel, TaneConfig(metrics=registry, tracer=tracer))
             observed[name] = {
                 "validity_tests": registry.counter_value("tane.validity_tests"),
                 "run_start_rows": [
-                    event.payload["rows"]
-                    for event in queue.drain()
-                    if event.kind == "run_start"
+                    record["attrs"]["rows"]
+                    for record in queue.drain()
+                    if record["name"] == "discover" and "end" not in record
                 ],
             }
 
@@ -299,10 +296,11 @@ class TestRunScopedTelemetry:
             service.register_dataset("d", csv_text=CSV)
             job = service.discover_and_wait("d", {"epsilon": 0.0}, timeout=60)
             events, dropped = job.drain_events()
-            kinds = [event["kind"] for event in events]
-            assert kinds[0] == "run_start"
-            assert kinds[-1] == "run_end"
-            assert "level_start" in kinds
+            bracket = [(event["name"], "end" in event) for event in events]
+            assert bracket[0] == ("discover", False)
+            assert bracket[-1] == ("discover", True)
+            assert ("level", False) in bracket
+            assert events[-1]["attrs"]["ok"] is True
             assert dropped == 0
             # A cache-hit job runs no discovery, so it streams nothing.
             hit_job = service.discover_and_wait("d", {"epsilon": 0.0}, timeout=60)

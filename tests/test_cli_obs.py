@@ -1,5 +1,5 @@
 """CLI coverage for the telemetry surface: ``discover --progress
---events --profile --metrics-*``, ``trace-report --profile``, and the
+--trace --profile --metrics-*``, ``trace-report [--profile]``, and the
 ``export-metrics`` subcommand."""
 
 import json
@@ -7,8 +7,8 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.obs.events import load_events, validate_event
-from repro.obs.profile import ProfileReport, profile_sidecar_path
+from repro.obs.profile import ProfileReport
+from repro.obs.sinks import load_records
 
 
 @pytest.fixture
@@ -23,42 +23,53 @@ def csv(tmp_path):
 
 
 class TestDiscoverEvents:
-    def test_events_flag_writes_schema_valid_stream(self, csv, tmp_path):
-        events_path = tmp_path / "events.jsonl"
-        assert main(["discover", str(csv), "--events", str(events_path)]) == 0
-        events = load_events(events_path)
-        assert events[0].kind == "run_start"
-        assert events[-1].kind == "run_end"
-        assert events[-1].payload["ok"] is True
-        for event in events:
-            assert validate_event(event) == []
+    def test_trace_file_is_bracketed_by_the_run(self, csv, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        assert main(["discover", str(csv), "--trace", str(trace)]) == 0
+        records = load_records(trace)
+        first, last = records[0], records[-1]
+        assert first["name"] == last["name"] == "discover"
+        assert "end" not in first and "end" in last
+        assert last["attrs"]["ok"] is True
 
     def test_progress_flag_prints_per_level_lines(self, csv, capsys):
         assert main(["discover", str(csv), "--progress"]) == 0
         err = capsys.readouterr().err
         assert "level 1" in err
+        assert "eta" in err
         assert "done in" in err
 
     def test_progress_and_events_share_one_stream(self, csv, tmp_path, capsys):
-        events_path = tmp_path / "events.jsonl"
-        assert main(
-            ["discover", str(csv), "--progress", "--events", str(events_path)]
-        ) == 0
-        assert "done in" in capsys.readouterr().err
-        assert load_events(events_path)
+        # The progress line and the trace file are two sinks on one
+        # tracer: every level the line printed is in the file.
+        trace = tmp_path / "trace.jsonl"
+        assert main(["discover", str(csv), "--progress", "--trace", str(trace)]) == 0
+        err = capsys.readouterr().err
+        levels = [
+            r["attrs"]["level"]
+            for r in load_records(trace)
+            if r["name"] == "level" and "end" not in r
+        ]
+        assert levels
+        for level in levels:
+            assert f"level {level} (" in err
+        assert "done in" in err
+
+    def test_events_flag_is_gone(self, csv, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["discover", str(csv), "--events", str(tmp_path / "e.jsonl")])
 
 
 class TestDiscoverProfile:
-    def test_profile_with_trace_writes_sidecar(self, csv, tmp_path, capsys):
+    def test_profile_with_trace_records_it_in_the_trace(self, csv, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
         assert main(
             ["discover", str(csv), "--trace", str(trace), "--profile",
              "--profile-interval", "0.001"]
         ) == 0
-        sidecar = profile_sidecar_path(trace)
-        assert sidecar.exists()
-        report = ProfileReport.load(sidecar)
+        report = ProfileReport.load(trace)
         assert report.interval == pytest.approx(0.001)
+        assert not (tmp_path / "trace.jsonl.profile.json").exists()
         assert "profile:" in capsys.readouterr().out
 
     def test_profile_without_trace_still_prints_report(self, csv, capsys):
@@ -68,6 +79,7 @@ class TestDiscoverProfile:
         assert "profile:" in capsys.readouterr().out
 
     def test_trace_report_profile_renders_sidecar(self, csv, tmp_path, capsys):
+        # The profile rides on the trace's ``discover`` close record.
         trace = tmp_path / "trace.jsonl"
         main(["discover", str(csv), "--trace", str(trace), "--profile",
               "--profile-interval", "0.001"])
@@ -82,7 +94,29 @@ class TestDiscoverProfile:
         main(["discover", str(csv), "--trace", str(trace)])
         capsys.readouterr()
         assert main(["trace-report", str(trace), "--profile"]) == 2
-        assert "error:" in capsys.readouterr().err
+        assert "no profile in the trace" in capsys.readouterr().err
+
+
+class TestTraceReportNodeRuns:
+    def test_dfd_trace_renders_node_batch_summary(self, csv, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        assert main(
+            ["discover", str(csv), "--strategy", "dfd", "--trace", str(trace),
+             "--stats"]
+        ) == 0
+        out = capsys.readouterr().out
+        tests = int(out.split(" tests v=")[1].split()[0])
+        batches = sum(
+            1 for r in load_records(trace) if r["name"] == "node_batch" and "end" in r
+        )
+        assert main(["trace-report", str(trace)]) == 0
+        report = capsys.readouterr().out
+        assert "node-batch summary" in report
+        assert "per-level" not in report
+        row = report.splitlines()[3].split()
+        assert int(row[0]) == batches > 0
+        assert int(row[1]) == tests > 0
+        assert int(row[2]) > 0  # dependencies found by the walk
 
 
 class TestDiscoverMetrics:

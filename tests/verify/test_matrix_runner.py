@@ -11,8 +11,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.datasets.synthetic import correlated_relation, planted_fd_relation
+from repro.core.tane import TaneConfig, discover
+from repro.datasets.synthetic import (
+    correlated_relation,
+    planted_fd_relation,
+    random_relation,
+)
 from repro.exceptions import ConfigurationError
+from repro.obs.trace import Tracer
+from repro.search.scheduler import NodeEngine
 from repro.verify.matrix import (
     COMPARE_ALL,
     ConfigCell,
@@ -24,6 +31,10 @@ from repro.verify.matrix import (
 from repro.verify.runner import (
     RunSignature,
     Scenario,
+    _after_first_snapshot,
+    _Interrupt,
+    _VerifyInterrupt,
+    compare_strategy_dfd,
     compare_with_oracles,
     run_cell,
     verify_relation,
@@ -141,10 +152,30 @@ class TestVerifyRelation:
         )
         cell = ConfigCell(name="checkpoint-resume", checkpoint=True)
         resumed = run_cell(structured, Scenario(), cell, workdir=tmp_path)
-        # The interrupted-then-resumed run left its checkpoint behind...
+        # The relation reaches level 2, so the interrupt fired...
+        assert len(reference.result.statistics.level_sizes) >= 2
+        assert resumed.resumed
+        # ...the interrupted-then-resumed run left its checkpoint behind...
         assert (tmp_path / "checkpoint-checkpoint-resume").exists()
         # ...and still reproduced the uninterrupted signature exactly.
         assert resumed.signature == reference.signature
+
+    def test_dfd_checkpoint_interrupts_and_resumes(self, tmp_path):
+        relation = random_relation(80, 8, 3, seed=9)
+        config = dict(strategy="dfd", dfd_seed=5, checkpoint_dir=tmp_path)
+        uninterrupted = discover(relation, TaneConfig(strategy="dfd", dfd_seed=5))
+        # The walk runs past its first snapshot, so the interrupt fires.
+        assert uninterrupted.statistics.validity_tests > 2 * NodeEngine.SNAPSHOT_TESTS
+        interrupt = _Interrupt(_after_first_snapshot())
+        with pytest.raises(_VerifyInterrupt):
+            discover(relation, TaneConfig(tracer=Tracer(sinks=[interrupt]), **config))
+        assert interrupt.fired
+        resumed = discover(relation, TaneConfig(resume=True, **config))
+        assert resumed.dependencies == uninterrupted.dependencies
+        reference = run_cell(relation, Scenario(), REFERENCE_CELL, workdir=tmp_path)
+        assert compare_strategy_dfd(
+            relation, Scenario(), reference.signature, 5, workdir=tmp_path
+        ) == []
 
     def test_oracles_flag_fabricated_cover(self, structured, tmp_path):
         reference = run_cell(

@@ -8,8 +8,8 @@ address, then exercises the HTTP API with the bundled example dataset:
 * register ``examples/data/orders.csv``;
 * discover twice — the second request must be a result-cache hit that
   executed no discovery;
-* drain the first job's progress events (must be bracketed by
-  ``run_start`` / ``run_end``);
+* drain the first job's span records (must be bracketed by the
+  ``discover`` open and close records, the close with ``ok``);
 * scrape ``/metrics`` for the aggregated service + run counters;
 * SIGINT the server and require a clean exit.
 
@@ -87,9 +87,15 @@ def main() -> int:
             )
 
         stream = client.job_events(first["id"])
-        kinds = [event["kind"] for event in stream["events"]]
-        if not kinds or kinds[0] != "run_start" or kinds[-1] != "run_end":
-            fail(f"event stream not bracketed: {kinds[:3]}...{kinds[-3:]}")
+        records = stream["events"]
+        kinds = [(r["name"], "end" in r) for r in records]
+        if (
+            not kinds
+            or kinds[0] != ("discover", False)
+            or kinds[-1] != ("discover", True)
+            or records[-1]["attrs"].get("ok") is not True
+        ):
+            fail(f"record stream not bracketed: {kinds[:3]}...{kinds[-3:]}")
 
         metrics = client.metrics_text()
         for needle in ("repro_service_requests_total", "repro_tane_validity_tests_total"):
@@ -106,7 +112,7 @@ def main() -> int:
         print(
             f"service-smoke: OK ({summary['rows']} rows, "
             f"{len(first['result']['dependencies'])} dependencies, "
-            f"{len(kinds)} events, clean shutdown)"
+            f"{len(kinds)} records, clean shutdown)"
         )
         return 0
     finally:
