@@ -78,14 +78,19 @@ obs-smoke:
 	  /tmp/repro-obs.snapshots.jsonl /tmp/repro-obs.export.prom
 
 # Fault-tolerance smoke: the resilience suite (checkpoint/resume,
-# crash-path store errors) plus a CLI checkpoint/resume round trip.
+# crash-path store errors) plus a CLI checkpoint/resume round trip for
+# the levelwise and the dfd strategy, each writing the one version-2
+# checkpoint format.
 fault-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/resilience tests/partition/test_store_faults.py -q
-	rm -rf /tmp/repro-ckpt
-	PYTHONPATH=src $(PYTHON) -m repro.cli discover examples/data/orders.csv --checkpoint-dir /tmp/repro-ckpt | sed 's/, [0-9.]*s>/>/' > /tmp/repro-ckpt-first.out
-	test -s /tmp/repro-ckpt/checkpoint.json
-	PYTHONPATH=src $(PYTHON) -m repro.cli discover examples/data/orders.csv --checkpoint-dir /tmp/repro-ckpt --resume | sed 's/, [0-9.]*s>/>/' > /tmp/repro-ckpt-second.out
-	diff /tmp/repro-ckpt-first.out /tmp/repro-ckpt-second.out
+	for strategy in levelwise dfd; do \
+	  rm -rf /tmp/repro-ckpt && \
+	  PYTHONPATH=src $(PYTHON) -m repro.cli discover examples/data/orders.csv --strategy $$strategy --checkpoint-dir /tmp/repro-ckpt | sed 's/, [0-9.]*s>/>/' > /tmp/repro-ckpt-first.out && \
+	  test -s /tmp/repro-ckpt/checkpoint.json && \
+	  $(PYTHON) -c "import json, sys; sys.exit(json.load(open('/tmp/repro-ckpt/checkpoint.json'))['version'] != 2)" && \
+	  PYTHONPATH=src $(PYTHON) -m repro.cli discover examples/data/orders.csv --strategy $$strategy --checkpoint-dir /tmp/repro-ckpt --resume | sed 's/, [0-9.]*s>/>/' > /tmp/repro-ckpt-second.out && \
+	  diff /tmp/repro-ckpt-first.out /tmp/repro-ckpt-second.out || exit 1; \
+	done
 	rm -rf /tmp/repro-ckpt /tmp/repro-ckpt-first.out /tmp/repro-ckpt-second.out
 
 # Differential/metamorphic verification smoke: the harness's smoke-marked

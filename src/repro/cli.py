@@ -15,7 +15,7 @@ Subcommands
     Materialize one of the built-in benchmark datasets as CSV.
 ``trace-report``
     Render a ``--trace`` JSONL file as per-level phase timings and
-    store I/O, or a node-batch summary for node-engine runs
+    store I/O, or a node-batch summary for dfd runs
     (``--profile`` adds the sampling profiler's tables from the same
     file).
 ``export-metrics``

@@ -1,27 +1,29 @@
-"""Level-granular checkpointing of the TANE levelwise search.
+"""Step-granular checkpointing of the search.
 
-The loop state at a level boundary is small and self-contained — the
-next level's masks, the previous level's ``C+`` map, the dependencies
-and keys found so far, and the deterministic counters — while the
-*partitions* are large but reconstructible (from singleton partitions,
-Lemma 3, or from the disk store's spill files).  A checkpoint
-therefore serializes only the loop state: one JSON document, written
-atomically (temp file + ``fsync`` + ``os.replace``), once per
-completed level.  A crashed or killed run resumes from the last
-completed level and produces dependencies, keys, and counters
-identical to an uninterrupted run.
+A search pauses between steps — levels of the levelwise walk, request
+batches of the DFD walk — and the state at such a boundary is small
+and self-contained: the step count, the strategy's own snapshot (the
+next level's masks and the previous level's ``C+`` map, or the DFD
+walk's verdict cache), the dependencies and keys found so far, and the
+deterministic counters.  The *partitions* are large but
+reconstructible (from singleton partitions, Lemma 3, or from the disk
+store's spill files).  A checkpoint therefore serializes only that
+state: one JSON document of a single shape for every strategy, written
+atomically (temp file + ``fsync`` + ``os.replace``) at each boundary.
+A crashed or killed run resumes from the last boundary and produces
+dependencies, keys, and counters identical to an uninterrupted run.
 
 A checkpoint is bound to its run by a *fingerprint* of the relation
-(row count, attribute names) and of every configuration field that
-shapes the search — built by
+(row count, attribute names), of every configuration field that shapes
+the search and of the traversal strategy — built by
 :func:`repro.fingerprint.search_fingerprint`, the shared identity
-module all caches key on; resuming with a different relation or
-config raises :class:`~repro.exceptions.CheckpointError` instead of
-silently producing a hybrid result.
+module all caches key on; resuming with a different relation, config
+or strategy raises :class:`~repro.exceptions.CheckpointError` instead
+of silently producing a hybrid result.
 
-The final checkpoint of a successful run is marked ``complete`` and
-carries an empty next level, so resuming a finished run replays no
-work and simply returns the recorded results.
+The final checkpoint of a successful run is marked ``complete``, so
+resuming a finished run runs no step and simply returns the recorded
+results.  Documents of earlier format versions are refused.
 """
 
 from __future__ import annotations
@@ -29,69 +31,45 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 from repro.exceptions import CheckpointError
+from repro.search.hooks import ResumePoint
 from repro.testing import faults
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 _CHECKPOINT_NAME = "checkpoint.json"
+_FIELDS = (
+    "version",
+    "fingerprint",
+    "step",
+    "snapshot",
+    "dependencies",
+    "keys",
+    "counters",
+    "series",
+    "complete",
+)
 
-__all__ = [
-    "CheckpointState",
-    "NodeCheckpointState",
-    "CheckpointManager",
-    "load_checkpoint",
-]
+__all__ = ["CheckpointState", "CheckpointManager", "load_checkpoint"]
 
 
-@dataclass
-class CheckpointState:
-    """The levelwise loop state at one level boundary."""
+@dataclass(frozen=True, kw_only=True)
+class CheckpointState(ResumePoint):
+    """A resume point bound to the run it belongs to."""
 
     fingerprint: dict[str, Any]
-    """Relation and configuration identity the checkpoint belongs to."""
-
-    level_number: int
-    """The next level to execute (levels below it are complete)."""
-
-    level: list[int]
-    """Attribute-set masks of the next level (empty when complete)."""
-
-    previous_level_masks: list[int]
-    """Masks of the last completed level — their partitions are needed
-    as validity-test left-hand sides when the next level runs."""
-
-    cplus_prev: dict[int, int]
-    """``C+`` map of the last completed level (mask -> candidate mask)."""
-
-    dependencies: list[tuple[int, int, float]]
-    """Minimal dependencies found so far as ``(lhs, rhs, error)``."""
-
-    keys: list[int]
-    """Key masks found so far."""
-
-    counters: dict[str, float] = field(default_factory=dict)
-    """Deterministic ``tane.*`` counter values at the boundary."""
-
-    series: dict[str, list[int]] = field(default_factory=dict)
-    """Per-level series (level sizes) up to the boundary."""
-
-    complete: bool = False
-    """True when the search finished; resume replays nothing."""
+    """Relation, configuration and strategy identity."""
 
     def to_payload(self) -> dict[str, Any]:
         """The JSON document written to disk."""
         return {
             "version": _FORMAT_VERSION,
             "fingerprint": self.fingerprint,
-            "level_number": self.level_number,
-            "level": self.level,
-            "previous_level_masks": self.previous_level_masks,
-            # JSON objects key on strings; masks round-trip via pairs.
-            "cplus_prev": [[mask, cands] for mask, cands in self.cplus_prev.items()],
+            "step": self.step,
+            "snapshot": self.snapshot,
             "dependencies": [[lhs, rhs, error] for lhs, rhs, error in self.dependencies],
             "keys": self.keys,
             "counters": self.counters,
@@ -108,96 +86,33 @@ class CheckpointState:
                 f"unsupported checkpoint version {version!r} "
                 f"(this build reads version {_FORMAT_VERSION})"
             )
+        unknown = sorted(set(payload) - set(_FIELDS))
+        if unknown:
+            raise CheckpointError(
+                f"unknown checkpoint fields {', '.join(unknown)} "
+                f"(not a version {_FORMAT_VERSION} document)"
+            )
         try:
+            snapshot = payload["snapshot"]
+            if not isinstance(snapshot, dict):
+                raise TypeError("snapshot must be a JSON object")
             return cls(
                 fingerprint=dict(payload["fingerprint"]),
-                level_number=int(payload["level_number"]),
-                level=[int(mask) for mask in payload["level"]],
-                previous_level_masks=[int(m) for m in payload["previous_level_masks"]],
-                cplus_prev={int(m): int(c) for m, c in payload["cplus_prev"]},
+                step=int(payload["step"]),
+                snapshot=snapshot,
                 dependencies=[
                     (int(lhs), int(rhs), float(error))
                     for lhs, rhs, error in payload["dependencies"]
                 ],
                 keys=[int(mask) for mask in payload["keys"]],
-                counters={str(k): v for k, v in payload.get("counters", {}).items()},
+                counters={str(k): v for k, v in payload["counters"].items()},
                 series={
                     str(k): [int(v) for v in values]
-                    for k, values in payload.get("series", {}).items()
+                    for k, values in payload["series"].items()
                 },
-                complete=bool(payload.get("complete", False)),
+                complete=bool(payload["complete"]),
             )
-        except (KeyError, TypeError, ValueError) as error:
-            raise CheckpointError(f"malformed checkpoint payload: {error}") from error
-
-
-@dataclass
-class NodeCheckpointState:
-    """Node-mode walk state at one snapshot boundary.
-
-    Non-monotone walks have no level to resume at; the resumable unit
-    is the *strategy's own snapshot* (its visited-set / frontier
-    document, opaque to this module) plus the deterministic counters.
-    Results are deliberately absent: a node strategy's restore replays
-    the walk from the top with a warm visited set, re-deriving every
-    recorded dependency without touching the engine, so persisting
-    them would only create a second source of truth.
-
-    The payload shares ``checkpoint.json`` with the level format and is
-    discriminated by ``"format": "node"``; level payloads carry no
-    format key, so their on-disk shape (and every existing test) is
-    unchanged.
-    """
-
-    fingerprint: dict[str, Any]
-    """Relation, configuration, and strategy identity (the strategy's
-    fingerprint includes its seed, so walks never cross seeds)."""
-
-    batch_number: int
-    """Completed scheduling rounds at the snapshot."""
-
-    state: dict[str, Any]
-    """The strategy's snapshot document, stored verbatim."""
-
-    counters: dict[str, float] = field(default_factory=dict)
-    """Deterministic ``tane.*`` counter values at the boundary."""
-
-    complete: bool = False
-    """True when the walk finished."""
-
-    def to_payload(self) -> dict[str, Any]:
-        """The JSON document written to disk."""
-        return {
-            "version": _FORMAT_VERSION,
-            "format": "node",
-            "fingerprint": self.fingerprint,
-            "batch_number": self.batch_number,
-            "state": self.state,
-            "counters": self.counters,
-            "complete": self.complete,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "NodeCheckpointState":
-        """Rebuild the state from a parsed checkpoint document."""
-        version = payload.get("version")
-        if version != _FORMAT_VERSION:
-            raise CheckpointError(
-                f"unsupported checkpoint version {version!r} "
-                f"(this build reads version {_FORMAT_VERSION})"
-            )
-        try:
-            state = payload["state"]
-            if not isinstance(state, dict):
-                raise TypeError("state must be a JSON object")
-            return cls(
-                fingerprint=dict(payload["fingerprint"]),
-                batch_number=int(payload["batch_number"]),
-                state=state,
-                counters={str(k): v for k, v in payload.get("counters", {}).items()},
-                complete=bool(payload.get("complete", False)),
-            )
-        except (KeyError, TypeError, ValueError) as error:
+        except (AttributeError, KeyError, TypeError, ValueError) as error:
             raise CheckpointError(f"malformed checkpoint payload: {error}") from error
 
 
@@ -250,11 +165,8 @@ class CheckpointManager:
             raise
         self.saves += 1
 
-    def load(self) -> "CheckpointState | NodeCheckpointState | None":
-        """Read and validate the checkpoint; ``None`` when absent.
-
-        The concrete type follows the payload's format discriminator —
-        callers resuming a specific mode must check what they got."""
+    def load(self) -> CheckpointState | None:
+        """Read and validate the checkpoint; ``None`` when absent."""
         try:
             raw = self.path.read_text(encoding="utf-8")
         except FileNotFoundError:
@@ -273,14 +185,6 @@ class CheckpointManager:
             raise CheckpointError(
                 f"corrupt checkpoint {self.path}: expected a JSON object"
             )
-        checkpoint_format = payload.get("format", "level")
-        if checkpoint_format == "node":
-            return NodeCheckpointState.from_payload(payload)
-        if checkpoint_format != "level":
-            raise CheckpointError(
-                f"unsupported checkpoint format {checkpoint_format!r} "
-                "(this build reads 'level' and 'node')"
-            )
         return CheckpointState.from_payload(payload)
 
     def clear(self) -> None:
@@ -288,8 +192,6 @@ class CheckpointManager:
         self.path.unlink(missing_ok=True)
 
 
-def load_checkpoint(
-    directory: str | Path,
-) -> CheckpointState | NodeCheckpointState | None:
+def load_checkpoint(directory: str | Path) -> CheckpointState | None:
     """Inspect the checkpoint in ``directory`` (``None`` when absent)."""
     return CheckpointManager(directory).load()

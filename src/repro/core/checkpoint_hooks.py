@@ -1,21 +1,21 @@
 """Checkpoint/resume as a search-driver plugin.
 
-:class:`CheckpointHooks` attaches level-granular checkpointing to a
+:class:`CheckpointHooks` attaches step-granular checkpointing to a
 :class:`~repro.search.driver.SearchDriver` through the
-:class:`~repro.search.hooks.SearchHooks` seam:
+:class:`~repro.search.hooks.SearchHooks` seam, for every traversal
+strategy alike:
 
-* ``on_boundary`` — after every completed level (and once more on
-  completion) the loop state, results, and deterministic counters are
-  written atomically through the :class:`CheckpointManager`;
-* ``resume_state`` — a matching checkpoint restores results, counters,
-  and the boundary's partitions (spill files adopted when present,
-  otherwise recomputed from singletons without perturbing counters)
-  and hands the driver the loop state to continue from;
-* ``on_node_boundary`` / ``resume_node_state`` — the node-mode
-  counterparts: the persisted unit is the strategy's own snapshot
-  (visited-set / frontier) plus the counters, and resume hands the
-  snapshot back for the strategy to replay; the two formats share
-  ``checkpoint.json`` but refuse to resume across modes;
+* ``on_boundary`` — at each boundary the loop emits (after every level
+  of the levelwise walk, every few batches of the DFD walk, and once
+  more on completion) the step count, the strategy's snapshot, the
+  results and the deterministic counters are written atomically
+  through the :class:`CheckpointManager`;
+* ``resume_state`` — a checkpoint whose fingerprint matches is offered
+  to the loop as its :class:`~repro.search.hooks.ResumePoint`; the loop
+  restores results and counters and hands the snapshot back to the
+  strategy, which re-establishes its partitions (levelwise: spill files
+  adopted when present, otherwise recomputed from singletons without
+  perturbing counters) or replays its walk (DFD);
 * ``on_failure`` — a crashing checkpointed run keeps its spill files:
   they are the partitions resume would otherwise recompute.
 
@@ -30,14 +30,10 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.core.checkpoint import (
-    CheckpointManager,
-    CheckpointState,
-    NodeCheckpointState,
-)
+from repro.core.checkpoint import CheckpointManager, CheckpointState
 from repro.exceptions import CheckpointError
 from repro.obs import trace as obs
-from repro.search.hooks import NodeResumePoint, ResumePoint, SearchHooks
+from repro.search.hooks import SearchHooks
 
 __all__ = ["CheckpointHooks"]
 
@@ -52,7 +48,7 @@ _CHECKPOINT_SERIES = ("tane.level_sizes", "tane.pruned_level_sizes")
 
 
 class CheckpointHooks(SearchHooks):
-    """Persist and restore search state at level boundaries."""
+    """Persist and restore search state at step boundaries."""
 
     def __init__(
         self,
@@ -65,63 +61,11 @@ class CheckpointHooks(SearchHooks):
         self.fingerprint = fingerprint
         self.resume = resume
 
-    # ------------------------------------------------------------------
-
-    def resume_state(self, driver) -> ResumePoint | None:
+    def resume_state(self, driver) -> CheckpointState | None:
         if not self.resume:
             return None
         state = self.manager.load()
-        if state is None:
-            return None
-        if not isinstance(state, CheckpointState):
-            raise CheckpointError(
-                "checkpoint was written by a node-mode strategy; "
-                "refusing to resume a level-mode search from it"
-            )
-        self._validate_fingerprint(state)
-        with obs.span("checkpoint.restore", level=state.level_number) as span:
-            driver.restore_results(state.dependencies, state.keys)
-            driver.restore_metrics(state.counters, state.series)
-            for mask in state.previous_level_masks:
-                driver.partitions.restore(mask)
-            for mask in state.level:
-                driver.partitions.restore(mask)
-            span.set(
-                "masks_restored", len(state.level) + len(state.previous_level_masks)
-            )
-        return ResumePoint(
-            level_number=state.level_number,
-            level=state.level,
-            previous_level_masks=state.previous_level_masks,
-            cplus_prev=state.cplus_prev,
-        )
-
-    def resume_node_state(self, driver) -> NodeResumePoint | None:
-        """Offer a node-mode walk its saved snapshot.
-
-        Only the counters are restored here: a node strategy's
-        ``restore`` replays the walk from the top with the snapshot's
-        warm visited set, re-deriving results and re-materializing
-        partitions on demand, so restoring either would double-apply
-        them.
-        """
-        if not self.resume:
-            return None
-        state = self.manager.load()
-        if state is None:
-            return None
-        if not isinstance(state, NodeCheckpointState):
-            raise CheckpointError(
-                "checkpoint was written by a level-mode strategy; "
-                "refusing to resume a node-mode walk from it"
-            )
-        self._validate_fingerprint(state)
-        with obs.span("checkpoint.restore", batch=state.batch_number):
-            driver.restore_metrics(state.counters, {})
-        return NodeResumePoint(batch_number=state.batch_number, state=state.state)
-
-    def _validate_fingerprint(self, state) -> None:
-        if state.fingerprint != self.fingerprint:
+        if state is not None and state.fingerprint != self.fingerprint:
             mismatched = sorted(
                 key
                 for key in set(self.fingerprint) | set(state.fingerprint)
@@ -131,16 +75,13 @@ class CheckpointHooks(SearchHooks):
                 "checkpoint does not match this run "
                 f"(differs in: {', '.join(mismatched)}); refusing to resume"
             )
-
-    # ------------------------------------------------------------------
+        return state
 
     def on_boundary(self, driver, boundary) -> None:
         state = CheckpointState(
             fingerprint=self.fingerprint,
-            level_number=boundary.level_number,
-            level=list(boundary.level),
-            previous_level_masks=list(boundary.previous_level_masks),
-            cplus_prev=dict(boundary.cplus_prev),
+            step=boundary.step,
+            snapshot=boundary.snapshot,
             dependencies=[
                 (fd.lhs, fd.rhs, fd.error) for fd in driver.tracker.dependencies
             ],
@@ -156,23 +97,9 @@ class CheckpointHooks(SearchHooks):
             complete=boundary.complete,
         )
         with obs.span(
-            "checkpoint.save", level=boundary.level_number, complete=boundary.complete
-        ):
-            self.manager.save(state)
-
-    def on_node_boundary(self, driver, boundary) -> None:
-        state = NodeCheckpointState(
-            fingerprint=self.fingerprint,
-            batch_number=boundary.batch_number,
-            state=dict(boundary.state),
-            counters={
-                name: driver.metrics.counter_value(name)
-                for name in _CHECKPOINT_COUNTERS
-            },
+            "checkpoint.save",
+            **driver.strategy.step_attributes(boundary.step),
             complete=boundary.complete,
-        )
-        with obs.span(
-            "checkpoint.save", batch=boundary.batch_number, complete=boundary.complete
         ):
             self.manager.save(state)
 

@@ -107,7 +107,15 @@ def _generate_from_array(masks: np.ndarray) -> list[tuple[int, int, int]]:
     drops one prefix attribute per pass, lowest first, and looks the
     subset up in the sorted level by binary search.
     """
-    level = np.unique(masks[masks != 0])
+    # Sort and drop repeats by hand: np.unique imports numpy.ma on its
+    # first call, which would cost the first run in a process ~10 ms.
+    level = masks[masks != 0]
+    level.sort()
+    if level.size > 1:
+        distinct = np.empty(level.size, dtype=bool)
+        distinct[0] = True
+        np.not_equal(level[1:], level[:-1], out=distinct[1:])
+        level = level[distinct]
     count = level.size
     if count < 2:
         return []

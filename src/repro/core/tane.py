@@ -255,15 +255,16 @@ class TaneConfig:
 
     checkpoint_dir: str | Path | None = None
     """Directory for checkpoints.  When set, the loop state is written
-    atomically after every completed level (see
-    :mod:`repro.core.checkpoint`), so a crashed or killed run can be
+    atomically at step boundaries — after every level of a levelwise
+    run, every few request batches of a dfd walk — in one format for
+    every strategy (see :mod:`repro.core.checkpoint`), so a crashed or
+    killed run can be
     resumed with ``resume=True`` and finish with dependencies, keys,
     and counters identical to an uninterrupted run.  With the disk
     store, the spill directory defaults into the checkpoint directory
     so resume can adopt spill files instead of recomputing partitions.
-    Node-mode strategies (``dfd``) checkpoint their walk snapshot
-    every few scheduling rounds instead of per level; the two formats
-    share the file but never resume across modes."""
+    The fingerprint names the strategy, so a checkpoint never resumes
+    a different strategy's search."""
 
     resume: bool = False
     """Continue from the checkpoint in :attr:`checkpoint_dir`.  A

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from repro.obs.trace import Span
 
-__all__ = ["EtaEstimator", "ProgressLine"]
+__all__ = ["BATCH_LINE_TESTS", "EtaEstimator", "ProgressLine"]
 
 
 # ----------------------------------------------------------------------
@@ -200,15 +200,22 @@ class EtaEstimator:
 
 _PHASES = frozenset({"compute_dependencies", "prune", "generate_next_level"})
 
+BATCH_LINE_TESTS = 64
+"""Validity tests per piped ``batch`` line: the dfd walk's reclaim
+cadence (:attr:`repro.search.dfd.DfdStrategy.RECLAIM_TESTS`)."""
+
 
 class ProgressLine:
     """Render the span stream as a live one-line progress display.
 
     On a TTY the line is redrawn in place (``\\r``); on a pipe only
-    level starts, node batches and the run's end are printed, one line
-    each, so redirected output stays readable.  Level open records feed
-    :attr:`estimator`; node-engine walks have no level structure, so
-    their line degrades to monotone test and dependency counts.
+    level starts, the node batch that carries the test total past each
+    further multiple of :data:`BATCH_LINE_TESTS`, and the run's end are
+    printed, one line each, so redirected output stays readable and a
+    long walk logs one line per 64 tests, not one per batch.  Level
+    open records feed :attr:`estimator`; dfd walks have no level
+    structure, so their line degrades to monotone test and dependency
+    counts.
     """
 
     def __init__(self, stream) -> None:
@@ -277,9 +284,11 @@ class ProgressLine:
         elif span.name == "node_batch" and not opened:
             self._node_mode = True
             self.level = int(attrs["batch"]) + 1
-            self.tested = int(attrs["tests_total"])
+            tested = int(attrs["tests_total"])
+            crossed = tested // BATCH_LINE_TESTS > self.tested // BATCH_LINE_TESTS
+            self.tested = tested
             self._dependencies = int(attrs["dependencies_total"])
-            self._draw(elapsed, always=True)
+            self._draw(elapsed, always=crossed)
 
     def flush(self) -> None:
         """Every line is flushed as it is drawn."""

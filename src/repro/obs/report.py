@@ -5,7 +5,7 @@ discover --trace`` through :func:`build_report` and prints the result:
 one row per lattice level with the paper's quantities (``s_ℓ``,
 validity tests, keys) next to phase timings and partition-store I/O.
 This is the tool that attributes a run's wall-clock time to levels and
-phases on any host, which whole-run totals cannot do.  A node-engine
+phases on any host, which whole-run totals cannot do.  A dfd
 run (``strategy="dfd"``) has no levels; its report is a node-batch
 summary instead.
 
@@ -63,7 +63,7 @@ class TraceReport:
     cache_misses: int = 0
     """Cross-run partition-cache misses (``discover`` span attribute)."""
     batches: int = 0
-    """``node_batch`` spans (node-engine runs only)."""
+    """``node_batch`` spans (dfd runs only)."""
     batch_tests: int = 0
     """Validity tests summed over the node batches."""
     batch_dependencies: int = 0
@@ -115,7 +115,7 @@ class TraceReport:
         return "\n".join(lines)
 
     def _format_batches(self) -> str:
-        """The node-batch summary of a node-engine run."""
+        """The node-batch summary of a dfd run."""
         totals = _totals(self.levels)
         mb = 1024.0 * 1024.0
         header = (

@@ -7,7 +7,7 @@ is forwarded to :func:`repro.obs.trace.span`, so a traced run produces
 the ``level`` / phase / ``node_batch`` spans of the one telemetry
 stream.
 
-At each level boundary it also measures the next level's row-work
+At each boundary of a levelwise run it also measures the next level's row-work
 (``Σ‖π̂‖``, the summed stripped sizes of partitions that were just
 materialized — a few ``stripped_size`` reads, not a recomputation) and
 reads the partition-cache totals; both go on that level's open record,
@@ -22,7 +22,7 @@ imports :mod:`repro.obs` (enforced by ``make layers``).
 from __future__ import annotations
 
 from repro.obs import trace as obs
-from repro.search.hooks import LevelBoundary, SearchHooks
+from repro.search.hooks import Boundary, SearchHooks
 
 __all__ = ["TracingHooks"]
 
@@ -39,8 +39,15 @@ class TracingHooks(SearchHooks):
             self._next_level = {}
         return obs.span(name, **attributes)
 
-    def on_boundary(self, driver, boundary: LevelBoundary) -> None:
-        if not boundary.level or not obs.enabled():
+    def on_boundary(self, driver, boundary: Boundary) -> None:
+        if (
+            boundary.complete
+            or driver.strategy.step_span != "level"
+            or not obs.enabled()
+        ):
+            return
+        level = boundary.snapshot["level"]
+        if not level:
             return
         metrics = driver.metrics
         attributes = {
@@ -53,7 +60,7 @@ class TracingHooks(SearchHooks):
         # unstored partition leaves the level without a measurement.
         store = driver.partitions.store
         work = 0
-        for mask in boundary.level:
+        for mask in level:
             partition = store.peek(mask)
             if partition is None:
                 break

@@ -12,9 +12,11 @@ of the paper) into narrow, independently testable components that a
 * :mod:`repro.search.execution` — the minimal execution backend
   contract (partition products and validity tests of one level) and
   its in-process implementation, :class:`SerialExecution`.
-* :mod:`repro.search.strategy` — the :class:`TraversalStrategy` seam:
-  classic levelwise traversal and the :class:`TopKStrategy` that cuts
-  the search off once the k best dependencies are provably found.
+* :mod:`repro.search.strategy` — the :class:`TraversalStrategy` step
+  protocol: classic levelwise traversal (a step is one level) and the
+  :class:`TopKStrategy` that cuts the search off once the k best
+  dependencies are provably found; :mod:`repro.search.dfd` adds the
+  DFD walk (a step is one request batch).
 * :mod:`repro.search.tracker` — the :class:`CandidateTracker` owning
   rhs+ candidate maintenance (Section 4), dependency recording, and
   the pruning rules (Lemmas 4-5, key pruning).
@@ -23,7 +25,10 @@ of the paper) into narrow, independently testable components that a
   per-level reclamation, and checkpoint-restore recomputation.
 * :mod:`repro.search.hooks` — the :class:`SearchHooks` plugin seam
   through which tracing and checkpointing attach from the outside.
-* :mod:`repro.search.driver` — the :class:`SearchDriver` loop itself.
+* :mod:`repro.search.scheduler` — the one search loop every strategy
+  runs under (bootstrap, resume, step spans, reclamation, boundaries).
+* :mod:`repro.search.driver` — the :class:`SearchDriver` holding a
+  run's state.
 
 Layering rule (enforced by ``make layers``): this package never
 imports :mod:`repro.obs` or :mod:`repro.core.checkpoint` — those
@@ -33,7 +38,7 @@ reverse.
 
 from repro.search.driver import SearchDriver
 from repro.search.execution import SerialExecution
-from repro.search.hooks import LevelBoundary, ResumePoint, SearchHooks
+from repro.search.hooks import Boundary, ResumePoint, SearchHooks
 from repro.search.measures import (
     MEASURES,
     RHS_STATS_MEASURES,
@@ -58,8 +63,8 @@ from repro.search.tracker import CandidateTracker
 
 __all__ = [
     "AttributeStats",
+    "Boundary",
     "CandidateTracker",
-    "LevelBoundary",
     "LevelwiseStrategy",
     "MEASURES",
     "Measure",

@@ -27,31 +27,49 @@ finitely many rounds.
 
 The walks of the right-hand sides are independent, so they run
 interleaved: each is its own generator with its own ``random.Random``
-seeded from ``(seed, rhs)``, and a batch holds one request per
-unfinished walk, in ascending rhs order, so the engine can share
-product chains and measure the tests of a batch together.  Each walk
+seeded from ``(seed, rhs)``, and a batch — one step of the search
+loop — holds one request per unfinished walk, in ascending rhs order,
+so the step can share product chains and measure the tests of a batch
+together.  Each walk
 is deterministic on its own: every choice it makes ranges over lists
 built in ascending mask order from state that is itself a
 deterministic function of its own verdicts.  That makes runs
 reproducible across engines and partition stores, and
-makes checkpoints cheap — the snapshot is just the verdict cache
-(keyed by ``(rhs, lhs)``), and a resume replays every walk from the
-top with warm verdicts (no engine tests, same RNG draws) back to the
-interruption point.
+makes checkpoints cheap — the snapshot, saved in the same checkpoint
+document as every strategy's, is just the verdict cache (keyed by
+``(rhs, lhs)``), and a resume replays every walk from the top with warm
+verdicts (no engine tests, same RNG draws) back to the interruption
+point.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Any
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any
 
 from repro import _bitset
 from repro.exceptions import ConfigurationError
 from repro.model.fd import FunctionalDependency
-from repro.search.strategy import NodeContext, NodeRequest, NodeStrategy
+from repro.search.strategy import TraversalStrategy
 
-__all__ = ["DfdStrategy", "minimal_hitting_sets"]
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from repro.search.driver import SearchDriver
+
+__all__ = ["DfdStrategy", "NodeRequest", "minimal_hitting_sets"]
+
+
+@dataclass(frozen=True)
+class NodeRequest:
+    """One candidate validity test ``lhs_mask -> rhs`` of a walk (the
+    whole set is ``lhs_mask | bit(rhs)``)."""
+
+    lhs_mask: int
+    """Left-hand-side attribute mask (may be 0 for ``∅ -> A``)."""
+
+    rhs: int
+    """Dependent attribute index (never a member of ``lhs_mask``)."""
 
 
 def minimal_hitting_sets(sets: list[int], cap: int) -> list[int]:
@@ -194,7 +212,7 @@ class _Walk:
         return request
 
 
-class DfdStrategy(NodeStrategy):
+class DfdStrategy(TraversalStrategy):
     """Seeded deterministic DFD-style random walks, one per rhs.
 
     The strategy emits the complete minimal cover (same result set as
@@ -203,22 +221,43 @@ class DfdStrategy(NodeStrategy):
     empty) while typically testing far fewer nodes on high-arity
     relations.  Requires a monotone error measure — enforced upstream
     in configuration validation.
+
+    A step is one batch of requests (one per unfinished walk): the lhs
+    and whole-set partitions are materialized, the tests run through
+    the driver, the verdicts go back to the walks, and the walks then
+    propose the next batch, so a step's close record counts every
+    minimal dependency its verdicts settled.
     """
 
     name = "dfd"
+    step_span = "node_batch"
+    fault_point = "search.node.start"
+
+    #: Reclamation sweep cadence (validity tests): a sweep follows the
+    #: batch that completes each further multiple.  Sweeping every
+    #: batch would thrash the product-chain intermediates
+    #: materialize_masks keeps resident; a small fixed interval bounds
+    #: residency while letting neighboring requests reuse ancestors.
+    #: Counted in tests, not batches, so it does not depend on how many
+    #: walks share a batch.  Fixed ⇒ deterministic; set, with the live
+    #: window, from the trade-off measured in docs/ARCHITECTURE.md.
+    RECLAIM_TESTS = 64
+
+    #: Snapshot cadence (validity tests), counted like RECLAIM_TESTS.
+    #: A snapshot serializes the verdict cache, so per-batch
+    #: persistence would be quadratic; boundaries fall only after the
+    #: batch that completes each further multiple.
+    SNAPSHOT_TESTS = 32
 
     #: Resident-partition hint size per unfinished walk (two masks per
-    #: test: the lhs and the whole set).  With
-    #: ``NodeEngine.RECLAIM_TESTS`` it trades products for resident
-    #: memory; both are set from the measured trade-off in
-    #: docs/ARCHITECTURE.md.
+    #: test: the lhs and the whole set).  With RECLAIM_TESTS it trades
+    #: products for resident memory.
     _LIVE_WINDOW = 64
 
     def __init__(self, *, seed: int = 0) -> None:
         if seed < 0:
             raise ConfigurationError(f"dfd seed must be >= 0, got {seed}")
         self.seed = seed
-        self._context: NodeContext | None = None
         self._walks: list[_Walk] = []
         self._by_rhs: dict[int, _Walk] = {}
         self._states: list[_RhsState] = []
@@ -232,24 +271,31 @@ class DfdStrategy(NodeStrategy):
         share a resume."""
         return {"strategy": self.name, "seed": self.seed, "walk": _WALK_FORMAT}
 
+    def step_attributes(self, step: int) -> dict[str, int]:
+        return {"batch": step}
+
     # ------------------------------------------------------------------
-    # NodeStrategy protocol
+    # Step protocol
     # ------------------------------------------------------------------
 
-    def begin(self, context: NodeContext) -> None:
-        self._context = context
+    def begin(self, driver: "SearchDriver") -> None:
+        self.driver = driver
         self._verdicts = {}
         self._replay = {}
         self._finished = False
         self._states = []
         self._walks = []
-        for rhs in range(context.num_attributes):
-            attrs_mask = context.full_mask & ~_bitset.bit(rhs)
+        self._batch: list[NodeRequest] | None = None
+        self._tests = driver.tests.value
+        self._live: set[int] | None = None
+        self._snapshot_due = False
+        for rhs in range(driver.num_attributes):
+            attrs_mask = driver.full_mask & ~_bitset.bit(rhs)
             width = _bitset.popcount(attrs_mask)
             cap = (
                 width
-                if context.max_lhs_size is None
-                else min(context.max_lhs_size, width)
+                if driver.max_lhs_size is None
+                else min(driver.max_lhs_size, width)
             )
             state = _RhsState(rhs, attrs_mask, cap)
             rng = random.Random(f"{self.seed}:{rhs}")
@@ -259,7 +305,7 @@ class DfdStrategy(NodeStrategy):
             )
         self._by_rhs = {walk.state.rhs: walk for walk in self._walks}
 
-    def restore(self, context: NodeContext, state: dict[str, Any]) -> None:
+    def restore(self, driver, step, snapshot, span) -> None:
         """Resume: replay every walk from the top against saved verdicts.
 
         The saved verdicts go into a *replay store* consumed only when
@@ -274,17 +320,72 @@ class DfdStrategy(NodeStrategy):
         genuinely new nodes reach the executor — so a resumed run's
         validity-test total equals an uninterrupted one's.
         """
-        self.begin(context)
-        for rhs, lhs, valid, error in state.get("verdicts", ()):
+        self.begin(driver)
+        for rhs, lhs, valid, error in snapshot.get("verdicts", ()):
             self._replay[(int(rhs), int(lhs))] = (bool(valid), float(error))
 
     def snapshot(self) -> dict[str, Any]:
+        # Replay verdicts not yet reached were counted all the same.
+        verdicts = {**self._replay, **self._verdicts}
         return {
             "verdicts": [
                 [rhs, lhs, valid, error]
-                for (rhs, lhs), (valid, error) in self._verdicts.items()
+                for (rhs, lhs), (valid, error) in verdicts.items()
             ]
         }
+
+    def next_step(self) -> dict[str, Any] | None:
+        if self._batch is None:
+            self._batch = self.next_requests()
+        return {} if self._batch else None
+
+    def step(self, span) -> None:
+        """Materialize, test, and feed back one batch of requests.
+
+        The lhs partitions come first, so each whole set then costs
+        one product from its lhs; every chain step of the batch is one
+        executor call.
+        """
+        driver = self.driver
+        partitions = driver.partitions
+        requests = self._batch
+        wholes = [request.lhs_mask | _bitset.bit(request.rhs) for request in requests]
+        partitions.materialize_masks([request.lhs_mask for request in requests])
+        partitions.materialize_masks(wholes)
+        groups = [
+            (whole_mask, [(request.rhs, request.lhs_mask)])
+            for whole_mask, request in zip(wholes, requests)
+        ]
+        outcomes = driver.validity_tests(groups, "search.node.outcome")
+        for request, outcome in zip(requests, outcomes):
+            self.observe(request, outcome)
+        before, self._tests = self._tests, driver.tests.value
+        # Liveness is read before the walks advance past these verdicts.
+        self._live = (
+            self.live_masks()
+            if self._tests // self.RECLAIM_TESTS > before // self.RECLAIM_TESTS
+            else None
+        )
+        self._snapshot_due = (
+            self._tests // self.SNAPSHOT_TESTS > before // self.SNAPSHOT_TESTS
+        )
+        self._batch = self.next_requests()
+        span.set("tests", len(requests))
+        span.set("tests_total", self._tests)
+        span.set(
+            "dependencies_total", sum(len(state.min_deps) for state in self._states)
+        )
+
+    def reclaim(self) -> None:
+        if self._live is not None:
+            self.driver.partitions.reclaim_except(self._live)
+
+    def boundary_due(self) -> bool:
+        return self._snapshot_due
+
+    # ------------------------------------------------------------------
+    # The walks' requests and verdicts
+    # ------------------------------------------------------------------
 
     def next_requests(self) -> list[NodeRequest]:
         """One request per unfinished walk, in ascending rhs order."""
@@ -302,7 +403,7 @@ class DfdStrategy(NodeStrategy):
         if not requests:
             self._finished = True
             self._by_rhs = {}
-            tracker = self._context.tracker
+            tracker = self.driver.tracker
             for state in self._states:
                 for lhs in sorted(state.min_deps):
                     tracker.add_dependency(
@@ -311,6 +412,7 @@ class DfdStrategy(NodeStrategy):
         return requests
 
     def observe(self, request: NodeRequest, outcome) -> None:
+        """Feed back the validity outcome of ``request``."""
         walk = self._by_rhs.get(request.rhs)
         expected = walk.pending if walk is not None else None
         if request != expected:
@@ -327,6 +429,9 @@ class DfdStrategy(NodeStrategy):
         )
 
     def live_masks(self) -> set[int]:
+        """Masks whose partitions are worth keeping resident: each
+        walk's recent tests and its request in flight (π_∅ and the
+        singletons are never reclaimed)."""
         live: set[int] = set()
         for walk in self._walks:
             live.update(walk.recent)

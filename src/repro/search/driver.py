@@ -2,34 +2,32 @@
 
 :class:`SearchDriver` owns the run's *state* — relation facts, the
 candidate tracker, partition manager, execution backend, validity
-criteria, metrics instruments, hooks — but none of the control flow:
-the loop lives in a scheduler (:mod:`repro.search.scheduler`) selected
-by the traversal strategy's mode.  Level strategies run under the
-compatibility :class:`~repro.search.scheduler.LevelScheduler` (the
-paper's loop of Section 5, bit-identical to the pre-refactor driver);
-node strategies run under the
-:class:`~repro.search.scheduler.NodeEngine`.
+criteria, metrics instruments, hooks — and hands it to the one search
+loop (:func:`repro.search.scheduler.run_steps`), under which every
+traversal strategy runs its steps.
 
 The driver's own responsibilities are the run invariants shared by
-every scheduler: deterministic counter accounting (the cached
-instruments below), the failure protocol (``on_failure`` hooks fire
-while the exception unwinds), the restore surface resume-capable hooks
-use, and handing the tracker to
+every strategy: deterministic counter accounting (the cached
+instruments below, and :meth:`SearchDriver.validity_tests`, so a
+validity test costs the same accounting whichever strategy asked for
+it and ``tane.validity_tests`` compares across strategies as "nodes
+visited"), the failure protocol (``on_failure`` hooks fire while the
+exception unwinds), and handing the tracker to
 :meth:`~repro.search.strategy.TraversalStrategy.finalize` for result
 shaping.
 """
 
 from __future__ import annotations
 
-from repro.model.fd import FunctionalDependency
 from repro.model.relation import Relation
 from repro.search.hooks import resolve_span_provider
 from repro.search.instruments import SimpleMetrics
-from repro.search.measures import ValidityCriteria
+from repro.search.measures import ValidityCriteria, ValidityOutcome
 from repro.search.partitions import PartitionManager
-from repro.search.scheduler import make_scheduler
+from repro.search.scheduler import run_steps
 from repro.search.strategy import TraversalStrategy
 from repro.search.tracker import CandidateTracker
+from repro.testing import faults
 
 __all__ = ["SearchDriver"]
 
@@ -63,35 +61,34 @@ class SearchDriver:
         self.metrics = metrics if metrics is not None else SimpleMetrics()
         self.max_lhs_size = max_lhs_size
         self._hooks = tuple(hooks)
-        self._span = resolve_span_provider(self._hooks)
+        self.span = resolve_span_provider(self._hooks)
         # Instruments are cached so the hot loops pay one attribute
         # increment per event.
-        self._c_tests = self.metrics.counter("tane.validity_tests")
-        self._c_errors = self.metrics.counter("tane.error_computations")
-        self._c_bounds = self.metrics.counter("tane.g3_bound_rejections")
-        self._c_keys = self.metrics.counter("tane.keys_found")
-        self._c_products = self.metrics.counter("tane.partition_products")
-        self._level_sizes = self.metrics.series("tane.level_sizes")
-        self._pruned_level_sizes = self.metrics.series("tane.pruned_level_sizes")
+        self.tests = self.metrics.counter("tane.validity_tests")
+        self.errors = self.metrics.counter("tane.error_computations")
+        self.bounds = self.metrics.counter("tane.g3_bound_rejections")
+        self.keys_found = self.metrics.counter("tane.keys_found")
+        self.products = self.metrics.counter("tane.partition_products")
+        self.level_sizes = self.metrics.series("tane.level_sizes")
+        self.pruned_level_sizes = self.metrics.series("tane.pruned_level_sizes")
 
-    # ------------------------------------------------------------------
-    # Restore surface for resume-capable hooks
-    # ------------------------------------------------------------------
-
-    def restore_results(self, dependencies, keys) -> None:
-        """Re-record saved ``(lhs, rhs, error)`` triples and key masks."""
-        for lhs, rhs, error in dependencies:
-            self.tracker.add_dependency(FunctionalDependency(lhs, rhs, error))
-        self.tracker.keys.extend(keys)
-
-    def restore_metrics(self, counters: dict, series: dict) -> None:
-        """Re-apply saved counter values and per-level series."""
-        for name, value in counters.items():
-            self.metrics.counter(name).inc(value)
-        for name, values in series.items():
-            self.metrics.series(name).extend(values)
-
-    # ------------------------------------------------------------------
+    def validity_tests(self, groups, fault_point: str) -> list[ValidityOutcome]:
+        """Outcomes of ``groups`` (``(whole_mask, [(rhs, lhs), ...])``)
+        through the executor, in order, each passed through the
+        ``fault_point`` silent-corruption point and counted."""
+        outcomes = self.executor.validity_tests(
+            groups, self.partitions.get, self.criteria, self.workspace
+        )
+        for position, outcome in enumerate(outcomes):
+            # Silent-corruption fault point: repro.verify's own tests
+            # arm it to prove the harness catches a lying engine.
+            outcome = outcomes[position] = faults.mutate(fault_point, outcome)
+            self.tests.inc()
+            if outcome.bound_rejected:
+                self.bounds.inc()
+            if outcome.error_computed:
+                self.errors.inc()
+        return outcomes
 
     def run(self):
         """Execute the search; return the strategy-shaped dependencies.
@@ -102,7 +99,7 @@ class SearchDriver:
         applied to it.
         """
         try:
-            make_scheduler(self).run()
+            run_steps(self)
         except BaseException:
             for hook in self._hooks:
                 hook.on_failure(self)

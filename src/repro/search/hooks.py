@@ -3,50 +3,49 @@
 Capabilities that previous iterations wove inline into the discovery
 loop — tracing spans, checkpoint save/restore, crash-path spill
 preservation — attach through :class:`SearchHooks` instead.  A hook
-observes the driver at four points:
+observes the one search loop (:mod:`repro.search.scheduler`) at four
+points:
 
 ``span(name, **attributes)``
-    Wrap a loop phase in a span-like context manager.  The level
-    scheduler calls this for the ``level`` / ``compute_dependencies``
-    / ``prune`` / ``generate_next_level`` spans and the node engine
-    for ``node_batch`` spans; the default returns a shared no-op, so an
-    unobserved run pays a handful of attribute reads per phase and
-    nothing else.  At most one hook provides spans (the tracing hook);
-    every other consumer of the stream is a sink on its tracer.
-``resume_state(driver)`` / ``resume_node_state(driver)``
-    Offer saved loop state before the first level (or node batch)
-    runs.  The first hook returning a :class:`ResumePoint` /
-    :class:`NodeResumePoint` wins; returning ``None`` declines.
-``on_boundary(driver, boundary)`` / ``on_node_boundary(driver, boundary)``
-    A level (or a node-engine batch) finished, or the search completed
-    (``boundary.complete``): durable-state plugins persist here.
-    Level-mode runs only ever see :class:`LevelBoundary`; node-mode
-    runs only :class:`NodeBoundary` — a hook observes whichever side
-    it cares about and ignores the other.
+    Wrap a loop phase in a span-like context manager.  The loop calls
+    this for each step's span — ``level`` (with its
+    ``compute_dependencies`` / ``prune`` / ``generate_next_level``
+    phases) or ``node_batch`` — and for ``checkpoint.restore``; the
+    default returns a shared no-op, so an unobserved run pays a
+    handful of attribute reads per phase and nothing else.  At most
+    one hook provides spans (the tracing hook); every other consumer
+    of the stream is a sink on its tracer.
+``resume_state(driver)``
+    Offer a saved :class:`ResumePoint` before the first step runs.
+    The first hook returning one wins; returning ``None`` declines.
+``on_boundary(driver, boundary)``
+    A step finished at a point the strategy can resume from, or the
+    search completed (``boundary.complete``): durable-state plugins
+    persist ``boundary.snapshot`` here.
 ``on_failure(driver)``
     The search is unwinding with an exception; last-chance salvage
     (e.g. keeping spill files for a later resume).
 
 Hooks receive the driver itself and may read its ``tracker``,
-``partitions`` and ``metrics`` — the dependency points *into* the
-search core, never out of it.
+``partitions``, ``strategy`` and ``metrics`` — the dependency points
+*into* the search core, never out of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from functools import cached_property
+from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.search.driver import SearchDriver
+    from repro.search.strategy import TraversalStrategy
 
 __all__ = [
     "NullSpan",
     "NULL_SPAN",
-    "LevelBoundary",
-    "NodeBoundary",
+    "Boundary",
     "ResumePoint",
-    "NodeResumePoint",
     "SearchHooks",
 ]
 
@@ -71,66 +70,45 @@ NULL_SPAN = NullSpan()
 
 
 @dataclass(frozen=True)
-class LevelBoundary:
-    """Loop state at a level boundary, as handed to ``on_boundary``.
+class Boundary:
+    """Loop state after a step, as handed to ``on_boundary``."""
 
-    The fields are exactly what a resumed search needs to continue:
-    the next level to run, the completed level's masks (still resident
-    for the next level's superkey checks), and its rhs+ sets.
-    """
-
-    level_number: int
-    """Number of the *next* level (the one about to run)."""
-
-    level: list
-    """Masks of the next level (empty when the search is done)."""
-
-    previous_level_masks: list
-    """Masks of the just-completed level."""
-
-    cplus_prev: dict
-    """rhs+ candidate sets of the just-completed level."""
+    step: int
+    """Steps completed so far (the next step's number)."""
 
     complete: bool
     """True on the final boundary: the search has finished."""
 
+    strategy: "TraversalStrategy" = field(repr=False, compare=False)
 
-@dataclass(frozen=True)
+    @cached_property
+    def snapshot(self) -> dict[str, Any]:
+        """The strategy's :meth:`~repro.search.strategy.TraversalStrategy.snapshot`,
+        built on first access: a hook that persists nothing pays
+        nothing for it."""
+        return self.strategy.snapshot()
+
+
+@dataclass(frozen=True, kw_only=True)
 class ResumePoint:
-    """Saved loop state offered by :meth:`SearchHooks.resume_state`."""
+    """Saved search state offered by :meth:`SearchHooks.resume_state`.
 
-    level_number: int
-    level: list
-    previous_level_masks: list
-    cplus_prev: dict
-
-
-@dataclass(frozen=True)
-class NodeBoundary:
-    """Node-engine state at a persistence point, as handed to
-    ``on_node_boundary``.
-
-    Non-monotone walks have no level numbers; the resumable unit is
-    the strategy's own serialized state (visited-set / frontier), an
-    opaque JSON-able document the engine neither reads nor interprets.
+    Everything a resumed search needs to continue as if it had never
+    stopped: the step count, the strategy's own snapshot (opaque to the
+    loop), and the results and deterministic counters recorded so far.
     """
 
-    batch_number: int
-    """Number of completed scheduling rounds (monotone, for spans)."""
-
-    state: dict = field(default_factory=dict)
-    """The strategy's :meth:`NodeStrategy.snapshot` document."""
-
+    step: int
+    snapshot: dict[str, Any]
+    dependencies: list[tuple[int, int, float]] = field(default_factory=list)
+    """Dependencies found so far as ``(lhs, rhs, error)``."""
+    keys: list[int] = field(default_factory=list)
+    counters: dict[str, float] = field(default_factory=dict)
+    """Deterministic ``tane.*`` counter values."""
+    series: dict[str, list[int]] = field(default_factory=dict)
+    """Per-level series (level sizes)."""
     complete: bool = False
-    """True on the final boundary: the walk has finished."""
-
-
-@dataclass(frozen=True)
-class NodeResumePoint:
-    """Saved node-walk state offered by ``resume_node_state``."""
-
-    batch_number: int
-    state: dict
+    """True when the search had finished: resume runs no step."""
 
 
 class SearchHooks:
@@ -144,15 +122,8 @@ class SearchHooks:
         """Offer saved state to resume from, or ``None`` to decline."""
         return None
 
-    def resume_node_state(self, driver: "SearchDriver") -> NodeResumePoint | None:
-        """Offer saved node-walk state to resume from, or ``None``."""
-        return None
-
-    def on_boundary(self, driver: "SearchDriver", boundary: LevelBoundary) -> None:
-        """A level (or the whole search) completed."""
-
-    def on_node_boundary(self, driver: "SearchDriver", boundary: "NodeBoundary") -> None:
-        """A node-engine batch (or the whole walk) completed."""
+    def on_boundary(self, driver: "SearchDriver", boundary: Boundary) -> None:
+        """A step (or the whole search) completed."""
 
     def on_failure(self, driver: "SearchDriver") -> None:
         """The search is unwinding with an exception."""

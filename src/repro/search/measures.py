@@ -4,8 +4,8 @@ Lines 5/5' of the paper decide whether ``X \\ {A} -> A`` holds — by the
 O(1) rank comparison of Lemma 2 for exact discovery, or by comparing a
 measure's error against ``epsilon`` for the approximate variant.  The
 function lives in the search core (rather than inside the driver loop)
-so that the levelwise driver and the node engine's walks run
-*exactly* the same code, whatever the traversal.
+so that the levelwise walk and the DFD walk run *exactly* the same
+code, whatever the traversal.
 
 The measure-specific branch is factored behind the :class:`Measure`
 protocol.  Beyond the paper's ``g3`` and Kivinen & Mannila's
@@ -35,7 +35,7 @@ and ``mu_plus`` as well (``1 - pdep >= g3`` classwise, and the other
 two errors dominate ``1 - pdep``); ``fi``/``rfi`` admit no such bound.
 
 Counter bookkeeping is returned as flags on the outcome instead of
-being applied to a stats object, so the scheduler aggregates counts in
+being applied to a stats object, so the driver aggregates counts in
 deterministic test order, however the executor evaluated the tests.
 """
 

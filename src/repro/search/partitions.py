@@ -6,10 +6,10 @@ singleton partitions, scheduling the partition products of
 GENERATE-NEXT-LEVEL through the execution backend (streaming results
 into the store so products become resident — and may spill — before
 later batches are computed), on-demand materialization of arbitrary
-attribute-set masks for node-mode walks (product chains planned from
+attribute-set masks for the DFD walk (product chains planned from
 the best cached/resident ancestor), reclaiming partitions once they
-can no longer be referenced (level boundaries in level mode,
-strategy-declared liveness in node mode), recomputing partitions for
+can no longer be referenced (the level before the previous one in a
+levelwise walk, the walk's declared liveness in DFD), recomputing partitions for
 checkpoint restore (Lemma 3, via the singleton products), and
 preserving spill files on the crash path.
 
@@ -110,8 +110,8 @@ class PartitionManager:
             cache_misses_counter if cache_misses_counter is not None else Counter()
         )
         self._singletons: list = []
-        # Masks (popcount > 1) the node engine materialized on demand;
-        # the reclamation unit of node-mode runs (see reclaim_except),
+        # Masks (popcount > 1) materialize_masks built on demand; the
+        # reclamation unit of DFD walks (see reclaim_except),
         # also indexed by popcount for the best-ancestor lookup.
         self._resident: set[int] = set()
         self._resident_by_size: dict[int, set[int]] = {}
@@ -193,7 +193,7 @@ class PartitionManager:
         """Compute and store the partitions of the next level.
 
         ``triples`` are ``(candidate, factor_x, factor_y)`` from the
-        traversal strategy (or one step of the node engine's product
+        traversal strategy (or one step of the DFD walk's product
         chains, see :meth:`materialize_masks`); the returned list is
         the next level's masks in candidate order.  ``errors``, when given, receives
         ``e(π)`` of each returned mask, in the same order.
@@ -287,7 +287,7 @@ class PartitionManager:
         return [candidate for candidate, _x, _y in triples]
 
     # ------------------------------------------------------------------
-    # Node-mode on-demand materialization
+    # On-demand materialization (DFD)
     # ------------------------------------------------------------------
 
     def materialize_mask(self, mask: int) -> None:
@@ -297,7 +297,7 @@ class PartitionManager:
     def materialize_masks(self, masks: list[int]) -> None:
         """Make ``π_mask`` resident for arbitrary attribute sets.
 
-        The node engine has no "previous level" to take product factors
+        A DFD walk has no "previous level" to take product factors
         from, so each mask's product chain is planned here: start from
         the resident subset with the most attributes and multiply the
         missing singletons in ascending index order (Lemma 3 applies to
@@ -308,7 +308,7 @@ class PartitionManager:
         Every intermediate is stored and registered too: the
         walks move between neighboring nodes, so an intermediate is the
         likely best ancestor of the next few requests.  Products are
-        counted normally — node-mode counters stay deterministic
+        counted normally — DFD counters stay deterministic
         because the walk, the resident set, and the reclamation cadence
         all are.
         """
@@ -367,7 +367,7 @@ class PartitionManager:
     def reclaim_except(self, live_masks: set[int]) -> None:
         """Drop on-demand partitions outside the strategy's live set.
 
-        Node-mode reclamation: liveness is declared by the strategy
+        DFD reclamation: liveness is declared by the strategy
         (plus whatever :meth:`materialize_masks` registered since the
         last sweep), not by level boundaries.  π_∅ and the singletons
         are never registered, so they survive every sweep.

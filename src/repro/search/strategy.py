@@ -1,28 +1,17 @@
 """Traversal strategies: how the search walks the attribute-set lattice.
 
-The classic algorithm walks the containment lattice breadth-first with
-apriori candidate generation (GENERATE-NEXT-LEVEL, Section 5).  That
-walk is only one way to traverse the lattice; the search core is a
-*node-at-a-time engine* with two scheduling modes, selected by the
-strategy's :attr:`TraversalStrategy.mode`:
-
-``"level"``
-    The compatibility scheduler
-    (:class:`repro.search.scheduler.LevelScheduler`): the paper's
-    level-synchronous loop, byte-identical to every release since the
-    search-core refactor.  Level strategies shape that loop through
-    :meth:`~TraversalStrategy.expand` / ``should_stop`` / ``finalize``.
-``"node"``
-    The node engine (:class:`repro.search.scheduler.NodeEngine`): the
-    strategy proposes individual candidate tests
-    (:class:`NodeRequest`), receives dependency / non-dependency
-    verdicts, and classifies/walks the lattice itself through the
-    :class:`NodeStrategy` protocol.
+Every strategy runs under the one search loop
+(:func:`repro.search.scheduler.run_steps`) as a sequence of *steps*:
+the loop asks :meth:`TraversalStrategy.next_step` whether another step
+follows, runs :meth:`~TraversalStrategy.step` inside the step's span,
+lets the strategy :meth:`~TraversalStrategy.reclaim` partitions, and
+persists :meth:`~TraversalStrategy.snapshot` at boundaries.
 
 Three strategies ship:
 
-* :class:`LevelwiseStrategy` — the paper's full walk; finds every
-  minimal dependency.
+* :class:`LevelwiseStrategy` — the paper's full walk; a step is one
+  level (COMPUTE-DEPENDENCIES / PRUNE / GENERATE-NEXT-LEVEL, Section
+  5), and it finds every minimal dependency.
 * :class:`TopKStrategy` — the same walk, cut off by a monotone bound
   once the k best dependencies are provably found, returning only
   those k.  ``rank="error"`` (the default) ranks by error, then lhs
@@ -31,29 +20,43 @@ Three strategies ship:
   diverse rather than k near-duplicates (after "Redundancy-Driven
   Top-k Functional Dependency Discovery").
 * :class:`~repro.search.dfd.DfdStrategy` — a seeded, deterministic
-  DFD-style random walk (CIKM 2014) over the node engine; wins on
-  high-arity relations where the levelwise frontier explodes.
+  DFD-style random walk (CIKM 2014) whose step is one batch of
+  validity tests; wins on high-arity relations where the levelwise
+  frontier explodes.
+
+Strategies reach the engine only through the driver handed to
+:meth:`~TraversalStrategy.begin` (its partitions, counters, spans and
+:meth:`~repro.search.driver.SearchDriver.validity_tests`); they never
+import the loop or the driver module.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
+
+import numpy as np
 
 from repro import _bitset
-from repro.core.lattice import generate_next_level
+from repro.core.lattice import MAX_ARRAY_ATTRIBUTES, generate_next_level
 from repro.exceptions import ConfigurationError
 from repro.model.fd import FDSet, FunctionalDependency
-from repro.search.tracker import CandidateTracker
+from repro.search.measures import ValidityOutcome
+from repro.search.tracker import (
+    CandidateTracker,
+    LevelArrays,
+    LevelPairs,
+    PairOutcomes,
+)
+from repro.testing import faults
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from repro.search.driver import SearchDriver
 
 __all__ = [
     "STRATEGIES",
     "TOPK_RANK_MODES",
-    "NodeRequest",
-    "NodeContext",
     "TraversalStrategy",
-    "NodeStrategy",
     "LevelwiseStrategy",
     "TopKStrategy",
     "make_strategy",
@@ -72,131 +75,341 @@ def rank_key(fd: FunctionalDependency) -> tuple[float, int, int, int]:
     return (fd.error, _bitset.popcount(fd.lhs), fd.lhs, fd.rhs)
 
 
-@dataclass(frozen=True)
-class NodeRequest:
-    """One candidate validity test proposed by a node strategy.
-
-    The engine evaluates ``lhs_mask -> rhs`` (the whole set is
-    ``lhs_mask | bit(rhs)``) and feeds the outcome back through
-    :meth:`NodeStrategy.observe`.
-    """
-
-    lhs_mask: int
-    """Left-hand-side attribute mask (may be 0 for ``∅ -> A``)."""
-
-    rhs: int
-    """Dependent attribute index (never a member of ``lhs_mask``)."""
-
-
-@dataclass(frozen=True)
-class NodeContext:
-    """What the engine tells a node strategy before the walk starts."""
-
-    num_attributes: int
-    full_mask: int
-    max_lhs_size: int | None
-    tracker: CandidateTracker
-    """The run's candidate tracker; strategies record their minimal
-    dependencies through :meth:`CandidateTracker.add_dependency` so
-    results flow through the same path as the levelwise walk."""
-
-
 class TraversalStrategy(ABC):
-    """How one search walks the lattice and shapes its result."""
+    """How one search walks the lattice and shapes its result.
+
+    The loop drives the protocol::
+
+        strategy.begin(driver)        # or restore(driver, step, snapshot, span)
+        while (attributes := strategy.next_step()) is not None:
+            with <span step_span, step_attributes(step), attributes> as span:
+                strategy.step(span)
+            strategy.reclaim()
+            if strategy.boundary_due():
+                <persist strategy.snapshot()>
+        result = strategy.finalize(tracker)
+
+    Determinism contract: given the same relation, configuration and
+    validity outcomes, a strategy takes the same steps in the same
+    order, and :meth:`restore` from a :meth:`snapshot` continues
+    exactly as the uninterrupted run would have — results *and*
+    counters.
+    """
 
     name: str = "abstract"
 
-    mode: str = "level"
-    """Scheduling mode: ``"level"`` runs under the compatibility
-    scheduler (the paper's level-synchronous loop), ``"node"`` under
-    the node-at-a-time engine."""
+    step_span: str
+    """Name of the span that wraps one step."""
+
+    fault_point: str
+    """Fault point checked before each step (see
+    :mod:`repro.testing.faults`)."""
 
     def fingerprint(self) -> dict[str, Any]:
         """The strategy's contribution to a checkpoint fingerprint."""
         return {"strategy": self.name}
 
     @abstractmethod
-    def expand(self, surviving: list[int]) -> list[tuple[int, int, int]]:
-        """Candidate ``(candidate, factor_x, factor_y)`` triples of the
-        next level, given the current level's surviving sets."""
+    def step_attributes(self, step: int) -> dict[str, int]:
+        """Identity attributes of step ``step`` (0-based) — on its span
+        and on the checkpoint spans of the boundary after ``step``
+        completed steps."""
 
-    def should_stop(self, tracker: CandidateTracker, next_level_number: int) -> bool:
-        """May the search skip generating level ``next_level_number``?
+    @abstractmethod
+    def begin(self, driver: "SearchDriver") -> None:
+        """Start a fresh walk (π_∅ and the singletons are resident)."""
 
-        Called before expansion; ``False`` (the default) walks the
-        full lattice.
-        """
-        return False
+    @abstractmethod
+    def restore(
+        self, driver: "SearchDriver", step: int, snapshot: dict[str, Any], span
+    ) -> None:
+        """Continue from a :meth:`snapshot` taken after ``step`` steps;
+        the driver's results and counters are already restored."""
+
+    @abstractmethod
+    def next_step(self) -> dict[str, Any] | None:
+        """Extra open attributes of the next step's span, or ``None``
+        once the walk is complete."""
+
+    @abstractmethod
+    def step(self, span) -> None:
+        """Run one step, setting its close attributes on ``span``."""
+
+    @abstractmethod
+    def reclaim(self) -> None:
+        """Drop partitions the walk no longer needs after a step."""
+
+    def boundary_due(self) -> bool:
+        """Whether the state after the last step is worth persisting."""
+        return True
+
+    @abstractmethod
+    def snapshot(self) -> dict[str, Any]:
+        """JSON-serializable walk state for :meth:`restore`."""
 
     def finalize(self, tracker: CandidateTracker) -> FDSet:
         """Shape the tracker's discovered dependencies into the result."""
         return tracker.dependencies
 
 
-class NodeStrategy(TraversalStrategy):
-    """A strategy that schedules individual lattice nodes.
-
-    The node engine drives the protocol::
-
-        strategy.begin(context)            # once (or restore(state) first)
-        while requests := strategy.next_requests():
-            for request in requests:
-                outcome = <evaluate lhs -> rhs on partitions>
-                strategy.observe(request, outcome)
-            <reclaim partitions outside strategy.live_masks()>
-            <checkpoint strategy.snapshot()>
-        result = strategy.finalize(tracker)
-
-    Determinism contract: given the same context and the same sequence
-    of outcomes, ``next_requests`` must propose the same requests in
-    the same order — this is what makes snapshots replayable and
-    results reproducible across engines, stores, and resume cycles.
-    """
-
-    mode = "node"
-
-    def expand(self, surviving: list[int]) -> list[tuple[int, int, int]]:
-        raise NotImplementedError(
-            f"{self.name!r} is a node-mode strategy; the level scheduler "
-            "must never ask it to expand a level"
-        )
-
-    @abstractmethod
-    def begin(self, context: NodeContext) -> None:
-        """Start a fresh walk over ``context``'s lattice."""
-
-    @abstractmethod
-    def next_requests(self) -> list[NodeRequest]:
-        """The next batch of candidate tests (empty = walk complete)."""
-
-    @abstractmethod
-    def observe(self, request: NodeRequest, outcome) -> None:
-        """Feed back the engine's validity outcome for ``request``."""
-
-    def live_masks(self) -> set[int]:
-        """Attribute-set masks whose partitions are worth keeping
-        resident; everything else (beyond π_∅ and the singletons) may
-        be reclaimed after the current batch."""
-        return set()
-
-    def snapshot(self) -> dict[str, Any]:
-        """JSON-serializable walk state for a mid-walk checkpoint."""
-        return {}
-
-    def restore(self, context: NodeContext, state: dict[str, Any]) -> None:
-        """Resume from a :meth:`snapshot` document (default: start
-        fresh — strategies without resumable state may ignore it)."""
-        self.begin(context)
+_EXACT = ValidityOutcome(True, True, 0.0, False, False)
+_NOT_EXACT = ValidityOutcome(False, False, 0.0, False, False)
 
 
 class LevelwiseStrategy(TraversalStrategy):
-    """The paper's breadth-first walk with apriori generation."""
+    """The paper's breadth-first walk with apriori generation.
+
+    A step is one level of Section 5's loop.  Its phase ordering,
+    counter accounting and reclamation rule are pinned, results *and*
+    counters, by the golden-parity suites.  A level is a list of masks
+    with a ``C+`` dict (Python-int form) or, on schemas of at most
+    :data:`~repro.core.lattice.MAX_ARRAY_ATTRIBUTES` attributes, a
+    :class:`~repro.search.tracker.LevelArrays` whose ``cplus`` holds
+    ``C+``, and each phase is a fixed number of numpy passes; exact
+    validity needs only the two ranks of Lemma 2, so partitions are
+    fetched only for the pairs an approximate run must measure.  The
+    next level's products come from the surviving level's factor pairs
+    (Lemma 3), and the last level a run reaches is never a product
+    factor, so an exact run computes only its ranks (see
+    :meth:`PartitionManager.materialize
+    <repro.search.partitions.PartitionManager.materialize>`).
+    ``cplus_prev`` is the previous level's ``C+`` in the level's form.
+    """
 
     name = "levelwise"
+    step_span = "level"
+    fault_point = "tane.level.start"
 
-    def expand(self, surviving: list[int]) -> list[tuple[int, int, int]]:
-        """Apriori candidate generation over the surviving sets."""
+    def expand(self, surviving) -> list[tuple[int, int, int]]:
+        """Candidate ``(candidate, factor_x, factor_y)`` triples of the
+        next level: apriori generation over the surviving sets (a list
+        of masks, or the array form's ``int64`` mask array)."""
         return generate_next_level(surviving)
+
+    def should_stop(self, tracker: CandidateTracker, next_level_number: int) -> bool:
+        """May the search skip generating level ``next_level_number``?
+
+        Called before expansion; ``False`` walks the full lattice.
+        """
+        return False
+
+    def step_attributes(self, step: int) -> dict[str, int]:
+        return {"level": step + 1}
+
+    # ------------------------------------------------------------------
+    # Walk state
+    # ------------------------------------------------------------------
+
+    def begin(self, driver: "SearchDriver") -> None:
+        self._start(driver, 1, [_bitset.bit(i) for i in range(driver.num_attributes)])
+
+    def restore(self, driver, step, snapshot, span) -> None:
+        level = [int(mask) for mask in snapshot["level"]]
+        previous = [int(mask) for mask in snapshot["previous_level_masks"]]
+        for mask in previous + level:
+            driver.partitions.restore(mask)
+        span.set("masks_restored", len(level) + len(previous))
+        cplus_prev = {int(mask): int(cands) for mask, cands in snapshot["cplus_prev"]}
+        self._start(driver, step + 1, level, previous, cplus_prev)
+
+    def _start(self, driver, level_number, level, previous=(0,), cplus_prev=None):
+        self.driver = driver
+        self.arrays = driver.num_attributes <= MAX_ARRAY_ATTRIBUTES
+        self.max_level = (
+            driver.num_attributes
+            if driver.max_lhs_size is None
+            else min(driver.num_attributes, driver.max_lhs_size + 1)
+        )
+        self.level_number = level_number
+        self.previous_level_masks = list(previous)
+        self._reclaimable: list[int] = []
+        if cplus_prev is None:
+            cplus_prev = {0: driver.full_mask}
+        if self.arrays:
+            self.level = self._arrays_of(level)
+            self.cplus_prev = self._arrays_of(previous, cplus_prev)
+        else:
+            self.level = level
+            self.cplus_prev = cplus_prev
+
+    def _arrays_of(self, masks, cplus: dict[int, int] | None = None) -> LevelArrays:
+        """A level's arrays, ranks read from its resident partitions."""
+        masks = sorted(masks)
+        errors = [self.driver.partitions.error_count(mask) for mask in masks]
+        if cplus is None:
+            return LevelArrays(masks, errors)
+        return LevelArrays(masks, errors, [cplus.get(mask, 0) for mask in masks])
+
+    def snapshot(self) -> dict[str, Any]:
+        level = self.level
+        cplus_prev = self.cplus_prev
+        if self.arrays:
+            level = level.masks.tolist()
+            cplus_prev = cplus_prev.cplus_dict()
+        return {
+            "level": list(level),
+            "previous_level_masks": list(self.previous_level_masks),
+            # JSON objects key on strings; masks round-trip via pairs.
+            "cplus_prev": [[mask, cands] for mask, cands in cplus_prev.items()],
+        }
+
+    # ------------------------------------------------------------------
+    # One level
+    # ------------------------------------------------------------------
+
+    def next_step(self) -> dict[str, Any] | None:
+        if self.level and self.level_number <= self.max_level:
+            return {"s_l": len(self.level)}
+        return None
+
+    def step(self, span) -> None:
+        driver = self.driver
+        tracker = driver.tracker
+        level = self.level
+        level_number = self.level_number
+        driver.level_sizes.append(len(level))
+        tests_before = driver.tests.value
+        errors_before = driver.errors.value
+        bounds_before = driver.bounds.value
+        deps_before = len(tracker.dependencies)
+        with driver.span("compute_dependencies") as phase:
+            cplus = self._compute_dependencies(level, self.cplus_prev)
+            phase.set("tests", driver.tests.value - tests_before)
+            phase.set("error_computations", driver.errors.value - errors_before)
+            phase.set("bound_rejections", driver.bounds.value - bounds_before)
+            phase.set("dependencies_found", len(tracker.dependencies) - deps_before)
+        keys_before = len(tracker.keys)
+        with driver.span("prune") as phase:
+            surviving = tracker.prune(
+                level, cplus, level_number, driver.partitions.is_superkey
+            )
+            keys_delta = len(tracker.keys) - keys_before
+            if keys_delta:
+                driver.keys_found.inc(keys_delta)
+            phase.set("keys_found", keys_delta)
+            phase.set("surviving", len(surviving))
+        driver.pruned_level_sizes.append(len(surviving))
+        products_before = driver.products.value
+        with driver.span("generate_next_level") as phase:
+            next_level = self._generate(surviving)
+            phase.set("products", driver.products.value - products_before)
+            phase.set("next_size", len(next_level))
+        span.set("surviving", len(surviving))
+        span.set("dependencies_total", len(tracker.dependencies))
+        # The completed level becomes the previous one; the level before
+        # it is no longer a validity-test lhs and may be reclaimed.
+        self._reclaimable = self.previous_level_masks
+        if self.arrays:
+            self.previous_level_masks = level.masks.tolist()
+            self.cplus_prev = level
+        else:
+            self.previous_level_masks = level
+            self.cplus_prev = cplus
+        self.level = next_level
+        self.level_number += 1
+
+    def reclaim(self) -> None:
+        self.driver.partitions.reclaim(self._reclaimable)
+
+    def _generate(self, surviving):
+        """GENERATE-NEXT-LEVEL: the next level, or an empty one."""
+        driver = self.driver
+        if self.level_number >= self.max_level or self.should_stop(
+            driver.tracker, self.level_number + 1
+        ):
+            return LevelArrays([], []) if self.arrays else []
+        if not self.arrays:
+            return driver.partitions.materialize(self.expand(surviving))
+        triples = self.expand(surviving)
+        errors: list[int] = []
+        # No level follows the last one, so none of its partitions is a
+        # product factor; an exact run needs only their ranks.
+        ranks_only = (
+            self.level_number + 1 == self.max_level and driver.criteria.epsilon == 0.0
+        )
+        masks = driver.partitions.materialize(triples, errors, ranks_only=ranks_only)
+        return LevelArrays(masks, errors)
+
+    def _compute_dependencies(self, level, cplus_prev):
+        """COMPUTE-DEPENDENCIES: rhs+ sets, validity tests, recording.
+
+        The groups are mutually independent (see
+        :meth:`CandidateTracker.testable_groups`), so the executor may
+        evaluate them in any order; outcomes are applied here in level
+        order, so the dependency stream and every counter are
+        deterministic.
+        """
+        tracker = self.driver.tracker
+        cplus = tracker.compute_cplus(level, cplus_prev)
+        if self.arrays:
+            pairs = tracker.testable_groups(level, cplus)
+            outcomes = self._pair_outcomes(pairs)
+            tracker.apply_outcome(level, pairs.rhs, pairs.lhs, outcomes, cplus)
+            return cplus
+        groups = tracker.testable_groups(level, cplus)
+        outcomes = iter(self.driver.validity_tests(groups, "tane.validity.outcome"))
+        for mask, pairs in groups:
+            for rhs_index, lhs_mask in pairs:
+                tracker.apply_outcome(mask, rhs_index, lhs_mask, next(outcomes), cplus)
+        return cplus
+
+    def _pair_outcomes(self, pairs: LevelPairs) -> PairOutcomes:
+        """Validity outcomes of a level's pairs, counted like the
+        per-pair loop counts them.
+
+        A pair passing the rank test is exactly valid.  With ``ε > 0``
+        the others are measured through the executor in one batch;
+        exact runs fail them without fetching a partition.
+        """
+        driver = self.driver
+        count = pairs.exact.size
+        valid = pairs.exact.copy()
+        exactly_valid = pairs.exact.copy()
+        errors = [0.0] * count
+        measured: list[tuple[int, ValidityOutcome]] = []
+        if driver.criteria.epsilon > 0.0:
+            failing = np.flatnonzero(~pairs.exact)
+            if failing.size:
+                outcomes = driver.executor.validity_tests(
+                    pairs.groups(failing),
+                    driver.partitions.get,
+                    driver.criteria,
+                    driver.workspace,
+                )
+                measured = list(zip(failing.tolist(), outcomes))
+        if faults.mutation_armed("tane.validity.outcome"):
+            measured = self._mutated_outcomes(pairs, measured)
+        bounds = errors_computed = 0
+        for position, outcome in measured:
+            valid[position] = outcome.valid
+            exactly_valid[position] = outcome.exactly_valid
+            errors[position] = outcome.error
+            bounds += outcome.bound_rejected
+            errors_computed += outcome.error_computed
+        driver.tests.inc(count)
+        driver.bounds.inc(bounds)
+        driver.errors.inc(errors_computed)
+        return PairOutcomes(valid, exactly_valid, errors)
+
+    @staticmethod
+    def _mutated_outcomes(
+        pairs: LevelPairs, measured: list[tuple[int, ValidityOutcome]]
+    ) -> list[tuple[int, ValidityOutcome]]:
+        """Every pair's outcome passed through the silent-corruption
+        fault point, in test order — only while a test arms it."""
+        by_position = dict(measured)
+        return [
+            (
+                position,
+                # Silent-corruption fault point: repro.verify's own tests
+                # arm it to prove the harness catches a lying engine.
+                faults.mutate(
+                    "tane.validity.outcome",
+                    by_position.get(position, _EXACT if exact else _NOT_EXACT),
+                ),
+            )
+            for position, exact in enumerate(pairs.exact.tolist())
+        ]
 
 
 TOPK_RANK_MODES = ("error", "redundancy")
@@ -257,7 +470,7 @@ def redundancy_rank(
     return selected
 
 
-class TopKStrategy(TraversalStrategy):
+class TopKStrategy(LevelwiseStrategy):
     """Return the k best minimal dependencies at the threshold.
 
     The walk is the standard levelwise search (so every emitted
@@ -303,10 +516,6 @@ class TopKStrategy(TraversalStrategy):
         mode (an ``error``-ranked checkpoint must never resume — or a
         cached result never satisfy — a ``redundancy``-ranked run)."""
         return {"strategy": self.name, "k": self.k, "rank": self.rank}
-
-    def expand(self, surviving: list[int]) -> list[tuple[int, int, int]]:
-        """Apriori candidate generation over the surviving sets."""
-        return generate_next_level(surviving)
 
     def should_stop(self, tracker: CandidateTracker, next_level_number: int) -> bool:
         """Stop once no undiscovered dependency can displace the k best."""

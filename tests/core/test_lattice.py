@@ -1,12 +1,20 @@
 """Tests for GENERATE-NEXT-LEVEL (prefix-block apriori generation)."""
 
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
+import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro
 from repro import _bitset
 from repro.core.lattice import generate_next_level, prefix_blocks
+
+ORDERS = Path(__file__).parent.parent.parent / "examples" / "data" / "orders.csv"
 
 
 def masks_of(*index_tuples):
@@ -83,3 +91,34 @@ class TestGenerateNextLevel:
         assert [c for c, _, _ in result] == sorted(expected)
         for candidate, x, y in result:
             assert x in level_set and y in level_set and x | y == candidate
+
+
+class TestArrayDedupe:
+    def test_unsorted_repeated_array_matches_sorted_list(self):
+        level = masks_of((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3))
+        shuffled = np.array([0] + level[::-1] + level[:3], dtype=np.int64)
+        assert generate_next_level(shuffled) == generate_next_level(level)
+        assert [c for c, _, _ in generate_next_level(shuffled)] == masks_of(
+            (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)
+        )
+
+    def test_levelwise_run_leaves_numpy_ma_unimported(self):
+        # np.unique imports numpy.ma on first use (~10 ms on the first
+        # run of a process); level generation must not pay for it.
+        script = (
+            "import sys\n"
+            "from repro.core.tane import TaneConfig, discover\n"
+            "from repro.datasets.csvio import read_csv\n"
+            f"discover(read_csv({str(ORDERS)!r}), TaneConfig())\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+        )
+        source = str(Path(repro.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr

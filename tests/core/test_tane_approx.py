@@ -2,7 +2,7 @@
 
 import pytest
 
-import repro.search.scheduler as scheduler
+import repro.search.strategy as strategy_module
 from repro.baselines.bruteforce import dependency_g3, discover_fds_bruteforce
 from repro.core.tane import TaneConfig, discover, discover_approximate_fds, discover_fds
 from repro.core.uccs import discover_uccs
@@ -98,7 +98,7 @@ class TestKeyHandling:
         # superkey; it must not hide the singleton keys in approximate
         # mode, whichever level form the search runs on.
         if python_int_levels:
-            monkeypatch.setattr(scheduler, "MAX_ARRAY_ATTRIBUTES", 0)
+            monkeypatch.setattr(strategy_module, "MAX_ARRAY_ATTRIBUTES", 0)
         rel = Relation.from_rows([[0, 0, 0]] * num_rows, ["A", "B", "C"])
         expected = discover_uccs(rel).uccs
         assert expected == [1, 2, 4]

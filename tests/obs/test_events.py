@@ -236,3 +236,30 @@ class TestEtaEstimator:
         eta.level_started(1, size=4, work_rows=10, elapsed=0.0)
         # Even with survival 1.0 the projection cannot exceed C(4, k).
         assert eta.projected_remaining_sets() <= 4 + 6 + 4 + 1
+
+
+class TestPipedBatchLines:
+    def test_dfd_walk_writes_one_line_per_64_tests(self):
+        # On a pipe, a batch line is written only when the test total
+        # crosses a multiple of the reclaim cadence, not once per batch.
+        from pathlib import Path
+
+        from repro.core.tane import TaneConfig, discover
+        from repro.datasets.csvio import read_csv
+        from repro.obs.events import BATCH_LINE_TESTS
+        from repro.search.dfd import DfdStrategy
+
+        assert BATCH_LINE_TESTS == DfdStrategy.RECLAIM_TESTS
+        orders = Path(__file__).parent.parent.parent / "examples/data/orders.csv"
+        stream = io.StringIO()
+        result = discover(
+            read_csv(orders),
+            TaneConfig(strategy="dfd", tracer=Tracer(sinks=[ProgressLine(stream)])),
+        )
+        lines = stream.getvalue().splitlines()
+        assert lines[-1].startswith("done in")
+        batches = [line for line in lines[:-1] if "] batch " in line]
+        assert batches == lines[:-1]
+        tests = result.statistics.validity_tests
+        assert len(batches) <= -(-tests // BATCH_LINE_TESTS) + 1
+        assert f"tested {tests // 64 * 64} " in batches[-1]

@@ -84,7 +84,7 @@ class TestResumeParity:
         baseline = discover(structured_relation, TaneConfig(store="disk"))
         run_interrupted(structured_relation, tmp_path, store="disk")
         state = load_checkpoint(tmp_path)
-        masks = [mask for mask in state.level if bin(mask).count("1") >= 2]
+        masks = [mask for mask in state.snapshot["level"] if bin(mask).count("1") >= 2]
         assert masks
         rows = structured_relation.num_rows
         old_format = (
@@ -110,8 +110,9 @@ class TestResumeParity:
         baseline = discover(structured_relation, TaneConfig(**config))
         run_interrupted(structured_relation, tmp_path, level=3, **config)
         state = load_checkpoint(tmp_path)
-        assert state.level_number == 3 and not state.complete
-        assert state.level and all(bin(mask).count("1") == 3 for mask in state.level)
+        level = state.snapshot["level"]
+        assert state.step == 2 and not state.complete  # level 3 runs next
+        assert level and all(bin(mask).count("1") == 3 for mask in level)
         resumed = discover(
             structured_relation,
             TaneConfig(checkpoint_dir=tmp_path, resume=True, **config),
@@ -121,7 +122,7 @@ class TestResumeParity:
     def test_resume_of_complete_run_is_a_no_op(self, structured_relation, tmp_path):
         baseline = discover(structured_relation, TaneConfig(checkpoint_dir=tmp_path))
         state = load_checkpoint(tmp_path)
-        assert state is not None and state.complete and state.level == []
+        assert state is not None and state.complete and state.snapshot["level"] == []
         resumed = discover(
             structured_relation, TaneConfig(checkpoint_dir=tmp_path, resume=True)
         )
@@ -253,6 +254,6 @@ class TestCheckpointSafety:
         run_interrupted(structured_relation, tmp_path, level=3)
         state = manager.load()
         assert state is not None
-        assert state.level_number == 3
+        assert state.step == 2  # level 3 runs next
         assert not state.complete
-        assert state.level, "a mid-run checkpoint carries the next level"
+        assert state.snapshot["level"], "a mid-run checkpoint carries the next level"

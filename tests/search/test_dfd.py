@@ -10,11 +10,13 @@ reach the identical result *and* the identical validity-test count
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro import _bitset
 from repro.core.tane import TaneConfig, discover
+from repro.datasets.csvio import read_csv
 from repro.datasets.synthetic import (
     planted_fd_relation,
     random_relation,
@@ -185,7 +187,7 @@ def _interrupted_walk(relation, tmp_path, tests, **config):
 
 
 class TestCheckpointResume:
-    # The engine snapshots once per SNAPSHOT_TESTS (32) validity tests,
+    # The walk snapshots once per SNAPSHOT_TESTS (32) validity tests,
     # after the close record of the batch that completes them.  A
     # batch holds at most one test per attribute, so on these 8- and
     # 6-attribute relations an interrupt 8 or more tests past a
@@ -246,7 +248,9 @@ class TestCheckpointResume:
             discover(relation, TaneConfig(
                 checkpoint_dir=tmp_path, tracer=tracer_calling(interrupt_level),
             ))
-        with pytest.raises(CheckpointError, match="level-mode"):
+        # One checkpoint format for every strategy: the fingerprint's
+        # strategy identity refuses the cross-strategy resume.
+        with pytest.raises(CheckpointError, match="strategy"):
             discover(relation, TaneConfig(
                 strategy="dfd", checkpoint_dir=tmp_path, resume=True,
             ))
@@ -254,7 +258,50 @@ class TestCheckpointResume:
     def test_node_checkpoint_refused_by_level_resume(self, tmp_path):
         relation = random_relation(40, 6, 3, seed=9)
         _interrupted_walk(relation, tmp_path, 40, dfd_seed=5)
-        with pytest.raises(CheckpointError, match="node-mode"):
+        with pytest.raises(CheckpointError, match="strategy"):
             discover(relation, TaneConfig(
                 checkpoint_dir=tmp_path, resume=True,
             ))
+
+    def test_complete_checkpoint_runs_no_step(self, tmp_path):
+        relation = random_relation(40, 6, 3, seed=9)
+        finished = discover(relation, TaneConfig(
+            strategy="dfd", dfd_seed=5, checkpoint_dir=tmp_path,
+        ))
+        batches = []
+
+        def record(span):
+            if span.name == "node_batch":
+                batches.append(span)
+
+        resumed = discover(relation, TaneConfig(
+            strategy="dfd", dfd_seed=5, checkpoint_dir=tmp_path, resume=True,
+            tracer=tracer_calling(record),
+        ))
+        assert batches == []
+        assert _cover(resumed) == _cover(finished)
+        assert (
+            resumed.statistics.validity_tests
+            == finished.statistics.validity_tests
+        )
+
+
+ORDERS = Path(__file__).parent.parent.parent / "examples" / "data" / "orders.csv"
+
+
+class TestLiveDependencyCount:
+    def test_batches_count_settled_dependencies(self):
+        # Each node_batch close record counts the minimal lhs sets the
+        # walks have settled so far, not the tracker's final set.
+        totals = []
+
+        def record(span):
+            if span.name == "node_batch" and span.end is not None:
+                totals.append(span.attributes["dependencies_total"])
+
+        result = discover(read_csv(ORDERS), TaneConfig(
+            strategy="dfd", tracer=tracer_calling(record),
+        ))
+        assert len(result.dependencies) == 13
+        assert totals and totals == sorted(totals)
+        assert totals[-1] == 13

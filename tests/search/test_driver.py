@@ -135,7 +135,8 @@ class TestHookProtocol:
     def test_first_resume_point_wins(self, relation):
         # Resume at "the search is already finished": no level runs.
         done = ResumePoint(
-            level_number=99, level=[], previous_level_masks=[], cplus_prev={}
+            step=98,
+            snapshot={"level": [], "previous_level_masks": [], "cplus_prev": []},
         )
         hooks = RecordingHooks()
         driver = _driver(relation, hooks=[ResumingHooks(done), hooks])

@@ -1,6 +1,6 @@
 """The array form of a level against the Python-int form, step by step.
 
-On schemas of at most 63 attributes the level scheduler holds a level
+On schemas of at most 63 attributes the levelwise strategy holds a level
 as aligned arrays (:class:`LevelArrays`); wider schemas keep the
 Python-int masks and ``C+`` dicts, which are also the reference.  The
 lockstep harness below runs both forms of the tracker on the *same*
@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.core.lattice as lattice
-import repro.search.scheduler as scheduler
+import repro.search.strategy as strategy_module
 from repro import _bitset
 from repro.baselines.bruteforce import discover_fds_bruteforce
 from repro.core.lattice import generate_next_level
@@ -208,7 +208,7 @@ def test_array_runs_match_python_int_runs(
     )
     arrays = discover(relation, config)
     with monkeypatch.context() as patch:
-        patch.setattr(scheduler, "MAX_ARRAY_ATTRIBUTES", 0)
+        patch.setattr(strategy_module, "MAX_ARRAY_ATTRIBUTES", 0)
         reference = discover(relation, config)
     # Same dependencies in the same order, same keys, same counters.
     assert summary(arrays) == summary(reference)
@@ -227,7 +227,7 @@ def test_wide_schema_takes_the_python_int_path(monkeypatch):
     relation = Relation.from_codes(columns, [f"c{i}" for i in range(68)])
     arrays_built = []
     monkeypatch.setattr(
-        scheduler, "LevelArrays", lambda *a: arrays_built.append(a) or LevelArrays(*a)
+        strategy_module, "LevelArrays", lambda *a: arrays_built.append(a) or LevelArrays(*a)
     )
     result = discover(relation, TaneConfig(max_lhs_size=2))
     assert arrays_built == []

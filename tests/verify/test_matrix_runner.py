@@ -19,7 +19,7 @@ from repro.datasets.synthetic import (
 )
 from repro.exceptions import ConfigurationError
 from repro.obs.trace import Tracer
-from repro.search.scheduler import NodeEngine
+from repro.search.dfd import DfdStrategy
 from repro.verify.matrix import (
     COMPARE_ALL,
     ConfigCell,
@@ -165,7 +165,7 @@ class TestVerifyRelation:
         config = dict(strategy="dfd", dfd_seed=5, checkpoint_dir=tmp_path)
         uninterrupted = discover(relation, TaneConfig(strategy="dfd", dfd_seed=5))
         # The walk runs past its first snapshot, so the interrupt fires.
-        assert uninterrupted.statistics.validity_tests > 2 * NodeEngine.SNAPSHOT_TESTS
+        assert uninterrupted.statistics.validity_tests > 2 * DfdStrategy.SNAPSHOT_TESTS
         interrupt = _Interrupt(_after_first_snapshot())
         with pytest.raises(_VerifyInterrupt):
             discover(relation, TaneConfig(tracer=Tracer(sinks=[interrupt]), **config))

@@ -25,7 +25,8 @@ FORBIDDEN_PREFIXES = (
 )
 """Plugin layers the search core must never import.  Each attaches
 through a seam instead: tracing through ``SearchHooks.span``,
-checkpointing through ``resume_state``/``on_boundary``."""
+checkpointing through ``resume_state``/``on_boundary`` (one resume
+point and one boundary type for every strategy)."""
 
 ALLOWED_PREFIXES = (
     "repro.search",
@@ -41,12 +42,14 @@ outside this list is also an error, so a new coupling must be added
 here deliberately."""
 
 ENGINE_MODULES = ("repro.search.driver", "repro.search.scheduler")
-"""The engine side of the search core.  Strategy-side modules (listed
-in :data:`STRATEGY_SIDE`) describe *what* to test; the driver and the
-schedulers decide *how* — partition materialization, executor
-dispatch, checkpointing cadence.  A strategy importing the engine
-would invert that: strategies stay engine-agnostic so any scheduler
-can run any strategy."""
+"""The engine side of the search core: the driver and the one search
+loop.  The loop runs every strategy step by step and owns what all of
+them share — bootstrap, resume, fault checks, step spans, boundaries;
+a strategy (listed in :data:`STRATEGY_SIDE`) runs its own steps
+through the driver object it is handed.  A strategy importing the
+engine modules would invert that: strategies plug into the loop, so
+the loop can run any strategy and a new traversal needs no new
+loop."""
 
 STRATEGY_SIDE = ("strategy.py", "dfd.py", "hooks.py", "tracker.py")
 """Search modules that must never import the engine modules."""
@@ -116,8 +119,8 @@ def check_file(path: Path) -> list[str]:
         ):
             problems.append(
                 f"{path}:{lineno}: strategy-side module imports engine "
-                f"module '{module}' (strategies stay engine-agnostic; only "
-                f"the driver/schedulers may import strategies)"
+                f"module '{module}' (strategies plug into the loop; only "
+                f"the driver and the loop may import strategies)"
             )
     return problems
 
