@@ -80,17 +80,18 @@ obs-smoke:
 # Fault-tolerance smoke: the resilience suite (checkpoint/resume,
 # crash-path store errors) plus a CLI checkpoint/resume round trip for
 # the levelwise and the dfd strategy, each writing the one version-2
-# checkpoint format.
+# checkpoint format, with the memory and with the disk store (whose
+# level blocks a short relation's levelwise walk spills and resumes).
 fault-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/resilience tests/partition/test_store_faults.py -q
-	for strategy in levelwise dfd; do \
+	for store in memory disk; do for strategy in levelwise dfd; do \
 	  rm -rf /tmp/repro-ckpt && \
-	  PYTHONPATH=src $(PYTHON) -m repro.cli discover examples/data/orders.csv --strategy $$strategy --checkpoint-dir /tmp/repro-ckpt | sed 's/, [0-9.]*s>/>/' > /tmp/repro-ckpt-first.out && \
+	  PYTHONPATH=src $(PYTHON) -m repro.cli discover examples/data/orders.csv --strategy $$strategy --store $$store --checkpoint-dir /tmp/repro-ckpt | sed 's/, [0-9.]*s>/>/' > /tmp/repro-ckpt-first.out && \
 	  test -s /tmp/repro-ckpt/checkpoint.json && \
 	  $(PYTHON) -c "import json, sys; sys.exit(json.load(open('/tmp/repro-ckpt/checkpoint.json'))['version'] != 2)" && \
-	  PYTHONPATH=src $(PYTHON) -m repro.cli discover examples/data/orders.csv --strategy $$strategy --checkpoint-dir /tmp/repro-ckpt --resume | sed 's/, [0-9.]*s>/>/' > /tmp/repro-ckpt-second.out && \
+	  PYTHONPATH=src $(PYTHON) -m repro.cli discover examples/data/orders.csv --strategy $$strategy --store $$store --checkpoint-dir /tmp/repro-ckpt --resume | sed 's/, [0-9.]*s>/>/' > /tmp/repro-ckpt-second.out && \
 	  diff /tmp/repro-ckpt-first.out /tmp/repro-ckpt-second.out || exit 1; \
-	done
+	done; done
 	rm -rf /tmp/repro-ckpt /tmp/repro-ckpt-first.out /tmp/repro-ckpt-second.out
 
 # Differential/metamorphic verification smoke: the harness's smoke-marked
@@ -123,12 +124,14 @@ measures-smoke:
 # Traversal-strategy smoke: the dfd/topk strategy suites (the dfd walk
 # must reproduce the levelwise cover and visit strictly fewer nodes on
 # the twin-column workload), the node engine's chain planning and
-# column-keyed chain products, and the from-singletons ablation helper.
+# column-keyed chain products, the level blocks' parity with chained
+# products, and the from-singletons ablation helper.
 strategy-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/search/test_dfd.py \
 	  tests/search/test_topk.py tests/search/test_strategy.py \
 	  tests/search/test_chain_planning.py \
 	  tests/partition/test_column_products.py \
+	  tests/partition/test_level_blocks.py \
 	  tests/verify/test_compare_strategy.py \
 	  tests/resilience/test_checkpoint_formats.py \
 	  tests/core/test_measures_and_strategies.py -q

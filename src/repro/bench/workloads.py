@@ -21,6 +21,7 @@ from repro.bench.report import Series, Table
 from repro.core.tane import TaneConfig, discover
 from repro.datasets.chess import krk_endgame_relation
 from repro.datasets.replicate import replicate_with_unique_suffix
+from repro.exceptions import ConfigurationError
 from repro.datasets.uci import (
     make_adult_like,
     make_hepatitis_like,
@@ -29,7 +30,7 @@ from repro.datasets.uci import (
 )
 from repro.model.relation import Relation
 from repro.partition.pure import PurePartition
-from repro.partition.vectorized import CsrPartition, PartitionWorkspace
+from repro.partition.vectorized import CsrPartition, LevelBlock, PartitionWorkspace
 from repro.search.execution import SerialExecution
 
 __all__ = [
@@ -395,10 +396,12 @@ class FromSingletonsExecutor(SerialExecution):
     ``ℓ - 1`` products of the relation's single-attribute partitions
     instead of one product of two previous-level partitions; they are
     counted in :attr:`products_computed` (the run's
-    ``partition_products`` still counts one per candidate).  An exact
-    run ranks its last lattice level without calling the executor, so
-    leave ``max_lhs_size`` unset: that level is then the whole schema,
-    one candidate at most.
+    ``partition_products`` still counts one per candidate).  Both
+    product paths are replaced: per-mask triples (:meth:`products`) and
+    a short relation's level blocks (:meth:`level_products`, rank-only
+    levels included).  A taller relation's exact run still ranks its
+    last level without calling the executor, which is why
+    :func:`run_ablation_strategy` refuses an lhs cap.
     """
 
     def __init__(self, relation: Relation) -> None:
@@ -406,6 +409,7 @@ class FromSingletonsExecutor(SerialExecution):
             CsrPartition.from_column(relation.column_codes(i), relation.num_rows)
             for i in range(relation.num_attributes)
         ]
+        self._singleton_block: LevelBlock | None = None
         self.products_computed = 0
 
     def products(self, triples, fetch, workspace):
@@ -417,15 +421,40 @@ class FromSingletonsExecutor(SerialExecution):
                 self.products_computed += 1
             yield candidate, product
 
+    def level_products(self, factors, candidates, factor_x, factor_y, *, ranks_only=False):
+        if self._singleton_block is None:
+            self._singleton_block = LevelBlock.from_partitions(
+                [_bitset.bit(i) for i in range(len(self._singletons))],
+                self._singletons,
+                factors.num_rows,
+            )
+        if candidates.size:
+            self.products_computed += (
+                (_bitset.popcount(int(candidates[0])) - 1) * int(candidates.size)
+            )
+        return self._singleton_block.chains(candidates, ranks_only=ranks_only)
 
-def run_ablation_strategy(scale: str | BenchScale | None = None) -> Table:
+
+def run_ablation_strategy(
+    scale: str | BenchScale | None = None, *, max_lhs_size: int | None = None
+) -> Table:
     """Pairwise partition products vs recomputation from singletons.
 
     Section 6 of the paper: Schlimmer's decision-tree approach "is
     roughly equivalent to computing each partition from partitions with
     respect to singletons.  It is slower by a factor O(|R|) than using
     partitions the way we do."  This ablation measures that factor.
+
+    The walk is uncapped: with ``max_lhs_size`` an exact run over a
+    relation taller than the dense kernel's limit ranks its last level
+    without the executor, so the singleton products would be
+    undercounted.  A cap raises :class:`ConfigurationError`.
     """
+    if max_lhs_size is not None:
+        raise ConfigurationError(
+            "the partition-strategy ablation walks the whole lattice: under "
+            f"max_lhs_size={max_lhs_size} its singleton products would be undercounted"
+        )
     scale = resolve_scale(scale)
     relation = _dataset("wisconsin", scale)
     table = Table(

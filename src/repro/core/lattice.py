@@ -20,14 +20,36 @@ the Python-int path, which the array path must match exactly.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["MAX_ARRAY_ATTRIBUTES", "prefix_blocks", "generate_next_level"]
+__all__ = [
+    "MAX_ARRAY_ATTRIBUTES",
+    "LevelCandidates",
+    "prefix_blocks",
+    "generate_next_level",
+    "generate_next_level_arrays",
+]
 
 MAX_ARRAY_ATTRIBUTES = 63
 """Widest schema whose attribute-set masks are held in ``int64``
 arrays; bit 63 would be the sign bit."""
+
+
+class LevelCandidates(NamedTuple):
+    """The next level's product triples as three aligned ``int64``
+    arrays, candidates ascending (the array form's triples)."""
+
+    candidates: np.ndarray
+    factor_x: np.ndarray
+    factor_y: np.ndarray
+
+    def triples(self) -> list[tuple[int, int, int]]:
+        """The same triples as a list of ``(candidate, x, y)`` tuples."""
+        return list(
+            zip(self.candidates.tolist(), self.factor_x.tolist(), self.factor_y.tolist())
+        )
 
 
 def prefix_blocks(level_masks: Iterable[int]) -> dict[int, list[int]]:
@@ -60,9 +82,9 @@ def generate_next_level(level_masks: Sequence[int]) -> list[tuple[int, int, int]
     ``level_masks`` may be a list of ints or an ``int64`` array.
     """
     if isinstance(level_masks, np.ndarray):
-        return _generate_from_array(level_masks)
+        return generate_next_level_arrays(level_masks).triples()
     if len(level_masks) and max(level_masks) >> MAX_ARRAY_ATTRIBUTES == 0:
-        return _generate_from_array(np.array(level_masks, dtype=np.int64))
+        return generate_next_level_arrays(np.array(level_masks, dtype=np.int64)).triples()
     level_set = frozenset(level_masks)
     candidates: list[tuple[int, int, int]] = []
     for prefix, top_bits in prefix_blocks(level_masks).items():
@@ -98,8 +120,9 @@ def _top_bits(masks: np.ndarray) -> np.ndarray:
     return smeared ^ (smeared >> 1)
 
 
-def _generate_from_array(masks: np.ndarray) -> list[tuple[int, int, int]]:
-    """:func:`generate_next_level` over an ``int64`` mask array.
+def generate_next_level_arrays(masks: np.ndarray) -> LevelCandidates:
+    """:func:`generate_next_level` over an ``int64`` mask array, with
+    the triples returned as arrays.
 
     The level is sorted by (prefix, mask), so every prefix block is a
     contiguous run whose masks ascend with their top bit; the join
@@ -118,7 +141,7 @@ def _generate_from_array(masks: np.ndarray) -> list[tuple[int, int, int]]:
         level = level[distinct]
     count = level.size
     if count < 2:
-        return []
+        return LevelCandidates(*(np.zeros(0, dtype=np.int64) for _ in range(3)))
     prefixes = level ^ _top_bits(level)
     order = np.lexsort((level, prefixes))
     members = level[order]
@@ -149,10 +172,4 @@ def _generate_from_array(masks: np.ndarray) -> list[tuple[int, int, int]]:
         remaining[live] ^= low
     selected = np.flatnonzero(keep)
     selected = selected[np.argsort(candidates[selected])]
-    return list(
-        zip(
-            candidates[selected].tolist(),
-            factor_x[selected].tolist(),
-            factor_y[selected].tolist(),
-        )
-    )
+    return LevelCandidates(candidates[selected], factor_x[selected], factor_y[selected])

@@ -125,10 +125,11 @@ def discover_uccs(
         PartitionWorkspace(num_rows),
         SerialExecution(),
     )
-    level = partitions.bootstrap(include_empty=False)
+    level = partitions.bootstrap(include_empty=False, levels=True)
+    ranks = dict(zip(level, partitions.error_counts(level).tolist()))
 
     def is_unique(mask: int) -> bool:
-        return partitions.error_count(mask) <= threshold
+        return ranks[mask] <= threshold
 
     result = UccResult(uccs=[], errors=[], schema=relation.schema, epsilon=epsilon)
     level_number = 1
@@ -136,12 +137,13 @@ def discover_uccs(
         result.level_sizes.append(len(level))
         unique, survivors = CandidateTracker.split_minimal_unique(level, is_unique)
         for mask in unique:
-            error_count = partitions.error_count(mask)
             result.uccs.append(mask)
-            result.errors.append(error_count / num_rows if num_rows else 0.0)
+            result.errors.append(ranks[mask] / num_rows if num_rows else 0.0)
         next_level: list[int] = []
         if level_number < limit:
-            next_level = partitions.materialize(generate_next_level(survivors))
+            errors: list[int] = []
+            next_level = partitions.materialize(generate_next_level(survivors), errors)
+            ranks = dict(zip(next_level, errors))
         partitions.reclaim(level)
         level = next_level
         level_number += 1

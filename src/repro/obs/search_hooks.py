@@ -9,7 +9,8 @@ stream.
 
 At each boundary of a levelwise run it also measures the next level's row-work
 (``Σ‖π̂‖``, the summed stripped sizes of partitions that were just
-materialized — a few ``stripped_size`` reads, not a recomputation) and
+materialized — one sum over the level's block, or a ``stripped_size``
+read per partition, not a recomputation) and
 reads the partition-cache totals; both go on that level's open record,
 where the ``--progress`` line's ETA model reads them.  The composition
 root attaches this hook only to traced runs, and it does nothing while
@@ -54,17 +55,11 @@ class TracingHooks(SearchHooks):
             "cache_hits": int(metrics.counter("cache.partition_hits").value),
             "cache_misses": int(metrics.counter("cache.partition_misses").value),
         }
-        # peek, not get: measuring must not load spilled partitions or
-        # touch the disk store's recency order.  An exact run's last
-        # level is computed rank-only and never stored; a spilled or
-        # unstored partition leaves the level without a measurement.
-        store = driver.partitions.store
-        work = 0
-        for mask in level:
-            partition = store.peek(mask)
-            if partition is None:
-                break
-            work += partition.stripped_size
-        else:
+        # Resident partitions only: measuring must not load spilled
+        # partitions or touch the disk store's recency order.  An exact
+        # run's last level is computed rank-only; a spilled or
+        # rank-only level goes without a measurement.
+        work = driver.partitions.stripped_rows(level)
+        if work is not None:
             attributes["work_rows"] = work
         self._next_level = attributes

@@ -7,6 +7,11 @@ The search driver delegates both to :class:`SerialExecution`:
 ``products(triples, fetch, workspace)``
     Yield ``(candidate, partition)`` per product triple, in candidate
     order (the driver streams them into the partition store).
+``level_products(factors, candidates, factor_x, factor_y, ranks_only=)``
+    The block form's products: the next level's
+    :class:`~repro.partition.vectorized.LevelBlock` from the current
+    level's block, in one call (see
+    :mod:`repro.search.partitions`).
 ``validity_tests(groups, fetch, criteria, workspace)``
     Run every group's tests; outcomes flattened in group order.
 
@@ -23,7 +28,14 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
 
-from repro.partition.vectorized import CsrPartition, PartitionWorkspace, batched_products
+import numpy as np
+
+from repro.partition.vectorized import (
+    CsrPartition,
+    LevelBlock,
+    PartitionWorkspace,
+    batched_products,
+)
 from repro.search.measures import ValidityCriteria, ValidityOutcome, evaluate_validity
 
 __all__ = ["Fetch", "ValidityGroups", "SerialExecution"]
@@ -82,6 +94,19 @@ class SerialExecution:
                 chunk, batched_products(pairs, workspace)
             ):
                 yield candidate, product
+
+    def level_products(
+        self,
+        factors: LevelBlock,
+        candidates: np.ndarray,
+        factor_x: np.ndarray,
+        factor_y: np.ndarray,
+        *,
+        ranks_only: bool = False,
+    ) -> LevelBlock:
+        """The block of ``candidates`` from the block of their factors
+        (Lemma 3), or only its ranks with ``ranks_only``."""
+        return factors.products(candidates, factor_x, factor_y, ranks_only=ranks_only)
 
     def validity_tests(
         self,

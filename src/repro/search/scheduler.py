@@ -38,7 +38,7 @@ __all__ = ["run_steps"]
 def run_steps(driver: "SearchDriver") -> None:
     """Run ``driver.strategy`` to completion, step by step."""
     strategy = driver.strategy
-    driver.partitions.bootstrap()
+    driver.partitions.bootstrap(levels=strategy.walks_levels)
     boundary_hooks = [
         hook
         for hook in driver._hooks

@@ -38,7 +38,11 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro import _bitset
-from repro.core.lattice import MAX_ARRAY_ATTRIBUTES, generate_next_level
+from repro.core.lattice import (
+    MAX_ARRAY_ATTRIBUTES,
+    generate_next_level,
+    generate_next_level_arrays,
+)
 from repro.exceptions import ConfigurationError
 from repro.model.fd import FDSet, FunctionalDependency
 from repro.search.measures import ValidityOutcome
@@ -104,6 +108,10 @@ class TraversalStrategy(ABC):
     fault_point: str
     """Fault point checked before each step (see
     :mod:`repro.testing.faults`)."""
+
+    walks_levels: bool = False
+    """Whether the walk goes level by level, so its partitions may be
+    stored a level at a time (see :mod:`repro.search.partitions`)."""
 
     def fingerprint(self) -> dict[str, Any]:
         """The strategy's contribution to a checkpoint fingerprint."""
@@ -179,11 +187,15 @@ class LevelwiseStrategy(TraversalStrategy):
     name = "levelwise"
     step_span = "level"
     fault_point = "tane.level.start"
+    walks_levels = True
 
-    def expand(self, surviving) -> list[tuple[int, int, int]]:
+    def expand(self, surviving):
         """Candidate ``(candidate, factor_x, factor_y)`` triples of the
-        next level: apriori generation over the surviving sets (a list
-        of masks, or the array form's ``int64`` mask array)."""
+        next level: apriori generation over the surviving sets — a list
+        of masks giving a list of triples, or the array form's ``int64``
+        mask array giving :class:`~repro.core.lattice.LevelCandidates`."""
+        if isinstance(surviving, np.ndarray):
+            return generate_next_level_arrays(surviving)
         return generate_next_level(surviving)
 
     def should_stop(self, tracker: CandidateTracker, next_level_number: int) -> bool:
@@ -206,20 +218,36 @@ class LevelwiseStrategy(TraversalStrategy):
     def restore(self, driver, step, snapshot, span) -> None:
         level = [int(mask) for mask in snapshot["level"]]
         previous = [int(mask) for mask in snapshot["previous_level_masks"]]
-        for mask in previous + level:
-            driver.partitions.restore(mask)
-        span.set("masks_restored", len(level) + len(previous))
+        restored = 0
+        if level:
+            # A complete walk (no next level) runs no step, so it needs
+            # no partitions.
+            driver.partitions.restore_level(previous)
+            driver.partitions.restore_level(
+                level, ranks_only=self._rank_only_level(driver, step + 1)
+            )
+            restored = len(level) + len(previous)
+        span.set("masks_restored", restored)
         cplus_prev = {int(mask): int(cands) for mask, cands in snapshot["cplus_prev"]}
         self._start(driver, step + 1, level, previous, cplus_prev)
+
+    @staticmethod
+    def _max_level(driver) -> int:
+        if driver.max_lhs_size is None:
+            return driver.num_attributes
+        return min(driver.num_attributes, driver.max_lhs_size + 1)
+
+    def _rank_only_level(self, driver, level_number: int) -> bool:
+        """No level follows the last one, so none of its partitions is
+        a product factor; an exact run needs only their ranks."""
+        return (
+            level_number == self._max_level(driver) and driver.criteria.epsilon == 0.0
+        )
 
     def _start(self, driver, level_number, level, previous=(0,), cplus_prev=None):
         self.driver = driver
         self.arrays = driver.num_attributes <= MAX_ARRAY_ATTRIBUTES
-        self.max_level = (
-            driver.num_attributes
-            if driver.max_lhs_size is None
-            else min(driver.num_attributes, driver.max_lhs_size + 1)
-        )
+        self.max_level = self._max_level(driver)
         self.level_number = level_number
         self.previous_level_masks = list(previous)
         self._reclaimable: list[int] = []
@@ -227,15 +255,21 @@ class LevelwiseStrategy(TraversalStrategy):
             cplus_prev = {0: driver.full_mask}
         if self.arrays:
             self.level = self._arrays_of(level)
-            self.cplus_prev = self._arrays_of(previous, cplus_prev)
+            # A complete walk's previous level only feeds the final
+            # snapshot: its partitions were not restored, nor its ranks.
+            self.cplus_prev = self._arrays_of(previous, cplus_prev, ranked=bool(level))
         else:
             self.level = level
             self.cplus_prev = cplus_prev
 
-    def _arrays_of(self, masks, cplus: dict[int, int] | None = None) -> LevelArrays:
+    def _arrays_of(
+        self, masks, cplus: dict[int, int] | None = None, *, ranked: bool = True
+    ) -> LevelArrays:
         """A level's arrays, ranks read from its resident partitions."""
         masks = sorted(masks)
-        errors = [self.driver.partitions.error_count(mask) for mask in masks]
+        errors = (
+            self.driver.partitions.error_counts(masks) if ranked else [0] * len(masks)
+        )
         if cplus is None:
             return LevelArrays(masks, errors)
         return LevelArrays(masks, errors, [cplus.get(mask, 0) for mask in masks])
@@ -320,14 +354,12 @@ class LevelwiseStrategy(TraversalStrategy):
             return LevelArrays([], []) if self.arrays else []
         if not self.arrays:
             return driver.partitions.materialize(self.expand(surviving))
-        triples = self.expand(surviving)
         errors: list[int] = []
-        # No level follows the last one, so none of its partitions is a
-        # product factor; an exact run needs only their ranks.
-        ranks_only = (
-            self.level_number + 1 == self.max_level and driver.criteria.epsilon == 0.0
+        masks = driver.partitions.materialize(
+            self.expand(surviving),
+            errors,
+            ranks_only=self._rank_only_level(driver, self.level_number + 1),
         )
-        masks = driver.partitions.materialize(triples, errors, ranks_only=ranks_only)
         return LevelArrays(masks, errors)
 
     def _compute_dependencies(self, level, cplus_prev):

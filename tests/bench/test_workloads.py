@@ -20,6 +20,7 @@ from repro.bench.workloads import (
     run_table2,
     run_table3,
 )
+from repro.exceptions import ConfigurationError
 
 SMOKE = resolve_scale("smoke")
 
@@ -202,6 +203,10 @@ class TestAblations:
         pairwise, singletons = (table.row_dict(i) for i in range(2))
         assert pairwise["N"] == singletons["N"]
         assert singletons["partition products"] > pairwise["partition products"]
+
+    def test_strategy_ablation_refuses_an_lhs_cap(self):
+        with pytest.raises(ConfigurationError, match="max_lhs_size=3"):
+            run_ablation_strategy(SMOKE, max_lhs_size=3)
 
     def test_g3_bounds_ablation(self):
         table = run_ablation_g3_bounds(SMOKE)

@@ -116,3 +116,12 @@ class TestPartitionStrategy:
         base = discover(figure1_relation, TaneConfig(epsilon=0.25)).dependencies
         alt, _ = _from_singletons(figure1_relation, epsilon=0.25)
         assert base == alt.dependencies
+
+    def test_rank_only_level_costs_its_chain(self, figure1_relation):
+        # |X| <= 2 makes level 3 the rank-only last level; on a short
+        # relation the ablation still builds each of its candidates from
+        # two singleton products.
+        result, executor = _from_singletons(figure1_relation, max_lhs_size=2)
+        sizes = result.statistics.level_sizes
+        assert len(sizes) == 3 and sizes[2] > 0
+        assert executor.products_computed == sizes[1] + 2 * sizes[2]

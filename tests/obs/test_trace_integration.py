@@ -112,8 +112,13 @@ class TestOpenCloseRecords:
 
     def test_traced_disk_run_matches_untraced_store_counters(self, relation, tmp_path):
         # Measuring a level's row-work must not load spilled partitions
-        # or reorder the disk store's LRU.
-        config = {"store": "disk", "store_options": _SPILLY}
+        # or reorder the disk store's LRU.  The store keeps each level
+        # as one block, so only a budget below one block makes the run
+        # reload spilled levels.
+        config = {
+            "store": "disk",
+            "store_options": (("resident_budget_bytes", 1), ("min_spill_bytes", 0)),
+        }
         plain = discover(relation, TaneConfig(**config))
         assert plain.statistics.store_spills and plain.statistics.store_loads
         traced, _, _ = traced_run(relation, tmp_path, "disk", **config)
