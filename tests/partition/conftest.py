@@ -1,8 +1,18 @@
-"""Fixtures shared by the partition-engine tests."""
+"""Fixtures and the reference product shared by the partition-engine
+tests."""
 
 import pytest
 
 import repro.partition.vectorized as vectorized
+
+
+def per_triple(x, y):
+    """``x · y`` through the pooled kernel on one task: a reference
+    independent of the dense kernel, which ``CsrPartition.product``
+    itself takes on short relations above the dict-probe threshold."""
+    results = [None]
+    vectorized._pooled_products([(x, y)], [0], results, x.num_rows, None)
+    return results[0]
 
 
 @pytest.fixture

@@ -27,6 +27,7 @@ from repro.partition.vectorized import (
     batched_error_counts,
     batched_products,
 )
+from tests.partition.conftest import per_triple
 
 
 def random_partitions(seed, count=8, num_rows=200, max_domain=12):
@@ -66,11 +67,13 @@ class TestBatchedMatchesPerTriple:
         # Disable the small-product shortcut so every pair exercises
         # the scatter/argsort machinery, including tiny keyspaces.
         monkeypatch.setattr(vectorized, "_SMALL_PRODUCT_THRESHOLD", -1)
+        # The reference is the pooled kernel: past the shortcut,
+        # ``x.product(y)`` would take the dense kernel under test.
         partitions = random_partitions(seed=23, num_rows=64, max_domain=5)
         pairs = all_pairs(partitions)
         batched = batched_products(pairs)
         for (x, y), observed in zip(pairs, batched):
-            assert_identical(observed, x.product(y))
+            assert_identical(observed, per_triple(x, y))
 
     def test_pooled_random_level_byte_identical(self, pooled_kernel):
         partitions = random_partitions(seed=11)
