@@ -138,8 +138,11 @@ strategy-smoke:
 
 # Multi-core gate: the multicore test marker (auto-skipped on one CPU)
 # — tests/partition/test_kernel_speedup.py, where the affinity-sized
-# kernel thread pool must beat one thread with identical results, and
-# the kernel-thread parity tests.
+# kernel thread pool must beat one thread with identical results, the
+# kernel-thread parity tests, and the pool-thread case of
+# tests/partition/test_left_label_grouping.py, which checks the large
+# tasks' position-tagged grouping on pool threads against a pair-key
+# argsort.
 multicore-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest -m multicore -q
 

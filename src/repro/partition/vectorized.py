@@ -7,7 +7,7 @@ stored in *compressed sparse row* style:
 * ``offsets`` — class boundaries (``offsets[k] .. offsets[k+1]`` is
   class ``k``).
 
-Every index buffer is ``int32`` — row ids, offsets, cached labels, the
+Every index buffer is ``int32`` — row ids, offsets, class labels, the
 workspace probe — and so are the disk spills that carry them.  A
 relation of ``2**31`` rows or more is refused.
 
@@ -73,10 +73,18 @@ The rows of ``y`` that survive the probe of ``x · y`` are read in
 ``ly`` never decreases.  A *stable* sort on the left label ``lx`` alone
 therefore gives the permutation of a stable sort of the pair keys
 ``lx * classes_y + ly``, and a class opens wherever ``lx`` or ``ly``
-changes.  ``lx`` spans only ``classes_x`` values, so it sorts as
-16-bit digits in linear-time radix passes (:func:`_stable_order`).
-:func:`_group_survivors` does this for ``product`` and the pooled
-kernel.
+changes.  A stable sort is one value sort (:func:`_stable_sort`): each
+key is packed above its position into a 32-bit word where both fit,
+else a 64-bit one, and numpy sorts the words with its vectorized
+sort; the sorted words give the order and the sorted keys at once.
+Keys and positions wider than 64 bits fall back to numpy's stable
+argsort.  :func:`_group_survivors` does this for pooled sub-batches of
+small tasks; a large task (:func:`_group_solo`) packs each survivor's
+``lx`` with its position in ``y`` straight from the probe read, then
+reads ``ly`` and the row ids at the sorted positions only.  Labels are
+built for the call that needs them and never cached on a partition,
+so a factor holds only its two CSR arrays, which is what the stores
+count.
 
 Column-keyed products
 ---------------------
@@ -223,7 +231,7 @@ class CsrPartition(PartitionBase):
 
     __slots__ = (
         "_indices", "_offsets", "_num_rows", "_error_count",
-        "_sizes", "_label_cache", "_list_cache", "_table_cache", "_ascending",
+        "_sizes", "_list_cache", "_table_cache", "_ascending",
         "_column", "_column_width",
     )
 
@@ -255,7 +263,6 @@ class CsrPartition(PartitionBase):
         # compares it millions of times per run.
         self._error_count = int(indices.size) - int(offsets.size - 1)
         self._sizes: np.ndarray | None = None
-        self._label_cache: np.ndarray | None = None
         self._list_cache: tuple[list[int], list[int]] | None = None
         self._table_cache: dict[int, int] | None = None
         # Rows ascend inside every class: True when a constructor or
@@ -294,8 +301,7 @@ class CsrPartition(PartitionBase):
             )
         codes = _dense_code_space(codes)
         counts = np.bincount(codes)
-        order = _stable_order(codes, counts.size)
-        sorted_codes = codes[order]
+        order, sorted_codes = _stable_sort(codes, counts.size)
         keep = counts[sorted_codes] >= 2
         indices = order[keep].astype(INDEX_DTYPE)
         # The stable sort keeps each class's rows ascending.
@@ -463,14 +469,10 @@ class CsrPartition(PartitionBase):
     def _labels(self) -> np.ndarray:
         """Class label of each stripped row, aligned with ``indices``.
 
-        Cached: partitions are immutable and the label array is reused
-        by every product/g3 call involving this partition.
+        Built afresh for each caller and never kept: a cached copy would
+        double a partition's memory outside every store's byte count.
         """
-        if self._label_cache is None:
-            self._label_cache = np.repeat(
-                np.arange(self.num_classes, dtype=INDEX_DTYPE), self.class_sizes
-            )
-        return self._label_cache
+        return np.repeat(np.arange(self.num_classes, dtype=INDEX_DTYPE), self.class_sizes)
 
     def _rows_ascending(self) -> bool:
         """Whether rows ascend inside every class (cached).
@@ -481,7 +483,7 @@ class CsrPartition(PartitionBase):
         """
         if self._ascending is None:
             indices = self._indices
-            labels = np.repeat(np.arange(self.num_classes), self.class_sizes)
+            labels = self._labels()
             self._ascending = bool(
                 np.all((indices[1:] > indices[:-1]) | (labels[1:] != labels[:-1]))
             )
@@ -619,7 +621,7 @@ class CsrPartition(PartitionBase):
         # between scatter and reset must not leave the shared probe
         # dirty for the rest of the run.
         try:
-            probe[self._indices] = self._labels()
+            _scatter(probe, self)
             largest = np.ones(self.num_classes, dtype=np.int64)
             if refined.num_classes:
                 first_rows = refined._indices[refined._offsets[:-1]]
@@ -627,7 +629,7 @@ class CsrPartition(PartitionBase):
                 valid = parents >= 0
                 np.maximum.at(largest, parents[valid], refined.class_sizes[valid])
         finally:
-            probe[self._indices] = -1
+            _clear(probe, self)
         return int(self.stripped_size - largest.sum())
 
 
@@ -730,10 +732,9 @@ def _thread_workspace(num_rows: int) -> PartitionWorkspace:
 def _narrowest_key_dtype(keyspace: int) -> np.dtype:
     """Smallest signed dtype that can hold keys in ``[0, keyspace)``.
 
-    numpy's stable sort is a radix sort for 16-bit integers (roughly
-    an order of magnitude faster than the comparison sort used for
-    wider types), so narrowing the dense kernel's keys on a small
-    chunk is a genuine win, not just a memory saving.
+    numpy's value sort runs several keys per vector instruction, so a
+    narrower key sorts faster as well as in less memory: the dense
+    kernel's sort of a small chunk is a genuine win at 16 bits.
     """
     if keyspace <= np.iinfo(np.int16).max:
         return np.dtype(np.int16)
@@ -766,20 +767,53 @@ def _dense_code_space(codes: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _stable_order(keys: np.ndarray, keyspace: int) -> np.ndarray:
-    """Stable argsort of non-negative ``keys`` below ``keyspace``.
+def _word_layout(keyspace: int, count: int) -> tuple[np.dtype, int] | None:
+    """The unsigned word that packs a key below ``keyspace`` above a
+    position below ``count``, as ``(dtype, shift)``: 32 bits where both
+    fit, else 64, with the key shifted past the position's bits.  None
+    when the two need more than 64 bits."""
+    shift = max(count - 1, 0).bit_length()
+    width = shift + max(keyspace - 1, 0).bit_length()
+    if width <= 32:
+        return np.dtype(np.uint32), shift
+    if width <= 64:
+        return np.dtype(np.uint64), shift
+    return None
 
-    One pass per 16-bit digit, least significant first: numpy's stable
-    sort of ``uint16`` is a linear-time radix sort, where wider keys
-    take its O(n log n) comparison sort.
+
+def _sorted_words(words: np.ndarray, shift: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sort position-tagged ``words`` in place; return their positions
+    (as ``intp``, ready to index with) and keys, in sorted order.
+
+    Tagged words are distinct, so numpy's plain value sort (its SIMD
+    sort where the CPU has one) orders them by key and, within a key,
+    by position: the order of a stable sort of the keys.
     """
-    order = np.argsort(keys.astype(np.uint16), kind="stable")
-    shift = 16
-    while keyspace > 1 << shift:
-        digits = (keys[order] >> shift).astype(np.uint16)
-        order = order[np.argsort(digits, kind="stable")]
-        shift += 16
-    return order
+    words.sort()
+    positions = np.empty(words.size, dtype=np.intp)
+    np.bitwise_and(words, (1 << shift) - 1, out=positions)
+    return positions, words >> shift
+
+
+def _stable_sort(keys: np.ndarray, keyspace: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, keys[order])`` for a stable sort of non-negative
+    ``keys`` below ``keyspace``, by one sort of position-tagged words
+    (:func:`_word_layout`); keys and positions wider than 64 bits fall
+    back to numpy's stable argsort."""
+    layout = _word_layout(keyspace, keys.size)
+    if layout is None:
+        order = np.argsort(keys, kind="stable")
+        return order, keys[order]
+    dtype, shift = layout
+    words = keys.astype(dtype)
+    words <<= shift
+    words |= np.arange(keys.size, dtype=dtype)
+    return _sorted_words(words, shift)
+
+
+def _stable_order(keys: np.ndarray, keyspace: int) -> np.ndarray:
+    """Stable argsort of non-negative ``keys`` below ``keyspace``."""
+    return _stable_sort(keys, keyspace)[0]
 
 
 # ``(position, rows, lx, ly, classes_x, y)`` for the product ``x · y``:
@@ -811,8 +845,8 @@ def _group_survivors(
         keys += np.repeat(np.cumsum(classes) - classes, sizes)
         rows = np.concatenate([task[1] for task in tasks])
         right = np.concatenate([task[3] for task in tasks])
-    order = _stable_order(keys, keyspace)
-    edges = _group_edges(keys[order], right[order])
+    order, sorted_keys = _stable_sort(keys, keyspace)
+    edges = _group_edges(sorted_keys, right[order])
     _split_groups(
         [(task[0], task[5]) for task in tasks], sizes, rows, order, edges,
         results, num_rows, counts,
@@ -915,12 +949,12 @@ def _column_products(
     bases -= strides
     keys = bases.repeat(np.concatenate([x.class_sizes for _position, x, _y in live]))
     keys += np.concatenate([y._column.take(x._indices) for _position, x, y in live])
-    order = _stable_order(keys, keyspace)
+    order, sorted_keys = _stable_sort(keys, keyspace)
     _split_groups(
         [(position, y) for position, _x, y in live],
         [x._indices.size for _position, x, _y in live],
         np.concatenate([x._indices for _position, x, _y in live]),
-        order, _group_edges(keys[order]), results, num_rows, counts,
+        order, _group_edges(sorted_keys), results, num_rows, counts,
     )
 
 
@@ -1217,12 +1251,6 @@ def _left_factor_tasks(
         return []
     if workspace is None:
         workspace = _thread_workspace(num_rows)
-    # One scatter serves every task of ``x`` in the call, so its labels
-    # are not cached here: a factor that is only ever scattered (a dfd
-    # chain partition) stays half the size.
-    labels = x._label_cache
-    if labels is None:
-        labels = np.repeat(np.arange(x.num_classes, dtype=INDEX_DTYPE), x.class_sizes)
     small: list[_Task] = []
     probe = workspace.probe
     # The reset must run even when a gather raises (e.g. a corrupt
@@ -1230,32 +1258,109 @@ def _left_factor_tasks(
     # shared by the whole run, and a dirty probe silently corrupts every
     # later product.
     try:
-        probe[x._indices] = labels
+        _scatter(probe, x)
         for position in positions:
             y = pairs[position][1]
             if y._offsets.size == 1:
                 results[position] = _no_product(num_rows, counts)
                 continue
-            in_x = probe[y._indices]
+            # ``take``, not ``probe[...]``: it gathers by int32 ids
+            # without first widening them to an intp index array.
+            in_x = probe.take(y._indices)
             survivors = np.flatnonzero(in_x >= 0)
-            if survivors.size == 0:
-                results[position] = _no_product(num_rows, counts)
-                continue
-            task = (
-                position,
-                y._indices.take(survivors),
-                in_x.take(survivors),
-                y._labels().take(survivors),
-                x.num_classes,
-                y,
-            )
             if survivors.size >= _BATCH_SOLO_ROWS:
-                _group_survivors([task], results, num_rows, counts)
+                _group_solo(position, y, in_x, survivors, x.num_classes, results, num_rows, counts)
+            elif survivors.size:
+                small.append((
+                    position,
+                    y._indices.take(survivors),
+                    in_x.take(survivors),
+                    # y's class of each survivor: few survivors, so a
+                    # binary search in its offsets beats a label array.
+                    y._offsets.searchsorted(survivors, side="right") - 1,
+                    x.num_classes,
+                    y,
+                ))
             else:
-                small.append(task)
+                results[position] = _no_product(num_rows, counts)
     finally:
-        probe[x._indices] = -1
+        _clear(probe, x)
     return small
+
+
+def _scatter(probe: np.ndarray, x: CsrPartition) -> None:
+    """Write ``x``'s class labels into ``probe`` at its rows.
+
+    The ids are widened first: numpy scatters by an intp index faster
+    than it converts an int32 one on the fly.
+    """
+    probe[x._indices.astype(np.intp)] = x._labels()
+
+
+def _clear(probe: np.ndarray, x: CsrPartition) -> None:
+    """Reset ``probe`` to -1 after :func:`_scatter` of ``x``: by one
+    sequential fill where ``x`` holds a sizeable share of the rows, which
+    is an order of magnitude cheaper than that many scattered writes."""
+    if x._indices.size * 16 >= probe.size:
+        probe.fill(-1)
+    else:
+        probe[x._indices] = -1
+
+
+def _group_solo(
+    position: int,
+    y: CsrPartition,
+    in_x: np.ndarray,
+    survivors: np.ndarray,
+    classes_x: int,
+    results: list,
+    num_rows: int,
+    counts: bool,
+) -> None:
+    """Group one large task's survivors by ``(lx, ly)`` in one sort.
+
+    ``in_x`` is the probe read along ``y``'s rows and ``survivors`` the
+    positions in ``y`` where it holds a class of ``x``.  Each survivor's
+    ``lx`` is packed above its position into one word, so the sorted
+    words give the stable order and the sorted ``lx`` at once (see
+    "Left-label grouping" above); only ``ly`` and, for the kept
+    classes, the row ids are then read at the sorted positions.  ``ly``
+    comes from a label array built for this task alone, so ``y`` keeps
+    no cache.  Labels and positions are int32 values, so a word never
+    needs more than 62 bits.
+    """
+    dtype, shift = _word_layout(classes_x, y._indices.size)
+    words = in_x.take(survivors).astype(dtype)
+    words <<= shift
+    # Positions are non-negative and below 2**shift, so neither the
+    # unsigned view nor the narrowing cast changes them.
+    np.bitwise_or(words, survivors.view(np.uint64), out=words, casting="unsafe")
+    order, keys = _sorted_words(words, shift)
+    # A survivor shares its group with the previous one when both labels
+    # repeat; it is kept when it shares with either neighbour.
+    labels = y._labels().take(order)
+    same = keys[1:] == keys[:-1]
+    same &= labels[1:] == labels[:-1]
+    if counts:
+        # e(π): survivors minus groups, which is the repeats.
+        results[position] = int(np.count_nonzero(same))
+        return
+    kept = np.zeros(order.size, dtype=bool)
+    kept[1:] = same
+    kept[:-1] |= same
+    opens = kept.copy()
+    opens[1:] &= ~same
+    rows = order[kept]
+    if rows.size == 0:
+        results[position] = CsrPartition.empty(num_rows)
+        return
+    starts = np.flatnonzero(opens[kept])
+    offsets = np.empty(starts.size + 1, dtype=INDEX_DTYPE)
+    offsets[:-1] = starts
+    offsets[-1] = rows.size
+    results[position] = CsrPartition._built(
+        y._indices.take(rows), offsets, num_rows, _inherited_order(y)
+    )
 
 
 def dense_relation(num_rows: int) -> bool:

@@ -59,6 +59,8 @@ __all__ = [
     "ValidityCriteria",
     "ValidityOutcome",
     "attribute_stats",
+    "bound_outcome",
+    "bound_rejects",
     "relation_rhs_stats",
     "evaluate_validity",
     "entropy_from_counts",
@@ -268,12 +270,9 @@ class G3Measure(Measure):
 
     def evaluate(self, pi_lhs, pi_whole, criteria, workspace, rhs_index=-1):
         """Bound short-circuit first, exact g3 count otherwise."""
-        if criteria.use_g3_bounds:
-            lower, _ = pi_lhs.g3_bound_counts(pi_whole)
-            if lower > criteria.epsilon_count:
-                return ValidityOutcome(
-                    False, False, lower / criteria.num_rows, True, False
-                )
+        rejection = _bound_rejection(pi_lhs, pi_whole, criteria)
+        if rejection is not None:
+            return rejection
         error_count = pi_lhs.g3_error_count(pi_whole, workspace)
         return ValidityOutcome(
             error_count <= criteria.epsilon_count,
@@ -425,23 +424,57 @@ def _score_outcome(score: float, criteria: ValidityCriteria) -> ValidityOutcome:
     )
 
 
-def _bound_rejection(pi_lhs, pi_whole, criteria) -> ValidityOutcome | None:
-    """The g3 lower bound as a short-circuit for pdep-dominated errors.
+_MARGIN_BOUND_MEASURES = frozenset({"pdep", "tau", "mu_plus"})
 
-    Per lhs class ``sum(m_i^2) <= s * max(m_i)``, so
-    ``1 - pdep >= g3 >= (e_lhs - e_whole) / n``; the ``tau`` and
-    ``mu_plus`` errors dominate ``1 - pdep`` in turn (dividing by
-    ``1 - pdep(A) <= 1``, multiplying by ``(n-1)/(n-K) >= 1``).  The
-    wide :data:`_BOUND_MARGIN` keeps the bound path's accept/reject
-    decision identical to the exact path's under float round-off.
+
+def bound_rejects(lower, criteria: ValidityCriteria, rhs=None):
+    """Whether the O(1) g3 lower bound alone rejects ``X∖{A} → A``.
+
+    ``lower`` is the bound in rows, ``e(X∖{A}) − e(X)``
+    (:meth:`~repro.partition.base.PartitionBase.g3_bound_counts`), so
+    the rule needs the two ranks and no partition.  An int gives a
+    bool; an array of bounds, with the ``rhs`` attribute of each, gives
+    one per element.
+
+    * ``g3`` rejects when the bound exceeds ``ε|r|`` rows.
+    * ``pdep``, ``tau`` and ``mu_plus`` reject when ``lower / |r|``
+      exceeds ε by more than :data:`_BOUND_MARGIN`.  Per lhs class
+      ``sum(m_i^2) <= s * max(m_i)``, so ``1 - pdep >= g3 >=
+      lower / |r|``; the ``tau`` and ``mu_plus`` errors dominate
+      ``1 - pdep`` in turn (dividing by ``1 - pdep(A) <= 1``,
+      multiplying by ``(n-1)/(n-K) >= 1``).  The margin keeps the bound
+      path's accept/reject decision identical to the exact path's under
+      float round-off.  Given ``rhs``, ``tau`` spares a constant rhs,
+      which it scores 1 before trying the bound.
+    * The other measures admit no such bound and never reject.
     """
     if not criteria.use_g3_bounds:
-        return None
+        return False
+    if criteria.measure == "g3":
+        return lower > criteria.epsilon_count
+    if criteria.measure not in _MARGIN_BOUND_MEASURES:
+        return False
+    rejects = lower / criteria.num_rows > criteria.epsilon + _BOUND_MARGIN
+    if criteria.measure == "tau" and rhs is not None:
+        constant = np.array([
+            _stats_for(criteria, index, "tau").pdep >= 1.0
+            for index in range(max(len(criteria.rhs_stats), 1))
+        ])
+        rejects = rejects & ~constant[rhs]
+    return rejects
+
+
+def bound_outcome(lower: int, criteria: ValidityCriteria) -> ValidityOutcome:
+    """The outcome of a test :func:`bound_rejects` rejects: its error is
+    the bound, and no error computation ran."""
+    return ValidityOutcome(False, False, lower / criteria.num_rows, True, False)
+
+
+def _bound_rejection(pi_lhs, pi_whole, criteria) -> ValidityOutcome | None:
+    """The outcome of a test the g3 lower bound rejects, else None."""
     lower, _ = pi_lhs.g3_bound_counts(pi_whole)
-    if lower / criteria.num_rows > criteria.epsilon + _BOUND_MARGIN:
-        return ValidityOutcome(
-            False, False, lower / criteria.num_rows, True, False
-        )
+    if bound_rejects(lower, criteria):
+        return bound_outcome(lower, criteria)
     return None
 
 

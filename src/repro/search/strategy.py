@@ -45,7 +45,7 @@ from repro.core.lattice import (
 )
 from repro.exceptions import ConfigurationError
 from repro.model.fd import FDSet, FunctionalDependency
-from repro.search.measures import ValidityOutcome
+from repro.search.measures import ValidityOutcome, bound_outcome, bound_rejects
 from repro.search.tracker import (
     CandidateTracker,
     LevelArrays,
@@ -390,28 +390,50 @@ class LevelwiseStrategy(TraversalStrategy):
         per-pair loop counts them.
 
         A pair passing the rank test is exactly valid.  With ``ε > 0``
-        the others are measured through the executor in one batch;
-        exact runs fail them without fetching a partition.
+        the others meet the g3 lower bound first, which needs only their
+        ranks (:func:`~repro.search.measures.bound_rejects`); the rest
+        are measured through the executor in one batch.  Exact runs fail
+        them without fetching a partition.
         """
         driver = self.driver
-        count = pairs.exact.size
-        valid = pairs.exact.copy()
-        exactly_valid = pairs.exact.copy()
+        criteria = driver.criteria
+        exact = pairs.exact
+        count = exact.size
+        valid = exact.copy()
+        exactly_valid = exact.copy()
         errors = [0.0] * count
         measured: list[tuple[int, ValidityOutcome]] = []
-        if driver.criteria.epsilon > 0.0:
-            failing = np.flatnonzero(~pairs.exact)
-            if failing.size:
+        bounded = np.empty(0, dtype=np.intp)
+        if criteria.epsilon > 0.0:
+            failing = np.flatnonzero(~exact)
+            rejected = np.broadcast_to(
+                bound_rejects(pairs.lower[failing], criteria, pairs.rhs[failing]),
+                failing.shape,
+            )
+            bounded = failing[rejected]
+            tested = failing[~rejected]
+            if tested.size:
                 outcomes = driver.executor.validity_tests(
-                    pairs.groups(failing),
-                    driver.partitions.get,
-                    driver.criteria,
-                    driver.workspace,
+                    pairs.groups(tested), driver.partitions.get, criteria, driver.workspace
                 )
-                measured = list(zip(failing.tolist(), outcomes))
+                measured = list(zip(tested.tolist(), outcomes))
         if faults.mutation_armed("tane.validity.outcome"):
+            # The fault point sees every pair's outcome, so the bound
+            # rejections become outcomes too (off this path they stay
+            # arrays: a run can reject tens of thousands of pairs).
+            measured += [
+                (position, bound_outcome(lower, criteria))
+                for position, lower in zip(bounded.tolist(), pairs.lower[bounded].tolist())
+            ]
+            bounded = bounded[:0]
             measured = self._mutated_outcomes(pairs, measured)
-        bounds = errors_computed = 0
+        # A bound rejection fails its pair with the bound as its error.
+        for position, error in zip(
+            bounded.tolist(), (pairs.lower[bounded] / criteria.num_rows).tolist()
+        ):
+            errors[position] = error
+        bounds = bounded.size
+        errors_computed = 0
         for position, outcome in measured:
             valid[position] = outcome.valid
             exactly_valid[position] = outcome.exactly_valid

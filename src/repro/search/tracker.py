@@ -97,8 +97,13 @@ class LevelPairs(NamedTuple):
     lhs: np.ndarray
     """``X∖{A}`` of every pair."""
 
-    exact: np.ndarray
-    """Lemma 2 per pair: ``e(X∖{A}) == e(X)``."""
+    lower: np.ndarray
+    """``e(X∖{A}) − e(X)`` per pair: the O(1) g3 lower bound in rows."""
+
+    @property
+    def exact(self) -> np.ndarray:
+        """Lemma 2 per pair: ``e(X∖{A}) == e(X)``."""
+        return self.lower == 0
 
     def groups(self, selected: np.ndarray) -> list[tuple[int, list[tuple[int, int]]]]:
         """The selected pairs in the executor's group format."""
@@ -256,7 +261,7 @@ class CandidateTracker:
                 whole=level.masks[rows],
                 rhs=level.rhs[rows, columns],
                 lhs=level.lhs[rows, columns],
-                exact=level.lhs_errors[rows, columns] == level.errors[rows],
+                lower=level.lhs_errors[rows, columns] - level.errors[rows],
             )
         groups: list[tuple[int, list[tuple[int, int]]]] = []
         for mask in level:
