@@ -103,11 +103,12 @@ verify-smoke:
 
 # Discovery-service smoke: the serve suite and the concurrency
 # regression tests (thread-local obs activation, single-flight dedup,
-# invalidation on re-registration), then the real thing — a
+# invalidation on re-registration), the CSV ingest tests (the service
+# registers datasets through read_csv_text), then the real thing — a
 # ``repro serve`` subprocess driven over HTTP by tools/service_smoke.py
 # (register, discover, cache hit, event stream, SIGINT shutdown).
 service-smoke:
-	PYTHONPATH=src $(PYTHON) -m pytest tests/serve tests/obs/test_thread_isolation.py -q
+	PYTHONPATH=src $(PYTHON) -m pytest tests/serve tests/obs/test_thread_isolation.py tests/datasets/test_csvio.py -q
 	$(PYTHON) tools/service_smoke.py
 
 # Measure-suite smoke: golden fixtures, property invariants, the

@@ -37,6 +37,17 @@ def _encode_column(values: Sequence[Any]) -> tuple[np.ndarray, list[Any]]:
     return codes, decode
 
 
+def _schema_of_width(attribute_names: Sequence[str] | None, width: int) -> RelationSchema:
+    """The schema of rows ``width`` values wide: ``attribute_names``, or
+    ``col0, col1, ...`` when omitted."""
+    if attribute_names is None:
+        attribute_names = [f"col{i}" for i in range(width)]
+    schema = RelationSchema(attribute_names)
+    if len(schema) != width:
+        raise SchemaError(f"{len(schema)} attribute names supplied for rows of width {width}")
+    return schema
+
+
 class Relation:
     """An immutable relation instance (a table of rows).
 
@@ -103,26 +114,13 @@ class Relation:
             for position, row in enumerate(materialized):
                 if len(row) != width:
                     raise DataError(f"row {position} has {len(row)} values, expected {width}")
-        return cls._from_equal_width_rows(materialized, attribute_names)
-
-    @classmethod
-    def _from_equal_width_rows(
-        cls,
-        rows: Sequence[Sequence[Any]],
-        attribute_names: Sequence[str] | None,
-    ) -> "Relation":
-        """:meth:`from_rows` for a non-empty list of rows whose widths
-        the caller has already checked to be equal."""
-        width = len(rows[0])
-        if attribute_names is None:
-            attribute_names = [f"col{i}" for i in range(width)]
-        schema = RelationSchema(attribute_names)
-        if len(schema) != width:
-            raise SchemaError(f"{len(schema)} attribute names supplied for rows of width {width}")
+        schema = _schema_of_width(attribute_names, width)
         codes: list[np.ndarray] = []
         decode: list[list[Any]] = []
         for column_index in range(width):
-            column_codes, column_decode = _encode_column([row[column_index] for row in rows])
+            column_codes, column_decode = _encode_column(
+                [row[column_index] for row in materialized]
+            )
             codes.append(column_codes)
             decode.append(column_decode)
         return cls(schema, codes, decode)

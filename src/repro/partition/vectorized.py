@@ -846,23 +846,10 @@ def _group_survivors(
         rows = np.concatenate([task[1] for task in tasks])
         right = np.concatenate([task[3] for task in tasks])
     order, sorted_keys = _stable_sort(keys, keyspace)
-    edges = _group_edges(sorted_keys, right[order])
     _split_groups(
-        [(task[0], task[5]) for task in tasks], sizes, rows, order, edges,
-        results, num_rows, counts,
+        [(task[0], task[5]) for task in tasks], sizes, rows, order,
+        (sorted_keys, right.take(order)), results, num_rows, counts,
     )
-
-
-def _group_edges(*sorted_keys: np.ndarray) -> np.ndarray:
-    """Where groups open in sorted rows: at each change of any of
-    ``sorted_keys``, then one past the last row."""
-    first = sorted_keys[0]
-    opens = np.empty(first.size + 1, dtype=bool)
-    opens[0] = opens[-1] = True
-    np.not_equal(first[1:], first[:-1], out=opens[1:-1])
-    for keys in sorted_keys[1:]:
-        opens[1:-1] |= keys[1:] != keys[:-1]
-    return opens.nonzero()[0]
 
 
 def _split_groups(
@@ -870,7 +857,7 @@ def _split_groups(
     sizes: Sequence[int],
     rows: np.ndarray,
     order: np.ndarray,
-    edges: np.ndarray,
+    sorted_keys: Sequence[np.ndarray],
     results: list,
     num_rows: int,
     counts: bool,
@@ -878,26 +865,44 @@ def _split_groups(
     """Turn one sort's groups into the results of the tasks laid out in it.
 
     ``rows`` holds the tasks' rows end to end, ``sizes[t]`` of them for
-    task ``t``; ``order`` sorts them task by task into groups, which
-    start at ``edges`` (in sorted order; the last edge is the end).
+    task ``t``; ``order`` sorts them task by task into groups, and a
+    group runs while all of ``sorted_keys`` (in sorted order) repeat.
+    Tasks' keys never meet, so no group spans two tasks.
     ``outputs[t]`` is task ``t``'s ``(position, right factor)``.
     ``results[position]`` receives each product, its singleton groups
-    stripped, or with ``counts`` its ``e(π)``: rows minus groups.  A
-    batch's results own their buffers.
+    stripped, or with ``counts`` its ``e(π)``: rows minus groups, which
+    is the repeats.  A batch's results own their buffers.
     """
-    # Groups opened before each task's end, i.e. up to that task.
-    group_bounds = edges.searchsorted([0, *itertools.accumulate(sizes)]).tolist()
+    lead = sorted_keys[0]
+    # same[i]: sorted row i shares its group with row i + 1.
+    same = np.zeros(lead.size, dtype=bool)
+    np.equal(lead[1:], lead[:-1], out=same[:-1])
+    for keys in sorted_keys[1:]:
+        same[:-1] &= keys[1:] == keys[:-1]
+    task_bounds = [0, *itertools.accumulate(sizes)]
     if counts:
-        for index, ((position, _y), size) in enumerate(zip(outputs, sizes)):
-            results[position] = size - (group_bounds[index + 1] - group_bounds[index])
+        repeats = np.zeros(same.size + 1, dtype=np.int64)
+        np.cumsum(same, out=repeats[1:])
+        bounds = repeats[task_bounds].tolist()
+        for index, (position, _y) in enumerate(outputs):
+            results[position] = bounds[index + 1] - bounds[index]
         return
-    group_sizes = edges[1:] - edges[:-1]
-    multi = group_sizes >= 2
-    indices = rows[order[multi.repeat(group_sizes)]]
-    offsets = _offsets_of(group_sizes[multi])
-    # Each task's kept classes, as bounds into ``offsets``.
-    class_bounds = _offsets_of(multi)[group_bounds].tolist()
-    element_bounds = offsets[class_bounds].tolist()
+    # A row is kept when it shares its group with either neighbour, and
+    # opens a class when it does not share with the one before.
+    kept = same.copy()
+    kept[1:] |= same[:-1]
+    opens = kept.copy()
+    opens[1:] &= ~same[:-1]
+    positions = np.flatnonzero(kept)
+    indices = rows.take(order.take(positions))
+    starts = np.flatnonzero(opens.take(positions))
+    offsets = np.empty(starts.size + 1, dtype=INDEX_DTYPE)
+    offsets[:-1] = starts
+    offsets[-1] = positions.size
+    # Each task's kept rows and classes, as bounds into ``indices`` and
+    # ``offsets``.
+    element_bounds = positions.searchsorted(task_bounds).tolist()
+    class_bounds = starts.searchsorted(element_bounds).tolist()
     for index, (position, y) in enumerate(outputs):
         first, stop = class_bounds[index], class_bounds[index + 1]
         start, end = element_bounds[index], element_bounds[index + 1]
@@ -954,7 +959,7 @@ def _column_products(
         [(position, y) for position, _x, y in live],
         [x._indices.size for _position, x, _y in live],
         np.concatenate([x._indices for _position, x, _y in live]),
-        order, _group_edges(sorted_keys), results, num_rows, counts,
+        order, (sorted_keys,), results, num_rows, counts,
     )
 
 

@@ -287,7 +287,6 @@ class DfdStrategy(TraversalStrategy):
         self._walks = []
         self._batch: list[NodeRequest] | None = None
         self._tests = driver.tests.value
-        self._live: set[int] | None = None
         self._snapshot_due = False
         for rhs in range(driver.num_attributes):
             attrs_mask = driver.full_mask & ~_bitset.bit(rhs)
@@ -361,7 +360,7 @@ class DfdStrategy(TraversalStrategy):
             self.observe(request, outcome)
         before, self._tests = self._tests, driver.tests.value
         # Liveness is read before the walks advance past these verdicts.
-        self._live = (
+        live = (
             self.live_masks()
             if self._tests // self.RECLAIM_TESTS > before // self.RECLAIM_TESTS
             else None
@@ -370,15 +369,13 @@ class DfdStrategy(TraversalStrategy):
             self._tests // self.SNAPSHOT_TESTS > before // self.SNAPSHOT_TESTS
         )
         self._batch = self.next_requests()
+        if live is not None:
+            partitions.reclaim_except(live)
         span.set("tests", len(requests))
         span.set("tests_total", self._tests)
         span.set(
             "dependencies_total", sum(len(state.min_deps) for state in self._states)
         )
-
-    def reclaim(self) -> None:
-        if self._live is not None:
-            self.driver.partitions.reclaim_except(self._live)
 
     def boundary_due(self) -> bool:
         return self._snapshot_due

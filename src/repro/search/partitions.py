@@ -6,9 +6,10 @@ singleton partitions, scheduling the partition products of
 GENERATE-NEXT-LEVEL through the execution backend, on-demand
 materialization of arbitrary attribute-set masks for the DFD walk
 (product chains planned from the best cached/resident ancestor),
-reclaiming partitions once they can no longer be referenced (the level
-before the previous one in a levelwise walk, the walk's declared
-liveness in DFD), recomputing partitions for checkpoint restore
+reclaiming partitions once they can no longer be referenced (in a
+levelwise walk the previous level, once the current one is pruned and
+before the next is generated; the walk's declared liveness in DFD),
+recomputing partitions for checkpoint restore
 (Lemma 3, via the singleton products), and preserving spill files on
 the crash path.
 

@@ -10,8 +10,8 @@ request batch for the DFD walk.  The loop owns what every walk shares:
    :class:`~repro.search.hooks.ResumePoint` (restoring results,
    counters and the strategy's snapshot), or begin a fresh walk; a
    resumed *complete* search runs no step;
-3. for each step: a fault check, the step's span, reclamation of the
-   partitions the strategy no longer needs, and a
+3. for each step: a fault check, the step's span (the step reclaims
+   the partitions its strategy no longer needs), and a
    :class:`~repro.search.hooks.Boundary` where the strategy can be
    resumed from;
 4. the final boundary, marked ``complete``.
@@ -66,7 +66,6 @@ def run_steps(driver: "SearchDriver") -> None:
             ) as span:
                 strategy.step(span)
             step += 1
-            strategy.reclaim()
             if boundary_hooks and strategy.boundary_due():
                 _notify(driver, boundary_hooks, Boundary(step, False, strategy))
     if boundary_hooks:

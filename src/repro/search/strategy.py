@@ -3,8 +3,8 @@
 Every strategy runs under the one search loop
 (:func:`repro.search.scheduler.run_steps`) as a sequence of *steps*:
 the loop asks :meth:`TraversalStrategy.next_step` whether another step
-follows, runs :meth:`~TraversalStrategy.step` inside the step's span,
-lets the strategy :meth:`~TraversalStrategy.reclaim` partitions, and
+follows, runs :meth:`~TraversalStrategy.step` inside the step's span
+(a step also drops the partitions its walk no longer needs), and
 persists :meth:`~TraversalStrategy.snapshot` at boundaries.
 
 Three strategies ship:
@@ -88,7 +88,6 @@ class TraversalStrategy(ABC):
         while (attributes := strategy.next_step()) is not None:
             with <span step_span, step_attributes(step), attributes> as span:
                 strategy.step(span)
-            strategy.reclaim()
             if strategy.boundary_due():
                 <persist strategy.snapshot()>
         result = strategy.finalize(tracker)
@@ -141,11 +140,8 @@ class TraversalStrategy(ABC):
 
     @abstractmethod
     def step(self, span) -> None:
-        """Run one step, setting its close attributes on ``span``."""
-
-    @abstractmethod
-    def reclaim(self) -> None:
-        """Drop partitions the walk no longer needs after a step."""
+        """Run one step, setting its close attributes on ``span``, and
+        drop the partitions the walk no longer needs."""
 
     def boundary_due(self) -> bool:
         """Whether the state after the last step is worth persisting."""
@@ -167,9 +163,11 @@ _NOT_EXACT = ValidityOutcome(False, False, 0.0, False, False)
 class LevelwiseStrategy(TraversalStrategy):
     """The paper's breadth-first walk with apriori generation.
 
-    A step is one level of Section 5's loop.  Its phase ordering,
-    counter accounting and reclamation rule are pinned, results *and*
-    counters, by the golden-parity suites.  A level is a list of masks
+    A step is one level of Section 5's loop.  Its phase ordering and
+    counter accounting are pinned, results *and* counters, by the
+    golden-parity suites.  At most two adjacent levels are resident:
+    level ℓ−1 is reclaimed once level ℓ is pruned, before level ℓ+1 is
+    generated (see :meth:`step`).  A level is a list of masks
     with a ``C+`` dict (Python-int form) or, on schemas of at most
     :data:`~repro.core.lattice.MAX_ARRAY_ATTRIBUTES` attributes, a
     :class:`~repro.search.tracker.LevelArrays` whose ``cplus`` holds
@@ -250,7 +248,6 @@ class LevelwiseStrategy(TraversalStrategy):
         self.max_level = self._max_level(driver)
         self.level_number = level_number
         self.previous_level_masks = list(previous)
-        self._reclaimable: list[int] = []
         if cplus_prev is None:
             cplus_prev = {0: driver.full_mask}
         if self.arrays:
@@ -323,6 +320,10 @@ class LevelwiseStrategy(TraversalStrategy):
             phase.set("keys_found", keys_delta)
             phase.set("surviving", len(surviving))
         driver.pruned_level_sizes.append(len(surviving))
+        # Level ℓ−1 was read for the last time by PRUNE (its ranks are
+        # the key test of a > 63-attribute approximate run); GENERATE
+        # reads only level ℓ, so ℓ−1 goes before ℓ+1 is built.
+        driver.partitions.reclaim(self.previous_level_masks)
         products_before = driver.products.value
         with driver.span("generate_next_level") as phase:
             next_level = self._generate(surviving)
@@ -330,9 +331,6 @@ class LevelwiseStrategy(TraversalStrategy):
             phase.set("next_size", len(next_level))
         span.set("surviving", len(surviving))
         span.set("dependencies_total", len(tracker.dependencies))
-        # The completed level becomes the previous one; the level before
-        # it is no longer a validity-test lhs and may be reclaimed.
-        self._reclaimable = self.previous_level_masks
         if self.arrays:
             self.previous_level_masks = level.masks.tolist()
             self.cplus_prev = level
@@ -341,9 +339,6 @@ class LevelwiseStrategy(TraversalStrategy):
             self.cplus_prev = cplus
         self.level = next_level
         self.level_number += 1
-
-    def reclaim(self) -> None:
-        self.driver.partitions.reclaim(self._reclaimable)
 
     def _generate(self, surviving):
         """GENERATE-NEXT-LEVEL: the next level, or an empty one."""

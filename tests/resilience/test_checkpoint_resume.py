@@ -10,6 +10,7 @@ and impolite ones (SIGKILL of the whole driver process).
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 import signal
@@ -21,6 +22,8 @@ import pytest
 from repro.core.checkpoint import CheckpointManager, load_checkpoint
 from repro.core.tane import TaneConfig, discover
 from repro.exceptions import CheckpointError, ConfigurationError
+from repro.model.relation import Relation
+from repro.partition.vectorized import _DENSE_MAX_ROWS
 from repro.testing import faults
 
 from ..conftest import level_opens, tracer_calling
@@ -182,6 +185,71 @@ class TestResumeParity:
             structured_relation, TaneConfig(checkpoint_dir=tmp_path, resume=True)
         )
         assert_identical_results(result, baseline)
+
+
+def _tiled_past_dense(relation):
+    """``relation`` repeated past the dense kernel's row limit, so a
+    levelwise walk stores one partition per mask, not one block per
+    level (same dependencies: the copies agree everywhere)."""
+    copies = _DENSE_MAX_ROWS // relation.num_rows + 1
+    return Relation.from_codes(
+        [np.tile(relation.column_codes(i), copies) for i in range(relation.num_attributes)],
+        list(relation.schema.attribute_names),
+    )
+
+
+class TestFaultWhileGenerating:
+    """A fault while level 3 generates level 4, after level 2 is
+    reclaimed: the last checkpoint (after level 2) names level 2 as the
+    previous level, yet the disk store no longer holds it."""
+
+    # Every entry spills as soon as it is stored.
+    OPTIONS = (("resident_budget_bytes", 1), ("min_spill_bytes", 0))
+
+    @staticmethod
+    def _arm_in_level_3_generation(stack):
+        opened = []
+
+        def arm(span):
+            if span.end is not None:
+                return
+            if span.name == "level":
+                opened.append(span.attributes["level"])
+            elif span.name == "generate_next_level" and opened[-1] == 3:
+                stack.enter_context(faults.inject("tane.products.consume"))
+
+        return tracer_calling(arm)
+
+    @pytest.mark.parametrize("form", ["block", "per-mask"])
+    def test_resume_recomputes_the_reclaimed_level(self, structured_relation, tmp_path, form):
+        relation = structured_relation if form == "block" else _tiled_past_dense(structured_relation)
+        config = dict(store="disk", store_options=self.OPTIONS)
+        baseline = discover(relation, TaneConfig(**config))
+        assert len(baseline.statistics.level_sizes) >= 4
+        with contextlib.ExitStack() as stack:
+            with pytest.raises(faults.InjectedFault):
+                discover(
+                    relation,
+                    TaneConfig(
+                        checkpoint_dir=tmp_path,
+                        tracer=self._arm_in_level_3_generation(stack),
+                        **config,
+                    ),
+                )
+        state = load_checkpoint(tmp_path)
+        assert state.step == 2 and all(
+            bin(mask).count("1") == 2 for mask in state.snapshot["previous_level_masks"]
+        )
+        # Level 3's spills survive the crash for resume to adopt; level
+        # 2's went with its reclaim, so resume recomputes it.
+        spilled = {path.name for path in (tmp_path / "spill").glob("*.bin")}
+        if form == "block":
+            assert "level-3.bin" in spilled and "level-2.bin" not in spilled
+        else:
+            sizes = {bin(int(name[len("partition-"):-4], 16)).count("1") for name in spilled}
+            assert 3 in sizes and 2 not in sizes
+        resumed = discover(relation, TaneConfig(checkpoint_dir=tmp_path, resume=True, **config))
+        assert_identical_results(resumed, baseline)
 
 
 class TestDriverCrash:

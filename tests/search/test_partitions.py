@@ -189,13 +189,24 @@ class TestCrashPathAndStats:
             store.close()
 
 
-class CountingStore(MemoryPartitionStore):
-    """A memory store counting every write once counting is switched on."""
+def _entry_size(key):
+    """Attribute count of a store key's sets (a block is keyed -size)."""
+    return -key if key < 0 else _bitset.popcount(key)
 
-    def __init__(self):
-        super().__init__()
+
+class _Counting:
+    """Store mixin counting every write once counting is switched on,
+    and watching how many levels the store holds: at the first put of
+    a level ℓ+1 entry, every held set of a size from 2 to ℓ−1 is
+    recorded in ``stale`` (π_∅ and the singletons are the bootstrap's)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self.counting = False
         self.writes = []
+        self.held = set()
+        self.sizes = set()
+        self.stale = []
 
     def _count(self, name, key):
         if self.counting:
@@ -203,11 +214,26 @@ class CountingStore(MemoryPartitionStore):
 
     def put(self, key, entry):
         self._count("put", key)
+        size = _entry_size(key)
+        if size not in self.sizes:
+            self.sizes.add(size)
+            self.stale += [k for k in sorted(self.held) if 2 <= _entry_size(k) <= size - 2]
         super().put(key, entry)
+        self.held.add(key)
 
     def discard(self, key):
         self._count("discard", key)
         super().discard(key)
+        self.held.discard(key)
+
+
+class CountingStore(_Counting, MemoryPartitionStore):
+    """A memory store counting its writes and levels (see _Counting)."""
+
+
+class CountingDiskStore(_Counting, DiskPartitionStore):
+    """A disk store counting its writes and levels; held entries may
+    be resident or spilled."""
 
 
 class TestLevelStorage:
@@ -278,3 +304,61 @@ class TestLevelStorage:
                 assert view.offsets.tobytes() == singleton.offsets.tobytes()
         finally:
             store.close()
+
+
+def _deep_relation(rows, domains):
+    rng = np.random.default_rng(3)
+    return Relation.from_codes(
+        [rng.integers(0, domain, size=rows) for domain in domains],
+        [f"c{i}" for i in range(len(domains))],
+    )
+
+
+def _copies_relation():
+    """66 attributes: 62 copies of column g, then c, d and a random e,
+    so the Python-int (> 63-attribute) walk reaches level 4 with a few
+    hundred sets per level.  The 64 rows are every (g, c, d) over four
+    values, so each {g, c, d} is a key and none of its subsets is."""
+    rng = np.random.default_rng(4)
+    values = np.arange(4)
+    copied, c, d = (column.ravel() for column in np.meshgrid(values, values, values, indexing="ij"))
+    columns = [copied] * 62 + [c, d, rng.integers(0, 3, size=copied.size)]
+    return Relation.from_codes(columns, [f"c{i}" for i in range(len(columns))])
+
+
+class TestTwoResidentLevels:
+    """A levelwise walk holds at most two adjacent levels: level ℓ−1 is
+    reclaimed before the first partition of level ℓ+1 is stored."""
+
+    @staticmethod
+    def _walk(relation, store, **config):
+        try:
+            result = discover(relation, TaneConfig(store=store, **config))
+        finally:
+            store.close()
+        assert len(result.statistics.level_sizes) >= 4
+        assert max(store.sizes) >= 4
+        return store.stale
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.05])
+    @pytest.mark.parametrize("kind", ["memory", "disk"])
+    @pytest.mark.parametrize(
+        "rows", [300, 2500], ids=["block form", "per-mask form"]
+    )
+    def test_two_levels(self, tmp_path, rows, kind, epsilon):
+        relation = _deep_relation(rows, (2, 3, 3, 4, 5, 6))
+        store = (
+            CountingStore()
+            if kind == "memory"
+            else CountingDiskStore(
+                resident_budget_bytes=4096, directory=tmp_path, min_spill_bytes=0
+            )
+        )
+        assert self._walk(relation, store, epsilon=epsilon) == []
+
+    def test_wide_approximate(self):
+        # PRUNE's key test reads level ℓ−1 ranks here (is_superkey), so
+        # the reclaim must follow it.
+        relation = _copies_relation()
+        assert relation.num_attributes > 63
+        assert self._walk(relation, CountingStore(), epsilon=0.05) == []
