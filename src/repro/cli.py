@@ -104,10 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     discover_parser.add_argument("--dfd-seed", type=int, default=0,
                                  help="random-walk seed for --strategy dfd "
                                       "(same seed => identical walk)")
-    discover_parser.add_argument("--partition-cache", action="store_true",
-                                 help="reuse singleton/low-level partitions "
-                                      "across runs in this process via the "
-                                      "shared partition cache")
     discover_parser.add_argument("--checkpoint-dir", metavar="DIR", default=None,
                                  help="checkpoint the search to DIR after every "
                                       "completed level")
@@ -253,8 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="concurrent discovery jobs (default 4)")
     serve_parser.add_argument("--result-cache-entries", type=int, default=128,
                               help="result-cache capacity in entries (default 128)")
-    serve_parser.add_argument("--partition-cache-mb", type=int, default=64,
-                              help="partition-cache budget in MiB (default 64)")
     serve_parser.add_argument("--dataset", action="append", default=[],
                               metavar="NAME=CSV",
                               help="preload a dataset from a CSV file "
@@ -310,7 +304,6 @@ def _cmd_discover(args: argparse.Namespace) -> int:
         top_k=args.top_k,
         topk_rank=args.topk_rank,
         dfd_seed=args.dfd_seed,
-        partition_cache="shared" if args.partition_cache else "off",
         tracer=tracer,
         metrics=metrics,
         profile=args.profile,
@@ -355,9 +348,6 @@ def _cmd_discover(args: argparse.Namespace) -> int:
         print(f"sets s={stats.total_sets} smax={stats.max_level_size} "
               f"tests v={stats.validity_tests} products={stats.partition_products} "
               f"keys k={stats.keys_found}")
-        if stats.cache_hits or stats.cache_misses:
-            print(f"partition cache: hits={stats.cache_hits} "
-                  f"misses={stats.cache_misses}")
     if args.trace is not None:
         print(f"trace written to {args.trace} "
               f"(render with: repro trace-report {args.trace})", file=sys.stderr)
@@ -514,7 +504,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service = DiscoveryService(
         workers=args.workers,
         result_cache_entries=args.result_cache_entries,
-        partition_cache_bytes=args.partition_cache_mb * 1024 * 1024,
     )
     for item in args.dataset:
         name, sep, path = item.partition("=")

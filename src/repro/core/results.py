@@ -81,13 +81,6 @@ class SearchStatistics:
     peak_resident_bytes: int = 0
     """Peak bytes of partitions held in memory by the store."""
 
-    cache_hits: int = 0
-    """Partitions served by the cross-run partition cache (0 with the
-    default ``partition_cache="off"``)."""
-
-    cache_misses: int = 0
-    """Cache lookups that missed and fell through to computation."""
-
     @classmethod
     def from_metrics(cls, metrics: "MetricsRegistry", measure: str = "g3") -> "SearchStatistics":
         """Derive the statistics view from a run's metrics registry.
@@ -111,8 +104,6 @@ class SearchStatistics:
             store_spills=int(metrics.gauge_value("store.spill_count")),
             store_loads=int(metrics.gauge_value("store.load_count")),
             peak_resident_bytes=int(metrics.gauge_value("store.peak_resident_bytes")),
-            cache_hits=int(metrics.counter_value("cache.partition_hits")),
-            cache_misses=int(metrics.counter_value("cache.partition_misses")),
         )
 
     @property

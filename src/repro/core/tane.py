@@ -52,14 +52,13 @@ from repro.core.checkpoint import CheckpointManager
 from repro.core.checkpoint_hooks import CheckpointHooks
 from repro.core.results import DiscoveryResult, SearchStatistics
 from repro.exceptions import ConfigurationError
-from repro.fingerprint import partition_cache_key, search_fingerprint
+from repro.fingerprint import search_fingerprint
 from repro.model.relation import Relation
 from repro.obs import trace as obs
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import SamplingProfiler
 from repro.obs.search_hooks import TracingHooks
 from repro.obs.trace import Tracer
-from repro.partition.cache import PartitionCache, shared_cache
 from repro.partition.pure import PurePartition
 from repro.partition.store import PartitionStore, make_store
 from repro.partition.vectorized import CsrPartition, PartitionWorkspace
@@ -85,7 +84,6 @@ _TOPK_RANK_MODES = TOPK_RANK_MODES
 # the verify layer consults it to skip dfd comparisons on these.
 NON_MONOTONE_MEASURES = ("mu_plus", "rfi")
 _NON_MONOTONE_MEASURES = NON_MONOTONE_MEASURES
-_PARTITION_CACHES = ("off", "shared")
 
 # Sentinel distinguishing "argument not supplied" from an explicit
 # value in the convenience wrappers, so they never clobber fields the
@@ -196,24 +194,6 @@ class TaneConfig:
     runs a fresh :class:`~repro.search.execution.SerialExecution`;
     an instance (the from-singletons ablation injects a subclass) is
     used as given, and the caller owns its lifecycle."""
-
-    partition_cache: str | PartitionCache = "off"
-    """Cross-run partition cache: ``"off"`` (the default — every run
-    computes its own partitions, keeping the deterministic product
-    counters at their historical values), ``"shared"`` (the
-    process-wide :func:`repro.partition.cache.shared_cache`), or a
-    caller-owned :class:`~repro.partition.cache.PartitionCache`
-    instance.  Entries are keyed by relation content fingerprint and
-    partition engine, so repeated discovery over the same relation
-    (verification matrices, resumed runs, services) reuses singleton
-    and low-level partitions; cache hits skip the product *and* its
-    ``partition_products`` count — they surface in the
-    ``cache_hits`` statistic instead."""
-
-    partition_cache_levels: int = 2
-    """Largest attribute-set size cached (>= 1).  Level-1 and level-2
-    partitions dominate recomputation cost and are few; deeper levels
-    are many, large, and rarely revisited."""
 
     tracer: Tracer | None = None
     """Optional :class:`~repro.obs.trace.Tracer` observing the run —
@@ -341,20 +321,6 @@ class TaneConfig:
                 f"unknown executor {self.executor!r}; pass None (the default "
                 "in-process executor) or a SerialExecution instance"
             )
-        if (
-            isinstance(self.partition_cache, str)
-            and self.partition_cache not in _PARTITION_CACHES
-        ):
-            raise ConfigurationError(
-                f"unknown partition_cache {self.partition_cache!r}; "
-                f"valid choices: {_choices(_PARTITION_CACHES)} "
-                "(or pass a PartitionCache instance)"
-            )
-        if self.partition_cache_levels < 1:
-            raise ConfigurationError(
-                f"partition_cache_levels must be >= 1, "
-                f"got {self.partition_cache_levels}"
-            )
         if self.profile_interval <= 0:
             raise ConfigurationError(
                 f"profile_interval must be > 0, got {self.profile_interval}"
@@ -473,21 +439,6 @@ class _TaneRun:
             self._owns_store = False
         self.executor = config.executor or SerialExecution()
         partition_cls = CsrPartition if config.engine == "vectorized" else PurePartition
-        if isinstance(config.partition_cache, PartitionCache):
-            self.partition_cache: PartitionCache | None = config.partition_cache
-        elif config.partition_cache == "shared":
-            self.partition_cache = shared_cache()
-        else:
-            self.partition_cache = None
-        # Engine in the key: CSR and pure partitions are distinct types
-        # and must never satisfy each other's lookups.  The key shape
-        # is owned by repro.fingerprint so cache invalidation (the
-        # service's dataset re-registration) computes the same string.
-        self.cache_fingerprint = (
-            partition_cache_key(relation, partition_cls)
-            if self.partition_cache is not None
-            else ""
-        )
         workspace = PartitionWorkspace(self.num_rows)
         # Marginal rhs statistics (pdep(A), H(A), value histogram) are
         # column properties: computed once here and carried inside the
@@ -548,11 +499,6 @@ class _TaneRun:
             workspace,
             self.executor,
             products_counter=self.metrics.counter("tane.partition_products"),
-            cache=self.partition_cache,
-            cache_fingerprint=self.cache_fingerprint,
-            cache_levels=config.partition_cache_levels,
-            cache_hits_counter=self.metrics.counter("cache.partition_hits"),
-            cache_misses_counter=self.metrics.counter("cache.partition_misses"),
         )
         hooks: list = [TracingHooks()] if self._span_tracer is not None else []
         if self.checkpoint is not None:
@@ -586,9 +532,9 @@ class _TaneRun:
         start = time.perf_counter()
         # Gauges describe *current* state: a registry reused across
         # runs (long-lived tracer, service process) must not report the
-        # previous run's residency or cache totals.  Counters keep
-        # accumulating by design.
-        self.metrics.reset_gauges(("store.", "cache."))
+        # previous run's residency.  Counters keep accumulating by
+        # design.
+        self.metrics.reset_gauges(("store.",))
         profile = None
         try:
             if self._span_tracer is None:
@@ -630,8 +576,7 @@ class _TaneRun:
 
         The span's open record is the run's start; its close record is
         the run's end, with ``ok`` (false when the run raised), the
-        result sizes, the cross-run cache totals and, when profiling,
-        the profiler's report.
+        result sizes and, when profiling, the profiler's report.
         """
         with obs.span(
             "discover",
@@ -652,13 +597,6 @@ class _TaneRun:
             root.set("ok", True)
             root.set("dependencies", len(self.tracker.dependencies))
             root.set("keys", len(self.tracker.keys))
-            root.set(
-                "cache_hits", int(self.metrics.counter_value("cache.partition_hits"))
-            )
-            root.set(
-                "cache_misses",
-                int(self.metrics.counter_value("cache.partition_misses")),
-            )
             profile = None
             if self.profiler is not None:
                 profile = self.profiler.report()

@@ -1,10 +1,8 @@
 """Shared fingerprint helpers: one identity vocabulary for every cache.
 
-Three subsystems key long-lived state by "which relation (and which
+Two subsystems key long-lived state by "which relation (and which
 configuration) is this?":
 
-* the cross-run partition cache (:mod:`repro.partition.cache`) keys
-  entries by relation content plus partition engine;
 * the checkpoint subsystem (:mod:`repro.core.checkpoint`) binds a
   checkpoint to the relation and every search-shaping configuration
   field;
@@ -12,11 +10,8 @@ configuration) is this?":
   datasets and keys its result cache by ``(dataset fingerprint,
   canonical configuration)``.
 
-Each of these used to assemble its identity string inline in
-:mod:`repro.core.tane`; this module is the single home, so the three
-cannot drift apart (a service that invalidates partition-cache entries
-for a replaced dataset must compute *exactly* the key the partition
-manager used to store them).
+Both used to assemble their identity strings inline in
+:mod:`repro.core.tane`; this module is their single home.
 
 The content hash itself lives on
 :meth:`repro.model.relation.Relation.fingerprint` (it caches the
@@ -34,42 +29,11 @@ if TYPE_CHECKING:
     from repro.model.relation import Relation
 
 __all__ = [
-    "PARTITION_ENGINES",
-    "partition_cache_key",
-    "partition_cache_keys",
     "dataset_fingerprint",
     "search_fingerprint",
     "canonical_config_key",
     "CONFIG_KEY_FIELDS",
 ]
-
-
-PARTITION_ENGINES = ("CsrPartition", "PurePartition")
-"""Every partition implementation class name that may appear in a
-partition-cache key.  Invalidation sweeps (a dataset re-registered
-with different bytes) must cover all of them — entries written by one
-engine are invisible to lookups naming another."""
-
-
-def partition_cache_key(relation: "Relation", engine: str | type) -> str:
-    """The partition-cache fingerprint for ``relation`` under ``engine``.
-
-    The engine class is part of the key because CSR and pure
-    partitions are distinct types and must never satisfy each other's
-    lookups.  ``engine`` may be the class itself or its name.
-    """
-    name = engine if isinstance(engine, str) else engine.__name__
-    return f"{relation.fingerprint()}:{name}"
-
-
-def partition_cache_keys(relation: "Relation") -> list[str]:
-    """Every partition-cache key ``relation`` can be stored under.
-
-    The invalidation counterpart of :func:`partition_cache_key`: a
-    service dropping a replaced dataset's entries does not know which
-    engines past requests used, so it sweeps all of them.
-    """
-    return [partition_cache_key(relation, engine) for engine in PARTITION_ENGINES]
 
 
 def dataset_fingerprint(relation: "Relation") -> str:
@@ -129,10 +93,10 @@ CONFIG_KEY_FIELDS = (
 )
 """The configuration fields that shape *what a discovery returns*.
 
-Execution knobs (executor, stores, caches, observability
-attachments) are deliberately excluded: two requests differing only
-there produce identical dependencies, keys, and errors, so a result
-cache must serve them the same entry.
+Execution knobs (executor, stores, observability attachments) are
+deliberately excluded: two requests differing only there produce
+identical dependencies, keys, and errors, so a result cache must serve
+them the same entry.
 
 ``topk_rank`` and ``dfd_seed`` *are* included: the rank mode changes
 *which* k dependencies a top-k run returns, and the dfd seed shapes

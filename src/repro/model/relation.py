@@ -270,8 +270,8 @@ class Relation:
         and each column's codes in schema order; attribute names and
         decoded values are deliberately excluded (relations differing
         only there have identical partitions).  Computed once and
-        cached; used to key the cross-run partition cache
-        (:mod:`repro.partition.cache`).
+        cached; :func:`repro.fingerprint.dataset_fingerprint` folds
+        it into a registered dataset's identity.
         """
         if self._fingerprint is None:
             import hashlib

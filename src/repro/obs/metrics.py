@@ -161,9 +161,9 @@ class MetricsRegistry:
     def reset_gauges(self, prefixes: tuple[str, ...] = ()) -> None:
         """Reset every gauge (or those under ``prefixes``) to zero.
 
-        Called at discovery start for the per-run gauges (``store.*``,
-        ``cache.*``): counters accumulate across runs by design, but a
-        stale gauge misreports the *current* run's state.
+        Called at discovery start for the per-run gauges (``store.*``):
+        counters accumulate across runs by design, but a stale gauge
+        misreports the *current* run's state.
         """
         for name, gauge in self._gauges.items():
             if not prefixes or name.startswith(prefixes):

@@ -58,10 +58,6 @@ class TraceReport:
     levels: list[LevelRow]
     total_seconds: float
     span_count: int
-    cache_hits: int = 0
-    """Cross-run partition-cache hits (``discover`` span attribute)."""
-    cache_misses: int = 0
-    """Cross-run partition-cache misses (``discover`` span attribute)."""
     batches: int = 0
     """``node_batch`` spans (dfd runs only)."""
     batch_tests: int = 0
@@ -111,7 +107,7 @@ class TraceReport:
             f"{totals.spills:>7} {totals.spill_bytes / mb:>9.2f} "
             f"{totals.loads:>6} {totals.load_bytes / mb:>8.2f}"
         )
-        lines.extend(self._footer())
+        lines.append(self._footer())
         return "\n".join(lines)
 
     def _format_batches(self) -> str:
@@ -129,19 +125,11 @@ class TraceReport:
             f"{totals.spills:>7} {totals.spill_bytes / mb:>9.2f} "
             f"{totals.loads:>6} {totals.load_bytes / mb:>8.2f}"
         )
-        lines.extend(self._footer())
+        lines.append(self._footer())
         return "\n".join(lines)
 
-    def _footer(self) -> list[str]:
-        lines = [f"trace: {self.span_count} spans, run {self.total_seconds:.4f}s"]
-        if self.cache_hits or self.cache_misses:
-            lookups = self.cache_hits + self.cache_misses
-            rate = 100.0 * self.cache_hits / lookups if lookups else 0.0
-            lines.append(
-                f"partition cache: {self.cache_hits} hits / "
-                f"{self.cache_misses} misses ({rate:.1f}% hit rate)"
-            )
-        return lines
+    def _footer(self) -> str:
+        return f"trace: {self.span_count} spans, run {self.total_seconds:.4f}s"
 
 
 def _totals(levels: list[LevelRow]) -> LevelRow:
@@ -193,16 +181,12 @@ def build_report(spans: list[Span]) -> TraceReport:
         return row
 
     total_seconds = 0.0
-    cache_hits = 0
-    cache_misses = 0
     batches = batch_tests = batch_dependencies = 0
     batch_seconds = 0.0
     for span in spans:
         attrs = span.attributes
         if span.name == "discover":
             total_seconds = max(total_seconds, span.duration)
-            cache_hits += int(attrs.get("cache_hits", 0))
-            cache_misses += int(attrs.get("cache_misses", 0))
             batch_dependencies = max(
                 batch_dependencies, int(attrs.get("dependencies", 0))
             )
@@ -249,8 +233,6 @@ def build_report(spans: list[Span]) -> TraceReport:
         levels=[rows[key] for key in sorted(rows)],
         total_seconds=total_seconds,
         span_count=len(spans),
-        cache_hits=cache_hits,
-        cache_misses=cache_misses,
         batches=batches,
         batch_tests=batch_tests,
         batch_dependencies=batch_dependencies,

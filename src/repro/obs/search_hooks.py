@@ -10,9 +10,8 @@ stream.
 At each boundary of a levelwise run it also measures the next level's row-work
 (``Σ‖π̂‖``, the summed stripped sizes of partitions that were just
 materialized — one sum over the level's block, or a ``stripped_size``
-read per partition, not a recomputation) and
-reads the partition-cache totals; both go on that level's open record,
-where the ``--progress`` line's ETA model reads them.  The composition
+read per partition, not a recomputation); it goes on that level's open
+record, where the ``--progress`` line's ETA model reads it.  The composition
 root attaches this hook only to traced runs, and it does nothing while
 no tracer is active, so an untraced run computes nothing for it.
 
@@ -50,16 +49,9 @@ class TracingHooks(SearchHooks):
         level = boundary.snapshot["level"]
         if not level:
             return
-        metrics = driver.metrics
-        attributes = {
-            "cache_hits": int(metrics.counter("cache.partition_hits").value),
-            "cache_misses": int(metrics.counter("cache.partition_misses").value),
-        }
         # Resident partitions only: measuring must not load spilled
         # partitions or touch the disk store's recency order.  An exact
         # run's last level is computed rank-only; a spilled or
         # rank-only level goes without a measurement.
         work = driver.partitions.stripped_rows(level)
-        if work is not None:
-            attributes["work_rows"] = work
-        self._next_level = attributes
+        self._next_level = {} if work is None else {"work_rows": work}

@@ -11,7 +11,6 @@ Two interchangeable engines are provided:
 """
 
 from repro.partition.base import PartitionBase
-from repro.partition.cache import PartitionCache, reset_shared_cache, shared_cache
 from repro.partition.errors import g1_error, g2_error, g3_error, g3_bounds_counts
 from repro.partition.pure import PurePartition
 from repro.partition.store import (
@@ -28,9 +27,6 @@ __all__ = [
     "CsrPartition",
     "PartitionWorkspace",
     "batched_products",
-    "PartitionCache",
-    "shared_cache",
-    "reset_shared_cache",
     "PartitionStore",
     "MemoryPartitionStore",
     "DiskPartitionStore",

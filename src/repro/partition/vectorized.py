@@ -99,10 +99,7 @@ factor by ``(task, left class, code)`` and groups all of them with
 one stable sort.  Codes order as the column's classes do and the left
 factor's rows ascend, so the classes come out in the canonical layout,
 byte-identical to the probe path, and a code that occurs once gives a
-singleton group that is stripped.  Holders
-that outlive a run (the cross-run partition cache) keep a column-free
-twin (:meth:`CsrPartition.without_column`), so they never pin a
-relation's codes outside their byte accounting.
+singleton group that is stripped.
 
 Kernel threads
 --------------
@@ -311,25 +308,9 @@ class CsrPartition(PartitionBase):
         partition._column, partition._column_width = codes, counts.size
         return partition
 
-    def with_column(self, codes: Sequence[int] | np.ndarray) -> "CsrPartition":
-        """A new partition over the same buffers that carries ``codes``.
-
-        ``codes`` must be the column this partition groups (as for
-        :meth:`from_column`); a partition cache serves its entries
-        through such a wrapper, so that the cached object itself never
-        holds a run's codes.
-        """
-        codes = _dense_code_space(np.asarray(codes, dtype=np.int64))
-        partition = CsrPartition._built(
-            self._indices, self._offsets, self._num_rows, self._ascending
-        )
-        if codes.size:
-            partition._column, partition._column_width = codes, int(codes.max()) + 1
-        return partition
-
     def without_column(self) -> "CsrPartition":
         """``self`` when it carries no column, else a column-free twin
-        over the same buffers (for holders that outlive the relation)."""
+        over the same buffers, whose products take the probe path."""
         if self._column is None:
             return self
         return CsrPartition._built(self._indices, self._offsets, self._num_rows, self._ascending)

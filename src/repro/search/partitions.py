@@ -5,7 +5,7 @@ search loop and stripped partitions: bootstrapping π_∅ and the
 singleton partitions, scheduling the partition products of
 GENERATE-NEXT-LEVEL through the execution backend, on-demand
 materialization of arbitrary attribute-set masks for the DFD walk
-(product chains planned from the best cached/resident ancestor),
+(product chains planned from the best resident ancestor),
 reclaiming partitions once they can no longer be referenced (in a
 levelwise walk the previous level, once the current one is pruned and
 before the next is generated; the walk's declared liveness in DFD),
@@ -45,7 +45,6 @@ from repro.exceptions import PartitionMissingError
 from repro.model.relation import Relation
 from repro.partition.store import DiskPartitionStore, PartitionStore
 from repro.partition.vectorized import (
-    LABEL_DTYPE,
     CsrPartition,
     LevelBlock,
     PartitionWorkspace,
@@ -86,20 +85,6 @@ class PartitionManager:
     products_counter:
         Counter instrument bumped once per computed product; defaults
         to a private throwaway counter.
-    cache:
-        Optional cross-run partition cache (duck-typed
-        ``get(fingerprint, mask)`` / ``put(fingerprint, mask, π)``,
-        see :class:`repro.partition.cache.PartitionCache`).  Consulted
-        for singletons and for product levels up to ``cache_levels``
-        attributes; hits skip the product (and its counter) entirely.
-    cache_fingerprint:
-        Cache key prefix identifying the relation *and* the partition
-        engine — entries from one engine must never satisfy another.
-    cache_levels:
-        Largest attribute-set size stored in / served from the cache.
-    cache_hits_counter / cache_misses_counter:
-        Counter instruments for cache telemetry (private throwaway
-        counters by default).
     """
 
     def __init__(
@@ -111,11 +96,6 @@ class PartitionManager:
         executor,
         *,
         products_counter: Counter | None = None,
-        cache=None,
-        cache_fingerprint: str = "",
-        cache_levels: int = 2,
-        cache_hits_counter: Counter | None = None,
-        cache_misses_counter: Counter | None = None,
     ) -> None:
         self.relation = relation
         self.num_rows = relation.num_rows
@@ -125,13 +105,6 @@ class PartitionManager:
         self.workspace = workspace
         self.executor = executor
         self._c_products = products_counter if products_counter is not None else Counter()
-        self._cache = cache
-        self._cache_fingerprint = cache_fingerprint
-        self._cache_levels = cache_levels
-        self._c_cache_hits = cache_hits_counter if cache_hits_counter is not None else Counter()
-        self._c_cache_misses = (
-            cache_misses_counter if cache_misses_counter is not None else Counter()
-        )
         self._singletons: list = []
         # Masks (popcount > 1) materialize_masks built on demand; the
         # reclamation unit of DFD walks (see reclaim_except),
@@ -167,20 +140,10 @@ class PartitionManager:
         )
         if include_empty:
             self.store.put(0, self.partition_cls.single_class(self.num_rows))
-        self._singletons = []
-        for i in range(self.num_attributes):
-            mask = _bitset.bit(i)
-            codes = self.relation.column_codes(i)
-            partition = self._cache_get(mask)
-            if partition is None:
-                partition = self.partition_cls.from_column(codes, self.num_rows)
-                self._cache_put(mask, partition)
-            elif isinstance(partition, CsrPartition):
-                # The cached entry is shared and column-free; this run's
-                # singleton carries this run's codes (column-keyed
-                # products) in a fresh wrapper.
-                partition = partition.with_column(codes)
-            self._singletons.append(partition)
+        self._singletons = [
+            self.partition_cls.from_column(self.relation.column_codes(i), self.num_rows)
+            for i in range(self.num_attributes)
+        ]
         level = [_bitset.bit(i) for i in range(self.num_attributes)]
         if self.level_blocks:
             self._put_block(1, LevelBlock.from_partitions(level, self._singletons, self.num_rows))
@@ -188,26 +151,6 @@ class PartitionManager:
             for mask, partition in zip(level, self._singletons):
                 self.store.put(mask, partition)
         return level
-
-    def _cache_get(self, mask: int):
-        """Cache lookup (``None`` when disabled, out of level, or missed)."""
-        if self._cache is None or _bitset.popcount(mask) > self._cache_levels:
-            return None
-        partition = self._cache.get(self._cache_fingerprint, mask)
-        if partition is None:
-            self._c_cache_misses.inc()
-        else:
-            self._c_cache_hits.inc()
-        return partition
-
-    def _cache_put(self, mask: int, partition) -> None:
-        if self._cache is None or _bitset.popcount(mask) > self._cache_levels:
-            return
-        if isinstance(partition, CsrPartition):
-            # The cache outlives the run: it must not pin the relation's
-            # code arrays outside its byte accounting.
-            partition = partition.without_column()
-        self._cache.put(self._cache_fingerprint, mask, partition)
 
     def _block(self, mask: int) -> LevelBlock | None:
         """The block of ``mask``'s level, when the block form holds it."""
@@ -296,9 +239,8 @@ class PartitionManager:
         ``ranks_only`` says the caller needs nothing but those ranks:
         the partitions will never be product factors or measured.  The
         products are then only counted and nothing is stored but the
-        ranks, unless the partition cache keeps sets of this size or
-        the engine is not the CSR one.  Such products still count in
-        ``tane.partition_products``.
+        ranks, unless the engine is not the CSR one.  Such products
+        still count in ``tane.partition_products``.
 
         In the block form the whole level is one
         :meth:`~repro.search.execution.SerialExecution.level_products`
@@ -320,25 +262,10 @@ class PartitionManager:
             and errors is not None
             and triples
             and self.partition_cls is CsrPartition
-            and not self._cache_keeps(triples[0][0])
         ):
             return self._rank_only(triples, errors)
         next_level: list[int] = []
-        pending = triples
-        hit_any = False
-        ranks: dict[int, int] = {}
-        if any(self._cache_keeps(candidate) for candidate, _x, _y in triples):
-            pending = []
-            for triple in triples:
-                partition = self._cache_get(triple[0])
-                if partition is None:
-                    pending.append(triple)
-                else:
-                    hit_any = True
-                    self.store.put(triple[0], partition)
-                    ranks[triple[0]] = partition.error_count
-
-        products = self.executor.products(pending, self.store.get, self.workspace)
+        products = self.executor.products(triples, self.store.get, self.workspace)
 
         def stream():
             # The store consumes the executor's result stream directly:
@@ -347,18 +274,13 @@ class PartitionManager:
             for candidate, product in products:
                 faults.check("tane.products.consume")
                 self._c_products.inc()
-                self._cache_put(candidate, product)
                 next_level.append(candidate)
-                ranks[candidate] = product.error_count
+                if errors is not None:
+                    errors.append(product.error_count)
                 yield candidate, product
 
         try:
-            put_many = getattr(self.store, "put_many", None)
-            if put_many is not None:
-                put_many(stream())
-            else:  # minimal PartitionStore implementations
-                for candidate, product in stream():
-                    self.store.put(candidate, product)
+            self.store.put_many(stream())
         finally:
             # Deterministic cleanup: if the store raised between yields
             # the executor's generator would otherwise only finalize at
@@ -366,11 +288,6 @@ class PartitionManager:
             close = getattr(products, "close", None)
             if close is not None:
                 close()
-        if hit_any:
-            # Cache hits were stored up front; preserve candidate order.
-            next_level = [candidate for candidate, _x, _y in triples]
-        if errors is not None:
-            errors.extend(ranks[candidate] for candidate in next_level)
         return next_level
 
     def _level_products(self, triples: LevelCandidates, ranks_only: bool) -> LevelBlock:
@@ -380,50 +297,11 @@ class PartitionManager:
             return LevelBlock(candidates, None, None, np.zeros(0, dtype=np.int64), self.num_rows)
         size = _bitset.popcount(int(candidates[0]))
         factors = self.store.get(-(size - 1))
-        if self._cache_keeps(int(candidates[0])):
-            block = self._cached_level_products(factors, triples)
-        else:
-            block = self.executor.level_products(factors, *triples, ranks_only=ranks_only)
-            self._c_products.inc(int(candidates.size))
+        block = self.executor.level_products(factors, *triples, ranks_only=ranks_only)
+        self._c_products.inc(int(candidates.size))
         faults.check("tane.products.consume")
         self._put_block(size, block)
         return block
-
-    def _cached_level_products(self, factors: LevelBlock, triples: LevelCandidates) -> LevelBlock:
-        """A cached level's block: cache hits turned into label rows,
-        the rest computed (and counted, and cached) as usual."""
-        candidates = triples.candidates
-        hits: dict[int, CsrPartition] = {}
-        for position, candidate in enumerate(candidates.tolist()):
-            partition = self._cache_get(candidate)
-            if partition is not None:
-                hits[position] = partition
-        missing = np.array(
-            [position for position in range(candidates.size) if position not in hits],
-            dtype=np.intp,
-        )
-        computed = self.executor.level_products(
-            factors, *(array[missing] for array in triples)
-        )
-        self._c_products.inc(int(missing.size))
-        for candidate, partition in zip(computed.masks.tolist(), computed.partitions()):
-            self._cache_put(candidate, partition)
-        if not hits:
-            return computed
-        found = np.fromiter(hits, dtype=np.intp, count=len(hits))
-        cached = LevelBlock.from_partitions(candidates[found], list(hits.values()), self.num_rows)
-        labels = np.empty((candidates.size, self.num_rows), dtype=LABEL_DTYPE)
-        classes = np.empty(candidates.size, dtype=np.int64)
-        errors = np.empty(candidates.size, dtype=np.int64)
-        for part, rows in ((computed, missing), (cached, found)):
-            labels[rows] = part.labels
-            classes[rows] = part.classes
-            errors[rows] = part.errors
-        return LevelBlock(candidates, labels, classes, errors, self.num_rows)
-
-    def _cache_keeps(self, mask: int) -> bool:
-        """Whether the partition cache holds sets of ``mask``'s size."""
-        return self._cache is not None and _bitset.popcount(mask) <= self._cache_levels
 
     def _rank_only(
         self, triples: list[tuple[int, int, int]], errors: list[int]
@@ -459,15 +337,13 @@ class PartitionManager:
         the resident subset with the most attributes and multiply the
         missing singletons in ascending index order (Lemma 3 applies to
         any factor pair whose union is the target).  Step *k* of every
-        chain runs as one :meth:`materialize` call through the executor
-        (which serves chain steps from the cross-run cache where it
-        can), an intermediate shared by several chains computed once.
-        Every intermediate is stored and registered too: the
-        walks move between neighboring nodes, so an intermediate is the
-        likely best ancestor of the next few requests.  Products are
-        counted normally — DFD counters stay deterministic
-        because the walk, the resident set, and the reclamation cadence
-        all are.
+        chain runs as one :meth:`materialize` call through the executor,
+        an intermediate shared by several chains computed once.  Every
+        intermediate is stored and registered too: the walks move
+        between neighboring nodes, so an intermediate is the likely best
+        ancestor of the next few requests.  Products are counted
+        normally — DFD counters stay deterministic because the walk,
+        the resident set, and the reclamation cadence all are.
         """
         chains: list[list[tuple[int, int, int]]] = []
         for mask in masks:

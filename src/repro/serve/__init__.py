@@ -1,8 +1,8 @@
 """repro.serve — the dependency-discovery service.
 
 A stdlib-only HTTP service around the library: register datasets,
-submit discovery jobs, stream their progress, and share results and
-partitions across requests.
+submit discovery jobs, stream their progress, and share results
+across requests.
 
 Layers (each usable without the one above):
 
@@ -13,7 +13,7 @@ Layers (each usable without the one above):
 * :mod:`repro.serve.jobs` — discovery jobs with run-scoped metrics
   registries and tracers on a bounded worker pool;
 * :mod:`repro.serve.service` — :class:`DiscoveryService`, the
-  transport-free core wiring registry + caches + jobs;
+  transport-free core wiring registry + result cache + jobs;
 * :mod:`repro.serve.http` — :class:`ServiceServer`, the HTTP routes
   on the hardened restartable server lifecycle;
 * :mod:`repro.serve.client` — :class:`ServiceClient`, the thin

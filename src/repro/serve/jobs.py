@@ -4,7 +4,7 @@ Every submitted discovery becomes a :class:`Job` carrying its *own*
 :class:`~repro.obs.metrics.MetricsRegistry` and
 :class:`~repro.obs.trace.Tracer`.  Run-scoped registries are
 the service-side fix for overlapping runs: the TANE driver resets the
-``store.*`` / ``cache.*`` gauges at run start, so two jobs sharing one
+``store.*`` gauges at run start, so two jobs sharing one
 registry would zero and overwrite each other's gauges mid-flight.
 Each job accumulates privately; the service's ``/metrics`` endpoint
 aggregates the per-job snapshots with

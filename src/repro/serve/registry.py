@@ -10,8 +10,7 @@ on.
 Re-registering a name with *identical* content is idempotent — same
 fingerprint, same record, nothing to invalidate.  Re-registering with
 *different* content replaces the record and returns the displaced one,
-so the service can sweep the partition cache and result cache for the
-stale fingerprint (see
+so the service can sweep the result cache for the stale fingerprint (see
 :meth:`repro.serve.service.DiscoveryService.register_dataset`).
 """
 

@@ -3,9 +3,6 @@
 :class:`DiscoveryService` wires the pieces the HTTP layer exposes:
 
 * a :class:`~repro.serve.registry.DatasetRegistry` of named relations;
-* a service-owned :class:`~repro.partition.cache.PartitionCache` every
-  job's config is rewired to, so repeated discovery over a registered
-  dataset reuses its singleton/low-level partitions across jobs;
 * a :class:`~repro.serve.cache.ResultCache` of finished result
   payloads keyed ``(dataset fingerprint, canonical config)`` with
   single-flight dedup — N concurrent identical requests run one
@@ -14,10 +11,9 @@
   private metrics registry and tracer (overlapping runs cannot
   clobber each other's gauges or span streams).
 
-Dataset re-registration with different content invalidates both caches
-for the displaced fingerprint: the partition sweep covers every engine
-via :func:`repro.fingerprint.partition_cache_keys`, computing exactly
-the keys the partition manager stored under.
+Dataset re-registration with different content invalidates the
+result cache's entries for the displaced fingerprint.  Every job
+computes its own partitions.
 
 The class is deliberately usable without HTTP — tests drive it
 directly, and the HTTP layer (:mod:`repro.serve.http`) stays a thin
@@ -34,21 +30,14 @@ from repro.core.results import DiscoveryResult
 from repro.core.tane import TaneConfig, discover
 from repro.datasets.csvio import read_csv_text
 from repro.exceptions import ConfigurationError, ReproError, ServiceError
-from repro.fingerprint import (
-    CONFIG_KEY_FIELDS,
-    canonical_config_key,
-    partition_cache_keys,
-)
+from repro.fingerprint import CONFIG_KEY_FIELDS, canonical_config_key
 from repro.model.relation import Relation
 from repro.obs.metrics import aggregate_snapshots
-from repro.partition.cache import PartitionCache
 from repro.serve.cache import ResultCache
 from repro.serve.jobs import Job, JobManager
 from repro.serve.registry import DatasetRecord, DatasetRegistry
 
 __all__ = ["DiscoveryService", "config_from_payload", "result_payload"]
-
-_DEFAULT_PARTITION_CACHE_BYTES = 64 * 1024 * 1024
 
 _REQUEST_CONFIG_FIELDS = frozenset(CONFIG_KEY_FIELDS)
 """Request-settable configuration fields — exactly the result-shaping
@@ -107,26 +96,22 @@ def result_payload(result: DiscoveryResult, record: DatasetRecord) -> dict[str, 
             "partition_products": result.statistics.partition_products,
             "level_sizes": list(result.statistics.level_sizes),
             "keys_found": result.statistics.keys_found,
-            "cache_hits": result.statistics.cache_hits,
-            "cache_misses": result.statistics.cache_misses,
         },
     }
 
 
 class DiscoveryService:
-    """Registry + caches + jobs behind one thread-safe facade."""
+    """Registry + result cache + jobs behind one thread-safe facade."""
 
     def __init__(
         self,
         *,
         workers: int = 4,
         result_cache_entries: int = 128,
-        partition_cache_bytes: int = _DEFAULT_PARTITION_CACHE_BYTES,
         max_jobs: int = 1024,
     ) -> None:
         self.registry = DatasetRegistry()
         self.results = ResultCache(max_entries=result_cache_entries)
-        self.partition_cache = PartitionCache(max_bytes=partition_cache_bytes)
         self.jobs = JobManager(workers=workers, max_jobs=max_jobs)
         # Service-level counters live in their own registry, guarded by
         # a lock because handler threads increment concurrently
@@ -154,9 +139,8 @@ class DiscoveryService:
 
         Accepts either inline CSV content or an already-built relation.
         When the name previously held different content, the displaced
-        fingerprint's partition-cache entries (every engine) and
-        result-cache entries are dropped before the new record becomes
-        visible to discovery submissions.
+        fingerprint's result-cache entries are dropped before the new
+        record becomes visible to discovery submissions.
         """
         if (csv_text is None) == (relation is None):
             raise ServiceError(
@@ -168,20 +152,14 @@ class DiscoveryService:
             except ReproError as error:
                 raise ServiceError(str(error), status=400) from error
         record, replaced = self.registry.register(name, relation)
-        partitions_dropped = 0
         results_dropped = 0
         if replaced is not None:
-            for key in partition_cache_keys(replaced.relation):
-                partitions_dropped += self.partition_cache.invalidate(key)
             results_dropped = self.results.invalidate(replaced.fingerprint)
             self._count("service.datasets_replaced")
         self._count("service.datasets_registered")
         summary = record.describe()
         summary["replaced"] = replaced is not None
-        summary["invalidated"] = {
-            "partition_entries": partitions_dropped,
-            "result_entries": results_dropped,
-        }
+        summary["invalidated"] = {"result_entries": results_dropped}
         return summary
 
     # -- discovery ------------------------------------------------------
@@ -206,14 +184,8 @@ class DiscoveryService:
 
             def compute() -> dict[str, Any]:
                 self._count("service.discoveries_executed")
-                # The job owns its registry and tracer; the service
-                # owns the partition cache shared across jobs.
-                run_config = replace(
-                    config,
-                    metrics=job.metrics,
-                    tracer=job.tracer,
-                    partition_cache=self.partition_cache,
-                )
+                # The job owns its registry and tracer.
+                run_config = replace(config, metrics=job.metrics, tracer=job.tracer)
                 result = discover(record.relation, run_config)
                 return result_payload(result, record)
 
@@ -261,7 +233,6 @@ class DiscoveryService:
             "datasets": len(self.registry),
             "jobs": self.jobs.counts(),
             "result_cache": self.results.stats(),
-            "partition_cache": self.partition_cache.stats(),
             "counters": counters,
         }
 

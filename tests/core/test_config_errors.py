@@ -51,19 +51,6 @@ class TestKnobMessages:
         for choice in ("'error'", "'redundancy'"):
             assert choice in message
 
-    def test_partition_cache_enumerates_choices(self):
-        message = _config_error(partition_cache="global")
-        assert "unknown partition_cache 'global'" in message
-        for choice in ("'off'", "'shared'"):
-            assert choice in message
-        # The knob also accepts injected instances; the message says so.
-        assert "PartitionCache instance" in message
-
-    def test_partition_cache_levels_lower_bound(self):
-        message = _config_error(partition_cache_levels=0)
-        assert "partition_cache_levels" in message
-        assert ">= 1" in message
-
 
 class TestTopKCoupling:
     def test_topk_strategy_requires_k(self):

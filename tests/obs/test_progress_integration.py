@@ -1,5 +1,5 @@
 """End-to-end telemetry tests: the span stream of real runs, ETA
-accuracy, gauge lifecycle across runs, cache rendering, report order.
+accuracy, gauge lifecycle across runs, report order.
 
 These tests drive the real discovery pipeline (``discover`` with
 ``TaneConfig(tracer=..., profile=..., metrics=...)``) and pin the
@@ -10,7 +10,6 @@ acceptance criteria of the telemetry layer:
 * the ETA estimate is within 30% of the actual remaining time by the
   50%-complete mark on the wisconsin-replica workload;
 * gauges reset between back-to-back runs sharing one registry;
-* ``trace-report`` renders partition-cache totals;
 * the report does not depend on span arrival order.
 """
 
@@ -25,7 +24,6 @@ from repro.datasets.uci import make_wisconsin_like
 from repro.model.relation import Relation
 from repro.obs import InMemorySink, MetricsRegistry, ProgressLine, QueueSink, Tracer
 from repro.obs.report import build_report
-from repro.partition.cache import PartitionCache
 
 
 def small_relation(rows: int = 120, attributes: int = 4, seed: int = 7) -> Relation:
@@ -93,19 +91,6 @@ class TestEventStream:
         assert final["ok"] is True
         assert final["dependencies"] == len(result.dependencies)
         assert final["keys"] == len(result.keys)
-
-    def test_cache_events_surface_hits_on_second_run(self):
-        relation = small_relation()
-        cache = PartitionCache()
-        discover(relation, TaneConfig(partition_cache=cache))
-        _result, records = run_with_records(relation, partition_cache=cache)
-        totals = [
-            r["attrs"]["cache_hits"]
-            for r in opened(records, "level")
-            if "cache_hits" in r["attrs"]
-        ]
-        assert totals, "no cache totals despite a warm cache"
-        assert totals[-1] > 0
 
     def test_profile_attaches_report(self):
         result, records = run_with_records(
@@ -194,18 +179,6 @@ class TestGaugeLifecycle:
 
 
 class TestTraceReportTelemetry:
-    def test_cache_totals_rendered(self):
-        sink = InMemorySink()
-        tracer = Tracer(sinks=[sink])
-        with tracer.span("discover") as root:
-            root.set("cache_hits", 30)
-            root.set("cache_misses", 10)
-        report = build_report(sink.spans)
-        assert report.cache_hits == 30
-        assert report.cache_misses == 10
-        text = report.format()
-        assert "partition cache: 30 hits / 10 misses (75.0% hit rate)" in text
-
     def test_totals_absent_from_plain_report(self):
         sink = InMemorySink()
         tracer = Tracer(sinks=[sink])
@@ -213,17 +186,6 @@ class TestTraceReportTelemetry:
             pass
         text = build_report(sink.spans).format()
         assert "partition cache" not in text
-
-    def test_cache_counters_flow_from_real_cached_run(self):
-        relation = small_relation()
-        cache = PartitionCache()
-        discover(relation, TaneConfig(partition_cache=cache))
-        sink = InMemorySink()
-        tracer = Tracer(sinks=[sink])
-        discover(relation, TaneConfig(partition_cache=cache, tracer=tracer))
-        report = build_report(sink.spans)
-        assert report.cache_hits > 0
-        assert "partition cache" in report.format()
 
 
 class TestConcurrentEmitOrdering:

@@ -3,8 +3,8 @@
 ``batched_products`` computes a whole level's products with a handful
 of numpy passes; it must be *byte-identical* to calling
 :meth:`CsrPartition.product` per pair — same classes, same class
-order, same row order — because downstream consumers (shared-memory
-export, the partition cache, golden counters) all assume a canonical
+order, same row order — because downstream consumers (disk spills,
+level blocks, golden counters) all assume a canonical
 layout that does not depend on which code path produced a partition.
 
 The relations here are short enough for the dense kernel; tests of the

@@ -5,8 +5,7 @@ grouped, and a pooled-kernel call under ``_THREAD_MIN_ROWS`` right-factor
 rows multiplies by it by grouping the left factor's rows by value code.
 Its results must be the bytes of the probe path: same classes, class
 order and row order, and the same ``e(π)`` in counts mode.  Partitions
-that outlive a run or cross a process (``attach``, disk-store spills,
-the partition cache) must not pin a relation's codes.
+built from raw buffers (``attach``, disk-store spills) carry no codes.
 """
 
 import numpy as np
@@ -15,9 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.partition.vectorized as vectorized
-from repro.core.tane import TaneConfig, discover
 from repro.datasets.uci import make_wisconsin_like
-from repro.partition.cache import PartitionCache
 from repro.partition.store import DiskPartitionStore
 from repro.partition.vectorized import (
     CsrPartition,
@@ -213,43 +210,3 @@ class TestNoPinnedColumn:
             assert_identical(reloaded, partitions[0])
         finally:
             store.close()
-
-    def test_partition_cache_holds_column_free_twins(self):
-        relation = make_wisconsin_like(1)
-        cache = PartitionCache()
-        config = TaneConfig(strategy="dfd", measure="pdep", epsilon=0.05, partition_cache=cache)
-        first = discover(relation, config)
-        entries = [entry for entry, _nbytes in cache._entries.values()]
-        assert entries and all(entry._column is None for entry in entries)
-        second = discover(relation, config)
-        assert cache.hits
-        # Serving a hit wraps the entry; the shared object is untouched.
-        assert all(entry._column is None for entry, _nbytes in cache._entries.values())
-        assert sorted(map(str, second.dependencies)) == sorted(map(str, first.dependencies))
-
-    def test_cache_hit_serves_a_fresh_wrapper_with_this_runs_codes(self):
-        from repro.partition.store import MemoryPartitionStore
-        from repro.search.execution import SerialExecution
-        from repro.search.partitions import PartitionManager
-
-        relation = make_wisconsin_like(2)
-        cache = PartitionCache()
-
-        def bootstrapped():
-            manager = PartitionManager(
-                relation, CsrPartition, MemoryPartitionStore(),
-                PartitionWorkspace(relation.num_rows), SerialExecution(),
-                cache=cache, cache_fingerprint="f",
-            )
-            manager.bootstrap()
-            return manager
-
-        cold = bootstrapped()
-        warm = bootstrapped()
-        for index in range(relation.num_attributes):
-            cached = cache.get("f", 1 << index)
-            served = warm.get(1 << index)
-            assert served is not cached and cached._column is None
-            assert served._column is relation.column_codes(index)
-            assert served.indices is cached.indices
-            assert_identical(served, cold.get(1 << index))

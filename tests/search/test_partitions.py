@@ -9,7 +9,6 @@ from repro import _bitset
 from repro.bench.workloads import FromSingletonsExecutor
 from repro.core.tane import TaneConfig, discover
 from repro.model.relation import Relation
-from repro.partition.cache import PartitionCache
 from repro.partition.pure import PurePartition
 from repro.partition.store import DiskPartitionStore, MemoryPartitionStore
 from repro.partition.vectorized import CsrPartition, PartitionWorkspace
@@ -114,12 +113,6 @@ class TestRanksOnly:
         for mask in masks:
             with pytest.raises(KeyError):
                 store.get(mask)
-
-    def test_stored_when_the_cache_keeps_the_level(self, relation):
-        store = MemoryPartitionStore()
-        manager = _manager(relation, store, cache=PartitionCache(), cache_levels=2)
-        masks, errors = self._ranks(manager, ranks_only=True)
-        assert errors == [manager.error_count(mask) for mask in masks]
 
     def test_stored_by_the_pure_engine(self, relation):
         store = MemoryPartitionStore()

@@ -178,20 +178,18 @@ class TestSingleFlight:
 
 
 class TestReRegistrationInvalidation:
-    def test_changed_content_invalidates_partition_and_result_caches(self):
+    def test_changed_content_drops_result_entries(self):
         service = make_service()
         try:
             service.register_dataset("d", csv_text=CSV)
             first = service.discover_and_wait("d", {"epsilon": 0.0}, timeout=60)
-            assert service.partition_cache.stats()["entries"] > 0
             assert service.results.stats()["entries"] == 1
 
             summary = service.register_dataset("d", csv_text=CSV_CHANGED)
             assert summary["replaced"] is True
-            assert summary["invalidated"]["partition_entries"] > 0
-            assert summary["invalidated"]["result_entries"] == 1
-            assert service.partition_cache.stats()["entries"] == 0
+            assert summary["invalidated"] == {"result_entries": 1}
             assert service.results.stats()["entries"] == 0
+            assert "partition_cache" not in service.stats()
 
             # The next identical request must re-run on the new bytes,
             # not serve the stale cached result.
@@ -209,10 +207,7 @@ class TestReRegistrationInvalidation:
             service.discover_and_wait("d", {"epsilon": 0.0}, timeout=60)
             summary = service.register_dataset("d", csv_text=CSV)
             assert summary["replaced"] is False
-            assert summary["invalidated"] == {
-                "partition_entries": 0,
-                "result_entries": 0,
-            }
+            assert summary["invalidated"] == {"result_entries": 0}
             job = service.discover_and_wait("d", {"epsilon": 0.0}, timeout=60)
             assert job.cache_hit is True
         finally:

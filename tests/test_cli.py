@@ -52,6 +52,12 @@ class TestDiscover:
         assert main(["discover", str(sample_csv), "--epsilon", "7"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_partition_cache_flag_is_refused(self, sample_csv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["discover", str(sample_csv), "--partition-cache"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --partition-cache" in capsys.readouterr().err
+
 
 class TestProfile:
     def test_basic(self, sample_csv, capsys):
@@ -93,6 +99,12 @@ class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+
+    def test_serve_partition_cache_budget_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["serve", "--partition-cache-mb", "8"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --partition-cache-mb 8" in capsys.readouterr().err
 
     def test_bench_targets(self):
         parser = build_parser()

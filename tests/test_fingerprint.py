@@ -9,6 +9,7 @@ from repro.fingerprint import (
     canonical_config_key,
     search_fingerprint,
 )
+from repro.model.relation import Relation
 from repro.search.execution import SerialExecution
 from repro.search.measures import MEASURES
 from repro.search.strategy import make_strategy
@@ -83,3 +84,12 @@ class TestSearchFingerprint:
         )
         assert topk["strategy"] == "topk"
         assert (topk["k"], topk["rank"]) == (3, "redundancy")
+
+
+class TestRelationFingerprint:
+    def test_relation_fingerprint_changes_with_data(self):
+        left = Relation.from_columns({"A": [0, 0, 1], "B": [1, 2, 2]})
+        same = Relation.from_columns({"A": [0, 0, 1], "B": [1, 2, 2]})
+        changed = Relation.from_columns({"A": [0, 0, 1], "B": [1, 2, 3]})
+        assert left.fingerprint() == same.fingerprint()
+        assert left.fingerprint() != changed.fingerprint()
