@@ -126,10 +126,14 @@ measures-smoke:
 # must reproduce the levelwise cover and visit strictly fewer nodes on
 # the twin-column workload), the node engine's chain planning and
 # column-keyed chain products, the level blocks' parity with chained
-# products, and the from-singletons ablation helper.
+# products, the from-singletons ablation helper, and the wide-mask path:
+# level steps on int64 masks against the same masks past bit 63
+# (object arrays), and leading constant columns shifting the levelwise,
+# dfd and UCC covers across bit 63.
 strategy-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/search/test_dfd.py \
 	  tests/search/test_topk.py tests/search/test_strategy.py \
+	  tests/search/test_level_arrays.py \
 	  tests/search/test_chain_planning.py \
 	  tests/partition/test_column_products.py \
 	  tests/partition/test_level_blocks.py \

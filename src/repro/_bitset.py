@@ -8,13 +8,20 @@ limit: attribute ``i`` of the schema corresponds to bit ``1 << i``.
 These helpers are the only place in the code base that manipulates raw
 bit tricks; everything else goes through this module so the convention
 stays in one spot.  All functions are pure.
+
+Arrays of masks (a lattice level, FDEP's agree sets) hold machine words
+where the schema allows it: :func:`mask_dtype` is the one place that
+decides between ``int64`` and numpy ``object`` arrays of Python ints.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
+import numpy as np
+
 __all__ = [
+    "mask_dtype",
     "bit",
     "from_indices",
     "iter_bits",
@@ -26,6 +33,17 @@ __all__ = [
     "is_subset",
     "to_indices",
 ]
+
+
+def mask_dtype(width: int) -> np.dtype:
+    """The array dtype of masks over ``width`` attributes.
+
+    Up to 63 attributes a mask is a non-negative ``int64`` (bit 63 would
+    be the sign bit).  Wider schemas hold Python ints in ``object``
+    arrays, which support the same bitwise, shift, comparison, sort and
+    search operations, one Python call per element.
+    """
+    return np.dtype(np.int64) if width <= 63 else np.dtype(object)
 
 
 def bit(index: int) -> int:

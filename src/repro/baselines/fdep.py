@@ -14,8 +14,10 @@ publicly available FDEP program.  FDEP works in two phases:
    member of the negative cover until only valid (and minimal)
    dependencies remain.
 
-Pairwise agree-set computation is vectorized with numpy when the
-schema fits in 63 attributes, with a plain-Python fallback beyond.
+Pairwise agree-set computation is vectorized with numpy: each row's
+equality pattern against the later rows is weighted by the attribute
+bits, held in :func:`~repro._bitset.mask_dtype` of the schema
+(``int64`` up to 63 attributes, Python ints above).
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ from repro.model.relation import Relation
 
 __all__ = ["agree_sets", "negative_cover", "discover_fds_fdep"]
 
-_VECTOR_LIMIT = 63  # agree-set masks must fit in a signed int64 lane
-
 
 def agree_sets(relation: Relation) -> set[int]:
     """Agree sets (as bitmasks) over all pairs of *distinct* rows.
@@ -41,14 +41,9 @@ def agree_sets(relation: Relation) -> set[int]:
         return set()
     matrix = np.stack([relation.column_codes(i) for i in range(relation.num_attributes)], axis=1)
     matrix = np.unique(matrix, axis=0)
-    if relation.num_attributes <= _VECTOR_LIMIT:
-        return _agree_sets_vectorized(matrix)
-    return _agree_sets_python(matrix)
-
-
-def _agree_sets_vectorized(matrix: np.ndarray) -> set[int]:
     num_rows, num_attributes = matrix.shape
-    powers = (np.int64(1) << np.arange(num_attributes, dtype=np.int64))
+    dtype = _bitset.mask_dtype(num_attributes)
+    powers = np.left_shift(np.ones(1, dtype=dtype), np.arange(num_attributes).astype(dtype))
     result: set[int] = set()
     for row in range(num_rows - 1):
         equal = matrix[row + 1:] == matrix[row]
@@ -56,21 +51,6 @@ def _agree_sets_vectorized(matrix: np.ndarray) -> set[int]:
         result.update(int(mask) for mask in np.unique(masks))
     full = (1 << num_attributes) - 1
     result.discard(full)  # deduplicated rows cannot fully agree, but be safe
-    return result
-
-
-def _agree_sets_python(matrix: np.ndarray) -> set[int]:
-    rows = [tuple(int(v) for v in row) for row in matrix]
-    num_attributes = matrix.shape[1]
-    result: set[int] = set()
-    for i, first in enumerate(rows):
-        for second in rows[i + 1:]:
-            mask = 0
-            for attribute in range(num_attributes):
-                if first[attribute] == second[attribute]:
-                    mask |= 1 << attribute
-            result.add(mask)
-    result.discard((1 << num_attributes) - 1)
     return result
 
 

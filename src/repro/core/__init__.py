@@ -1,6 +1,6 @@
 """The paper's primary contribution: the TANE levelwise search."""
 
-from repro.core.lattice import generate_next_level, prefix_blocks
+from repro.core.lattice import generate_next_level
 from repro.core.results import DiscoveryResult, SearchStatistics
 from repro.core.tane import (
     TaneConfig,
@@ -12,7 +12,6 @@ from repro.core.uccs import UccResult, discover_uccs
 
 __all__ = [
     "generate_next_level",
-    "prefix_blocks",
     "DiscoveryResult",
     "SearchStatistics",
     "TaneConfig",

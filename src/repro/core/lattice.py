@@ -10,36 +10,32 @@ prefix ``P`` of their ``ℓ-1`` smallest attributes join into the
 candidate ``P ∪ {a, b}``, which is then checked for the remaining
 subsets.
 
-Over at most :data:`MAX_ARRAY_ATTRIBUTES` attributes a mask fits a
-non-negative ``int64`` (Section 6 keeps attribute sets as machine
-words), and the join and the subset check run as a fixed number of
-numpy passes over the level's sorted mask array.  Wider schemas take
-the Python-int path, which the array path must match exactly.
+The join and the subset check run as a fixed number of numpy passes
+over the level's sorted mask array.  Its dtype is
+:func:`repro._bitset.mask_dtype` of the schema: machine words
+(``int64``, Section 6) up to 63 attributes, Python ints in an
+``object`` array above; the passes are the same for both.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
 
+from repro import _bitset
+
 __all__ = [
-    "MAX_ARRAY_ATTRIBUTES",
     "LevelCandidates",
-    "prefix_blocks",
     "generate_next_level",
     "generate_next_level_arrays",
 ]
 
-MAX_ARRAY_ATTRIBUTES = 63
-"""Widest schema whose attribute-set masks are held in ``int64``
-arrays; bit 63 would be the sign bit."""
-
 
 class LevelCandidates(NamedTuple):
-    """The next level's product triples as three aligned ``int64``
-    arrays, candidates ascending (the array form's triples)."""
+    """The next level's product triples as three aligned mask arrays
+    (the level's dtype), candidates ascending."""
 
     candidates: np.ndarray
     factor_x: np.ndarray
@@ -52,24 +48,6 @@ class LevelCandidates(NamedTuple):
         )
 
 
-def prefix_blocks(level_masks: Iterable[int]) -> dict[int, list[int]]:
-    """Group level sets by their prefix (the set minus its largest attribute).
-
-    Returns a mapping ``prefix_mask -> sorted list of largest-attribute
-    bits``.  Each block of ``k`` sets yields ``k*(k-1)/2`` join
-    candidates.
-    """
-    blocks: dict[int, list[int]] = {}
-    for mask in level_masks:
-        if mask == 0:
-            continue
-        top = 1 << (mask.bit_length() - 1)
-        blocks.setdefault(mask ^ top, []).append(top)
-    for bits in blocks.values():
-        bits.sort()
-    return blocks
-
-
 def generate_next_level(level_masks: Sequence[int]) -> list[tuple[int, int, int]]:
     """Compute the candidates of the next level from a (pruned) level.
 
@@ -79,50 +57,31 @@ def generate_next_level(level_masks: Sequence[int]) -> list[tuple[int, int, int]
     (Lemma 3: ``π_X · π_Y = π_{X∪Y}``).
 
     The candidate list is sorted, so level processing is deterministic.
-    ``level_masks`` may be a list of ints or an ``int64`` array.
+    ``level_masks`` may be a list of ints or a mask array; this is
+    :func:`generate_next_level_arrays` with the triples as tuples.
     """
-    if isinstance(level_masks, np.ndarray):
-        return generate_next_level_arrays(level_masks).triples()
-    if len(level_masks) and max(level_masks) >> MAX_ARRAY_ATTRIBUTES == 0:
-        return generate_next_level_arrays(np.array(level_masks, dtype=np.int64)).triples()
-    level_set = frozenset(level_masks)
-    candidates: list[tuple[int, int, int]] = []
-    for prefix, top_bits in prefix_blocks(level_masks).items():
-        for i, low in enumerate(top_bits):
-            for high in top_bits[i + 1:]:
-                candidate = prefix | low | high
-                if _all_subsets_present(candidate, prefix, level_set):
-                    candidates.append((candidate, prefix | low, prefix | high))
-    candidates.sort()
-    return candidates
-
-
-def _all_subsets_present(candidate: int, prefix: int, level_set: frozenset[int]) -> bool:
-    """Check the one-smaller subsets not covered by the join itself.
-
-    The two factors are in the level by construction; only subsets
-    obtained by dropping a *prefix* attribute still need checking.
-    """
-    remaining = prefix
-    while remaining:
-        low = remaining & -remaining
-        if candidate ^ low not in level_set:
-            return False
-        remaining ^= low
-    return True
+    if not isinstance(level_masks, np.ndarray):
+        widest = max(level_masks, default=0).bit_length()
+        level_masks = np.array(level_masks, dtype=_bitset.mask_dtype(widest))
+    return generate_next_level_arrays(level_masks).triples()
 
 
 def _top_bits(masks: np.ndarray) -> np.ndarray:
     """The highest set bit of every mask (0 for 0)."""
+    # Smear each mask's top bit into every lower bit, doubling the
+    # shift until it spans the widest mask: 64 bits for int64 masks.
+    width = 64 if masks.dtype == np.int64 else int(masks.max()).bit_length()
     smeared = masks.copy()
-    for shift in (1, 2, 4, 8, 16, 32):
+    shift = 1
+    while shift < width:
         smeared |= smeared >> shift
+        shift *= 2
     return smeared ^ (smeared >> 1)
 
 
 def generate_next_level_arrays(masks: np.ndarray) -> LevelCandidates:
-    """:func:`generate_next_level` over an ``int64`` mask array, with
-    the triples returned as arrays.
+    """:func:`generate_next_level` over a mask array, with the triples
+    returned as arrays of its dtype.
 
     The level is sorted by (prefix, mask), so every prefix block is a
     contiguous run whose masks ascend with their top bit; the join
@@ -141,7 +100,7 @@ def generate_next_level_arrays(masks: np.ndarray) -> LevelCandidates:
         level = level[distinct]
     count = level.size
     if count < 2:
-        return LevelCandidates(*(np.zeros(0, dtype=np.int64) for _ in range(3)))
+        return LevelCandidates(*(np.zeros(0, dtype=masks.dtype) for _ in range(3)))
     prefixes = level ^ _top_bits(level)
     order = np.lexsort((level, prefixes))
     members = level[order]

@@ -16,10 +16,11 @@ non-unique.
 
 The walk itself is a thin composition of the search-core components:
 :class:`~repro.search.partitions.PartitionManager` owns partition
-bootstrap, products and reclamation, and the unique/non-unique split
-is :meth:`~repro.search.tracker.CandidateTracker.split_minimal_unique`
-— the same kernel TANE's key pruning uses, so the two minimality
-arguments can no longer drift apart.
+bootstrap, products and reclamation, and a level is a mask array (of
+:func:`~repro._bitset.mask_dtype`) with its ranks, split by
+``e(π_X) ≤ ε·|r|`` and joined by
+:func:`~repro.core.lattice.generate_next_level_arrays` — the same
+arrays and join TANE's levelwise walk uses.
 """
 
 from __future__ import annotations
@@ -27,7 +28,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.core.lattice import generate_next_level
+import numpy as np
+
+from repro import _bitset
+from repro.core.lattice import generate_next_level_arrays
 from repro.exceptions import ConfigurationError
 from repro.model.relation import Relation
 from repro.model.schema import RelationSchema
@@ -35,7 +39,6 @@ from repro.partition.store import MemoryPartitionStore
 from repro.partition.vectorized import CsrPartition, PartitionWorkspace
 from repro.search.execution import SerialExecution
 from repro.search.partitions import PartitionManager
-from repro.search.tracker import CandidateTracker
 
 __all__ = ["UccResult", "discover_uccs"]
 
@@ -125,25 +128,25 @@ def discover_uccs(
         PartitionWorkspace(num_rows),
         SerialExecution(),
     )
-    level = partitions.bootstrap(include_empty=False, levels=True)
-    ranks = dict(zip(level, partitions.error_counts(level).tolist()))
-
-    def is_unique(mask: int) -> bool:
-        return ranks[mask] <= threshold
-
+    dtype = _bitset.mask_dtype(relation.num_attributes)
+    level = np.array(partitions.bootstrap(include_empty=False, levels=True), dtype=dtype)
+    ranks = partitions.error_counts(level)
     result = UccResult(uccs=[], errors=[], schema=relation.schema, epsilon=epsilon)
     level_number = 1
-    while level and level_number <= limit:
-        result.level_sizes.append(len(level))
-        unique, survivors = CandidateTracker.split_minimal_unique(level, is_unique)
-        for mask in unique:
-            result.uccs.append(mask)
-            result.errors.append(ranks[mask] / num_rows if num_rows else 0.0)
-        next_level: list[int] = []
+    while level.size and level_number <= limit:
+        result.level_sizes.append(int(level.size))
+        unique = ranks <= threshold
+        result.uccs.extend(level[unique].tolist())
+        # Below one row every rank is 0, so the max only avoids 0 / 0.
+        result.errors.extend((ranks[unique] / max(num_rows, 1)).tolist())
+        next_level = level[:0]
         if level_number < limit:
             errors: list[int] = []
-            next_level = partitions.materialize(generate_next_level(survivors), errors)
-            ranks = dict(zip(next_level, errors))
+            next_level = np.array(
+                partitions.materialize(generate_next_level_arrays(level[~unique]), errors),
+                dtype=dtype,
+            )
+            ranks = np.array(errors, dtype=np.int64)
         partitions.reclaim(level)
         level = next_level
         level_number += 1

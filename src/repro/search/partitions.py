@@ -17,7 +17,8 @@ Two storage forms
 -----------------
 A levelwise walk (levelwise and top-k strategies, UCC discovery) over a
 relation of at most ``_DENSE_MAX_ROWS`` rows, on the CSR engine and a
-schema whose masks fit ``int64``, keeps each level as one
+schema whose masks fit ``int64`` (:func:`~repro._bitset.mask_dtype`),
+keeps each level as one
 :class:`~repro.partition.vectorized.LevelBlock`: a label matrix with
 one row per mask.  A level's products are one
 :meth:`~repro.search.execution.SerialExecution.level_products` call,
@@ -29,7 +30,7 @@ store so they become resident (and may spill) before later batches are
 computed.
 
 The driver and tracker never touch the store directly — they fetch
-through :meth:`get` / :meth:`is_superkey` / :meth:`error_count`, which
+through :meth:`get` / :meth:`error_count` / :meth:`error_counts`, which
 read a block row as a canonical CSR view, so the storage policy
 (memory vs disk, spill budgets, blocks vs per-mask partitions) stays a
 concern of this class and the composition root.
@@ -40,7 +41,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import _bitset
-from repro.core.lattice import MAX_ARRAY_ATTRIBUTES, LevelCandidates
+from repro.core.lattice import LevelCandidates
 from repro.exceptions import PartitionMissingError
 from repro.model.relation import Relation
 from repro.partition.store import DiskPartitionStore, PartitionStore
@@ -136,7 +137,7 @@ class PartitionManager:
             levels
             and self.partition_cls is CsrPartition
             and dense_relation(self.num_rows)
-            and self.num_attributes <= MAX_ARRAY_ATTRIBUTES
+            and _bitset.mask_dtype(self.num_attributes) == np.int64
         )
         if include_empty:
             self.store.put(0, self.partition_cls.single_class(self.num_rows))
@@ -181,10 +182,6 @@ class PartitionManager:
         if view is None:
             raise PartitionMissingError(f"no partition stored for mask {mask:#x}")
         return view
-
-    def is_superkey(self, mask: int) -> bool:
-        """``e(π_mask) == 0``: no two rows agree on ``mask``."""
-        return self.error_count(mask) == 0
 
     def error_count(self, mask: int) -> int:
         """``e(π_mask)``: rows to remove for ``mask`` to be unique."""
@@ -244,13 +241,10 @@ class PartitionManager:
 
         In the block form the whole level is one
         :meth:`~repro.search.execution.SerialExecution.level_products`
-        call over the previous level's block, stored as one block.
+        call over the previous level's block, stored as one block; the
+        levelwise callers pass lattice generation's arrays.
         """
         if self.level_blocks:
-            if not isinstance(triples, LevelCandidates):
-                triples = LevelCandidates(
-                    *np.array(triples, dtype=np.int64).reshape(-1, 3).T.copy()
-                )
             block = self._level_products(triples, ranks_only)
             if errors is not None:
                 errors.extend(block.errors.tolist())

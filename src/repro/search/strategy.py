@@ -38,11 +38,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro import _bitset
-from repro.core.lattice import (
-    MAX_ARRAY_ATTRIBUTES,
-    generate_next_level,
-    generate_next_level_arrays,
-)
+from repro.core.lattice import LevelCandidates, generate_next_level_arrays
 from repro.exceptions import ConfigurationError
 from repro.model.fd import FDSet, FunctionalDependency
 from repro.search.measures import ValidityOutcome, bound_outcome, bound_rejects
@@ -167,11 +163,10 @@ class LevelwiseStrategy(TraversalStrategy):
     counter accounting are pinned, results *and* counters, by the
     golden-parity suites.  At most two adjacent levels are resident:
     level ℓ−1 is reclaimed once level ℓ is pruned, before level ℓ+1 is
-    generated (see :meth:`step`).  A level is a list of masks
-    with a ``C+`` dict (Python-int form) or, on schemas of at most
-    :data:`~repro.core.lattice.MAX_ARRAY_ATTRIBUTES` attributes, a
+    generated (see :meth:`step`).  A level is a
     :class:`~repro.search.tracker.LevelArrays` whose ``cplus`` holds
-    ``C+``, and each phase is a fixed number of numpy passes; exact
+    ``C+``, with masks in :func:`~repro._bitset.mask_dtype` of the
+    schema, and each phase is a fixed number of numpy passes; exact
     validity needs only the two ranks of Lemma 2, so partitions are
     fetched only for the pairs an approximate run must measure.  The
     next level's products come from the surviving level's factor pairs
@@ -179,7 +174,7 @@ class LevelwiseStrategy(TraversalStrategy):
     factor, so an exact run computes only its ranks (see
     :meth:`PartitionManager.materialize
     <repro.search.partitions.PartitionManager.materialize>`).
-    ``cplus_prev`` is the previous level's ``C+`` in the level's form.
+    ``previous`` is the previous level, with its ``C+``.
     """
 
     name = "levelwise"
@@ -187,14 +182,11 @@ class LevelwiseStrategy(TraversalStrategy):
     fault_point = "tane.level.start"
     walks_levels = True
 
-    def expand(self, surviving):
+    def expand(self, surviving: np.ndarray) -> LevelCandidates:
         """Candidate ``(candidate, factor_x, factor_y)`` triples of the
-        next level: apriori generation over the surviving sets — a list
-        of masks giving a list of triples, or the array form's ``int64``
-        mask array giving :class:`~repro.core.lattice.LevelCandidates`."""
-        if isinstance(surviving, np.ndarray):
-            return generate_next_level_arrays(surviving)
-        return generate_next_level(surviving)
+        next level: apriori generation over the surviving sets' mask
+        array."""
+        return generate_next_level_arrays(surviving)
 
     def should_stop(self, tracker: CandidateTracker, next_level_number: int) -> bool:
         """May the search skip generating level ``next_level_number``?
@@ -244,20 +236,14 @@ class LevelwiseStrategy(TraversalStrategy):
 
     def _start(self, driver, level_number, level, previous=(0,), cplus_prev=None):
         self.driver = driver
-        self.arrays = driver.num_attributes <= MAX_ARRAY_ATTRIBUTES
         self.max_level = self._max_level(driver)
         self.level_number = level_number
-        self.previous_level_masks = list(previous)
         if cplus_prev is None:
             cplus_prev = {0: driver.full_mask}
-        if self.arrays:
-            self.level = self._arrays_of(level)
-            # A complete walk's previous level only feeds the final
-            # snapshot: its partitions were not restored, nor its ranks.
-            self.cplus_prev = self._arrays_of(previous, cplus_prev, ranked=bool(level))
-        else:
-            self.level = level
-            self.cplus_prev = cplus_prev
+        self.level = self._arrays_of(level)
+        # A complete walk's previous level only feeds the final
+        # snapshot: its partitions were not restored, nor its ranks.
+        self.previous = self._arrays_of(previous, cplus_prev, ranked=bool(level))
 
     def _arrays_of(
         self, masks, cplus: dict[int, int] | None = None, *, ranked: bool = True
@@ -267,21 +253,18 @@ class LevelwiseStrategy(TraversalStrategy):
         errors = (
             self.driver.partitions.error_counts(masks) if ranked else [0] * len(masks)
         )
-        if cplus is None:
-            return LevelArrays(masks, errors)
-        return LevelArrays(masks, errors, [cplus.get(mask, 0) for mask in masks])
+        if cplus is not None:
+            cplus = [cplus.get(mask, 0) for mask in masks]
+        return LevelArrays(masks, errors, cplus, width=self.driver.num_attributes)
 
     def snapshot(self) -> dict[str, Any]:
-        level = self.level
-        cplus_prev = self.cplus_prev
-        if self.arrays:
-            level = level.masks.tolist()
-            cplus_prev = cplus_prev.cplus_dict()
         return {
-            "level": list(level),
-            "previous_level_masks": list(self.previous_level_masks),
+            "level": self.level.masks.tolist(),
+            "previous_level_masks": self.previous.masks.tolist(),
             # JSON objects key on strings; masks round-trip via pairs.
-            "cplus_prev": [[mask, cands] for mask, cands in cplus_prev.items()],
+            "cplus_prev": [
+                [mask, cands] for mask, cands in self.previous.cplus_dict().items()
+            ],
         }
 
     # ------------------------------------------------------------------
@@ -304,26 +287,24 @@ class LevelwiseStrategy(TraversalStrategy):
         bounds_before = driver.bounds.value
         deps_before = len(tracker.dependencies)
         with driver.span("compute_dependencies") as phase:
-            cplus = self._compute_dependencies(level, self.cplus_prev)
+            cplus = self._compute_dependencies(level, self.previous)
             phase.set("tests", driver.tests.value - tests_before)
             phase.set("error_computations", driver.errors.value - errors_before)
             phase.set("bound_rejections", driver.bounds.value - bounds_before)
             phase.set("dependencies_found", len(tracker.dependencies) - deps_before)
         keys_before = len(tracker.keys)
         with driver.span("prune") as phase:
-            surviving = tracker.prune(
-                level, cplus, level_number, driver.partitions.is_superkey
-            )
+            surviving = tracker.prune(level, cplus, level_number)
             keys_delta = len(tracker.keys) - keys_before
             if keys_delta:
                 driver.keys_found.inc(keys_delta)
             phase.set("keys_found", keys_delta)
             phase.set("surviving", len(surviving))
         driver.pruned_level_sizes.append(len(surviving))
-        # Level ℓ−1 was read for the last time by PRUNE (its ranks are
-        # the key test of a > 63-attribute approximate run); GENERATE
-        # reads only level ℓ, so ℓ−1 goes before ℓ+1 is built.
-        driver.partitions.reclaim(self.previous_level_masks)
+        # Level ℓ−1's partitions were read for the last time by the
+        # validity tests; GENERATE reads only level ℓ, so ℓ−1 goes
+        # before ℓ+1 is built.
+        driver.partitions.reclaim(self.previous.masks)
         products_before = driver.products.value
         with driver.span("generate_next_level") as phase:
             next_level = self._generate(surviving)
@@ -331,53 +312,39 @@ class LevelwiseStrategy(TraversalStrategy):
             phase.set("next_size", len(next_level))
         span.set("surviving", len(surviving))
         span.set("dependencies_total", len(tracker.dependencies))
-        if self.arrays:
-            self.previous_level_masks = level.masks.tolist()
-            self.cplus_prev = level
-        else:
-            self.previous_level_masks = level
-            self.cplus_prev = cplus
+        self.previous = level
         self.level = next_level
         self.level_number += 1
 
-    def _generate(self, surviving):
+    def _generate(self, surviving: np.ndarray) -> LevelArrays:
         """GENERATE-NEXT-LEVEL: the next level, or an empty one."""
         driver = self.driver
-        if self.level_number >= self.max_level or self.should_stop(
+        errors: list[int] = []
+        masks: list[int] = []
+        if self.level_number < self.max_level and not self.should_stop(
             driver.tracker, self.level_number + 1
         ):
-            return LevelArrays([], []) if self.arrays else []
-        if not self.arrays:
-            return driver.partitions.materialize(self.expand(surviving))
-        errors: list[int] = []
-        masks = driver.partitions.materialize(
-            self.expand(surviving),
-            errors,
-            ranks_only=self._rank_only_level(driver, self.level_number + 1),
-        )
-        return LevelArrays(masks, errors)
+            masks = driver.partitions.materialize(
+                self.expand(surviving),
+                errors,
+                ranks_only=self._rank_only_level(driver, self.level_number + 1),
+            )
+        return LevelArrays(masks, errors, width=driver.num_attributes)
 
-    def _compute_dependencies(self, level, cplus_prev):
+    def _compute_dependencies(self, level: LevelArrays, previous: LevelArrays) -> np.ndarray:
         """COMPUTE-DEPENDENCIES: rhs+ sets, validity tests, recording.
 
-        The groups are mutually independent (see
+        The pairs are mutually independent (see
         :meth:`CandidateTracker.testable_groups`), so the executor may
         evaluate them in any order; outcomes are applied here in level
         order, so the dependency stream and every counter are
         deterministic.
         """
         tracker = self.driver.tracker
-        cplus = tracker.compute_cplus(level, cplus_prev)
-        if self.arrays:
-            pairs = tracker.testable_groups(level, cplus)
-            outcomes = self._pair_outcomes(pairs)
-            tracker.apply_outcome(level, pairs.rhs, pairs.lhs, outcomes, cplus)
-            return cplus
-        groups = tracker.testable_groups(level, cplus)
-        outcomes = iter(self.driver.validity_tests(groups, "tane.validity.outcome"))
-        for mask, pairs in groups:
-            for rhs_index, lhs_mask in pairs:
-                tracker.apply_outcome(mask, rhs_index, lhs_mask, next(outcomes), cplus)
+        cplus = tracker.compute_cplus(level, previous)
+        pairs = tracker.testable_groups(level, cplus)
+        outcomes = self._pair_outcomes(pairs)
+        tracker.apply_outcome(level, pairs.rhs, pairs.lhs, outcomes, cplus)
         return cplus
 
     def _pair_outcomes(self, pairs: LevelPairs) -> PairOutcomes:

@@ -13,33 +13,20 @@ PRUNE know about candidates (Sections 4-5 of the paper):
   including the key-rule dependency emission with lazy mathematical
   ``C+`` membership for never-generated sibling sets.
 
-The tracker is pure candidate logic: it touches partitions only
-through an injected ``is_superkey(mask)`` predicate, so it unit-tests
-against a hand-built lattice with no partitions at all.  The
-minimal-unique split at the heart of key pruning is exposed as
-:meth:`CandidateTracker.split_minimal_unique` and shared with UCC
-discovery (:mod:`repro.core.uccs`), which is the same rule applied to
-uniqueness instead of superkey-ness — the two can no longer drift.
+The tracker is pure candidate logic: it reads no partition, only the
+ranks ``e(X) = ||π̂_X|| - |π̂_X|`` a level carries, so it unit-tests
+against a hand-built lattice with no partitions at all.
 
-Two level representations
--------------------------
-Every step takes a level in one of two forms:
-
-* **Python ints** — a list of masks with ``C+`` in a ``dict``, and
-  superkeys decided by the injected predicate.  It works for any
-  number of attributes and is the reference for the other form.
-* **Arrays** — a :class:`LevelArrays`: sorted ``int64`` masks, their
-  ranks ``e(X) = ||π̂_X|| - |π̂_X|`` and ``C+`` as an ``int64``
-  bitmask, for schemas of at most
-  :data:`~repro.core.lattice.MAX_ARRAY_ATTRIBUTES` attributes.  Each
-  step is then a fixed number of numpy passes over the level: the
-  Lemma 4 intersection looks every ``X∖{A}`` up in the previous
-  level's sorted masks, the Lemma 2 test compares two rank arrays,
-  keys are ``e(X) == 0``, and the ``C+`` updates are bitwise.  Python
-  loops remain only where the search records something — dependencies
-  and keys — and in the key rule, which visits the level's few keys.
-
-Both forms record dependencies and keys in the same order.
+A level is a :class:`LevelArrays`: sorted masks, their ranks and
+``C+`` as aligned arrays, with masks and ``C+`` in
+:func:`repro._bitset.mask_dtype` of the schema (``int64`` up to 63
+attributes, Python ints in ``object`` arrays above).  Each step is a
+fixed number of numpy passes over the level: the Lemma 4 intersection
+looks every ``X∖{A}`` up in the previous level's sorted masks, the
+Lemma 2 test compares two rank arrays, keys are ``e(X) == 0``, and the
+``C+`` updates are bitwise.  Python loops remain only where the search
+records something — dependencies and keys — and in the key rule, which
+visits the level's few keys.
 """
 
 from __future__ import annotations
@@ -56,10 +43,12 @@ __all__ = ["CandidateTracker", "LevelArrays", "LevelPairs", "PairOutcomes"]
 
 
 class LevelArrays:
-    """One lattice level as aligned arrays (the array form).
+    """One lattice level as aligned arrays.
 
     ``masks`` ascend; ``errors[i]`` is ``e(X)`` of ``masks[i]``;
     ``cplus`` is filled in by :meth:`CandidateTracker.compute_cplus`.
+    Masks and ``C+`` take :func:`~repro._bitset.mask_dtype` of the
+    schema's ``width`` (its number of attributes).
     That step also keeps, per level set and per attribute ``A`` of it
     (lowest first), the subset ``X∖{A}`` and its rank in the previous
     level (``-1`` when that level lacks it), which the pair and prune
@@ -68,10 +57,11 @@ class LevelArrays:
 
     __slots__ = ("masks", "errors", "cplus", "rhs", "lhs", "lhs_errors")
 
-    def __init__(self, masks, errors, cplus=None) -> None:
-        self.masks = np.asarray(masks, dtype=np.int64)
+    def __init__(self, masks, errors, cplus=None, *, width: int) -> None:
+        dtype = _bitset.mask_dtype(width)
+        self.masks = np.asarray(masks, dtype=dtype)
         self.errors = np.asarray(errors, dtype=np.int64)
-        self.cplus = None if cplus is None else np.asarray(cplus, dtype=np.int64)
+        self.cplus = None if cplus is None else np.asarray(cplus, dtype=dtype)
         self.rhs: np.ndarray | None = None
         self.lhs: np.ndarray | None = None
         self.lhs_errors: np.ndarray | None = None
@@ -80,7 +70,7 @@ class LevelArrays:
         return int(self.masks.size)
 
     def cplus_dict(self) -> dict[int, int]:
-        """``C+`` in the Python-int form (checkpoints, hooks)."""
+        """``C+`` keyed by mask, as Python ints (checkpoints)."""
         return dict(zip(self.masks.tolist(), self.cplus.tolist()))
 
 
@@ -142,12 +132,18 @@ def _lowest_bits(masks: np.ndarray) -> np.ndarray:
         columns.append(low)
         remaining ^= low
     if not columns:
-        return np.zeros((masks.size, 0), dtype=np.int64)
+        return np.zeros((masks.size, 0), dtype=masks.dtype)
     return np.stack(columns, axis=1)
 
 
+_bit_length = np.frompyfunc(int.bit_length, 1, 1)
+
+
 def _bit_index(bits: np.ndarray) -> np.ndarray:
-    """Attribute index of every single-bit mask (0 maps to -1)."""
+    """Attribute index of every single-bit mask (0 maps to -1), as
+    ``int64``."""
+    if bits.dtype == object:
+        return _bit_length(bits).astype(np.int64) - 1
     # Powers of two up to 2**62 are exact in float64.
     return np.where(bits > 0, np.frexp(bits.astype(np.float64))[1] - 1, -1)
 
@@ -195,31 +191,13 @@ class CandidateTracker:
     # COMPUTE-DEPENDENCIES bookkeeping
     # ------------------------------------------------------------------
 
-    def compute_cplus(self, level, cplus_prev):
+    def compute_cplus(self, level: LevelArrays, previous: LevelArrays) -> np.ndarray:
         """``C+(X) = ∩_{A∈X} C+(X∖{A})`` for every level set (Lemma 4).
 
-        Python-int form: ``level`` is a list of masks and ``cplus_prev``
-        the previous level's ``C+`` dict; returns this level's dict.
-        Array form: ``level`` and ``cplus_prev`` are :class:`LevelArrays`
-        (the previous one with its ``cplus``); returns the ``C+`` array,
-        also stored as ``level.cplus``.  A subset missing from the
-        previous level contributes ``∅`` in both forms.
+        ``previous`` is the previous level with its ``cplus``; a subset
+        missing from it contributes ``∅``.  Returns the ``C+`` array,
+        also stored as ``level.cplus``.
         """
-        if isinstance(level, LevelArrays):
-            return self._compute_cplus_arrays(level, cplus_prev)
-        cplus: dict[int, int] = {}
-        for mask in level:
-            candidates = self.full_mask
-            for _, subset in _bitset.iter_subsets_one_smaller(mask):
-                candidates &= cplus_prev.get(subset, 0)
-                if candidates == 0:
-                    break
-            cplus[mask] = candidates
-        return cplus
-
-    def _compute_cplus_arrays(
-        self, level: LevelArrays, previous: LevelArrays
-    ) -> np.ndarray:
         bits = _lowest_bits(level.masks)
         present = bits != 0
         subsets = level.masks[:, None] ^ bits
@@ -232,75 +210,35 @@ class CandidateTracker:
             level.lhs_errors = np.where(hit, previous.errors[found], -1)
         else:
             parts = np.zeros_like(subsets)
-            level.lhs_errors = np.full_like(subsets, -1)
+            level.lhs_errors = np.full(subsets.shape, -1, dtype=np.int64)
         parts[~present] = self.full_mask
         level.rhs = _bit_index(bits)
         level.lhs = subsets
         level.cplus = np.bitwise_and.reduce(parts, axis=1) & self.full_mask
         return level.cplus
 
-    def testable_groups(self, level, cplus):
-        """The level's validity tests.
+    def testable_groups(self, level: LevelArrays, cplus: np.ndarray) -> LevelPairs:
+        """The level's validity tests (``level`` after
+        :meth:`compute_cplus`): every ``(X∖{A}) → A`` with ``A ∈ X ∩
+        C+(X)``, in level order, each with its Lemma 2 rank test.
 
-        Python-int form: ``(whole_mask, [(rhs, lhs)])`` groups.  The
-        testable rhs set of each mask is fixed by ``cplus`` *before*
+        The testable rhs set of each mask is fixed by ``cplus`` *before*
         any test runs, and test results only mutate that mask's own
-        ``cplus`` entry, so the groups are mutually independent — an
-        execution backend may shard them freely.
-
-        Array form (``level`` a :class:`LevelArrays` after
-        :meth:`compute_cplus`): the same pairs, in the same order, as
-        :class:`LevelPairs`, each with its Lemma 2 rank test.
+        ``cplus`` entry, so the pairs are mutually independent — an
+        execution backend may evaluate them in any order.
         """
-        if isinstance(level, LevelArrays):
-            testable = (level.rhs >= 0) & (
-                (cplus[:, None] >> np.maximum(level.rhs, 0)) & 1 == 1
-            )
-            rows, columns = np.nonzero(testable)
-            return LevelPairs(
-                whole=level.masks[rows],
-                rhs=level.rhs[rows, columns],
-                lhs=level.lhs[rows, columns],
-                lower=level.lhs_errors[rows, columns] - level.errors[rows],
-            )
-        groups: list[tuple[int, list[tuple[int, int]]]] = []
-        for mask in level:
-            testable = mask & cplus[mask]
-            if testable == 0:
-                continue
-            pairs = [
-                (rhs_index, lhs_mask)
-                for rhs_index, lhs_mask in _bitset.iter_subsets_one_smaller(mask)
-                if _bitset.contains(testable, rhs_index)
-            ]
-            groups.append((mask, pairs))
-        return groups
+        testable = (level.rhs >= 0) & (
+            (cplus[:, None] >> np.maximum(level.rhs, 0)) & 1 == 1
+        )
+        rows, columns = np.nonzero(testable)
+        return LevelPairs(
+            whole=level.masks[rows],
+            rhs=level.rhs[rows, columns],
+            lhs=level.lhs[rows, columns],
+            lower=level.lhs_errors[rows, columns] - level.errors[rows],
+        )
 
-    def apply_outcome(self, mask, rhs_index, lhs_mask, outcome, cplus) -> None:
-        """Fold one validity outcome into the candidate state.
-
-        A valid test records the minimal dependency and removes the
-        rhs from ``C+(mask)`` (line 7); when the dependency holds
-        *exactly*, line 8 (exact) / lines 8'-9' (approximate)
-        additionally remove all attributes outside ``X``.
-
-        Array form: ``mask`` is the :class:`LevelArrays`, ``rhs_index``
-        and ``lhs_mask`` are the pairs' arrays, ``outcome`` is their
-        :class:`PairOutcomes` and ``cplus`` the level's ``C+`` array,
-        updated in place.  Dependencies are recorded in pair order.
-        """
-        if isinstance(mask, LevelArrays):
-            self._apply_outcomes_arrays(mask, rhs_index, lhs_mask, outcome, cplus)
-            return
-        if outcome.valid:
-            self.add_dependency(
-                FunctionalDependency(lhs_mask, rhs_index, outcome.error)
-            )
-            cplus[mask] &= ~_bitset.bit(rhs_index)
-            if self.use_rule8 and outcome.exactly_valid:
-                cplus[mask] &= mask
-
-    def _apply_outcomes_arrays(
+    def apply_outcome(
         self,
         level: LevelArrays,
         rhs: np.ndarray,
@@ -308,6 +246,17 @@ class CandidateTracker:
         outcomes: PairOutcomes,
         cplus: np.ndarray,
     ) -> None:
+        """Fold the validity outcomes of a level's pairs into ``C+``.
+
+        A valid test records the minimal dependency and removes the
+        rhs from ``C+(X)`` (line 7); when the dependency holds
+        *exactly*, line 8 (exact) / lines 8'-9' (approximate)
+        additionally remove all attributes outside ``X``.
+
+        ``rhs`` and ``lhs`` are the pairs' arrays (:class:`LevelPairs`)
+        and ``cplus`` the level's ``C+`` array, updated in place.
+        Dependencies are recorded in pair order.
+        """
         chosen = np.flatnonzero(outcomes.valid)
         if chosen.size == 0:
             return
@@ -320,9 +269,10 @@ class CandidateTracker:
             self.add_dependency(
                 FunctionalDependency(lhs_mask, rhs_index, errors[position])
             )
-        rhs_bits = np.left_shift(1, rhs)
+        # Shift in C+'s dtype: an int64 shift past bit 63 yields 0.
+        rhs_bits = np.left_shift(np.ones(1, dtype=cplus.dtype), rhs.astype(cplus.dtype))
         rows = np.searchsorted(level.masks, lhs | rhs_bits)
-        found = np.zeros(cplus.size, dtype=np.int64)
+        found = np.zeros(cplus.size, dtype=cplus.dtype)
         np.bitwise_or.at(found, rows, rhs_bits)
         cplus &= ~found
         if self.use_rule8:
@@ -333,76 +283,30 @@ class CandidateTracker:
     # PRUNE
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def split_minimal_unique(
-        level: list[int], is_unique: Callable[[int], bool]
-    ) -> tuple[list[int], list[int]]:
-        """Split a level into (minimal unique sets, the rest), in order.
-
-        The shared kernel of key pruning and UCC discovery: when
-        candidates are generated aprioristically over the *non-unique*
-        sets, any unique set reaching a level is minimal — its unique
-        subsets would have been removed, preventing its generation.
-        """
-        unique: list[int] = []
-        rest: list[int] = []
-        for mask in level:
-            (unique if is_unique(mask) else rest).append(mask)
-        return unique, rest
-
-    def prune(self, level, cplus, level_number: int, is_superkey: Callable[[int], bool]):
+    def prune(self, level: LevelArrays, cplus: np.ndarray, level_number: int) -> np.ndarray:
         """PRUNE (Section 5): empty-``C+`` pruning and key pruning.
 
-        Key pruning — deleting a key ``X`` after emitting its
-        dependencies — is only applied to *exact* discovery.  Its
-        safety proof needs exact validity: a dependency ``Y → A``
-        normally tested at a pruned superset of the key is exactly
-        valid only if ``Y`` is itself a superkey, and is then emitted
-        by the key rule.  With ``epsilon > 0`` that implication fails
-        (``Y → A`` can be approximately valid and minimal with ``Y``
-        not a superkey), so deleting keys would lose dependencies; in
-        approximate mode keys are recorded but the search continues
-        through them.
+        Superkeys are the sets with ``e(X) == 0``.  Key pruning —
+        deleting a key ``X`` after emitting its dependencies — is only
+        applied to *exact* discovery.  Its safety proof needs exact
+        validity: a dependency ``Y → A`` normally tested at a pruned
+        superset of the key is exactly valid only if ``Y`` is itself a
+        superkey, and is then emitted by the key rule.  With
+        ``epsilon > 0`` that implication fails (``Y → A`` can be
+        approximately valid and minimal with ``Y`` not a superkey), so
+        deleting keys would lose dependencies; in approximate mode keys
+        are recorded but the search continues through them.
 
-        Returns the surviving masks.  Array form (``level`` a
-        :class:`LevelArrays`, ``cplus`` its array): superkeys are the
-        sets with ``e(X) == 0`` and ``is_superkey`` is not consulted;
-        the survivors come back as an ``int64`` array.
+        Returns the surviving masks, as an array of the level's dtype.
         """
-        if isinstance(level, LevelArrays):
-            return self._prune_arrays(level, cplus, level_number)
-        exact = self.epsilon == 0.0
-        emit_key_rule_deps = (
-            self.max_lhs_size is None or level_number <= self.max_lhs_size
-        )
-        if self.use_key_pruning and exact:
-            found, rest = self.split_minimal_unique(level, is_superkey)
-            for mask in found:
-                self.keys.append(mask)
-                if cplus[mask] and emit_key_rule_deps:
-                    self._emit_key_rule_dependencies(mask, cplus[mask], cplus.get)
-            return [mask for mask in rest if cplus[mask] != 0]
-        surviving: list[int] = []
-        for mask in level:
-            if self.use_key_pruning and is_superkey(mask):
-                # Approximate mode: record the key if it is minimal
-                # (no immediate subset is a superkey), but keep it.
-                if self._is_minimal_key(mask, is_superkey):
-                    self.keys.append(mask)
-            if cplus[mask] == 0:
-                continue
-            surviving.append(mask)
-        return surviving
-
-    def _prune_arrays(
-        self, level: LevelArrays, cplus: np.ndarray, level_number: int
-    ) -> np.ndarray:
         superkey = level.errors == 0
+        masks = level.masks
         if self.use_key_pruning and self.epsilon == 0.0:
+            # Generation runs over non-superkeys only, so every superkey
+            # that reaches a level is a minimal key.
             emit_key_rule_deps = (
                 self.max_lhs_size is None or level_number <= self.max_lhs_size
             )
-            masks = level.masks
             stored: dict[int, int] | None = None
             key_rows = np.flatnonzero(superkey)
             for row, mask in zip(key_rows.tolist(), masks[key_rows].tolist()):
@@ -414,28 +318,16 @@ class CandidateTracker:
                     self._emit_key_rule_dependencies(mask, key_cplus, stored.get)
             return masks[~superkey & (cplus != 0)]
         if self.use_key_pruning:
-            # Minimal keys: no immediate subset other than ∅ is a
-            # superkey (see _is_minimal_key).
+            # Approximate mode keeps superkeys, so they reappear inside
+            # larger sets: a key is minimal when no immediate subset is
+            # a superkey.  ∅ does not count: on a relation of fewer than
+            # two rows π_∅ has no stripped class, yet the empty set is
+            # never a key — exact mode and UCC discovery never consider
+            # it either.
             subset_is_key = (level.lhs_errors == 0) & (level.lhs != 0)
             minimal = superkey & ~subset_is_key.any(axis=1)
-            self.keys.extend(level.masks[minimal].tolist())
-        return level.masks[cplus != 0]
-
-    def _is_minimal_key(
-        self, mask: int, is_superkey: Callable[[int], bool]
-    ) -> bool:
-        """True if ``mask`` is a superkey and no immediate subset is.
-
-        Only needed in approximate mode, where superkeys are not
-        deleted and can therefore reappear inside larger sets.  ``∅``
-        does not count: on a relation of fewer than two rows ``π_∅``
-        has no stripped class, yet the empty set is never a key —
-        exact mode and UCC discovery never consider it either.
-        """
-        for _, subset in _bitset.iter_subsets_one_smaller(mask):
-            if subset and is_superkey(subset):
-                return False
-        return True
+            self.keys.extend(masks[minimal].tolist())
+        return masks[cplus != 0]
 
     def _emit_key_rule_dependencies(
         self,

@@ -1,15 +1,8 @@
 """Tests for the FDEP baseline (Savnik & Flach)."""
 
-import numpy as np
-
 from repro import _bitset
 from repro.baselines.bruteforce import dependency_holds
-from repro.baselines.fdep import (
-    _agree_sets_python,
-    agree_sets,
-    discover_fds_fdep,
-    negative_cover,
-)
+from repro.baselines.fdep import agree_sets, discover_fds_fdep, negative_cover
 from repro.model.relation import Relation
 
 
@@ -28,12 +21,18 @@ class TestAgreeSets:
         rel = Relation.from_rows([[1, 2]], ["A", "B"])
         assert agree_sets(rel) == set()
 
-    def test_python_fallback_matches_vectorized(self):
+    def test_padded_relation_shifts_agree_sets(self):
+        # 62 leading constant columns put the varying ones at bits 62-64,
+        # across the int64 limit: every agree set is the narrow one
+        # shifted left by 62, with the 62 constant bits set.
         rows = [[i % 2, (i * 3) % 5, i % 3] for i in range(12)]
-        rel = Relation.from_rows(rows)
-        matrix = np.stack([rel.column_codes(i) for i in range(3)], axis=1)
-        matrix = np.unique(matrix, axis=0)
-        assert _agree_sets_python(matrix) == agree_sets(rel)
+        narrow = Relation.from_rows(rows)
+        padded = Relation.from_rows([[0] * 62 + row for row in rows])
+        constant = _bitset.mask_of_size(62)
+        assert agree_sets(padded) == {
+            mask << 62 | constant for mask in agree_sets(narrow)
+        }
+        assert len(agree_sets(narrow)) > 1
 
 
 class TestNegativeCover:
@@ -98,7 +97,8 @@ class TestDiscovery:
         assert len(discover_fds_fdep(figure1_relation, max_lhs_size=2)) == 6
 
     def test_wide_relation_python_path(self):
-        """More than 63 attributes exercises the pure-Python agree sets."""
+        """More than 63 attributes exercises the agree sets as Python ints
+        in an object array."""
         num_attributes = 65
         rows = [[r] + [0] * (num_attributes - 1) for r in range(3)]
         rel = Relation.from_rows(rows)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
 import pytest
 
 from repro.model.relation import Relation
@@ -52,6 +53,18 @@ def tracer_calling(callback) -> Tracer:
     ``callback`` — how tests stop a run at a chosen point of its span
     stream (a raising sink aborts the run)."""
     return Tracer(sinks=[CallbackSink(callback)])
+
+
+def copies_relation() -> Relation:
+    """65 attributes: 62 copies of column g, then c, d and a random e,
+    so the object-mask (> 63-attribute) walk reaches level 4 with a few
+    hundred sets per level.  The 64 rows are every (g, c, d) over four
+    values, so each {g, c, d} is a key and none of its subsets is."""
+    rng = np.random.default_rng(4)
+    values = np.arange(4)
+    copied, c, d = (column.ravel() for column in np.meshgrid(values, values, values, indexing="ij"))
+    columns = [copied] * 62 + [c, d, rng.integers(0, 3, size=copied.size)]
+    return Relation.from_codes(columns, [f"c{i}" for i in range(len(columns))])
 
 
 def level_opens(span, level: int) -> bool:

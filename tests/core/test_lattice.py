@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro import _bitset
-from repro.core.lattice import generate_next_level, prefix_blocks
+from repro.core.lattice import _top_bits, generate_next_level
 
 ORDERS = Path(__file__).parent.parent.parent / "examples" / "data" / "orders.csv"
 
@@ -21,17 +21,31 @@ def masks_of(*index_tuples):
     return [_bitset.from_indices(t) for t in index_tuples]
 
 
+def prefixes(masks, shift=0):
+    """Join prefix (the set minus its largest attribute) of every mask,
+    with the masks shifted left by ``shift`` bits first; a shift past
+    bit 63 holds them in an ``object`` array."""
+    widest = max(masks, default=0).bit_length() + shift
+    array = np.array([mask << shift for mask in masks], dtype=_bitset.mask_dtype(widest))
+    return [prefix >> shift for prefix in (array ^ _top_bits(array)).tolist()]
+
+
 class TestPrefixBlocks:
+    """Sets sharing a prefix form one block of the join."""
+
     def test_singletons_share_empty_prefix(self):
-        blocks = prefix_blocks(masks_of((0,), (1,), (2,)))
-        assert blocks == {0: [1, 2, 4]}
+        level = masks_of((0,), (1,), (2,))
+        assert prefixes(level) == prefixes(level, shift=61) == [0, 0, 0]
 
     def test_pairs(self):
-        blocks = prefix_blocks(masks_of((0, 1), (0, 2), (1, 2)))
-        assert blocks == {1: [2, 4], 2: [4]}
+        level = masks_of((0, 1), (0, 2), (1, 2))
+        assert prefixes(level) == prefixes(level, shift=61) == [1, 1, 2]
+        assert prefixes(masks_of((0, 40), (3, 70))) == [1, 8]
 
     def test_zero_ignored(self):
-        assert prefix_blocks([0]) == {}
+        assert prefixes([0]) == prefixes([0], shift=70) == [0]
+        assert generate_next_level([0]) == []
+        assert generate_next_level(np.array([0], dtype=object)) == []
 
 
 class TestGenerateNextLevel:

@@ -2,7 +2,6 @@
 
 import pytest
 
-import repro.search.strategy as strategy_module
 from repro.baselines.bruteforce import dependency_g3, discover_fds_bruteforce
 from repro.core.tane import TaneConfig, discover, discover_approximate_fds, discover_fds
 from repro.core.uccs import discover_uccs
@@ -92,16 +91,16 @@ class TestKeyHandling:
         assert sorted(approx.keys) == sorted(exact.keys)
 
     @pytest.mark.parametrize("num_rows", [0, 1])
-    @pytest.mark.parametrize("python_int_levels", [False, True])
-    def test_keys_of_relations_below_two_rows(self, num_rows, python_int_levels, monkeypatch):
+    @pytest.mark.parametrize("object_masks", [False, True])
+    def test_keys_of_relations_below_two_rows(self, num_rows, object_masks):
         # π_∅ has no stripped class below two rows, so ∅ looks like a
         # superkey; it must not hide the singleton keys in approximate
-        # mode, whichever level form the search runs on.
-        if python_int_levels:
-            monkeypatch.setattr(strategy_module, "MAX_ARRAY_ATTRIBUTES", 0)
-        rel = Relation.from_rows([[0, 0, 0]] * num_rows, ["A", "B", "C"])
+        # mode, whichever mask dtype the levels hold (64 attributes
+        # take object masks).
+        width = 64 if object_masks else 3
+        rel = Relation.from_rows([[0] * width] * num_rows, [f"c{i}" for i in range(width)])
         expected = discover_uccs(rel).uccs
-        assert expected == [1, 2, 4]
+        assert expected == [1 << i for i in range(width)]
         for epsilon in (0.0, 0.1):
             assert discover(rel, TaneConfig(epsilon=epsilon)).keys == expected
             assert discover_uccs(rel, epsilon=epsilon).uccs == expected

@@ -26,7 +26,7 @@ from repro.model.relation import Relation
 from repro.partition.vectorized import _DENSE_MAX_ROWS
 from repro.testing import faults
 
-from ..conftest import level_opens, tracer_calling
+from ..conftest import copies_relation, level_opens, tracer_calling
 from .conftest import assert_identical_results
 
 
@@ -66,6 +66,18 @@ class TestResumeParity:
         resumed = discover(
             structured_relation,
             TaneConfig(epsilon=epsilon, checkpoint_dir=tmp_path, resume=True),
+        )
+        assert_identical_results(resumed, baseline)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.05])
+    def test_interrupt_then_resume_object_masks(self, tmp_path, epsilon):
+        # 65 attributes: the snapshot and the restored levels hold masks
+        # past bit 63.
+        relation = copies_relation()
+        baseline = discover(relation, TaneConfig(epsilon=epsilon))
+        run_interrupted(relation, tmp_path, level=3, epsilon=epsilon)
+        resumed = discover(
+            relation, TaneConfig(epsilon=epsilon, checkpoint_dir=tmp_path, resume=True)
         )
         assert_identical_results(resumed, baseline)
 

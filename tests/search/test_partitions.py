@@ -16,7 +16,7 @@ from repro.search.execution import SerialExecution
 from repro.search.instruments import Counter, SimpleMetrics
 from repro.search.partitions import PartitionManager
 
-from ..conftest import tracer_calling
+from ..conftest import copies_relation, tracer_calling
 
 
 @pytest.fixture
@@ -73,8 +73,8 @@ class TestProductsAndAccess:
         manager = _manager(relation)
         manager.bootstrap()
         manager.materialize([(5, 1, 4)])  # {A, C} is a key here
-        assert manager.is_superkey(5)
-        assert not manager.is_superkey(1)
+        assert manager.error_count(5) == 0
+        assert manager.error_count(1) != 0
         assert manager.error_count(1) == 2  # two classes of two rows
 
     def test_from_singletons_strategy_is_serial(self, relation):
@@ -307,18 +307,6 @@ def _deep_relation(rows, domains):
     )
 
 
-def _copies_relation():
-    """66 attributes: 62 copies of column g, then c, d and a random e,
-    so the Python-int (> 63-attribute) walk reaches level 4 with a few
-    hundred sets per level.  The 64 rows are every (g, c, d) over four
-    values, so each {g, c, d} is a key and none of its subsets is."""
-    rng = np.random.default_rng(4)
-    values = np.arange(4)
-    copied, c, d = (column.ravel() for column in np.meshgrid(values, values, values, indexing="ij"))
-    columns = [copied] * 62 + [c, d, rng.integers(0, 3, size=copied.size)]
-    return Relation.from_codes(columns, [f"c{i}" for i in range(len(columns))])
-
-
 class TestTwoResidentLevels:
     """A levelwise walk holds at most two adjacent levels: level ℓ−1 is
     reclaimed before the first partition of level ℓ+1 is stored."""
@@ -350,8 +338,9 @@ class TestTwoResidentLevels:
         assert self._walk(relation, store, epsilon=epsilon) == []
 
     def test_wide_approximate(self):
-        # PRUNE's key test reads level ℓ−1 ranks here (is_superkey), so
-        # the reclaim must follow it.
-        relation = _copies_relation()
+        # Over 63 attributes the levels hold object masks and each mask
+        # keeps its own CSR partition (no level blocks); the validity
+        # tests read level ℓ−1 partitions, so the reclaim must follow them.
+        relation = copies_relation()
         assert relation.num_attributes > 63
         assert self._walk(relation, CountingStore(), epsilon=0.05) == []

@@ -65,7 +65,13 @@ def test_rank_bound_matches_the_per_pair_path(measure, epsilon, monkeypatch):
     config = TaneConfig(measure=measure, epsilon=epsilon)
     arrays = discover(relation, config)
     with monkeypatch.context() as patch:
-        patch.setattr(strategy_module, "MAX_ARRAY_ATTRIBUTES", 0)
+        # Nothing rejected from the ranks: every failing pair goes
+        # through its measure, which applies the bound per pair.
+        patch.setattr(
+            strategy_module,
+            "bound_rejects",
+            lambda lower, criteria, rhs=None: np.zeros(np.shape(lower), dtype=bool),
+        )
         reference = discover(relation, config)
     assert summary(arrays) == summary(reference)
     if measure != "fi":
