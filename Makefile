@@ -80,18 +80,21 @@ obs-smoke:
 # Fault-tolerance smoke: the resilience suite (checkpoint/resume,
 # crash-path store errors) plus a CLI checkpoint/resume round trip for
 # the levelwise and the dfd strategy, each writing the one version-2
-# checkpoint format, with the memory and with the disk store (whose
-# level blocks a short relation's levelwise walk spills and resumes).
+# checkpoint format, with the memory and with the disk store (at the
+# default budget nothing of orders.csv spills), and an approximate
+# levelwise run on the disk store, whose validity tests read the level
+# blocks' label rows.
 fault-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/resilience tests/partition/test_store_faults.py -q
-	for store in memory disk; do for strategy in levelwise dfd; do \
+	for run in "levelwise memory" "dfd memory" "levelwise disk" "dfd disk" "levelwise disk --epsilon 0.05"; do \
+	  set -- $$run && strategy=$$1 && store=$$2 && shift 2 && \
 	  rm -rf /tmp/repro-ckpt && \
-	  PYTHONPATH=src $(PYTHON) -m repro.cli discover examples/data/orders.csv --strategy $$strategy --store $$store --checkpoint-dir /tmp/repro-ckpt | sed 's/, [0-9.]*s>/>/' > /tmp/repro-ckpt-first.out && \
+	  PYTHONPATH=src $(PYTHON) -m repro.cli discover examples/data/orders.csv --strategy $$strategy --store $$store "$$@" --checkpoint-dir /tmp/repro-ckpt | sed 's/, [0-9.]*s>/>/' > /tmp/repro-ckpt-first.out && \
 	  test -s /tmp/repro-ckpt/checkpoint.json && \
 	  $(PYTHON) -c "import json, sys; sys.exit(json.load(open('/tmp/repro-ckpt/checkpoint.json'))['version'] != 2)" && \
-	  PYTHONPATH=src $(PYTHON) -m repro.cli discover examples/data/orders.csv --strategy $$strategy --store $$store --checkpoint-dir /tmp/repro-ckpt --resume | sed 's/, [0-9.]*s>/>/' > /tmp/repro-ckpt-second.out && \
+	  PYTHONPATH=src $(PYTHON) -m repro.cli discover examples/data/orders.csv --strategy $$strategy --store $$store "$$@" --checkpoint-dir /tmp/repro-ckpt --resume | sed 's/, [0-9.]*s>/>/' > /tmp/repro-ckpt-second.out && \
 	  diff /tmp/repro-ckpt-first.out /tmp/repro-ckpt-second.out || exit 1; \
-	done; done
+	done
 	rm -rf /tmp/repro-ckpt /tmp/repro-ckpt-first.out /tmp/repro-ckpt-second.out
 
 # Differential/metamorphic verification smoke: the harness's smoke-marked
@@ -117,6 +120,7 @@ service-smoke:
 measures-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/search/test_measures.py \
 	  tests/search/test_measures_golden.py \
+	  tests/search/test_contingency.py tests/partition/test_errors.py \
 	  tests/search/test_expected_mutual_information.py \
 	  tests/search/test_measures_properties.py \
 	  tests/search/test_planted_recovery.py \

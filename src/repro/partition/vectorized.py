@@ -13,8 +13,8 @@ relation of ``2**31`` rows or more is refused.
 
 This realizes the extended version's "more compact representation of
 partitions" optimization: memory per partition is two flat arrays, and
-both the partition product and the ``g3`` computation become a handful
-of vectorized passes instead of per-row Python work.
+the partition product becomes a handful of vectorized passes instead
+of per-row Python work.
 
 Canonical layout
 ----------------
@@ -129,9 +129,10 @@ block — labels scattered back from the kernel's sorted groups — or
 only its ranks; :meth:`LevelBlock.chains` builds a level from the
 singletons' block instead (checkpoint restore, the from-singletons
 ablation).  A block is stored, spilled and reclaimed as one unit (see
-:mod:`repro.partition.store`), and per-mask readers get canonical CSR
-views of its rows, which :meth:`LevelBlock.with_views` attaches to the
-stored block so they count in its bytes and go with a spill.  Taller
+:mod:`repro.partition.store`).  The approximate validity tests hand
+its rows, with their class counts and ranks (:meth:`LevelBlock.row`),
+to the contingency table of :mod:`repro.partition.errors` as they are,
+so no CSR copy of a block is built or stored.  Taller
 relations keep one CSR partition per mask: at 100k rows a label row
 would be 200 KB against a few KB of stripped CSR.
 
@@ -154,6 +155,7 @@ import numpy as np
 
 from repro.exceptions import DataError, PartitionMissingError
 from repro.partition.base import PartitionBase
+from repro.partition.errors import LabelRow, contingency, g3_count
 
 __all__ = [
     "INDEX_DTYPE", "LABEL_DTYPE", "CsrPartition", "LevelBlock", "PartitionWorkspace",
@@ -197,7 +199,7 @@ def _index_buffer(values, limit: int, what: str) -> np.ndarray:
 
 
 class PartitionWorkspace:
-    """Reusable scratch space for partition products and g3 tests.
+    """Reusable scratch space for partition products and contingency tables.
 
     Holds one ``int32`` probe array of length ``num_rows`` initialized
     to ``-1``.  Operations label only the rows they touch and reset
@@ -555,63 +557,19 @@ class CsrPartition(PartitionBase):
             _inherited_order(other),
         )
 
-    def _g3_small(self, refined: "CsrPartition") -> int:
-        """Dict-based g3 for small stripped sizes (paper's algorithm)."""
-        refined_offsets, refined_indices = refined._as_lists()
-        representative_size: dict[int, int] = {}
-        for k in range(len(refined_offsets) - 1):
-            representative_size[refined_indices[refined_offsets[k]]] = (
-                refined_offsets[k + 1] - refined_offsets[k]
-            )
-        offsets, indices = self._as_lists()
-        removed = 0
-        for k in range(len(offsets) - 1):
-            largest = 1
-            for i in range(offsets[k], offsets[k + 1]):
-                size = representative_size.get(indices[i])
-                if size is not None and size > largest:
-                    largest = size
-            removed += offsets[k + 1] - offsets[k] - largest
-        return removed
-
     def g3_error_count(
         self,
         refined: "PartitionBase",
         workspace: PartitionWorkspace | None = None,
     ) -> int:
-        """Rows to remove for ``X → A`` to hold, given ``π_{X∪{A}}``.
-
-        Every stripped class of ``refined`` lies wholly inside one
-        stripped class of ``self`` (refinement), so the parent of a
-        refined class is determined by any one of its rows.  The
-        largest refined sub-class is kept per parent class; singleton
-        sub-classes count as size 1.
-        """
+        """Rows to remove for ``X → A`` to hold, given ``π_{X∪{A}}``:
+        :func:`~repro.partition.errors.g3_count` of the two partitions'
+        contingency table, whose probe borrows ``workspace``."""
         if not isinstance(refined, CsrPartition):
             raise TypeError("CsrPartition can only be compared with CsrPartition")
         if refined.num_rows != self._num_rows:
             raise DataError("partitions are over different relations")
-        if self.num_classes == 0:
-            return 0
-        if self.stripped_size + refined.stripped_size <= _SMALL_PRODUCT_THRESHOLD:
-            return self._g3_small(refined)
-        if workspace is None:
-            workspace = PartitionWorkspace(self._num_rows)
-        probe = workspace.probe
-        # try/finally for the same reason as in ``product``: a raise
-        # between scatter and reset must not leave the shared probe
-        # dirty for the rest of the run.
-        try:
-            _scatter(probe, self)
-            largest = np.ones(self.num_classes, dtype=np.int64)
-            if refined.num_classes:
-                first_rows = refined._indices[refined._offsets[:-1]]
-                parents = probe[first_rows]
-                valid = parents >= 0
-                np.maximum.at(largest, parents[valid], refined.class_sizes[valid])
-        finally:
-            _clear(probe, self)
-        return int(self.stripped_size - largest.sum())
+        return g3_count(contingency(self, refined, workspace))
 
 
 # ----------------------------------------------------------------------
@@ -1453,12 +1411,12 @@ class LevelBlock:
     an exact run) holds ``masks`` and ``errors`` alone.
 
     Blocks are immutable: :meth:`products` and :meth:`chains` build new
-    ones, :meth:`partitions` returns fresh CSR views of its rows, and
-    :meth:`with_views` a copy that carries them (``views``: mask to
-    view, ``None`` until attached).
+    ones, :meth:`row` reads one partition as a
+    :class:`~repro.partition.errors.LabelRow` and :meth:`partitions`
+    builds fresh CSR partitions of its rows.
     """
 
-    __slots__ = ("masks", "labels", "classes", "errors", "num_rows", "views", "_view_bytes")
+    __slots__ = ("masks", "labels", "classes", "errors", "num_rows")
 
     def __init__(
         self,
@@ -1467,15 +1425,12 @@ class LevelBlock:
         classes: np.ndarray | None,
         errors: np.ndarray,
         num_rows: int,
-        views: dict[int, CsrPartition] | None = None,
     ) -> None:
         self.masks = masks
         self.labels = labels
         self.classes = classes
         self.errors = errors
         self.num_rows = num_rows
-        self.views = views
-        self._view_bytes = 0 if views is None else sum(v.nbytes() for v in views.values())
 
     @classmethod
     def from_partitions(
@@ -1505,38 +1460,41 @@ class LevelBlock:
             )
         return rows
 
-    def error_count(self, mask: int) -> int:
-        """``e(π_mask)``."""
-        return int(self.errors[self.rows_of([mask])[0]])
+    def row(self, mask: int) -> LabelRow:
+        """``π_mask`` as the label row the contingency table reads (a
+        view into the block: nothing is copied)."""
+        # One scalar search: rows_of's array checks would cost about as
+        # much as the test this row feeds.
+        index = int(self.masks.searchsorted(mask))
+        if index == len(self) or self.masks[index] != mask or self.labels is None:
+            raise PartitionMissingError(f"no label row stored for mask {mask:#x}")
+        return LabelRow(self.labels[index], int(self.classes[index]), int(self.errors[index]))
 
-    def partitions(self) -> list[CsrPartition]:
-        """Every row as a canonical CSR partition, built in one pass
-        over the block: rows ascend inside each class and classes follow
-        their labels, which is the byte layout every product path
-        emits."""
+    def partitions(self, masks=None) -> list[CsrPartition]:
+        """The rows of ``masks`` (default: every row) as canonical CSR
+        partitions, built in one pass: rows ascend inside each class
+        and classes follow their labels, which is the byte layout every
+        product path emits."""
         if self.labels is None:
             raise PartitionMissingError("a rank-only level keeps only its ranks")
+        labels, classes = self.labels, self.classes
+        if masks is not None:
+            rows = self.rows_of(masks)
+            labels, classes = labels[rows], classes[rows]
         num_rows = self.num_rows
-        flat = self.labels.reshape(-1)
+        flat = labels.reshape(-1)
         members = np.flatnonzero(flat >= 0)
         owners = members // num_rows
         # Each row's class, numbered across the block: stable-sorted,
         # the rows come out block row by block row, class by class,
         # ascending inside each class.
-        keys = (np.cumsum(self.classes) - self.classes)[owners] + flat[members]
-        total = int(self.classes.sum())
+        keys = (np.cumsum(classes) - classes)[owners] + flat[members]
+        total = int(classes.sum())
         order = _stable_order(keys, max(total, 1))
         rows = (members - owners * num_rows)[order].astype(INDEX_DTYPE)
         return _task_partitions(
-            rows, np.bincount(keys, minlength=total), self.classes, num_rows
+            rows, np.bincount(keys, minlength=total), classes, num_rows
         )
-
-    def with_views(self) -> "LevelBlock":
-        """This block carrying the CSR view of every row, built in one
-        pass by :meth:`partitions` and counted in :meth:`nbytes`.  A
-        spill writes the arrays alone, so a reloaded block has none."""
-        views = dict(zip(self.masks.tolist(), self.partitions()))
-        return LevelBlock(self.masks, self.labels, self.classes, self.errors, self.num_rows, views)
 
     def stripped_rows(self) -> int | None:
         """``Σ‖π̂‖`` over the block, or None for a rank-only block."""
@@ -1545,9 +1503,8 @@ class LevelBlock:
         return int((self.errors + self.classes).sum())
 
     def nbytes(self) -> int:
-        """Memory footprint of the block's arrays and views (used by
-        stores)."""
-        return self._view_bytes + sum(
+        """Memory footprint of the block's arrays (used by stores)."""
+        return sum(
             array.nbytes
             for array in (self.masks, self.labels, self.classes, self.errors)
             if array is not None

@@ -30,6 +30,7 @@ from collections.abc import Callable, Iterator, Sequence
 
 import numpy as np
 
+from repro.partition.errors import LabelRow
 from repro.partition.vectorized import (
     CsrPartition,
     LevelBlock,
@@ -45,7 +46,7 @@ __all__ = ["Fetch", "ValidityGroups", "SerialExecution"]
 # may spill) is not delayed by a whole level.
 _PRODUCT_BATCH = 256
 
-Fetch = Callable[[int], CsrPartition]
+Fetch = Callable[[int], "CsrPartition | LabelRow"]
 # ``(whole_mask, [(rhs_index, lhs_mask), ...])`` in level order; the
 # rhs indices identify the dependent attribute for measures that need
 # its marginal statistics (criteria.rhs_stats).

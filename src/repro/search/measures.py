@@ -47,8 +47,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.partition.errors import g1_error, g2_error
-from repro.partition.vectorized import CsrPartition, PartitionWorkspace
+from repro.partition.base import PartitionBase
+from repro.partition.errors import Contingency, LabelRow, contingency, g1_count, g2_count, g3_count
+from repro.partition.vectorized import PartitionWorkspace
 
 __all__ = [
     "MEASURES",
@@ -249,8 +250,8 @@ class Measure(ABC):
     @abstractmethod
     def evaluate(
         self,
-        pi_lhs: CsrPartition,
-        pi_whole: CsrPartition,
+        pi_lhs: PartitionBase | LabelRow,
+        pi_whole: PartitionBase | LabelRow,
         criteria: ValidityCriteria,
         workspace: PartitionWorkspace | None,
         rhs_index: int = -1,
@@ -273,7 +274,7 @@ class G3Measure(Measure):
         rejection = _bound_rejection(pi_lhs, pi_whole, criteria)
         if rejection is not None:
             return rejection
-        error_count = pi_lhs.g3_error_count(pi_whole, workspace)
+        error_count = g3_count(contingency(pi_lhs, pi_whole, workspace))
         return ValidityOutcome(
             error_count <= criteria.epsilon_count,
             False,
@@ -283,101 +284,21 @@ class G3Measure(Measure):
         )
 
 
-class G1Measure(Measure):
-    """Kivinen & Mannila's ``g1``: fraction of violating row pairs."""
+class ViolationMeasure(Measure):
+    """Kivinen & Mannila's ``g1`` (the fraction of violating ordered row
+    pairs, a count over ``|r|²``) and ``g2`` (the fraction of rows in
+    violations, over ``|r|``): always the exact table count."""
 
-    name = "g1"
-
-    def evaluate(self, pi_lhs, pi_whole, criteria, workspace, rhs_index=-1):
-        """Always the exact O(|r|) pair-count computation."""
-        error = g1_error(pi_lhs, pi_whole)
-        return ValidityOutcome(
-            error <= criteria.epsilon + 1e-12, False, error, False, True
-        )
-
-
-class G2Measure(Measure):
-    """Kivinen & Mannila's ``g2``: fraction of rows in violations."""
-
-    name = "g2"
+    def __init__(self, name: str, count, power: int) -> None:
+        self.name, self._count, self._power = name, count, power
 
     def evaluate(self, pi_lhs, pi_whole, criteria, workspace, rhs_index=-1):
-        """Always the exact O(|r|) violating-row computation."""
-        error = g2_error(pi_lhs, pi_whole)
-        return ValidityOutcome(
-            error <= criteria.epsilon + 1e-12, False, error, False, True
-        )
+        count = self._count(contingency(pi_lhs, pi_whole, workspace))
+        error = count / criteria.num_rows**self._power
+        return ValidityOutcome(error <= criteria.epsilon + 1e-12, False, error, False, True)
 
 
-class _Contingency(NamedTuple):
-    """The lhs x rhs contingency table of one test, as integer arrays.
-
-    ``sizes[j]`` is the size ``s_j`` of stripped lhs class ``j``;
-    ``children`` are the sizes ``k`` of the stripped classes of
-    ``pi_whole`` and ``parents`` the lhs class each lies in;
-    ``within[j] = sum k`` and ``agreeing[j] = sum k^2`` over the
-    children of class ``j``.  The ``s_j - within[j]`` other rows of the
-    class each carry a distinct rhs value, and rows outside every
-    stripped lhs class are lhs-singletons, so this is all any score
-    measure needs.
-    """
-
-    sizes: np.ndarray
-    children: np.ndarray
-    parents: np.ndarray
-    within: np.ndarray
-    agreeing: np.ndarray
-
-
-def _contingency(pi_lhs, pi_whole, workspace=None) -> _Contingency:
-    """The contingency table of ``pi_lhs`` refined by ``pi_whole``.
-
-    A whole class (rows agreeing on X) always lies inside one lhs class
-    (rows agreeing on X minus A), so its first row names the parent.
-    The CSR engine scatters the lhs labels to rows and gathers them at
-    those first rows; the pure engine builds the same integer arrays
-    from ``classes()``.  Either way the per-parent sums are two
-    ``bincount`` passes, and the table holds only integers: every
-    float is derived from it term by term (see :func:`_pdep_score`).
-    """
-    if isinstance(pi_lhs, CsrPartition) and isinstance(pi_whole, CsrPartition):
-        sizes = pi_lhs.class_sizes.astype(np.int64)
-        children = pi_whole.class_sizes.astype(np.int64)
-        probe = (
-            workspace.probe
-            if workspace is not None
-            else np.full(pi_lhs.num_rows, -1, dtype=pi_lhs.indices.dtype)
-        )
-        try:
-            # Labels built here, not cached on the partition: the walk
-            # keeps many lhs partitions resident, and a label cache
-            # would double each one's footprint.
-            probe[pi_lhs.indices] = np.repeat(
-                np.arange(sizes.size, dtype=probe.dtype), sizes
-            )
-            parents = probe[pi_whole.indices[pi_whole.offsets[:-1]]].astype(np.int64)
-        finally:
-            probe[pi_lhs.indices] = -1
-    else:
-        parent_of: dict[int, int] = {}
-        size_list: list[int] = []
-        for index, cls in enumerate(pi_lhs.classes()):
-            size_list.append(len(cls))
-            for row in cls:
-                parent_of[row] = index
-        whole = [(len(cls), parent_of[cls[0]]) for cls in pi_whole.classes()]
-        sizes = np.array(size_list, dtype=np.int64)
-        children = np.array([k for k, _ in whole], dtype=np.int64)
-        parents = np.array([j for _, j in whole], dtype=np.int64)
-    weights = children.astype(np.float64)
-    # Integer-valued float sums: exact below 2**53, i.e. for any
-    # relation of fewer than ~94 million rows.
-    within = np.bincount(parents, weights=weights, minlength=sizes.size)
-    agreeing = np.bincount(parents, weights=weights * weights, minlength=sizes.size)
-    return _Contingency(sizes, children, parents, within, agreeing)
-
-
-def _pdep_score(table: _Contingency, num_rows: int) -> float:
+def _pdep_score(table: Contingency, num_rows: int) -> float:
     """``pdep(X -> A)``: expected probability of guessing ``A`` right
     by drawing from its empirical distribution within the ``X`` group.
 
@@ -389,12 +310,15 @@ def _pdep_score(table: _Contingency, num_rows: int) -> float:
     """
     if num_rows == 0:
         return 1.0
-    terms = (table.agreeing + (table.sizes - table.within)) / table.sizes
+    weights = table.children.astype(np.float64)
+    within = table.per_class(weights)
+    agreeing = table.per_class(weights * weights)
+    terms = (agreeing + (table.sizes - within)) / table.sizes
     outside = num_rows - int(table.sizes.sum())
     return math.fsum([*terms.tolist(), outside]) / num_rows
 
 
-def _conditional_entropy(table: _Contingency, num_rows: int) -> float:
+def _conditional_entropy(table: Contingency, num_rows: int) -> float:
     """Empirical ``H(A | X)`` in nats, summed by ``math.fsum``.
 
     Per stripped child ``-(k/n) log(k/s)``; per lhs class the
@@ -407,7 +331,8 @@ def _conditional_entropy(table: _Contingency, num_rows: int) -> float:
         return 0.0
     children = table.children
     child_terms = -(children / num_rows) * np.log(children / table.sizes[table.parents])
-    single_terms = (table.sizes - table.within) * np.log(table.sizes) / num_rows
+    within = table.per_class(children.astype(np.float64))
+    single_terms = (table.sizes - within) * np.log(table.sizes) / num_rows
     return math.fsum([*child_terms.tolist(), *single_terms.tolist()])
 
 
@@ -472,7 +397,7 @@ def bound_outcome(lower: int, criteria: ValidityCriteria) -> ValidityOutcome:
 
 def _bound_rejection(pi_lhs, pi_whole, criteria) -> ValidityOutcome | None:
     """The outcome of a test the g3 lower bound rejects, else None."""
-    lower, _ = pi_lhs.g3_bound_counts(pi_whole)
+    lower = pi_lhs.error_count - pi_whole.error_count
     if bound_rejects(lower, criteria):
         return bound_outcome(lower, criteria)
     return None
@@ -500,8 +425,8 @@ class PdepMeasure(Measure):
         rejection = _bound_rejection(pi_lhs, pi_whole, criteria)
         if rejection is not None:
             return rejection
-        contingency = _contingency(pi_lhs, pi_whole, workspace)
-        return _score_outcome(_pdep_score(contingency, criteria.num_rows), criteria)
+        table = contingency(pi_lhs, pi_whole, workspace)
+        return _score_outcome(_pdep_score(table, criteria.num_rows), criteria)
 
 
 class TauMeasure(Measure):
@@ -518,8 +443,8 @@ class TauMeasure(Measure):
         rejection = _bound_rejection(pi_lhs, pi_whole, criteria)
         if rejection is not None:
             return rejection
-        contingency = _contingency(pi_lhs, pi_whole, workspace)
-        pdep_xy = _pdep_score(contingency, criteria.num_rows)
+        table = contingency(pi_lhs, pi_whole, workspace)
+        pdep_xy = _pdep_score(table, criteria.num_rows)
         return _score_outcome((pdep_xy - stats.pdep) / (1.0 - stats.pdep), criteria)
 
 
@@ -540,8 +465,8 @@ class MuPlusMeasure(Measure):
         if free_rows <= 0:
             # lhs is a (super)key: pdep = 1 and mu is defined as 1.
             return _score_outcome(1.0, criteria)
-        contingency = _contingency(pi_lhs, pi_whole, workspace)
-        pdep_xy = _pdep_score(contingency, criteria.num_rows)
+        table = contingency(pi_lhs, pi_whole, workspace)
+        pdep_xy = _pdep_score(table, criteria.num_rows)
         mu = 1.0 - (1.0 - pdep_xy) * (criteria.num_rows - 1) / free_rows
         return _score_outcome(max(0.0, mu), criteria)
 
@@ -557,8 +482,8 @@ class FiMeasure(Measure):
         stats = _stats_for(criteria, rhs_index, self.name)
         if stats.entropy <= 0.0:
             return _score_outcome(1.0, criteria)
-        contingency = _contingency(pi_lhs, pi_whole, workspace)
-        conditional = _conditional_entropy(contingency, criteria.num_rows)
+        table = contingency(pi_lhs, pi_whole, workspace)
+        conditional = _conditional_entropy(table, criteria.num_rows)
         return _score_outcome(1.0 - conditional / stats.entropy, criteria)
 
 
@@ -579,11 +504,11 @@ class RfiMeasure(Measure):
         # oracle; the textbook rfi of a key is 0 (E[I] = H(A) there).
         if stats.entropy <= 0.0 or pi_lhs.error_count == pi_whole.error_count:
             return _score_outcome(1.0, criteria)
-        contingency = _contingency(pi_lhs, pi_whole, workspace)
-        conditional = _conditional_entropy(contingency, criteria.num_rows)
+        table = contingency(pi_lhs, pi_whole, workspace)
+        conditional = _conditional_entropy(table, criteria.num_rows)
         fi_score = 1.0 - conditional / stats.entropy
         bias = expected_mutual_information(
-            contingency.sizes, stats.counts, criteria.num_rows
+            table.sizes, stats.counts, criteria.num_rows
         )
         return _score_outcome(max(0.0, fi_score - bias / stats.entropy), criteria)
 
@@ -592,8 +517,8 @@ MEASURES: dict[str, Measure] = {
     measure.name: measure
     for measure in (
         G3Measure(),
-        G1Measure(),
-        G2Measure(),
+        ViolationMeasure("g1", g1_count, 2),
+        ViolationMeasure("g2", g2_count, 1),
         PdepMeasure(),
         TauMeasure(),
         MuPlusMeasure(),
@@ -613,8 +538,8 @@ RHS_STATS_MEASURES = frozenset({"tau", "fi", "rfi"})
 
 
 def evaluate_validity(
-    pi_lhs: CsrPartition,
-    pi_whole: CsrPartition,
+    pi_lhs: PartitionBase | LabelRow,
+    pi_whole: PartitionBase | LabelRow,
     criteria: ValidityCriteria,
     workspace: PartitionWorkspace | None = None,
     rhs_index: int = -1,

@@ -30,10 +30,11 @@ store so they become resident (and may spill) before later batches are
 computed.
 
 The driver and tracker never touch the store directly — they fetch
-through :meth:`get` / :meth:`error_count` / :meth:`error_counts`, which
-read a block row as a canonical CSR view, so the storage policy
-(memory vs disk, spill budgets, blocks vs per-mask partitions) stays a
-concern of this class and the composition root.
+through :meth:`get` / :meth:`error_count` / :meth:`error_counts`, and a
+batch of validity tests through :meth:`batch_fetch`, which hands the
+measures a block's rows as label rows, so the storage policy (memory vs
+disk, spill budgets, blocks vs per-mask partitions) stays a concern of
+this class and the composition root.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ import numpy as np
 
 from repro import _bitset
 from repro.core.lattice import LevelCandidates
-from repro.exceptions import PartitionMissingError
 from repro.model.relation import Relation
 from repro.partition.store import DiskPartitionStore, PartitionStore
 from repro.partition.vectorized import (
@@ -52,6 +52,7 @@ from repro.partition.vectorized import (
     batched_error_counts,
     dense_relation,
 )
+from repro.search.execution import Fetch
 from repro.search.instruments import Counter
 from repro.testing import faults
 
@@ -166,27 +167,37 @@ class PartitionManager:
         self._block_levels.add(size)
 
     def get(self, mask: int):
-        """Fetch ``π_mask``.  A block row comes back as a CSR view: the
-        first fetch from a block stores the block again with the views
-        of all its rows (:meth:`LevelBlock.with_views`, one pass), since
-        the approximate tests that fetch measure nearly every set of a
-        level.  The store counts the views in its bytes, and a spill
-        drops them with the block."""
+        """Fetch ``π_mask``; a block row comes back as a CSR partition
+        built for this call alone (:meth:`LevelBlock.partitions`)."""
         block = self._block(mask)
-        if block is None:
-            return self.store.get(mask)
-        if block.views is None:
-            block = block.with_views()
-            self._put_block(_bitset.popcount(mask), block)
-        view = block.views.get(mask)
-        if view is None:
-            raise PartitionMissingError(f"no partition stored for mask {mask:#x}")
-        return view
+        return self.store.get(mask) if block is None else block.partitions([mask])[0]
+
+    def batch_fetch(self) -> Fetch:
+        """The fetch of one batch of validity tests.  In the block form
+        it reads each store entry it touches (two level blocks, or π_∅
+        and level 1's) once, and returns every mask as a label row
+        (:meth:`LevelBlock.row`): a batch builds no CSR partition,
+        stores nothing, and loads each spilled entry at most once."""
+        if not self.level_blocks:
+            return self.store.get
+        blocks: dict[int, LevelBlock] = {}
+
+        def fetch(mask: int):
+            key = -_bitset.popcount(mask)
+            block = blocks.get(key)
+            if block is None:
+                entry = self.store.get(key)
+                # Every level of the block form is a block, but π_∅.
+                blocks[key] = block = (
+                    entry if key else LevelBlock.from_partitions([0], [entry], self.num_rows)
+                )
+            return block.row(mask)
+
+        return fetch
 
     def error_count(self, mask: int) -> int:
         """``e(π_mask)``: rows to remove for ``mask`` to be unique."""
-        block = self._block(mask)
-        return self.store.get(mask).error_count if block is None else block.error_count(mask)
+        return int(self.error_counts([mask])[0])
 
     def error_counts(self, masks) -> np.ndarray:
         """``e(π)`` of every mask of one level, as an ``int64`` array."""
@@ -194,7 +205,7 @@ class PartitionManager:
             block = self._block(int(masks[0]))
             if block is not None:
                 return block.errors[block.rows_of(masks)]
-        return np.array([self.error_count(int(mask)) for mask in masks], dtype=np.int64)
+        return np.array([self.store.get(int(m)).error_count for m in masks], dtype=np.int64)
 
     def stripped_rows(self, masks) -> int | None:
         """``Σ‖π̂‖`` over one level's ``masks``, read from resident

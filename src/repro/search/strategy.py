@@ -354,8 +354,9 @@ class LevelwiseStrategy(TraversalStrategy):
         A pair passing the rank test is exactly valid.  With ``ε > 0``
         the others meet the g3 lower bound first, which needs only their
         ranks (:func:`~repro.search.measures.bound_rejects`); the rest
-        are measured through the executor in one batch.  Exact runs fail
-        them without fetching a partition.
+        are measured through the executor in one batch, which fetches
+        through :meth:`~repro.search.partitions.PartitionManager.batch_fetch`.
+        Exact runs fail them without fetching a partition.
         """
         driver = self.driver
         criteria = driver.criteria
@@ -375,8 +376,9 @@ class LevelwiseStrategy(TraversalStrategy):
             bounded = failing[rejected]
             tested = failing[~rejected]
             if tested.size:
+                fetch = driver.partitions.batch_fetch()
                 outcomes = driver.executor.validity_tests(
-                    pairs.groups(tested), driver.partitions.get, criteria, driver.workspace
+                    pairs.groups(tested), fetch, criteria, driver.workspace
                 )
                 measured = list(zip(tested.tolist(), outcomes))
         if faults.mutation_armed("tane.validity.outcome"):

@@ -1,19 +1,24 @@
-"""The array contingency table behind the score measures.
+"""The one contingency table behind every measure.
 
-``pdep``, ``tau``, ``mu_plus``, ``fi`` and ``rfi`` are all computed
-from one integer contingency table of ``pi_lhs`` refined by
-``pi_whole`` and summed with ``math.fsum``.  Three properties pin it,
-per test and per discovery run:
+``g3``, ``g1`` and ``g2`` are integer counts of one contingency table
+of ``pi_lhs`` refined by ``pi_whole``; ``pdep``, ``tau``, ``mu_plus``,
+``fi`` and ``rfi`` are computed from the same table and summed with
+``math.fsum``.  The table has three front ends: two CSR partitions,
+two label rows of a level block, and the pure engine's classes.  Four
+properties pin it, per test and per discovery run:
 
 * it agrees with the definitional bruteforce oracle to 1e-12;
 * the CSR and pure engines give bit-identical errors (they build the
   same integer arrays, and every float is a term-wise function of them);
+* so do label rows, read from a level block as a levelwise walk over a
+  short relation reads them;
 * shuffling the rows leaves every error bit-identical (``fsum`` does
   not depend on the order of its terms).
 
-Discovery runs take the node engine (``dfd``) for the monotone
-measures and levelwise for ``mu_plus`` and ``rfi``, which ``dfd``
-refuses.
+Discovery runs take the node engine (``dfd``), whose tests read CSR
+partitions, for the monotone measures, and check the levelwise walk,
+whose tests read label rows, against it; ``mu_plus`` and ``rfi``,
+which ``dfd`` refuses, run levelwise only.
 """
 
 import itertools
@@ -26,9 +31,14 @@ from repro import _bitset
 from repro.baselines.bruteforce import dependency_error
 from repro.core.tane import TaneConfig, discover
 from repro.partition.pure import PurePartition
-from repro.partition.vectorized import CsrPartition, PartitionWorkspace
+from repro.partition.vectorized import (
+    CsrPartition,
+    LevelBlock,
+    PartitionWorkspace,
+    dense_relation,
+)
 from repro.search.measures import (
-    SCORE_MEASURES,
+    MEASURES,
     ValidityCriteria,
     evaluate_validity,
     relation_rhs_stats,
@@ -55,6 +65,22 @@ def _partition(engine, relation, mask):
     return product
 
 
+LABEL_ROWS = "label rows"
+"""The label-row front end, as one more engine of :func:`_errors`."""
+
+
+def _measured(engine, relation, mask):
+    """What a test on ``engine`` reads for ``mask``: its partition, or
+    its row of a level block.  As in a walk, a relation too short for
+    level blocks keeps CSR partitions."""
+    if engine != LABEL_ROWS:
+        return _partition(engine, relation, mask)
+    partition = _partition(CsrPartition, relation, mask)
+    if not dense_relation(relation.num_rows):
+        return partition
+    return LevelBlock.from_partitions([mask], [partition], relation.num_rows).row(mask)
+
+
 def _errors(relation, measure, engine=CsrPartition):
     """Every test ``X -> A`` with ``|X| <= 2``, measured on ``engine``."""
     n = relation.num_rows
@@ -74,8 +100,8 @@ def _errors(relation, measure, engine=CsrPartition):
             for lhs_indices in itertools.combinations(others, size):
                 lhs = _bitset.from_indices(lhs_indices)
                 outcome = evaluate_validity(
-                    _partition(engine, relation, lhs),
-                    _partition(engine, relation, lhs | _bitset.bit(rhs)),
+                    _measured(engine, relation, lhs),
+                    _measured(engine, relation, lhs | _bitset.bit(rhs)),
                     criteria,
                     workspace,
                     rhs,
@@ -88,7 +114,7 @@ def _shuffled(relation, permutation):
     return relation.take(permutation)
 
 
-MEASURE = st.sampled_from(SCORE_MEASURES)
+MEASURE = st.sampled_from(tuple(MEASURES))
 
 
 @st.composite
@@ -102,16 +128,18 @@ class TestPerTest:
     @settings(max_examples=40, **COMMON)
     @given(relation=RELATIONS, measure=MEASURE)
     def test_agrees_with_the_bruteforce_oracle(self, relation, measure):
-        for (lhs, rhs), error in _errors(relation, measure).items():
-            oracle = dependency_error(relation, lhs, rhs, measure)
-            assert error == pytest.approx(oracle, abs=1e-12), (lhs, rhs)
+        for engine in (CsrPartition, LABEL_ROWS):
+            for (lhs, rhs), error in _errors(relation, measure, engine).items():
+                oracle = dependency_error(relation, lhs, rhs, measure)
+                assert error == pytest.approx(oracle, abs=1e-12), (engine, lhs, rhs)
 
     @settings(max_examples=40, **COMMON)
     @given(relation=RELATIONS, measure=MEASURE)
     def test_csr_and_pure_engines_agree_bit_for_bit(self, relation, measure):
-        assert _errors(relation, measure) == _errors(
-            relation, measure, PurePartition
-        )
+        # Label rows too: each engine is one front end of the table.
+        reference = _errors(relation, measure)
+        assert _errors(relation, measure, PurePartition) == reference
+        assert _errors(relation, measure, LABEL_ROWS) == reference
 
     @settings(max_examples=40, **COMMON)
     @given(data=shuffled_relations(), measure=MEASURE)
@@ -123,10 +151,10 @@ class TestPerTest:
 
 
 def _discovered(relation, measure, **config):
-    strategy = "levelwise" if measure in ("mu_plus", "rfi") else "dfd"
+    config.setdefault("strategy", "levelwise" if measure in ("mu_plus", "rfi") else "dfd")
     result = discover(
         relation,
-        TaneConfig(strategy=strategy, epsilon=0.25, measure=measure, **config),
+        TaneConfig(epsilon=0.25, measure=measure, **config),
     )
     return sorted((fd.lhs, fd.rhs, fd.error) for fd in result.dependencies)
 
@@ -139,3 +167,4 @@ class TestDiscovery:
         reference = _discovered(relation, measure)
         assert _discovered(relation, measure, engine="pure") == reference
         assert _discovered(_shuffled(relation, permutation), measure) == reference
+        assert _discovered(relation, measure, strategy="levelwise") == reference

@@ -7,6 +7,7 @@ import pytest
 
 from repro import _bitset
 from repro.bench.workloads import FromSingletonsExecutor
+from repro.core.lattice import generate_next_level_arrays
 from repro.core.tane import TaneConfig, discover
 from repro.model.relation import Relation
 from repro.partition.pure import PurePartition
@@ -14,6 +15,7 @@ from repro.partition.store import DiskPartitionStore, MemoryPartitionStore
 from repro.partition.vectorized import CsrPartition, PartitionWorkspace
 from repro.search.execution import SerialExecution
 from repro.search.instruments import Counter, SimpleMetrics
+from repro.search.measures import ValidityCriteria, evaluate_validity
 from repro.search.partitions import PartitionManager
 
 from ..conftest import copies_relation, tracer_calling
@@ -264,39 +266,45 @@ class TestLevelStorage:
             [rng.integers(0, domain, size=200) for domain in (3, 5, 8)], ["a", "b", "c"]
         )
 
-    def test_views_are_store_bytes(self):
+    def test_measuring_a_block_row_leaves_the_store_bytes(self):
         relation = self._short_relation()
         store = MemoryPartitionStore()
         manager = _manager(relation, store)
         level = manager.bootstrap(levels=True)
-        bare = store.peek(-1)
-        assert bare.views is None
-        view = manager.get(level[1])
-        viewed = store.peek(-1)
-        assert viewed.views[level[1]] is view and manager.get(level[1]) is view
-        assert viewed.nbytes() == bare.nbytes() + sum(
-            v.nbytes() for v in viewed.views.values()
+        pairs = manager.materialize(generate_next_level_arrays(np.array(level)))
+        resident, peak = store._resident_bytes, store.peak_resident_bytes
+        criteria = ValidityCriteria(
+            epsilon=1.0,
+            epsilon_count=relation.num_rows,
+            measure="g3",
+            use_g3_bounds=False,
+            num_rows=relation.num_rows,
         )
-        assert store.peak_resident_bytes == store.get(0).nbytes() + viewed.nbytes()
-        assert view.indices.tobytes() == manager._singletons[1].indices.tobytes()
+        fetch = manager.batch_fetch()
+        for whole in pairs:
+            for _index, lhs in _bitset.iter_subsets_one_smaller(whole):
+                from_rows = evaluate_validity(fetch(lhs), fetch(whole), criteria)
+                from_csr = evaluate_validity(manager.get(lhs), manager.get(whole), criteria)
+                assert from_rows == from_csr and from_rows.error_computed
+        assert (store._resident_bytes, store.peak_resident_bytes) == (resident, peak)
 
-    def test_a_spill_drops_the_views(self, tmp_path):
-        relation = self._short_relation()
-        store = DiskPartitionStore(resident_budget_bytes=1, directory=tmp_path, min_spill_bytes=0)
+    @pytest.mark.parametrize("max_lhs_size", [2, None])
+    def test_a_budgeted_disk_store_loads_each_block_a_few_times(self, tmp_path, max_lhs_size):
+        relation = _deep_relation(200, (2, 3, 3, 4, 5, 6, 8))
+        config = dict(epsilon=0.05, max_lhs_size=max_lhs_size)
+        expected = discover(relation, TaneConfig(**config))
+        # Every block above the default pinning size spills at once.
+        store = DiskPartitionStore(resident_budget_bytes=1, directory=tmp_path)
         try:
-            manager = _manager(relation, store)
-            level = manager.bootstrap(levels=True)
-            for mask, singleton in zip(level, manager._singletons):
-                loads = store.load_count
-                view = manager.get(mask)
-                # Reloaded, given views, stored again and spilled whole:
-                # nothing of the level stays resident beside the budget.
-                assert store.load_count == loads + 1
-                assert store.peek(-1) is None
-                assert view.indices.tobytes() == singleton.indices.tobytes()
-                assert view.offsets.tobytes() == singleton.offsets.tobytes()
+            result = discover(relation, TaneConfig(store=store, **config))
         finally:
             store.close()
+        assert result.dependencies == expected.dependencies
+        levels = len(result.statistics.level_sizes)
+        # Each level loads its blocks for the validity batch and for the
+        # next level's products, not once per test.
+        assert store.load_count <= 3 * levels
+        assert result.statistics.error_computations > 3 * store.load_count
 
 
 def _deep_relation(rows, domains):
