@@ -26,7 +26,7 @@ from repro import _bitset
 from repro.core.lattice import generate_next_level
 from repro.exceptions import ConfigurationError
 from repro.model.relation import Relation
-from repro.partition.vectorized import CsrPartition, PartitionWorkspace
+from repro.partition.vectorized import CsrPartition, PartitionWorkspace, batched_products
 
 __all__ = ["AssociationRule", "mine_association_rules"]
 
@@ -97,7 +97,7 @@ def mine_association_rules(
         Minimum confidence of emitted rules.
     max_lhs_size:
         Maximum number of attribute-value pairs on the left-hand side
-        (``None`` = no limit).
+        (``None`` = no limit, ``0`` = empty-lhs rules only).
 
     Returns rules sorted by (lhs size, -support, -confidence).
     """
@@ -105,6 +105,8 @@ def mine_association_rules(
         raise ConfigurationError(f"min_support must be in (0, 1], got {min_support}")
     if not 0.0 < min_confidence <= 1.0:
         raise ConfigurationError(f"min_confidence must be in (0, 1], got {min_confidence}")
+    if max_lhs_size is not None and max_lhs_size < 0:
+        raise ConfigurationError(f"max_lhs_size must be >= 0, got {max_lhs_size}")
     num_rows = relation.num_rows
     if num_rows == 0:
         return []
@@ -142,8 +144,12 @@ def mine_association_rules(
         if level_number == limit:
             break
         next_level: list[int] = []
-        for candidate, factor_x, factor_y in generate_next_level(level):
-            product = frequent[factor_x].product(frequent[factor_y], workspace)
+        triples = generate_next_level(level)
+        products = batched_products(
+            [(frequent[factor_x], frequent[factor_y]) for _c, factor_x, factor_y in triples],
+            workspace,
+        )
+        for (candidate, _x, _y), product in zip(triples, products):
             product = _filter_frequent(product, min_count)
             if product.num_classes:
                 frequent[candidate] = product

@@ -30,8 +30,13 @@ from repro.datasets.uci import (
 )
 from repro.model.relation import Relation
 from repro.partition.pure import PurePartition
-from repro.partition.vectorized import CsrPartition, LevelBlock, PartitionWorkspace
-from repro.search.execution import SerialExecution
+from repro.partition.vectorized import (
+    CsrPartition,
+    LevelBlock,
+    PartitionWorkspace,
+    batched_products,
+)
+from repro.search.execution import _PRODUCT_BATCH, SerialExecution
 
 __all__ = [
     "run_table1",
@@ -413,13 +418,21 @@ class FromSingletonsExecutor(SerialExecution):
         self.products_computed = 0
 
     def products(self, triples, fetch, workspace):
-        for candidate, _factor_x, _factor_y in triples:
-            indices = _bitset.to_indices(candidate)
-            product = self._singletons[indices[0]]
-            for index in indices[1:]:
-                product = product.product(self._singletons[index], workspace)
-                self.products_computed += 1
-            yield candidate, product
+        """Each candidate's chain of singleton products; step *k* of
+        every chain in a batch is one :func:`batched_products` call."""
+        triples = list(triples)
+        for start in range(0, len(triples), _PRODUCT_BATCH):
+            chunk = triples[start:start + _PRODUCT_BATCH]
+            chains = [_bitset.to_indices(candidate) for candidate, _x, _y in chunk]
+            current = [self._singletons[indices[0]] for indices in chains]
+            for step in range(1, max(map(len, chains))):
+                live = [c for c, indices in enumerate(chains) if step < len(indices)]
+                pairs = [(current[c], self._singletons[chains[c][step]]) for c in live]
+                for c, product in zip(live, batched_products(pairs, workspace)):
+                    current[c] = product
+                self.products_computed += len(live)
+            for (candidate, _x, _y), product in zip(chunk, current):
+                yield candidate, product
 
     def level_products(self, factors, candidates, factor_x, factor_y, *, ranks_only=False):
         if self._singleton_block is None:

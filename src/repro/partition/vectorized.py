@@ -24,7 +24,7 @@ which code path produced it (checkpoint adoption, disk-store spills
 and golden comparisons all compare raw buffers):
 
 * :meth:`CsrPartition.from_column` orders classes by value code;
-* products (``product``, ``_product_small``, :func:`batched_products`,
+* products (``product``, :func:`batched_products`,
   :meth:`LevelBlock.products`) order classes by the pair
   ``(class-in-self, class-in-other)``, with rows inside a class in the
   right factor's index order;
@@ -36,18 +36,15 @@ and golden comparisons all compare raw buffers):
   classes, and a product inherits the order from its right factor, so
   every partition the program builds is ascending.  The dense product
   kernel (below) emits ascending rows whatever its inputs, so it
-  agrees with the per-triple path only under this invariant.  A
+  agrees with the probe path only under this invariant.  A
   partition wrapped around raw buffers (``CsrPartition(...)``,
   ``attach``, a disk-store spill) is checked once, lazily, by
   :meth:`CsrPartition._rows_ascending`; a non-ascending right factor
   keeps its products off the dense kernel.
 
-Products take one of four paths, selected by input properties only:
+Products take one of three paths, selected by input properties only
+(a single ``product`` call is :func:`batched_products` on one task):
 
-* a single ``product`` call whose stripped sizes sum to at most
-  ``_SMALL_PRODUCT_THRESHOLD`` probes a Python dict
-  (``_product_small``); larger ones take :func:`batched_products` on
-  one task (one of the next three paths);
 * over a relation of at most ``_DENSE_MAX_ROWS`` rows, the dense
   kernel (:func:`_grouped_rows`) groups a chunk of tasks with one
   row-wise sort of their pair keys — a fixed number of numpy passes
@@ -63,8 +60,8 @@ Products take one of four paths, selected by input properties only:
   whose left factor ascends) by grouping the left factor's rows by
   their value code, every such task in one sort (below);
 * the pooled kernel's other tasks reuse probe scatters across tasks
-  sharing a left factor, group the surviving rows by their left label
-  (below) and pool small tasks into sub-batches grouped together.
+  sharing a left factor and group each task's surviving rows by their
+  left label (below).
 
 Left-label grouping
 -------------------
@@ -78,10 +75,9 @@ key is packed above its position into a 32-bit word where both fit,
 else a 64-bit one, and numpy sorts the words with its vectorized
 sort; the sorted words give the order and the sorted keys at once.
 Keys and positions wider than 64 bits fall back to numpy's stable
-argsort.  :func:`_group_survivors` does this for pooled sub-batches of
-small tasks; a large task (:func:`_group_solo`) packs each survivor's
-``lx`` with its position in ``y`` straight from the probe read, then
-reads ``ly`` and the row ids at the sorted positions only.  Labels are
+argsort.  Each task (:func:`_group_solo`) packs each survivor's ``lx``
+with its position in ``y`` straight from the probe read, then reads
+``ly`` and the row ids at the sorted positions only.  Labels are
 built for the call that needs them and never cached on a partition,
 so a factor holds only its two CSR arrays, which is what the stores
 count.
@@ -110,10 +106,10 @@ least ``_THREAD_MIN_ROWS`` right-factor rows runs each left factor's
 group (:func:`_left_factor_tasks`) on a module-level thread pool, each
 thread with its own probe workspace; smaller calls stay on the calling
 thread.  The pool has one thread per CPU in the process's affinity
-mask, so CPU affinity is what limits it.  The small tasks the groups
-return are pooled in group order exactly as on one thread, so results
-are byte-identical either way.  This pool is the program's only
-parallelism: the search runs in one process, as the paper's TANE does.
+mask, so CPU affinity is what limits it.  Each task is grouped alone,
+on whichever thread, so results are byte-identical either way.  This
+pool is the program's only parallelism: the search runs in one
+process, as the paper's TANE does.
 A forked child of a caller drops the parent's pool
 (:func:`_forget_pool`).
 
@@ -215,22 +211,12 @@ class PartitionWorkspace:
         self.probe = np.full(num_rows, -1, dtype=INDEX_DTYPE)
 
 
-# Below this total stripped size, a single ``product`` call probes a
-# plain-Python dict instead of the vectorized path: each numpy call
-# costs a few microseconds of fixed overhead, and a product issues ~15
-# of them.  Only single ``product`` calls take this path: product
-# chains from the singletons (checkpoint restore and the ablation
-# strategy).  The kernels of ``batched_products`` and
-# ``batched_error_counts`` never take it.
-_SMALL_PRODUCT_THRESHOLD = 1024
-
-
 class CsrPartition(PartitionBase):
     """Stripped partition in CSR layout."""
 
     __slots__ = (
         "_indices", "_offsets", "_num_rows", "_error_count",
-        "_sizes", "_list_cache", "_table_cache", "_ascending",
+        "_sizes", "_ascending",
         "_column", "_column_width",
     )
 
@@ -262,8 +248,6 @@ class CsrPartition(PartitionBase):
         # compares it millions of times per run.
         self._error_count = int(indices.size) - int(offsets.size - 1)
         self._sizes: np.ndarray | None = None
-        self._list_cache: tuple[list[int], list[int]] | None = None
-        self._table_cache: dict[int, int] | None = None
         # Rows ascend inside every class: True when a constructor or
         # product guarantees it, None until checked (raw buffers).
         self._ascending = ascending
@@ -482,80 +466,15 @@ class CsrPartition(PartitionBase):
         Rows that survive into the product are exactly those belonging
         to a stripped class in *both* inputs; they are grouped by the
         pair (class-in-self, class-in-other) — the canonical class
-        order, shared with ``_product_small`` and
-        :func:`batched_products` — and pairs occurring once are
-        stripped.  Above the small-product threshold this is the kernel
-        :func:`batched_products` selects, on one task.
+        order — and pairs occurring once are stripped.  This is the
+        kernel :func:`batched_products` selects, on one task; a loop
+        of many products should batch them instead.
         """
         if not isinstance(other, CsrPartition):
             raise TypeError("CsrPartition can only be multiplied with CsrPartition")
         if other.num_rows != self._num_rows:
             raise DataError("partitions are over different relations")
-        if self.stripped_size + other.stripped_size <= _SMALL_PRODUCT_THRESHOLD:
-            return self._product_small(other)
         return _batched([(self, other)], workspace, counts=False)[0]
-
-    def _as_lists(self) -> tuple[list[int], list[int]]:
-        """``(offsets, indices)`` as plain lists (cached; small path)."""
-        if self._list_cache is None:
-            self._list_cache = (self._offsets.tolist(), self._indices.tolist())
-        return self._list_cache
-
-    def _probe_table(self) -> dict[int, int]:
-        """``row -> class label`` dict (cached; small path).
-
-        Building it once per partition instead of once per product
-        matters: every partition participates in up to ``|R|`` products
-        per level.
-        """
-        if self._table_cache is None:
-            offsets, indices = self._as_lists()
-            table: dict[int, int] = {}
-            for k in range(len(offsets) - 1):
-                for i in range(offsets[k], offsets[k + 1]):
-                    table[indices[i]] = k
-            self._table_cache = table
-        return self._table_cache
-
-    def _product_small(self, other: "CsrPartition") -> "CsrPartition":
-        """Dict-probe product for small stripped sizes.
-
-        Same algorithm as the paper's probe table (see
-        :meth:`repro.partition.pure.PurePartition.product`), avoiding
-        per-call numpy overhead on tiny inputs.  Classes are emitted in
-        the canonical ``(class-in-self, class-in-other)`` order so the
-        byte layout matches the vectorized path exactly — which side
-        of ``_SMALL_PRODUCT_THRESHOLD`` a product lands on must never
-        change the result's bytes.
-        """
-        table = self._probe_table()
-        other_offsets, other_indices = other._as_lists()
-        groups: dict[tuple[int, int], list[int]] = {}
-        for k in range(len(other_offsets) - 1):
-            for i in range(other_offsets[k], other_offsets[k + 1]):
-                row = other_indices[i]
-                label = table.get(row)
-                if label is not None:
-                    bucket = groups.get((label, k))
-                    if bucket is None:
-                        groups[(label, k)] = [row]
-                    else:
-                        bucket.append(row)
-        flat: list[int] = []
-        sizes: list[int] = []
-        for key in sorted(groups):
-            rows = groups[key]
-            if len(rows) >= 2:
-                flat.extend(rows)
-                sizes.append(len(rows))
-        if not sizes:
-            return CsrPartition.empty(self._num_rows)
-        return CsrPartition._built(
-            np.asarray(flat, dtype=INDEX_DTYPE),
-            _offsets_of(sizes),
-            self._num_rows,
-            _inherited_order(other),
-        )
 
     def g3_error_count(
         self,
@@ -585,17 +504,6 @@ def _inherited_order(right: CsrPartition) -> bool | None:
     """
     return True if right._ascending else None
 
-
-# Tasks with at least this many surviving rows are grouped one by one
-# (still reusing the shared probe scatter): numpy's fixed per-call
-# costs are already negligible against their own passes, and pooling
-# them would only add the concatenation copies.  Smaller tasks are
-# pooled into concatenated sub-batches.
-_BATCH_SOLO_ROWS = 4096
-
-# Element budget of one concatenated sub-batch.  Kept small so the
-# pooled sort stays cache-resident.
-_BATCH_ELEMENT_BUDGET = 1 << 16
 
 # Relations with at most this many rows take the dense kernel, and
 # their levelwise walks the level blocks (see "Level blocks").  Its
@@ -755,48 +663,12 @@ def _stable_order(keys: np.ndarray, keyspace: int) -> np.ndarray:
     return _stable_sort(keys, keyspace)[0]
 
 
-# ``(position, rows, lx, ly, classes_x, y)`` for the product ``x · y``:
-# the rows of ``y`` in a stripped class of ``x`` (in ``y``'s order) and
-# their class labels in ``x`` and ``y``.
-_Task = tuple[int, np.ndarray, np.ndarray, np.ndarray, int, "CsrPartition"]
-
-
-def _group_survivors(
-    tasks: Sequence[_Task], results: list, num_rows: int, counts: bool = False
-) -> None:
-    """Group the surviving rows of ``tasks`` by ``(lx, ly)`` in one sort.
-
-    The tasks are laid end to end, each task's ``lx`` shifted past the
-    class counts of the tasks before it, so one stable sort by the
-    shifted ``lx`` keeps tasks contiguous and orders each one
-    canonically (see "Left-label grouping" above).  The groups are
-    split into results by :func:`_split_groups`.
-    """
-    sizes = [task[1].size for task in tasks]
-    if len(tasks) == 1:
-        _position, rows, keys, right, keyspace, _y = tasks[0]
-    else:
-        classes = [task[4] for task in tasks]
-        keyspace = sum(classes)
-        # Widened before the shift: under NEP 50 an int32 array plus a
-        # Python int stays int32, and the shifted labels can exceed it.
-        keys = np.concatenate([task[2] for task in tasks], dtype=np.int64)
-        keys += np.repeat(np.cumsum(classes) - classes, sizes)
-        rows = np.concatenate([task[1] for task in tasks])
-        right = np.concatenate([task[3] for task in tasks])
-    order, sorted_keys = _stable_sort(keys, keyspace)
-    _split_groups(
-        [(task[0], task[5]) for task in tasks], sizes, rows, order,
-        (sorted_keys, right.take(order)), results, num_rows, counts,
-    )
-
-
 def _split_groups(
     outputs: Sequence[tuple[int, CsrPartition]],
     sizes: Sequence[int],
     rows: np.ndarray,
     order: np.ndarray,
-    sorted_keys: Sequence[np.ndarray],
+    sorted_keys: np.ndarray,
     results: list,
     num_rows: int,
     counts: bool,
@@ -805,19 +677,16 @@ def _split_groups(
 
     ``rows`` holds the tasks' rows end to end, ``sizes[t]`` of them for
     task ``t``; ``order`` sorts them task by task into groups, and a
-    group runs while all of ``sorted_keys`` (in sorted order) repeat.
-    Tasks' keys never meet, so no group spans two tasks.
+    group runs while ``sorted_keys`` (in sorted order) repeats.  Tasks'
+    keys never meet, so no group spans two tasks.
     ``outputs[t]`` is task ``t``'s ``(position, right factor)``.
     ``results[position]`` receives each product, its singleton groups
     stripped, or with ``counts`` its ``e(π)``: rows minus groups, which
     is the repeats.  A batch's results own their buffers.
     """
-    lead = sorted_keys[0]
     # same[i]: sorted row i shares its group with row i + 1.
-    same = np.zeros(lead.size, dtype=bool)
-    np.equal(lead[1:], lead[:-1], out=same[:-1])
-    for keys in sorted_keys[1:]:
-        same[:-1] &= keys[1:] == keys[:-1]
+    same = np.zeros(sorted_keys.size, dtype=bool)
+    np.equal(sorted_keys[1:], sorted_keys[:-1], out=same[:-1])
     task_bounds = [0, *itertools.accumulate(sizes)]
     if counts:
         repeats = np.zeros(same.size + 1, dtype=np.int64)
@@ -898,7 +767,7 @@ def _column_products(
         [(position, y) for position, _x, y in live],
         [x._indices.size for _position, x, _y in live],
         np.concatenate([x._indices for _position, x, _y in live]),
-        order, (sorted_keys,), results, num_rows, counts,
+        order, sorted_keys, results, num_rows, counts,
     )
 
 
@@ -918,7 +787,7 @@ def _label_matrix(
     # list, with a zero-size gap class between consecutive factors.
     rows = np.concatenate([f._indices for f in factors], dtype=np.int64)
     if rows.size and (int(rows.min()) < 0 or int(rows.max()) >= num_rows):
-        # The per-triple path raises from its probe gather; a shifted
+        # The probe path raises from its gather; a shifted
         # row would silently land in another factor's matrix row.
         raise IndexError("partition row id out of range for the relation")
     bounds = np.concatenate([f._offsets for f in factors], dtype=np.int64)
@@ -1006,7 +875,7 @@ def _dense_products(
     The chunk's distinct factors go through the CSR-to-label-row
     adapter (:func:`_label_matrix`), :func:`_grouped_rows` groups every
     task, and each task's kept classes are cut out of the sorted rows
-    as a CSR partition, which matches the per-triple path whenever the
+    as a CSR partition, which matches the probe path whenever the
     right factor ascends.  Each result owns its buffers (no views into
     the chunk arrays), so store byte accounting and spills stay
     truthful.  With ``counts`` the result is each product's ``e(π)``.
@@ -1114,12 +983,8 @@ def _pooled_products(
     left factor is scattered once per call (:func:`_left_factor_tasks`).
     A call with several groups and at least ``_THREAD_MIN_ROWS``
     right-factor rows runs its groups on the kernel's thread pool (see
-    "Kernel threads" above).  Tasks of at least ``_BATCH_SOLO_ROWS``
-    surviving rows are grouped one at a time, smaller ones pooled in
-    group order into sub-batches of at most ``_BATCH_ELEMENT_BUDGET``
-    rows, each grouped by one sort (:func:`_group_survivors`).  With
-    ``counts`` every result is the product's ``e(π)`` instead of the
-    partition.
+    "Kernel threads" above).  With ``counts`` every result is the
+    product's ``e(π)`` instead of the partition.
     """
     positions = list(positions)
     right_rows = sum(pairs[position][1]._indices.size for position in positions)
@@ -1145,30 +1010,18 @@ def _pooled_products(
     if pool is None:
         if workspace is None:
             workspace = PartitionWorkspace(num_rows)
-        pooled = [
-            task
-            for group in groups
-            for task in _left_factor_tasks(pairs, group, results, num_rows, workspace, counts)
-        ]
-    else:
-        futures = [
-            pool.submit(_left_factor_tasks, pairs, group, results, num_rows, None, counts)
-            for group in groups
-        ]
-        # Every group finishes (and resets its probe) before a failure
-        # is raised, so no pool thread still works on this call after.
-        concurrent.futures.wait(futures)
-        pooled = [task for future in futures for task in future.result()]
-    batch: list[_Task] = []
-    elements = 0
-    for task in pooled:
-        if batch and elements + task[1].size > _BATCH_ELEMENT_BUDGET:
-            _group_survivors(batch, results, num_rows, counts)
-            batch, elements = [], 0
-        batch.append(task)
-        elements += task[1].size
-    if batch:
-        _group_survivors(batch, results, num_rows, counts)
+        for group in groups:
+            _left_factor_tasks(pairs, group, results, num_rows, workspace, counts)
+        return
+    futures = [
+        pool.submit(_left_factor_tasks, pairs, group, results, num_rows, None, counts)
+        for group in groups
+    ]
+    # Every group finishes (and resets its probe) before a failure is
+    # raised, so no pool thread still works on this call after.
+    concurrent.futures.wait(futures)
+    for future in futures:
+        future.result()
 
 
 def _left_factor_tasks(
@@ -1178,24 +1031,22 @@ def _left_factor_tasks(
     num_rows: int,
     workspace: PartitionWorkspace | None,
     counts: bool,
-) -> list[_Task]:
+) -> None:
     """Solve the tasks at ``positions``, which share a left factor ``x``.
 
     ``x`` is scattered into the probe once for all of them; each task's
-    surviving rows are gathered from its right factor.  Tasks of at
-    least ``_BATCH_SOLO_ROWS`` survivors are grouped here; the smaller
-    ones are returned, in order, for the caller to pool.  Without a
-    ``workspace`` (on a pool thread) the thread's own is used.
+    surviving rows are gathered from its right factor and grouped by
+    :func:`_group_solo`.  Without a ``workspace`` (on a pool thread)
+    the thread's own is used.
     """
     x = pairs[positions[0]][0]
     if x._offsets.size == 1:
         # A factor with no stripped classes kills every pair.
         for position in positions:
             results[position] = _no_product(num_rows, counts)
-        return []
+        return
     if workspace is None:
         workspace = _thread_workspace(num_rows)
-    small: list[_Task] = []
     probe = workspace.probe
     # The reset must run even when a gather raises (e.g. a corrupt
     # attached partition with out-of-range row ids): the workspace is
@@ -1212,24 +1063,12 @@ def _left_factor_tasks(
             # without first widening them to an intp index array.
             in_x = probe.take(y._indices)
             survivors = np.flatnonzero(in_x >= 0)
-            if survivors.size >= _BATCH_SOLO_ROWS:
+            if survivors.size:
                 _group_solo(position, y, in_x, survivors, x.num_classes, results, num_rows, counts)
-            elif survivors.size:
-                small.append((
-                    position,
-                    y._indices.take(survivors),
-                    in_x.take(survivors),
-                    # y's class of each survivor: few survivors, so a
-                    # binary search in its offsets beats a label array.
-                    y._offsets.searchsorted(survivors, side="right") - 1,
-                    x.num_classes,
-                    y,
-                ))
             else:
                 results[position] = _no_product(num_rows, counts)
     finally:
         _clear(probe, x)
-    return small
 
 
 def _scatter(probe: np.ndarray, x: CsrPartition) -> None:
@@ -1261,7 +1100,7 @@ def _group_solo(
     num_rows: int,
     counts: bool,
 ) -> None:
-    """Group one large task's survivors by ``(lx, ly)`` in one sort.
+    """Group one task's survivors by ``(lx, ly)`` in one sort.
 
     ``in_x`` is the probe read along ``y``'s rows and ``survivors`` the
     positions in ``y`` where it holds a class of ``x``.  Each survivor's
@@ -1333,12 +1172,8 @@ def batched_products(
       outside the canonical layout) goes to the pooled kernel instead,
       since only that kernel keeps the right factor's row order;
     * more rows: the pooled kernel (:func:`_pooled_products`) shares
-      probe scatters across tasks with one left factor, groups each
-      task's surviving rows by their left label and pools small tasks
-      into one grouping per sub-batch.
-
-    Neither detours through the dict-probe path of ``product``: both
-    amortize the per-call numpy overhead that path exists to dodge.
+      probe scatters across tasks with one left factor and groups each
+      task's surviving rows by their left label.
     """
     return _batched(pairs, workspace, counts=False)
 

@@ -10,8 +10,8 @@ reclaiming partitions once they can no longer be referenced (in a
 levelwise walk the previous level, once the current one is pruned and
 before the next is generated; the walk's declared liveness in DFD),
 recomputing partitions for checkpoint restore
-(Lemma 3, via the singleton products), and preserving spill files on
-the crash path.
+(Lemma 3, by product chains from the singletons), and preserving spill
+files on the crash path.
 
 Two storage forms
 -----------------
@@ -52,7 +52,7 @@ from repro.partition.vectorized import (
     batched_error_counts,
     dense_relation,
 )
-from repro.search.execution import Fetch
+from repro.search.execution import Fetch, SerialExecution
 from repro.search.instruments import Counter
 from repro.testing import faults
 
@@ -418,16 +418,6 @@ class PartitionManager:
         for mask in dead:
             self._resident_by_size[_bitset.popcount(mask)].discard(mask)
 
-    def product_from_singletons(self, candidate: int):
-        """Recompute ``π_candidate`` from the single-attribute partitions
-        for checkpoint resume.  The products are not counted, so
-        restored counters stay identical to an uninterrupted run."""
-        indices = _bitset.to_indices(candidate)
-        product = self._singletons[indices[0]]
-        for index in indices[1:]:
-            product = product.product(self._singletons[index], self.workspace)
-        return product
-
     # ------------------------------------------------------------------
     # Reclamation, restore, crash path
     # ------------------------------------------------------------------
@@ -444,46 +434,59 @@ class PartitionManager:
         for mask in masks:
             self.store.discard(int(mask))
 
-    def restore(self, mask: int) -> None:
-        """Re-establish ``π_mask`` for checkpoint resume.
-
-        π_∅ and singletons are rebuilt by the bootstrap; larger masks
-        are adopted from the disk store's spill files when present,
-        otherwise recomputed from the singleton partitions without
-        perturbing the deterministic counters.
-        """
-        if _bitset.popcount(mask) <= 1:
-            return
-        if isinstance(self.store, DiskPartitionStore) and self.store.adopt_spilled(
-            mask, self.num_rows
-        ):
-            return
-        self.store.put(mask, self.product_from_singletons(mask))
-
     def restore_level(self, masks, *, ranks_only: bool = False) -> None:
         """Re-establish one level's partitions for checkpoint resume.
 
-        Per-mask form: :meth:`restore` of every mask.  Block form: the
-        level's block is adopted from the disk store's spill file when
-        that holds exactly ``masks``, else rebuilt from the singletons'
-        block by product chains (uncounted, as in :meth:`restore`);
-        with ``ranks_only`` only the ranks are rebuilt.
+        π_∅ and the singletons come from the bootstrap.  A larger
+        level is adopted from the disk store's spill files when present
+        (in the block form, one spill holding exactly ``masks``), else
+        rebuilt from the singletons by product chains, uncounted, so
+        restored counters stay identical to an uninterrupted run.  The
+        block form rebuilds only the ranks with ``ranks_only``.
         """
         masks = sorted(int(mask) for mask in masks)
-        if not self.level_blocks:
-            for mask in masks:
-                self.restore(mask)
-            return
         if not masks or _bitset.popcount(masks[0]) <= 1:
-            return  # π_∅ and level 1 come from the bootstrap
+            return
         size = _bitset.popcount(masks[0])
+        disk = isinstance(self.store, DiskPartitionStore)
+        if not self.level_blocks:
+            if disk:
+                masks = [m for m in masks if not self.store.adopt_spilled(m, self.num_rows)]
+            if masks:
+                self._rebuild(masks)
+            return
         array = np.array(masks, dtype=np.int64)
-        if isinstance(self.store, DiskPartitionStore) and self.store.adopt_spilled_block(
+        if disk and self.store.adopt_spilled_block(
             size, array, self.num_rows, ranks_only=ranks_only
         ):
             self._block_levels.add(size)
             return
         self._put_block(size, self.store.get(-1).chains(array, ranks_only=ranks_only))
+
+    def _rebuild(self, masks: list[int]) -> None:
+        """Store ``π_mask`` of every mask of one level by product chains
+        from the singletons, in ascending attribute order (Lemma 3).
+        Step *k* of every chain is one call of the serial executor,
+        which batches CSR factors and multiplies pure ones pair by pair;
+        an intermediate shared by several chains is computed once.
+        Nothing is counted, not even by an injected executor."""
+        singletons = {_bitset.bit(i): p for i, p in enumerate(self._singletons)}
+        partitions = singletons
+        chains = [_bitset.to_indices(mask) for mask in masks]
+        size = len(chains[0])
+        for step in range(2, size + 1):
+            triples = {}
+            for indices in chains:
+                target = _bitset.from_indices(indices[:step])
+                last = _bitset.bit(indices[step - 1])
+                triples[target] = (target, target & ~last, last)
+            products = SerialExecution().products(
+                sorted(triples.values()), partitions.__getitem__, self.workspace
+            )
+            if step == size:
+                self.store.put_many(products)
+            else:
+                partitions = {**singletons, **dict(products)}
 
     def preserve_spill_files(self) -> None:
         """Keep spill files on a crash: they are the partitions a

@@ -86,6 +86,8 @@ class TestMining:
             mine_association_rules(baskets, min_support=0.0)
         with pytest.raises(ConfigurationError):
             mine_association_rules(baskets, min_confidence=1.5)
+        with pytest.raises(ConfigurationError):
+            mine_association_rules(baskets, max_lhs_size=-1)
 
 
 class TestSemantics:

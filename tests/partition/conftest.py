@@ -1,15 +1,45 @@
-"""Fixtures and the reference product shared by the partition-engine
+"""Fixtures and the reference products shared by the partition-engine
 tests."""
 
+import numpy as np
 import pytest
 
 import repro.partition.vectorized as vectorized
 
 
+def reference_product(x, y):
+    """``x · y`` grouped by a stable argsort of int64 pair keys, as
+    ``(indices, offsets, e(π))``: a reference that shares no code with
+    the engine's kernels."""
+    lx = np.full(x.num_rows, -1, dtype=np.int64)
+    lx[x.indices] = np.repeat(np.arange(x.num_classes), x.class_sizes)
+    left = lx[y.indices]
+    right = np.repeat(np.arange(y.num_classes), y.class_sizes)
+    survive = left >= 0
+    keys = left[survive] * max(y.num_classes, 1) + right[survive]
+    rows = y.indices[survive]
+    order = np.argsort(keys, kind="stable")
+    _, starts, sizes = np.unique(keys[order], return_index=True, return_counts=True)
+    kept = sizes >= 2
+    indices = rows[order][np.repeat(kept, sizes)]
+    offsets = np.concatenate(([0], np.cumsum(sizes[kept])))
+    return indices, offsets, int(keys.size - starts.size)
+
+
+def assert_matches_reference(observed, x, y):
+    """``observed`` has the int32 bytes and rank of :func:`reference_product`."""
+    indices, offsets, error = reference_product(x, y)
+    assert observed.indices.dtype == np.int32
+    assert observed.offsets.dtype == np.int32
+    assert observed.indices.tolist() == indices.tolist()
+    assert observed.offsets.tolist() == offsets.tolist()
+    assert observed.error_count == error
+
+
 def per_triple(x, y):
     """``x · y`` through the pooled kernel on one task: a reference
     independent of the dense kernel, which ``CsrPartition.product``
-    itself takes on short relations above the dict-probe threshold."""
+    itself takes on short relations."""
     results = [None]
     vectorized._pooled_products([(x, y)], [0], results, x.num_rows, None)
     return results[0]

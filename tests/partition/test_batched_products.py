@@ -27,7 +27,7 @@ from repro.partition.vectorized import (
     batched_error_counts,
     batched_products,
 )
-from tests.partition.conftest import per_triple
+from tests.partition.conftest import assert_matches_reference, per_triple
 
 
 def random_partitions(seed, count=8, num_rows=200, max_domain=12):
@@ -63,12 +63,10 @@ class TestBatchedMatchesPerTriple:
             assert_identical(observed, x.product(y))
         assert (workspace.probe == -1).all()
 
-    def test_forced_vectorized_byte_identical(self, monkeypatch):
-        # Disable the small-product shortcut so every pair exercises
-        # the scatter/argsort machinery, including tiny keyspaces.
-        monkeypatch.setattr(vectorized, "_SMALL_PRODUCT_THRESHOLD", -1)
-        # The reference is the pooled kernel: past the shortcut,
-        # ``x.product(y)`` would take the dense kernel under test.
+    def test_forced_vectorized_byte_identical(self):
+        # Tiny keyspaces through the dense kernel.  The reference is
+        # the pooled kernel: ``x.product(y)`` would take the dense
+        # kernel under test.
         partitions = random_partitions(seed=23, num_rows=64, max_domain=5)
         pairs = all_pairs(partitions)
         batched = batched_products(pairs)
@@ -158,7 +156,6 @@ class TestErrorCounts:
 
     def test_large_tasks_solved_alone(self, monkeypatch):
         monkeypatch.setattr(vectorized, "_DENSE_MAX_ROWS", 0)
-        monkeypatch.setattr(vectorized, "_BATCH_SOLO_ROWS", 1)
         pairs = all_pairs(random_partitions(seed=5, count=4))
         assert batched_error_counts(pairs) == [
             p.error_count for p in batched_products(pairs)
@@ -174,9 +171,8 @@ COLUMNS = st.lists(
 
 
 class TestCanonicalOrderingProperty:
-    """Satellite: ``_product_small`` and the vectorized path must emit
-    the *same bytes*, so the threshold a product lands on can never
-    change a partition's layout."""
+    """``product`` and ``batched_products`` emit the bytes of the
+    pair-key reference, whatever the inputs' sizes and domains."""
 
     @given(left=COLUMNS, right=COLUMNS)
     @settings(
@@ -184,7 +180,7 @@ class TestCanonicalOrderingProperty:
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    def test_small_and_vectorized_layouts_agree(self, left, right):
+    def test_layouts_match_reference(self, left, right):
         num_rows = max(len(left), len(right))
         x = CsrPartition.from_column(
             np.array(left + [0] * (num_rows - len(left)), dtype=np.int64),
@@ -194,37 +190,9 @@ class TestCanonicalOrderingProperty:
             np.array(right + [0] * (num_rows - len(right)), dtype=np.int64),
             num_rows,
         )
-        # monkeypatch is function-scoped and cannot wrap @given; swap
-        # the threshold by hand around each example instead.
-        saved = vectorized._SMALL_PRODUCT_THRESHOLD
-        try:
-            vectorized._SMALL_PRODUCT_THRESHOLD = 10**9
-            small = x._product_small(y)
-            via_small_path = x.product(y)
-            vectorized._SMALL_PRODUCT_THRESHOLD = -1
-            big = x.product(y)
-            [batched] = batched_products([(x, y)])
-        finally:
-            vectorized._SMALL_PRODUCT_THRESHOLD = saved
-        assert_identical(via_small_path, small)
-        assert_identical(big, small)
-        assert_identical(batched, small)
-
-    def test_boundary_pair_layouts_agree(self, monkeypatch):
-        # Construct a pair that straddles the real threshold: tweak
-        # the threshold to sit exactly at the pair's combined stripped
-        # size, then one below, and demand identical bytes both ways.
-        rng = np.random.default_rng(91)
-        x = CsrPartition.from_column(rng.integers(0, 7, size=300))
-        y = CsrPartition.from_column(rng.integers(0, 5, size=300))
-        boundary = x.stripped_size + y.stripped_size
-        monkeypatch.setattr(vectorized, "_SMALL_PRODUCT_THRESHOLD", boundary)
-        on_small_side = x.product(y)
-        monkeypatch.setattr(
-            vectorized, "_SMALL_PRODUCT_THRESHOLD", boundary - 1
-        )
-        on_vectorized_side = x.product(y)
-        assert_identical(on_vectorized_side, on_small_side)
+        assert_matches_reference(x.product(y), x, y)
+        [batched] = batched_products([(x, y)])
+        assert_matches_reference(batched, x, y)
 
 
 @pytest.fixture(scope="module")
@@ -234,8 +202,8 @@ def tall_levels():
     The relation is taller than the dense kernel's limit.  Level k + 1
     multiplies two level-k partitions that share all but their last
     attribute, as the search does, so each level has several left
-    factors.  The mix of domains gives both tasks grouped alone and
-    small tasks pooled into sub-batches.
+    factors.  The mix of domains gives both tasks where most rows
+    survive the probe and tasks with few survivors.
     """
     num_rows = 5000
     rng = np.random.default_rng(7)
@@ -255,8 +223,8 @@ def tall_levels():
     survivors = [
         np.intersect1d(x.indices, y.indices).size for pairs in levels for x, y in pairs
     ]
-    assert max(survivors) >= vectorized._BATCH_SOLO_ROWS
-    assert 0 < min(survivors) < vectorized._BATCH_SOLO_ROWS
+    assert max(survivors) >= 4096
+    assert 0 < min(survivors) < 64
     return levels
 
 

@@ -27,13 +27,6 @@ from repro.partition.vectorized import CsrPartition, PartitionWorkspace
 NUM_ROWS = 60
 
 
-@pytest.fixture
-def vectorized_path(monkeypatch):
-    """Force every product/g3 through the vectorized (probe) path —
-    the dict-probe small path never touches the workspace."""
-    monkeypatch.setattr(vectorized, "_SMALL_PRODUCT_THRESHOLD", -1)
-
-
 def healthy_pair():
     rng = np.random.default_rng(5)
     left = CsrPartition.from_column(rng.integers(0, 4, size=NUM_ROWS))
@@ -50,14 +43,14 @@ def corrupt_partition():
 
 
 class TestProductProbeReset:
-    def test_failed_product_leaves_probe_clean(self, vectorized_path):
+    def test_failed_product_leaves_probe_clean(self, pooled_kernel):
         left, _ = healthy_pair()
         workspace = PartitionWorkspace(NUM_ROWS)
         with pytest.raises(IndexError):
             left.product(corrupt_partition(), workspace)
         assert (workspace.probe == -1).all(), "probe left dirty after a raise"
 
-    def test_next_product_correct_after_failure(self, vectorized_path):
+    def test_next_product_correct_after_failure(self, pooled_kernel):
         left, right = healthy_pair()
         expected = left.product(right)  # private workspace
         workspace = PartitionWorkspace(NUM_ROWS)
@@ -67,7 +60,7 @@ class TestProductProbeReset:
         assert np.array_equal(observed.indices, expected.indices)
         assert np.array_equal(observed.offsets, expected.offsets)
 
-    def test_batched_products_reset_on_failure(self, vectorized_path):
+    def test_batched_products_reset_on_failure(self, pooled_kernel):
         left, right = healthy_pair()
         expected = left.product(right)
         workspace = PartitionWorkspace(NUM_ROWS)
@@ -81,9 +74,7 @@ class TestProductProbeReset:
 
 
 class TestG3ProbeReset:
-    def test_failed_g3_leaves_probe_clean_and_later_calls_correct(
-        self, vectorized_path
-    ):
+    def test_failed_g3_leaves_probe_clean_and_later_calls_correct(self):
         left, right = healthy_pair()
         refined = left.product(right)
         expected = left.g3_error_count(refined)
@@ -111,7 +102,7 @@ class TestThreadedProbeReset:
         for thread_workspace in kernel_threads:
             assert (thread_workspace.probe == -1).all()
         redo = vectorized.batched_products([(left, right), (right, left)], workspace)
-        for observed, expected in zip(redo, [left._product_small(right), right._product_small(left)]):
+        for observed, expected in zip(redo, [left.product(right), right.product(left)]):
             assert np.array_equal(observed.indices, expected.indices)
             assert np.array_equal(observed.offsets, expected.offsets)
 

@@ -2,8 +2,8 @@
 
 Rows ascend by row id inside every stripped class of every partition
 the program builds.  The dense product kernel emits ascending rows
-whatever its inputs, while the per-triple and pooled kernels keep the
-right factor's order, so the kernels agree byte for byte only under
+whatever its inputs, while the pooled kernel keeps the right factor's
+order, so the kernels agree byte for byte only under
 this invariant.  A partition wrapped around raw buffers is checked
 lazily, and a non-ascending right factor keeps its products off the
 dense kernel.
@@ -50,12 +50,9 @@ class TestEveryBuilderAscends:
         assert rows_ascend(partition)
         assert partition.indices.tolist() == [2, 5, 7, 0, 9]
 
-    def test_product_both_sides_of_the_small_threshold(self, factors, monkeypatch):
-        x, y = factors[0], factors[1]
-        small = x._product_small(y)
-        monkeypatch.setattr(vectorized, "_SMALL_PRODUCT_THRESHOLD", -1)
+    def test_probed_product(self, factors, pooled_kernel):
+        x, y = factors[0], factors[1].without_column()
         probed = x.product(y)
-        assert rows_ascend(small) and small._rows_ascending()
         assert rows_ascend(probed) and probed._rows_ascending()
 
     def test_dense_batched_products(self, factors):

@@ -10,7 +10,6 @@ import pytest
 
 from repro.core.tane import TaneConfig, discover
 from repro.model.relation import Relation
-import repro.partition.vectorized as vectorized
 from repro.partition.vectorized import LevelBlock
 from repro.search.execution import SerialExecution
 
@@ -58,10 +57,6 @@ class PerTripleExecutor(SerialExecution):
 class TestKernelParity:
     @pytest.mark.parametrize("epsilon", [0.0, 0.1])
     def test_batched_and_triple_kernels_agree(self, relation, epsilon):
-        # Every product of this short relation stays under the
-        # dict-probe threshold, so the per-triple run never reaches the
-        # dense kernel the level blocks use.
-        assert 2 * relation.num_rows <= vectorized._SMALL_PRODUCT_THRESHOLD
         executor = PerTripleExecutor()
         batched = discover(relation, TaneConfig(epsilon=epsilon))
         triple = discover(relation, TaneConfig(epsilon=epsilon, executor=executor))

@@ -11,6 +11,7 @@ from repro.core.lattice import generate_next_level_arrays
 from repro.core.tane import TaneConfig, discover
 from repro.model.relation import Relation
 from repro.partition.pure import PurePartition
+from repro.partition import vectorized
 from repro.partition.store import DiskPartitionStore, MemoryPartitionStore
 from repro.partition.vectorized import CsrPartition, PartitionWorkspace
 from repro.search.execution import SerialExecution
@@ -143,7 +144,7 @@ class TestReclaimRestore:
         counter = Counter()
         manager = _manager(relation, products_counter=counter)
         manager.bootstrap()
-        manager.restore(3)
+        manager.restore_level([3])
         assert counter.value == 0
         assert manager.get(3).num_rows == relation.num_rows
 
@@ -152,9 +153,44 @@ class TestReclaimRestore:
         manager = _manager(relation, store)
         manager.bootstrap()
         manager.reclaim([1])
-        manager.restore(1)  # popcount 1: bootstrap owns it, no-op
+        manager.restore_level([1])  # popcount 1: bootstrap owns it, no-op
         with pytest.raises(KeyError):
             store.get(1)
+
+    @pytest.mark.parametrize("engine", [CsrPartition, PurePartition])
+    def test_per_mask_level_matches_chain_products(self, engine):
+        # 2,250 rows: past the dense kernel, so the level is per-mask
+        # and its rebuild reaches the pooled kernel.
+        rng = np.random.default_rng(12)
+        columns = [np.tile(rng.integers(0, 4, size=50), 45) for _ in range(5)]
+        tall = Relation.from_codes(columns, [f"c{i}" for i in range(5)])
+        assert tall.num_rows > vectorized._DENSE_MAX_ROWS
+        counter = Counter()
+        manager = PartitionManager(
+            tall,
+            engine,
+            MemoryPartitionStore(),
+            PartitionWorkspace(tall.num_rows),
+            SerialExecution(),
+            products_counter=counter,
+        )
+        manager.bootstrap(levels=True)
+        assert not manager.level_blocks
+        level = [mask for mask in range(32) if _bitset.popcount(mask) == 3]
+        manager.restore_level(level)
+        assert counter.value == 0
+        singletons = [manager.get(_bitset.bit(i)) for i in range(5)]
+        for mask in level:
+            first, *rest = _bitset.to_indices(mask)
+            expected = singletons[first]
+            for index in rest:
+                expected = expected.product(singletons[index])
+            restored = manager.get(mask)
+            if engine is CsrPartition:
+                assert restored.indices.tobytes() == expected.indices.tobytes()
+                assert restored.offsets.tobytes() == expected.offsets.tobytes()
+            else:
+                assert sorted(restored.classes()) == sorted(expected.classes())
 
 
 class TestCrashPathAndStats:
