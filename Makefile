@@ -78,13 +78,16 @@ obs-smoke:
 	  /tmp/repro-obs.snapshots.jsonl /tmp/repro-obs.export.prom
 
 # Fault-tolerance smoke: the resilience suite (checkpoint/resume,
-# crash-path store errors), the probe-safety tests (the shared and the
-# pool threads' probe workspaces are clean after a raise) plus a CLI checkpoint/resume round trip for
+# crash-path store errors; tests/resilience/test_wide_block_spills.py
+# is the disk store's spill, reload and level-<n>.bin adoption
+# coverage, on a 65-attribute relation with a one-byte budget), the
+# probe-safety tests (the shared and the pool threads' probe workspaces
+# are clean after a raise) plus a CLI checkpoint/resume round trip for
 # the levelwise and the dfd strategy, each writing the one version-2
 # checkpoint format, with the memory and with the disk store (at the
-# default budget nothing of orders.csv spills), and an approximate
-# levelwise run on the disk store, whose validity tests read the level
-# blocks' label rows.
+# CLI's default budget nothing of orders.csv spills), and an
+# approximate levelwise run on the disk store, whose validity tests
+# read the level blocks' label rows.
 fault-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/resilience tests/partition/test_store_faults.py tests/partition/test_probe_safety.py -q
 	for run in "levelwise memory" "dfd memory" "levelwise disk" "dfd disk" "levelwise disk --epsilon 0.05"; do \

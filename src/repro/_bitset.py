@@ -12,6 +12,8 @@ stays in one spot.  All functions are pure.
 Arrays of masks (a lattice level, FDEP's agree sets) hold machine words
 where the schema allows it: :func:`mask_dtype` is the one place that
 decides between ``int64`` and numpy ``object`` arrays of Python ints.
+:func:`masks_to_words` and :func:`masks_from_words` convert either form
+to and from little-endian 64-bit words, the form masks take in a file.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ import numpy as np
 
 __all__ = [
     "mask_dtype",
+    "mask_words",
+    "masks_to_words",
+    "masks_from_words",
     "bit",
     "from_indices",
     "iter_bits",
@@ -44,6 +49,47 @@ def mask_dtype(width: int) -> np.dtype:
     search operations, one Python call per element.
     """
     return np.dtype(np.int64) if width <= 63 else np.dtype(object)
+
+
+_WORD = np.dtype("<u8")
+
+
+def mask_words(masks: np.ndarray) -> int:
+    """The 64-bit words per mask that :func:`masks_to_words` writes.
+
+    One for an ``int64`` array; for an ``object`` array enough for its
+    widest mask, and at least two, so that the words decode to an
+    array of the same dtype (:func:`masks_from_words`).
+    """
+    if masks.dtype == np.int64:
+        return 1
+    widest = max((int(mask).bit_length() for mask in masks), default=0)
+    return max(2, -(-widest // 64))
+
+
+def masks_to_words(masks: np.ndarray) -> np.ndarray:
+    """``masks`` as a ``(len(masks), words)`` array of little-endian
+    64-bit words, lowest word first (:func:`mask_words` words per
+    mask).  An ``int64`` array is one word per mask, byte for byte its
+    own little-endian buffer."""
+    words = mask_words(masks)
+    if words == 1:
+        return masks.astype("<i8").view(_WORD).reshape(-1, 1)
+    out = np.empty((masks.size, words), dtype=_WORD)
+    for word in range(words):
+        out[:, word] = (masks >> 64 * word) & (1 << 64) - 1
+    return out
+
+
+def masks_from_words(words: np.ndarray) -> np.ndarray:
+    """The masks of a ``(count, words)`` array of :func:`masks_to_words`:
+    ``int64`` for one word per mask, else an ``object`` array."""
+    if words.shape[1] == 1:
+        return words[:, 0].view("<i8").astype(np.int64, copy=False)
+    masks = np.zeros(words.shape[0], dtype=object)
+    for word in range(words.shape[1]):
+        masks |= words[:, word].astype(object) << 64 * word
+    return masks
 
 
 def bit(index: int) -> int:

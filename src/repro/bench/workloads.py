@@ -459,7 +459,7 @@ def run_ablation_strategy(
     partitions the way we do."  This ablation measures that factor.
 
     The walk is uncapped: with ``max_lhs_size`` an exact run over a
-    relation taller than the dense kernel's limit ranks its last level
+    relation taller than the level blocks' row limit ranks its last level
     without the executor, so the singleton products would be
     undercounted.  A cap raises :class:`ConfigurationError`.
     """

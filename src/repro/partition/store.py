@@ -25,8 +25,9 @@ store them.
 
 Besides per-mask partitions, a store keeps *level blocks*
 (:class:`~repro.partition.vectorized.LevelBlock`): the levelwise walk
-over a relation of at most ``_DENSE_MAX_ROWS`` rows holds each level as
-one label matrix, stored, spilled, reloaded and discarded as one entry
+over a relation of at most ``_DENSE_MAX_ROWS`` rows, at any schema
+width, holds each level as one label matrix, stored, spilled, reloaded
+and discarded as one entry
 under the key ``-level`` (masks are never negative) through the same
 ``put`` / ``get`` / ``peek`` / ``discard``.  The disk store then writes a
 level at a time, as the paper's TANE does.
@@ -51,6 +52,7 @@ from typing import Protocol
 
 import numpy as np
 
+from repro import _bitset
 from repro.exceptions import ConfigurationError, DataError, PartitionMissingError
 from repro.obs import trace as obs
 from repro.partition.vectorized import LABEL_DTYPE, CsrPartition, LevelBlock
@@ -68,10 +70,14 @@ _SPILL_TAG = b"TANEi32\x01"
 _SPILL_DTYPE = np.dtype(np.int32)
 
 # Level-block spill layout: header (format tag, masks, rows, whether
-# label rows follow), then the int64 masks and ranks and, unless the
-# block is rank-only, the int64 class counts and the int16 label matrix.
-_BLOCK_HEADER = struct.Struct("<8sqqq")
-_BLOCK_TAG = b"TANEblk\x01"
+# label rows follow, 64-bit words per mask), then the masks as
+# little-endian words (repro._bitset.masks_to_words: one word, the
+# int64 bytes, up to 63 attributes), the int64 ranks and, unless the
+# block is rank-only, the int64 class counts and the int16 label
+# matrix.  The tag of the earlier layout, which wrote int64 masks with
+# no word count, was b"TANEblk\x01"; such a file is never adopted.
+_BLOCK_HEADER = struct.Struct("<8sqqqq")
+_BLOCK_TAG = b"TANEblk\x02"
 
 __all__ = ["PartitionStore", "MemoryPartitionStore", "DiskPartitionStore", "make_store"]
 
@@ -341,25 +347,33 @@ class DiskPartitionStore:
         """Load one level-block spill file (damage raises :class:`DataError`)."""
         where = f"spill file {path} for level {level}"
         with _reading(path, where) as handle:
-            count, rows, has_labels = _read_header(
+            count, rows, has_labels, words = _read_header(
                 handle, _BLOCK_HEADER, _BLOCK_TAG, where
             )[1:]
-            if count < 0 or rows != num_rows or has_labels not in (0, 1):
+            if count < 0 or rows != num_rows or has_labels not in (0, 1) or words < 1:
                 raise DataError(
                     f"corrupt {where}: implausible header "
-                    f"(masks={count}, rows={rows}, labels={has_labels})"
+                    f"(masks={count}, rows={rows}, labels={has_labels}, words={words})"
                 )
-            row_bytes = 8 * 3 + LABEL_DTYPE.itemsize * rows if has_labels else 8 * 2
+            row_bytes = 8 * (words + 1)
+            if has_labels:
+                row_bytes += 8 + LABEL_DTYPE.itemsize * rows
             raw = _read_exactly(handle, count * row_bytes, where)
 
         def int64_array(index: int) -> np.ndarray:
-            return np.frombuffer(raw, dtype=np.int64, count=count, offset=8 * count * index)
+            offset = 8 * count * (words + index)
+            return np.frombuffer(raw, dtype=np.int64, count=count, offset=offset)
 
-        masks, errors = int64_array(0), int64_array(1)
+        masks = _bitset.masks_from_words(
+            np.frombuffer(raw, dtype="<u8", count=count * words).reshape(count, words)
+        )
+        errors = int64_array(0)
         classes = labels = None
         if has_labels:
-            classes = int64_array(2)
-            labels = np.frombuffer(raw, dtype=LABEL_DTYPE, offset=24 * count).reshape(count, rows)
+            classes = int64_array(1)
+            labels = np.frombuffer(
+                raw, dtype=LABEL_DTYPE, offset=8 * count * (words + 2)
+            ).reshape(count, rows)
         if count > 1 and np.any(masks[1:] <= masks[:-1]):
             raise DataError(f"corrupt {where}: masks do not ascend")
         return LevelBlock(masks, labels, classes, errors, num_rows)
@@ -472,9 +486,10 @@ class DiskPartitionStore:
         """Register a crashed run's spill file of ``level`` if it holds
         exactly ``masks`` (and label rows, unless ``ranks_only``).
 
-        The header and the masks are read here; any mismatch, foreign
-        format or damage leaves the file unadopted (``False``) for the
-        caller to recompute the level.
+        The header and the masks are read here and compared in the
+        spill's own encoding (:func:`~repro._bitset.masks_to_words`);
+        any mismatch, foreign format or damage leaves the file
+        unadopted (``False``) for the caller to recompute the level.
         """
         key = -level
         if key in self._small or key in self._large or key in self._on_disk:
@@ -485,18 +500,19 @@ class DiskPartitionStore:
                 header = handle.read(_BLOCK_HEADER.size)
                 if len(header) != _BLOCK_HEADER.size:
                     return False
-                tag, count, rows, has_labels = _BLOCK_HEADER.unpack(header)
+                tag, count, rows, has_labels, words = _BLOCK_HEADER.unpack(header)
+                expected = _bitset.masks_to_words(masks)
                 if (
                     tag != _BLOCK_TAG
-                    or count != len(masks)
+                    or (count, words) != expected.shape
                     or rows != num_rows
                     or not (has_labels or ranks_only)
                 ):
                     return False
-                stored = np.frombuffer(handle.read(8 * count), dtype=np.int64)
-        except (OSError, ValueError):
+                stored = handle.read(expected.nbytes)
+        except OSError:
             return False
-        if stored.size != count or not np.array_equal(stored, masks):
+        if stored != expected.tobytes():
             return False
         self._register_spill(key, path, num_rows)
         return True
@@ -553,11 +569,14 @@ def _write_partition(handle, partition: CsrPartition) -> int:
 
 def _write_block(handle, block: LevelBlock) -> int:
     """Write one level-block spill; return its size in bytes."""
-    arrays = [block.masks, block.errors]
+    words = _bitset.masks_to_words(block.masks)
+    arrays = [words, block.errors]
     if block.labels is not None:
         arrays += [block.classes, block.labels]
     handle.write(
-        _BLOCK_HEADER.pack(_BLOCK_TAG, len(block), block.num_rows, block.labels is not None)
+        _BLOCK_HEADER.pack(
+            _BLOCK_TAG, len(block), block.num_rows, block.labels is not None, words.shape[1]
+        )
     )
     for array in arrays:
         handle.write(np.ascontiguousarray(array).tobytes())

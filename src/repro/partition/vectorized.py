@@ -34,34 +34,31 @@ and golden comparisons all compare raw buffers):
 * rows inside every class ascend by row id.  ``from_column``,
   ``from_classes``, ``empty`` and ``single_class`` emit ascending
   classes, and a product inherits the order from its right factor, so
-  every partition the program builds is ascending.  The dense product
-  kernel (below) emits ascending rows whatever its inputs, so it
-  agrees with the probe path only under this invariant.  A
-  partition wrapped around raw buffers (``CsrPartition(...)``,
-  ``attach``, a disk-store spill) is checked once, lazily, by
-  :meth:`CsrPartition._rows_ascending`; a non-ascending right factor
-  keeps its products off the dense kernel.
+  every partition the program builds is ascending.  A level block's
+  label rows keep no row order, and its CSR view emits ascending rows
+  whatever partitions built it, so the block form agrees with the CSR
+  products only under this invariant.  A partition wrapped around raw
+  buffers (``CsrPartition(...)``, ``attach``, a disk-store spill) is
+  checked once, lazily, by :meth:`CsrPartition._rows_ascending`; a
+  non-ascending left factor keeps its products off the column-keyed
+  path (below).
 
-Products take one of three paths, selected by input properties only
-(a single ``product`` call is :func:`batched_products` on one task):
+Each partition form has one product kernel, whatever the relation's
+height:
 
-* over a relation of at most ``_DENSE_MAX_ROWS`` rows, the dense
-  kernel (:func:`_grouped_rows`) groups a chunk of tasks with one
-  row-wise sort of their pair keys — a fixed number of numpy passes
-  per chunk, whatever the number of tasks.  A levelwise walk feeds it
-  label rows straight from its level block (below);
-  :func:`batched_products` first turns a chunk's CSR factors into one
-  label matrix (:func:`_label_matrix`, the CSR-to-label-row adapter)
-  and cuts the grouped rows back into CSR partitions, so one dense
-  kernel serves both;
-* over a taller relation, the pooled kernel: a call whose right
-  factors hold fewer than ``_THREAD_MIN_ROWS`` stripped rows solves
-  every task whose right factor was built by ``from_column`` (and
-  whose left factor ascends) by grouping the left factor's rows by
-  their value code, every such task in one sort (below);
-* the pooled kernel's other tasks reuse probe scatters across tasks
-  sharing a left factor and group each task's surviving rows by their
-  left label (below).
+* level blocks (below) take the dense kernel (:func:`_grouped_rows`
+  through :func:`_block_products`), which groups a chunk of tasks with
+  one row-wise sort of their pair keys — a fixed number of numpy passes
+  per chunk, whatever the number of tasks;
+* CSR partitions take the pooled kernel (:func:`_pooled_products`),
+  whether one ``product`` or a :func:`batched_products` call: a call
+  whose right factors hold fewer than ``_THREAD_MIN_ROWS`` stripped
+  rows solves every task whose right factor was built by
+  ``from_column`` (and whose left factor ascends) by grouping the left
+  factor's rows by their value code, every such task in one sort
+  (below); the other tasks reuse probe scatters across tasks sharing a
+  left factor and group each task's surviving rows by their left label
+  (below).
 
 Left-label grouping
 -------------------
@@ -116,26 +113,31 @@ A forked child of a caller drops the parent's pool
 Level blocks
 ------------
 A levelwise walk over a relation of at most ``_DENSE_MAX_ROWS`` rows
-keeps each level as one :class:`LevelBlock`: the level's sorted
-``int64`` masks, one ``int16`` label row per mask (each row of the
-relation carries its class label, -1 where the partition strips it),
-the class counts and the ranks.  :meth:`LevelBlock.products` finds a
-level's factor rows by binary search in the masks and writes the next
-block — labels scattered back from the kernel's sorted groups — or
-only its ranks; :meth:`LevelBlock.chains` builds a level from the
-singletons' block instead (checkpoint restore, the from-singletons
-ablation).  A block is stored, spilled and reclaimed as one unit (see
-:mod:`repro.partition.store`).  The approximate validity tests hand
-its rows, with their class counts and ranks (:meth:`LevelBlock.row`),
-to the contingency table of :mod:`repro.partition.errors` as they are,
-so no CSR copy of a block is built or stored.  Taller
-relations keep one CSR partition per mask: at 100k rows a label row
-would be 200 KB against a few KB of stripped CSR.
+keeps each level as one :class:`LevelBlock`: the level's sorted masks
+(in the level's own dtype, :func:`repro._bitset.mask_dtype`: ``int64``,
+or ``object`` past 63 attributes), one ``int16`` label row per mask
+(each row of the relation carries its class label, -1 where the
+partition strips it), the class counts and the ranks.
+:meth:`LevelBlock.products` finds a level's factor rows by binary search
+in the masks and writes the next block — labels scattered back from the
+kernel's sorted groups — or only its ranks; :meth:`LevelBlock.chains`
+builds a level from the singletons' block instead (checkpoint restore,
+the from-singletons ablation).  A block is stored, spilled and reclaimed
+as one unit (see :mod:`repro.partition.store`).  The approximate
+validity tests hand its rows, with their class counts and ranks
+(:meth:`LevelBlock.row`), to the contingency table of
+:mod:`repro.partition.errors` as they are, so no CSR copy of a block is
+built or stored.  CSR partitions enter the block form only through
+:meth:`LevelBlock.from_partitions`, whose CSR-to-label-row adapter
+(:func:`_label_matrix`) is no product path.  Taller relations keep one
+CSR partition per mask: at 100k rows a label row would be 200 KB
+against a few KB of stripped CSR.
 
-:func:`batched_error_counts` runs the same two kernels but stops once
-every task's rows are grouped: a product's ``e(π) = ||π̂|| - |π̂|`` is
+:func:`batched_error_counts` runs the pooled kernel, and a rank-only
+:meth:`LevelBlock.products` the dense one, but each stops once every
+task's rows are grouped: a product's ``e(π) = ||π̂|| - |π̂|`` is
 its surviving rows minus their groups, singletons included, so no
-result partition is built.  The search uses it for a level whose
+result partition is built.  The search uses them for a level whose
 partitions are only ever needed for their ranks (Lemma 2).
 """
 
@@ -149,6 +151,7 @@ from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from repro import _bitset
 from repro.exceptions import DataError, PartitionMissingError
 from repro.partition.base import PartitionBase
 from repro.partition.errors import LabelRow, contingency, g3_count
@@ -467,14 +470,14 @@ class CsrPartition(PartitionBase):
         to a stripped class in *both* inputs; they are grouped by the
         pair (class-in-self, class-in-other) — the canonical class
         order — and pairs occurring once are stripped.  This is the
-        kernel :func:`batched_products` selects, on one task; a loop
+        pooled kernel of :func:`batched_products` on one task; a loop
         of many products should batch them instead.
         """
         if not isinstance(other, CsrPartition):
             raise TypeError("CsrPartition can only be multiplied with CsrPartition")
         if other.num_rows != self._num_rows:
             raise DataError("partitions are over different relations")
-        return _batched([(self, other)], workspace, counts=False)[0]
+        return _pooled_products([(self, other)], self._num_rows, workspace, False)[0]
 
     def g3_error_count(
         self,
@@ -505,19 +508,21 @@ def _inherited_order(right: CsrPartition) -> bool | None:
     return True if right._ascending else None
 
 
-# Relations with at most this many rows take the dense kernel, and
-# their levelwise walks the level blocks (see "Level blocks").  Its
-# cost is a fixed number of numpy passes per chunk over tasks x rows
-# elements, whatever the factors' stripped sizes, against ~15 numpy
-# calls per task on the pooled path: it wins
-# while per-call dispatch outweighs the O(rows) work per task.  On
-# captured levelwise inputs it was 1.3-2.8x faster up to 2,796 rows and
-# broke even at 3,500-5,000 rows (docs/ARCHITECTURE.md has the table).
+# A levelwise walk over a relation of at most this many rows keeps its
+# levels as blocks (see "Level blocks"), whose products take the dense
+# kernel; CSR products take the pooled kernel at any height, so this
+# chooses a storage form, not a kernel.  The dense kernel costs a fixed
+# number of numpy passes per chunk over tasks x rows elements, against
+# ~15 numpy calls per task on the pooled path: it wins while per-call
+# dispatch outweighs the O(rows) work per task.  On CSR inputs captured
+# from levelwise runs it was 1.3-2.8x faster up to 2,796 rows and broke
+# even at 3,500-5,000 rows (docs/ARCHITECTURE.md has the table).
 _DENSE_MAX_ROWS = 2048
 
-# Cap on tasks x rows of one dense chunk.  The chunk's key and mask
-# arrays hold this many elements each, so transient memory stays a few
-# MB for any relation under _DENSE_MAX_ROWS.
+# Cap on tasks x rows of one dense chunk of a block product.  The
+# chunk's key and mask arrays hold this many elements each, so
+# transient memory stays a few MB for any relation under
+# _DENSE_MAX_ROWS.
 _DENSE_ELEMENT_BUDGET = 1 << 18
 
 
@@ -864,58 +869,6 @@ def _grouped_rows(
     return sorted_rows, kept, opens
 
 
-def _dense_products(
-    tasks: Sequence[tuple[int, CsrPartition, CsrPartition]],
-    results: list,
-    num_rows: int,
-    counts: bool = False,
-) -> None:
-    """Solve a chunk of ``(position, x, y)`` CSR tasks with the dense kernel.
-
-    The chunk's distinct factors go through the CSR-to-label-row
-    adapter (:func:`_label_matrix`), :func:`_grouped_rows` groups every
-    task, and each task's kept classes are cut out of the sorted rows
-    as a CSR partition, which matches the probe path whenever the
-    right factor ascends.  Each result owns its buffers (no views into
-    the chunk arrays), so store byte accounting and spills stay
-    truthful.  With ``counts`` the result is each product's ``e(π)``.
-    """
-    slots: dict[int, int] = {}
-    factors: list[CsrPartition] = []
-    left: list[int] = []
-    right: list[int] = []
-    for _position, x, y in tasks:
-        slot = slots.get(id(x))
-        if slot is None:
-            slot = slots[id(x)] = len(factors)
-            factors.append(x)
-        left.append(slot)
-        slot = slots.get(id(y))
-        if slot is None:
-            slot = slots[id(y)] = len(factors)
-            factors.append(y)
-        right.append(slot)
-    matrix, classes = _label_matrix(factors, num_rows)
-    grouped = _grouped_rows(
-        matrix[left], matrix[right], classes[left], classes[right], num_rows, counts
-    )
-    if counts:
-        for (position, _x, _y), error in zip(tasks, grouped.tolist()):
-            results[position] = error
-        return
-    sorted_rows, kept, opens = grouped
-    starts = np.flatnonzero(opens[kept])
-    kept_rows = sorted_rows[kept].astype(INDEX_DTYPE)
-    products = _task_partitions(
-        kept_rows,
-        np.diff(starts, append=kept_rows.size),
-        np.count_nonzero(opens.reshape(len(tasks), num_rows), axis=1),
-        num_rows,
-    )
-    for (position, _x, _y), product in zip(tasks, products):
-        results[position] = product
-
-
 def _task_partitions(
     rows: np.ndarray, class_sizes: np.ndarray, task_classes: np.ndarray, num_rows: int
 ) -> list[CsrPartition]:
@@ -966,13 +919,11 @@ def _task_partitions(
 
 def _pooled_products(
     pairs: Sequence[tuple[CsrPartition, CsrPartition]],
-    positions: Iterable[int],
-    results: list,
     num_rows: int,
     workspace: PartitionWorkspace | None,
-    counts: bool = False,
-) -> None:
-    """Solve the tasks at ``positions`` over shared probe scatters.
+    counts: bool,
+) -> list:
+    """The pooled kernel: every pair's product, over shared probe scatters.
 
     In a call whose right factors hold fewer than ``_THREAD_MIN_ROWS``
     stripped rows, the tasks whose right factor carries its column and
@@ -986,21 +937,19 @@ def _pooled_products(
     "Kernel threads" above).  With ``counts`` every result is the
     product's ``e(π)`` instead of the partition.
     """
-    positions = list(positions)
-    right_rows = sum(pairs[position][1]._indices.size for position in positions)
+    results: list = [None] * len(pairs)
+    positions = range(len(pairs))
+    right_rows = sum(y._indices.size for _x, y in pairs)
     if right_rows < _THREAD_MIN_ROWS:
         keyed = []
         probed = []
-        for position in positions:
-            x, y = pairs[position]
+        for position, (x, y) in enumerate(pairs):
             if y._column is not None and x._rows_ascending():
                 keyed.append((position, x, y))
             else:
                 probed.append(position)
         if keyed:
             _column_products(keyed, results, num_rows, counts)
-            if not probed:
-                return
         positions = probed
     by_left: dict[int, list[int]] = {}
     for position in positions:
@@ -1008,11 +957,11 @@ def _pooled_products(
     groups = list(by_left.values())
     pool = _kernel_pool() if len(groups) >= 2 and right_rows >= _THREAD_MIN_ROWS else None
     if pool is None:
-        if workspace is None:
+        if groups and workspace is None:
             workspace = PartitionWorkspace(num_rows)
         for group in groups:
             _left_factor_tasks(pairs, group, results, num_rows, workspace, counts)
-        return
+        return results
     futures = [
         pool.submit(_left_factor_tasks, pairs, group, results, num_rows, None, counts)
         for group in groups
@@ -1022,6 +971,7 @@ def _pooled_products(
     concurrent.futures.wait(futures)
     for future in futures:
         future.result()
+    return results
 
 
 def _left_factor_tasks(
@@ -1147,10 +1097,9 @@ def _group_solo(
 
 
 def dense_relation(num_rows: int) -> bool:
-    """Whether a relation of ``num_rows`` rows takes the dense kernel
-    (and its levels the block form): at most ``_DENSE_MAX_ROWS`` rows.
-    Below two rows no product has a stripped class; the pooled kernel
-    handles that degenerate case without a zero-width matrix."""
+    """Whether a levelwise walk over ``num_rows`` rows keeps its levels
+    as blocks: at most ``_DENSE_MAX_ROWS`` rows, and at least two (no
+    product below that has a stripped class)."""
     return 2 <= num_rows <= _DENSE_MAX_ROWS
 
 
@@ -1162,18 +1111,11 @@ def batched_products(
 
     Semantically equivalent to ``[x.product(y, workspace) for x, y in
     pairs]`` — byte-identical results in the same order — but cheaper
-    on a level's worth of tasks.  The number of rows selects the kernel:
-
-    * at most ``_DENSE_MAX_ROWS`` rows: the dense kernel
-      (:func:`_dense_products`) solves chunks of at most
-      ``_DENSE_ELEMENT_BUDGET`` tasks x rows elements, each in a fixed
-      number of numpy passes.  A task whose right factor's rows do not
-      ascend inside its classes (a partition built from raw buffers
-      outside the canonical layout) goes to the pooled kernel instead,
-      since only that kernel keeps the right factor's row order;
-    * more rows: the pooled kernel (:func:`_pooled_products`) shares
-      probe scatters across tasks with one left factor and groups each
-      task's surviving rows by their left label.
+    on a level's worth of tasks.  Every relation height takes the
+    pooled kernel (:func:`_pooled_products`): column-keyed tasks in one
+    sort, the rest over probe scatters shared by the tasks of one left
+    factor, threaded on a tall call.  Level blocks have their own
+    kernel (:meth:`LevelBlock.products`).
     """
     return _batched(pairs, workspace, counts=False)
 
@@ -1185,8 +1127,8 @@ def batched_error_counts(
     """``e(x · y)`` for every pair, without building the products.
 
     Equal to ``[p.error_count for p in batched_products(pairs,
-    workspace)]``, through the same kernel selection; each kernel stops
-    once the surviving rows are grouped.
+    workspace)]``, through the same kernel, which stops once the
+    surviving rows are grouped.
     """
     return _batched(pairs, workspace, counts=True)
 
@@ -1197,36 +1139,17 @@ def _batched(
     *,
     counts: bool,
 ) -> list:
-    """Kernel selection shared by :func:`batched_products` and
-    :func:`batched_error_counts`."""
+    """The checks and the pooled-kernel call shared by
+    :func:`batched_products` and :func:`batched_error_counts`."""
     if not pairs:
         return []
     num_rows = pairs[0][0].num_rows
-    dense_rows = dense_relation(num_rows)
-    results: list = [None] * len(pairs)
-    dense: list[tuple[int, CsrPartition, CsrPartition]] = []
-    pooled: list[int] = []
-    for position, (x, y) in enumerate(pairs):
+    for x, y in pairs:
         if not isinstance(x, CsrPartition) or not isinstance(y, CsrPartition):
             raise TypeError("batched_products requires CsrPartition factors")
         if x.num_rows != num_rows or y.num_rows != num_rows:
             raise DataError("partitions are over different relations")
-        if not dense_rows:
-            pooled.append(position)
-        elif x._offsets.size == 1 or y._offsets.size == 1:
-            # A factor with no stripped classes kills every pair.
-            results[position] = _no_product(num_rows, counts)
-        elif counts or y._rows_ascending():
-            # Row order inside classes does not change a count.
-            dense.append((position, x, y))
-        else:
-            pooled.append(position)
-    step = max(1, _DENSE_ELEMENT_BUDGET // max(num_rows, 1))
-    for start in range(0, len(dense), step):
-        _dense_products(dense[start:start + step], results, num_rows, counts)
-    if pooled:
-        _pooled_products(pairs, pooled, results, num_rows, workspace, counts)
-    return results
+    return _pooled_products(pairs, num_rows, workspace, counts)
 
 
 # ----------------------------------------------------------------------
@@ -1237,7 +1160,10 @@ def _batched(
 class LevelBlock:
     """One lattice level's partitions as a single label matrix.
 
-    ``masks`` ascend (``int64``).  Row ``i`` of ``labels`` is
+    ``masks`` ascend, in the level's mask dtype
+    (:func:`repro._bitset.mask_dtype`: ``int64``, or ``object`` past 63
+    attributes); masks looked up or multiplied into the next block take
+    that dtype too.  Row ``i`` of ``labels`` is
     ``π_{masks[i]}`` as a label row: each row of the relation carries
     its class label, or -1 where the partition strips it, and labels
     number the classes in the canonical order (see "Level blocks"
@@ -1271,8 +1197,14 @@ class LevelBlock:
     def from_partitions(
         cls, masks: Sequence[int], partitions: Sequence[CsrPartition], num_rows: int
     ) -> "LevelBlock":
-        """The block of ascending ``masks`` from their CSR partitions."""
-        masks = np.asarray(masks, dtype=np.int64)
+        """The block of ascending ``masks`` from their CSR partitions.
+
+        A mask array keeps its dtype; a sequence takes
+        :func:`~repro._bitset.mask_dtype` of its widest mask.
+        """
+        if not isinstance(masks, np.ndarray):
+            widest = max(masks, default=0).bit_length()
+            masks = np.array(masks, dtype=_bitset.mask_dtype(widest))
         errors = np.array([p.error_count for p in partitions], dtype=np.int64)
         if not partitions:
             empty = np.empty((0, num_rows), LABEL_DTYPE)
@@ -1285,7 +1217,7 @@ class LevelBlock:
 
     def rows_of(self, masks) -> np.ndarray:
         """The block rows of ``masks``; every one must be in the block."""
-        masks = np.asarray(masks, dtype=np.int64)
+        masks = np.asarray(masks, dtype=self.masks.dtype)
         rows = np.searchsorted(self.masks, masks)
         np.minimum(rows, max(self.masks.size - 1, 0), out=rows)
         if self.masks.size == 0 or not np.array_equal(self.masks[rows], masks):
@@ -1338,10 +1270,12 @@ class LevelBlock:
         return int((self.errors + self.classes).sum())
 
     def nbytes(self) -> int:
-        """Memory footprint of the block's arrays (used by stores)."""
-        return sum(
+        """Footprint of the block's arrays (used by stores), its masks
+        counted as the 64-bit words a spill writes
+        (:func:`~repro._bitset.mask_words`)."""
+        return 8 * _bitset.mask_words(self.masks) * len(self) + sum(
             array.nbytes
-            for array in (self.masks, self.labels, self.classes, self.errors)
+            for array in (self.labels, self.classes, self.errors)
             if array is not None
         )
 
@@ -1361,7 +1295,7 @@ class LevelBlock:
         are computed.
         """
         return _block_products(
-            np.asarray(candidates, dtype=np.int64),
+            np.asarray(candidates, dtype=self.masks.dtype),
             (self.labels, self.rows_of(factor_x), self.classes),
             (self.labels, self.rows_of(factor_y), self.classes),
             self.num_rows,
@@ -1378,7 +1312,7 @@ class LevelBlock:
         as the levelwise products, so this serves checkpoint restore
         and the from-singletons ablation alike.
         """
-        candidates = np.asarray(candidates, dtype=np.int64)
+        candidates = np.asarray(candidates, dtype=self.masks.dtype)
         remaining = candidates.copy()
         low = remaining & -remaining
         remaining ^= low

@@ -16,18 +16,18 @@ files on the crash path.
 Two storage forms
 -----------------
 A levelwise walk (levelwise and top-k strategies, UCC discovery) over a
-relation of at most ``_DENSE_MAX_ROWS`` rows, on the CSR engine and a
-schema whose masks fit ``int64`` (:func:`~repro._bitset.mask_dtype`),
-keeps each level as one
-:class:`~repro.partition.vectorized.LevelBlock`: a label matrix with
-one row per mask.  A level's products are one
-:meth:`~repro.search.execution.SerialExecution.level_products` call,
-and its store write, byte accounting, reclaim, disk spill and spill
-adoption each happen once per level.  Everything else — taller
-relations, DFD walks, the pure engine, wider schemas — keeps one CSR
-partition per mask, with products streamed from the executor into the
-store so they become resident (and may spill) before later batches are
-computed.
+relation of at most ``_DENSE_MAX_ROWS`` rows, on the CSR engine, keeps
+each level as one :class:`~repro.partition.vectorized.LevelBlock`: a
+label matrix with one row per mask, the masks in the level's own dtype
+(:func:`~repro._bitset.mask_dtype`, so any schema width).  A level's
+products are one
+:meth:`~repro.search.execution.SerialExecution.level_products` call on
+the dense kernel, and its store write, byte accounting, reclaim, disk
+spill and spill adoption each happen once per level.  Everything else —
+taller relations, DFD walks, the pure engine — keeps one CSR partition
+per mask, multiplied by the pooled kernel, with products streamed from
+the executor into the store so they become resident (and may spill)
+before later batches are computed.
 
 The driver and tracker never touch the store directly — they fetch
 through :meth:`get` / :meth:`error_count` / :meth:`error_counts`, and a
@@ -135,10 +135,7 @@ class PartitionManager:
         self._resident_by_size = {}
         self._block_levels = set()
         self.level_blocks = (
-            levels
-            and self.partition_cls is CsrPartition
-            and dense_relation(self.num_rows)
-            and _bitset.mask_dtype(self.num_attributes) == np.int64
+            levels and self.partition_cls is CsrPartition and dense_relation(self.num_rows)
         )
         if include_empty:
             self.store.put(0, self.partition_cls.single_class(self.num_rows))
@@ -455,7 +452,7 @@ class PartitionManager:
             if masks:
                 self._rebuild(masks)
             return
-        array = np.array(masks, dtype=np.int64)
+        array = np.array(masks, dtype=_bitset.mask_dtype(self.num_attributes))
         if disk and self.store.adopt_spilled_block(
             size, array, self.num_rows, ranks_only=ranks_only
         ):

@@ -36,22 +36,6 @@ def assert_matches_reference(observed, x, y):
     assert observed.error_count == error
 
 
-def per_triple(x, y):
-    """``x · y`` through the pooled kernel on one task: a reference
-    independent of the dense kernel, which ``CsrPartition.product``
-    itself takes on short relations."""
-    results = [None]
-    vectorized._pooled_products([(x, y)], [0], results, x.num_rows, None)
-    return results[0]
-
-
-@pytest.fixture
-def pooled_kernel(monkeypatch):
-    """Route every ``batched_products`` task through the pooled
-    (probe-scatter) kernel, whatever the relation's row count."""
-    monkeypatch.setattr(vectorized, "_DENSE_MAX_ROWS", 0)
-
-
 @pytest.fixture
 def kernel_threads(monkeypatch):
     """Run every pooled-kernel call with two or more left factors on a

@@ -7,10 +7,8 @@ order, same row order — because downstream consumers (disk spills,
 level blocks, golden counters) all assume a canonical
 layout that does not depend on which code path produced a partition.
 
-The relations here are short enough for the dense kernel; tests of the
-pooled kernel's probe handling force that kernel with the
-``pooled_kernel`` fixture (the dense kernel has its own suite in
-``test_dense_products.py``).
+Every relation height takes the pooled kernel; the level blocks'
+dense kernel has its own suite in ``test_dense_products.py``.
 """
 
 import sys
@@ -23,11 +21,12 @@ from hypothesis import strategies as st
 import repro.partition.vectorized as vectorized
 from repro.partition.vectorized import (
     CsrPartition,
+    LevelBlock,
     PartitionWorkspace,
     batched_error_counts,
     batched_products,
 )
-from tests.partition.conftest import assert_matches_reference, per_triple
+from tests.partition.conftest import assert_matches_reference
 
 
 def random_partitions(seed, count=8, num_rows=200, max_domain=12):
@@ -52,28 +51,39 @@ def all_pairs(partitions):
     ]
 
 
+def block_products(partitions, ranks_only=False):
+    """The products of :func:`all_pairs` through the level blocks' dense
+    kernel: ``partitions`` as one block (masks 1, 2, ...), multiplied
+    into a block of one row per pair."""
+    count = len(partitions)
+    block = LevelBlock.from_partitions(range(1, count + 1), partitions, partitions[0].num_rows)
+    factors = [(i, j) for i in range(1, count + 1) for j in range(i + 1, count + 1)]
+    return block.products(np.arange(len(factors)), *np.transpose(factors), ranks_only=ranks_only)
+
+
 class TestBatchedMatchesPerTriple:
     def test_random_level_byte_identical(self):
+        # Both kernels: the pooled one and the level blocks' dense one.
         partitions = random_partitions(seed=11)
         pairs = all_pairs(partitions)
         workspace = PartitionWorkspace(partitions[0].num_rows)
         batched = batched_products(pairs, workspace)
         assert len(batched) == len(pairs)
-        for (x, y), observed in zip(pairs, batched):
+        blocked = block_products(partitions).partitions()
+        for (x, y), observed, dense in zip(pairs, batched, blocked, strict=True):
             assert_identical(observed, x.product(y))
+            assert_identical(dense, observed)
         assert (workspace.probe == -1).all()
 
     def test_forced_vectorized_byte_identical(self):
-        # Tiny keyspaces through the dense kernel.  The reference is
-        # the pooled kernel: ``x.product(y)`` would take the dense
-        # kernel under test.
+        # Tiny keyspaces, against the pair-key reference.
         partitions = random_partitions(seed=23, num_rows=64, max_domain=5)
         pairs = all_pairs(partitions)
         batched = batched_products(pairs)
         for (x, y), observed in zip(pairs, batched):
-            assert_identical(observed, per_triple(x, y))
+            assert_matches_reference(observed, x, y)
 
-    def test_pooled_random_level_byte_identical(self, pooled_kernel):
+    def test_pooled_random_level_byte_identical(self):
         partitions = random_partitions(seed=11)
         workspace = PartitionWorkspace(partitions[0].num_rows)
         for (x, y), observed in zip(
@@ -82,7 +92,7 @@ class TestBatchedMatchesPerTriple:
             assert_identical(observed, x.product(y))
         assert (workspace.probe == -1).all()
 
-    def test_shared_left_factor_probe_reuse(self, pooled_kernel):
+    def test_shared_left_factor_probe_reuse(self):
         # Levels sort triples by left factor; the batch kernel keeps
         # the probe scattered across consecutive same-left pairs.
         [left] = random_partitions(seed=3, count=1)
@@ -139,11 +149,13 @@ class TestErrorCounts:
         "case",
         ["dense", "pooled", "non_ascending_right", "empty_factor"],
     )
-    def test_counts_match_products(self, case, monkeypatch):
+    def test_counts_match_products(self, case):
         partitions = random_partitions(seed=11)
         pairs = all_pairs(partitions)
-        if case == "pooled":
-            monkeypatch.setattr(vectorized, "_DENSE_MAX_ROWS", 0)
+        if case == "dense":
+            # The level blocks' kernel counts the same ranks.
+            ranks = block_products(partitions, ranks_only=True).errors
+            assert ranks.tolist() == batched_error_counts(pairs)
         elif case == "non_ascending_right":
             pairs = [(x, non_ascending(y)) for x, y in pairs]
         elif case == "empty_factor":
@@ -154,8 +166,7 @@ class TestErrorCounts:
         assert all(type(count) is int for count in counts)
         assert (workspace.probe == -1).all()
 
-    def test_large_tasks_solved_alone(self, monkeypatch):
-        monkeypatch.setattr(vectorized, "_DENSE_MAX_ROWS", 0)
+    def test_large_tasks_solved_alone(self):
         pairs = all_pairs(random_partitions(seed=5, count=4))
         assert batched_error_counts(pairs) == [
             p.error_count for p in batched_products(pairs)
@@ -199,10 +210,9 @@ class TestCanonicalOrderingProperty:
 def tall_levels():
     """Three levels of pooled-kernel products, built on one thread.
 
-    The relation is taller than the dense kernel's limit.  Level k + 1
-    multiplies two level-k partitions that share all but their last
-    attribute, as the search does, so each level has several left
-    factors.  The mix of domains gives both tasks where most rows
+    Level k + 1 multiplies two level-k partitions that share all but
+    their last attribute, as the search does, so each level has several
+    left factors.  The mix of domains gives both tasks where most rows
     survive the probe and tasks with few survivors.
     """
     num_rows = 5000

@@ -34,9 +34,7 @@ def assert_identical(observed, expected):
 
 @pytest.fixture
 def column_tasks(monkeypatch):
-    """Send short relations to the pooled kernel and record how many
-    tasks each call hands to the column-keyed path."""
-    monkeypatch.setattr(vectorized, "_DENSE_MAX_ROWS", 0)
+    """Record how many tasks each call hands to the column-keyed path."""
     taken = []
     column_products = vectorized._column_products
 

@@ -1,9 +1,13 @@
-"""The dense label-matrix kernel of ``batched_products``.
+"""The dense label-matrix kernel of level blocks, and the batched CSR products.
 
-Relations of at most ``_DENSE_MAX_ROWS`` rows take the dense kernel:
-one label matrix per chunk of tasks and one row-wise sort.  Its results
-must be byte-identical to per-triple :meth:`CsrPartition.product`, own
-their buffers, and keep the error contract of the other kernels.
+A level block's products (:meth:`LevelBlock.products` and
+:meth:`LevelBlock.chains`) group a chunk of tasks with one row-wise sort
+of their label rows (``_grouped_rows``).  Read back as CSR, every row of
+the result must be byte-identical to the per-triple
+:meth:`CsrPartition.product` (the pooled kernel), and every rank, with
+labels or without, equal to its ``error_count``.  ``batched_products``
+must match the same per-triple products, own its buffers, and keep its
+error contract.
 """
 
 import numpy as np
@@ -14,8 +18,12 @@ from hypothesis import strategies as st
 import repro.partition.vectorized as vectorized
 from repro.exceptions import DataError
 from repro.partition.pure import PurePartition
-from repro.partition.vectorized import CsrPartition, PartitionWorkspace, batched_products
-from tests.partition.conftest import per_triple
+from repro.partition.vectorized import (
+    CsrPartition,
+    LevelBlock,
+    PartitionWorkspace,
+    batched_products,
+)
 
 
 def assert_identical(observed, expected):
@@ -27,28 +35,90 @@ def assert_identical(observed, expected):
     assert observed.error_count == expected.error_count
 
 
+def assert_owned(partition):
+    """No views into a kernel's shared arrays."""
+    assert partition.indices.base is None
+    assert partition.offsets.base is None
+
+
 def assert_matches_per_triple(pairs, workspace=None):
     results = batched_products(pairs, workspace)
     assert len(results) == len(pairs)
     for (x, y), observed in zip(pairs, results):
-        assert_identical(observed, per_triple(x, y))
-        # Owned buffers: no views into the chunk arrays.
-        assert observed.indices.base is None
-        assert observed.offsets.base is None
+        assert_identical(observed, x.product(y))
+        assert_owned(observed)
     return results
 
 
+def block_level(pairs, ranks_only=False):
+    """``pairs`` as one level-block product: their distinct factors form
+    a block (masks 1, 2, ...), multiplied into one row per pair
+    (candidates 0, 1, ...)."""
+    factors = list({id(f): f for pair in pairs for f in pair}.values())
+    slot = {id(f): index + 1 for index, f in enumerate(factors)}
+    block = LevelBlock.from_partitions(
+        range(1, len(factors) + 1), factors, factors[0].num_rows
+    )
+    return block.products(
+        np.arange(len(pairs)),
+        [slot[id(x)] for x, _y in pairs],
+        [slot[id(y)] for _x, y in pairs],
+        ranks_only=ranks_only,
+    )
+
+
+def assert_views_match(pairs, level):
+    views = level.partitions()
+    for (x, y), view, rank in zip(pairs, views, level.errors.tolist(), strict=True):
+        expected = x.product(y)
+        assert_identical(view, expected)
+        assert rank == expected.error_count
+        assert_owned(view)
+    return views
+
+
+def assert_block_matches_per_triple(pairs):
+    """The block product of ``pairs`` and its rank-only twin against
+    the per-triple products."""
+    views = assert_views_match(pairs, block_level(pairs))
+    ranks = block_level(pairs, ranks_only=True)
+    assert ranks.labels is None
+    assert ranks.errors.tolist() == [view.error_count for view in views]
+    return views
+
+
+def chain_products(columns, candidates):
+    """Each candidate's partition as a chain of per-triple products of
+    its columns, in ascending attribute order."""
+    products = []
+    for mask in candidates:
+        indices = [i for i in range(len(columns)) if mask >> i & 1]
+        product = CsrPartition.from_column(columns[indices[0]])
+        for index in indices[1:]:
+            product = product.product(CsrPartition.from_column(columns[index]))
+        products.append(product)
+    return products
+
+
+def singleton_block(columns):
+    return LevelBlock.from_partitions(
+        [1 << i for i in range(len(columns))],
+        [CsrPartition.from_column(codes) for codes in columns],
+        len(columns[0]),
+    )
+
+
 @pytest.fixture
-def dense_calls(monkeypatch):
+def chunk_tasks(monkeypatch):
     """Record the task count of every dense chunk."""
     calls = []
-    original = vectorized._dense_products
+    original = vectorized._grouped_rows
 
-    def recording(tasks, *args):
-        calls.append(len(tasks))
-        return original(tasks, *args)
+    def recording(left, *args):
+        calls.append(left.shape[0])
+        return original(left, *args)
 
-    monkeypatch.setattr(vectorized, "_dense_products", recording)
+    monkeypatch.setattr(vectorized, "_grouped_rows", recording)
     return calls
 
 
@@ -109,29 +179,22 @@ class TestDenseMatchesPerTriple:
         workspace = PartitionWorkspace(pairs[0][0].num_rows)
         assert_matches_per_triple(pairs, workspace)
         assert (workspace.probe == -1).all()
+        # A block needs two rows; the search keeps shorter relations CSR.
+        if pairs[0][0].num_rows >= 2:
+            assert_block_matches_per_triple(pairs)
 
-    def test_short_relations_take_the_dense_kernel(self, dense_calls):
-        rng = np.random.default_rng(1)
-        factors = [CsrPartition.from_column(rng.integers(0, 5, size=120)) for _ in range(4)]
-        assert_matches_per_triple([(x, y) for x in factors for y in factors])
-        assert dense_calls == [16]
-
-    def test_tall_relations_take_the_pooled_kernel(self, dense_calls):
-        rows = vectorized._DENSE_MAX_ROWS + 1
-        rng = np.random.default_rng(2)
-        factors = [CsrPartition.from_column(rng.integers(0, 9, size=rows)) for _ in range(3)]
-        assert_matches_per_triple([(x, y) for x in factors for y in factors])
-        assert dense_calls == []
-
-    def test_largest_dense_relation(self, dense_calls):
+    def test_largest_dense_relation(self, chunk_tasks):
         rows = vectorized._DENSE_MAX_ROWS
         rng = np.random.default_rng(3)
         factors = [
             CsrPartition.from_column(rng.integers(0, domain, size=rows))
             for domain in (2, 40, rows // 2)
         ]
-        assert_matches_per_triple([(x, y) for x in factors for y in factors])
-        assert dense_calls == [9]
+        pairs = [(x, y) for x in factors for y in factors]
+        level = block_level(pairs)
+        assert chunk_tasks == [9]
+        assert level.labels.dtype == vectorized.LABEL_DTYPE
+        assert_views_match(pairs, level)
 
 
 class TestEdgeCases:
@@ -146,7 +209,10 @@ class TestEdgeCases:
             # class but no stripped rows, even over zero rows.
             CsrPartition(np.empty(0, dtype=np.int64), np.zeros(2, dtype=np.int64), num_rows),
         ]
-        assert_matches_per_triple([(x, y) for x in partitions for y in partitions])
+        pairs = [(x, y) for x in partitions for y in partitions]
+        assert_matches_per_triple(pairs)
+        if num_rows >= 2:
+            assert_block_matches_per_triple(pairs)
 
     def test_empty_and_single_class_factors(self):
         rng = np.random.default_rng(4)
@@ -159,20 +225,24 @@ class TestEdgeCases:
             (single, ordinary), (ordinary, single), (single, single),
         ]
         assert_matches_per_triple(pairs)
+        assert_block_matches_per_triple(pairs)
 
-    def test_chunk_whose_outputs_are_all_empty(self, dense_calls):
+    def test_chunk_whose_outputs_are_all_empty(self, chunk_tasks):
         # {0,1},{2,3} times {0,2},{1,3}: every pair class is a singleton.
         x = CsrPartition.from_classes([[0, 1], [2, 3]], 8)
         y = CsrPartition.from_classes([[0, 2], [1, 3]], 8)
-        results = assert_matches_per_triple([(x, y), (y, x)])
-        assert dense_calls == [2]
-        assert all(r.num_classes == 0 and r.stripped_size == 0 for r in results)
+        level = block_level([(x, y), (y, x)])
+        assert chunk_tasks == [2]
+        assert level.classes.tolist() == [0, 0] and (level.labels == -1).all()
+        views = assert_views_match([(x, y), (y, x)], level)
+        assert all(v.num_classes == 0 and v.stripped_size == 0 for v in views)
 
     def test_int16_keys(self, key_dtypes):
         rng = np.random.default_rng(5)
         x, y = (CsrPartition.from_column(rng.integers(0, 3, size=40)) for _ in range(2))
-        assert_matches_per_triple([(x, y)])
+        level = block_level([(x, y)])
         assert key_dtypes == [np.dtype(np.int16)]
+        assert_views_match([(x, y)], level)
 
     def test_pair_overflowing_int16_takes_int32_keys(self, key_dtypes):
         # 200 x 200 classes: classes_x * classes_y alone exceeds int16.
@@ -180,40 +250,62 @@ class TestEdgeCases:
         x = CsrPartition.from_column(np.arange(num_rows) // 2)
         y = CsrPartition.from_column(np.arange(num_rows) % 200)
         assert x.num_classes * y.num_classes > np.iinfo(np.int16).max
-        assert_matches_per_triple([(x, y), (y, x), (x, x)])
+        pairs = [(x, y), (y, x), (x, x)]
+        level = block_level(pairs)
         assert key_dtypes == [np.dtype(np.int32)]
+        assert_views_match(pairs, level)
 
     def test_tagged_keys_overflowing_int32_take_int64(self, key_dtypes):
         num_rows = vectorized._DENSE_MAX_ROWS
         x = CsrPartition.from_column(np.arange(num_rows) // 2)
         y = CsrPartition.from_column(np.arange(num_rows) % (num_rows // 2))
-        assert_matches_per_triple([(x, y), (x, x)])
+        pairs = [(x, y), (x, x)]
+        level = block_level(pairs)
         assert key_dtypes == [np.dtype(np.int64)]
+        assert_views_match(pairs, level)
 
-    def test_chunks_split_at_the_element_budget(self, monkeypatch, dense_calls):
+    def test_chunks_split_at_the_element_budget(self, monkeypatch, chunk_tasks):
         num_rows = 60
         monkeypatch.setattr(vectorized, "_DENSE_ELEMENT_BUDGET", 4 * num_rows)
         rng = np.random.default_rng(6)
-        factors = [CsrPartition.from_column(rng.integers(0, 4, size=num_rows)) for _ in range(4)]
+        columns = [rng.integers(0, 4, size=num_rows) for _ in range(4)]
+        factors = [CsrPartition.from_column(codes) for codes in columns]
         pairs = [(x, y) for x in factors for y in factors]
-        assert_matches_per_triple(pairs)
-        assert dense_calls == [4, 4, 4, 4]
+        assert_views_match(pairs, block_level(pairs))
+        assert chunk_tasks == [4, 4, 4, 4]
+        # The four 3-attribute chains: two product steps of one chunk.
+        del chunk_tasks[:]
+        candidates = [0b0111, 0b1011, 0b1101, 0b1110]
+        chains = singleton_block(columns).chains(candidates)
+        assert chunk_tasks == [4, 4]
+        for view, expected in zip(chains.partitions(), chain_products(columns, candidates)):
+            assert_identical(view, expected)
 
-    def test_budget_below_one_row_still_progresses(self, monkeypatch, dense_calls):
+    def test_budget_below_one_row_still_progresses(self, monkeypatch, chunk_tasks):
         monkeypatch.setattr(vectorized, "_DENSE_ELEMENT_BUDGET", 1)
         rng = np.random.default_rng(7)
-        factors = [CsrPartition.from_column(rng.integers(0, 3, size=30)) for _ in range(2)]
-        assert_matches_per_triple([(x, y) for x in factors for y in factors])
-        assert dense_calls == [1, 1, 1, 1]
+        columns = [rng.integers(0, 3, size=30) for _ in range(3)]
+        factors = [CsrPartition.from_column(codes) for codes in columns[:2]]
+        pairs = [(x, y) for x in factors for y in factors]
+        assert_views_match(pairs, block_level(pairs))
+        assert chunk_tasks == [1, 1, 1, 1]
+        del chunk_tasks[:]
+        candidates = [0b011, 0b101, 0b110]
+        ranks = singleton_block(columns).chains(candidates, ranks_only=True)
+        assert chunk_tasks == [1, 1, 1]
+        assert ranks.errors.tolist() == [
+            p.error_count for p in chain_products(columns, candidates)
+        ]
 
     def test_results_do_not_share_buffers(self):
         rng = np.random.default_rng(8)
         factors = [CsrPartition.from_column(rng.integers(0, 3, size=30)) for _ in range(3)]
-        results = batched_products([(x, y) for x in factors for y in factors])
-        for i, a in enumerate(results):
-            for b in results[i + 1:]:
-                assert not np.shares_memory(a.indices, b.indices)
-                assert not np.shares_memory(a.offsets, b.offsets)
+        pairs = [(x, y) for x in factors for y in factors]
+        for results in (batched_products(pairs), block_level(pairs).partitions()):
+            for i, a in enumerate(results):
+                for b in results[i + 1:]:
+                    assert not np.shares_memory(a.indices, b.indices)
+                    assert not np.shares_memory(a.offsets, b.offsets)
 
 
 class TestErrorContract:
@@ -237,16 +329,21 @@ class TestErrorContract:
 
     @pytest.mark.parametrize("position", [0, 1])
     def test_out_of_range_rows_raise_index_error(self, position):
-        # Whichever matrix row the corrupt factor gets, a row id past
-        # the relation must raise instead of landing in another row.
+        # Whichever task or block row the corrupt factor gets, a row id
+        # past the relation must raise instead of landing in another
+        # task's rows.
         corrupt = CsrPartition.attach(
             np.array([45, 46], dtype=np.int64), np.array([0, 2], dtype=np.int64), 40
         )
         pairs = [(self.x, self.y), (self.x, corrupt)]
+        factors = [self.x, corrupt]
         if position == 0:
             pairs = [(corrupt, self.y), (self.x, self.y)]
+            factors = [corrupt, self.x]
         with pytest.raises(IndexError):
             batched_products(pairs, self.workspace)
         assert (self.workspace.probe == -1).all()
+        with pytest.raises(IndexError):
+            LevelBlock.from_partitions([1, 2], factors, 40)
         [redo] = batched_products([(self.x, self.y)], self.workspace)
-        assert_identical(redo, per_triple(self.x, self.y))
+        assert_identical(redo, self.x.product(self.y))

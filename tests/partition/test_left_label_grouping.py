@@ -21,6 +21,7 @@ import repro.partition.vectorized as vectorized
 from repro.exceptions import DataError
 from repro.partition.vectorized import (
     CsrPartition,
+    LevelBlock,
     PartitionWorkspace,
     batched_error_counts,
     batched_products,
@@ -58,12 +59,6 @@ def factor_pairs(draw):
     return x, y
 
 
-@pytest.fixture
-def probe_kernels(monkeypatch):
-    """Every product through the probe kernel, never the dense kernel."""
-    monkeypatch.setattr(vectorized, "_DENSE_MAX_ROWS", 0)
-
-
 GROUPING_SETTINGS = settings(
     max_examples=50,
     deadline=None,
@@ -74,13 +69,13 @@ GROUPING_SETTINGS = settings(
 class TestMatchesPairKeySort:
     @given(pair=factor_pairs())
     @GROUPING_SETTINGS
-    def test_single_product(self, probe_kernels, pair):
+    def test_single_product(self, pair):
         x, y = pair
         assert_matches_reference(x.product(y), x, y)
 
     @given(pairs=st.lists(factor_pairs(), min_size=1, max_size=3))
     @GROUPING_SETTINGS
-    def test_pooled_solo_tasks_and_sub_batches(self, probe_kernels, pairs):
+    def test_pooled_solo_tasks_and_sub_batches(self, pairs):
         # Tasks are over different relations here, so each call holds
         # one task, grouped alone.
         for x, y in pairs:
@@ -94,7 +89,7 @@ class TestMatchesPairKeySort:
         reverse=st.booleans(),
     )
     @GROUPING_SETTINGS
-    def test_sub_batches_of_many_tasks(self, probe_kernels, columns, reverse):
+    def test_sub_batches_of_many_tasks(self, columns, reverse):
         # One relation, every ordered pair in one call: tasks share
         # left factors, so each scatter serves several tasks.
         factors = [CsrPartition.from_column(np.array(c, dtype=np.int64)) for c in columns]
@@ -107,11 +102,11 @@ class TestMatchesPairKeySort:
 
     @given(pairs=st.lists(factor_pairs(), min_size=1, max_size=3))
     @GROUPING_SETTINGS
-    def test_count_mode(self, probe_kernels, pairs):
+    def test_count_mode(self, pairs):
         for x, y in pairs:
             assert batched_error_counts([(x, y)]) == [reference_product(x, y)[2]]
 
-    def test_zero_survivors(self, probe_kernels):
+    def test_zero_survivors(self):
         # x's only class and y's only class share no row.
         x = CsrPartition.from_classes([[0, 1]], 6)
         y = CsrPartition.from_classes([[2, 3, 4]], 6)
@@ -120,7 +115,7 @@ class TestMatchesPairKeySort:
         assert observed.num_classes == 0 and observed.indices.dtype == np.int32
         assert batched_error_counts([(x, y), (y, x)]) == [0, 0]
 
-    def test_survivors_that_are_all_singletons(self, probe_kernels):
+    def test_survivors_that_are_all_singletons(self):
         # Every surviving row lands in its own (lx, ly) group.
         x = CsrPartition.from_classes([[0, 1], [2, 3]], 4)
         y = CsrPartition.from_classes([[0, 2], [1, 3]], 4)
@@ -171,7 +166,6 @@ class TestTwoPassRadix:
         # thresholds.
         rng = np.random.default_rng(7)
         num_rows = 12_000
-        assert num_rows > vectorized._DENSE_MAX_ROWS
         x = tall_factor(rng.integers(0, 300, size=num_rows))
         for reverse in (False, True):
             y = tall_factor(rng.integers(0, 40, size=num_rows), reverse)
@@ -180,7 +174,7 @@ class TestTwoPassRadix:
             assert_matches_reference(pooled, x, y)
             assert batched_error_counts([(x, y)]) == [reference_product(x, y)[2]]
 
-    def test_product_with_more_than_2_16_left_classes(self, probe_kernels):
+    def test_product_with_more_than_2_16_left_classes(self):
         x = CsrPartition.from_column(np.arange(self.ROWS) // 2)
         assert x.num_classes > 1 << 16
         # y splits the pairs that straddle a multiple of 3 (not the
@@ -255,10 +249,11 @@ class TestInt32Buffers:
             CsrPartition.from_classes([[3, 1], [0, 2]], 5),
             CsrPartition.empty(5),
             CsrPartition.single_class(5),
-            short[0].product(short[1]),  # dense, on one task
+            short[0].product(short[1]),  # column-keyed, on one task
             tall[0].product(tall[1].without_column()),  # left-label grouping
-            *batched_products([(short[0], short[1])]),  # dense
             *batched_products([(tall[0], tall[1])]),  # column-keyed
+            # The level blocks' dense kernel, through a block's CSR view.
+            *LevelBlock.from_partitions([1, 2], short, 50).products([3], [1], [2]).partitions(),
         ]
         for partition in built:
             assert partition.indices.dtype == np.int32

@@ -4,8 +4,9 @@ Every block row, read back as CSR, must equal the chained products of
 its attributes byte for byte, and every block rank must equal that
 partition's ``error_count`` — for the levelwise products, the
 from-singletons chains and the rank-only count.  The reference chains
-run through the pooled kernel, not the dense one the blocks use.  A
-relation one row past the dense limit keeps per-mask CSR.
+run through ``CsrPartition.product`` (the pooled kernel), not the dense
+one the blocks use.  A relation one row past the dense limit keeps
+per-mask CSR, at any schema width.
 """
 
 import numpy as np
@@ -27,17 +28,17 @@ from repro.partition.vectorized import (
 )
 from repro.search.execution import SerialExecution
 from repro.search.partitions import PartitionManager
-from tests.partition.conftest import per_triple
 
 
 def chained(columns, mask, num_rows):
     """``π_mask`` as the product chain of its single-attribute
-    partitions, each step through the pooled kernel (``per_triple``),
-    which shares no grouping code with the blocks' dense kernel."""
+    partitions, each step a ``CsrPartition.product`` (the pooled
+    kernel), which shares no grouping code with the blocks' dense
+    kernel."""
     indices = _bitset.to_indices(mask)
     product = CsrPartition.from_column(columns[indices[0]], num_rows)
     for index in indices[1:]:
-        product = per_triple(product, CsrPartition.from_column(columns[index], num_rows))
+        product = product.product(CsrPartition.from_column(columns[index], num_rows))
     return product
 
 
@@ -144,23 +145,33 @@ def test_int64_keys(monkeypatch):
 @pytest.mark.parametrize("num_rows", [_DENSE_MAX_ROWS, _DENSE_MAX_ROWS + 1])
 def test_the_dense_limit_selects_the_storage_form(num_rows):
     rng = np.random.default_rng(num_rows)
-    columns = [rng.integers(0, domain, size=num_rows) for domain in (3, 40, 900)]
-    relation = Relation.from_codes(columns, ["a", "b", "c"])
-    manager = PartitionManager(
-        relation,
-        CsrPartition,
-        MemoryPartitionStore(),
-        PartitionWorkspace(num_rows),
-        SerialExecution(),
-    )
-    level = manager.bootstrap(levels=True)
-    assert manager.level_blocks == (num_rows <= _DENSE_MAX_ROWS)
-    errors = []
-    masks = manager.materialize(generate_next_level_arrays(np.array(level)), errors)
-    for mask, rank in zip(masks, errors):
-        expected = chained(columns, mask, num_rows)
-        observed = manager.get(mask)
-        assert rank == manager.error_count(mask) == expected.error_count
-        assert observed.indices.tobytes() == expected.indices.tobytes()
-        assert observed.offsets.tobytes() == expected.offsets.tobytes()
+    narrow = [rng.integers(0, domain, size=num_rows) for domain in (3, 40, 900)]
+    # The same rule at 3 attributes (int64 masks) and at 65 (object
+    # masks: 62 copies of the first column come first).
+    for columns in (narrow, narrow[:1] * 62 + narrow):
+        relation = Relation.from_codes(columns, [f"c{i}" for i in range(len(columns))])
+        manager = PartitionManager(
+            relation,
+            CsrPartition,
+            MemoryPartitionStore(),
+            PartitionWorkspace(num_rows),
+            SerialExecution(),
+        )
+        level = manager.bootstrap(levels=True)
+        assert manager.level_blocks == (num_rows <= _DENSE_MAX_ROWS)
+        dtype = _bitset.mask_dtype(len(columns))
+        errors = []
+        masks = manager.materialize(
+            generate_next_level_arrays(np.array(level, dtype=dtype)), errors
+        )
+        if manager.level_blocks:
+            assert manager.store.get(-2).masks.dtype == dtype
+        for mask, rank in zip(masks, errors):
+            if mask >> 60 == 0 and len(columns) > 3:
+                continue  # pairs of two copies below bit 60: all the same check
+            expected = chained(columns, mask, num_rows)
+            observed = manager.get(mask)
+            assert rank == manager.error_count(mask) == expected.error_count
+            assert observed.indices.tobytes() == expected.indices.tobytes()
+            assert observed.offsets.tobytes() == expected.offsets.tobytes()
 

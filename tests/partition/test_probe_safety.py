@@ -43,14 +43,14 @@ def corrupt_partition():
 
 
 class TestProductProbeReset:
-    def test_failed_product_leaves_probe_clean(self, pooled_kernel):
+    def test_failed_product_leaves_probe_clean(self):
         left, _ = healthy_pair()
         workspace = PartitionWorkspace(NUM_ROWS)
         with pytest.raises(IndexError):
             left.product(corrupt_partition(), workspace)
         assert (workspace.probe == -1).all(), "probe left dirty after a raise"
 
-    def test_next_product_correct_after_failure(self, pooled_kernel):
+    def test_next_product_correct_after_failure(self):
         left, right = healthy_pair()
         expected = left.product(right)  # private workspace
         workspace = PartitionWorkspace(NUM_ROWS)
@@ -60,7 +60,7 @@ class TestProductProbeReset:
         assert np.array_equal(observed.indices, expected.indices)
         assert np.array_equal(observed.offsets, expected.offsets)
 
-    def test_batched_products_reset_on_failure(self, pooled_kernel):
+    def test_batched_products_reset_on_failure(self):
         left, right = healthy_pair()
         expected = left.product(right)
         workspace = PartitionWorkspace(NUM_ROWS)
@@ -90,7 +90,7 @@ class TestThreadedProbeReset:
         "kernel", [vectorized.batched_products, vectorized.batched_error_counts]
     )
     def test_failed_threaded_call_leaves_every_probe_clean(
-        self, pooled_kernel, kernel_threads, kernel
+        self, kernel_threads, kernel
     ):
         left, right = healthy_pair()
         workspace = PartitionWorkspace(NUM_ROWS)

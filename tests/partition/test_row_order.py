@@ -1,20 +1,19 @@
 """The row-order invariant of the canonical CSR layout.
 
 Rows ascend by row id inside every stripped class of every partition
-the program builds.  The dense product kernel emits ascending rows
-whatever its inputs, while the pooled kernel keeps the right factor's
-order, so the kernels agree byte for byte only under
-this invariant.  A partition wrapped around raw buffers is checked
-lazily, and a non-ascending right factor keeps its products off the
-dense kernel.
+the program builds.  A level block's CSR view emits ascending rows
+whatever partitions built the block, while the pooled kernel keeps the
+right factor's order, so the two partition forms agree byte for byte
+only under this invariant.  A partition wrapped around raw buffers is
+checked lazily.
 """
 
 import numpy as np
 import pytest
 
-import repro.partition.vectorized as vectorized
+from repro.core.lattice import generate_next_level_arrays
 from repro.partition.store import DiskPartitionStore
-from repro.partition.vectorized import CsrPartition, batched_products
+from repro.partition.vectorized import CsrPartition, LevelBlock, batched_products
 
 NUM_ROWS = 90
 
@@ -50,16 +49,18 @@ class TestEveryBuilderAscends:
         assert rows_ascend(partition)
         assert partition.indices.tolist() == [2, 5, 7, 0, 9]
 
-    def test_probed_product(self, factors, pooled_kernel):
+    def test_probed_product(self, factors):
         x, y = factors[0], factors[1].without_column()
         probed = x.product(y)
         assert rows_ascend(probed) and probed._rows_ascending()
 
     def test_dense_batched_products(self, factors):
-        level = batched_products([(x, y) for x in factors for y in factors if x is not y])
+        # A level block's products, read back as CSR.
+        block = LevelBlock.from_partitions([1, 2, 4, 8], factors, NUM_ROWS)
+        level = block.products(*generate_next_level_arrays(block.masks)).partitions()
         assert all(rows_ascend(p) and p._ascending is True for p in level)
 
-    def test_pooled_batched_products(self, factors, pooled_kernel):
+    def test_pooled_batched_products(self, factors):
         level = batched_products([(x, y) for x in factors for y in factors if x is not y])
         assert all(rows_ascend(p) and p._ascending is True for p in level)
 
@@ -89,8 +90,8 @@ class TestEveryBuilderAscends:
 
 
 class TestRawNonAscendingPartitions:
-    """A hand-built partition may break the invariant; such a right
-    factor is routed away from the dense kernel."""
+    """A hand-built partition may break the invariant; a product keeps
+    such a right factor's row order."""
 
     def test_hand_built_single_class(self):
         x = CsrPartition(np.array([3, 1, 2, 0]), np.array([0, 4]), 4)
@@ -122,26 +123,3 @@ class TestRawNonAscendingPartitions:
         first, second = batched_products(pairs)
         assert not rows_ascend(first)
         assert rows_ascend(second)
-
-    def test_ascending_raw_buffers_take_the_dense_kernel(self, factors, monkeypatch):
-        raw = CsrPartition(factors[0].indices.copy(), factors[0].offsets.copy(), NUM_ROWS)
-        calls = []
-        original = vectorized._dense_products
-        monkeypatch.setattr(
-            vectorized,
-            "_dense_products",
-            lambda tasks, *args: calls.append(len(tasks)) or original(tasks, *args),
-        )
-        [observed] = batched_products([(factors[1], raw)])
-        assert calls == [1]
-        assert raw._ascending is True
-        assert np.array_equal(observed.indices, factors[1].product(raw).indices)
-
-    def test_non_ascending_right_factor_skips_the_dense_kernel(self, monkeypatch):
-        x = CsrPartition(np.array([3, 1, 2, 0]), np.array([0, 4]), 4)
-        calls = []
-        monkeypatch.setattr(
-            vectorized, "_dense_products", lambda tasks, *args: calls.append(tasks)
-        )
-        batched_products([(x, x)])
-        assert calls == []

@@ -1,8 +1,11 @@
 """Tests for the memory and disk partition stores."""
 
+import struct
+
 import numpy as np
 import pytest
 
+from repro import _bitset
 from repro.exceptions import ConfigurationError, DataError, PartitionMissingError
 from repro.partition.store import DiskPartitionStore, MemoryPartitionStore, make_store
 from repro.partition.vectorized import CsrPartition, LevelBlock
@@ -206,6 +209,36 @@ class TestLevelBlocks:
             assert not reader.adopt_spilled_block(1, block.masks, block.num_rows + 1)
             assert not reader.adopt_spilled_block(3, block.masks, block.num_rows)
             assert reader.adopt_spilled_block(1, block.masks, block.num_rows)
+            assert_same_block(reader.get(-1), block)
+        finally:
+            reader.close()
+
+    @pytest.mark.parametrize("shift", [0, 61, 70])
+    def test_masks_spill_as_64_bit_words(self, tmp_path, shift):
+        # Shifted by 0 the masks are int64, one word each (their int64
+        # bytes); by 61 or 70 they are object masks past bit 63, two
+        # words each.  The block's bytes are the spill's payload.
+        block = block_of(*self.COLUMNS)
+        dtype = _bitset.mask_dtype(len(self.COLUMNS) + shift)
+        masks = np.array([int(mask) << shift for mask in block.masks], dtype=dtype)
+        block = LevelBlock(masks, block.labels, block.classes, block.errors, block.num_rows)
+        writer = DiskPartitionStore(resident_budget_bytes=1, directory=tmp_path, min_spill_bytes=0)
+        writer.put(-1, block)
+        raw = (tmp_path / "level-1.bin").read_bytes()
+        header = struct.Struct("<8sqqqq")
+        assert header.unpack(raw[:header.size])[4] == (1 if shift == 0 else 2)
+        assert len(raw) == header.size + block.nbytes()
+        if shift == 0:
+            assert raw[header.size:header.size + masks.nbytes] == masks.tobytes()
+        loaded = writer.get(-1)
+        assert loaded.masks.dtype == dtype and loaded.masks.tolist() == masks.tolist()
+        assert_same_block(loaded, block)
+        writer.preserve_spill_files = True
+        writer.close()
+        reader = DiskPartitionStore(directory=tmp_path)
+        try:
+            assert not reader.adopt_spilled_block(1, masks[:2], block.num_rows)
+            assert reader.adopt_spilled_block(1, masks, block.num_rows)
             assert_same_block(reader.get(-1), block)
         finally:
             reader.close()

@@ -132,8 +132,9 @@ class TestResumeParity:
         if planted == "foreign":
             content = b"not a level block" * 8
         else:
+            # This format's header (one 64-bit word per mask), one mask short.
             masks = np.array(state.snapshot["level"][1:], dtype=np.int64)
-            header = struct.pack("<8sqqq", b"TANEblk\x01", masks.size, 0, 0)
+            header = struct.pack("<8sqqqq", b"TANEblk\x02", masks.size, 0, 0, 1)
             content = header + masks.tobytes() + np.zeros(masks.size, np.int64).tobytes()
         (spill / f"level-{size}.bin").write_bytes(content)
         resumed = discover(

@@ -215,8 +215,8 @@ def test_array_runs_match_python_int_runs(
     )
     int64_run = discover(relation, config)
     with monkeypatch.context() as patch:
-        # Every mask array of the run becomes an object array (which
-        # also keeps one partition per mask instead of level blocks).
+        # Every mask array of the run becomes an object array, the
+        # level blocks' masks included.
         patch.setattr(_bitset, "mask_dtype", lambda width: np.dtype(object))
         object_run = discover(relation, config)
     # Same dependencies in the same order, same keys, same counters.
