@@ -11,6 +11,7 @@ and the ε-behaviour.  See EXPERIMENTS.md for the recorded comparison.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 
@@ -128,10 +129,6 @@ def _dataset(name: str, scale: BenchScale, seed: int = 0) -> Relation:
 
 def _run_tane(relation: Relation, store: str, **config: object):
     return measure(lambda: discover(relation, TaneConfig(store=store, **config)))  # type: ignore[arg-type]
-
-
-def _format_or_skip(seconds: float | None) -> object:
-    return INFEASIBLE if seconds is None else seconds
 
 
 # ----------------------------------------------------------------------
@@ -410,12 +407,20 @@ class FromSingletonsExecutor(SerialExecution):
     """
 
     def __init__(self, relation: Relation) -> None:
-        self._singletons = [
+        self._relation = relation
+        self.products_computed = 0
+
+    @functools.cached_property
+    def _singletons(self) -> list[CsrPartition]:
+        relation = self._relation
+        return [
             CsrPartition.from_column(relation.column_codes(i), relation.num_rows)
             for i in range(relation.num_attributes)
         ]
-        self._singleton_block: LevelBlock | None = None
-        self.products_computed = 0
+
+    @functools.cached_property
+    def _singleton_block(self) -> LevelBlock:
+        return LevelBlock.from_columns(self._relation)
 
     def products(self, triples, fetch, workspace):
         """Each candidate's chain of singleton products; step *k* of
@@ -435,12 +440,6 @@ class FromSingletonsExecutor(SerialExecution):
                 yield candidate, product
 
     def level_products(self, factors, candidates, factor_x, factor_y, *, ranks_only=False):
-        if self._singleton_block is None:
-            self._singleton_block = LevelBlock.from_partitions(
-                [_bitset.bit(i) for i in range(len(self._singletons))],
-                self._singletons,
-                factors.num_rows,
-            )
         if candidates.size:
             self.products_computed += (
                 (_bitset.popcount(int(candidates[0])) - 1) * int(candidates.size)

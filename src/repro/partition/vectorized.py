@@ -28,20 +28,20 @@ and golden comparisons all compare raw buffers):
   :meth:`LevelBlock.products`) order classes by the pair
   ``(class-in-self, class-in-other)``, with rows inside a class in the
   right factor's index order;
-* a level block's label row numbers the classes in that same order,
-  so its CSR view (:meth:`LevelBlock.partitions`) has the bytes of the
-  product that built it;
+* a level block's label rows number the classes in those same orders:
+  the singletons' block (:meth:`LevelBlock.from_columns`) by value
+  code, a product row by ``(class-in-self, class-in-other)``, so label
+  ``k`` of a row is class ``k`` of the CSR partition any product path
+  builds for its mask;
 * rows inside every class ascend by row id.  ``from_column``,
   ``from_classes``, ``empty`` and ``single_class`` emit ascending
   classes, and a product inherits the order from its right factor, so
-  every partition the program builds is ascending.  A level block's
-  label rows keep no row order, and its CSR view emits ascending rows
-  whatever partitions built it, so the block form agrees with the CSR
-  products only under this invariant.  A partition wrapped around raw
-  buffers (``CsrPartition(...)``, ``attach``, a disk-store spill) is
-  checked once, lazily, by :meth:`CsrPartition._rows_ascending`; a
-  non-ascending left factor keeps its products off the column-keyed
-  path (below).
+  every partition the program builds is ascending.  A partition
+  wrapped around raw buffers (``CsrPartition(...)``, a disk-store
+  spill) is checked once, lazily, by
+  :meth:`CsrPartition._rows_ascending`; a non-ascending left factor
+  keeps its products off the column-keyed path (below).  Label rows
+  hold no row order.
 
 Each partition form has one product kernel, whatever the relation's
 height:
@@ -85,8 +85,8 @@ A product by one attribute's partition, ``π_X · π_{A}``, is ``π_X``'s
 rows grouped by their class in ``π_X`` and their value code of ``A``.
 So :meth:`CsrPartition.from_column` keeps a reference to the code
 array it grouped (for a relation's column, the relation's own buffer:
-no copy) and its code-space width; every other constructor, ``attach``
-and disk-store spills leave the partition without one.
+no copy) and its code-space width; every other constructor and
+disk-store spills leave the partition without one.
 :func:`_column_products` keys each row of every such task's left
 factor by ``(task, left class, code)`` and groups all of them with
 one stable sort.  Codes order as the column's classes do and the left
@@ -127,11 +127,12 @@ as one unit (see :mod:`repro.partition.store`).  The approximate
 validity tests hand its rows, with their class counts and ranks
 (:meth:`LevelBlock.row`), to the contingency table of
 :mod:`repro.partition.errors` as they are, so no CSR copy of a block is
-built or stored.  CSR partitions enter the block form only through
-:meth:`LevelBlock.from_partitions`, whose CSR-to-label-row adapter
-(:func:`_label_matrix`) is no product path.  Taller relations keep one
-CSR partition per mask: at 100k rows a label row would be 200 KB
-against a few KB of stripped CSR.
+built or stored.  Nothing converts between the two forms: the
+singletons' block is built from the column codes
+(:meth:`LevelBlock.from_columns`), every later block from a block, and
+a CSR partition only from codes or from CSR partitions.  Taller
+relations keep one CSR partition per mask: at 100k rows a label row
+would be 200 KB against a few KB of stripped CSR.
 
 :func:`batched_error_counts` runs the pooled kernel, and a rank-only
 :meth:`LevelBlock.products` the dense one, but each stops once every
@@ -227,10 +228,7 @@ class CsrPartition(PartitionBase):
         """Wrap raw buffers: ``int32`` ones as they are, wider ones
         narrowed once their row ids are checked to lie in
         ``[0, num_rows)``."""
-        self._wrap(indices, offsets, num_rows, num_rows - 1)
-
-    def _wrap(self, indices, offsets, num_rows: int, id_limit: int) -> None:
-        indices = _index_buffer(indices, id_limit, "row ids")
+        indices = _index_buffer(indices, num_rows - 1, "row ids")
         offsets = _index_buffer(offsets, indices.size, "CSR offsets")
         if offsets.size == 0 or offsets[0] != 0 or offsets[-1] != indices.size:
             raise DataError("malformed CSR offsets")
@@ -359,7 +357,7 @@ class CsrPartition(PartitionBase):
         return partition
 
     # ------------------------------------------------------------------
-    # Raw buffer export and attach
+    # Raw buffer export
     # ------------------------------------------------------------------
 
     def export_buffers(self) -> tuple[np.ndarray, np.ndarray]:
@@ -373,22 +371,6 @@ class CsrPartition(PartitionBase):
             np.ascontiguousarray(self._indices, dtype=INDEX_DTYPE),
             np.ascontiguousarray(self._offsets, dtype=INDEX_DTYPE),
         )
-
-    @classmethod
-    def attach(
-        cls, indices: np.ndarray, offsets: np.ndarray, num_rows: int
-    ) -> "CsrPartition":
-        """Build a partition over *existing* int32 buffers without copying.
-
-        The caller promises the buffers outlive the partition and are
-        never mutated.  Row ids are trusted (a product over an id past
-        the relation raises from its probe gather), except that a wider
-        buffer is narrowed only when every id fits ``int32`` without
-        changing.
-        """
-        partition = cls.__new__(cls)
-        partition._wrap(indices, offsets, num_rows, _MAX_ROWS)
-        return partition
 
     # ------------------------------------------------------------------
     # PartitionBase primitives
@@ -663,11 +645,6 @@ def _stable_sort(keys: np.ndarray, keyspace: int) -> tuple[np.ndarray, np.ndarra
     return _sorted_words(words, shift)
 
 
-def _stable_order(keys: np.ndarray, keyspace: int) -> np.ndarray:
-    """Stable argsort of non-negative ``keys`` below ``keyspace``."""
-    return _stable_sort(keys, keyspace)[0]
-
-
 def _split_groups(
     outputs: Sequence[tuple[int, CsrPartition]],
     sizes: Sequence[int],
@@ -776,41 +753,6 @@ def _column_products(
     )
 
 
-def _label_matrix(
-    factors: Sequence[CsrPartition], num_rows: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The CSR-to-label-row adapter: one ``len(factors) x rows`` matrix.
-
-    Row ``f`` holds, for every row of the relation, its class label in
-    ``factors[f]``, or -1 where that factor stripped it; the second
-    array is each factor's class count.  Labels come from the factors'
-    offsets, so no factor gains a cached label array.
-    """
-    classes = np.array([f._offsets.size - 1 for f in factors], dtype=np.int64)
-    # The factors' buffers laid end to end.  Shifted by each factor's
-    # start, the concatenated offsets become one ascending boundary
-    # list, with a zero-size gap class between consecutive factors.
-    rows = np.concatenate([f._indices for f in factors], dtype=np.int64)
-    if rows.size and (int(rows.min()) < 0 or int(rows.max()) >= num_rows):
-        # The probe path raises from its gather; a shifted
-        # row would silently land in another factor's matrix row.
-        raise IndexError("partition row id out of range for the relation")
-    bounds = np.concatenate([f._offsets for f in factors], dtype=np.int64)
-    entries = classes + 1
-    entries_end = np.cumsum(entries)
-    stripped = bounds[entries_end - 1]
-    bounds += np.repeat(np.cumsum(stripped) - stripped, entries)
-    class_sizes = np.diff(bounds)
-    labels = np.repeat(
-        np.arange(class_sizes.size) - np.repeat(entries_end - entries, entries)[:-1],
-        class_sizes,
-    )
-    matrix = np.full(len(factors) * num_rows, -1, dtype=LABEL_DTYPE)
-    rows += np.repeat(np.arange(0, len(factors) * num_rows, num_rows), stripped)
-    matrix[rows] = labels
-    return matrix.reshape(len(factors), num_rows), classes
-
-
 def _grouped_rows(
     left: np.ndarray,
     right: np.ndarray,
@@ -867,54 +809,6 @@ def _grouped_rows(
     kept = same[:-1] | same[1:]
     opens = kept & ~same[:-1]
     return sorted_rows, kept, opens
-
-
-def _task_partitions(
-    rows: np.ndarray, class_sizes: np.ndarray, task_classes: np.ndarray, num_rows: int
-) -> list[CsrPartition]:
-    """Cut the CSR partitions of several tasks out of one row buffer.
-
-    ``rows`` holds every task's stripped rows end to end, class by
-    class (``class_sizes``), ``task_classes[t]`` classes for task
-    ``t``.  Each partition owns its buffers (no views into the shared
-    arrays), so store byte accounting and spills stay truthful; rows
-    must ascend inside every class.
-    """
-    count = task_classes.size
-    bounds = np.zeros(class_sizes.size + 1, dtype=np.int64)
-    np.cumsum(class_sizes, out=bounds[1:])
-    class_end = np.cumsum(task_classes)
-    class_start = class_end - task_classes
-    element_start = bounds[class_start]
-    element_end = bounds[class_end]
-    # Every task's offsets side by side in one array: task t's classes
-    # start at [class_start[t] + t, class_end[t] + t), then comes its
-    # total, so its offsets are one contiguous slice.
-    task_ids = np.arange(count)
-    task_of_class = np.repeat(task_ids, task_classes)
-    offsets = np.empty(class_sizes.size + count, dtype=INDEX_DTYPE)
-    offsets[np.arange(class_sizes.size) + task_of_class] = (
-        bounds[:-1] - element_start[task_of_class]
-    )
-    offsets[class_end + task_ids] = element_end - element_start
-    spans = zip(
-        element_start.tolist(),
-        element_end.tolist(),
-        (class_start + task_ids).tolist(),
-        (class_end + task_ids + 1).tolist(),
-    )
-    built, empty = CsrPartition._built, CsrPartition.empty
-    return [
-        empty(num_rows)
-        if element_first == element_stop
-        else built(
-            rows[element_first:element_stop].copy(),
-            offsets[offset_first:offset_stop].copy(),
-            num_rows,
-            True,
-        )
-        for element_first, element_stop, offset_first, offset_stop in spans
-    ]
 
 
 def _pooled_products(
@@ -999,7 +893,7 @@ def _left_factor_tasks(
         workspace = _thread_workspace(num_rows)
     probe = workspace.probe
     # The reset must run even when a gather raises (e.g. a corrupt
-    # attached partition with out-of-range row ids): the workspace is
+    # partition with out-of-range row ids): the workspace is
     # shared by the whole run, and a dirty probe silently corrupts every
     # later product.
     try:
@@ -1171,10 +1065,11 @@ class LevelBlock:
     ``errors[i]`` its ``e(π)``.  A rank-only block (the last level of
     an exact run) holds ``masks`` and ``errors`` alone.
 
-    Blocks are immutable: :meth:`products` and :meth:`chains` build new
-    ones, :meth:`row` reads one partition as a
-    :class:`~repro.partition.errors.LabelRow` and :meth:`partitions`
-    builds fresh CSR partitions of its rows.
+    Blocks are immutable.  The singletons' block comes from the column
+    codes (:meth:`from_columns`), every other one from a block:
+    :meth:`products` and :meth:`chains` build new ones, and a disk spill
+    reloads one.  :meth:`row` reads one partition as a
+    :class:`~repro.partition.errors.LabelRow`.
     """
 
     __slots__ = ("masks", "labels", "classes", "errors", "num_rows")
@@ -1194,22 +1089,36 @@ class LevelBlock:
         self.num_rows = num_rows
 
     @classmethod
-    def from_partitions(
-        cls, masks: Sequence[int], partitions: Sequence[CsrPartition], num_rows: int
-    ) -> "LevelBlock":
-        """The block of ascending ``masks`` from their CSR partitions.
+    def from_columns(cls, relation) -> "LevelBlock":
+        """The singletons' block of ``relation`` (level 1), from its
+        column codes.
 
-        A mask array keeps its dtype; a sequence takes
-        :func:`~repro._bitset.mask_dtype` of its widest mask.
+        A code that occurs once marks its row -1 (a stripped singleton),
+        and the repeated codes number their classes in ascending code
+        order, which is the class order of :meth:`CsrPartition.from_column`.
+        Codes are first densified as there (:func:`_dense_code_space`),
+        and the masks take :func:`~repro._bitset.mask_dtype` of the
+        schema.
         """
-        if not isinstance(masks, np.ndarray):
-            widest = max(masks, default=0).bit_length()
-            masks = np.array(masks, dtype=_bitset.mask_dtype(widest))
-        errors = np.array([p.error_count for p in partitions], dtype=np.int64)
-        if not partitions:
-            empty = np.empty((0, num_rows), LABEL_DTYPE)
-            return cls(masks, empty, np.zeros(0, dtype=np.int64), errors, num_rows)
-        labels, classes = _label_matrix(partitions, num_rows)
+        count, num_rows = relation.num_attributes, relation.num_rows
+        masks = np.array(
+            [_bitset.bit(i) for i in range(count)], dtype=_bitset.mask_dtype(count)
+        )
+        labels = np.empty((count, num_rows), dtype=LABEL_DTYPE)
+        classes = np.empty(count, dtype=np.int64)
+        errors = np.empty(count, dtype=np.int64)
+        for attribute in range(count):
+            codes = _dense_code_space(
+                np.asarray(relation.column_codes(attribute), dtype=np.int64)
+            )
+            counts = np.bincount(codes)
+            repeated = counts >= 2
+            # Each code's label: its rank among the repeated codes.
+            numbering = np.cumsum(repeated, dtype=LABEL_DTYPE) - 1
+            numbering[~repeated] = -1
+            labels[attribute] = numbering.take(codes)
+            classes[attribute] = np.count_nonzero(repeated)
+            errors[attribute] = int(counts[repeated].sum()) - classes[attribute]
         return cls(masks, labels, classes, errors, num_rows)
 
     def __len__(self) -> int:
@@ -1236,32 +1145,6 @@ class LevelBlock:
         if index == len(self) or self.masks[index] != mask or self.labels is None:
             raise PartitionMissingError(f"no label row stored for mask {mask:#x}")
         return LabelRow(self.labels[index], int(self.classes[index]), int(self.errors[index]))
-
-    def partitions(self, masks=None) -> list[CsrPartition]:
-        """The rows of ``masks`` (default: every row) as canonical CSR
-        partitions, built in one pass: rows ascend inside each class
-        and classes follow their labels, which is the byte layout every
-        product path emits."""
-        if self.labels is None:
-            raise PartitionMissingError("a rank-only level keeps only its ranks")
-        labels, classes = self.labels, self.classes
-        if masks is not None:
-            rows = self.rows_of(masks)
-            labels, classes = labels[rows], classes[rows]
-        num_rows = self.num_rows
-        flat = labels.reshape(-1)
-        members = np.flatnonzero(flat >= 0)
-        owners = members // num_rows
-        # Each row's class, numbered across the block: stable-sorted,
-        # the rows come out block row by block row, class by class,
-        # ascending inside each class.
-        keys = (np.cumsum(classes) - classes)[owners] + flat[members]
-        total = int(classes.sum())
-        order = _stable_order(keys, max(total, 1))
-        rows = (members - owners * num_rows)[order].astype(INDEX_DTYPE)
-        return _task_partitions(
-            rows, np.bincount(keys, minlength=total), classes, num_rows
-        )
 
     def stripped_rows(self) -> int | None:
         """``Σ‖π̂‖`` over the block, or None for a rank-only block."""

@@ -19,22 +19,26 @@ A levelwise walk (levelwise and top-k strategies, UCC discovery) over a
 relation of at most ``_DENSE_MAX_ROWS`` rows, on the CSR engine, keeps
 each level as one :class:`~repro.partition.vectorized.LevelBlock`: a
 label matrix with one row per mask, the masks in the level's own dtype
-(:func:`~repro._bitset.mask_dtype`, so any schema width).  A level's
-products are one
+(:func:`~repro._bitset.mask_dtype`, so any schema width).  Level 1 is
+built from the column codes
+(:meth:`~repro.partition.vectorized.LevelBlock.from_columns`), with no
+CSR singletons; a later level's products are one
 :meth:`~repro.search.execution.SerialExecution.level_products` call on
 the dense kernel, and its store write, byte accounting, reclaim, disk
-spill and spill adoption each happen once per level.  Everything else —
-taller relations, DFD walks, the pure engine — keeps one CSR partition
-per mask, multiplied by the pooled kernel, with products streamed from
-the executor into the store so they become resident (and may spill)
-before later batches are computed.
+spill and spill adoption each happen once per level.  Only π_∅ stays a
+CSR partition (store key 0): the validity tests read it as a constant
+label row.  Everything else — taller relations, DFD walks, the pure
+engine — keeps one CSR partition per mask, multiplied by the pooled
+kernel, with products streamed from the executor into the store so
+they become resident (and may spill) before later batches are
+computed.  Neither form is ever converted into the other.
 
 The driver and tracker never touch the store directly — they fetch
-through :meth:`get` / :meth:`error_count` / :meth:`error_counts`, and a
-batch of validity tests through :meth:`batch_fetch`, which hands the
-measures a block's rows as label rows, so the storage policy (memory vs
-disk, spill budgets, blocks vs per-mask partitions) stays a concern of
-this class and the composition root.
+through :meth:`get` / :meth:`error_counts`, and a batch of validity
+tests through :meth:`batch_fetch`, which hands the measures a block's
+rows as label rows, so the storage policy (memory vs disk, spill
+budgets, blocks vs per-mask partitions) stays a concern of this class
+and the composition root.
 """
 
 from __future__ import annotations
@@ -44,8 +48,10 @@ import numpy as np
 from repro import _bitset
 from repro.core.lattice import LevelCandidates
 from repro.model.relation import Relation
+from repro.partition.errors import LabelRow
 from repro.partition.store import DiskPartitionStore, PartitionStore
 from repro.partition.vectorized import (
+    LABEL_DTYPE,
     CsrPartition,
     LevelBlock,
     PartitionWorkspace,
@@ -128,8 +134,9 @@ class PartitionManager:
         π_∅ (one class holding every row) is needed to test the
         level-1 dependencies ``∅ -> A``; UCC discovery skips it.
         ``levels`` says the caller walks the lattice level by level, so
-        the block form applies where the relation allows it; the
-        singletons then form level 1's block.
+        the block form applies where the relation allows it; level 1's
+        block is then built from the column codes, and no CSR singleton
+        is.
         """
         self._resident = set()
         self._resident_by_size = {}
@@ -139,68 +146,57 @@ class PartitionManager:
         )
         if include_empty:
             self.store.put(0, self.partition_cls.single_class(self.num_rows))
+        level = [_bitset.bit(i) for i in range(self.num_attributes)]
+        if self.level_blocks:
+            self._singletons = []
+            self._put_block(1, LevelBlock.from_columns(self.relation))
+            return level
         self._singletons = [
             self.partition_cls.from_column(self.relation.column_codes(i), self.num_rows)
             for i in range(self.num_attributes)
         ]
-        level = [_bitset.bit(i) for i in range(self.num_attributes)]
-        if self.level_blocks:
-            self._put_block(1, LevelBlock.from_partitions(level, self._singletons, self.num_rows))
-        else:
-            for mask, partition in zip(level, self._singletons):
-                self.store.put(mask, partition)
+        for mask, partition in zip(level, self._singletons):
+            self.store.put(mask, partition)
         return level
-
-    def _block(self, mask: int) -> LevelBlock | None:
-        """The block of ``mask``'s level, when the block form holds it."""
-        if self._block_levels:
-            size = _bitset.popcount(mask)
-            if size in self._block_levels:
-                return self.store.get(-size)
-        return None
 
     def _put_block(self, size: int, block: LevelBlock) -> None:
         self.store.put(-size, block)
         self._block_levels.add(size)
 
     def get(self, mask: int):
-        """Fetch ``π_mask``; a block row comes back as a CSR partition
-        built for this call alone (:meth:`LevelBlock.partitions`)."""
-        block = self._block(mask)
-        return self.store.get(mask) if block is None else block.partitions([mask])[0]
+        """Fetch the stored ``π_mask`` of the per-mask form (the DFD
+        walk's; a block is read through :meth:`batch_fetch`)."""
+        return self.store.get(mask)
 
     def batch_fetch(self) -> Fetch:
         """The fetch of one batch of validity tests.  In the block form
-        it reads each store entry it touches (two level blocks, or π_∅
-        and level 1's) once, and returns every mask as a label row
-        (:meth:`LevelBlock.row`): a batch builds no CSR partition,
-        stores nothing, and loads each spilled entry at most once."""
+        it reads each level block it touches once and returns every mask
+        as a label row (:meth:`LevelBlock.row`), π_∅ as the constant row
+        of one class holding every row (the block form has at least two
+        rows): a batch builds no CSR partition, stores nothing, and
+        loads each spilled block at most once."""
         if not self.level_blocks:
             return self.store.get
+        empty = LabelRow(np.zeros(self.num_rows, dtype=LABEL_DTYPE), 1, self.num_rows - 1)
         blocks: dict[int, LevelBlock] = {}
 
         def fetch(mask: int):
+            if not mask:
+                return empty
             key = -_bitset.popcount(mask)
             block = blocks.get(key)
             if block is None:
-                entry = self.store.get(key)
-                # Every level of the block form is a block, but π_∅.
-                blocks[key] = block = (
-                    entry if key else LevelBlock.from_partitions([0], [entry], self.num_rows)
-                )
+                blocks[key] = block = self.store.get(key)
             return block.row(mask)
 
         return fetch
 
-    def error_count(self, mask: int) -> int:
-        """``e(π_mask)``: rows to remove for ``mask`` to be unique."""
-        return int(self.error_counts([mask])[0])
-
     def error_counts(self, masks) -> np.ndarray:
         """``e(π)`` of every mask of one level, as an ``int64`` array."""
         if len(masks):
-            block = self._block(int(masks[0]))
-            if block is not None:
+            size = _bitset.popcount(int(masks[0]))
+            if size in self._block_levels:
+                block = self.store.get(-size)
                 return block.errors[block.rows_of(masks)]
         return np.array([self.store.get(int(m)).error_count for m in masks], dtype=np.int64)
 

@@ -1,10 +1,13 @@
-"""Fixtures and the reference products shared by the partition-engine
-tests."""
+"""Fixtures and the references shared by the partition-engine tests:
+the pair-key product of two CSR partitions, and the label rows a level
+block must hold for a CSR partition."""
 
 import numpy as np
 import pytest
 
 import repro.partition.vectorized as vectorized
+from repro import _bitset
+from repro.partition.vectorized import LABEL_DTYPE, LevelBlock
 
 
 def reference_product(x, y):
@@ -34,6 +37,45 @@ def assert_matches_reference(observed, x, y):
     assert observed.indices.tolist() == indices.tolist()
     assert observed.offsets.tolist() == offsets.tolist()
     assert observed.error_count == error
+
+
+def label_row(partition):
+    """``partition`` as a reference label row: each row's label is its
+    class's index in ``classes()`` order, -1 where the partition strips
+    the row."""
+    labels = np.full(partition.num_rows, -1, dtype=LABEL_DTYPE)
+    for label, rows in enumerate(partition.classes()):
+        labels[np.array(rows, dtype=np.intp)] = label
+    return labels
+
+
+def label_block(masks, partitions, num_rows):
+    """The block of ascending ``masks`` holding the reference label rows
+    of ``partitions``, through the ``LevelBlock`` constructor."""
+    masks = list(masks)
+    dtype = _bitset.mask_dtype(max(masks, default=0).bit_length())
+    return LevelBlock(
+        np.array(masks, dtype=dtype),
+        np.array([label_row(p) for p in partitions], dtype=LABEL_DTYPE).reshape(-1, num_rows),
+        np.array([p.num_classes for p in partitions], dtype=np.int64),
+        np.array([p.error_count for p in partitions], dtype=np.int64),
+        num_rows,
+    )
+
+
+def assert_rows_match(block, partitions):
+    """Every row of ``block`` holds the reference label row, class count
+    and rank of the partition in the same place; a rank-only block
+    holds the ranks alone."""
+    assert len(block) == len(partitions)
+    assert block.errors.tolist() == [p.error_count for p in partitions]
+    if block.labels is None:
+        assert block.classes is None
+        return
+    assert block.labels.dtype == LABEL_DTYPE
+    assert block.classes.tolist() == [p.num_classes for p in partitions]
+    for labels, partition in zip(block.labels, partitions):
+        assert np.array_equal(labels, label_row(partition))
 
 
 @pytest.fixture

@@ -186,10 +186,9 @@ class TestNoPinnedColumn:
         assert partition._column is codes
         assert partition._column_width == int(codes.max()) + 1
 
-    def test_attach_and_raw_buffers_carry_no_column(self):
+    def test_raw_buffers_carry_no_column(self):
         partition = CsrPartition.from_column(np.arange(60) % 7)
         indices, offsets = partition.export_buffers()
-        assert CsrPartition.attach(indices, offsets, 60)._column is None
         assert CsrPartition(indices, offsets, 60)._column is None
         assert partition.without_column()._column is None
         assert partition._column is not None

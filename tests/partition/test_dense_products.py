@@ -2,12 +2,14 @@
 
 A level block's products (:meth:`LevelBlock.products` and
 :meth:`LevelBlock.chains`) group a chunk of tasks with one row-wise sort
-of their label rows (``_grouped_rows``).  Read back as CSR, every row of
-the result must be byte-identical to the per-triple
-:meth:`CsrPartition.product` (the pooled kernel), and every rank, with
-labels or without, equal to its ``error_count``.  ``batched_products``
-must match the same per-triple products, own its buffers, and keep its
-error contract.
+of their label rows (``_grouped_rows``).  Every row of the result must
+hold the reference label row (``tests/partition/conftest.py``) and
+class count of the per-triple :meth:`CsrPartition.product` (the pooled
+kernel), and every rank, with labels or without, equal its
+``error_count``.  A block of arbitrary factors is built by the
+``LevelBlock`` constructor on their reference label rows.
+``batched_products`` must match the same per-triple products, own its
+buffers, and keep its error contract.
 """
 
 import numpy as np
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 import repro.partition.vectorized as vectorized
 from repro.exceptions import DataError
+from repro.model.relation import Relation
 from repro.partition.pure import PurePartition
 from repro.partition.vectorized import (
     CsrPartition,
@@ -24,6 +27,7 @@ from repro.partition.vectorized import (
     PartitionWorkspace,
     batched_products,
 )
+from tests.partition.conftest import assert_rows_match, label_block
 
 
 def assert_identical(observed, expected):
@@ -56,9 +60,7 @@ def block_level(pairs, ranks_only=False):
     (candidates 0, 1, ...)."""
     factors = list({id(f): f for pair in pairs for f in pair}.values())
     slot = {id(f): index + 1 for index, f in enumerate(factors)}
-    block = LevelBlock.from_partitions(
-        range(1, len(factors) + 1), factors, factors[0].num_rows
-    )
+    block = label_block(range(1, len(factors) + 1), factors, factors[0].num_rows)
     return block.products(
         np.arange(len(pairs)),
         [slot[id(x)] for x, _y in pairs],
@@ -67,24 +69,17 @@ def block_level(pairs, ranks_only=False):
     )
 
 
-def assert_views_match(pairs, level):
-    views = level.partitions()
-    for (x, y), view, rank in zip(pairs, views, level.errors.tolist(), strict=True):
-        expected = x.product(y)
-        assert_identical(view, expected)
-        assert rank == expected.error_count
-        assert_owned(view)
-    return views
+def assert_rows_match_per_triple(pairs, level):
+    assert_rows_match(level, [x.product(y) for x, y in pairs])
 
 
 def assert_block_matches_per_triple(pairs):
     """The block product of ``pairs`` and its rank-only twin against
     the per-triple products."""
-    views = assert_views_match(pairs, block_level(pairs))
+    assert_rows_match_per_triple(pairs, block_level(pairs))
     ranks = block_level(pairs, ranks_only=True)
     assert ranks.labels is None
-    assert ranks.errors.tolist() == [view.error_count for view in views]
-    return views
+    assert_rows_match_per_triple(pairs, ranks)
 
 
 def chain_products(columns, candidates):
@@ -101,11 +96,7 @@ def chain_products(columns, candidates):
 
 
 def singleton_block(columns):
-    return LevelBlock.from_partitions(
-        [1 << i for i in range(len(columns))],
-        [CsrPartition.from_column(codes) for codes in columns],
-        len(columns[0]),
-    )
+    return LevelBlock.from_columns(Relation.from_codes(columns))
 
 
 @pytest.fixture
@@ -194,7 +185,7 @@ class TestDenseMatchesPerTriple:
         level = block_level(pairs)
         assert chunk_tasks == [9]
         assert level.labels.dtype == vectorized.LABEL_DTYPE
-        assert_views_match(pairs, level)
+        assert_rows_match_per_triple(pairs, level)
 
 
 class TestEdgeCases:
@@ -234,15 +225,14 @@ class TestEdgeCases:
         level = block_level([(x, y), (y, x)])
         assert chunk_tasks == [2]
         assert level.classes.tolist() == [0, 0] and (level.labels == -1).all()
-        views = assert_views_match([(x, y), (y, x)], level)
-        assert all(v.num_classes == 0 and v.stripped_size == 0 for v in views)
+        assert_rows_match_per_triple([(x, y), (y, x)], level)
 
     def test_int16_keys(self, key_dtypes):
         rng = np.random.default_rng(5)
         x, y = (CsrPartition.from_column(rng.integers(0, 3, size=40)) for _ in range(2))
         level = block_level([(x, y)])
         assert key_dtypes == [np.dtype(np.int16)]
-        assert_views_match([(x, y)], level)
+        assert_rows_match_per_triple([(x, y)], level)
 
     def test_pair_overflowing_int16_takes_int32_keys(self, key_dtypes):
         # 200 x 200 classes: classes_x * classes_y alone exceeds int16.
@@ -253,7 +243,7 @@ class TestEdgeCases:
         pairs = [(x, y), (y, x), (x, x)]
         level = block_level(pairs)
         assert key_dtypes == [np.dtype(np.int32)]
-        assert_views_match(pairs, level)
+        assert_rows_match_per_triple(pairs, level)
 
     def test_tagged_keys_overflowing_int32_take_int64(self, key_dtypes):
         num_rows = vectorized._DENSE_MAX_ROWS
@@ -262,7 +252,7 @@ class TestEdgeCases:
         pairs = [(x, y), (x, x)]
         level = block_level(pairs)
         assert key_dtypes == [np.dtype(np.int64)]
-        assert_views_match(pairs, level)
+        assert_rows_match_per_triple(pairs, level)
 
     def test_chunks_split_at_the_element_budget(self, monkeypatch, chunk_tasks):
         num_rows = 60
@@ -271,15 +261,14 @@ class TestEdgeCases:
         columns = [rng.integers(0, 4, size=num_rows) for _ in range(4)]
         factors = [CsrPartition.from_column(codes) for codes in columns]
         pairs = [(x, y) for x in factors for y in factors]
-        assert_views_match(pairs, block_level(pairs))
+        assert_rows_match_per_triple(pairs, block_level(pairs))
         assert chunk_tasks == [4, 4, 4, 4]
         # The four 3-attribute chains: two product steps of one chunk.
         del chunk_tasks[:]
         candidates = [0b0111, 0b1011, 0b1101, 0b1110]
         chains = singleton_block(columns).chains(candidates)
         assert chunk_tasks == [4, 4]
-        for view, expected in zip(chains.partitions(), chain_products(columns, candidates)):
-            assert_identical(view, expected)
+        assert_rows_match(chains, chain_products(columns, candidates))
 
     def test_budget_below_one_row_still_progresses(self, monkeypatch, chunk_tasks):
         monkeypatch.setattr(vectorized, "_DENSE_ELEMENT_BUDGET", 1)
@@ -287,25 +276,23 @@ class TestEdgeCases:
         columns = [rng.integers(0, 3, size=30) for _ in range(3)]
         factors = [CsrPartition.from_column(codes) for codes in columns[:2]]
         pairs = [(x, y) for x in factors for y in factors]
-        assert_views_match(pairs, block_level(pairs))
+        assert_rows_match_per_triple(pairs, block_level(pairs))
         assert chunk_tasks == [1, 1, 1, 1]
         del chunk_tasks[:]
         candidates = [0b011, 0b101, 0b110]
         ranks = singleton_block(columns).chains(candidates, ranks_only=True)
         assert chunk_tasks == [1, 1, 1]
-        assert ranks.errors.tolist() == [
-            p.error_count for p in chain_products(columns, candidates)
-        ]
+        assert_rows_match(ranks, chain_products(columns, candidates))
 
     def test_results_do_not_share_buffers(self):
         rng = np.random.default_rng(8)
         factors = [CsrPartition.from_column(rng.integers(0, 3, size=30)) for _ in range(3)]
         pairs = [(x, y) for x in factors for y in factors]
-        for results in (batched_products(pairs), block_level(pairs).partitions()):
-            for i, a in enumerate(results):
-                for b in results[i + 1:]:
-                    assert not np.shares_memory(a.indices, b.indices)
-                    assert not np.shares_memory(a.offsets, b.offsets)
+        results = batched_products(pairs)
+        for i, a in enumerate(results):
+            for b in results[i + 1:]:
+                assert not np.shares_memory(a.indices, b.indices)
+                assert not np.shares_memory(a.offsets, b.offsets)
 
 
 class TestErrorContract:
@@ -329,21 +316,16 @@ class TestErrorContract:
 
     @pytest.mark.parametrize("position", [0, 1])
     def test_out_of_range_rows_raise_index_error(self, position):
-        # Whichever task or block row the corrupt factor gets, a row id
-        # past the relation must raise instead of landing in another
-        # task's rows.
-        corrupt = CsrPartition.attach(
-            np.array([45, 46], dtype=np.int64), np.array([0, 2], dtype=np.int64), 40
+        # Whichever task the corrupt factor gets, a row id past the
+        # relation must raise instead of landing in another task's rows.
+        corrupt = CsrPartition._built(
+            np.array([45, 46], dtype=np.int32), np.array([0, 2], dtype=np.int32), 40, None
         )
         pairs = [(self.x, self.y), (self.x, corrupt)]
-        factors = [self.x, corrupt]
         if position == 0:
             pairs = [(corrupt, self.y), (self.x, self.y)]
-            factors = [corrupt, self.x]
         with pytest.raises(IndexError):
             batched_products(pairs, self.workspace)
         assert (self.workspace.probe == -1).all()
-        with pytest.raises(IndexError):
-            LevelBlock.from_partitions([1, 2], factors, 40)
         [redo] = batched_products([(self.x, self.y)], self.workspace)
         assert_identical(redo, self.x.product(self.y))

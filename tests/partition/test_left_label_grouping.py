@@ -21,7 +21,6 @@ import repro.partition.vectorized as vectorized
 from repro.exceptions import DataError
 from repro.partition.vectorized import (
     CsrPartition,
-    LevelBlock,
     PartitionWorkspace,
     batched_error_counts,
     batched_products,
@@ -156,7 +155,6 @@ class TestTwoPassRadix:
             cases.append((keyspace, keys))
         for keyspace, keys in cases:
             expected = np.argsort(keys, kind="stable")
-            assert np.array_equal(vectorized._stable_order(keys, keyspace), expected)
             order, sorted_keys = vectorized._stable_sort(keys, keyspace)
             assert np.array_equal(order, expected)
             assert np.array_equal(sorted_keys, keys[expected])
@@ -252,8 +250,6 @@ class TestInt32Buffers:
             short[0].product(short[1]),  # column-keyed, on one task
             tall[0].product(tall[1].without_column()),  # left-label grouping
             *batched_products([(tall[0], tall[1])]),  # column-keyed
-            # The level blocks' dense kernel, through a block's CSR view.
-            *LevelBlock.from_partitions([1, 2], short, 50).products([3], [1], [2]).partitions(),
         ]
         for partition in built:
             assert partition.indices.dtype == np.int32
@@ -264,12 +260,9 @@ class TestInt32Buffers:
     def test_int32_buffers_are_wrapped_without_copying(self):
         indices = np.array([0, 1, 2, 3], dtype=np.int32)
         offsets = np.array([0, 2, 4], dtype=np.int32)
-        for partition in (
-            CsrPartition(indices, offsets, 4),
-            CsrPartition.attach(indices, offsets, 4),
-        ):
-            assert partition.indices is indices
-            assert partition.offsets is offsets
+        partition = CsrPartition(indices, offsets, 4)
+        assert partition.indices is indices
+        assert partition.offsets is offsets
 
 
 class TestCheckBeforeNarrowing:
@@ -278,8 +271,6 @@ class TestCheckBeforeNarrowing:
         indices = np.array([0, row], dtype=np.int64)
         with pytest.raises(DataError, match="row ids"):
             CsrPartition(indices, np.array([0, 2]), 10)
-        with pytest.raises(DataError, match="row ids"):
-            CsrPartition.attach(indices, np.array([0, 2]), 10)
 
     def test_constructor_rejects_an_id_past_the_relation(self):
         with pytest.raises(DataError, match="row ids"):

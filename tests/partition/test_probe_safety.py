@@ -3,7 +3,7 @@
 One :class:`PartitionWorkspace` is shared by an entire TANE run.
 ``product`` and
 ``g3_error_count`` scatter class labels into the probe array and must
-reset them *even when the operation raises* — e.g. a corrupt attached
+reset them *even when the operation raises* — e.g. a corrupt
 partition carrying out-of-range row ids — otherwise every later
 product silently computes garbage.  These are regression tests for the
 historical success-path-only reset.  The threaded pooled kernel adds
@@ -35,11 +35,11 @@ def healthy_pair():
 
 
 def corrupt_partition():
-    """A partition whose row ids exceed the relation (attach skips
-    validation by design — callers vouch for the buffers)."""
-    indices = np.array([NUM_ROWS + 5, NUM_ROWS + 6], dtype=np.int64)
-    offsets = np.array([0, 2], dtype=np.int64)
-    return CsrPartition.attach(indices, offsets, NUM_ROWS)
+    """A partition whose row ids exceed the relation (``_built`` skips
+    validation by design — the kernels vouch for the buffers)."""
+    indices = np.array([NUM_ROWS + 5, NUM_ROWS + 6], dtype=np.int32)
+    offsets = np.array([0, 2], dtype=np.int32)
+    return CsrPartition._built(indices, offsets, NUM_ROWS, None)
 
 
 class TestProductProbeReset:

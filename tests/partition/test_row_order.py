@@ -1,11 +1,10 @@
 """The row-order invariant of the canonical CSR layout.
 
 Rows ascend by row id inside every stripped class of every partition
-the program builds.  A level block's CSR view emits ascending rows
-whatever partitions built the block, while the pooled kernel keeps the
-right factor's order, so the two partition forms agree byte for byte
-only under this invariant.  A partition wrapped around raw buffers is
-checked lazily.
+the program builds; the pooled kernel keeps the right factor's order.
+A partition wrapped around raw buffers is checked lazily.  A level
+block's label rows hold no row order: its products must hold the label
+rows of the ascending CSR products.
 """
 
 import numpy as np
@@ -13,7 +12,9 @@ import pytest
 
 from repro.core.lattice import generate_next_level_arrays
 from repro.partition.store import DiskPartitionStore
+from repro.model.relation import Relation
 from repro.partition.vectorized import CsrPartition, LevelBlock, batched_products
+from tests.partition.conftest import assert_rows_match
 
 NUM_ROWS = 90
 
@@ -30,12 +31,14 @@ def rows_ascend(partition):
 
 
 @pytest.fixture
-def factors():
+def columns():
     rng = np.random.default_rng(8)
-    return [
-        CsrPartition.from_column(rng.integers(0, domain, size=NUM_ROWS))
-        for domain in (3, 4, 5, 7)
-    ]
+    return [rng.integers(0, domain, size=NUM_ROWS) for domain in (3, 4, 5, 7)]
+
+
+@pytest.fixture
+def factors(columns):
+    return [CsrPartition.from_column(codes) for codes in columns]
 
 
 class TestEveryBuilderAscends:
@@ -54,11 +57,17 @@ class TestEveryBuilderAscends:
         probed = x.product(y)
         assert rows_ascend(probed) and probed._rows_ascending()
 
-    def test_dense_batched_products(self, factors):
-        # A level block's products, read back as CSR.
-        block = LevelBlock.from_partitions([1, 2, 4, 8], factors, NUM_ROWS)
-        level = block.products(*generate_next_level_arrays(block.masks)).partitions()
-        assert all(rows_ascend(p) and p._ascending is True for p in level)
+    def test_dense_batched_products(self, columns, factors):
+        # A level block's products hold the label rows of the pooled
+        # products, which ascend.
+        block = LevelBlock.from_columns(Relation.from_codes(columns))
+        candidates = generate_next_level_arrays(block.masks)
+        singleton = {1 << i: factor for i, factor in enumerate(factors)}
+        pooled = batched_products(
+            [(singleton[x], singleton[y]) for _mask, x, y in candidates.triples()]
+        )
+        assert all(rows_ascend(p) and p._ascending is True for p in pooled)
+        assert_rows_match(block.products(*candidates), pooled)
 
     def test_pooled_batched_products(self, factors):
         level = batched_products([(x, y) for x in factors for y in factors if x is not y])
@@ -80,13 +89,13 @@ class TestEveryBuilderAscends:
         finally:
             store.close()
 
-    def test_attach_over_exported_buffers(self, factors):
+    def test_constructor_over_exported_buffers(self, factors):
         for original in factors:
             indices, offsets = original.export_buffers()
-            attached = CsrPartition.attach(indices.copy(), offsets.copy(), NUM_ROWS)
-            assert attached._ascending is None  # raw buffers: not yet known
-            assert rows_ascend(attached) and attached._rows_ascending()
-            assert np.array_equal(attached.indices, original.indices)
+            wrapped = CsrPartition(indices.copy(), offsets.copy(), NUM_ROWS)
+            assert wrapped._ascending is None  # raw buffers: not yet known
+            assert rows_ascend(wrapped) and wrapped._rows_ascending()
+            assert np.array_equal(wrapped.indices, original.indices)
 
 
 class TestRawNonAscendingPartitions:

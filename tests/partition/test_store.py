@@ -7,6 +7,7 @@ import pytest
 
 from repro import _bitset
 from repro.exceptions import ConfigurationError, DataError, PartitionMissingError
+from repro.model.relation import Relation
 from repro.partition.store import DiskPartitionStore, MemoryPartitionStore, make_store
 from repro.partition.vectorized import CsrPartition, LevelBlock
 
@@ -141,9 +142,7 @@ class TestDiskStore:
 
 def block_of(*columns):
     """The level-1 block of ``columns``."""
-    partitions = [partition_of(codes) for codes in columns]
-    masks = [1 << i for i in range(len(columns))]
-    return LevelBlock.from_partitions(masks, partitions, len(columns[0]))
+    return LevelBlock.from_columns(Relation.from_codes(columns))
 
 
 def assert_same_block(observed, expected):

@@ -106,13 +106,14 @@ class TestProduct:
 
 
 class TestExportAttach:
-    """Raw-buffer export and zero-copy attach (disk spills write the
-    exported buffers)."""
+    """Raw-buffer export, and the constructor attaching those int32
+    buffers without a copy (disk spills write the exported buffers)."""
 
     def test_round_trip(self):
         original = CsrPartition.from_column([0, 0, 1, 1, 1, 2])
         indices, offsets = original.export_buffers()
-        rebuilt = CsrPartition.attach(indices, offsets, original.num_rows)
+        rebuilt = CsrPartition(indices, offsets, original.num_rows)
+        assert rebuilt.indices is indices and rebuilt.offsets is offsets
         assert rebuilt.class_sets() == original.class_sets()
         assert rebuilt.num_rows == original.num_rows
         assert rebuilt.error_count == original.error_count

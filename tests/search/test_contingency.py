@@ -11,7 +11,9 @@ properties pin it, per test and per discovery run:
 * the CSR and pure engines give bit-identical errors (they build the
   same integer arrays, and every float is a term-wise function of them);
 * so do label rows, read from a level block as a levelwise walk over a
-  short relation reads them;
+  short relation reads them: the singletons' block built from the
+  column codes, products by the blocks' kernel, π_∅ one class of every
+  row;
 * shuffling the rows leaves every error bit-identical (``fsum`` does
   not depend on the order of its terms).
 
@@ -23,6 +25,7 @@ which ``dfd`` refuses, run levelwise only.
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -30,8 +33,10 @@ from hypothesis import strategies as st
 from repro import _bitset
 from repro.baselines.bruteforce import dependency_error
 from repro.core.tane import TaneConfig, discover
+from repro.partition.errors import LabelRow
 from repro.partition.pure import PurePartition
 from repro.partition.vectorized import (
+    LABEL_DTYPE,
     CsrPartition,
     LevelBlock,
     PartitionWorkspace,
@@ -75,10 +80,14 @@ def _measured(engine, relation, mask):
     level blocks keeps CSR partitions."""
     if engine != LABEL_ROWS:
         return _partition(engine, relation, mask)
-    partition = _partition(CsrPartition, relation, mask)
-    if not dense_relation(relation.num_rows):
-        return partition
-    return LevelBlock.from_partitions([mask], [partition], relation.num_rows).row(mask)
+    n = relation.num_rows
+    if not dense_relation(n):
+        return _partition(CsrPartition, relation, mask)
+    if mask == 0:
+        return LabelRow(np.zeros(n, dtype=LABEL_DTYPE), 1, n - 1)
+    singletons = LevelBlock.from_columns(relation)
+    block = singletons if _bitset.popcount(mask) == 1 else singletons.chains([mask])
+    return block.row(mask)
 
 
 def _errors(relation, measure, engine=CsrPartition):

@@ -10,8 +10,9 @@ import pytest
 
 from repro.core.tane import TaneConfig, discover
 from repro.model.relation import Relation
-from repro.partition.vectorized import LevelBlock
+from repro.partition.vectorized import CsrPartition, LevelBlock
 from repro.search.execution import SerialExecution
+from tests.partition.conftest import label_block
 
 
 @pytest.fixture
@@ -31,11 +32,17 @@ def assert_same_result(observed, expected):
 
 class PerTripleExecutor(SerialExecution):
     """The one-product-at-a-time loop the batched kernels must match:
-    per-mask products, and a level block's products built one
-    candidate at a time from the factor block's CSR views."""
+    per-mask products, and a level block's products computed one
+    candidate at a time by ``CsrPartition.product`` over the executor's
+    own CSR partitions of every mask so far, laid out as the reference
+    label rows (``tests/partition/conftest.py``)."""
 
-    def __init__(self):
+    def __init__(self, relation):
         self.level_calls = 0
+        self.partitions = {
+            1 << i: CsrPartition.from_column(relation.column_codes(i))
+            for i in range(relation.num_attributes)
+        }
 
     def products(self, triples, fetch, workspace):
         for candidate, factor_x, factor_y in triples:
@@ -43,12 +50,11 @@ class PerTripleExecutor(SerialExecution):
 
     def level_products(self, factors, candidates, factor_x, factor_y, *, ranks_only=False):
         self.level_calls += 1
-        views = dict(zip(factors.masks.tolist(), factors.partitions()))
-        products = [
-            views[x].product(views[y])
-            for x, y in zip(factor_x.tolist(), factor_y.tolist())
-        ]
-        block = LevelBlock.from_partitions(candidates, products, factors.num_rows)
+        partitions = self.partitions
+        masks = candidates.tolist()
+        for mask, x, y in zip(masks, factor_x.tolist(), factor_y.tolist()):
+            partitions[mask] = partitions[x].product(partitions[y])
+        block = label_block(masks, [partitions[mask] for mask in masks], factors.num_rows)
         if ranks_only:
             block = LevelBlock(block.masks, None, None, block.errors, block.num_rows)
         return block
@@ -57,7 +63,7 @@ class PerTripleExecutor(SerialExecution):
 class TestKernelParity:
     @pytest.mark.parametrize("epsilon", [0.0, 0.1])
     def test_batched_and_triple_kernels_agree(self, relation, epsilon):
-        executor = PerTripleExecutor()
+        executor = PerTripleExecutor(relation)
         batched = discover(relation, TaneConfig(epsilon=epsilon))
         triple = discover(relation, TaneConfig(epsilon=epsilon, executor=executor))
         assert executor.level_calls > 0

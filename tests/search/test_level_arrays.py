@@ -68,7 +68,7 @@ def lockstep(relation: Relation, **options) -> None:
         max_level = min(max_level, max_lhs_size + 1)
 
     level = partitions.bootstrap()
-    empty_rank = [partitions.error_count(0)]
+    empty_rank = partitions.error_counts([0]).tolist()
     previous = LevelArrays([0], empty_rank, [full], width=width)
     previous_wide = LevelArrays([0], empty_rank, [full << SHIFT], width=wide_width)
     number = 1
