@@ -128,6 +128,7 @@ measures-smoke:
 	  tests/search/test_expected_mutual_information.py \
 	  tests/search/test_measures_properties.py \
 	  tests/search/test_planted_recovery.py \
+	  tests/search/test_golden_parity.py tests/search/test_rank_bound.py \
 	  tests/verify/test_compare_measures.py tests/test_fingerprint.py -q
 
 # Traversal-strategy smoke: the dfd/topk strategy suites (the dfd walk

@@ -8,10 +8,14 @@ Two interchangeable engines are provided:
 * :class:`repro.partition.vectorized.CsrPartition` — a numpy
   CSR-layout engine (the "compact representation" optimization of the
   extended version) used by the TANE driver.
+
+Both engines count g3 directly (``g3_error_count``).  The contingency
+table of a pair, its g1/g2/g3 counts, and the label rows of a level
+block live in :mod:`repro.partition.errors`; the error measures built
+on that table live in :mod:`repro.search.measures`.
 """
 
 from repro.partition.base import PartitionBase
-from repro.partition.errors import g1_error, g2_error, g3_error, g3_bounds_counts
 from repro.partition.pure import PurePartition
 from repro.partition.store import (
     DiskPartitionStore,
@@ -31,8 +35,4 @@ __all__ = [
     "MemoryPartitionStore",
     "DiskPartitionStore",
     "make_store",
-    "g1_error",
-    "g2_error",
-    "g3_error",
-    "g3_bounds_counts",
 ]

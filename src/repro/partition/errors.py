@@ -1,5 +1,5 @@
-"""Dependency error measures g1, g2, g3 (Kivinen & Mannila 1995), and
-the contingency table every measure reads.
+"""The contingency table every error measure reads, and the integer
+counts of Kivinen & Mannila's (1995) g1, g2 and g3 over it.
 
 The paper adopts ``g3`` — the minimum fraction of rows to delete for
 the dependency to hold — as its approximateness measure; ``g1`` (the
@@ -7,15 +7,19 @@ fraction of violating row *pairs*) and ``g2`` (the fraction of rows
 involved in some violation) are provided for completeness, all computed
 from the partitions ``π_X`` and ``π_{X∪{A}}``.
 
-Every measure of :mod:`repro.search.measures` reads one integer
+Every measure formula of :mod:`repro.search.measures` reads one integer
 :class:`Contingency` table of that pair, which :func:`contingency`
 builds from three front ends: two CSR partitions (the lhs labels
 scattered to a probe and read at the first row of every refined
 class), two label rows of a level block (:class:`LabelRow`: the labels
 are already laid out per row, so no CSR is built), or the pure
 engine's ``classes()``.  ``g3``, ``g2`` and ``g1`` are integer counts
-of the table; the score measures derive their floats from it term by
-term.
+of the table (:func:`g3_count`, :func:`g2_count`, :func:`g1_count`);
+the measure formulas divide them by ``|r|`` or ``|r|²``, and the score
+measures derive their floats from the table term by term.  The engines'
+own :meth:`~repro.partition.base.PartitionBase.g3_error_count` and the
+rank bound :meth:`~repro.partition.base.PartitionBase.g3_bound_counts`
+serve callers that hold two partitions and no table.
 """
 
 from __future__ import annotations
@@ -24,14 +28,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.exceptions import DataError
 from repro.partition.base import PartitionBase
 from repro.partition.pure import PurePartition
 
-__all__ = [
-    "Contingency", "LabelRow", "contingency", "g1_count", "g2_count", "g3_count",
-    "g1_error", "g2_error", "g3_error", "g3_bounds_counts",
-]
+__all__ = ["Contingency", "LabelRow", "contingency", "g1_count", "g2_count", "g3_count"]
 
 
 class LabelRow(NamedTuple):
@@ -150,40 +150,3 @@ def g1_count(table: Contingency) -> int:
     return int(
         (sizes * sizes).sum() - sizes.sum() - (children * children).sum() + children.sum()
     )
-
-
-def _check_pair(pi_x: PartitionBase, pi_xa: PartitionBase) -> int:
-    if pi_x.num_rows != pi_xa.num_rows:
-        raise DataError("partitions are over different relations")
-    return pi_x.num_rows
-
-
-def g1_error(pi_x: PartitionBase, pi_xa: PartitionBase) -> float:
-    """Fraction of ordered row pairs violating ``X → A``.
-
-    ``g1 = |{(t, u) : t[X] = u[X] and t[A] != u[A]}| / |r|^2``.
-    """
-    n = _check_pair(pi_x, pi_xa)
-    return g1_count(contingency(pi_x, pi_xa)) / (n * n) if n else 0.0
-
-
-def g2_error(pi_x: PartitionBase, pi_xa: PartitionBase) -> float:
-    """Fraction of rows involved in some violation of ``X → A``.
-
-    A class of ``π_X`` that splits in ``π_{X∪{A}}`` makes *every* one
-    of its rows part of a violating pair.
-    """
-    n = _check_pair(pi_x, pi_xa)
-    return g2_count(contingency(pi_x, pi_xa)) / n if n else 0.0
-
-
-def g3_error(pi_x: PartitionBase, pi_xa: PartitionBase) -> float:
-    """Minimum fraction of rows to remove for ``X → A`` to hold."""
-    n = _check_pair(pi_x, pi_xa)
-    return pi_x.g3_error_count(pi_xa) / n if n else 0.0
-
-
-def g3_bounds_counts(pi_x: PartitionBase, pi_xa: PartitionBase) -> tuple[int, int]:
-    """O(1) (lower, upper) bounds on the g3 *row count* (not fraction)."""
-    _check_pair(pi_x, pi_xa)
-    return pi_x.g3_bound_counts(pi_xa)

@@ -4,9 +4,9 @@ This package decomposes the levelwise dependency search (Sections 3-5
 of the paper) into narrow, independently testable components that a
 :class:`~repro.search.driver.SearchDriver` composes:
 
-* :mod:`repro.search.measures` — the validity test as a pure function
-  plus the :class:`Measure` protocol unifying the error measures:
-  ``g3``/``g1``/``g2`` and the comparative-study score measures
+* :mod:`repro.search.measures` — the validity test as one pure
+  function, and the error measures as formulas over one contingency
+  table: ``g3``/``g1``/``g2`` and the comparative-study score measures
   ``pdep``/``tau``/``mu_plus``/``fi``/``rfi``, with the closed-form
   permutation-model bias behind ``rfi``.
 * :mod:`repro.search.execution` — the minimal execution backend
@@ -44,7 +44,6 @@ from repro.search.measures import (
     RHS_STATS_MEASURES,
     SCORE_MEASURES,
     AttributeStats,
-    Measure,
     ValidityCriteria,
     ValidityOutcome,
     attribute_stats,
@@ -67,7 +66,6 @@ __all__ = [
     "CandidateTracker",
     "LevelwiseStrategy",
     "MEASURES",
-    "Measure",
     "PartitionManager",
     "RHS_STATS_MEASURES",
     "ResumePoint",

@@ -7,22 +7,26 @@ function lives in the search core (rather than inside the driver loop)
 so that the levelwise walk and the DFD walk run *exactly* the same
 code, whatever the traversal.
 
-The measure-specific branch is factored behind the :class:`Measure`
-protocol.  Beyond the paper's ``g3`` and Kivinen & Mannila's
-``g1``/``g2``, the registry carries the measures of the comparative
-AFD-scoring literature — ``pdep``, Goodman–Kruskal ``tau``,
-``mu_plus``, the fraction of information ``fi``, and the *reliable*
-fraction of information ``rfi`` (Mandros et al.), which subtracts the
+:func:`evaluate_validity` is the one per-pair rule.  :data:`MEASURES`
+maps each measure's name to a formula ``(table, n, rhs_stats) ->
+error`` over the pair's :class:`~repro.partition.errors.Contingency`
+table.  Beyond the paper's ``g3`` and Kivinen & Mannila's
+``g1``/``g2``, it carries the measures of the comparative AFD-scoring
+literature — ``pdep``, Goodman–Kruskal ``tau``, ``mu_plus``, the
+fraction of information ``fi``, and the *reliable* fraction of
+information ``rfi`` (Mandros et al.), which subtracts the
 permutation-model bias computed exactly by
 :func:`expected_mutual_information`.  Those five are natively *scores* in
 ``[0, 1]`` with 1 meaning an exact dependency; each is exposed as
 ``error = 1 - score`` so one ``error <= epsilon`` convention covers
-the whole registry.
+the whole table.
 
 Exact dependencies short-circuit through Lemma 2 with error ``0.0``
 under **every** measure — including ``rfi``, whose textbook value on a
 key is below 1.  The bruteforce oracle mirrors that convention, and
-``docs/MEASURES.md`` records it.
+``docs/MEASURES.md`` records it.  A formula thus only sees pairs with
+``e(X∖{A}) > e(X)``: the rhs is not constant, the lhs is no key, and
+the relation has rows.
 
 ``g3``/``g1``/``g2``/``pdep``/``tau``/``fi`` are monotone
 non-increasing under lhs growth; ``mu_plus`` and ``rfi`` are *not*
@@ -42,8 +46,7 @@ deterministic test order, however the executor evaluated the tests.
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -56,7 +59,6 @@ __all__ = [
     "SCORE_MEASURES",
     "RHS_STATS_MEASURES",
     "AttributeStats",
-    "Measure",
     "ValidityCriteria",
     "ValidityOutcome",
     "attribute_stats",
@@ -234,70 +236,6 @@ class ValidityOutcome(NamedTuple):
     """An exact O(|r|) error computation was performed."""
 
 
-class Measure(ABC):
-    """One approximate error measure, as a validity-test evaluator.
-
-    :meth:`evaluate` is called only after the exact rank test failed
-    and only when ``epsilon > 0``; it decides approximate validity and
-    reports the measured error plus the counter flags.  ``rhs_index``
-    identifies the dependent attribute so measures that need its
-    marginal statistics (:data:`RHS_STATS_MEASURES`) can look them up
-    in ``criteria.rhs_stats``; measures that do not may ignore it.
-    """
-
-    name: str = "abstract"
-
-    @abstractmethod
-    def evaluate(
-        self,
-        pi_lhs: PartitionBase | LabelRow,
-        pi_whole: PartitionBase | LabelRow,
-        criteria: ValidityCriteria,
-        workspace: PartitionWorkspace | None,
-        rhs_index: int = -1,
-    ) -> ValidityOutcome:
-        """Test ``g(X∖{A} -> A) <= epsilon`` for this measure."""
-
-
-class G3Measure(Measure):
-    """The paper's ``g3``: fraction of rows to remove (Section 2).
-
-    The O(1) lower bound of the extended version can reject a test
-    without the O(|r|) exact error computation; the flag on the
-    outcome records which path resolved the test.
-    """
-
-    name = "g3"
-
-    def evaluate(self, pi_lhs, pi_whole, criteria, workspace, rhs_index=-1):
-        """Bound short-circuit first, exact g3 count otherwise."""
-        rejection = _bound_rejection(pi_lhs, pi_whole, criteria)
-        if rejection is not None:
-            return rejection
-        error_count = g3_count(contingency(pi_lhs, pi_whole, workspace))
-        return ValidityOutcome(
-            error_count <= criteria.epsilon_count,
-            False,
-            error_count / criteria.num_rows,
-            False,
-            True,
-        )
-
-
-class ViolationMeasure(Measure):
-    """Kivinen & Mannila's ``g1`` (the fraction of violating ordered row
-    pairs, a count over ``|r|²``) and ``g2`` (the fraction of rows in
-    violations, over ``|r|``): always the exact table count."""
-
-    def __init__(self, name: str, count, power: int) -> None:
-        self.name, self._count, self._power = name, count, power
-
-    def evaluate(self, pi_lhs, pi_whole, criteria, workspace, rhs_index=-1):
-        count = self._count(contingency(pi_lhs, pi_whole, workspace))
-        error = count / criteria.num_rows**self._power
-        return ValidityOutcome(error <= criteria.epsilon + 1e-12, False, error, False, True)
-
-
 def _pdep_score(table: Contingency, num_rows: int) -> float:
     """``pdep(X -> A)``: expected probability of guessing ``A`` right
     by drawing from its empirical distribution within the ``X`` group.
@@ -308,8 +246,6 @@ def _pdep_score(table: Contingency, num_rows: int) -> float:
     function of the multiset of classes alone: row shuffles, column
     permutations and both engines agree bit for bit.
     """
-    if num_rows == 0:
-        return 1.0
     weights = table.children.astype(np.float64)
     within = table.per_class(weights)
     agreeing = table.per_class(weights * weights)
@@ -327,8 +263,6 @@ def _conditional_entropy(table: Contingency, num_rows: int) -> float:
     ``(k, s, n)``, so, as for :func:`_pdep_score`, the sum does not
     depend on the order of rows or classes.
     """
-    if num_rows == 0:
-        return 0.0
     children = table.children
     child_terms = -(children / num_rows) * np.log(children / table.sizes[table.parents])
     within = table.per_class(children.astype(np.float64))
@@ -336,30 +270,84 @@ def _conditional_entropy(table: Contingency, num_rows: int) -> float:
     return math.fsum([*child_terms.tolist(), *single_terms.tolist()])
 
 
-def _clamp(score: float) -> float:
-    """Clamp a score into ``[0, 1]`` (float round-off guard)."""
-    return min(1.0, max(0.0, score))
+def _score_error(score: float) -> float:
+    """A score's error, ``1 - score`` with the score clamped into
+    ``[0, 1]`` (a float round-off guard, and the zero floor of
+    ``mu_plus`` and ``rfi``)."""
+    return 1.0 - min(1.0, max(0.0, score))
 
 
-def _score_outcome(score: float, criteria: ValidityCriteria) -> ValidityOutcome:
-    """Wrap a ``[0, 1]`` score as an error-convention outcome."""
-    error = 1.0 - _clamp(score)
-    return ValidityOutcome(
-        error <= criteria.epsilon + 1e-12, False, error, False, True
-    )
+def _tau(table: Contingency, n: int, stats: AttributeStats) -> float:
+    """Goodman–Kruskal ``tau``: pdep normalized by the marginal
+    baseline, ``(pdep(X->A) - pdep(A)) / (1 - pdep(A))``."""
+    return _score_error((_pdep_score(table, n) - stats.pdep) / (1.0 - stats.pdep))
 
+
+def _mu_plus(table: Contingency, n: int, stats: AttributeStats | None) -> float:
+    """``mu_plus``: pdep shrunk by the expected chance agreement of a
+    partition with ``K`` classes, ``1 - (1 - pdep) * (n-1)/(n-K)``.
+    ``n - K`` is the lhs's stripped size less its class count, its
+    ``e`` — positive, since a key lhs passes Lemma 2."""
+    free_rows = int(table.sizes.sum()) - table.sizes.size
+    return _score_error(1.0 - (1.0 - _pdep_score(table, n)) * (n - 1) / free_rows)
+
+
+def _fi_score(table: Contingency, n: int, stats: AttributeStats) -> float:
+    """Fraction of information ``1 - H(A|X) / H(A)``: the share of the
+    rhs entropy the lhs explains."""
+    return 1.0 - _conditional_entropy(table, n) / stats.entropy
+
+
+def _rfi(table: Contingency, n: int, stats: AttributeStats) -> float:
+    """Reliable fraction of information (Mandros et al.): ``fi`` minus
+    the permutation-model bias ``E[I(X; A_sigma)] / H(A)``.  The bias
+    is exact (:func:`expected_mutual_information`) and depends only on
+    the class-size and value-count multisets, so the value is the same
+    across engines, stores, row shuffles, column permutations, and
+    resume.  ``rfi <= fi`` always, since the bias is non-negative."""
+    bias = expected_mutual_information(table.sizes, stats.counts, n)
+    return _score_error(_fi_score(table, n, stats) - bias / stats.entropy)
+
+
+MEASURES: dict[str, Callable[[Contingency, int, AttributeStats | None], float]] = {
+    # The paper's g3: the fraction of rows to remove (Section 2).
+    "g3": lambda table, n, stats: g3_count(table) / n,
+    # Kivinen & Mannila: violating ordered row pairs over |r|², and
+    # rows in some violation over |r|.
+    "g1": lambda table, n, stats: g1_count(table) / n**2,
+    "g2": lambda table, n, stats: g2_count(table) / n,
+    # The probability that two rows agreeing on X agree on A.
+    "pdep": lambda table, n, stats: _score_error(_pdep_score(table, n)),
+    "tau": _tau,
+    "mu_plus": _mu_plus,
+    "fi": lambda table, n, stats: _score_error(_fi_score(table, n, stats)),
+    "rfi": _rfi,
+}
+"""Each measure's error as a formula ``(table, n, rhs_stats) -> error``
+over the contingency table of a pair that failed Lemma 2's rank test,
+keyed by name.  ``rhs_stats`` is the rhs's :class:`AttributeStats` for
+the measures in :data:`RHS_STATS_MEASURES`, else ``None``.  The key
+order is the canonical enumeration used in configuration errors."""
+
+SCORE_MEASURES = ("pdep", "tau", "mu_plus", "fi", "rfi")
+"""The native score-in-[0,1] measures (exposed as ``error = 1 -
+score``), in registry order."""
+
+RHS_STATS_MEASURES = frozenset({"tau", "fi", "rfi"})
+"""Measures whose formula reads the rhs's :class:`AttributeStats`."""
 
 _MARGIN_BOUND_MEASURES = frozenset({"pdep", "tau", "mu_plus"})
+"""Score measures whose error dominates g3, so the g3 lower bound may
+reject their tests (see :func:`bound_rejects`)."""
 
 
-def bound_rejects(lower, criteria: ValidityCriteria, rhs=None):
+def bound_rejects(lower, criteria: ValidityCriteria):
     """Whether the O(1) g3 lower bound alone rejects ``X∖{A} → A``.
 
     ``lower`` is the bound in rows, ``e(X∖{A}) − e(X)``
     (:meth:`~repro.partition.base.PartitionBase.g3_bound_counts`), so
     the rule needs the two ranks and no partition.  An int gives a
-    bool; an array of bounds, with the ``rhs`` attribute of each, gives
-    one per element.
+    bool; an array of bounds gives one per element.
 
     * ``g3`` rejects when the bound exceeds ``ε|r|`` rows.
     * ``pdep``, ``tau`` and ``mu_plus`` reject when ``lower / |r|``
@@ -369,8 +357,7 @@ def bound_rejects(lower, criteria: ValidityCriteria, rhs=None):
       ``1 - pdep`` in turn (dividing by ``1 - pdep(A) <= 1``,
       multiplying by ``(n-1)/(n-K) >= 1``).  The margin keeps the bound
       path's accept/reject decision identical to the exact path's under
-      float round-off.  Given ``rhs``, ``tau`` spares a constant rhs,
-      which it scores 1 before trying the bound.
+      float round-off.
     * The other measures admit no such bound and never reject.
     """
     if not criteria.use_g3_bounds:
@@ -379,14 +366,7 @@ def bound_rejects(lower, criteria: ValidityCriteria, rhs=None):
         return lower > criteria.epsilon_count
     if criteria.measure not in _MARGIN_BOUND_MEASURES:
         return False
-    rejects = lower / criteria.num_rows > criteria.epsilon + _BOUND_MARGIN
-    if criteria.measure == "tau" and rhs is not None:
-        constant = np.array([
-            _stats_for(criteria, index, "tau").pdep >= 1.0
-            for index in range(max(len(criteria.rhs_stats), 1))
-        ])
-        rejects = rejects & ~constant[rhs]
-    return rejects
+    return lower / criteria.num_rows > criteria.epsilon + _BOUND_MARGIN
 
 
 def bound_outcome(lower: int, criteria: ValidityCriteria) -> ValidityOutcome:
@@ -395,146 +375,15 @@ def bound_outcome(lower: int, criteria: ValidityCriteria) -> ValidityOutcome:
     return ValidityOutcome(False, False, lower / criteria.num_rows, True, False)
 
 
-def _bound_rejection(pi_lhs, pi_whole, criteria) -> ValidityOutcome | None:
-    """The outcome of a test the g3 lower bound rejects, else None."""
-    lower = pi_lhs.error_count - pi_whole.error_count
-    if bound_rejects(lower, criteria):
-        return bound_outcome(lower, criteria)
-    return None
-
-
-def _stats_for(criteria: ValidityCriteria, rhs_index: int, name: str) -> AttributeStats:
+def _stats_for(criteria: ValidityCriteria, rhs_index: int) -> AttributeStats:
     """Look up the rhs marginal stats, failing loudly when absent."""
     if 0 <= rhs_index < len(criteria.rhs_stats):
         return criteria.rhs_stats[rhs_index]
     raise ValueError(
-        f"measure {name!r} needs marginal statistics of the rhs attribute: "
-        f"pass criteria.rhs_stats (see relation_rhs_stats) and rhs_index, "
-        f"got rhs_index={rhs_index} with {len(criteria.rhs_stats)} stats"
+        f"measure {criteria.measure!r} needs marginal statistics of the rhs "
+        f"attribute: pass criteria.rhs_stats (see relation_rhs_stats) and "
+        f"rhs_index, got rhs_index={rhs_index} with {len(criteria.rhs_stats)} stats"
     )
-
-
-class PdepMeasure(Measure):
-    """``pdep(X -> A)``: probability two random rows agreeing on ``X``
-    agree on ``A`` — equivalently one minus Goodman–Kruskal's
-    proportional-prediction error.  Error is ``1 - pdep``."""
-
-    name = "pdep"
-
-    def evaluate(self, pi_lhs, pi_whole, criteria, workspace, rhs_index=-1):
-        rejection = _bound_rejection(pi_lhs, pi_whole, criteria)
-        if rejection is not None:
-            return rejection
-        table = contingency(pi_lhs, pi_whole, workspace)
-        return _score_outcome(_pdep_score(table, criteria.num_rows), criteria)
-
-
-class TauMeasure(Measure):
-    """Goodman–Kruskal ``tau``: pdep normalized by the marginal
-    baseline, ``(pdep(X->A) - pdep(A)) / (1 - pdep(A))``.  Error is
-    ``1 - tau``; a constant rhs scores a perfect 1 by convention."""
-
-    name = "tau"
-
-    def evaluate(self, pi_lhs, pi_whole, criteria, workspace, rhs_index=-1):
-        stats = _stats_for(criteria, rhs_index, self.name)
-        if stats.pdep >= 1.0:
-            return _score_outcome(1.0, criteria)
-        rejection = _bound_rejection(pi_lhs, pi_whole, criteria)
-        if rejection is not None:
-            return rejection
-        table = contingency(pi_lhs, pi_whole, workspace)
-        pdep_xy = _pdep_score(table, criteria.num_rows)
-        return _score_outcome((pdep_xy - stats.pdep) / (1.0 - stats.pdep), criteria)
-
-
-class MuPlusMeasure(Measure):
-    """``mu_plus``: pdep shrunk by the expected chance agreement of a
-    partition with ``K`` classes — ``1 - (1 - pdep) * (n-1)/(n-K)``,
-    clamped at zero.  Error is ``1 - mu_plus``.  Not monotone under
-    lhs growth (the ``(n-1)/(n-K)`` penalty grows with ``K``)."""
-
-    name = "mu_plus"
-
-    def evaluate(self, pi_lhs, pi_whole, criteria, workspace, rhs_index=-1):
-        rejection = _bound_rejection(pi_lhs, pi_whole, criteria)
-        if rejection is not None:
-            return rejection
-        # n - K = stripped size - class count = the lhs error count.
-        free_rows = pi_lhs.error_count
-        if free_rows <= 0:
-            # lhs is a (super)key: pdep = 1 and mu is defined as 1.
-            return _score_outcome(1.0, criteria)
-        table = contingency(pi_lhs, pi_whole, workspace)
-        pdep_xy = _pdep_score(table, criteria.num_rows)
-        mu = 1.0 - (1.0 - pdep_xy) * (criteria.num_rows - 1) / free_rows
-        return _score_outcome(max(0.0, mu), criteria)
-
-
-class FiMeasure(Measure):
-    """Fraction of information ``1 - H(A|X) / H(A)``: the share of the
-    rhs entropy the lhs explains.  Error is ``H(A|X) / H(A)``; a
-    constant rhs scores a perfect 1 by convention."""
-
-    name = "fi"
-
-    def evaluate(self, pi_lhs, pi_whole, criteria, workspace, rhs_index=-1):
-        stats = _stats_for(criteria, rhs_index, self.name)
-        if stats.entropy <= 0.0:
-            return _score_outcome(1.0, criteria)
-        table = contingency(pi_lhs, pi_whole, workspace)
-        conditional = _conditional_entropy(table, criteria.num_rows)
-        return _score_outcome(1.0 - conditional / stats.entropy, criteria)
-
-
-class RfiMeasure(Measure):
-    """Reliable fraction of information (Mandros et al.): ``fi`` minus
-    the permutation-model bias ``E[I(X; A_sigma)] / H(A)``, clamped at
-    zero.  The bias is exact (:func:`expected_mutual_information`) and
-    depends only on the class-size and value-count multisets, so the
-    value is the same across engines, stores, row shuffles, column
-    permutations, and resume.  ``rfi <= fi`` always, since the bias is
-    non-negative; not monotone under lhs growth."""
-
-    name = "rfi"
-
-    def evaluate(self, pi_lhs, pi_whole, criteria, workspace, rhs_index=-1):
-        stats = _stats_for(criteria, rhs_index, self.name)
-        # An exact FD scores 1 by the Lemma 2 convention, as in the
-        # oracle; the textbook rfi of a key is 0 (E[I] = H(A) there).
-        if stats.entropy <= 0.0 or pi_lhs.error_count == pi_whole.error_count:
-            return _score_outcome(1.0, criteria)
-        table = contingency(pi_lhs, pi_whole, workspace)
-        conditional = _conditional_entropy(table, criteria.num_rows)
-        fi_score = 1.0 - conditional / stats.entropy
-        bias = expected_mutual_information(
-            table.sizes, stats.counts, criteria.num_rows
-        )
-        return _score_outcome(max(0.0, fi_score - bias / stats.entropy), criteria)
-
-
-MEASURES: dict[str, Measure] = {
-    measure.name: measure
-    for measure in (
-        G3Measure(),
-        ViolationMeasure("g1", g1_count, 2),
-        ViolationMeasure("g2", g2_count, 1),
-        PdepMeasure(),
-        TauMeasure(),
-        MuPlusMeasure(),
-        FiMeasure(),
-        RfiMeasure(),
-    )
-}
-"""Registry of the supported error measures, keyed by name.  The key
-order is the canonical enumeration used in configuration errors."""
-
-SCORE_MEASURES = ("pdep", "tau", "mu_plus", "fi", "rfi")
-"""The native score-in-[0,1] measures (exposed as ``error = 1 -
-score``), in registry order."""
-
-RHS_STATS_MEASURES = frozenset({"tau", "fi", "rfi"})
-"""Measures whose evaluation reads ``criteria.rhs_stats``."""
 
 
 def evaluate_validity(
@@ -546,17 +395,28 @@ def evaluate_validity(
 ) -> ValidityOutcome:
     """Test ``X \\ {A} -> A`` given ``pi_lhs = π_{X∖{A}}`` and ``pi_whole = π_X``.
 
-    Exact validity is the O(1) rank comparison of Lemma 2 and yields
-    error ``0.0`` under every measure.  The approximate variant
-    dispatches to the configured :class:`Measure`; under ``g3`` /
-    ``pdep`` / ``tau`` / ``mu_plus`` the O(1) lower bound can reject
-    without the exact computation, while the others always compute.
+    In order: Lemma 2's rank comparison (exact validity, error ``0.0``
+    under every measure); exact discovery fails the rest; the rhs stats
+    of the measures that read them (``ValueError`` when absent); the
+    O(1) g3 lower bound (:func:`bound_rejects`); then the pair's
+    contingency table and the measure's formula.
     """
     exactly_valid = pi_lhs.error_count == pi_whole.error_count
     if exactly_valid:
         return ValidityOutcome(True, True, 0.0, False, False)
     if criteria.epsilon == 0.0:
         return ValidityOutcome(False, False, 0.0, False, False)
-    return MEASURES[criteria.measure].evaluate(
-        pi_lhs, pi_whole, criteria, workspace, rhs_index
-    )
+    measure = criteria.measure
+    stats = _stats_for(criteria, rhs_index) if measure in RHS_STATS_MEASURES else None
+    lower = pi_lhs.error_count - pi_whole.error_count
+    if bound_rejects(lower, criteria):
+        return bound_outcome(lower, criteria)
+    n = criteria.num_rows
+    error = MEASURES[measure](contingency(pi_lhs, pi_whole, workspace), n, stats)
+    if measure == "g3":
+        # The paper's integer test, count <= floor(ε|r|): dividing both
+        # integers (< 2**52) by n keeps their order, ties included.
+        valid = error <= criteria.epsilon_count / n
+    else:
+        valid = error <= criteria.epsilon + 1e-12
+    return ValidityOutcome(valid, False, error, False, True)

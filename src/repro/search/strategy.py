@@ -370,8 +370,7 @@ class LevelwiseStrategy(TraversalStrategy):
         if criteria.epsilon > 0.0:
             failing = np.flatnonzero(~exact)
             rejected = np.broadcast_to(
-                bound_rejects(pairs.lower[failing], criteria, pairs.rhs[failing]),
-                failing.shape,
+                bound_rejects(pairs.lower[failing], criteria), failing.shape
             )
             bounded = failing[rejected]
             tested = failing[~rejected]

@@ -4,7 +4,11 @@ monolith on ``examples/data/orders.csv``.
 
 The golden file pins dependencies, per-FD errors, keys, and every
 deterministic counter for seven scenario configurations (exact,
-traced, three approximate measures, lhs-limited, disk store).  Any
+traced, three approximate measures, lhs-limited, disk store), plus
+seven recorded before the measures became formulas over one
+contingency table: the five score measures levelwise, and the DFD walk
+under ``pdep`` and ``g3``.  Each of those reports at least one
+approximate dependency.  Any
 drift in any of them is a refactor regression, not a test to update —
 unless a change intentionally alters search semantics, in which case
 regenerating the goldens must be a reviewed, stated decision.
@@ -29,6 +33,13 @@ CONFIGS = {
     "approx-g2-0.2": lambda: TaneConfig(epsilon=0.2, measure="g2"),
     "exact-maxlhs2": lambda: TaneConfig(max_lhs_size=2),
     "exact-disk": lambda: TaneConfig(store="disk"),
+    "approx-pdep-0.2": lambda: TaneConfig(epsilon=0.2, measure="pdep"),
+    "approx-tau-0.3": lambda: TaneConfig(epsilon=0.3, measure="tau"),
+    "approx-mu_plus-0.2": lambda: TaneConfig(epsilon=0.2, measure="mu_plus"),
+    "approx-fi-0.3": lambda: TaneConfig(epsilon=0.3, measure="fi"),
+    "approx-rfi-0.3": lambda: TaneConfig(epsilon=0.3, measure="rfi"),
+    "dfd-pdep-0.2": lambda: TaneConfig(epsilon=0.2, measure="pdep", strategy="dfd"),
+    "dfd-g3-0.1": lambda: TaneConfig(epsilon=0.1, strategy="dfd"),
 }
 
 
@@ -42,30 +53,34 @@ def relation(golden):
     return read_csv(Path(__file__).parent.parent.parent / golden["relation"])
 
 
+def signature(result) -> dict:
+    """The golden record of one run: cover, per-FD errors, keys and
+    every deterministic counter."""
+    stats = result.statistics
+    return {
+        "counters": {
+            "error_computations": stats.error_computations,
+            "g3_bound_rejections": stats.g3_bound_rejections,
+            "keys_found": stats.keys_found,
+            "level_sizes": list(stats.level_sizes),
+            "partition_products": stats.partition_products,
+            "pruned_level_sizes": list(stats.pruned_level_sizes),
+            "validity_tests": stats.validity_tests,
+        },
+        "errors": sorted([fd.lhs, fd.rhs, fd.error] for fd in result.dependencies),
+        "fds": sorted([fd.lhs, fd.rhs] for fd in result.dependencies),
+        "keys": sorted(result.keys),
+    }
+
+
 @pytest.mark.parametrize("scenario", sorted(CONFIGS))
 def test_scenario_matches_pre_refactor_golden(golden, relation, scenario):
     expected = golden["scenarios"][scenario]
-    result = discover(relation, CONFIGS[scenario]())
-    stats = result.statistics
-
-    fds = sorted([fd.lhs, fd.rhs] for fd in result.dependencies)
-    assert fds == expected["fds"], "dependency cover drifted"
-
-    errors = sorted([fd.lhs, fd.rhs, fd.error] for fd in result.dependencies)
-    assert errors == expected["errors"], "per-FD errors drifted"
-
-    assert sorted(result.keys) == expected["keys"], "keys drifted"
-
-    actual_counters = {
-        "error_computations": stats.error_computations,
-        "g3_bound_rejections": stats.g3_bound_rejections,
-        "keys_found": stats.keys_found,
-        "level_sizes": list(stats.level_sizes),
-        "partition_products": stats.partition_products,
-        "pruned_level_sizes": list(stats.pruned_level_sizes),
-        "validity_tests": stats.validity_tests,
-    }
-    assert actual_counters == expected["counters"], "deterministic counters drifted"
+    actual = signature(discover(relation, CONFIGS[scenario]()))
+    assert actual["fds"] == expected["fds"], "dependency cover drifted"
+    assert actual["errors"] == expected["errors"], "per-FD errors drifted"
+    assert actual["keys"] == expected["keys"], "keys drifted"
+    assert actual["counters"] == expected["counters"], "deterministic counters drifted"
 
 
 def test_traced_and_untraced_signatures_agree(golden):

@@ -1,6 +1,7 @@
-"""Unit tests for the Measure protocol and evaluate_validity, in
+"""Unit tests for the measure formulas and evaluate_validity, in
 isolation from any driver or composition root."""
 
+import numpy as np
 import pytest
 
 from repro.partition.vectorized import CsrPartition, PartitionWorkspace
@@ -40,10 +41,6 @@ class TestRegistry:
             "g3", "g1", "g2", "pdep", "tau", "mu_plus", "fi", "rfi",
         ]
 
-    def test_names_match_keys(self):
-        for name, measure in MEASURES.items():
-            assert measure.name == name
-
     def test_score_measures_are_registered(self):
         assert set(SCORE_MEASURES) <= set(MEASURES)
         assert RHS_STATS_MEASURES <= set(MEASURES)
@@ -74,6 +71,21 @@ class TestG3:
         assert outcome.valid and not outcome.exactly_valid
         assert outcome.error == pytest.approx(0.25)
         assert outcome.error_computed
+
+    @pytest.mark.parametrize("num_rows", [3, 7, 10, 49, 1000, 100_003])
+    def test_integer_threshold(self, num_rows):
+        # The paper's integer test count <= floor(ε|r|) decides, not the
+        # float ε: the rule compares count / n with floor(ε|r|) / n, and
+        # dividing counts by n keeps their order, ties included.
+        errors = np.arange(num_rows + 1) / num_rows
+        assert (np.diff(errors) > 0).all()
+        pi_lhs = _partition([0] * num_rows)
+        pi_whole = _partition([0] * (num_rows - 2) + [1, 2])
+        criteria = _criteria(0.5, num_rows=num_rows, use_g3_bounds=False)
+        at = evaluate_validity(pi_lhs, pi_whole, criteria._replace(epsilon_count=2))
+        below = evaluate_validity(pi_lhs, pi_whole, criteria._replace(epsilon_count=1))
+        assert at.valid and not below.valid
+        assert at.error == below.error == 2 / num_rows
 
     def test_bound_rejection_skips_exact_computation(self):
         # Every lhs class splits in half under the rhs: the g3 lower
@@ -114,8 +126,8 @@ class TestG1G2:
             m: _criteria(1.0, m, num_rows=4) for m in ("g1", "g2")
         }
         ws = PartitionWorkspace(4)
-        g1 = MEASURES["g1"].evaluate(pi_lhs, pi_whole, criteria["g1"], ws)
-        g2 = MEASURES["g2"].evaluate(pi_lhs, pi_whole, criteria["g2"], ws)
+        g1 = evaluate_validity(pi_lhs, pi_whole, criteria["g1"], ws)
+        g2 = evaluate_validity(pi_lhs, pi_whole, criteria["g2"], ws)
         # g1 counts violating pairs (3 of 16 ordered non-trivial pairs);
         # g2 counts rows in violations (all 4 rows share a class).
         assert g1.error < g2.error

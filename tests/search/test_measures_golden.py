@@ -17,38 +17,64 @@ from repro.datasets.synthetic import (
     random_relation,
 )
 from repro.model.relation import Relation
-from repro.partition.vectorized import CsrPartition
+from repro.partition.pure import PurePartition
+from repro.partition.vectorized import CsrPartition, LevelBlock
 from repro.search.measures import (
     MEASURES,
     ValidityCriteria,
-    attribute_stats,
+    evaluate_validity,
+    relation_rhs_stats,
 )
 
 LHS_MASK = 0b01
 RHS = 1
 
 
-def _measure_error(relation, measure):
-    """Evaluate one measure through the partition-side implementation."""
+def _engine_pair(engine):
+    """``π_X`` and ``π_{XA}`` of ``X -> A`` on a partition engine."""
+
+    def pair(relation):
+        n = relation.num_rows
+        pi_lhs = engine.from_column(relation.column_codes(0), n)
+        return pi_lhs, pi_lhs.product(engine.from_column(relation.column_codes(RHS), n))
+
+    return pair
+
+
+def _label_row_pair(relation):
+    """The same pair as the label rows of a level block, built from the
+    codes of ``X`` and of the joint ``XA`` (any row count, even 0)."""
+    lhs, rhs = relation.column_codes(0), relation.column_codes(RHS)
+    joint = lhs * (int(rhs.max(initial=0)) + 1) + rhs
+    block = LevelBlock.from_columns(Relation.from_codes([lhs, joint], ["X", "XA"]))
+    return block.row(0b01), block.row(0b10)
+
+
+PAIR_FORMS = {
+    "csr": _engine_pair(CsrPartition),
+    "pure": _engine_pair(PurePartition),
+    "label-rows": _label_row_pair,
+}
+
+
+def _outcome(relation, measure, form="csr"):
+    """Test ``X -> A`` through :func:`evaluate_validity` at ε = 1."""
     n = relation.num_rows
-    pi_lhs = CsrPartition.from_column(relation.column_codes(0), n)
-    pi_whole = pi_lhs.product(
-        CsrPartition.from_column(relation.column_codes(RHS), n)
-    )
     criteria = ValidityCriteria(
         epsilon=1.0,
         epsilon_count=n,
         measure=measure,
         use_g3_bounds=False,
         num_rows=n,
-        rhs_stats=(
-            attribute_stats([0] * n, n),  # placeholder at index 0
-            attribute_stats(relation.column_codes(RHS), n),
-        ),
+        rhs_stats=relation_rhs_stats(relation),
     )
-    return MEASURES[measure].evaluate(
-        pi_lhs, pi_whole, criteria, None, rhs_index=RHS
-    ).error
+    pi_lhs, pi_whole = PAIR_FORMS[form](relation)
+    return evaluate_validity(pi_lhs, pi_whole, criteria, rhs_index=RHS)
+
+
+def _measure_error(relation, measure):
+    """Evaluate one measure through the partition-side implementation."""
+    return _outcome(relation, measure).error
 
 
 # X = [0, 0, 1, 1], A = [0, 1, 2, 2]:
@@ -72,8 +98,8 @@ SINGLE_CLASS = Relation.from_rows(
 # X = [0, 1, 2, 3] (a key): exact FD, every measure error 0.
 KEY = Relation.from_rows([(0, 0), (1, 0), (2, 1), (3, 1)], ["X", "A"])
 
-# A constant: pdep = 1; tau and FI hit their degenerate-marginal
-# guards (pdep(A) = 1, H(A) = 0) and score perfect.
+# A constant: π_X = π_XA, so Lemma 2 settles X -> A before any
+# formula could divide by tau's 1 - pdep(A) = 0 or FI's H(A) = 0.
 CONSTANT_RHS = Relation.from_rows(
     [(0, 0), (0, 0), (1, 0), (1, 0)], ["X", "A"]
 )
@@ -148,7 +174,7 @@ class TestRfiGolden:
     @pytest.mark.parametrize("seed", range(20))
     def test_rfi_at_most_fi_with_no_tolerance(self, seed):
         # E[I] >= 0 exactly, and rfi subtracts it from the very fi
-        # score FiMeasure computes, so the order holds in floats too.
+        # score the fi formula computes, so the order holds in floats too.
         relation = random_relation(12 + seed, 2, 3 + seed % 4, seed=seed)
         assert _measure_error(relation, "rfi") >= _measure_error(relation, "fi")
 
@@ -164,6 +190,19 @@ class TestDegenerateShapes:
             pytest.skip("needs two attributes for a non-trivial pair")
         error = dependency_error(relation, LHS_MASK, RHS, measure)
         assert error == 0.0
+
+    @pytest.mark.parametrize("form", sorted(PAIR_FORMS))
+    @pytest.mark.parametrize("kind", DEGENERATE_KINDS)
+    @pytest.mark.parametrize("measure", sorted(MEASURES))
+    def test_lemma_2_settles_degenerate_pairs(self, form, kind, measure):
+        # No rows, one row or a constant rhs: e(X) = e(XA), so no
+        # formula runs, on any partition form.
+        relation = degenerate_relation(kind, 8, 2, 3, seed=5)
+        if relation.num_attributes < 2:
+            pytest.skip("needs two attributes for a non-trivial pair")
+        outcome = _outcome(relation, measure, form)
+        assert outcome.error == 0.0
+        assert outcome.exactly_valid and not outcome.error_computed
 
 
 class TestResultLabeling:

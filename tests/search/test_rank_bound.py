@@ -17,7 +17,6 @@ from repro.model.relation import Relation
 from repro.search.measures import (
     ValidityCriteria,
     ValidityOutcome,
-    attribute_stats,
     bound_outcome,
     bound_rejects,
 )
@@ -56,8 +55,8 @@ def test_bound_rejections_fetch_no_partition(monkeypatch):
 @pytest.mark.parametrize("measure", ["g3", "pdep", "tau", "mu_plus", "fi"])
 @pytest.mark.parametrize("epsilon", [0.05, 0.3])
 def test_rank_bound_matches_the_per_pair_path(measure, epsilon, monkeypatch):
-    # Column 5 is constant, so tau scores every test with rhs 5 a
-    # perfect 1 before any bound; the bound must spare those pairs.
+    # Column 5 is constant: every test with rhs 5 passes Lemma 2's
+    # rank test, so neither path reaches the bound for it.
     rng = np.random.default_rng(5)
     columns = [rng.integers(0, domain, size=80) for domain in (2, 3, 4, 3, 6)]
     columns.append(np.zeros(80, dtype=np.int64))
@@ -70,7 +69,7 @@ def test_rank_bound_matches_the_per_pair_path(measure, epsilon, monkeypatch):
         patch.setattr(
             strategy_module,
             "bound_rejects",
-            lambda lower, criteria, rhs=None: np.zeros(np.shape(lower), dtype=bool),
+            lambda lower, criteria: np.zeros(np.shape(lower), dtype=bool),
         )
         reference = discover(relation, config)
     assert summary(arrays) == summary(reference)
@@ -79,10 +78,8 @@ def test_rank_bound_matches_the_per_pair_path(measure, epsilon, monkeypatch):
 
 
 def test_the_rule_per_measure():
-    stats = (attribute_stats([0, 1, 0, 1], 4), attribute_stats([0, 0, 0, 0], 4))
-
     def criteria(measure, epsilon=0.1):
-        return ValidityCriteria(epsilon, int(epsilon * 100), measure, True, 100, stats)
+        return ValidityCriteria(epsilon, int(epsilon * 100), measure, True, 100)
 
     # g3 compares rows with floor(ε|r|); the score measures compare the
     # fraction with ε plus a float margin.
@@ -90,8 +87,8 @@ def test_the_rule_per_measure():
     assert bound_rejects(11, criteria("pdep")) and not bound_rejects(10, criteria("pdep"))
     assert not bound_rejects(90, criteria("fi"))
     assert not bound_rejects(90, criteria("g3")._replace(use_g3_bounds=False))
-    # Elementwise over a level's pairs; tau spares its constant rhs 1.
-    lower, rhs = np.array([11, 11, 10]), np.array([0, 1, 0])
-    assert bound_rejects(lower, criteria("tau"), rhs).tolist() == [True, False, False]
-    assert bound_rejects(lower, criteria("mu_plus"), rhs).tolist() == [True, True, False]
+    # Elementwise over a level's pairs.
+    lower = np.array([11, 11, 10])
+    assert bound_rejects(lower, criteria("tau")).tolist() == [True, True, False]
+    assert bound_rejects(lower, criteria("mu_plus")).tolist() == [True, True, False]
     assert bound_outcome(11, criteria("g3")) == ValidityOutcome(False, False, 0.11, True, False)
