@@ -138,14 +138,19 @@ measures-smoke:
 # products, the from-singletons ablation helper, and the wide-mask path:
 # level steps on int64 masks against the same masks past bit 63
 # (object arrays), and leading constant columns shifting the levelwise,
-# dfd and UCC covers across bit 63.
+# dfd and UCC covers across bit 63.  Also the join's subset positions
+# (equal to a search of every X∖{A}, in both mask forms), the tracker
+# steps that index them instead of searching, and the level blocks'
+# dense kernel (flagged keys at the int16 limit, zero-row blocks).
 strategy-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/search/test_dfd.py \
 	  tests/search/test_topk.py tests/search/test_strategy.py \
 	  tests/search/test_level_arrays.py \
+	  tests/core/test_lattice.py tests/search/test_tracker.py \
 	  tests/search/test_chain_planning.py \
 	  tests/partition/test_column_products.py \
 	  tests/partition/test_level_blocks.py \
+	  tests/partition/test_dense_products.py \
 	  tests/verify/test_compare_strategy.py \
 	  tests/resilience/test_checkpoint_formats.py \
 	  tests/core/test_measures_and_strategies.py -q

@@ -439,7 +439,7 @@ class FromSingletonsExecutor(SerialExecution):
             for (candidate, _x, _y), product in zip(chunk, current):
                 yield candidate, product
 
-    def level_products(self, factors, candidates, factor_x, factor_y, *, ranks_only=False):
+    def level_products(self, factors, candidates, x_rows, y_rows, *, ranks_only=False):
         if candidates.size:
             self.products_computed += (
                 (_bitset.popcount(int(candidates[0])) - 1) * int(candidates.size)

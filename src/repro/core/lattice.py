@@ -15,6 +15,13 @@ over the level's sorted mask array.  Its dtype is
 :func:`repro._bitset.mask_dtype` of the schema: machine words
 (``int64``, Section 6) up to 63 attributes, Python ints in an
 ``object`` array above; the passes are the same for both.
+
+The join also returns where every subset ``X∖{A}`` of every candidate
+sits in the level (:attr:`LevelCandidates.subsets`): the two factors'
+positions come from the join itself and the others from the subset
+check's binary searches, so these are the level's only subset lookups.
+The ``C+`` intersection, the rank tests and the level-block products of
+the next level index that matrix instead of searching again.
 """
 
 from __future__ import annotations
@@ -35,11 +42,26 @@ __all__ = [
 
 class LevelCandidates(NamedTuple):
     """The next level's product triples as three aligned mask arrays
-    (the level's dtype), candidates ascending."""
+    (the level's dtype), candidates ascending, and the positions of
+    every candidate's subsets in the level they were generated from."""
 
     candidates: np.ndarray
     factor_x: np.ndarray
     factor_y: np.ndarray
+    subsets: np.ndarray
+    """``(count, ℓ+1)`` ``intp`` matrix for candidates of ``ℓ+1``
+    attributes: column ``j`` is the row of ``X∖{A}`` in the level, ``A``
+    the ``j``-th lowest attribute of ``X``.  The last two columns are the
+    factors' rows, ``factor_y`` (``X`` without its second-highest
+    attribute) then ``factor_x`` (without its highest).  Masks of several
+    sizes give a shorter candidate's two factor rows right after its
+    own columns and ``-1`` after them."""
+
+    @property
+    def factor_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of ``factor_x`` and ``factor_y`` in the level, for a
+        level of one mask size."""
+        return self.subsets[:, -1], self.subsets[:, -2]
 
     def triples(self) -> list[tuple[int, int, int]]:
         """The same triples as a list of ``(candidate, x, y)`` tuples."""
@@ -79,31 +101,38 @@ def _top_bits(masks: np.ndarray) -> np.ndarray:
     return smeared ^ (smeared >> 1)
 
 
-def generate_next_level_arrays(masks: np.ndarray) -> LevelCandidates:
+def generate_next_level_arrays(
+    masks: np.ndarray, level: np.ndarray | None = None
+) -> LevelCandidates:
     """:func:`generate_next_level` over a mask array, with the triples
-    returned as arrays of its dtype.
+    returned as arrays of its dtype and each candidate's subset
+    positions (:attr:`LevelCandidates.subsets`).
 
     The level is sorted by (prefix, mask), so every prefix block is a
     contiguous run whose masks ascend with their top bit; the join
     pairs each set with every later set of its run.  The subset check
     drops one prefix attribute per pass, lowest first, and looks the
     subset up in the sorted level by binary search.
+
+    ``level`` is the sorted level ``masks`` were pruned from, when they
+    were: the subset positions are then rows of ``level``, else of the
+    sorted distinct ``masks``.  Every mask must be in ``level``.
     """
     # Sort and drop repeats by hand: np.unique imports numpy.ma on its
     # first call, which would cost the first run in a process ~10 ms.
-    level = masks[masks != 0]
-    level.sort()
-    if level.size > 1:
-        distinct = np.empty(level.size, dtype=bool)
+    members = masks[masks != 0]
+    members.sort()
+    if members.size > 1:
+        distinct = np.empty(members.size, dtype=bool)
         distinct[0] = True
-        np.not_equal(level[1:], level[:-1], out=distinct[1:])
-        level = level[distinct]
-    count = level.size
+        np.not_equal(members[1:], members[:-1], out=distinct[1:])
+        members = members[distinct]
+    count = members.size
     if count < 2:
-        return LevelCandidates(*(np.zeros(0, dtype=masks.dtype) for _ in range(3)))
-    prefixes = level ^ _top_bits(level)
-    order = np.lexsort((level, prefixes))
-    members = level[order]
+        empty = np.zeros(0, dtype=masks.dtype)
+        return LevelCandidates(empty, empty, empty, np.zeros((0, 2), dtype=np.intp))
+    prefixes = members ^ _top_bits(members)
+    order = np.lexsort((members, prefixes))
     prefixes = prefixes[order]
     opens = np.empty(count, dtype=bool)
     opens[0] = True
@@ -114,21 +143,51 @@ def generate_next_level_arrays(masks: np.ndarray) -> LevelCandidates:
     left = np.repeat(np.arange(count), partners)
     first_pair = np.cumsum(partners) - partners
     right = left + 1 + np.arange(left.size) - np.repeat(first_pair, partners)
-    factor_x = members[left]
-    factor_y = members[right]
-    candidates = factor_x | factor_y
     remaining = prefixes[left]
+    # Positions in ``members``: the factors' from the join, then one
+    # column per pass of the subset check.
+    x_rows = order[left]
+    y_rows = order[right]
+    factor_x = members[x_rows]
+    factor_y = members[y_rows]
+    candidates = factor_x | factor_y
     keep = np.ones(candidates.size, dtype=bool)
+    columns = []
     while True:
         live = np.flatnonzero(remaining)
         if live.size == 0:
             break
         low = remaining[live] & -remaining[live]
         subsets = candidates[live] ^ low
-        found = np.searchsorted(level, subsets)
+        found = np.searchsorted(members, subsets)
         np.minimum(found, count - 1, out=found)
-        keep[live] &= level[found] == subsets
+        keep[live] &= members[found] == subsets
         remaining[live] ^= low
+        if live.size < candidates.size:
+            # Masks of several sizes: shorter candidates sit this out.
+            column = np.full(candidates.size, -1, dtype=np.intp)
+            column[live] = found
+            found = column
+        columns.append(found)
     selected = np.flatnonzero(keep)
     selected = selected[np.argsort(candidates[selected])]
-    return LevelCandidates(candidates[selected], factor_x[selected], factor_y[selected])
+    rows = np.full((selected.size, len(columns) + 2), -1, dtype=np.intp)
+    for index, column in enumerate(columns):
+        rows[:, index] = column[selected]
+    # The factors follow each candidate's own passes, which are the
+    # last two columns unless the masks have several sizes.
+    tail = np.count_nonzero(rows >= 0, axis=1)
+    every = np.arange(selected.size)
+    rows[every, tail] = y_rows[selected]
+    rows[every, tail + 1] = x_rows[selected]
+    if level is not None:
+        # From positions in the survivors to rows of the full level; -1
+        # (no subset) stays -1.
+        within = np.searchsorted(level, members)
+        np.minimum(within, max(level.size - 1, 0), out=within)
+        if level.size == 0 or not np.array_equal(level[within], members):
+            raise ValueError("every mask must be in the level it was pruned from")
+        rows = np.append(within, -1)[rows]
+    return LevelCandidates(
+        candidates[selected], factor_x[selected], factor_y[selected], rows
+    )

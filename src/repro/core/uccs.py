@@ -142,10 +142,8 @@ def discover_uccs(
         next_level = level[:0]
         if level_number < limit:
             errors: list[int] = []
-            next_level = np.array(
-                partitions.materialize(generate_next_level_arrays(level[~unique]), errors),
-                dtype=dtype,
-            )
+            candidates = generate_next_level_arrays(level[~unique], level)
+            next_level = np.array(partitions.materialize(candidates, errors), dtype=dtype)
             ranks = np.array(errors, dtype=np.int64)
         partitions.reclaim(level)
         level = next_level

@@ -118,14 +118,15 @@ keeps each level as one :class:`LevelBlock`: the level's sorted masks
 or ``object`` past 63 attributes), one ``int16`` label row per mask
 (each row of the relation carries its class label, -1 where the
 partition strips it), the class counts and the ranks.
-:meth:`LevelBlock.products` finds a level's factor rows by binary search
-in the masks and writes the next block — labels scattered back from the
-kernel's sorted groups — or only its ranks; :meth:`LevelBlock.chains`
-builds a level from the singletons' block instead (checkpoint restore,
-the from-singletons ablation).  A block is stored, spilled and reclaimed
-as one unit (see :mod:`repro.partition.store`).  The approximate
-validity tests hand its rows, with their class counts and ranks
-(:meth:`LevelBlock.row`), to the contingency table of
+:meth:`LevelBlock.products` reads a level's factor rows from lattice
+generation's subset matrix and writes the next block — labels
+scattered back from the kernel's sorted groups — or only its ranks;
+:meth:`LevelBlock.chains` builds a level from the singletons' block
+instead (checkpoint restore, the from-singletons ablation).  A block
+is stored, spilled and reclaimed as one unit (see
+:mod:`repro.partition.store`).  The approximate validity tests hand its
+rows, with their class counts and ranks (:meth:`LevelBlock.row`), to
+the contingency table of
 :mod:`repro.partition.errors` as they are, so no CSR copy of a block is
 built or stored.  Nothing converts between the two forms: the
 singletons' block is built from the column codes
@@ -564,7 +565,7 @@ def _thread_workspace(num_rows: int) -> PartitionWorkspace:
 
 
 def _narrowest_key_dtype(keyspace: int) -> np.dtype:
-    """Smallest signed dtype that can hold keys in ``[0, keyspace)``.
+    """Smallest signed dtype that can hold keys in ``(-keyspace, keyspace)``.
 
     numpy's value sort runs several keys per vector instruction, so a
     narrower key sorts faster as well as in less memory: the dense
@@ -764,51 +765,63 @@ def _grouped_rows(
     """The dense kernel: group every task's rows by its two labels.
 
     Task ``t`` multiplies the partitions whose label rows are
-    ``left[t]`` and ``right[t]``.  Its pair key per row is
-    ``label_x * classes_y + label_y``, or a distinct key past every
-    real one where either factor stripped the row.  Tagged with the row
-    id, the keys of a task are distinct, so one row-wise sort of the
-    ``tasks x rows`` key matrix groups every task at once, classes in
-    ``(label_x, label_y)`` order and rows ascending inside each.
+    ``left[t]`` and ``right[t]``, gathered for this call: ``left`` is
+    overwritten.  Its key per row is the pair key
+    ``label_x * classes_y + label_y`` shifted up one bit, the low bit
+    set where either factor stripped the row: rows share a class when
+    they share an even key, and an odd key never counts.  Tagged with
+    the row id in the bits below, the keys of a task are distinct, so
+    one row-wise sort of the ``tasks x rows`` key matrix groups every
+    task at once, classes in ``(label_x, label_y)`` order and rows
+    ascending inside each.
 
     With ``counts`` the untagged keys are sorted instead and each
-    task's ``e(π)`` (its repeated keys) is returned.  Otherwise the
-    result is ``(rows, kept, opens)``, flat over the tasks' sorted
-    rows: the row id at each position, whether it lies in a class of at
-    least two rows, and whether it opens such a class.
+    task's ``e(π)`` (its repeated even keys) is returned.  Otherwise the
+    result is ``(rows, kept, opens)``, ``tasks x rows`` matrices over
+    each task's sorted rows: the row id at each position (``int32``),
+    whether it lies in a class of at least two rows, and whether it
+    opens such a class.
     """
-    # Real pair keys lie below classes_x * classes_y <= sentinel; a row
-    # stripped from either factor gets key sentinel + row, a singleton.
-    sentinel = int((left_classes * right_classes).max())
-    keyspace = sentinel + num_rows
-    dtype = _narrowest_key_dtype(keyspace if counts else keyspace * num_rows)
-    positions = np.arange(num_rows, dtype=dtype)
+    # Every key lies strictly between -span and span: a real pair key
+    # below classes_x * classes_y, a stripped one at least
+    # -(classes_y + 1) before the shift.
+    sentinel = int(max((left_classes * right_classes).max(), right_classes.max()))
+    span = 2 * (sentinel + 1)
+    shift = max(num_rows - 1, 0).bit_length()
+    dtype = _narrowest_key_dtype(span if counts else span << shift)
     keys = left.astype(dtype)
     keys *= right_classes.astype(dtype)[:, None]
     keys += right
-    np.putmask(keys, (left | right) < 0, positions + sentinel)
+    keys <<= 1
+    # The flag, in left's own buffer: the sign bit of label_x | label_y,
+    # smeared to -1 where either is -1, else 0.
+    left |= right
+    left >>= 8 * left.itemsize - 1
+    keys -= left
     if counts:
         keys.sort(axis=1)
-        # A class of k rows repeats its key k - 1 times: e(π).
-        return np.count_nonzero(keys[:, 1:] == keys[:, :-1], axis=1)
-    # Tagged with the row id (key * rows + row), the values of a task
-    # are distinct, so a plain row-wise sort orders rows by key and,
-    # within a key, by row id.
-    keys *= num_rows
-    keys += positions
+        # A class of k rows repeats its even key k - 1 times: e(π).  In
+        # ascending keys, keys[i + 1] == keys[i] & ~1 only where keys[i]
+        # is even and repeats.
+        return np.count_nonzero(keys[:, 1:] == keys[:, :-1] & -2, axis=1)
+    # Tagged with the row id below the flag, the values of a task are
+    # distinct, so a plain row-wise sort orders rows by key and, within
+    # a key, by row id.
+    keys <<= shift
+    keys |= np.arange(num_rows, dtype=dtype)
     keys.sort(axis=1)
-    tagged = keys.ravel()
-    pair_keys = tagged // num_rows
-    sorted_rows = tagged - pair_keys * num_rows
-    # Classes are runs of equal keys inside a task; a row survives when
-    # its key equals a neighbour's, and opens a class when not the
-    # previous one's.
-    same = np.empty(tagged.size + 1, dtype=bool)
-    np.equal(pair_keys[1:], pair_keys[:-1], out=same[1:-1])
+    sorted_rows = (keys & (1 << shift) - 1).astype(INDEX_DTYPE, copy=False)
+    keys >>= shift
+    # same[i + 1]: sorted rows i and i + 1 of one task share an even
+    # key.  A row survives when it shares with a neighbour, and opens a
+    # class when not with the one before.
+    flat = keys.reshape(-1)
+    same = np.empty(flat.size + 1, dtype=bool)
+    np.equal(flat[1:], flat[:-1] & -2, out=same[1:-1])
     same[::num_rows] = False
     kept = same[:-1] | same[1:]
-    opens = kept & ~same[:-1]
-    return sorted_rows, kept, opens
+    opens = kept > same[:-1]
+    return sorted_rows, kept.reshape(keys.shape), opens.reshape(keys.shape)
 
 
 def _pooled_products(
@@ -1165,22 +1178,23 @@ class LevelBlock:
     def products(
         self,
         candidates: np.ndarray,
-        factor_x: np.ndarray,
-        factor_y: np.ndarray,
+        x_rows: np.ndarray,
+        y_rows: np.ndarray,
         *,
         ranks_only: bool = False,
     ) -> "LevelBlock":
-        """The next level's block: ``π_{candidates[i]} = π_{factor_x[i]} ·
-        π_{factor_y[i]}`` (Lemma 3), both factors in this block.
+        """The next level's block: ``π_{candidates[i]}`` is the product
+        of this block's rows ``x_rows[i]`` and ``y_rows[i]`` (Lemma 3).
 
-        ``candidates`` must ascend.  The factors' rows are found by
-        binary search in ``masks``; with ``ranks_only`` only the ranks
-        are computed.
+        ``candidates`` must ascend.  Lattice generation gives the rows
+        (:attr:`~repro.core.lattice.LevelCandidates.factor_rows`), so no
+        mask is looked up.  With ``ranks_only`` only the ranks are
+        computed.
         """
         return _block_products(
             np.asarray(candidates, dtype=self.masks.dtype),
-            (self.labels, self.rows_of(factor_x), self.classes),
-            (self.labels, self.rows_of(factor_y), self.classes),
+            (self.labels, x_rows, self.classes),
+            (self.labels, y_rows, self.classes),
             self.num_rows,
             ranks_only,
         )
@@ -1232,17 +1246,19 @@ def _block_products(
     multiplies ``labels[rows[i]]`` of each side.  The tasks run through
     :func:`_grouped_rows` in chunks of at most ``_DENSE_ELEMENT_BUDGET``
     elements, and each chunk's classes are scattered back to the rows
-    as the new labels, numbered in sorted (canonical) order.
+    as the new labels, numbered in sorted (canonical) order.  A
+    zero-row relation gives a block of empty label rows.
     """
     left_labels, left_rows, left_classes = left
     right_labels, right_rows, right_classes = right
     count = candidates.size
-    errors = np.empty(count, dtype=np.int64)
+    errors = np.zeros(count, dtype=np.int64)
     labels = classes = None
     if not ranks_only:
         labels = np.full((count, num_rows), -1, dtype=LABEL_DTYPE)
-        classes = np.empty(count, dtype=np.int64)
-        flat = labels.reshape(-1)
+        classes = np.zeros(count, dtype=np.int64)
+    if num_rows == 0:
+        return LevelBlock(candidates, labels, classes, errors, num_rows)
     step = max(1, _DENSE_ELEMENT_BUDGET // num_rows)
     for start in range(0, count, step):
         stop = min(start + step, count)
@@ -1255,15 +1271,15 @@ def _block_products(
         if ranks_only:
             errors[start:stop] = grouped
             continue
-        sorted_rows, kept, opens = grouped
-        shape = (stop - start, num_rows)
-        kept = kept.reshape(shape)
-        opens = opens.reshape(shape)
-        # Widened by the offset: the sorted rows may be 16-bit.
-        targets = sorted_rows.reshape(shape) + np.arange(
-            start * num_rows, stop * num_rows, num_rows, dtype=np.int64
-        )[:, None]
-        flat[targets[kept]] = (np.cumsum(opens, axis=1, dtype=LABEL_DTYPE) - 1)[kept]
+        targets, kept, opens = grouped
+        # Positions in the chunk's rows of labels: a chunk holds at most
+        # _DENSE_ELEMENT_BUDGET elements, so they fit int32.
+        offsets = np.arange(0, (stop - start) * num_rows, num_rows, dtype=INDEX_DTYPE)
+        targets += offsets[:, None]
+        numbers = np.cumsum(opens, axis=1, dtype=LABEL_DTYPE)
+        numbers -= 1
+        written = np.flatnonzero(kept)
+        labels[start:stop].reshape(-1)[targets.take(written)] = numbers.take(written)
         chunk_classes = np.count_nonzero(opens, axis=1)
         classes[start:stop] = chunk_classes
         errors[start:stop] = np.count_nonzero(kept, axis=1) - chunk_classes

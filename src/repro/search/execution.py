@@ -7,7 +7,7 @@ The search driver delegates both to :class:`SerialExecution`:
 ``products(triples, fetch, workspace)``
     Yield ``(candidate, partition)`` per product triple, in candidate
     order (the driver streams them into the partition store).
-``level_products(factors, candidates, factor_x, factor_y, ranks_only=)``
+``level_products(factors, candidates, x_rows, y_rows, ranks_only=)``
     The block form's products: the next level's
     :class:`~repro.partition.vectorized.LevelBlock` from the current
     level's block, in one call (see
@@ -100,14 +100,15 @@ class SerialExecution:
         self,
         factors: LevelBlock,
         candidates: np.ndarray,
-        factor_x: np.ndarray,
-        factor_y: np.ndarray,
+        x_rows: np.ndarray,
+        y_rows: np.ndarray,
         *,
         ranks_only: bool = False,
     ) -> LevelBlock:
-        """The block of ``candidates`` from the block of their factors
-        (Lemma 3), or only its ranks with ``ranks_only``."""
-        return factors.products(candidates, factor_x, factor_y, ranks_only=ranks_only)
+        """The block of ``candidates`` from the block of their factors,
+        whose rows in it are ``x_rows`` and ``y_rows`` (Lemma 3), or
+        only its ranks with ``ranks_only``."""
+        return factors.products(candidates, x_rows, y_rows, ranks_only=ranks_only)
 
     def validity_tests(
         self,

@@ -295,7 +295,9 @@ class PartitionManager:
             return LevelBlock(candidates, None, None, np.zeros(0, dtype=np.int64), self.num_rows)
         size = _bitset.popcount(int(candidates[0]))
         factors = self.store.get(-(size - 1))
-        block = self.executor.level_products(factors, *triples, ranks_only=ranks_only)
+        block = self.executor.level_products(
+            factors, candidates, *triples.factor_rows, ranks_only=ranks_only
+        )
         self._c_products.inc(int(candidates.size))
         faults.check("tane.products.consume")
         self._put_block(size, block)

@@ -182,11 +182,12 @@ class LevelwiseStrategy(TraversalStrategy):
     fault_point = "tane.level.start"
     walks_levels = True
 
-    def expand(self, surviving: np.ndarray) -> LevelCandidates:
+    def expand(self, surviving: np.ndarray, level: np.ndarray) -> LevelCandidates:
         """Candidate ``(candidate, factor_x, factor_y)`` triples of the
         next level: apriori generation over the surviving sets' mask
-        array."""
-        return generate_next_level_arrays(surviving)
+        array, with every candidate's subset rows in the full ``level``
+        the survivors were pruned from."""
+        return generate_next_level_arrays(surviving, level)
 
     def should_stop(self, tracker: CandidateTracker, next_level_number: int) -> bool:
         """May the search skip generating level ``next_level_number``?
@@ -321,15 +322,18 @@ class LevelwiseStrategy(TraversalStrategy):
         driver = self.driver
         errors: list[int] = []
         masks: list[int] = []
+        subsets = None
         if self.level_number < self.max_level and not self.should_stop(
             driver.tracker, self.level_number + 1
         ):
+            candidates = self.expand(surviving, self.level.masks)
             masks = driver.partitions.materialize(
-                self.expand(surviving),
+                candidates,
                 errors,
                 ranks_only=self._rank_only_level(driver, self.level_number + 1),
             )
-        return LevelArrays(masks, errors, width=driver.num_attributes)
+            subsets = candidates.subsets
+        return LevelArrays(masks, errors, width=driver.num_attributes, subsets=subsets)
 
     def _compute_dependencies(self, level: LevelArrays, previous: LevelArrays) -> np.ndarray:
         """COMPUTE-DEPENDENCIES: rhs+ sets, validity tests, recording.
@@ -344,7 +348,7 @@ class LevelwiseStrategy(TraversalStrategy):
         cplus = tracker.compute_cplus(level, previous)
         pairs = tracker.testable_groups(level, cplus)
         outcomes = self._pair_outcomes(pairs)
-        tracker.apply_outcome(level, pairs.rhs, pairs.lhs, outcomes, cplus)
+        tracker.apply_outcome(level, pairs, outcomes, cplus)
         return cplus
 
     def _pair_outcomes(self, pairs: LevelPairs) -> PairOutcomes:

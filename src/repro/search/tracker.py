@@ -22,9 +22,12 @@ A level is a :class:`LevelArrays`: sorted masks, their ranks and
 :func:`repro._bitset.mask_dtype` of the schema (``int64`` up to 63
 attributes, Python ints in ``object`` arrays above).  Each step is a
 fixed number of numpy passes over the level: the Lemma 4 intersection
-looks every ``X∖{A}`` up in the previous level's sorted masks, the
-Lemma 2 test compares two rank arrays, keys are ``e(X) == 0``, and the
-``C+`` updates are bitwise.  Python loops remain only where the search
+and the Lemma 2 test gather the previous level's ``C+`` and ranks at the
+rows of every ``X∖{A}``, which lattice generation found
+(:attr:`repro.core.lattice.LevelCandidates.subsets`; a level with no
+such matrix, level 1 or a restored level, looks them up in one search),
+keys are ``e(X) == 0``, and the ``C+`` updates are bitwise and land on
+the rows the pairs came from.  Python loops remain only where the search
 records something — dependencies and keys — and in the key rule, which
 visits the level's few keys.
 """
@@ -48,20 +51,24 @@ class LevelArrays:
     ``masks`` ascend; ``errors[i]`` is ``e(X)`` of ``masks[i]``;
     ``cplus`` is filled in by :meth:`CandidateTracker.compute_cplus`.
     Masks and ``C+`` take :func:`~repro._bitset.mask_dtype` of the
-    schema's ``width`` (its number of attributes).
-    That step also keeps, per level set and per attribute ``A`` of it
-    (lowest first), the subset ``X∖{A}`` and its rank in the previous
-    level (``-1`` when that level lacks it), which the pair and prune
+    schema's ``width`` (its number of attributes).  ``subsets``, when
+    given, holds per level set and per attribute ``A`` of it (lowest
+    first) the row of ``X∖{A}`` in the previous level, ``-1`` where it
+    has none (:attr:`~repro.core.lattice.LevelCandidates.subsets`).
+    :meth:`CandidateTracker.compute_cplus` fills it in when absent, and
+    also keeps the subsets ``X∖{A}`` and their ranks in the previous
+    level (``-1`` when that level lacks them), which the pair and prune
     steps read.
     """
 
-    __slots__ = ("masks", "errors", "cplus", "rhs", "lhs", "lhs_errors")
+    __slots__ = ("masks", "errors", "cplus", "subsets", "rhs", "lhs", "lhs_errors")
 
-    def __init__(self, masks, errors, cplus=None, *, width: int) -> None:
+    def __init__(self, masks, errors, cplus=None, *, width: int, subsets=None) -> None:
         dtype = _bitset.mask_dtype(width)
         self.masks = np.asarray(masks, dtype=dtype)
         self.errors = np.asarray(errors, dtype=np.int64)
         self.cplus = None if cplus is None else np.asarray(cplus, dtype=dtype)
+        self.subsets: np.ndarray | None = subsets
         self.rhs: np.ndarray | None = None
         self.lhs: np.ndarray | None = None
         self.lhs_errors: np.ndarray | None = None
@@ -77,6 +84,9 @@ class LevelArrays:
 class LevelPairs(NamedTuple):
     """The testable ``(X∖{A}) → A`` pairs of a level, in test order:
     level order, then rhs ascending."""
+
+    rows: np.ndarray
+    """Level row of ``X`` of every pair."""
 
     whole: np.ndarray
     """``X`` of every pair."""
@@ -148,6 +158,19 @@ def _bit_index(bits: np.ndarray) -> np.ndarray:
     return np.where(bits > 0, np.frexp(bits.astype(np.float64))[1] - 1, -1)
 
 
+def _subset_rows(subsets: np.ndarray, known: np.ndarray) -> np.ndarray:
+    """The row of every mask of ``subsets`` in the sorted masks
+    ``known``, ``-1`` where absent, by one binary search: the
+    :attr:`LevelArrays.subsets` of a level that lattice generation did
+    not produce."""
+    if known.size == 0:
+        return np.full(subsets.shape, -1, dtype=np.intp)
+    found = np.searchsorted(known, subsets)
+    np.minimum(found, known.size - 1, out=found)
+    found[known[found] != subsets] = -1
+    return found
+
+
 class CandidateTracker:
     """Per-run candidate state of one levelwise search.
 
@@ -195,17 +218,19 @@ class CandidateTracker:
         """``C+(X) = ∩_{A∈X} C+(X∖{A})`` for every level set (Lemma 4).
 
         ``previous`` is the previous level with its ``cplus``; a subset
-        missing from it contributes ``∅``.  Returns the ``C+`` array,
-        also stored as ``level.cplus``.
+        missing from it contributes ``∅``.  The subsets' rows are
+        ``level.subsets``; a level without them gets them from
+        :func:`_subset_rows`, one search.  Returns the ``C+`` array, also
+        stored as ``level.cplus``.
         """
         bits = _lowest_bits(level.masks)
         present = bits != 0
         subsets = level.masks[:, None] ^ bits
-        known = previous.masks
-        found = np.searchsorted(known, subsets)
-        np.minimum(found, max(known.size - 1, 0), out=found)
-        if known.size:
-            hit = present & (known[found] == subsets)
+        if level.subsets is None:
+            level.subsets = _subset_rows(subsets, previous.masks)
+        found = level.subsets
+        if previous.masks.size:
+            hit = present & (found >= 0)
             parts = np.where(hit, previous.cplus[found], 0)
             level.lhs_errors = np.where(hit, previous.errors[found], -1)
         else:
@@ -232,6 +257,7 @@ class CandidateTracker:
         )
         rows, columns = np.nonzero(testable)
         return LevelPairs(
+            rows=rows,
             whole=level.masks[rows],
             rhs=level.rhs[rows, columns],
             lhs=level.lhs[rows, columns],
@@ -241,8 +267,7 @@ class CandidateTracker:
     def apply_outcome(
         self,
         level: LevelArrays,
-        rhs: np.ndarray,
-        lhs: np.ndarray,
+        pairs: LevelPairs,
         outcomes: PairOutcomes,
         cplus: np.ndarray,
     ) -> None:
@@ -253,15 +278,16 @@ class CandidateTracker:
         *exactly*, line 8 (exact) / lines 8'-9' (approximate)
         additionally remove all attributes outside ``X``.
 
-        ``rhs`` and ``lhs`` are the pairs' arrays (:class:`LevelPairs`)
-        and ``cplus`` the level's ``C+`` array, updated in place.
+        ``pairs`` are the level's pairs (:meth:`testable_groups`) and
+        ``cplus`` its ``C+`` array, updated in place at the pairs' rows.
         Dependencies are recorded in pair order.
         """
         chosen = np.flatnonzero(outcomes.valid)
         if chosen.size == 0:
             return
-        rhs = rhs[chosen]
-        lhs = lhs[chosen]
+        rhs = pairs.rhs[chosen]
+        lhs = pairs.lhs[chosen]
+        rows = pairs.rows[chosen]
         errors = outcomes.errors
         for lhs_mask, rhs_index, position in zip(
             lhs.tolist(), rhs.tolist(), chosen.tolist()
@@ -271,7 +297,6 @@ class CandidateTracker:
             )
         # Shift in C+'s dtype: an int64 shift past bit 63 yields 0.
         rhs_bits = np.left_shift(np.ones(1, dtype=cplus.dtype), rhs.astype(cplus.dtype))
-        rows = np.searchsorted(level.masks, lhs | rhs_bits)
         found = np.zeros(cplus.size, dtype=cplus.dtype)
         np.bitwise_or.at(found, rows, rhs_bits)
         cplus &= ~found

@@ -1,4 +1,5 @@
-"""Tests for GENERATE-NEXT-LEVEL (prefix-block apriori generation)."""
+"""Tests for GENERATE-NEXT-LEVEL (prefix-block apriori generation) and
+the subset positions the join returns with its candidates."""
 
 import os
 import subprocess
@@ -7,12 +8,13 @@ from itertools import combinations
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import repro
 from repro import _bitset
-from repro.core.lattice import _top_bits, generate_next_level
+from repro.core.lattice import _top_bits, generate_next_level, generate_next_level_arrays
 
 ORDERS = Path(__file__).parent.parent.parent / "examples" / "data" / "orders.csv"
 
@@ -136,3 +138,68 @@ class TestArrayDedupe:
             timeout=120,
         )
         assert completed.returncode == 0, completed.stderr
+
+
+def searched_subsets(candidates, level):
+    """Every candidate's ``X∖{A}``, ``A`` lowest first, looked up in
+    ``level`` by ``np.searchsorted``: the matrix the join must return."""
+    subsets = [
+        [candidate ^ (1 << index) for index in _bitset.iter_bits(candidate)]
+        for candidate in candidates
+    ]
+    return np.searchsorted(level, np.array(subsets, dtype=level.dtype).reshape(len(subsets), -1))
+
+
+class TestSubsetPositions:
+    @given(
+        st.integers(min_value=2, max_value=7),
+        st.sampled_from([0, 60]),
+        st.data(),
+    )
+    def test_matrix_is_the_searched_subsets(self, num_attributes, shift, data):
+        """A level (int64 masks, or past bit 63 object masks), pruned
+        with gaps: the join's matrix locates every ``X∖{A}`` in the full
+        level, its last two columns the factors."""
+        size = data.draw(st.integers(min_value=1, max_value=min(4, num_attributes - 1)))
+        universe = [
+            _bitset.from_indices(c) << shift
+            for c in combinations(range(num_attributes), size)
+        ]
+        full = sorted(data.draw(st.lists(st.sampled_from(universe), unique=True)))
+        survivors = data.draw(st.lists(st.sampled_from(full), unique=True)) if full else []
+        dtype = _bitset.mask_dtype(num_attributes + shift)
+        level = np.array(full, dtype=dtype)
+        result = generate_next_level_arrays(np.array(survivors, dtype=dtype), level)
+        assert result.subsets.dtype == np.intp
+        assert result.subsets.shape[0] == result.candidates.size
+        if result.candidates.size == 0:
+            return
+        assert result.subsets.shape[1] == size + 1
+        expected = searched_subsets(result.candidates.tolist(), level)
+        assert np.array_equal(result.subsets, expected)
+        assert level[result.subsets[:, -1]].tolist() == result.factor_x.tolist()
+        assert level[result.subsets[:, -2]].tolist() == result.factor_y.tolist()
+        # Without the full level, positions index the sorted survivors.
+        alone = generate_next_level_arrays(np.array(survivors[::-1], dtype=dtype))
+        survivors_level = np.array(sorted(survivors), dtype=dtype)
+        assert np.array_equal(
+            alone.subsets, searched_subsets(alone.candidates.tolist(), survivors_level)
+        )
+
+    def test_masks_of_several_sizes(self):
+        # {0,1,2} passes one subset check, {3,4} none: each candidate's
+        # factors follow its own columns, and the shorter row ends in -1.
+        level = np.array(masks_of((3,), (4,), (0, 1), (0, 2), (1, 2)), dtype=np.int64)
+        result = generate_next_level_arrays(level, np.sort(level))
+        assert result.candidates.tolist() == masks_of((0, 1, 2), (3, 4))
+        order = np.sort(level).tolist()
+        rows = [[order.index(mask) for mask in masks_of(*row)] for row in (
+            [(1, 2), (0, 2), (0, 1)], [(4,), (3,)]
+        )]
+        assert result.subsets.tolist() == [rows[0], rows[1] + [-1]]
+
+    def test_mask_outside_the_level_is_refused(self):
+        level = np.array(masks_of((0,), (1,)), dtype=np.int64)
+        masks = np.array(masks_of((0,), (2,)), dtype=np.int64)
+        with pytest.raises(ValueError):
+            generate_next_level_arrays(masks, level)

@@ -57,7 +57,8 @@ def block_products(partitions, ranks_only=False):
     count = len(partitions)
     block = label_block(range(1, count + 1), partitions, partitions[0].num_rows)
     factors = [(i, j) for i in range(1, count + 1) for j in range(i + 1, count + 1)]
-    return block.products(np.arange(len(factors)), *np.transpose(factors), ranks_only=ranks_only)
+    rows = np.transpose(factors) - 1
+    return block.products(np.arange(len(factors)), *rows, ranks_only=ranks_only)
 
 
 class TestBatchedMatchesPerTriple:

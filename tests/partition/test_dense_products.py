@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.partition.vectorized as vectorized
+from repro.core.lattice import generate_next_level_arrays
 from repro.exceptions import DataError
 from repro.model.relation import Relation
 from repro.partition.pure import PurePartition
@@ -59,12 +60,12 @@ def block_level(pairs, ranks_only=False):
     a block (masks 1, 2, ...), multiplied into one row per pair
     (candidates 0, 1, ...)."""
     factors = list({id(f): f for pair in pairs for f in pair}.values())
-    slot = {id(f): index + 1 for index, f in enumerate(factors)}
+    row = {id(f): index for index, f in enumerate(factors)}
     block = label_block(range(1, len(factors) + 1), factors, factors[0].num_rows)
     return block.products(
         np.arange(len(pairs)),
-        [slot[id(x)] for x, _y in pairs],
-        [slot[id(y)] for _x, y in pairs],
+        np.array([row[id(x)] for x, _y in pairs]),
+        np.array([row[id(y)] for _x, y in pairs]),
         ranks_only=ranks_only,
     )
 
@@ -253,6 +254,66 @@ class TestEdgeCases:
         level = block_level(pairs)
         assert key_dtypes == [np.dtype(np.int64)]
         assert_rows_match_per_triple(pairs, level)
+
+    @pytest.mark.parametrize(
+        ("classes_x", "classes_y", "rank_dtype"),
+        [
+            # 2 * (126 * 130 + 1) = 32,762: the widest flagged key span
+            # below int16's 32,767 that two label rows of 260 give.
+            (126, 130, np.int16),
+            # 2 * (127 * 129 + 1) = 32,768: one past int16.
+            (127, 129, np.int32),
+        ],
+    )
+    def test_rank_only_keys_at_the_int16_limit(
+        self, key_dtypes, classes_x, classes_y, rank_dtype
+    ):
+        # The flag bit doubles the key span, so int16 holds rank-only
+        # keys only while 2 * (classes_x * classes_y + 1) <= 32,767.
+        # All-stripped and one-class factors share the chunk.
+        num_rows = 2 * max(classes_x, classes_y)
+        x = CsrPartition.from_column(np.arange(num_rows) % classes_x)
+        y = CsrPartition.from_column(np.arange(num_rows) % classes_y)
+        assert (x.num_classes, y.num_classes) == (classes_x, classes_y)
+        empty = CsrPartition.empty(num_rows)
+        single = CsrPartition.single_class(num_rows)
+        pairs = [
+            (x, y), (y, x), (empty, y), (x, empty), (single, y), (x, single),
+            (empty, single), (single, single),
+        ]
+        ranks = block_level(pairs, ranks_only=True)
+        assert key_dtypes == [np.dtype(rank_dtype)]
+        del key_dtypes[:]
+        full = block_level(pairs)
+        # Tagged with 9 bits of row id, the full products' keys are wider.
+        assert key_dtypes == [np.dtype(np.int32)]
+        assert ranks.labels is None
+        assert ranks.errors.tolist() == full.errors.tolist()
+        assert_rows_match_per_triple(pairs, ranks)
+        assert_rows_match_per_triple(pairs, full)
+
+    def test_zero_row_block_products_are_empty_rows(self):
+        # The zero-row singletons' block multiplies into blocks of empty
+        # label rows, with no class and rank 0, through every path.
+        block = LevelBlock.from_columns(
+            Relation.from_codes([np.zeros(0, dtype=np.int64)] * 3)
+        )
+        assert block.labels.shape == (3, 0)
+        candidates = generate_next_level_arrays(block.masks)
+        rows = candidates.factor_rows
+        for level in (
+            block.products(candidates.candidates, *rows),
+            block.chains(candidates.candidates),
+        ):
+            assert level.masks.tolist() == [0b011, 0b101, 0b110]
+            assert level.labels.shape == (3, 0)
+            assert level.classes.tolist() == level.errors.tolist() == [0, 0, 0]
+        for ranks in (
+            block.products(candidates.candidates, *rows, ranks_only=True),
+            block.chains(candidates.candidates, ranks_only=True),
+        ):
+            assert ranks.labels is None
+            assert ranks.errors.tolist() == [0, 0, 0]
 
     def test_chunks_split_at_the_element_budget(self, monkeypatch, chunk_tasks):
         num_rows = 60

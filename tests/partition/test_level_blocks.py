@@ -104,8 +104,9 @@ def test_every_level_matches_the_chained_products(relation):
         candidates = generate_next_level_arrays(level.masks)
         if candidates.candidates.size == 0:
             break
-        ranks = level.products(*candidates, ranks_only=True)
-        level = level.products(*candidates)
+        rows = candidates.factor_rows
+        ranks = level.products(candidates.candidates, *rows, ranks_only=True)
+        level = level.products(candidates.candidates, *rows)
         assert level.labels.dtype == vectorized.LABEL_DTYPE
         assert np.array_equal(ranks.errors, level.errors) and ranks.labels is None
         assert_block_matches(level, columns, num_rows)
@@ -124,7 +125,7 @@ def test_block_rows_hold_the_reference_engines_classes(relation):
     level = singleton_block(columns, num_rows)
     pure = [PurePartition.from_column(codes, num_rows) for codes in columns]
     candidates = generate_next_level_arrays(level.masks)
-    level = level.products(*candidates)
+    level = level.products(candidates.candidates, *candidates.factor_rows)
     for mask, labels, classes in zip(level.masks.tolist(), level.labels, level.classes):
         first, second = _bitset.to_indices(mask)
         expected = pure[first].product(pure[second])
@@ -216,7 +217,8 @@ def test_int64_keys(monkeypatch):
         return dtypes[-1]
 
     monkeypatch.setattr(vectorized, "_narrowest_key_dtype", recording)
-    level = block.products(*generate_next_level_arrays(block.masks))
+    candidates = generate_next_level_arrays(block.masks)
+    level = block.products(candidates.candidates, *candidates.factor_rows)
     assert np.dtype(np.int64) in dtypes
     assert_block_matches(level, columns, num_rows)
 

@@ -67,7 +67,9 @@ class TestEveryBuilderAscends:
             [(singleton[x], singleton[y]) for _mask, x, y in candidates.triples()]
         )
         assert all(rows_ascend(p) and p._ascending is True for p in pooled)
-        assert_rows_match(block.products(*candidates), pooled)
+        assert_rows_match(
+            block.products(candidates.candidates, *candidates.factor_rows), pooled
+        )
 
     def test_pooled_batched_products(self, factors):
         level = batched_products([(x, y) for x in factors for y in factors if x is not y])

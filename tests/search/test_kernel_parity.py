@@ -48,10 +48,11 @@ class PerTripleExecutor(SerialExecution):
         for candidate, factor_x, factor_y in triples:
             yield candidate, fetch(factor_x).product(fetch(factor_y), workspace)
 
-    def level_products(self, factors, candidates, factor_x, factor_y, *, ranks_only=False):
+    def level_products(self, factors, candidates, x_rows, y_rows, *, ranks_only=False):
         self.level_calls += 1
         partitions = self.partitions
         masks = candidates.tolist()
+        factor_x, factor_y = factors.masks[x_rows], factors.masks[y_rows]
         for mask, x, y in zip(masks, factor_x.tolist(), factor_y.tolist()):
             partitions[mask] = partitions[x].product(partitions[y])
         block = label_block(masks, [partitions[mask] for mask in masks], factors.num_rows)

@@ -72,10 +72,13 @@ def lockstep(relation: Relation, **options) -> None:
     previous = LevelArrays([0], empty_rank, [full], width=width)
     previous_wide = LevelArrays([0], empty_rank, [full << SHIFT], width=wide_width)
     number = 1
+    subsets = None
     while level and number <= max_level:
         ranks = partitions.error_counts(level)
-        current = LevelArrays(level, ranks, width=width)
-        current_wide = LevelArrays(shifted(level), ranks, width=wide_width)
+        current = LevelArrays(level, ranks, width=width, subsets=subsets)
+        current_wide = LevelArrays(
+            shifted(level), ranks, width=wide_width, subsets=subsets
+        )
         assert current.masks.dtype == np.int64
         assert current_wide.masks.dtype == object
 
@@ -102,10 +105,8 @@ def lockstep(relation: Relation, **options) -> None:
             np.array([o.exactly_valid for o in outcomes], dtype=bool),
             [o.error for o in outcomes],
         )
-        narrow.apply_outcome(current, pairs.rhs, pairs.lhs, pair_outcomes, cplus)
-        wide.apply_outcome(
-            current_wide, pairs_wide.rhs, pairs_wide.lhs, pair_outcomes, cplus_wide
-        )
+        narrow.apply_outcome(current, pairs, pair_outcomes, cplus)
+        wide.apply_outcome(current_wide, pairs_wide, pair_outcomes, cplus_wide)
         assert cplus_wide.tolist() == shifted(cplus.tolist())
 
         # Survivors and keys (PRUNE).
@@ -122,9 +123,11 @@ def lockstep(relation: Relation, **options) -> None:
 
         if number == max_level:
             break
-        triples = generate_next_level_arrays(survivors)
-        triples_wide = generate_next_level_arrays(survivors_wide)
+        triples = generate_next_level_arrays(survivors, current.masks)
+        triples_wide = generate_next_level_arrays(survivors_wide, current_wide.masks)
         assert triples_wide.triples() == [tuple(shifted(t)) for t in triples.triples()]
+        assert np.array_equal(triples_wide.subsets, triples.subsets)
+        subsets = triples.subsets
         partitions.reclaim(previous.masks.tolist())
         previous, previous_wide = current, current_wide
         level = partitions.materialize(triples)

@@ -2,9 +2,13 @@
 PRUNE rules, driven directly with hand-built levels and synthetic
 outcomes (no partitions, no driver)."""
 
+from itertools import combinations
+
 import numpy as np
+import pytest
 
 from repro import _bitset
+from repro.core.lattice import generate_next_level_arrays
 from repro.search.tracker import CandidateTracker, LevelArrays, PairOutcomes
 
 A, B, C = _bitset.bit(0), _bitset.bit(1), _bitset.bit(2)
@@ -82,7 +86,7 @@ class TestApplyOutcome:
         outcomes = PairOutcomes(
             np.array([valid, False]), np.array([exactly_valid, False]), [error, 0.0]
         )
-        tracker.apply_outcome(level, pairs.rhs, pairs.lhs, outcomes, level.cplus)
+        tracker.apply_outcome(level, pairs, outcomes, level.cplus)
         return int(level.cplus[0])
 
     def test_valid_records_and_removes_rhs(self):
@@ -157,3 +161,54 @@ class TestPrune:
         surviving = tracker.prune(level, level.cplus, 1)
         assert tracker.keys == []
         assert surviving.tolist() == [A]
+
+
+class TestSubsetMatrix:
+    """A level joined from a pruned one carries the join's subset rows;
+    every step must give what the searched rows give."""
+
+    WIDTH = 6
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1])
+    def test_join_rows_match_the_searched_rows(self, seed, epsilon):
+        rng = np.random.default_rng(seed)
+        full = _bitset.mask_of_size(self.WIDTH)
+        size = int(rng.integers(1, 4))
+        masks = sorted(
+            _bitset.from_indices(c) for c in combinations(range(self.WIDTH), size)
+        )
+        # C+ loses one random attribute per previous set.
+        previous = LevelArrays(
+            masks,
+            rng.integers(0, 4, size=len(masks)),
+            full ^ 1 << rng.integers(0, self.WIDTH, size=len(masks)),
+            width=self.WIDTH,
+        )
+        # Pruned with gaps: the join's rows index the full level.
+        survivors = previous.masks[rng.random(len(masks)) < 0.8]
+        candidates = generate_next_level_arrays(survivors, previous.masks)
+        errors = rng.integers(0, 4, size=candidates.candidates.size)
+        results = []
+        for subsets in (candidates.subsets, None):
+            tracker = CandidateTracker(full, epsilon=epsilon)
+            level = LevelArrays(
+                candidates.candidates, errors, width=self.WIDTH, subsets=subsets
+            )
+            cplus = tracker.compute_cplus(level, previous).copy()
+            lhs_errors = level.lhs_errors
+            pairs = tracker.testable_groups(level, level.cplus)
+            # The same outcomes for both forms.
+            valid = np.random.default_rng(seed + 100).random(pairs.rhs.size) < 0.3
+            outcomes = PairOutcomes(
+                valid, valid & pairs.exact, [0.0] * pairs.rhs.size
+            )
+            tracker.apply_outcome(level, pairs, outcomes, level.cplus)
+            results.append((
+                level.subsets.tolist(), cplus.tolist(), lhs_errors.tolist(),
+                [array.tolist() for array in pairs], level.cplus.tolist(),
+                [(fd.lhs, fd.rhs) for fd in tracker.dependencies],
+            ))
+        joined, searched = results
+        assert joined == searched
+        assert joined[3][0], "no testable pair"
