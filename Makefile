@@ -82,14 +82,16 @@ obs-smoke:
 # is the disk store's spill, reload and level-<n>.bin adoption
 # coverage, on a 65-attribute relation with a one-byte budget), the
 # probe-safety tests (the shared and the pool threads' probe workspaces
-# are clean after a raise) plus a CLI checkpoint/resume round trip for
+# are clean after a raise), the partition manager's store lifetime on
+# the memory and the disk store (two resident levels, an exact walk's
+# release by prefix block) plus a CLI checkpoint/resume round trip for
 # the levelwise and the dfd strategy, each writing the one version-2
 # checkpoint format, with the memory and with the disk store (at the
 # CLI's default budget nothing of orders.csv spills), and an
 # approximate levelwise run on the disk store, whose validity tests
 # read the level blocks' label rows.
 fault-smoke:
-	PYTHONPATH=src $(PYTHON) -m pytest tests/resilience tests/partition/test_store_faults.py tests/partition/test_probe_safety.py -q
+	PYTHONPATH=src $(PYTHON) -m pytest tests/resilience tests/partition/test_store_faults.py tests/partition/test_probe_safety.py tests/search/test_partitions.py -q
 	for run in "levelwise memory" "dfd memory" "levelwise disk" "dfd disk" "levelwise disk --epsilon 0.05"; do \
 	  set -- $$run && strategy=$$1 && store=$$2 && shift 2 && \
 	  rm -rf /tmp/repro-ckpt && \

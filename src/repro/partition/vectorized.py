@@ -98,12 +98,13 @@ Kernel threads
 --------------
 The products of one pooled-kernel call are independent, and numpy
 releases the interpreter lock in the sorts, gathers and compares that
-make up their time.  So a call with at least two left factors and at
-least ``_THREAD_MIN_ROWS`` right-factor rows runs each left factor's
-group (:func:`_left_factor_tasks`) on a module-level thread pool, each
-thread with its own probe workspace; smaller calls stay on the calling
-thread.  The pool has one thread per CPU in the process's affinity
-mask, so CPU affinity is what limits it.  Each task is grouped alone,
+make up their time.  So a call with at least two left factors whose
+groups (:func:`_left_factor_tasks`) hold at least ``_THREAD_MIN_ROWS``
+right-factor rows each on average runs each group on a module-level
+thread pool, each thread with its own probe workspace; other calls,
+such as one of many small groups, stay on the calling thread.  The
+pool has one thread per CPU in the process's affinity mask, so CPU
+affinity is what limits it.  Each task is grouped alone,
 on whichever thread, so results are byte-identical either way.  This
 pool is the program's only parallelism: the search runs in one
 process, as the paper's TANE does.
@@ -509,12 +510,15 @@ _DENSE_MAX_ROWS = 2048
 _DENSE_ELEMENT_BUDGET = 1 << 18
 
 
-# A pooled-kernel call with at least two left factors whose right
-# factors hold at least this many stripped rows in all runs its
-# left-factor groups on the kernel's thread pool.  Below it, handing
-# groups to threads costs more than the numpy passes it overlaps: a
-# dfd walk's few products per call, or a level of short partitions.
-_THREAD_MIN_ROWS = 1 << 16
+# A pooled-kernel call with at least two left-factor groups whose right
+# factors hold at least this many stripped rows per group runs the
+# groups on the kernel's thread pool.  A group is one thread's work, so
+# below this handing groups to threads costs more than the numpy passes
+# it overlaps: a dfd walk's few products per call, a level of short
+# partitions, or a call of many small groups (EXPERIMENTS.md, "Peak
+# memory of an exact walk", has the per-call table).  A call holding
+# fewer right-factor rows than this in all takes the column-keyed path.
+_THREAD_MIN_ROWS = 1 << 15
 
 # The kernel's thread pool, started by the first call that can use it.
 # ``_pool_threads`` is its size: the CPUs this process may run on, read
@@ -840,9 +844,9 @@ def _pooled_products(
     appearance; each result depends only on its own pair), so each
     left factor is scattered once per call (:func:`_left_factor_tasks`).
     A call with several groups and at least ``_THREAD_MIN_ROWS``
-    right-factor rows runs its groups on the kernel's thread pool (see
-    "Kernel threads" above).  With ``counts`` every result is the
-    product's ``e(π)`` instead of the partition.
+    right-factor rows per group runs its groups on the kernel's thread
+    pool (see "Kernel threads" above).  With ``counts`` every result is
+    the product's ``e(π)`` instead of the partition.
     """
     results: list = [None] * len(pairs)
     positions = range(len(pairs))
@@ -862,7 +866,8 @@ def _pooled_products(
     for position in positions:
         by_left.setdefault(id(pairs[position][0]), []).append(position)
     groups = list(by_left.values())
-    pool = _kernel_pool() if len(groups) >= 2 and right_rows >= _THREAD_MIN_ROWS else None
+    threaded = len(groups) >= 2 and right_rows >= _THREAD_MIN_ROWS * len(groups)
+    pool = _kernel_pool() if threaded else None
     if pool is None:
         if groups and workspace is None:
             workspace = PartitionWorkspace(num_rows)

@@ -5,8 +5,10 @@ GENERATE-NEXT-LEVEL and the validity tests of COMPUTE-DEPENDENCIES.
 The search driver delegates both to :class:`SerialExecution`:
 
 ``products(triples, fetch, workspace)``
-    Yield ``(candidate, partition)`` per product triple, in candidate
-    order (the driver streams them into the partition store).
+    Yield ``(candidate, partition)`` per product triple, in the
+    triples' order, ``_PRODUCT_BATCH`` products per kernel call (the
+    driver streams them into the partition store; an exact walk hands
+    over whole prefix blocks, see :mod:`repro.search.partitions`).
 ``level_products(factors, candidates, x_rows, y_rows, ranks_only=)``
     The block form's products: the next level's
     :class:`~repro.partition.vectorized.LevelBlock` from the current
@@ -41,10 +43,16 @@ from repro.search.measures import ValidityCriteria, ValidityOutcome, evaluate_va
 
 __all__ = ["Fetch", "ValidityGroups", "SerialExecution"]
 
-# Products per batched_products call: large enough to amortize the
-# shared argsort, small enough that streaming into the store (which
-# may spill) is not delayed by a whole level.
-_PRODUCT_BATCH = 256
+# Products per batched_products call.  A call holds its factors and
+# all its products at once, so the batch bounds what a level adds to
+# the store's peak; the kernel shares one probe scatter per left factor
+# within a call and threads its groups (repro.partition.vectorized), so
+# a call needs several groups.  An exact levelwise walk packs whole
+# prefix blocks into calls of at most this many products and drops each
+# block's factors once its products are stored (see
+# repro.search.partitions); on wisconsin x144 peak RSS was lowest at
+# 48 (EXPERIMENTS.md, "Peak memory of an exact walk").
+_PRODUCT_BATCH = 48
 
 Fetch = Callable[[int], "CsrPartition | LabelRow"]
 # ``(whole_mask, [(rhs_index, lhs_mask), ...])`` in level order; the

@@ -6,12 +6,28 @@ singleton partitions, scheduling the partition products of
 GENERATE-NEXT-LEVEL through the execution backend, on-demand
 materialization of arbitrary attribute-set masks for the DFD walk
 (product chains planned from the best resident ancestor),
-reclaiming partitions once they can no longer be referenced (in a
-levelwise walk the previous level, once the current one is pruned and
-before the next is generated; the walk's declared liveness in DFD),
-recomputing partitions for checkpoint restore
-(Lemma 3, by product chains from the singletons), and preserving spill
-files on the crash path.
+reclaiming partitions once they can no longer be referenced (see
+"Partition lifetime" below), recomputing partitions for checkpoint
+restore (Lemma 3, by product chains from the singletons), and
+preserving spill files on the crash path.
+
+Partition lifetime
+------------------
+A levelwise walk holds at most two adjacent levels.  Step ℓ's tests
+read levels ℓ−1 and ℓ, so level ℓ−1 is reclaimed once level ℓ is
+pruned, before level ℓ+1 is generated.  An approximate walk keeps all
+of level ℓ until step ℓ+1's tests have read it.  An exact walk's tests
+read ranks only, which the level's arrays hold, so level ℓ's
+partitions are only the factors of ℓ+1 and go while ℓ+1 is built, in
+the per-mask form: the candidates are computed prefix block by prefix
+block (a candidate's two factors share its prefix, the candidate minus
+its two highest attributes), the sets of level ℓ that are no factor go
+before the first product, and a block's factors once its products are
+stored (:meth:`PartitionManager.materialize` with ``release``).  The
+reclaim of level ℓ at step ℓ+1 then finds nothing left.  A checkpoint
+resume rebuilds such a released previous level from the singletons,
+uncounted, for its ranks, as it does after a crash during generation.
+The DFD walk drops what its own liveness sweep declares dead.
 
 Two storage forms
 -----------------
@@ -43,6 +59,8 @@ and the composition root.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from repro import _bitset
@@ -58,7 +76,7 @@ from repro.partition.vectorized import (
     batched_error_counts,
     dense_relation,
 )
-from repro.search.execution import Fetch, SerialExecution
+from repro.search.execution import _PRODUCT_BATCH, Fetch, SerialExecution
 from repro.search.instruments import Counter
 from repro.testing import faults
 
@@ -227,6 +245,7 @@ class PartitionManager:
         errors: list[int] | None = None,
         *,
         ranks_only: bool = False,
+        release: np.ndarray | None = None,
     ) -> list[int]:
         """Compute and store the partitions of the next level.
 
@@ -247,6 +266,15 @@ class PartitionManager:
         :meth:`~repro.search.execution.SerialExecution.level_products`
         call over the previous level's block, stored as one block; the
         levelwise callers pass lattice generation's arrays.
+
+        ``release`` is the level ``triples`` were generated from (lattice
+        generation's arrays), when the caller reads none of its
+        partitions again: an exact walk, whose tests read only ranks.
+        The per-mask form then computes the level in prefix-block order
+        and drops each of the level's partitions as soon as no product
+        left to compute reads it (:meth:`_released_by_block`); a
+        rank-only level and the block form leave the level to
+        :meth:`reclaim`.
         """
         if self.level_blocks:
             block = self._level_products(triples, ranks_only)
@@ -254,6 +282,8 @@ class PartitionManager:
                 errors.extend(block.errors.tolist())
             return block.masks.tolist()
         if isinstance(triples, LevelCandidates):
+            if release is not None and not ranks_only:
+                return self._released_by_block(triples, errors, release)
             triples = triples.triples()
         if (
             ranks_only
@@ -262,31 +292,101 @@ class PartitionManager:
             and self.partition_cls is CsrPartition
         ):
             return self._rank_only(triples, errors)
-        next_level: list[int] = []
-        products = self.executor.products(triples, self.store.get, self.workspace)
+        ranks: list[int] = []
+        self._store_products([[(triples, ())]], ranks)
+        if errors is not None:
+            errors.extend(ranks)
+        return [candidate for candidate, _x, _y in triples]
+
+    def _store_products(self, batches, ranks: list[int]) -> None:
+        """Stream the products of ``batches`` into the store.
+
+        A batch is one
+        :meth:`~repro.search.execution.SerialExecution.products` call
+        over the triples of its blocks, each block ``(triples,
+        released)``: the ``released`` masks are discarded once the
+        store holds the block's last product.  ``ranks`` receives
+        ``e(π)`` of every product, in the order computed.
+        """
 
         def stream():
             # The store consumes the executor's result stream directly:
             # products become resident (and may spill) while later
-            # batches are still to be computed.
-            for candidate, product in products:
-                faults.check("tane.products.consume")
-                self._c_products.inc()
-                next_level.append(candidate)
-                if errors is not None:
-                    errors.append(product.error_count)
-                yield candidate, product
+            # products are still to be computed.
+            for blocks in batches:
+                triples = [triple for block, _released in blocks for triple in block]
+                products = self.executor.products(triples, self.store.get, self.workspace)
+                try:
+                    for block, released in blocks:
+                        for candidate, product in itertools.islice(products, len(block)):
+                            faults.check("tane.products.consume")
+                            self._c_products.inc()
+                            ranks.append(product.error_count)
+                            yield candidate, product
+                        # Resumed once the store holds the block's last
+                        # product.
+                        for mask in released:
+                            self.store.discard(mask)
+                finally:
+                    # Deterministic cleanup: if the store raised between
+                    # yields the executor's generator would otherwise
+                    # only finalize at GC.
+                    close = getattr(products, "close", None)
+                    if close is not None:
+                        close()
 
-        try:
-            self.store.put_many(stream())
-        finally:
-            # Deterministic cleanup: if the store raised between yields
-            # the executor's generator would otherwise only finalize at
-            # GC.
-            close = getattr(products, "close", None)
-            if close is not None:
-                close()
-        return next_level
+        self.store.put_many(stream())
+
+    def _released_by_block(
+        self, candidates: LevelCandidates, errors: list[int] | None, level: np.ndarray
+    ) -> list[int]:
+        """:meth:`materialize` of an exact walk's level, per prefix block.
+
+        Apriori generation joins two sets of level ℓ only when they
+        share their ℓ−1 lowest attributes, so both factors of a
+        candidate lie in its prefix block ``P``: the candidate minus its
+        two highest attributes, which is the factors' intersection; and
+        every set of level ℓ lies in one block, its own minus its
+        highest attribute.  The candidates are taken block by block,
+        ``P`` ascending, and whole blocks are packed into executor calls
+        of at most ``_PRODUCT_BATCH`` products (a larger block is a call
+        of its own, which the executor splits).  A set of ``level`` that
+        is no factor — pruned, alone in its block, or only in joins the
+        subset check refused — is discarded before the first product; a
+        block's factors once its last product is stored.  Masks and
+        ranks come back in candidate order.
+        """
+        count = candidates.candidates.size
+        prefixes = candidates.factor_x & candidates.factor_y
+        order = np.argsort(prefixes, kind="stable")
+        prefixes = prefixes[order]
+        starts = np.flatnonzero(prefixes[1:] != prefixes[:-1]) + 1
+        triples = candidates.triples()
+        batches: list[list[tuple[list, list[int]]]] = []
+        batch: list[tuple[list, list[int]]] = []
+        size = 0
+        factors: set[int] = set()
+        for positions in np.split(order, starts) if count else ():
+            block = [triples[position] for position in positions.tolist()]
+            if batch and size + len(block) > _PRODUCT_BATCH:
+                batches.append(batch)
+                batch, size = [], 0
+            released = sorted({mask for _c, x, y in block for mask in (x, y)})
+            batch.append((block, released))
+            size += len(block)
+            factors.update(released)
+        if batch:
+            batches.append(batch)
+        for mask in level.tolist():
+            if mask not in factors:
+                self.store.discard(mask)
+        ranks: list[int] = []
+        self._store_products(batches, ranks)
+        if errors is not None:
+            by_candidate = np.empty(count, dtype=np.int64)
+            by_candidate[order] = ranks
+            errors.extend(by_candidate.tolist())
+        return candidates.candidates.tolist()
 
     def _level_products(self, triples: LevelCandidates, ranks_only: bool) -> LevelBlock:
         """The block form of :meth:`materialize`: one level, one block."""

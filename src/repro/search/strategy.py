@@ -163,7 +163,9 @@ class LevelwiseStrategy(TraversalStrategy):
     counter accounting are pinned, results *and* counters, by the
     golden-parity suites.  At most two adjacent levels are resident:
     level ℓ−1 is reclaimed once level ℓ is pruned, before level ℓ+1 is
-    generated (see :meth:`step`).  A level is a
+    generated (see :meth:`step`); an exact run drops level ℓ's
+    partitions while it generates ℓ+1 (see "Partition lifetime" in
+    :mod:`repro.search.partitions`).  A level is a
     :class:`~repro.search.tracker.LevelArrays` whose ``cplus`` holds
     ``C+``, with masks in :func:`~repro._bitset.mask_dtype` of the
     schema, and each phase is a fixed number of numpy passes; exact
@@ -228,12 +230,15 @@ class LevelwiseStrategy(TraversalStrategy):
             return driver.num_attributes
         return min(driver.num_attributes, driver.max_lhs_size + 1)
 
+    @staticmethod
+    def _exact(driver) -> bool:
+        """Whether the walk's validity tests read ranks only."""
+        return driver.criteria.epsilon == 0.0
+
     def _rank_only_level(self, driver, level_number: int) -> bool:
         """No level follows the last one, so none of its partitions is
         a product factor; an exact run needs only their ranks."""
-        return (
-            level_number == self._max_level(driver) and driver.criteria.epsilon == 0.0
-        )
+        return level_number == self._max_level(driver) and self._exact(driver)
 
     def _start(self, driver, level_number, level, previous=(0,), cplus_prev=None):
         self.driver = driver
@@ -304,7 +309,8 @@ class LevelwiseStrategy(TraversalStrategy):
         driver.pruned_level_sizes.append(len(surviving))
         # Level ℓ−1's partitions were read for the last time by the
         # validity tests; GENERATE reads only level ℓ, so ℓ−1 goes
-        # before ℓ+1 is built.
+        # before ℓ+1 is built.  (An exact run's per-mask form dropped
+        # them while it built level ℓ.)
         driver.partitions.reclaim(self.previous.masks)
         products_before = driver.products.value
         with driver.span("generate_next_level") as phase:
@@ -331,6 +337,10 @@ class LevelwiseStrategy(TraversalStrategy):
                 candidates,
                 errors,
                 ranks_only=self._rank_only_level(driver, self.level_number + 1),
+                # An exact run's tests read level ℓ's ranks, which the
+                # level's arrays hold, so its partitions are only
+                # product factors.
+                release=self.level.masks if self._exact(driver) else None,
             )
             subsets = candidates.subsets
         return LevelArrays(masks, errors, width=driver.num_attributes, subsets=subsets)

@@ -23,6 +23,7 @@ from repro.core.checkpoint import CheckpointManager, load_checkpoint
 from repro.core.tane import TaneConfig, discover
 from repro.exceptions import CheckpointError, ConfigurationError
 from repro.model.relation import Relation
+from repro.partition.store import DiskPartitionStore
 from repro.partition.vectorized import _DENSE_MAX_ROWS
 from repro.testing import faults
 
@@ -261,6 +262,47 @@ class TestFaultWhileGenerating:
         else:
             sizes = {bin(int(name[len("partition-"):-4], 16)).count("1") for name in spilled}
             assert 3 in sizes and 2 not in sizes
+        resumed = discover(relation, TaneConfig(checkpoint_dir=tmp_path, resume=True, **config))
+        assert_identical_results(resumed, baseline)
+
+
+class TestFaultAfterARelease:
+    """A fault while level 2 generates level 3 in an exact per-mask
+    walk, after a prefix block's level-2 factors were dropped: resume
+    rebuilds the dropped partitions from the singletons, uncounted."""
+
+    def test_resume_matches_an_uninterrupted_run(
+        self, structured_relation, tmp_path, monkeypatch
+    ):
+        relation = _tiled_past_dense(structured_relation)
+        config = dict(store="disk", store_options=TestFaultWhileGenerating.OPTIONS)
+        baseline = discover(relation, TaneConfig(**config))
+        generated, released = [], []
+        put, discard = DiskPartitionStore.put, DiskPartitionStore.discard
+
+        def recording_put(store, key, entry):
+            if bin(key).count("1") == 3:
+                generated.append(key)
+            put(store, key, entry)
+
+        with contextlib.ExitStack() as stack:
+
+            def releasing_discard(store, key):
+                discard(store, key)
+                if generated and bin(key).count("1") == 2 and not released:
+                    # Level 3 has products stored and a block's factors
+                    # go: fail the next product.
+                    released.append(key)
+                    stack.enter_context(faults.inject("tane.products.consume"))
+
+            monkeypatch.setattr(DiskPartitionStore, "put", recording_put)
+            monkeypatch.setattr(DiskPartitionStore, "discard", releasing_discard)
+            with pytest.raises(faults.InjectedFault):
+                discover(relation, TaneConfig(checkpoint_dir=tmp_path, **config))
+        monkeypatch.undo()
+        assert released
+        state = load_checkpoint(tmp_path)
+        assert state.step == 1
         resumed = discover(relation, TaneConfig(checkpoint_dir=tmp_path, resume=True, **config))
         assert_identical_results(resumed, baseline)
 

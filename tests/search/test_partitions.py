@@ -224,11 +224,28 @@ def _entry_size(key):
     return -key if key < 0 else _bitset.popcount(key)
 
 
+def _prefix(mask, drop):
+    """``mask`` without its ``drop`` highest attributes."""
+    for _ in range(drop):
+        mask &= ~(1 << (mask.bit_length() - 1))
+    return mask
+
+
 class _Counting:
     """Store mixin counting every write once counting is switched on,
     and watching how many levels the store holds: at the first put of
     a level ℓ+1 entry, every held set of a size from 2 to ℓ−1 is
-    recorded in ``stale`` (π_∅ and the singletons are the bootstrap's)."""
+    recorded in ``stale`` (π_∅ and the singletons are the bootstrap's).
+
+    It also watches the per-mask form's release by prefix block: at
+    each put of a level ℓ+1 partition, every held level-ℓ mask whose
+    prefix block (the mask minus its highest attribute) already has all
+    its level ℓ+1 products stored is recorded in :attr:`late`.  A block's
+    products (the sets of level ℓ+1 without their two highest
+    attributes) are known once the level is complete, so each put keeps
+    the level-ℓ masks held at that moment (``held_at_puts``) and
+    :attr:`late` is read after the walk.  ``level_bytes`` sums the bytes
+    put per set size."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -237,6 +254,8 @@ class _Counting:
         self.held = set()
         self.sizes = set()
         self.stale = []
+        self.held_at_puts = []
+        self.level_bytes = {}
 
     def _count(self, name, key):
         if self.counting:
@@ -248,8 +267,28 @@ class _Counting:
         if size not in self.sizes:
             self.sizes.add(size)
             self.stale += [k for k in sorted(self.held) if 2 <= _entry_size(k) <= size - 2]
+        if key > 0 and size >= 2:
+            previous = {k for k in self.held if k > 0 and _entry_size(k) == size - 1}
+            self.held_at_puts.append((key, previous))
+        self.level_bytes[size] = self.level_bytes.get(size, 0) + entry.nbytes()
         super().put(key, entry)
         self.held.add(key)
+
+    @property
+    def late(self):
+        """The held level-ℓ masks whose prefix block had all its
+        products stored, at each put of a level ℓ+1 partition."""
+        products = {}
+        for key, _held in self.held_at_puts:
+            products.setdefault(_prefix(key, 2), set()).add(key)
+        stored = set()
+        late = []
+        for key, held in self.held_at_puts:
+            for mask in sorted(held):
+                if products.get(_prefix(mask, 1), set()) <= stored:
+                    late.append(mask)
+            stored.add(key)
+        return late
 
     def discard(self, key):
         self._count("discard", key)
@@ -398,3 +437,70 @@ class TestTwoResidentLevels:
         relation = copies_relation()
         assert relation.num_attributes > 63
         assert self._walk(relation, CountingStore(), epsilon=0.05) == []
+
+
+class TestReleaseByPrefixBlock:
+    """An exact per-mask walk drops each level-ℓ partition once the
+    products of its prefix block are stored; an approximate walk keeps
+    level ℓ until step ℓ+1's tests have read it."""
+
+    @staticmethod
+    def _walk(store, epsilon):
+        relation = _deep_relation(2500, (2, 3, 3, 4, 5, 6))
+        assert relation.num_rows > vectorized._DENSE_MAX_ROWS
+        try:
+            result = discover(relation, TaneConfig(store=store, epsilon=epsilon))
+        finally:
+            store.close()
+        assert len(result.statistics.level_sizes) >= 4
+        assert max(store.sizes) >= 4
+        return store
+
+    @pytest.mark.parametrize("kind", ["memory", "disk"])
+    def test_exact_walk_releases_every_block(self, tmp_path, kind):
+        store = (
+            CountingStore()
+            if kind == "memory"
+            else CountingDiskStore(
+                resident_budget_bytes=4096, directory=tmp_path, min_spill_bytes=0
+            )
+        )
+        store = self._walk(store, 0.0)
+        assert store.held_at_puts and store.late == []
+
+    @pytest.mark.parametrize("kind", ["memory", "disk"])
+    def test_exact_peak_is_below_two_whole_levels(self, tmp_path, kind):
+        # Nothing spills here, so the peak counts every held partition.
+        # Holding two adjacent levels whole until the later one is
+        # stored, as an approximate walk does, peaks at least at the
+        # largest two-level sum.
+        store = CountingStore() if kind == "memory" else CountingDiskStore(directory=tmp_path)
+        store = self._walk(store, 0.0)
+        sizes = store.level_bytes
+        two_levels = max(
+            sizes[size] + sizes[size + 1] for size in sizes if size >= 1 and size + 1 in sizes
+        )
+        assert store.peak_resident_bytes < two_levels
+
+    @pytest.mark.parametrize("kind", ["memory", "disk"])
+    def test_approximate_walk_holds_the_level(self, tmp_path, kind):
+        store = (
+            CountingStore()
+            if kind == "memory"
+            else CountingDiskStore(
+                resident_budget_bytes=4096, directory=tmp_path, min_spill_bytes=0
+            )
+        )
+        store = self._walk(store, 0.05)
+        # At the last put of every level ℓ+1, each level-ℓ mask stored
+        # is still held.
+        last_puts = {}
+        for key, held in store.held_at_puts:
+            last_puts[_bitset.popcount(key)] = held
+        stored = {}
+        for key, _held in store.held_at_puts:
+            stored.setdefault(_bitset.popcount(key), set()).add(key)
+        for size, held in last_puts.items():
+            if size >= 3:
+                assert held == stored[size - 1]
+        assert store.late
